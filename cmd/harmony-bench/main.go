@@ -45,14 +45,8 @@ func run(args []string, out io.Writer) error {
 		golden    = fs.String("golden", "", "golden mode: 'write' records per-experiment renderings, 'check' diffs against them")
 		goldenDir = fs.String("golden-dir", filepath.Join("testdata", "golden"), "directory for golden files")
 
-		benchJSON  = fs.String("benchjson", "", "measure the control-path micro-benchmarks and write the baseline JSON to this path")
-		benchCheck = fs.String("benchjson-check", "", "validate a recorded control-path baseline (schema + op set) without re-benchmarking")
-		benchMS    = fs.Int("bench-ms", 200, "per-op measurement budget for -benchjson, in milliseconds")
-
-		simScaleJSON = fs.String("simscale-json", "", "run one streaming simulation (at -seed/-hours/-rate/-scale) and write its scale baseline JSON to this path")
-		simScalePol  = fs.String("simscale-policy", "baseline", "policy for -simscale-json: baseline | always-on")
-		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this path")
-		memprofile   = fs.String("memprofile", "", "write a heap profile at the end of the run to this path")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this path")
+		memprofile = fs.String("memprofile", "", "write a heap profile at the end of the run to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,9 +55,6 @@ func run(args []string, out io.Writer) error {
 	case "", "write", "check":
 	default:
 		return fmt.Errorf("invalid -golden %q: must be 'write' or 'check'", *golden)
-	}
-	if *benchMS < 1 {
-		return fmt.Errorf("invalid -bench-ms %d: must be >= 1", *benchMS)
 	}
 
 	if *cpuprofile != "" {
@@ -77,23 +68,8 @@ func run(args []string, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	// body routes to the selected mode (baseline check, baseline capture,
-	// experiment listing, experiment runs); it is a closure so the pprof
-	// hooks above and below bracket every mode uniformly.
-	body := func() error {
-		if *benchCheck != "" {
-			return checkBenchJSON(*benchCheck, out)
-		}
-		if *benchJSON != "" {
-			return writeBenchJSON(*benchJSON, *benchMS, out)
-		}
-		if *simScaleJSON != "" {
-			return writeSimScaleJSON(*simScaleJSON, *seed, *hours, *rate, *scale, *simScalePol, out)
-		}
-		return runExperiments(out, *exp, *list, *seed, *hours, *rate, *scale,
-			*cluster, *full, *epsilon, *parallel, *golden, *goldenDir)
-	}
-	if err := body(); err != nil {
+	if err := runExperiments(out, *exp, *list, *seed, *hours, *rate, *scale,
+		*cluster, *full, *epsilon, *parallel, *golden, *goldenDir); err != nil {
 		return err
 	}
 	if *memprofile != "" {
@@ -110,8 +86,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runExperiments is the original harmony-bench mode: regenerate the
-// selected experiments (optionally in parallel and against goldens).
+// runExperiments regenerates the selected experiments (optionally in
+// parallel and against goldens).
 func runExperiments(out io.Writer, exp string, list bool, seed int64, hours, rate float64,
 	scale int, cluster string, full bool, epsilon float64, parallel int,
 	golden, goldenDir string) error {

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -27,12 +25,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad golden mode", []string{"-exp", "fig9", "-golden", "verify"}, "invalid -golden"},
 		{"unknown id in list", []string{"-exp", "fig9,fig999"}, "unknown experiment"},
 		{"only commas", []string{"-exp", ",,"}, "missing -exp"},
-		{"zero bench-ms", []string{"-benchjson", "x.json", "-bench-ms", "0"}, "invalid -bench-ms"},
-		{"negative bench-ms", []string{"-benchjson", "x.json", "-bench-ms", "-5"}, "invalid -bench-ms"},
-		{"non-numeric bench-ms", []string{"-benchjson", "x.json", "-bench-ms", "slow"}, "invalid value"},
 		{"unwritable cpuprofile", []string{"-list", "-cpuprofile", "/nonexistent-dir/cpu.prof"}, "-cpuprofile"},
 		{"unwritable memprofile", []string{"-list", "-memprofile", "/nonexistent-dir/mem.prof"}, "-memprofile"},
-		{"missing baseline", []string{"-benchjson-check", "/nonexistent-dir/bench.json"}, "benchjson-check"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -125,140 +119,6 @@ func TestGoldenWriteCheckRoundtrip(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "fig9", "-golden", "check", "-golden-dir", dir}, io.Discard); err == nil {
 		t.Error("missing golden file passed the check")
-	}
-}
-
-// TestBenchJSONRoundtrip captures a (tiny-budget) control-path baseline
-// and validates it with -benchjson-check; tampered schemas, unknown ops,
-// and missing ops must all fail the check.
-func TestBenchJSONRoundtrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping benchmark capture in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var b strings.Builder
-	if err := run([]string{"-benchjson", path, "-bench-ms", "1"}, &b); err != nil {
-		t.Fatalf("benchjson: %v\n%s", err, b.String())
-	}
-	for _, op := range []string{"relax-cold-mpc", "relax-warm-mpc", "placement", "placement-delta", "harmony-period-tick"} {
-		if !strings.Contains(b.String(), op) {
-			t.Errorf("capture output missing op %q:\n%s", op, b.String())
-		}
-	}
-
-	b.Reset()
-	if err := run([]string{"-benchjson-check", path}, &b); err != nil {
-		t.Fatalf("check after capture: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "ok") {
-		t.Errorf("check output: %s", b.String())
-	}
-
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []struct {
-		name, content, want string
-	}{
-		{"wrong schema", strings.Replace(string(good), "control-path-bench/v1", "control-path-bench/v0", 1), "schema"},
-		{"unknown op", strings.Replace(string(good), `"relax-cold-mpc"`, `"relax-hot-mpc"`, 1), "unknown op"},
-		{"not json", "ns/op all the way down", "invalid character"},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			bad := filepath.Join(t.TempDir(), "bad.json")
-			if err := os.WriteFile(bad, []byte(tt.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err := run([]string{"-benchjson-check", bad}, io.Discard)
-			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("tampered baseline (%s) not caught: %v", tt.name, err)
-			}
-		})
-	}
-}
-
-// TestCommittedBenchBaseline guards the repository's own tracked
-// baseline: BENCH_control_path.json must parse and cover the current op
-// set. (Numbers are a record of one machine's run, not an assertion.)
-func TestCommittedBenchBaseline(t *testing.T) {
-	if err := run([]string{"-benchjson-check", filepath.Join("..", "..", "BENCH_control_path.json")}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSimScaleJSONRoundtrip captures a (tiny) streaming-scale baseline
-// and validates it with the same -benchjson-check entry point — the
-// checker dispatches on the schema tag. Tampered files must fail.
-func TestSimScaleJSONRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "simscale.json")
-	var b strings.Builder
-	args := []string{"-simscale-json", path, "-hours", "0.5", "-rate", "0.5", "-scale", "200"}
-	if err := run(args, &b); err != nil {
-		t.Fatalf("simscale-json: %v\n%s", err, b.String())
-	}
-	for _, op := range []string{"tasks-per-sec", "bytes-per-task", "peak-heap-bytes"} {
-		if !strings.Contains(b.String(), op) {
-			t.Errorf("capture output missing op %q:\n%s", op, b.String())
-		}
-	}
-
-	b.Reset()
-	if err := run([]string{"-benchjson-check", path}, &b); err != nil {
-		t.Fatalf("check after capture: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "sim-scale") {
-		t.Errorf("check output should identify the schema: %s", b.String())
-	}
-
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []struct {
-		name, content, want string
-	}{
-		{"wrong schema", strings.Replace(string(good), "sim-scale-bench/v1", "sim-scale-bench/v0", 1), "schema"},
-		{"unknown op", strings.Replace(string(good), `"tasks-per-sec"`, `"tasks-per-min"`, 1), "unknown op"},
-		{"missing op", strings.Replace(string(good), `"bytes-per-task"`, `"tasks-per-sec"`, 1), "duplicate op"},
-		{"zero tasks", regexp.MustCompile(`"tasks": \d+`).ReplaceAllString(string(good), `"tasks": 0`), "implausible task count"},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			bad := filepath.Join(t.TempDir(), "bad.json")
-			if err := os.WriteFile(bad, []byte(tt.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err := run([]string{"-benchjson-check", bad}, io.Discard)
-			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("tampered baseline (%s) not caught: %v", tt.name, err)
-			}
-		})
-	}
-
-	if err := run([]string{"-simscale-json", path, "-simscale-policy", "cbs"}, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "characterization-free") {
-		t.Errorf("cbs simscale policy should be rejected, got %v", err)
-	}
-}
-
-// TestCommittedSimScaleBaseline guards the tracked streaming-scale
-// baseline: BENCH_sim_scale.json must parse, carry the exact op set,
-// and record the 1M+-task run it documents.
-func TestCommittedSimScaleBaseline(t *testing.T) {
-	path := filepath.Join("..", "..", "BENCH_sim_scale.json")
-	if err := run([]string{"-benchjson-check", path}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file simScaleFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatal(err)
-	}
-	if file.Tasks < 1_000_000 {
-		t.Errorf("committed baseline records %d tasks, want >= 1M (regenerate with make sim-scale-baseline)", file.Tasks)
 	}
 }
 

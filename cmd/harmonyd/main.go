@@ -125,6 +125,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
+	var fe daemon.Frontend
 	if *tenantsPath != "" {
 		tf, err := os.Open(*tenantsPath)
 		if err != nil {
@@ -143,41 +144,28 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		if err != nil {
 			return err
 		}
-		d, err := tenant.NewDaemon(m, tenant.RunConfig{
-			Addr:      *addr,
-			TickEvery: *tickWall,
-			Server: tenant.ServerConfig{
-				QueueSize:      *queue,
-				GlobalQueueCap: *queue,
-				TickDeadline:   *deadline,
-			},
-			FinalPlans: out,
-			Log:        logger,
-			Ready:      ready,
+		logger.Printf("harmonyd: multi-tenant: %d tenants, %d groups", len(doc.Tenants), len(m.Groups()))
+		fe = tenant.NewServer(m, tenant.ServerConfig{
+			QueueSize:      *queue,
+			GlobalQueueCap: *queue,
+			TickDeadline:   *deadline,
 		})
+	} else {
+		eng, err := daemon.NewEngine(engCfg)
 		if err != nil {
 			return err
 		}
-		return d.Run(ctx)
-	}
-
-	eng, err := daemon.NewEngine(engCfg)
-	if err != nil {
-		return err
-	}
-	d, err := daemon.NewDaemon(eng, daemon.RunConfig{
-		Addr:      *addr,
-		TickEvery: *tickWall,
-		Server: daemon.ServerConfig{
+		logger.Printf("harmonyd: period %.0fs, %d task types", eng.PeriodSeconds(), eng.NumTaskTypes())
+		fe = daemon.NewServer(eng, daemon.ServerConfig{
 			QueueSize:    *queue,
 			TickDeadline: *deadline,
-		},
+		})
+	}
+	return daemon.Run(ctx, fe, daemon.RunConfig{
+		Addr:      *addr,
+		TickEvery: *tickWall,
 		FinalPlan: out,
 		Log:       logger,
 		Ready:     ready,
 	})
-	if err != nil {
-		return err
-	}
-	return d.Run(ctx)
 }

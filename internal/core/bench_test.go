@@ -141,21 +141,6 @@ func BenchmarkSolveRelaxedWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveRelaxedDense is the retired dense-tableau reference on
-// the same instance, for the sparse-vs-dense trajectory.
-func BenchmarkSolveRelaxedDense(b *testing.B) {
-	_, next := benchPair()
-	v := newVarIndex(next)
-	prob := buildProblem(next, v)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lp.SolveDense(prob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRoundCBS measures the parallel per-type First-Fit placement
 // pass against a fixed fractional plan (12 machine types).
 func BenchmarkRoundCBS(b *testing.B) {

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +11,23 @@ import (
 	"time"
 )
 
+// Frontend is what the run loop drives: an HTTP API over an ingest
+// pipeline and a control loop. The single-tenant Server and the
+// multi-tenant tenant.Server both satisfy it.
+type Frontend interface {
+	http.Handler
+	// ForceTick flushes the ingest lanes and runs one control period
+	// under the tick deadline. Like Plan it returns the plan document in
+	// its wire shape.
+	ForceTick(ctx context.Context) (interface{}, error)
+	// Plan returns the current plan document.
+	Plan() (interface{}, error)
+	// TickDeadline bounds each tick and the shutdown drain.
+	TickDeadline() time.Duration
+	// Close stops the ingest lanes once the listener is down.
+	Close()
+}
+
 // RunConfig parameterizes a daemon process.
 type RunConfig struct {
 	// Addr is the listen address (e.g. ":8080"). Required.
@@ -20,61 +36,45 @@ type RunConfig struct {
 	// ticks. 0 disables automatic ticks (they can still be forced via
 	// POST /v1/tick) — useful for tests and replay drivers.
 	TickEvery time.Duration
-	// Server holds the HTTP front-end options.
-	Server ServerConfig
 	// FinalPlan, when non-nil, receives the final plan as JSON during
 	// graceful shutdown.
 	FinalPlan io.Writer
 	// Log receives operational messages; log.Default() when nil.
 	Log *log.Logger
-	// Ready, when non-nil, is closed once the listener is bound; the
-	// bound address is stored in BoundAddr first. For tests and for
-	// ":0" listeners.
+	// Ready, when non-nil, receives the bound listen address and is then
+	// closed. For tests and for ":0" listeners.
 	Ready chan<- string
 }
 
-// Daemon couples an Engine with its HTTP server and run loop.
-type Daemon struct {
-	eng *Engine
-	srv *Server
-	cfg RunConfig
-}
-
-// NewDaemon builds a daemon around an engine.
-func NewDaemon(eng *Engine, cfg RunConfig) (*Daemon, error) {
+// Run serves fe until ctx is cancelled (SIGINT/SIGTERM when the caller
+// wires signal.NotifyContext), then shuts down gracefully: the ingest
+// lanes are flushed, one final control tick runs under the tick deadline
+// so the last arrival window is provisioned, the final plan is written to
+// cfg.FinalPlan, the HTTP listener drains, and the lanes are closed.
+func Run(ctx context.Context, fe Frontend, cfg RunConfig) error {
 	if cfg.Addr == "" {
-		return nil, errors.New("daemon: listen address required")
+		return errors.New("daemon: listen address required")
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
-	return &Daemon{eng: eng, srv: NewServer(eng, cfg.Server), cfg: cfg}, nil
-}
-
-// Run serves until ctx is cancelled (SIGINT/SIGTERM when the caller wires
-// signal.NotifyContext), then shuts down gracefully: the ingest queue is
-// flushed, one final control tick runs under the tick deadline so the
-// last arrival window is provisioned, the final plan is written to
-// cfg.FinalPlan, and the HTTP listener drains.
-func (d *Daemon) Run(ctx context.Context) error {
-	ln, err := net.Listen("tcp", d.cfg.Addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		return fmt.Errorf("daemon: listen %s: %w", d.cfg.Addr, err)
+		return fmt.Errorf("daemon: listen %s: %w", cfg.Addr, err)
 	}
-	httpSrv := &http.Server{Handler: d.srv}
+	httpSrv := &http.Server{Handler: fe}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	d.cfg.Log.Printf("harmonyd: listening on %s (period %.0fs, %d task types)",
-		ln.Addr(), d.eng.PeriodSeconds(), d.eng.NumTaskTypes())
-	if d.cfg.Ready != nil {
-		d.cfg.Ready <- ln.Addr().String()
-		close(d.cfg.Ready)
+	cfg.Log.Printf("harmonyd: listening on %s", ln.Addr())
+	if cfg.Ready != nil {
+		cfg.Ready <- ln.Addr().String()
+		close(cfg.Ready)
 	}
 
 	var tickC <-chan time.Time
-	if d.cfg.TickEvery > 0 {
+	if cfg.TickEvery > 0 {
 		//harmony:allow nodeterm the run loop's tick cadence is genuinely wall-clock; Replay is the deterministic reference
-		ticker := time.NewTicker(d.cfg.TickEvery)
+		ticker := time.NewTicker(cfg.TickEvery)
 		defer ticker.Stop()
 		tickC = ticker.C
 	}
@@ -87,35 +87,33 @@ loop:
 		case err := <-serveErr:
 			return fmt.Errorf("daemon: serve: %w", err)
 		case <-tickC:
-			if _, err := d.srv.ForceTick(context.Background()); err != nil {
-				d.cfg.Log.Printf("harmonyd: tick: %v", err)
+			if _, err := fe.ForceTick(context.Background()); err != nil {
+				cfg.Log.Printf("harmonyd: tick: %v", err)
 			}
 		}
 	}
 
 	// Graceful shutdown: final flush + tick + plan dump, bounded by the
 	// tick deadline, then listener drain.
-	d.cfg.Log.Printf("harmonyd: shutting down")
-	if _, err := d.srv.ForceTick(context.Background()); err != nil {
-		d.cfg.Log.Printf("harmonyd: final tick: %v", err)
+	cfg.Log.Printf("harmonyd: shutting down")
+	if _, err := fe.ForceTick(context.Background()); err != nil {
+		cfg.Log.Printf("harmonyd: final tick: %v", err)
 	}
-	if d.cfg.FinalPlan != nil {
-		if plan, err := d.eng.Plan(); err == nil {
-			enc := json.NewEncoder(d.cfg.FinalPlan)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(plan); err != nil {
-				d.cfg.Log.Printf("harmonyd: final plan: %v", err)
+	if cfg.FinalPlan != nil {
+		if plan, err := fe.Plan(); err == nil {
+			if err := encodeJSON(cfg.FinalPlan, plan); err != nil {
+				cfg.Log.Printf("harmonyd: final plan: %v", err)
 			}
 		}
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), d.srv.cfg.TickDeadline)
+	shutCtx, cancel := context.WithTimeout(context.Background(), fe.TickDeadline())
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("daemon: shutdown: %w", err)
 	}
 	<-serveErr // http.ErrServerClosed
 	// With the listener drained nothing can enqueue anymore; stop the
-	// ingest worker so no goroutine outlives Run.
-	d.srv.Close()
+	// ingest workers so no goroutine outlives Run.
+	fe.Close()
 	return nil
 }

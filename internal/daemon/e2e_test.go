@@ -148,19 +148,17 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 	var finalPlan bytes.Buffer
 	const deadline = 10 * time.Second
 	ready := make(chan string, 1)
-	d, err := NewDaemon(eng, RunConfig{
-		Addr:      "127.0.0.1:0",
-		Server:    ServerConfig{TickDeadline: deadline},
-		FinalPlan: &finalPlan,
-		Ready:     ready,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewServer(eng, ServerConfig{TickDeadline: deadline})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
-	go func() { runErr <- d.Run(ctx) }()
+	go func() {
+		runErr <- Run(ctx, srv, RunConfig{
+			Addr:      "127.0.0.1:0",
+			FinalPlan: &finalPlan,
+			Ready:     ready,
+		})
+	}()
 	addr := <-ready
 
 	resp, err := http.Post("http://"+addr+"/v1/tasks", "application/x-ndjson",

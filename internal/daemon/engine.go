@@ -310,6 +310,12 @@ func (e *Engine) NumTaskTypes() int { return len(e.types) }
 // PeriodSeconds returns the control period in model time.
 func (e *Engine) PeriodSeconds() float64 { return e.cfg.PeriodSeconds }
 
+// PricePerKWh returns the resolved flat electricity price.
+func (e *Engine) PricePerKWh() float64 { return e.cfg.PricePerKWh }
+
+// SwitchCostDollars returns the resolved per-transition switching cost.
+func (e *Engine) SwitchCostDollars() float64 { return e.cfg.SwitchCostDollars }
+
 // validateTask rejects tasks the trace model would reject. The positivity
 // checks are written as !(x > 0) so NaN fields (which compare false
 // against everything) are rejected rather than slipping past a x <= 0
@@ -467,7 +473,6 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 	done := make(chan result, 1)
 	start := time.Now() //harmony:allow nodeterm tick latency metric; model time drives control
 	go func() {
-		defer e.solving.Store(false)
 		plan, err := e.solve(obs, idx, now)
 		elapsed := time.Since(start).Seconds() //harmony:allow nodeterm tick latency metric; model time drives control
 		e.mTickSecs.Observe(elapsed)
@@ -480,6 +485,9 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 			e.stats.TicksLate++
 			e.mu.Unlock()
 		}
+		// Clear the flag before handing the result over: a caller that
+		// ticks again the moment this one returns must not be skipped.
+		e.solving.Store(false)
 		done <- result{plan, err}
 	}()
 	select {

@@ -268,6 +268,21 @@ func TestTickProducesPlan(t *testing.T) {
 	}
 }
 
+// TestBackToBackTicksNeverSkipped ticks again the moment each tick
+// returns — what the run loop's shutdown tick does after a ticker tick —
+// and requires that a completed tick has released the in-flight flag.
+func TestBackToBackTicksNeverSkipped(t *testing.T) {
+	e, err := NewEngine(testEngineConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 300; k++ {
+		if _, err := e.Tick(context.Background()); err != nil {
+			t.Fatalf("tick %d: %v", k, err)
+		}
+	}
+}
+
 func TestTickInFlightSkipped(t *testing.T) {
 	e, err := NewEngine(testEngineConfig(t))
 	if err != nil {

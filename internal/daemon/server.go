@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"harmony/internal/metrics"
@@ -22,9 +20,6 @@ type ServerConfig struct {
 	QueueSize int
 	// TickDeadline bounds each control-loop solve (default 30s).
 	TickDeadline time.Duration
-
-	// startWorker exists for tests that need the queue to stay full.
-	startWorker *bool
 }
 
 func (cfg *ServerConfig) defaults() {
@@ -36,124 +31,55 @@ func (cfg *ServerConfig) defaults() {
 	}
 }
 
-// ingestItem is one unit on the ingest queue: a task, or a barrier that
-// closes its channel once every earlier item has been applied.
-type ingestItem struct {
-	task    trace.Task
-	barrier chan struct{}
-}
-
 // Server is the HTTP front-end of the daemon: streaming ingest with
 // backpressure, the plan/stats endpoints, and Prometheus-style metrics.
 type Server struct {
-	eng *Engine
-	cfg ServerConfig
-	mux *http.ServeMux
+	*Router
+	eng  *Engine
+	cfg  ServerConfig
+	lane *Lane
 
-	queue     chan ingestItem
-	workers   sync.WaitGroup
-	closeOnce sync.Once
-
-	mQueueDepth *metrics.Gauge
 	mRejected   *metrics.Counter
 	mIngestErrs *metrics.Counter
-	mPanics     *metrics.Counter
-	mRequests   *metrics.CounterVec
 }
 
 // NewServer wires the engine behind the HTTP API and starts the ingest
-// worker that drains the bounded queue into the engine.
+// lane that drains the bounded queue into the engine.
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	cfg.defaults()
-	s := &Server{
-		eng:   eng,
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		queue: make(chan ingestItem, cfg.QueueSize),
-	}
 	r := eng.cfg.Registry
-	s.mQueueDepth = r.Gauge("harmonyd_ingest_queue_depth", "Tasks waiting on the ingest queue.")
-	s.mRejected = r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because the ingest queue was full.")
-	s.mIngestErrs = r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation.")
-	s.mPanics = r.Counter("harmonyd_panics_recovered_total", "Panics recovered by the HTTP middleware.")
-	s.mRequests = r.CounterVec("harmonyd_http_requests_total", "HTTP requests served, by route.", "route")
-
-	s.mux.HandleFunc("POST /v1/tasks", s.handleTasks)
-	s.mux.HandleFunc("POST /v1/tick", s.handleTick)
-	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	if cfg.startWorker == nil || *cfg.startWorker {
-		s.workers.Add(1)
-		go s.ingestWorker()
+	s := &Server{
+		Router:      NewRouter(r),
+		eng:         eng,
+		cfg:         cfg,
+		mRejected:   r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because the ingest queue was full."),
+		mIngestErrs: r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation."),
 	}
+	s.lane = NewLane(cfg.QueueSize,
+		r.Gauge("harmonyd_ingest_queue_depth", "Tasks waiting on the ingest queue."),
+		func(t trace.Task) {
+			if err := eng.Ingest(t); err != nil {
+				s.mIngestErrs.Inc()
+			}
+		})
+
+	s.HandleFunc("POST /v1/tasks", s.handleTasks)
+	s.HandleFunc("POST /v1/tick", s.handleTick)
+	s.HandleFunc("GET /v1/plan", s.handlePlan)
+	s.HandleFunc("GET /v1/stats", s.handleStats)
 	return s
 }
 
-// Close shuts down the ingest pipeline: the queue is closed so the
-// worker drains everything already admitted and exits. Callers must
-// stop the HTTP server first — an enqueue racing Close would send on
-// the closed queue. Close is idempotent and blocks until the worker
-// has exited.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.queue)
-		s.workers.Wait()
-	})
-}
-
-// ServeHTTP implements http.Handler with panic recovery around the mux.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.mPanics.Inc()
-			writeJSONError(w, http.StatusInternalServerError, fmt.Sprintf("panic: %v", v))
-		}
-	}()
-	s.mRequests.With(r.URL.Path).Inc()
-	s.mux.ServeHTTP(w, r)
-}
-
-// ingestWorker drains the queue into the engine until Close closes it.
-func (s *Server) ingestWorker() {
-	defer s.workers.Done()
-	for item := range s.queue {
-		if item.barrier != nil {
-			close(item.barrier)
-			continue
-		}
-		if err := s.eng.Ingest(item.task); err != nil {
-			s.mIngestErrs.Inc()
-		}
-		s.mQueueDepth.Set(float64(len(s.queue)))
-	}
-}
+// Close stops the ingest lane after it has drained everything already
+// admitted. Callers must stop the HTTP server first.
+func (s *Server) Close() { s.lane.Close() }
 
 // Flush blocks until every task enqueued before the call has been applied
 // to the engine. It is what makes a forced tick observe all prior POSTs.
-func (s *Server) Flush() {
-	done := make(chan struct{})
-	s.queue <- ingestItem{barrier: done}
-	<-done
-}
+func (s *Server) Flush() { s.lane.Flush() }
 
-// enqueue pushes tasks onto the bounded queue, stopping at the first one
-// that does not fit. It returns how many were accepted.
-func (s *Server) enqueue(tasks []trace.Task) int {
-	for i, t := range tasks {
-		select {
-		case s.queue <- ingestItem{task: t}:
-		default:
-			s.mQueueDepth.Set(float64(len(s.queue)))
-			return i
-		}
-	}
-	s.mQueueDepth.Set(float64(len(s.queue)))
-	return len(tasks)
-}
+// TickDeadline returns the bound on each control-loop solve.
+func (s *Server) TickDeadline() time.Duration { return s.cfg.TickDeadline }
 
 // DecodeTasks parses an ingest request body: a single JSON task object, a
 // JSON array of tasks, or an NDJSON stream of task objects. It is shared
@@ -230,23 +156,27 @@ type ingestResponse struct {
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	tasks, err := DecodeTasks(r.Body)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	accepted := s.enqueue(tasks)
+	// Admission stops at the first task that does not fit.
+	accepted := 0
+	for accepted < len(tasks) && s.lane.TryPush(tasks[accepted]) {
+		accepted++
+	}
 	resp := ingestResponse{Accepted: accepted, Rejected: len(tasks) - accepted}
 	if resp.Rejected > 0 {
 		s.mRejected.Add(float64(resp.Rejected))
 		resp.Error = "ingest queue full"
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		WriteJSON(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	WriteJSON(w, http.StatusAccepted, resp)
 }
 
-// ForceTick flushes the ingest queue and runs one control-period tick
-// under the configured deadline.
-func (s *Server) ForceTick(parent context.Context) (*Plan, error) {
+// ForceTick flushes the ingest lane and runs one control-period tick
+// under the configured deadline, returning the new plan.
+func (s *Server) ForceTick(parent context.Context) (interface{}, error) {
 	s.Flush()
 	ctx, cancel := context.WithTimeout(parent, s.cfg.TickDeadline)
 	defer cancel()
@@ -255,30 +185,29 @@ func (s *Server) ForceTick(parent context.Context) (*Plan, error) {
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	plan, err := s.ForceTick(r.Context())
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, plan)
-	case errors.Is(err, ErrTickInFlight):
-		writeJSONError(w, http.StatusConflict, err.Error())
-	case errors.Is(err, context.DeadlineExceeded):
-		writeJSONError(w, http.StatusGatewayTimeout, err.Error())
-	default:
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	plan, err := s.eng.Plan()
 	if err != nil {
-		writeJSONError(w, http.StatusNotFound, err.Error())
+		WriteJSONError(w, TickStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, plan)
+	WriteJSON(w, http.StatusOK, plan)
+}
+
+// Plan returns the current plan: what GET /v1/plan serves and what the
+// run loop dumps at shutdown.
+func (s *Server) Plan() (interface{}, error) { return s.eng.Plan() }
+
+func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
+	plan, err := s.Plan()
+	if err != nil {
+		WriteJSONError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	WriteJSON(w, http.StatusOK, plan)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	stats := s.eng.Snapshot()
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Stats
 		QueueDepth    int `json:"queueDepth"`
 		QueueCapacity int `json:"queueCapacity"`
@@ -287,24 +216,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		// arrival windows — the online counterpart of the offline
 		// rolling-origin numbers from internal/forecast.
 		ForecastBacktest map[string]float64 `json:"forecastBacktest,omitempty"`
-	}{stats, len(s.queue), cap(s.queue), s.eng.ForecastBacktest()})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	//harmony:allow errflow HTTP response write; the client disconnecting is not an error we can handle
-	io.WriteString(w, s.eng.cfg.Registry.Render())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	//harmony:allow errflow HTTP response write; the client disconnecting is not an error we can handle
-	_ = enc.Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	}{stats, s.lane.Len(), s.lane.Cap(), s.eng.ForecastBacktest()})
 }

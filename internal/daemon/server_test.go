@@ -24,6 +24,20 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *Engine) {
 	return NewServer(eng, cfg), eng
 }
 
+// holdLane parks the lane's worker on a barrier, so the queue stays
+// exactly as full as the test makes it; the returned release lets the
+// worker drain again (and runs at cleanup regardless).
+func holdLane(t *testing.T, l *Lane) (release func()) {
+	t.Helper()
+	gate, parked := make(chan struct{}), make(chan struct{})
+	l.Barrier(func() { close(parked); <-gate })
+	<-parked
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() { release(); l.Close() })
+	return release
+}
+
 func taskNDJSON(tasks ...trace.Task) string {
 	var sb strings.Builder
 	for _, task := range tasks {
@@ -111,8 +125,8 @@ func TestIngestEndpoint(t *testing.T) {
 }
 
 func TestIngestBackpressure429(t *testing.T) {
-	off := false
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 4, startWorker: &off})
+	s, _ := newTestServer(t, ServerConfig{QueueSize: 4})
+	release := holdLane(t, s.lane)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -138,7 +152,7 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 
 	// The queue drains once the worker runs, and draining frees capacity.
-	go s.ingestWorker()
+	release()
 	s.Flush()
 	resp, err = http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
 		strings.NewReader(taskNDJSON(gratisTask(99, 99, 60))))
@@ -156,8 +170,8 @@ func TestIngestBackpressure429(t *testing.T) {
 // exactly to the queue capacity — enqueue must not over-admit under
 // contention — and that rejections land on the 429 counter.
 func TestIngestBackpressureConcurrentProducers(t *testing.T) {
-	off := false
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 16, startWorker: &off})
+	s, _ := newTestServer(t, ServerConfig{QueueSize: 16})
+	holdLane(t, s.lane)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -203,14 +217,14 @@ func TestIngestBackpressureConcurrentProducers(t *testing.T) {
 	if got := s.mRejected.Value(); got != float64(rejected) {
 		t.Errorf("rejected counter = %v, want %d", got, rejected)
 	}
-	if got := len(s.queue); got != 16 {
+	if got := s.lane.Len(); got != 16 {
 		t.Errorf("queue depth = %d, want 16", got)
 	}
 }
 
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	s, _ := newTestServer(t, ServerConfig{})
-	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
+	s.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
 	srv := httptest.NewServer(s)

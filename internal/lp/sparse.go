@@ -4,7 +4,7 @@
 // The CBS-RELAX constraint matrix is overwhelmingly sparse: every
 // x(m,n,t) column touches a capacity row pair and one scheduled-count
 // row, every z(m,t) column a handful of linkage rows. The dense tableau
-// (retained in lp.go as SolveDense, the differential-testing reference)
+// (retained in dense_test.go as the differential-testing oracle)
 // pays O(m·n) per pivot regardless; the revised simplex below stores the
 // matrix column-wise, represents the basis inverse as a product of
 // sparse eta matrices folded periodically into dense inverse columns,

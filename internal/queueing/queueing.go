@@ -43,6 +43,11 @@ func ErlangC(c int, a float64) (float64, error) {
 	b := 1.0
 	for k := 1; k <= c; k++ {
 		b = a * b / (float64(k) + a*b)
+		if b == 0 {
+			// Underflowed: the recurrence maps 0 to 0, so the remaining
+			// iterations (up to 1e7 under a wild warm-start hint) are no-ops.
+			break
+		}
 	}
 	// Erlang-C from Erlang-B.
 	return b / (1 - rho*(1-b)), nil

@@ -132,15 +132,6 @@ type Multi struct {
 	mGroupDeltaFu   *metrics.GaugeVec
 }
 
-// Mirror of the daemon.Config defaults the cost model depends on; they
-// must track (*daemon.Config).defaults, and TestCostDefaultsMatchEngine
-// pins the period one through the engine.
-const (
-	defaultPeriodSeconds = 300  //harmony:unit(s)
-	defaultPricePerKWh   = 0.08 //harmony:unit($/kWh)
-	defaultSwitchDollars = 0.01 //harmony:unit($)
-)
-
 // New validates the configuration, groups the tenants, and builds one
 // engine per group.
 func New(cfg Config) (*Multi, error) {
@@ -157,18 +148,6 @@ func New(cfg Config) (*Multi, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 
-	period := cfg.Base.PeriodSeconds
-	if period <= 0 {
-		period = defaultPeriodSeconds
-	}
-	price := cfg.Base.PricePerKWh
-	if price <= 0 {
-		price = defaultPricePerKWh
-	}
-	switchDollars := cfg.Base.SwitchCostDollars
-	if switchDollars <= 0 {
-		switchDollars = defaultSwitchDollars
-	}
 	maxIdle := 0.0
 	for _, mdl := range cfg.Base.Models {
 		if mdl.IdleWatts > maxIdle {
@@ -182,8 +161,6 @@ func New(cfg Config) (*Multi, error) {
 			name:       fmt.Sprintf("g%d", gi),
 			slo:        members[0].SLODelay,
 			reg:        metrics.NewRegistry(),
-			price:      price,
-			periodH:    period / 3600,
 			prevActive: make([]int, len(cfg.Base.Machines)),
 		}
 		engCfg := cfg.Base
@@ -194,12 +171,16 @@ func New(cfg Config) (*Multi, error) {
 			return nil, fmt.Errorf("tenant: group %s engine: %w", g.name, err)
 		}
 		g.eng = eng
+		// The cost model prices what the engine provisions, so it reads the
+		// engine's resolved period, price and switching cost.
+		g.price = eng.PricePerKWh()
+		g.periodH = eng.PeriodSeconds() / 3600
 		g.idleKW = make([]float64, len(cfg.Base.Models))
 		g.switchCost = make([]float64, len(cfg.Base.Models))
 		for i, mdl := range cfg.Base.Models {
 			g.idleKW[i] = mdl.IdleWatts / 1000
 			if maxIdle > 0 {
-				g.switchCost[i] = switchDollars * mdl.IdleWatts / maxIdle
+				g.switchCost[i] = eng.SwitchCostDollars() * mdl.IdleWatts / maxIdle
 			}
 		}
 		for _, s := range members {
@@ -553,10 +534,7 @@ func Replay(cfg Config, tasks []trace.Task, ticks int) (map[string]*daemon.Plan,
 	if err != nil {
 		return nil, err
 	}
-	period := cfg.Base.PeriodSeconds
-	if period <= 0 {
-		period = defaultPeriodSeconds
-	}
+	period := m.groups[0].eng.PeriodSeconds()
 	i := 0
 	for k := 1; k <= ticks; k++ {
 		boundary := float64(k) * period

@@ -162,16 +162,39 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestCostDefaultsMatchEngine pins the period default the cost model
-// mirrors to the engine's actual default.
+// defaultPeriodSeconds is the engine's default control period; the test
+// streams below are laid out on it.
+const defaultPeriodSeconds = 300
+
+// TestCostDefaultsMatchEngine pins the cost model to the engine it
+// prices: with no period, price or switching cost configured, each group
+// bills the engine's resolved defaults rather than values of its own.
 func TestCostDefaultsMatchEngine(t *testing.T) {
-	eng, err := daemon.NewEngine(testBase(t))
+	base := testBase(t)
+	eng, err := daemon.NewEngine(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.PeriodSeconds() != defaultPeriodSeconds {
-		t.Errorf("engine default period %v, cost model assumes %v",
+		t.Errorf("engine default period %v, tests assume %v",
 			eng.PeriodSeconds(), float64(defaultPeriodSeconds))
+	}
+	m, err := New(Config{Base: base, Tenants: []Spec{{Name: "app"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.groups[0]
+	if g.periodH*3600 != eng.PeriodSeconds() || g.price != eng.PricePerKWh() {
+		t.Errorf("cost model bills period %vs at $%v/kWh, engine runs %vs at $%v/kWh",
+			g.periodH*3600, g.price, eng.PeriodSeconds(), eng.PricePerKWh())
+	}
+	maxSwitch := 0.0
+	for _, c := range g.switchCost {
+		maxSwitch = math.Max(maxSwitch, c)
+	}
+	if math.Abs(maxSwitch-eng.SwitchCostDollars()) > 1e-12 {
+		t.Errorf("largest per-type switch cost %v, engine switching cost %v",
+			maxSwitch, eng.SwitchCostDollars())
 	}
 }
 

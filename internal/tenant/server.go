@@ -2,10 +2,7 @@ package tenant
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -27,9 +24,6 @@ type ServerConfig struct {
 	GlobalQueueCap int
 	// TickDeadline bounds each control-period solve (default 30s).
 	TickDeadline time.Duration
-
-	// startWorkers exists for tests that need the queues to stay full.
-	startWorkers *bool
 }
 
 func (cfg *ServerConfig) defaults() {
@@ -44,167 +38,104 @@ func (cfg *ServerConfig) defaults() {
 	}
 }
 
-// ingestItem is one unit on a tenant queue: a task, or a barrier that
-// closes its channel once every earlier item has been applied.
-type ingestItem struct {
-	task    trace.Task
-	barrier chan struct{}
-}
-
-// tenantQueue is one tenant's bounded ingest lane: a private queue drained
-// by a private worker, so each tenant's tasks apply in arrival order and a
-// slow tenant only backs up its own lane.
-type tenantQueue struct {
-	ts    *tenantState
-	queue chan ingestItem
-	depth *metrics.Gauge
-}
-
 // Server is the multi-tenant HTTP front-end: tenant-tagged streaming
 // ingest with per-tenant backpressure under a shared global cap, group
 // plan/tick endpoints, per-tenant and per-group stats, and metrics.
 type Server struct {
+	*daemon.Router
 	multi *Multi
 	cfg   ServerConfig
-	mux   *http.ServeMux
 
-	queues  map[string]*tenantQueue
-	ordered []*tenantQueue // deterministic (tenant-name) order
-	// globalDepth counts tasks admitted across all queues; admission is
+	// Each tenant has a private lane, so its tasks apply in arrival order
+	// and a slow tenant only backs up its own lane.
+	lanes   map[string]*daemon.Lane
+	ordered []*daemon.Lane // parallel to multi.tenants (tenant-name order)
+	// globalDepth counts tasks admitted across all lanes; admission is
 	// add-then-check with rollback so concurrent producers cannot
 	// overshoot GlobalQueueCap.
 	globalDepth atomic.Int64
-	workers     sync.WaitGroup
-	closeOnce   sync.Once
 
 	mRejected   *metrics.Counter
 	mIngestErrs *metrics.Counter
-	mPanics     *metrics.Counter
-	mRequests   *metrics.CounterVec
 }
 
 // NewServer wires the multi-tenant controller behind the HTTP API and
-// starts one ingest worker per tenant.
+// starts one ingest lane per tenant.
 func NewServer(m *Multi, cfg ServerConfig) *Server {
 	cfg.defaults()
-	s := &Server{
-		multi:  m,
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		queues: make(map[string]*tenantQueue, len(m.tenants)),
-	}
 	r := m.cfg.Registry
+	s := &Server{
+		Router:      daemon.NewRouter(r),
+		multi:       m,
+		cfg:         cfg,
+		lanes:       make(map[string]*daemon.Lane, len(m.tenants)),
+		mRejected:   r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because a tenant queue or the global cap was full."),
+		mIngestErrs: r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation or named an unknown tenant."),
+	}
 	depthVec := r.GaugeVec("harmonyd_tenant_queue_depth", "Tasks waiting on the tenant's ingest queue.", "tenant")
-	s.mRejected = r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because a tenant queue or the global cap was full.")
-	s.mIngestErrs = r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation or named an unknown tenant.")
-	s.mPanics = r.Counter("harmonyd_panics_recovered_total", "Panics recovered by the HTTP middleware.")
-	s.mRequests = r.CounterVec("harmonyd_http_requests_total", "HTTP requests served, by route.", "route")
-
+	// The sink releases the global-cap slot enqueue took for the task.
+	sink := func(t trace.Task) {
+		if err := m.Ingest(t); err != nil {
+			s.mIngestErrs.Inc()
+		}
+		s.globalDepth.Add(-1)
+	}
 	for _, ts := range m.tenants {
 		size := ts.spec.QueueSize
 		if size <= 0 {
 			size = cfg.QueueSize
 		}
-		q := &tenantQueue{
-			ts:    ts,
-			queue: make(chan ingestItem, size),
-			depth: depthVec.With(ts.spec.Name),
-		}
-		s.queues[ts.spec.Name] = q
-		s.ordered = append(s.ordered, q)
+		lane := daemon.NewLane(size, depthVec.With(ts.spec.Name), sink)
+		s.lanes[ts.spec.Name] = lane
+		s.ordered = append(s.ordered, lane)
 	}
 
-	s.mux.HandleFunc("POST /v1/tasks", s.handleTasks)
-	s.mux.HandleFunc("POST /v1/tick", s.handleTick)
-	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics/{group}", s.handleGroupMetrics)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	if cfg.startWorkers == nil || *cfg.startWorkers {
-		for _, q := range s.ordered {
-			s.workers.Add(1)
-			go s.ingestWorker(q)
-		}
-	}
+	s.HandleFunc("POST /v1/tasks", s.handleTasks)
+	s.HandleFunc("POST /v1/tick", s.handleTick)
+	s.HandleFunc("GET /v1/plan", s.handlePlan)
+	s.HandleFunc("GET /v1/stats", s.handleStats)
+	s.HandleFunc("GET /metrics/{group}", s.handleGroupMetrics)
 	return s
 }
 
-// Close shuts down the ingest pipeline: every tenant queue is closed so
-// its worker drains what was admitted and exits. Callers must stop the
-// HTTP server first — an enqueue racing Close would send on a closed
-// queue. Close is idempotent and blocks until all workers have exited.
+// Close stops every tenant lane after it has drained what was admitted.
+// Callers must stop the HTTP server first.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		for _, q := range s.ordered {
-			close(q.queue)
-		}
-		s.workers.Wait()
-	})
-}
-
-// ServeHTTP implements http.Handler with panic recovery around the mux.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.mPanics.Inc()
-			writeJSONError(w, http.StatusInternalServerError, fmt.Sprintf("panic: %v", v))
-		}
-	}()
-	s.mRequests.With(r.URL.Path).Inc()
-	s.mux.ServeHTTP(w, r)
-}
-
-// ingestWorker drains one tenant's queue into its group engine until
-// Close closes the queue.
-func (s *Server) ingestWorker(q *tenantQueue) {
-	defer s.workers.Done()
-	for item := range q.queue {
-		if item.barrier != nil {
-			close(item.barrier)
-			continue
-		}
-		if err := s.multi.Ingest(item.task); err != nil {
-			s.mIngestErrs.Inc()
-		}
-		s.globalDepth.Add(-1)
-		q.depth.Set(float64(len(q.queue)))
+	for _, lane := range s.ordered {
+		lane.Close()
 	}
 }
 
 // Flush blocks until every task enqueued before the call has been applied
 // to the engines. It is what makes a forced tick observe all prior POSTs.
+// All barriers are planted before any is awaited, so the lanes drain
+// concurrently.
 func (s *Server) Flush() {
-	barriers := make([]chan struct{}, len(s.ordered))
-	for i, q := range s.ordered {
-		barriers[i] = make(chan struct{})
-		q.queue <- ingestItem{barrier: barriers[i]}
+	var wg sync.WaitGroup
+	wg.Add(len(s.ordered))
+	for _, lane := range s.ordered {
+		lane.Barrier(wg.Done)
 	}
-	for _, b := range barriers {
-		<-b
-	}
+	wg.Wait()
 }
 
-// enqueue pushes one task onto its tenant's queue, honoring both the
+// TickDeadline returns the bound on each control-period solve.
+func (s *Server) TickDeadline() time.Duration { return s.cfg.TickDeadline }
+
+// enqueue pushes one task onto its tenant's lane, honoring both the
 // tenant's bound and the shared global cap. Admission against the global
 // cap is add-then-check with rollback: overshooting producers retreat, so
 // the cap holds under arbitrary concurrency.
-func (s *Server) enqueue(q *tenantQueue, t trace.Task) bool {
+func (s *Server) enqueue(lane *daemon.Lane, t trace.Task) bool {
 	if s.globalDepth.Add(1) > int64(s.cfg.GlobalQueueCap) {
 		s.globalDepth.Add(-1)
 		return false
 	}
-	select {
-	case q.queue <- ingestItem{task: t}:
-		q.depth.Set(float64(len(q.queue)))
-		return true
-	default:
+	if !lane.TryPush(t) {
 		s.globalDepth.Add(-1)
-		q.depth.Set(float64(len(q.queue)))
 		return false
 	}
+	return true
 }
 
 type ingestResponse struct {
@@ -223,7 +154,7 @@ type ingestResponse struct {
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	tasks, err := daemon.DecodeTasks(r.Body)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		daemon.WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	defaultTenant := r.URL.Query().Get("tenant")
@@ -238,7 +169,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			s.mIngestErrs.Inc()
 			continue
 		}
-		if !s.enqueue(s.queues[ts.spec.Name], t) {
+		if !s.enqueue(s.lanes[ts.spec.Name], t) {
 			resp.Rejected++
 			s.mRejected.Inc()
 			s.multi.recordRejected(ts, 1)
@@ -249,54 +180,55 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case resp.Rejected > 0:
 		resp.Error = "ingest queue full"
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		daemon.WriteJSON(w, http.StatusTooManyRequests, resp)
 	case resp.Invalid > 0 && resp.Accepted == 0:
 		resp.Error = "unknown tenant"
-		writeJSON(w, http.StatusBadRequest, resp)
+		daemon.WriteJSON(w, http.StatusBadRequest, resp)
 	default:
-		writeJSON(w, http.StatusAccepted, resp)
+		daemon.WriteJSON(w, http.StatusAccepted, resp)
 	}
 }
 
-// ForceTick flushes every tenant queue and runs one control period for
-// all groups under the configured deadline.
-func (s *Server) ForceTick(parent context.Context) (map[string]*daemon.Plan, error) {
+// groupPlans is the wire shape of the per-group plans.
+type groupPlans struct {
+	Groups map[string]*daemon.Plan `json:"groups"`
+	Error  string                  `json:"error,omitempty"`
+}
+
+// ForceTick flushes every tenant lane and runs one control period for
+// all groups under the configured deadline. The returned document holds
+// the plans of the groups that ticked, and the error text if any did not.
+func (s *Server) ForceTick(parent context.Context) (interface{}, error) {
 	s.Flush()
 	ctx, cancel := context.WithTimeout(parent, s.cfg.TickDeadline)
 	defer cancel()
-	return s.multi.Tick(ctx)
+	plans, err := s.multi.Tick(ctx)
+	body := groupPlans{Groups: plans}
+	if err != nil {
+		body.Error = err.Error()
+	}
+	return body, err
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	plans, err := s.ForceTick(r.Context())
-	body := struct {
-		Groups map[string]*daemon.Plan `json:"groups"`
-		Error  string                  `json:"error,omitempty"`
-	}{Groups: plans}
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, body)
-	case errors.Is(err, daemon.ErrTickInFlight):
-		body.Error = err.Error()
-		writeJSON(w, http.StatusConflict, body)
-	case errors.Is(err, context.DeadlineExceeded):
-		body.Error = err.Error()
-		writeJSON(w, http.StatusGatewayTimeout, body)
-	default:
-		body.Error = err.Error()
-		writeJSON(w, http.StatusInternalServerError, body)
-	}
+	body, err := s.ForceTick(r.Context())
+	daemon.WriteJSON(w, daemon.TickStatus(err), body)
+}
+
+// Plan returns the current per-group plans: what GET /v1/plan serves and
+// what the run loop dumps at shutdown.
+func (s *Server) Plan() (interface{}, error) {
+	plans, err := s.multi.Plans()
+	return groupPlans{Groups: plans}, err
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	plans, err := s.multi.Plans()
+	plans, err := s.Plan()
 	if err != nil {
-		writeJSONError(w, http.StatusNotFound, err.Error())
+		daemon.WriteJSONError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Groups map[string]*daemon.Plan `json:"groups"`
-	}{plans})
+	daemon.WriteJSON(w, http.StatusOK, plans)
 }
 
 // queueStats is the per-tenant queue telemetry nested under /v1/stats.
@@ -307,10 +239,10 @@ type queueStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	queues := make(map[string]queueStats, len(s.ordered))
-	for _, q := range s.ordered {
-		queues[q.ts.spec.Name] = queueStats{Depth: len(q.queue), Capacity: cap(q.queue)}
+	for i, lane := range s.ordered {
+		queues[s.multi.tenants[i].spec.Name] = queueStats{Depth: lane.Len(), Capacity: lane.Cap()}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	daemon.WriteJSON(w, http.StatusOK, struct {
 		MultiStats
 		Queues      map[string]queueStats `json:"queues"`
 		GlobalDepth int64                 `json:"globalDepth"`
@@ -318,39 +250,17 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}{s.multi.Snapshot(), queues, s.globalDepth.Load(), s.cfg.GlobalQueueCap})
 }
 
-// handleMetrics serves the multi-tenant registry: the tenant- and
-// group-labeled series plus the front-end's own counters. Per-group
-// engine series (identical families per group) live at /metrics/{group}.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	//harmony:allow errflow HTTP response write; the client disconnecting is not an error we can handle
-	io.WriteString(w, s.multi.cfg.Registry.Render())
-}
-
 // handleGroupMetrics serves one group engine's private registry — the
 // same families the single-tenant daemon exposes, scoped to the group.
+// (GET /metrics serves the multi-tenant registry: the tenant- and
+// group-labeled series plus the front-end's own counters.)
 func (s *Server) handleGroupMetrics(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("group")
 	for _, g := range s.multi.groups {
 		if g.name == name {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			//harmony:allow errflow HTTP response write; the client disconnecting is not an error we can handle
-			io.WriteString(w, g.reg.Render())
+			daemon.WriteMetrics(w, g.reg)
 			return
 		}
 	}
-	writeJSONError(w, http.StatusNotFound, fmt.Sprintf("tenant: no group %q", name))
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	//harmony:allow errflow HTTP response write; the client disconnecting is not an error we can handle
-	_ = enc.Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	daemon.WriteJSONError(w, http.StatusNotFound, fmt.Sprintf("tenant: no group %q", name))
 }

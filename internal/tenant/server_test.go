@@ -25,6 +25,24 @@ func newTestServer(t *testing.T, cfg ServerConfig, specs ...Spec) (*Server, *Mul
 	return NewServer(m, cfg), m
 }
 
+// holdLanes parks every tenant lane's worker on a barrier, so the queues
+// stay exactly as full as the test makes them; the returned release lets
+// the workers drain again (and runs at cleanup regardless).
+func holdLanes(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var parked sync.WaitGroup
+	for _, lane := range s.ordered {
+		parked.Add(1)
+		lane.Barrier(func() { parked.Done(); <-gate })
+	}
+	parked.Wait()
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() { release(); s.Close() })
+	return release
+}
+
 func taskNDJSON(tasks ...trace.Task) string {
 	var sb strings.Builder
 	for _, task := range tasks {
@@ -97,9 +115,9 @@ func TestRoutingByTenantTag(t *testing.T) {
 }
 
 func TestPerTenantBackpressure429(t *testing.T) {
-	off := false
-	s, m := newTestServer(t, ServerConfig{QueueSize: 4, startWorkers: &off},
+	s, m := newTestServer(t, ServerConfig{QueueSize: 4},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
+	release := holdLanes(t, s)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -126,9 +144,7 @@ func TestPerTenantBackpressure429(t *testing.T) {
 	}
 
 	// Draining frees capacity.
-	for _, q := range s.ordered {
-		go s.ingestWorker(q)
-	}
+	release()
 	s.Flush()
 	code, _ = postTasks(t, srv.URL, taskNDJSON(gratisTask(100, 0, 60, "web")))
 	if code != http.StatusAccepted {
@@ -139,9 +155,9 @@ func TestPerTenantBackpressure429(t *testing.T) {
 // TestGlobalCapBackpressure fills the shared cap from one tenant and
 // checks the other tenant is refused admission even with queue room.
 func TestGlobalCapBackpressure(t *testing.T) {
-	off := false
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 64, GlobalQueueCap: 6, startWorkers: &off},
+	s, _ := newTestServer(t, ServerConfig{QueueSize: 64, GlobalQueueCap: 6},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
+	holdLanes(t, s)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -163,9 +179,9 @@ func TestGlobalCapBackpressure(t *testing.T) {
 // concurrent producers and checks the accepted/rejected accounting adds
 // up exactly to the cap — the add-then-check admission cannot overshoot.
 func TestConcurrentProducersBackpressure(t *testing.T) {
-	off := false
-	s, m := newTestServer(t, ServerConfig{QueueSize: 8, GlobalQueueCap: 8, startWorkers: &off},
+	s, m := newTestServer(t, ServerConfig{QueueSize: 8, GlobalQueueCap: 8},
 		Spec{Name: "app"})
+	holdLanes(t, s)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -424,7 +440,7 @@ func TestN1EndToEndBitIdentical(t *testing.T) {
 
 func TestPanicRecoveryAndHealth(t *testing.T) {
 	s, _ := newTestServer(t, ServerConfig{})
-	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
+	s.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
 	srv := httptest.NewServer(s)
