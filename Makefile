@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench benchmark-module check
+.PHONY: build vet lint test race bench fuzz benchmark-module check
 
 build:
 	$(GO) build ./...
@@ -14,7 +14,7 @@ vet:
 # built once so the module isn't recompiled per invocation.
 lint: vet
 	$(GO) build -o bin/harmony-lint ./cmd/harmony-lint
-	./bin/harmony-lint -timing -timing-budget 120s ./...
+	./bin/harmony-lint -timing ./...
 	./bin/harmony-lint -list | diff -u cmd/harmony-lint/testdata/analyzers.txt -
 
 test:
@@ -27,6 +27,10 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# Ten seconds of the ingest decoder's fuzz target, the same smoke CI runs.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTasks -fuzztime 10s ./internal/daemon
+
 # benchmark/ is a nested module that `go test ./...` never compiles; vet
 # and test it (unit tests plus the untraced smoke, ~5 s) so a refactor
 # cannot silently break the dependency surface it pins (its README lists
@@ -34,4 +38,4 @@ bench:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build lint race bench benchmark-module
+check: build lint race bench fuzz benchmark-module

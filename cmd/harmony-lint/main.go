@@ -5,8 +5,7 @@
 //	harmony-lint [-only a,b,...] [-pkg pattern] [-json|-sarif] [-timing] [packages...]
 //
 // With no packages it checks ./... from the enclosing module root.
-// -only (alias: -analyzers) restricts the run to a comma-separated
-// analyzer subset. -pkg restricts *reporting* to packages whose import
+// -only restricts the run to a comma-separated analyzer subset. -pkg restricts *reporting* to packages whose import
 // path matches a glob (or contains the pattern as a substring when it
 // has no glob metacharacters); the analysis itself still sees the whole
 // module, so interprocedural facts stay accurate. -json emits the
@@ -15,10 +14,9 @@
 // way as the text output, with file paths relative to the working
 // directory. -sarif emits the same findings as a SARIF 2.1.0 log for
 // code-scanning upload. -timing prints each analyzer's wall-clock cost
-// to stderr (stdout stays machine-parseable); -timing-budget fails the
-// run when any single analyzer exceeds the given duration, which CI uses
-// as a coarse performance regression tripwire. Findings can be
-// suppressed in place with
+// to stderr (stdout stays machine-parseable); it is advisory, the whole
+// suite runs in well under a second. Findings can be suppressed in place
+// with
 // `//harmony:allow <analyzer> <reason>` on the flagged line or the line
 // above it; see internal/lint.
 package main
@@ -45,14 +43,12 @@ func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("harmony-lint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		names    = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		only     = fs.String("only", "", "comma-separated analyzer subset (alias of -analyzers)")
+		only     = fs.String("only", "", "comma-separated analyzer subset (default: all)")
 		pkgPat   = fs.String("pkg", "", "report findings only in packages whose import path matches this glob (substring match when the pattern has no metacharacters)")
 		list     = fs.Bool("list", false, "list analyzers and exit")
 		jsonOut  = fs.Bool("json", false, "emit findings as a JSON array")
 		sarifOut = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 		timing   = fs.Bool("timing", false, "print per-analyzer wall-clock timings to stderr")
-		budget   = fs.Duration("timing-budget", 0, "fail when any analyzer exceeds this wall-clock budget (implies -timing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,13 +61,6 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "harmony-lint: -json and -sarif cannot be combined")
 		return 2
 	}
-	if *names != "" && *only != "" {
-		fmt.Fprintln(errOut, "harmony-lint: -analyzers and -only cannot be combined (they are aliases)")
-		return 2
-	}
-	if *only != "" {
-		*names = *only
-	}
 	if *pkgPat != "" {
 		if _, err := path.Match(*pkgPat, "probe"); err != nil {
 			fmt.Fprintf(errOut, "harmony-lint: bad -pkg pattern %q: %v\n", *pkgPat, err)
@@ -80,9 +69,9 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	analyzers := lint.All()
-	if *names != "" {
+	if *only != "" {
 		var err error
-		analyzers, err = lint.ByName(strings.Split(*names, ","))
+		analyzers, err = lint.ByName(strings.Split(*only, ","))
 		if err != nil {
 			fmt.Fprintln(errOut, err)
 			return 2
@@ -105,15 +94,7 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, err)
 		return 2
 	}
-	var (
-		diags   []lint.Diagnostic
-		timings []lint.AnalyzerTiming
-	)
-	if *timing || *budget > 0 {
-		diags, timings = lint.CheckTimed(pkgs, analyzers)
-	} else {
-		diags = lint.Check(pkgs, analyzers)
-	}
+	diags, timings := lint.CheckTimed(pkgs, analyzers)
 	if *pkgPat != "" {
 		diags = filterDiagsByPkg(diags, pkgs, *pkgPat)
 	}
@@ -138,21 +119,13 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 	}
 	// Timings go to stderr so -json/-sarif stdout stays machine-parseable.
-	overBudget := false
-	for _, tm := range timings {
-		mark := ""
-		if *budget > 0 && tm.Elapsed > *budget {
-			mark = "  OVER BUDGET"
-			overBudget = true
+	if *timing {
+		for _, tm := range timings {
+			fmt.Fprintf(errOut, "timing: %-14s %12s\n", tm.Name, tm.Elapsed.Round(time.Microsecond))
 		}
-		fmt.Fprintf(errOut, "timing: %-14s %12s%s\n", tm.Name, tm.Elapsed.Round(time.Microsecond), mark)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(errOut, "harmony-lint: %d finding(s)\n", len(diags))
-		return 1
-	}
-	if overBudget {
-		fmt.Fprintf(errOut, "harmony-lint: per-analyzer budget %s exceeded\n", *budget)
 		return 1
 	}
 	return 0
@@ -175,14 +148,8 @@ type jsonFinding struct {
 func writeFindingsJSON(out io.Writer, base string, diags []lint.Diagnostic) error {
 	findings := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if base != "" {
-			if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-		}
 		findings = append(findings, jsonFinding{
-			File:     file,
+			File:     relativeTo(base, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Analyzer: d.Analyzer,
@@ -193,6 +160,16 @@ func writeFindingsJSON(out io.Writer, base string, diags []lint.Diagnostic) erro
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(findings)
+}
+
+// relativeTo renders file relative to base when it lies under it.
+func relativeTo(base, file string) string {
+	if base != "" {
+		if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
+			return rel
+		}
+	}
+	return file
 }
 
 // pkgPatternMatches reports whether an import path matches the -pkg
@@ -295,12 +272,7 @@ func writeFindingsSARIF(out io.Writer, base string, azs []*lint.Analyzer, diags 
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if base != "" {
-			if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-		}
+		file := relativeTo(base, d.Pos.Filename)
 		text := d.Message
 		if len(d.Path) > 0 {
 			text += "\nwitness: " + strings.Join(d.Path, " → ")

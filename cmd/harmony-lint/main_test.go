@@ -43,7 +43,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run -list = %d, stderr %q", code, errOut.String())
 	}
-	for _, name := range []string{"ctxflow", "deferclose", "divzero", "floateq", "lockedfield", "lockorder", "nansource", "nodeterm", "rngdiscipline", "sortedemit", "unitcheck"} {
+	for _, name := range []string{"deferclose", "detertaint", "divzero", "floateq", "goleak", "lockedfield", "lockorder", "nansource", "rngdiscipline", "sortedemit", "unitcheck"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -62,26 +62,26 @@ func TestRunBadFlag(t *testing.T) {
 
 func TestRunUnknownAnalyzer(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-analyzers", "nosuch"}, &out, &errOut); code != 2 {
-		t.Fatalf("run -analyzers nosuch = %d, want 2", code)
+	if code := run([]string{"-only", "nosuch"}, &out, &errOut); code != 2 {
+		t.Fatalf("run -only nosuch = %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "unknown analyzer") {
 		t.Errorf("stderr %q missing unknown-analyzer error", errOut.String())
 	}
 }
 
-// -only is an alias of -analyzers: same subset semantics, same unknown-
-// analyzer error, and combining the two is refused.
+// -only selects an analyzer subset; the retired -analyzers spelling is an
+// unknown flag.
 func TestRunOnlyFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-only", "floateq,ctxflow", "-list"}, &out, &errOut); code != 0 {
-		t.Fatalf("run -only floateq,ctxflow -list = %d, stderr %q", code, errOut.String())
+	if code := run([]string{"-only", "floateq,goleak", "-list"}, &out, &errOut); code != 0 {
+		t.Fatalf("run -only floateq,goleak -list = %d, stderr %q", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "floateq") || !strings.Contains(out.String(), "ctxflow") {
+	if !strings.Contains(out.String(), "floateq") || !strings.Contains(out.String(), "goleak") {
 		t.Errorf("-only subset missing from -list output:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "nodeterm") {
-		t.Errorf("-only subset should exclude nodeterm:\n%s", out.String())
+	if strings.Contains(out.String(), "detertaint") {
+		t.Errorf("-only subset should exclude detertaint:\n%s", out.String())
 	}
 
 	out.Reset()
@@ -95,11 +95,11 @@ func TestRunOnlyFlag(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-only", "floateq", "-analyzers", "floateq"}, &out, &errOut); code != 2 {
-		t.Fatalf("run -only -analyzers = %d, want 2", code)
+	if code := run([]string{"-analyzers", "floateq"}, &out, &errOut); code != 2 {
+		t.Fatalf("run -analyzers = %d, want 2", code)
 	}
-	if !strings.Contains(errOut.String(), "aliases") {
-		t.Errorf("stderr %q missing alias-conflict error", errOut.String())
+	if !strings.Contains(errOut.String(), "flag provided but not defined") {
+		t.Errorf("stderr %q missing unknown-flag error", errOut.String())
 	}
 }
 
@@ -239,9 +239,9 @@ func TestWriteFindingsSARIF(t *testing.T) {
 	checkGolden(t, "findings.sarif", out.Bytes())
 }
 
-// TestRunTiming drives -timing and -timing-budget through the real
-// loader: timings land on stderr (stdout stays clean for findings), one
-// line per analyzer, and an absurdly small budget trips exit 1.
+// TestRunTiming drives -timing through the real loader: timings land on
+// stderr (stdout stays clean for findings), one line per analyzer, and
+// only when asked for.
 func TestRunTiming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list")
@@ -261,11 +261,11 @@ func TestRunTiming(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-timing-budget", "1ns", "-only", "floateq", "./internal/queueing"}, &out, &errOut); code != 1 {
-		t.Fatalf("run -timing-budget 1ns = %d, want 1\nstderr: %s", code, errOut.String())
+	if code := run([]string{"-only", "floateq", "./internal/queueing"}, &out, &errOut); code != 0 {
+		t.Fatalf("run without -timing = %d\nstderr: %s", code, errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "OVER BUDGET") || !strings.Contains(errOut.String(), "budget 1ns exceeded") {
-		t.Errorf("stderr missing budget failure:\n%s", errOut.String())
+	if strings.Contains(errOut.String(), "timing:") {
+		t.Errorf("timings printed without -timing:\n%s", errOut.String())
 	}
 }
 

@@ -455,17 +455,8 @@ func buildPolicySetup(machines []trace.MachineType, models []energy.Model, c *Ch
 	}
 
 	// Per-type switch costs scale with idle power relative to the
-	// largest machine.
-	maxIdle := 0.0
-	for _, m := range models {
-		if m.IdleWatts > maxIdle {
-			maxIdle = m.IdleWatts
-		}
-	}
-	switchCost := make([]float64, len(models))
-	for i, m := range models {
-		switchCost[i] = cfg.SwitchCostDollars * m.IdleWatts / maxIdle
-	}
+	// largest machine (the same helper harmonyd's engine uses).
+	switchCost := energy.SwitchCosts(models, cfg.SwitchCostDollars)
 
 	// Task-type mapping. Only the HARMONY policies get per-type queues
 	// and relabeling: container-based scheduling restructures the

@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,31 @@ func TestSimulatePolicies(t *testing.T) {
 				t.Errorf("%v: no container series", p)
 			}
 		}
+	}
+}
+
+// A fleet whose models all idle at 0 W (public fields, so reachable) used
+// to get 0/0 = NaN per-type switch costs, which poisoned CBS-RELAX's
+// objective. Such a fleet switches for free instead.
+func TestSimulateZeroIdleFleet(t *testing.T) {
+	w := testWorkload(t)
+	ch, err := w.Characterize(CharacterizeConfig{Seed: 3, MaxClassesPerGroup: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Models {
+		w.Models[i].IdleWatts = 0
+	}
+	res, err := Simulate(w, ch, SimulationConfig{Policy: PolicyCBS, PeriodSeconds: 300})
+	if err != nil {
+		t.Fatalf("zero-idle fleet: %v", err)
+	}
+	if res.SwitchCost != 0 || math.IsNaN(res.EnergyCost) {
+		t.Errorf("zero-idle fleet: switch cost %v (want 0), energy cost %v", res.SwitchCost, res.EnergyCost)
+	}
+	if res.Scheduled == 0 || res.Scheduled+res.Unscheduled != w.NumTasks() {
+		t.Errorf("zero-idle fleet: scheduled %d + unscheduled %d of %d tasks",
+			res.Scheduled, res.Unscheduled, w.NumTasks())
 	}
 }
 

@@ -111,7 +111,7 @@ func (c *Controller) Step(initialActive []float64, demand [][]float64, price []f
 		return nil, err
 	}
 	c.basis = basis
-	//harmony:allow nodeterm debug-only dump hook; never influences the decision
+	//harmony:allow detertaint debug-only dump hook; never influences the decision
 	if path := os.Getenv("HARMONY_DUMP_PLAN"); path != "" {
 		dumpPlanInput(in, path)
 	}

@@ -73,7 +73,7 @@ func Run(ctx context.Context, fe Frontend, cfg RunConfig) error {
 
 	var tickC <-chan time.Time
 	if cfg.TickEvery > 0 {
-		//harmony:allow nodeterm the run loop's tick cadence is genuinely wall-clock; Replay is the deterministic reference
+		//harmony:allow detertaint the run loop's tick cadence is genuinely wall-clock; Replay is the deterministic reference
 		ticker := time.NewTicker(cfg.TickEvery)
 		defer ticker.Stop()
 		tickC = ticker.C

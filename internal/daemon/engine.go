@@ -231,20 +231,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 
 	// Per-type switch costs scale with idle power relative to the
-	// largest machine — the same wiring harmony.Simulate uses, so the
-	// daemon's plans match the batch pipeline's.
-	maxIdle := 0.0
-	for _, m := range cfg.Models {
-		if m.IdleWatts > maxIdle {
-			maxIdle = m.IdleWatts
-		}
-	}
-	switchCost := make([]float64, len(cfg.Models))
-	for i, m := range cfg.Models {
-		if maxIdle > 0 {
-			switchCost[i] = cfg.SwitchCostDollars * m.IdleWatts / maxIdle
-		}
-	}
+	// largest machine — the helper harmony.Simulate uses, so the daemon's
+	// plans match the batch pipeline's.
+	switchCost := energy.SwitchCosts(cfg.Models, cfg.SwitchCostDollars)
 	price := energy.FlatPrice(cfg.PricePerKWh)
 	policy, err := sched.NewHarmony(sched.HarmonyConfig{
 		Mode:          cfg.Mode,
@@ -471,10 +460,10 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 		err  error
 	}
 	done := make(chan result, 1)
-	start := time.Now() //harmony:allow nodeterm tick latency metric; model time drives control
+	start := time.Now() //harmony:allow detertaint tick latency metric; model time drives control
 	go func() {
 		plan, err := e.solve(obs, idx, now)
-		elapsed := time.Since(start).Seconds() //harmony:allow nodeterm tick latency metric; model time drives control
+		elapsed := time.Since(start).Seconds() //harmony:allow detertaint tick latency metric; model time drives control
 		e.mTickSecs.Observe(elapsed)
 		e.mu.Lock()
 		e.stats.LastTickSeconds = elapsed
@@ -636,7 +625,10 @@ func (e *Engine) ForecastBacktest() map[string]float64 {
 		if len(h) <= backtestMinTrain {
 			continue
 		}
-		m, err := forecast.Backtest(e.newBacktestPredictor(), h, backtestMinTrain)
+		// Score the model the control loop runs: the same constructor,
+		// with the ARIMA order the engine leaves at sched's default.
+		pred := sched.NewPredictor(e.cfg.Forecaster, e.cfg.PeriodSeconds, [3]int{})
+		m, err := forecast.Backtest(pred, h, backtestMinTrain)
 		if err != nil {
 			// Models that need more structure than the history offers
 			// (seasonal-naive before a full day, ARIMA on a degenerate
@@ -649,27 +641,6 @@ func (e *Engine) ForecastBacktest() map[string]float64 {
 		out[fmt.Sprintf("class%d", e.types[i].ID.Class)] = m.MAE
 	}
 	return out
-}
-
-// newBacktestPredictor mirrors sched.Harmony's forecaster selection so
-// the backtest scores the model the control loop actually runs.
-func (e *Engine) newBacktestPredictor() forecast.Predictor {
-	switch e.cfg.Forecaster {
-	case sched.PredictAutoARIMA:
-		return &forecast.AutoARIMA{}
-	case sched.PredictSeasonal:
-		return &forecast.SeasonalNaive{Season: int(trace.Day / e.cfg.PeriodSeconds)}
-	case sched.PredictEWMA:
-		return &forecast.EWMA{Alpha: 0.4}
-	case sched.PredictHoltWinters:
-		return &forecast.HoltWinters{Season: int(trace.Day / e.cfg.PeriodSeconds)}
-	default:
-		// sched's default fixed order (2,0,1).
-		if ar, err := forecast.NewARIMA(2, 0, 1); err == nil {
-			return ar
-		}
-		return &forecast.EWMA{Alpha: 0.4}
-	}
 }
 
 // Replay is the batch reference for the streaming daemon: it drives a

@@ -110,6 +110,10 @@ func DecodeTasks(r io.Reader) ([]trace.Task, error) {
 		if _, err := dec.Token(); err != nil { // consume ']'
 			return nil, err
 		}
+		// Only whitespace may follow, as after an NDJSON stream.
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("trailing data after the task array")
+		}
 		return tasks, nil
 	}
 	if first != '{' {

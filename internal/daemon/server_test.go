@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -64,6 +66,7 @@ func TestDecodeTasksFormats(t *testing.T) {
 		{"ndjson", taskNDJSON(one, two), 2},
 		{"leading whitespace", "\n\t " + string(oneJSON), 1},
 		{"empty array", "[]", 0},
+		{"array then whitespace", fmt.Sprintf("[%s]\n \t", oneJSON), 1},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,11 +83,62 @@ func TestDecodeTasksFormats(t *testing.T) {
 		})
 	}
 
-	for _, bad := range []string{"", "   ", "not json", "42", `{"id":}`} {
+	// Trailing garbage is rejected after every form, arrays included.
+	for _, bad := range []string{"", "   ", "not json", "42", `{"id":}`,
+		string(oneJSON) + " garbage", fmt.Sprintf("[%s] garbage", oneJSON),
+		fmt.Sprintf("[%s] ]", oneJSON), fmt.Sprintf("[%s] %s", oneJSON, twoJSON), "[] []"} {
 		if _, err := DecodeTasks(strings.NewReader(bad)); err == nil {
 			t.Errorf("decoded garbage %q", bad)
 		}
 	}
+}
+
+// FuzzDecodeTasks drives the ingest decoder with arbitrary bodies: it
+// must never panic, an error must come with no tasks, and whatever it
+// does accept must survive the round trip — the array form and the
+// NDJSON form of the decoded tasks decode back to the same tasks.
+func FuzzDecodeTasks(f *testing.F) {
+	one, _ := json.Marshal(gratisTask(1, 10, 60))
+	two, _ := json.Marshal(gratisTask(2, 20, 60))
+	for _, seed := range []string{
+		string(one),
+		fmt.Sprintf("[%s, %s]", one, two),
+		taskNDJSON(gratisTask(1, 10, 60), gratisTask(2, 20, 60)),
+		"\n\t " + string(one),
+		"[]",
+		fmt.Sprintf("[%s] garbage", one),
+		"", "   ", "not json", "42", `{"id":}`,
+		`{"id":1,"constraint":"x86","tenant":"a"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		tasks, err := DecodeTasks(bytes.NewReader(body))
+		if err != nil {
+			if tasks != nil {
+				t.Fatalf("error %v came with %d tasks", err, len(tasks))
+			}
+			return
+		}
+		if len(tasks) == 0 {
+			return // "[]": there is no NDJSON spelling of zero tasks
+		}
+		array, err := json.Marshal(tasks)
+		if err != nil {
+			t.Fatalf("accepted tasks do not re-encode: %v", err)
+		}
+		fromArray, err := DecodeTasks(bytes.NewReader(array))
+		if err != nil {
+			t.Fatalf("array form rejected: %v\n%s", err, array)
+		}
+		fromNDJSON, err := DecodeTasks(strings.NewReader(taskNDJSON(tasks...)))
+		if err != nil {
+			t.Fatalf("NDJSON form rejected: %v", err)
+		}
+		if !reflect.DeepEqual(fromArray, tasks) || !reflect.DeepEqual(fromNDJSON, tasks) {
+			t.Fatalf("forms disagree:\n decoded %+v\n array   %+v\n ndjson  %+v", tasks, fromArray, fromNDJSON)
+		}
+	})
 }
 
 func TestIngestEndpoint(t *testing.T) {

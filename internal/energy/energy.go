@@ -214,6 +214,29 @@ func Cost(watts, seconds, dollarsPerKWh float64) float64 {
 	return watts / 1000 * seconds / 3600 * dollarsPerKWh
 }
 
+// SwitchCosts returns the per-type cost of one on/off transition: the
+// cost of switching the largest machine, scaled by each type's idle power
+// relative to the largest idle power in models. A fleet with no idle
+// draw at all (every IdleWatts zero) switches for free rather than at
+// 0/0 — NaN switch costs would poison CBS-RELAX's objective.
+//
+//harmony:unit($) largestDollars
+func SwitchCosts(models []Model, largestDollars float64) []float64 {
+	maxIdle := 0.0
+	for _, m := range models {
+		if m.IdleWatts > maxIdle {
+			maxIdle = m.IdleWatts
+		}
+	}
+	costs := make([]float64, len(models))
+	if maxIdle > 0 {
+		for i, m := range models {
+			costs[i] = largestDollars * m.IdleWatts / maxIdle
+		}
+	}
+	return costs
+}
+
 // Meter accumulates cluster energy and cost over a simulation.
 type Meter struct {
 	joules  float64 //harmony:unit(J)

@@ -137,6 +137,24 @@ func TestCost(t *testing.T) {
 	}
 }
 
+func TestSwitchCosts(t *testing.T) {
+	models := []Model{{IdleWatts: 50}, {IdleWatts: 200}, {IdleWatts: 0}}
+	got := SwitchCosts(models, 0.01)
+	// The largest idle draw pays the full cost, the rest pro rata, in
+	// exactly this operation order (plans are pinned bit-for-bit on it).
+	for i, m := range models {
+		if want := 0.01 * m.IdleWatts / 200; got[i] != want {
+			t.Errorf("SwitchCosts[%d] = %v, want %v", i, got[i], want)
+		}
+	}
+	// No idle draw anywhere: free switching, not 0/0.
+	for i, c := range SwitchCosts([]Model{{}, {}}, 0.01) {
+		if c != 0 {
+			t.Errorf("zero-idle SwitchCosts[%d] = %v, want 0", i, c)
+		}
+	}
+}
+
 func TestMeter(t *testing.T) {
 	var m Meter
 	if err := m.Accumulate(500, 7200, 0.10); err != nil {

@@ -4,11 +4,14 @@ package lint
 // carry `// want `regexp`` comments on the lines an analyzer must flag;
 // runFixture loads the package tree (subdirectories become importable
 // fixture sub-packages, so interprocedural analyzers can be exercised
-// across package boundaries), runs the analyzer with its production
-// package/file scope bypassed (annotation suppression still applies),
-// and fails on any missed want or unexpected diagnostic.
+// across package boundaries), runs the analyzer in fixture mode (the
+// scope table bypassed, see InScope; annotation suppression still
+// applies), fails on any missed want or unexpected diagnostic, and
+// diffs the full findings against the tree's findings.golden.
 
 import (
+	"flag"
+	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -17,6 +20,10 @@ import (
 	"sync"
 	"testing"
 )
+
+// -update rewrites every fixture's findings.golden from the current
+// output instead of diffing against it: go test ./internal/lint -update
+var update = flag.Bool("update", false, "rewrite fixture findings.golden files from current output")
 
 var (
 	loaderOnce sync.Once
@@ -77,15 +84,17 @@ func collectWants(t *testing.T, dir string) []*expectation {
 
 // runFixture checks one analyzer (or a co-running set, for analyzers
 // that depend on each other's bookkeeping, like unusedallow) against the
-// fixture tree named after the first analyzer.
-func runFixture(t *testing.T, azs ...*Analyzer) {
+// named fixture tree. A folded analyzer keeps the trees of both halves:
+// detertaint runs over nodeterm's and its own, goleak over ctxflow's and
+// its own.
+func runFixture(t *testing.T, name string, azs ...*Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", azs[0].Name)
+	dir := filepath.Join("testdata", "src", name)
 	pkgs, err := sharedLoader(t).LoadFixtureTree(dir)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
-	diags := checkAll(pkgs, azs, false)
+	diags, _ := checkAll(pkgs, azs, false)
 	wants := collectWants(t, dir)
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no want expectations", dir)
@@ -112,28 +121,61 @@ func runFixture(t *testing.T, azs ...*Analyzer) {
 			t.Errorf("%s:%d: want %q, got no diagnostic", w.file, w.line, w.re)
 		}
 	}
+	checkFindingsGolden(t, dir, diags)
 }
 
-func TestNoDetermFixture(t *testing.T)      { runFixture(t, NoDeterm) }
-func TestRNGDisciplineFixture(t *testing.T) { runFixture(t, RNGDiscipline) }
-func TestSortedEmitFixture(t *testing.T)    { runFixture(t, SortedEmit) }
-func TestFloatEqFixture(t *testing.T)       { runFixture(t, FloatEq) }
-func TestDeterTaintFixture(t *testing.T)    { runFixture(t, DeterTaint) }
-func TestCtxFlowFixture(t *testing.T)       { runFixture(t, CtxFlow) }
-func TestDeferCloseFixture(t *testing.T)    { runFixture(t, DeferClose) }
-func TestLockOrderFixture(t *testing.T)     { runFixture(t, LockOrder) }
-func TestLockedFieldFixture(t *testing.T)   { runFixture(t, LockedField) }
-func TestGoLeakFixture(t *testing.T)        { runFixture(t, GoLeak) }
-func TestHotPathAllocFixture(t *testing.T)  { runFixture(t, HotPathAlloc) }
-func TestErrFlowFixture(t *testing.T)       { runFixture(t, ErrFlow) }
-func TestUnitCheckFixture(t *testing.T)     { runFixture(t, UnitCheck) }
-func TestDivZeroFixture(t *testing.T)       { runFixture(t, DivZero) }
-func TestNaNSourceFixture(t *testing.T)     { runFixture(t, NaNSource) }
+// checkFindingsGolden pins what the want regexps leave loose: the exact
+// position, analyzer, wording, and witness path of every finding, in
+// sorted order, against testdata/src/<name>/findings.golden.
+func checkFindingsGolden(t *testing.T, dir string, diags []Diagnostic) {
+	t.Helper()
+	var sb strings.Builder
+	for _, d := range diags {
+		file, err := filepath.Rel(dir, d.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s:%d:%d: %s: %s\n", filepath.ToSlash(file), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+		for _, step := range d.Path {
+			fmt.Fprintf(&sb, "\t%s\n", step)
+		}
+	}
+	path := filepath.Join(dir, "findings.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatalf("update golden: %v", err)
+		}
+		return
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if got := sb.String(); got != string(golden) {
+		t.Errorf("findings drifted from %s (run with -update to regenerate):\n%s", path, firstDiff(string(golden), got))
+	}
+}
+
+func TestNoDetermFixture(t *testing.T)      { runFixture(t, "nodeterm", DeterTaint) }
+func TestRNGDisciplineFixture(t *testing.T) { runFixture(t, "rngdiscipline", RNGDiscipline) }
+func TestSortedEmitFixture(t *testing.T)    { runFixture(t, "sortedemit", SortedEmit) }
+func TestFloatEqFixture(t *testing.T)       { runFixture(t, "floateq", FloatEq) }
+func TestDeterTaintFixture(t *testing.T)    { runFixture(t, "detertaint", DeterTaint) }
+func TestCtxFlowFixture(t *testing.T)       { runFixture(t, "ctxflow", GoLeak) }
+func TestDeferCloseFixture(t *testing.T)    { runFixture(t, "deferclose", DeferClose) }
+func TestLockOrderFixture(t *testing.T)     { runFixture(t, "lockorder", LockOrder) }
+func TestLockedFieldFixture(t *testing.T)   { runFixture(t, "lockedfield", LockedField) }
+func TestGoLeakFixture(t *testing.T)        { runFixture(t, "goleak", GoLeak) }
+func TestHotPathAllocFixture(t *testing.T)  { runFixture(t, "hotpathalloc", HotPathAlloc) }
+func TestErrFlowFixture(t *testing.T)       { runFixture(t, "errflow", ErrFlow) }
+func TestUnitCheckFixture(t *testing.T)     { runFixture(t, "unitcheck", UnitCheck) }
+func TestDivZeroFixture(t *testing.T)       { runFixture(t, "divzero", DivZero) }
+func TestNaNSourceFixture(t *testing.T)     { runFixture(t, "nansource", NaNSource) }
 
 // unusedallow consumes the other analyzers' suppression bookkeeping, so
 // its fixture co-runs floateq: one allow in the fixture suppresses a real
 // floateq finding (used), one suppresses nothing (stale, flagged).
-func TestUnusedAllowFixture(t *testing.T) { runFixture(t, UnusedAllow, FloatEq) }
+func TestUnusedAllowFixture(t *testing.T) { runFixture(t, "unusedallow", UnusedAllow, FloatEq) }
 
 // TestTreeClean is the in-test twin of `harmony-lint ./...`: the whole
 // module must be free of findings (modulo annotations), so a reverted fix
@@ -154,112 +196,85 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// TestScopes pins each analyzer's production scope: deterministic
-// packages are covered, annex packages are not.
+// TestScopes pins the production scope table: which packages (and, for
+// the concurrent surface, which files) each named scope covers.
 func TestScopes(t *testing.T) {
-	cases := []struct {
-		az      *Analyzer
-		pkg     string
-		applies bool
-	}{
-		{NoDeterm, "harmony/internal/sim", true},
-		{NoDeterm, "harmony/internal/daemon", true},
-		{NoDeterm, "harmony/cmd/harmonyd", true},
-		{NoDeterm, "harmony/internal/forecast", true},
-		{NoDeterm, "harmony/internal/classify", true},
-		{NoDeterm, "harmony/internal/kmeans", true},
-		{NoDeterm, "harmony/internal/trace", true},
-		{RNGDiscipline, "harmony/internal/stats", false},
-		{RNGDiscipline, "harmony/internal/trace", true},
-		{DeferClose, "harmony/internal/daemon", true},
-		{DeferClose, "harmony/internal/metrics", true},
-		{DeferClose, "harmony/cmd/harmonyd", true},
-		{DeferClose, "harmony/internal/stats", false},
-	}
-	for _, c := range cases {
-		if got := c.az.Packages(c.pkg); got != c.applies {
-			t.Errorf("%s.Packages(%q) = %v, want %v", c.az.Name, c.pkg, got, c.applies)
-		}
-	}
-	if !DeferClose.Files("harmony/internal/sim", "/x/parallel.go") {
-		t.Error("deferclose should cover internal/sim/parallel.go")
-	}
-	if DeferClose.Files("harmony/internal/sim", "/x/sim.go") {
-		t.Error("deferclose should not cover internal/sim/sim.go")
-	}
-	// Module analyzers scope themselves.
 	for _, c := range []struct {
+		scope     Scope
 		pkg, file string
-		applies   bool
+		want      bool
 	}{
-		{"harmony/internal/daemon", "/x/engine.go", true},
-		{"harmony", "/x/parallel.go", true},
-		{"harmony", "/x/harmony.go", false},
-		{"harmony/internal/sim", "/x/parallel.go", true},
-		{"harmony/internal/sim", "/x/sim.go", false},
-		{"harmony/internal/core", "/x/placement.go", true},
-		{"harmony/internal/core", "/x/relax.go", false},
-		{"harmony/internal/stats", "/x/rng.go", false},
+		{ScopeDeterministic, "harmony/internal/sim", "", true},
+		{ScopeDeterministic, "harmony/internal/daemon", "", true},
+		{ScopeDeterministic, "harmony/cmd/harmonyd", "", true},
+		{ScopeDeterministic, "harmony/internal/forecast", "", true},
+		{ScopeDeterministic, "harmony/internal/classify", "", true},
+		{ScopeDeterministic, "harmony/internal/kmeans", "", true},
+		{ScopeDeterministic, "harmony/internal/trace", "", true},
+		{ScopeDeterministic, "harmony/internal/sched", "", true},
+		{ScopeDeterministic, "harmony/internal/stats", "", false},
+
+		{ScopeSpawn, "harmony/internal/daemon", "/x/engine.go", true},
+		{ScopeSpawn, "harmony/internal/tenant", "/x/server.go", true},
+		{ScopeSpawn, "harmony", "/x/parallel.go", true},
+		{ScopeSpawn, "harmony", "/x/harmony.go", false},
+		{ScopeSpawn, "harmony", "", false}, // file-restricted: not the package as a whole
+		{ScopeSpawn, "harmony/internal/sim", "/x/parallel.go", true},
+		{ScopeSpawn, "harmony/internal/sim", "/x/sim.go", false},
+		{ScopeSpawn, "harmony/internal/core", "/x/placement.go", true},
+		{ScopeSpawn, "harmony/internal/core", "/x/relax.go", false},
+		{ScopeSpawn, "harmony/internal/stats", "/x/rng.go", false},
+		{ScopeSpawn, "harmony/internal/metrics", "/x/metrics.go", false},
+
+		// The lock-centric scopes widen the concurrent surface.
+		{ScopeLockOrder, "harmony/internal/tenant", "/x/server.go", true},
+		{ScopeLockOrder, "harmony/internal/metrics", "/x/metrics.go", true},
+		{ScopeLockOrder, "harmony/internal/stats", "/x/rng.go", false},
+		{ScopeRelease, "harmony/internal/daemon", "/x/engine.go", true},
+		{ScopeRelease, "harmony/internal/metrics", "/x/metrics.go", true},
+		{ScopeRelease, "harmony/cmd/harmonyd", "/x/main.go", true},
+		{ScopeRelease, "harmony/internal/sim", "/x/parallel.go", true},
+		{ScopeRelease, "harmony/internal/sim", "/x/sim.go", false},
+		{ScopeRelease, "harmony/internal/trace", "/x/stream.go", false},
+		{ScopeRelease, "harmony/internal/stats", "/x/rng.go", false},
+		{ScopeLockOwning, "harmony/internal/metrics", "", true},
+		{ScopeLockOwning, "harmony/internal/core", "", false},
+
+		// The value-flow analyzers share the annotated numeric surface
+		// (the energy→cost and demand chains); unitcheck additionally
+		// collects (but does not check) daemon's config annotations.
+		{ScopeNumeric, "harmony/internal/energy", "", true},
+		{ScopeNumeric, "harmony/internal/tenant", "", true},
+		{ScopeNumeric, "harmony/internal/core", "", true},
+		{ScopeNumeric, "harmony/internal/queueing", "", true},
+		{ScopeNumeric, "harmony/internal/forecast", "", true},
+		{ScopeNumeric, "harmony/internal/sched", "", true},
+		{ScopeNumeric, "harmony/internal/trace", "", true},
+		{ScopeNumeric, "harmony/internal/daemon", "", false},
+		{ScopeNumeric, "harmony/internal/stats", "", false},
+		{ScopeNumeric, "harmony/internal/lp", "", false},
+		{ScopeUnitAnnot, "harmony/internal/daemon", "", true},
+		{ScopeUnitAnnot, "harmony/internal/stats", "", false},
 	} {
-		if got := goleakCovered(c.pkg, c.file); got != c.applies {
-			t.Errorf("goleakCovered(%q, %q) = %v, want %v", c.pkg, c.file, got, c.applies)
+		if got := scopeContains(c.scope, c.pkg, c.file); got != c.want {
+			t.Errorf("scopeContains(%d, %q, %q) = %v, want %v", c.scope, c.pkg, c.file, got, c.want)
 		}
 	}
-	if !detertaintDeterministic("harmony/internal/sched") || detertaintDeterministic("harmony/internal/stats") {
-		t.Error("detertaint deterministic-package scope wrong")
-	}
-	// The flow-sensitive analyzers inherit goleak's concurrent-surface
-	// scope (plus metrics for the lock-centric ones) and their own
-	// fixture trees — but never other analyzers' fixtures.
-	if !ctxflowCovered("harmony/internal/tenant", "/x/server.go") ||
-		!ctxflowCovered("fixture/ctxflow", "/x/a.go") ||
-		ctxflowCovered("fixture/goleak", "/x/a.go") {
-		t.Error("ctxflow scope wrong")
-	}
-	if !lockorderCovered("harmony/internal/metrics", "/x/metrics.go") ||
-		!lockorderCovered("fixture/lockorder", "/x/a.go") ||
-		lockorderCovered("fixture/goleak", "/x/a.go") ||
-		lockorderCovered("harmony/internal/stats", "/x/rng.go") {
-		t.Error("lockorder scope wrong")
-	}
-	if !lockedfieldCovered("harmony/internal/metrics") ||
-		!lockedfieldCovered("fixture/lockedfield") ||
-		lockedfieldCovered("harmony/internal/core") {
-		t.Error("lockedfield scope wrong")
-	}
-	// The value-flow analyzers share the annotated numeric surface (the
-	// energy→cost and demand chains) plus their own fixture trees;
-	// unitcheck additionally collects (but does not check) daemon's
-	// config annotations.
-	for _, pkg := range []string{
-		"harmony/internal/energy", "harmony/internal/tenant",
-		"harmony/internal/core", "harmony/internal/queueing",
-		"harmony/internal/forecast", "harmony/internal/sched",
-		"harmony/internal/trace",
-	} {
-		if !unitcheckCovered(pkg) || !divzeroCovered(pkg) || !nansourceCovered(pkg) {
-			t.Errorf("value-flow analyzers should cover %s", pkg)
+
+	// Fixture mode bypasses the table: the root package is in every
+	// scope, its sub-packages (detertaint's impure/pure) in none.
+	fixture := &ModulePass{Pkgs: []*Package{{Path: "fixture/detertaint"}}}
+	for s := range scopeTable {
+		if !fixture.InScope(s, "fixture/detertaint", token.NoPos) ||
+			fixture.InScope(s, "fixture/detertaint/impure", token.NoPos) ||
+			fixture.InScope(s, "harmony/internal/daemon", token.NoPos) {
+			t.Errorf("fixture-mode InScope wrong for scope %d", s)
 		}
-	}
-	if !unitcheckCovered("fixture/unitcheck") || unitcheckCovered("fixture/divzero") ||
-		unitcheckCovered("harmony/internal/daemon") || unitcheckCovered("harmony/internal/stats") {
-		t.Error("unitcheck scope wrong")
-	}
-	if !unitAnnotCovered("harmony/internal/daemon") || unitAnnotCovered("harmony/internal/stats") {
-		t.Error("unitcheck annotation-collection scope wrong")
-	}
-	if !divzeroCovered("fixture/divzero") || divzeroCovered("fixture/unitcheck") ||
-		divzeroCovered("harmony/internal/lp") {
-		t.Error("divzero scope wrong")
-	}
-	if !nansourceCovered("fixture/nansource") || nansourceCovered("fixture/divzero") ||
-		nansourceCovered("harmony/internal/stats") {
-		t.Error("nansource scope wrong")
 	}
 }
 
 func TestByName(t *testing.T) {
-	azs, err := ByName([]string{"floateq", "nodeterm", "detertaint"})
+	azs, err := ByName([]string{"floateq", "goleak", "detertaint"})
 	if err != nil || len(azs) != 3 {
 		t.Fatalf("ByName: %v %v", azs, err)
 	}
@@ -271,11 +286,8 @@ func TestByName(t *testing.T) {
 		if az.Name == "" || az.Doc == "" {
 			t.Errorf("analyzer %+v incomplete", az)
 		}
-		if az.Run == nil && az.RunModule == nil && az != UnusedAllow {
-			t.Errorf("analyzer %s has neither Run nor RunModule", az.Name)
-		}
-		if az.Run != nil && az.RunModule != nil {
-			t.Errorf("analyzer %s has both Run and RunModule", az.Name)
+		if az.RunModule == nil && az != UnusedAllow {
+			t.Errorf("analyzer %s has no RunModule", az.Name)
 		}
 		if names[az.Name] {
 			t.Errorf("duplicate analyzer name %s", az.Name)
@@ -301,7 +313,7 @@ func TestAllowGrammar(t *testing.T) {
 		{10, "floateq", true},  // same line
 		{11, "floateq", true},  // line below the comment
 		{12, "floateq", false}, // too far
-		{10, "nodeterm", false},
+		{10, "detertaint", false},
 	} {
 		pos := token.Position{Filename: "f.go", Line: c.line}
 		if got := set.allows(c.name, pos); got != c.want {
@@ -311,4 +323,15 @@ func TestAllowGrammar(t *testing.T) {
 	if !ann.used {
 		t.Error("matching consultation should mark the annotation used")
 	}
+}
+
+// firstDiff returns a short context around the first differing line.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  golden: %s\n  got:    %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("length differs: %d vs %d lines", len(al), len(bl))
 }

@@ -9,8 +9,9 @@ import (
 	"strings"
 )
 
-// This file builds the module call graph the interprocedural analyzers
-// (detertaint, goleak, hotpathalloc) run over. Resolution rules:
+// This file builds the module call graph every analyzer pass carries: the
+// interprocedural analyzers walk its edges, the flow-sensitive ones hang
+// their per-function facts on its nodes. Resolution rules:
 //
 //   - Static dispatch — calls to declared functions, methods with a
 //     concrete receiver, and immediately invoked function literals — is
@@ -83,6 +84,8 @@ type Node struct {
 	// //harmony:coldpath doc-comment annotations (declared functions only).
 	HotPath  bool
 	ColdPath bool
+
+	facts nodeFacts // lazily built, see facts.go
 }
 
 // Body returns the function body.
@@ -275,12 +278,13 @@ func (b *builder) addLit(pkg *Package, lit *ast.FuncLit, name string) {
 	b.litTaken = append(b.litTaken, node)
 }
 
-// forEachOwnNode walks the AST under root but does not descend into
-// nested function literals: their contents belong to their own node.
+// forEachOwnNode walks root and the AST under it but does not descend
+// into function literals: a literal is visited, its contents belong to
+// its own node.
 func forEachOwnNode(root ast.Node, fn func(ast.Node)) {
 	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil || n == root {
-			return true
+		if n == nil {
+			return false
 		}
 		fn(n)
 		_, isLit := n.(*ast.FuncLit)
@@ -309,7 +313,7 @@ func (b *builder) collectValueTaken(node *Node) {
 	callFuns := make(map[ast.Expr]bool)
 	forEachOwnNode(node.Body(), func(n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
-			callFuns[astUnparen(call.Fun)] = true
+			callFuns[ast.Unparen(call.Fun)] = true
 		}
 	})
 	forEachOwnNode(node.Body(), func(n ast.Node) {
@@ -381,7 +385,7 @@ func (b *builder) resolveBody(node *Node) {
 func (b *builder) isCallFun(node *Node, e ast.Expr) bool {
 	found := false
 	forEachOwnNode(node.Body(), func(n ast.Node) {
-		if call, ok := n.(*ast.CallExpr); ok && astUnparen(call.Fun) == e {
+		if call, ok := n.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == e {
 			found = true
 		}
 	})
@@ -395,7 +399,7 @@ func parentCallOf(node *Node, e ast.Expr) *ast.CallExpr {
 	forEachOwnNode(node.Body(), func(n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
 			for _, arg := range call.Args {
-				if astUnparen(arg) == e {
+				if ast.Unparen(arg) == e {
 					parent = call
 				}
 			}
@@ -406,7 +410,7 @@ func parentCallOf(node *Node, e ast.Expr) *ast.CallExpr {
 
 func (b *builder) resolveCall(node *Node, call *ast.CallExpr, kind EdgeKind) {
 	info := node.Pkg.Info
-	fun := astUnparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	// Type conversions and builtins are not calls.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -428,9 +432,9 @@ func (b *builder) resolveCall(node *Node, call *ast.CallExpr, kind EdgeKind) {
 
 	// Generic instantiation f[T](...) resolves through the index operand.
 	if ix, ok := fun.(*ast.IndexExpr); ok {
-		fun = astUnparen(ix.X)
+		fun = ast.Unparen(ix.X)
 	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
-		fun = astUnparen(ix.X)
+		fun = ast.Unparen(ix.X)
 	}
 
 	switch e := fun.(type) {
@@ -524,7 +528,7 @@ func (b *builder) localLits(node *Node, v *types.Var) []*Node {
 		if obj != types.Object(v) {
 			return
 		}
-		lit, ok := astUnparen(rhs).(*ast.FuncLit)
+		lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
 		if !ok {
 			pure = false
 			return
@@ -544,7 +548,7 @@ func (b *builder) localLits(node *Node, v *types.Var) []*Node {
 				return true
 			}
 			for i, lhs := range e.Lhs {
-				if id, ok := astUnparen(lhs).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					bindTo(id, e.Rhs[i])
 				}
 			}
@@ -556,7 +560,7 @@ func (b *builder) localLits(node *Node, v *types.Var) []*Node {
 			}
 		case *ast.UnaryExpr:
 			if e.Op == token.AND {
-				if id, ok := astUnparen(e.X).(*ast.Ident); ok && info.Uses[id] == types.Object(v) {
+				if id, ok := ast.Unparen(e.X).(*ast.Ident); ok && info.Uses[id] == types.Object(v) {
 					pure = false
 				}
 			}
@@ -683,14 +687,20 @@ func (b *builder) linkIn() {
 	}
 }
 
-func astUnparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
+// staticCallee resolves the statically known callee of a call, or nil:
+// a declared function, a package-qualified one, or a method — concrete
+// or interface (for unitcheck an interface method's annotation stands in
+// for every implementation).
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch e := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[e].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[e.Sel].(*types.Func)
+		return fn
 	}
+	return nil
 }
 
 // sigKey normalizes a signature for function-value matching: the

@@ -452,32 +452,24 @@ func noReturnCall(call *ast.CallExpr) bool {
 // CanReachExit reports, per block, whether the exit block is reachable.
 // Blocks outside the result set loop forever or end the process.
 func (c *CFG) CanReachExit() map[*Block]bool {
-	reach := map[*Block]bool{c.Exit: true}
-	work := []*Block{c.Exit}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, p := range blk.Preds {
-			if !reach[p] {
-				reach[p] = true
-				work = append(work, p)
-			}
-		}
-	}
-	return reach
+	return reachFrom(c.Exit, func(b *Block) []*Block { return b.Preds })
 }
 
 // ReachableFromEntry reports, per block, whether the entry reaches it.
 func (c *CFG) ReachableFromEntry() map[*Block]bool {
-	reach := map[*Block]bool{c.Entry: true}
-	work := []*Block{c.Entry}
+	return reachFrom(c.Entry, func(b *Block) []*Block { return b.Succs })
+}
+
+func reachFrom(start *Block, next func(*Block) []*Block) map[*Block]bool {
+	reach := map[*Block]bool{start: true}
+	work := []*Block{start}
 	for len(work) > 0 {
 		blk := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, s := range blk.Succs {
-			if !reach[s] {
-				reach[s] = true
-				work = append(work, s)
+		for _, n := range next(blk) {
+			if !reach[n] {
+				reach[n] = true
+				work = append(work, n)
 			}
 		}
 	}

@@ -26,40 +26,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 var DeferClose = &Analyzer{
 	Name: "deferclose",
 	Doc: "require every acquired resource (locks, tickers, files, response bodies) to be " +
 		"released on all paths, and forbid blocking calls while a mutex is held",
-	Packages: func(pkgPath string) bool {
-		switch pkgPath {
-		case "harmony", "harmony/internal/daemon", "harmony/internal/tenant",
-			"harmony/internal/metrics", "harmony/internal/sim", "harmony/internal/core",
-			"harmony/cmd/harmonyd":
-			return true
-		}
-		return false
-	},
-	Files: func(pkgPath, filename string) bool {
-		base := filename
-		if i := strings.LastIndexByte(base, '/'); i >= 0 {
-			base = base[i+1:]
-		}
-		switch pkgPath {
-		case "harmony":
-			return base == "parallel.go"
-		case "harmony/internal/sim":
-			return base == "parallel.go"
-		case "harmony/internal/core":
-			return base == "placement.go"
-		}
-		return true
-	},
-	Run: runDeferClose,
+	RunModule: runDeferClose,
 }
 
 // resAcq is one outstanding release obligation.
@@ -76,50 +52,32 @@ type resAcq struct {
 // incoming path left it open.
 type openRes map[string]resAcq
 
-func cloneOpen(o openRes) openRes {
-	out := make(openRes, len(o))
-	for k, v := range o {
-		out[k] = v
-	}
-	return out
-}
-
-func runDeferClose(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFuncResources(pass, fd.Body)
-			checkFuncBlocking(pass, fd.Body)
+// runDeferClose checks every in-scope function; literals run the same
+// checks on their own CFGs.
+func runDeferClose(pass *ModulePass) {
+	for _, n := range pass.Graph.Funcs {
+		if pass.InScope(ScopeRelease, n.Pkg.Path, n.Pos()) {
+			checkFuncResources(pass, n)
+			checkFuncBlocking(pass, n)
 		}
-		// Function literals run the same checks on their own CFGs.
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkFuncResources(pass, lit.Body)
-				checkFuncBlocking(pass, lit.Body)
-			}
-			return true
-		})
 	}
 }
 
 // resProblem is the forward may-open-resource analysis.
-type resProblem struct{ pass *Pass }
+type resProblem struct{ pkg *Package }
 
 func (p resProblem) Boundary() openRes { return make(openRes) }
 
 func (p resProblem) Transfer(b *Block, in openRes) openRes {
 	out := in
 	for _, n := range b.Nodes {
-		out = applyResOps(p.pass, n, out)
+		out = applyResOps(p.pkg, n, out)
 	}
 	return out
 }
 
 func (p resProblem) Merge(a, b openRes) openRes {
-	out := cloneOpen(a)
+	out := maps.Clone(a)
 	for k, vb := range b {
 		if va, ok := out[k]; !ok || vb.Pos < va.Pos {
 			out[k] = vb
@@ -129,24 +87,16 @@ func (p resProblem) Merge(a, b openRes) openRes {
 }
 
 func (p resProblem) Equal(a, b openRes) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, va := range a {
-		if vb, ok := b[k]; !ok || va.Pos != vb.Pos {
-			return false
-		}
-	}
-	return true
+	return maps.EqualFunc(a, b, func(va, vb resAcq) bool { return va.Pos == vb.Pos })
 }
 
 // applyResOps folds one CFG node into the open-resource fact.
-func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
+func applyResOps(pkg *Package, n ast.Node, in openRes) openRes {
 	out := in
 	// Clone lazily, on the first mutation of this node.
 	mutate := func() {
 		if sameMap(out, in) {
-			out = cloneOpen(out)
+			out = maps.Clone(out)
 		}
 	}
 
@@ -155,15 +105,15 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 	// mentions is considered released.
 	if d, ok := n.(*ast.DeferStmt); ok {
 		ast.Inspect(d, func(m ast.Node) bool {
-			if recv, kind, ok := mutexOp(pass.Pkg, m); ok && (kind == "Unlock" || kind == "RUnlock") {
-				ref := resolveLockRef(pass.Pkg, recv)
+			if recv, kind, ok := mutexOp(pkg, m); ok && (kind == "Unlock" || kind == "RUnlock") {
+				ref := resolveLockRef(pkg, recv)
 				if _, held := out["lock:"+ref.Instance]; held {
 					mutate()
 					delete(out, "lock:"+ref.Instance)
 				}
 			}
 			if id, ok := m.(*ast.Ident); ok {
-				if key, tracked := trackedKeyOf(pass, out, id); tracked {
+				if key, tracked := trackedKeyOf(pkg, out, id); tracked {
 					mutate()
 					delete(out, key)
 				}
@@ -175,8 +125,8 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 
 	walkNodeOps(n, func(m ast.Node) {
 		// Mutex acquire/release.
-		if recv, kind, ok := mutexOp(pass.Pkg, m); ok {
-			ref := resolveLockRef(pass.Pkg, recv)
+		if recv, kind, ok := mutexOp(pkg, m); ok {
+			ref := resolveLockRef(pkg, recv)
 			key := "lock:" + ref.Instance
 			switch kind {
 			case "Lock", "RLock":
@@ -202,7 +152,7 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 				switch sel.Sel.Name {
 				case "Close", "Stop":
 					if id := rootIdent(sel.X); id != nil {
-						if key, tracked := trackedKeyOf(pass, out, id); tracked {
+						if key, tracked := trackedKeyOf(pkg, out, id); tracked {
 							mutate()
 							delete(out, key)
 							return
@@ -216,19 +166,18 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 	// Acquisitions: `x, err := acquire(...)` / `x := acquire(...)`.
 	if as, ok := n.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
 		if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-			if what, release, ok := resourceAcquisition(pass, call); ok {
+			if what, release, ok := resourceAcquisition(pkg, call); ok {
 				var obj, errObj types.Object
 				if len(as.Lhs) > 0 {
-					obj = lhsObj(pass, as.Lhs[0])
+					obj = lhsObj(pkg, as.Lhs[0])
 				}
 				if len(as.Lhs) > 1 {
-					errObj = lhsObj(pass, as.Lhs[1])
+					errObj = lhsObj(pkg, as.Lhs[1])
 				}
 				if obj != nil {
 					mutate()
-					out["var:"+obj.Name()+posKey(obj.Pos())] = resAcq{
-						Pos: call.Pos(), What: what, Release: release, Obj: obj, ErrObj: errObj,
-					}
+					key := "var:" + obj.Name() + "@" + strconv.Itoa(int(obj.Pos())) // unique per definition site
+					out[key] = resAcq{Pos: call.Pos(), What: what, Release: release, Obj: obj, ErrObj: errObj}
 				}
 			}
 		}
@@ -249,10 +198,11 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 		}
 		return true
 	})
+	_, isReturn := n.(*ast.ReturnStmt)
 	ast.Inspect(n, func(m ast.Node) bool {
 		if lit, isLit := m.(*ast.FuncLit); isLit {
 			// A closure capturing the resource takes over its lifetime.
-			for _, obj := range capturedIn(pass, lit) {
+			for _, obj := range capturedIn(pkg, lit) {
 				if key, tracked := trackedObjKey(out, obj); tracked {
 					mutate()
 					delete(out, key)
@@ -264,7 +214,7 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 		if !ok {
 			return true
 		}
-		obj := pass.Pkg.Info.Uses[id]
+		obj := pkg.Info.Uses[id]
 		if obj == nil {
 			return true
 		}
@@ -272,7 +222,7 @@ func applyResOps(pass *Pass, n ast.Node, in openRes) openRes {
 			if acq.Obj == obj && m.Pos() > acq.Pos && !protected[id] {
 				mutate()
 				delete(out, key)
-			} else if acq.ErrObj != nil && acq.ErrObj == obj && isReturn(n) {
+			} else if acq.ErrObj != nil && acq.ErrObj == obj && isReturn {
 				mutate()
 				delete(out, key)
 			}
@@ -294,15 +244,6 @@ func sameMap(a, b openRes) bool {
 	return true
 }
 
-func isReturn(n ast.Node) bool {
-	_, ok := n.(*ast.ReturnStmt)
-	return ok
-}
-
-func posKey(p token.Pos) string {
-	return "@" + strconv.Itoa(int(p)) // unique per definition site
-}
-
 // rootIdent walks selector chains to their base identifier: resp in
 // resp.Body, t in t.C.
 func rootIdent(x ast.Expr) *ast.Ident {
@@ -320,20 +261,20 @@ func rootIdent(x ast.Expr) *ast.Ident {
 	}
 }
 
-func lhsObj(pass *Pass, x ast.Expr) types.Object {
+func lhsObj(pkg *Package, x ast.Expr) types.Object {
 	id, ok := x.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	if obj := pass.Pkg.Info.Defs[id]; obj != nil {
+	if obj := pkg.Info.Defs[id]; obj != nil {
 		return obj
 	}
-	return pass.Pkg.Info.Uses[id]
+	return pkg.Info.Uses[id]
 }
 
 // trackedKeyOf resolves an identifier use to a tracked resource key.
-func trackedKeyOf(pass *Pass, open openRes, id *ast.Ident) (string, bool) {
-	obj := pass.Pkg.Info.Uses[id]
+func trackedKeyOf(pkg *Package, open openRes, id *ast.Ident) (string, bool) {
+	obj := pkg.Info.Uses[id]
 	if obj == nil {
 		return "", false
 	}
@@ -350,11 +291,11 @@ func trackedObjKey(open openRes, obj types.Object) (string, bool) {
 }
 
 // capturedIn lists the objects a function literal references.
-func capturedIn(pass *Pass, lit *ast.FuncLit) []types.Object {
+func capturedIn(pkg *Package, lit *ast.FuncLit) []types.Object {
 	var out []types.Object
 	ast.Inspect(lit.Body, func(m ast.Node) bool {
 		if id, ok := m.(*ast.Ident); ok {
-			if obj := pass.Pkg.Info.Uses[id]; obj != nil {
+			if obj := pkg.Info.Uses[id]; obj != nil {
 				out = append(out, obj)
 			}
 		}
@@ -365,12 +306,12 @@ func capturedIn(pass *Pass, lit *ast.FuncLit) []types.Object {
 
 // resourceAcquisition recognizes calls that hand back a resource with a
 // release obligation.
-func resourceAcquisition(pass *Pass, call *ast.CallExpr) (what, release string, ok bool) {
+func resourceAcquisition(pkg *Package, call *ast.CallExpr) (what, release string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
 	}
-	if pkgPath := importPathOf(pass.Pkg, sel.X); pkgPath != "" {
+	if pkgPath := importPathOf(pkg, sel.X); pkgPath != "" {
 		switch {
 		case pkgPath == "time" && (sel.Sel.Name == "NewTicker" || sel.Sel.Name == "NewTimer"):
 			return "time." + sel.Sel.Name, "Stop", true
@@ -383,7 +324,7 @@ func resourceAcquisition(pass *Pass, call *ast.CallExpr) (what, release string, 
 		return "", "", false
 	}
 	// client.Do / client.Get …: method on *http.Client.
-	if selection, okSel := pass.Pkg.Info.Selections[sel]; okSel {
+	if selection, okSel := pkg.Info.Selections[sel]; okSel {
 		if fn, okFn := selection.Obj().(*types.Func); okFn && fn.Pkg() != nil {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 				if named := namedStructOf(recv.Type()); named != nil &&
@@ -398,9 +339,9 @@ func resourceAcquisition(pass *Pass, call *ast.CallExpr) (what, release string, 
 
 // checkFuncResources reports resources still open on some path reaching
 // the function exit.
-func checkFuncResources(pass *Pass, body *ast.BlockStmt) {
-	cfg := NewCFG(body)
-	sol := Solve[openRes](cfg, resProblem{pass: pass}, Forward)
+func checkFuncResources(pass *ModulePass, n *Node) {
+	cfg := n.CFG()
+	sol := Solve[openRes](cfg, resProblem{pkg: n.Pkg}, Forward)
 
 	// Walk exit predecessors: each carries the facts of the paths that
 	// end there. Report once per resource, at the acquisition.
@@ -430,7 +371,7 @@ func checkFuncResources(pass *Pass, body *ast.BlockStmt) {
 		l := leaks[k]
 		where := "the function returns"
 		if l.retAt != token.NoPos {
-			where = "the return at " + shortPos(pass.Pkg.Fset, l.retAt)
+			where = "the return at " + shortPos(pass.Fset(), l.retAt)
 		}
 		pass.Reportf(l.acq.Pos,
 			"%s acquired here is not released on every path: %s without %s — release it or defer the release at acquisition (//harmony:allow deferclose <reason> to permit)",
@@ -453,27 +394,21 @@ func blockEndPos(blk *Block) token.Pos {
 // checkFuncBlocking reports blocking operations while a mutex is held.
 // Locks released only by defer stay held to the exit — exactly the
 // semantics the held-span lockset implements.
-func checkFuncBlocking(pass *Pass, body *ast.BlockStmt) {
-	cfg := NewCFG(body)
-	sol := solveLocksets(pass.Pkg, cfg, false, nil)
-	for _, blk := range cfg.Blocks {
-		in, ok := sol.In[blk]
-		if !ok {
-			continue
+func checkFuncBlocking(pass *ModulePass, n *Node) {
+	sol := n.MayLocks()
+	walkLocksets(n, sol, func(blk *Block, nd ast.Node, held heldLocks) {
+		if len(held) == 0 || nd == blk.Comm {
+			return
 		}
-		blk := blk
-		walkLockOps(pass.Pkg, blk, in, func(n ast.Node, held heldLocks) {
-			if len(held) == 0 || n == blk.Comm {
-				return
-			}
-			if what, ok := blockingNode(pass, n); ok {
-				reportBlocked(pass, n.Pos(), what, held)
-			}
-		})
-		// The terminator blocks too: a select without default, a range
-		// over a channel.
-		out, ok := sol.Out[blk]
-		if !ok || len(out) == 0 {
+		if what, ok := blockingNode(n.Pkg, nd); ok {
+			reportBlocked(pass, nd.Pos(), what, held)
+		}
+	})
+	// The terminator blocks too: a select without default, a range over
+	// a channel.
+	for _, blk := range n.CFG().Blocks {
+		out := sol.Out[blk]
+		if len(out) == 0 {
 			continue
 		}
 		switch t := blk.Term.(type) {
@@ -482,7 +417,7 @@ func checkFuncBlocking(pass *Pass, body *ast.BlockStmt) {
 				reportBlocked(pass, t.Pos(), "select", out)
 			}
 		case *ast.RangeStmt:
-			if tv, ok := pass.Pkg.Info.Types[t.X]; ok && isChanType(tv.Type) {
+			if tv, ok := n.Pkg.Info.Types[t.X]; ok && isChanType(tv.Type) {
 				reportBlocked(pass, t.Pos(), "range over channel", out)
 			}
 		}
@@ -499,7 +434,7 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 }
 
 // blockingNode recognizes blocking operations inside one CFG node.
-func blockingNode(pass *Pass, n ast.Node) (string, bool) {
+func blockingNode(pkg *Package, n ast.Node) (string, bool) {
 	found := ""
 	walkNodeOps(n, func(m ast.Node) {
 		if found != "" {
@@ -513,7 +448,7 @@ func blockingNode(pass *Pass, n ast.Node) (string, bool) {
 				found = "channel receive"
 			}
 		case *ast.CallExpr:
-			if what, ok := blockingOp(pass.Pkg, v); ok {
+			if what, ok := blockingOp(pkg, v); ok {
 				found = what
 			}
 		}
@@ -521,10 +456,10 @@ func blockingNode(pass *Pass, n ast.Node) (string, bool) {
 	return found, found != ""
 }
 
-func reportBlocked(pass *Pass, pos token.Pos, what string, held heldLocks) {
+func reportBlocked(pass *ModulePass, pos token.Pos, what string, held heldLocks) {
 	hs := sortedHeld(held)
 	h := hs[0]
 	pass.Reportf(pos,
 		"blocking %s while holding %s (acquired at %s): a blocked lock holder stalls every reader of the control plane (//harmony:allow deferclose <reason> to permit)",
-		what, describeLock(h.Ref), shortPos(pass.Pkg.Fset, h.Pos))
+		what, describeLock(h.Ref), shortPos(pass.Fset(), h.Pos))
 }

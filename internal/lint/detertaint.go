@@ -1,45 +1,75 @@
 package lint
 
 import (
+	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// DeterTaint closes nodeterm's cross-package hole. nodeterm only sees a
-// *direct* time.Now / os.Getenv / global math/rand call inside a
-// deterministic package; a helper in internal/stats or internal/trace
-// that reads the wall clock is invisible to every caller in sim, sched,
-// or core. DeterTaint seeds taint at those nondeterministic roots
-// anywhere in the module, propagates it along the call graph (including
-// go/defer edges and conservative interface and function-value
-// dispatch), and flags every call site where a deterministic package
-// hands control to a tainted function outside the deterministic set. The
-// diagnostic carries the full witness chain from the call site to the
-// root.
+// DeterTaint forbids nondeterministic inputs — wall-clock reads,
+// environment reads, and the global math/rand source — from reaching the
+// deterministic packages (ScopeDeterministic), at any call depth.
+// Replayability of the paper's figures depends on these packages taking
+// time from the simulation clock and randomness from a seeded
+// internal/stats RNG only.
 //
-// A `//harmony:allow nodeterm <reason>` or `//harmony:allow detertaint
-// <reason>` at the root call site stops the taint at the source: the
-// human vouching that a wall-clock read does not influence decisions
-// (e.g. a latency metric) clears every transitive caller at once.
+// Depth 0 is a direct reference to a root (time.Now, os.Getenv,
+// rand.Intn) inside a deterministic package, flagged where it is written.
+// Deeper, a helper in internal/stats or internal/trace that reads the
+// wall clock would be invisible to every caller in sim, sched, or core:
+// so taint is seeded at the roots anywhere in the module, propagated
+// along the call graph (including go/defer edges and conservative
+// interface and function-value dispatch), and every call site where a
+// deterministic package hands control to a tainted function outside the
+// deterministic set is flagged. That diagnostic carries the full witness
+// chain from the call site to the root.
+//
+// A `//harmony:allow detertaint <reason>` at the root call site stops
+// the taint at the source: the human vouching that a wall-clock read
+// does not influence decisions (e.g. a latency metric) clears every
+// transitive caller at once.
 //
 // Edges within the deterministic set are deliberately not reported:
-// direct roots there are nodeterm findings, and a tainted deterministic
+// direct roots there are depth-0 findings, and a tainted deterministic
 // callee is flagged at its own boundary call, so each violation surfaces
 // exactly once, at the point where determinism is first lost.
 var DeterTaint = &Analyzer{
 	Name: "detertaint",
-	Doc: "flag deterministic-package calls whose transitive callees read the wall clock, " +
-		"the environment, or the global RNG, with the full call-path witness",
+	Doc: "forbid time.Now, os.Getenv, and global math/rand in deterministic packages (sim, trace, " +
+		"sched, core, queueing, binpack, kmeans, forecast, classify, daemon, tenant, harmonyd), " +
+		"directly or through transitive callees, with the full call-path witness",
 	RunModule: runDeterTaint,
 }
 
-// detertaintFixture marks the fixture tree as deterministic so the
-// analyzer can be exercised outside its production scope.
-const detertaintFixture = "fixture/detertaint"
-
-func detertaintDeterministic(pkgPath string) bool {
-	return deterministicPkgs[pkgPath] || pkgPath == detertaintFixture
+// nondetermRoots maps package path -> function name -> what it reads.
+var nondetermRoots = map[string]map[string]string{
+	"time": {
+		"Now":       "wall clock",
+		"Since":     "wall clock",
+		"Until":     "wall clock",
+		"Tick":      "wall clock",
+		"After":     "wall clock",
+		"AfterFunc": "wall clock",
+		"NewTicker": "wall clock",
+		"NewTimer":  "wall clock",
+	},
+	"os": {
+		"Getenv":    "process environment",
+		"LookupEnv": "process environment",
+		"Environ":   "process environment",
+	},
 }
+
+// rngConstructors are the explicit-source constructors that detertaint
+// leaves to the rngdiscipline analyzer.
+var rngConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
+}
+
+const globalRNG = "process-global RNG"
 
 // taintInfo records why a function is tainted: the next hop toward a
 // nondeterministic root, and the root itself.
@@ -49,23 +79,43 @@ type taintInfo struct {
 }
 
 func runDeterTaint(pass *ModulePass) {
-	tainted := make(map[*Node]taintInfo)
+	deterministic := func(pkgPath string) bool {
+		return pass.InScope(ScopeDeterministic, pkgPath, token.NoPos)
+	}
+
+	// Depth 0: direct references to a root in a deterministic package.
+	pass.inspectFiles(func(pkg *Package, n ast.Node) bool {
+		if !deterministic(pkg.Path) {
+			return false
+		}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
+		if name, why, ok := taintRoot(fn); ok && why == globalRNG {
+			pass.Reportf(sel.Pos(),
+				"%s draws from the process-global RNG; use a seeded *stats.RNG (//harmony:allow detertaint <reason> to permit)",
+				name)
+		} else if ok {
+			pass.Reportf(sel.Pos(),
+				"%s reads the %s; deterministic packages must take it as input (//harmony:allow detertaint <reason> to permit)",
+				name, why)
+		}
+		return true
+	})
 
 	// Seed: functions containing a direct, un-vouched-for root call.
+	tainted := make(map[*Node]taintInfo)
 	var frontier []*Node
 	for _, n := range pass.Graph.Funcs {
 		for _, ext := range n.Ext {
-			why, ok := taintRoot(ext.Fn)
-			if !ok {
+			name, why, ok := taintRoot(ext.Fn)
+			if !ok || pass.Allowed(ext.Pos) {
 				continue
 			}
-			if pass.Allowed(pass.Analyzer.Name, ext.Pos) || pass.Allowed("nodeterm", ext.Pos) {
-				continue
-			}
-			if _, seen := tainted[n]; !seen {
-				tainted[n] = taintInfo{root: why}
-				frontier = append(frontier, n)
-			}
+			tainted[n] = taintInfo{root: name + " (" + why + ")"}
+			frontier = append(frontier, n)
 			break
 		}
 	}
@@ -91,12 +141,12 @@ func runDeterTaint(pass *ModulePass) {
 	// Report each boundary crossing: a deterministic-package function
 	// calling a tainted function that is not itself deterministic-scope.
 	for _, n := range pass.Graph.Funcs {
-		if !detertaintDeterministic(n.Pkg.Path) {
+		if !deterministic(n.Pkg.Path) {
 			continue
 		}
 		for _, e := range n.Out {
 			ti, ok := tainted[e.Callee]
-			if !ok || detertaintDeterministic(e.Callee.Pkg.Path) {
+			if !ok || deterministic(e.Callee.Pkg.Path) {
 				continue
 			}
 			path := witnessPath(n, e.Callee, tainted)
@@ -126,27 +176,35 @@ func witnessPath(caller, callee *Node, tainted map[*Node]taintInfo) []string {
 	return path
 }
 
-// taintRoot reports whether fn is a nondeterministic root and why.
-// Roots are package-level functions only: a method on *rand.Rand is a
-// seeded stream, not the process-global source.
-func taintRoot(fn *types.Func) (string, bool) {
-	if fn.Pkg() == nil {
-		return "", false
+// taintRoot reports whether fn is a nondeterministic root, with its
+// rendered name ("time.Now", "rand.Intn") and what it reads. Roots are
+// package-level functions only: a method on *rand.Rand is a seeded
+// stream, not the process-global source.
+func taintRoot(fn *types.Func) (name, why string, ok bool) {
+	if fn == nil || fn.Pkg() == nil {
+		return "", "", false
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", false
+		return "", "", false
 	}
-	path, name := fn.Pkg().Path(), fn.Name()
-	if why, ok := nodetermBanned[path][name]; ok {
-		return pathBase(path) + "." + name + " (" + why + ")", true
+	path := fn.Pkg().Path()
+	if why, ok := nondetermRoots[path][fn.Name()]; ok {
+		return pathBase(path) + "." + fn.Name(), why, true
 	}
-	if (path == "math/rand" || path == "math/rand/v2") && !rngConstructors[name] {
-		return "rand." + name + " (process-global RNG)", true
+	if (path == "math/rand" || path == "math/rand/v2") && !rngConstructors[fn.Name()] {
+		return "rand." + fn.Name(), globalRNG, true
 	}
-	return "", false
+	return "", "", false
 }
 
 // The map-iteration-order family of roots is intentionally absent here:
 // most map ranges are order-insensitive aggregations, so whole-program
 // taint from every map range would be all noise. sortedemit enforces the
 // ordered-iteration contract per package at the emit sites themselves.
+
+func pathBase(p string) string {
+	if i := strings.LastIndexByte(p, '/'); i >= 0 {
+		return p[i+1:]
+	}
+	return p
+}

@@ -5,7 +5,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // DivZero reports divisions and modulos whose denominator may be zero on
@@ -24,34 +23,24 @@ var DivZero = &Analyzer{
 	RunModule: runDivZero,
 }
 
-func divzeroCovered(pkgPath string) bool {
-	return unitNumericPkgs[pkgPath] || strings.HasPrefix(pkgPath, "fixture/divzero")
-}
-
 func runDivZero(pass *ModulePass) {
 	zeroReturns := make(map[*types.Func]bool)
 	for _, n := range pass.Graph.Funcs {
-		if !divzeroCovered(n.Pkg.Path) {
-			continue
+		if pass.InScope(ScopeNumeric, n.Pkg.Path, token.NoPos) {
+			checkDivZero(pass, n, zeroReturns)
 		}
-		checkDivZero(pass, n, zeroReturns)
 	}
 }
 
 func checkDivZero(pass *ModulePass, fn *Node, zeroReturns map[*types.Func]bool) {
-	ff := newFuncFlow(fn)
-	if ff == nil {
-		return
-	}
-	fc := newFuncFacts(ff)
-	info := fn.Pkg.Info
+	ff, fc := fn.Flow(), fn.ValueFacts()
 	for _, blk := range ff.cfg.Blocks {
 		for _, nd := range blk.Nodes {
 			st, ok := fc.atNode[nd]
 			if !ok {
 				continue // unreachable
 			}
-			inspectOwn(nd, func(n ast.Node) {
+			forEachOwnNode(nd, func(n ast.Node) {
 				bin, ok := n.(*ast.BinaryExpr)
 				if !ok || (bin.Op != token.QUO && bin.Op != token.REM) {
 					return
@@ -60,27 +49,12 @@ func checkDivZero(pass *ModulePass, fn *Node, zeroReturns map[*types.Func]bool) 
 			})
 		}
 	}
-	_ = info
-}
-
-// inspectOwn walks a statement's own expressions, skipping nested
-// function literals (they are separate call-graph nodes).
-func inspectOwn(root ast.Node, f func(ast.Node)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			f(n)
-		}
-		return true
-	})
 }
 
 func checkDenominator(pass *ModulePass, ff *funcFlow, fc *funcFacts, st factState, bin *ast.BinaryExpr, zeroReturns map[*types.Func]bool) {
 	info := ff.pkg.Info
 	den := bin.Y
-	if tv, ok := info.Types[astUnparen(den)]; ok {
+	if tv, ok := info.Types[ast.Unparen(den)]; ok {
 		if tv.Value != nil {
 			return // constant denominators are the compiler's problem
 		}
@@ -91,7 +65,7 @@ func checkDenominator(pass *ModulePass, ff *funcFlow, fc *funcFacts, st factStat
 	if fc.exprBits(st, den)&factNonzero != 0 {
 		return // proven nonzero on every path reaching this node
 	}
-	den = unwrapConv(info, astUnparen(den))
+	den = unwrapConv(info, ast.Unparen(den))
 	if arg := lenCallArg(info, den); arg != nil {
 		pass.Reportf(bin.OpPos, "possible division by zero: len(%s) is unguarded; check for emptiness first", types.ExprString(arg))
 		return
@@ -121,7 +95,7 @@ func zeroEvidence(pass *ModulePass, ff *funcFlow, fc *funcFacts, d *defSite, zer
 	case defZero:
 		return "starts at its zero value", true
 	case defAssign:
-		rhs := unwrapConv(info, astUnparen(d.rhs))
+		rhs := unwrapConv(info, ast.Unparen(d.rhs))
 		if tv, ok := info.Types[rhs]; ok && tv.Value != nil {
 			if v, isInt := constant.Val(tv.Value).(int64); isInt && v == 0 {
 				return "is assigned the constant 0", true
@@ -160,7 +134,7 @@ func constFloatValue(v constant.Value) (float64, bool) {
 
 // lenFactVar resolves the variable a len() fact is keyed on.
 func lenFactVar(info *types.Info, arg ast.Expr) *types.Var {
-	if id, ok := astUnparen(arg).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 		v, _ := info.Uses[id].(*types.Var)
 		return v
 	}
@@ -176,7 +150,7 @@ func mayReturnZero(pass *ModulePass, fn *types.Func, cache map[*types.Func]bool)
 	}
 	cache[fn] = false // cycle guard
 	node := pass.Graph.NodeOf(fn)
-	if node == nil || node.Body() == nil {
+	if node == nil {
 		return false
 	}
 	info := node.Pkg.Info
@@ -187,7 +161,7 @@ func mayReturnZero(pass *ModulePass, fn *types.Func, cache map[*types.Func]bool)
 			return
 		}
 		for _, res := range ret.Results {
-			if tv, ok := info.Types[astUnparen(res)]; ok && tv.Value != nil {
+			if tv, ok := info.Types[ast.Unparen(res)]; ok && tv.Value != nil {
 				if f, ok := constFloatValue(tv.Value); ok && f == 0 {
 					out = true
 				}

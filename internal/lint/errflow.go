@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -20,79 +19,59 @@ import (
 //   - deferred calls — deferred cleanup is best-effort by convention;
 //     a Close whose error matters must be checked explicitly
 var ErrFlow = &Analyzer{
-	Name: "errflow",
-	Doc:  "flag unchecked error-returning calls and blank error discards in production packages",
-	Run:  runErrFlow,
+	Name:      "errflow",
+	Doc:       "flag unchecked error-returning calls and blank error discards in production packages",
+	RunModule: runErrFlow,
 }
 
-func runErrFlow(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.DeferStmt:
-				return false // deferred cleanup is exempt
-			case *ast.ExprStmt:
-				call, ok := astUnparen(st.X).(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if pos, name, ok := discardedError(pass, call); ok {
-					pass.Reportf(pos,
-						"error result of %s is discarded; handle it or annotate //harmony:allow errflow <reason>",
-						name)
-				}
-				return true
-			case *ast.GoStmt:
-				if pos, name, ok := discardedError(pass, st.Call); ok {
-					pass.Reportf(pos,
-						"error result of %s is discarded by the go statement; collect it (//harmony:allow errflow <reason> to permit)",
-						name)
-				}
-				return true
-			case *ast.AssignStmt:
-				checkBlankErr(pass, st)
+func runErrFlow(pass *ModulePass) {
+	pass.inspectFiles(func(pkg *Package, n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.DeferStmt:
+			return false // deferred cleanup is exempt
+		case *ast.ExprStmt:
+			call, ok := ast.Unparen(st.X).(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-			return true
-		})
-	}
-}
-
-// discardedError reports whether the bare call drops an error result.
-func discardedError(pass *Pass, call *ast.CallExpr) (pos token.Pos, name string, drop bool) {
-	tv, ok := pass.Pkg.Info.Types[call]
-	if !ok || !hasErrorResult(tv.Type) {
-		return token.NoPos, "", false
-	}
-	fn := calleeFunc(pass, call)
-	if errFlowExempt(fn) {
-		return token.NoPos, "", false
-	}
-	label := "the call"
-	if fn != nil {
-		label = prettyFuncName(fn)
-	}
-	return call.Pos(), label, true
-}
-
-// calleeFunc resolves the called *types.Func when statically known.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	if fn := staticCallee(pass.Pkg.Info, call); fn != nil {
-		return fn
-	}
-	if sel, ok := astUnparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selection, ok := pass.Pkg.Info.Selections[sel]; ok {
-			fn, _ := selection.Obj().(*types.Func)
-			return fn
+			if name, ok := discardedError(pkg.Info, call); ok {
+				pass.Reportf(call.Pos(),
+					"error result of %s is discarded; handle it or annotate //harmony:allow errflow <reason>",
+					name)
+			}
+		case *ast.GoStmt:
+			if name, ok := discardedError(pkg.Info, st.Call); ok {
+				pass.Reportf(st.Call.Pos(),
+					"error result of %s is discarded by the go statement; collect it (//harmony:allow errflow <reason> to permit)",
+					name)
+			}
+		case *ast.AssignStmt:
+			checkBlankErr(pass, pkg.Info, st)
 		}
+		return true
+	})
+}
+
+// discardedError reports whether the bare call drops an error result,
+// naming the callee for the message.
+func discardedError(info *types.Info, call *ast.CallExpr) (name string, drop bool) {
+	tv, ok := info.Types[call]
+	if !ok || !hasErrorResult(tv.Type) {
+		return "", false
 	}
-	return nil
+	fn := staticCallee(info, call)
+	if errFlowExempt(fn) {
+		return "", false
+	}
+	if fn == nil {
+		return "the call", true
+	}
+	return prettyFuncName(fn), true
 }
 
 // checkBlankErr flags `_` assignments whose corresponding value is an
 // error: `_ = f()`, `v, _ := g()` with g's second result an error.
-func checkBlankErr(pass *Pass, as *ast.AssignStmt) {
-	info := pass.Pkg.Info
+func checkBlankErr(pass *ModulePass, info *types.Info, as *ast.AssignStmt) {
 	// Multi-value form: x, _ := f().
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		tv, ok := info.Types[as.Rhs[0]]
@@ -107,7 +86,7 @@ func checkBlankErr(pass *Pass, as *ast.AssignStmt) {
 			if i >= tuple.Len() {
 				break
 			}
-			if isBlank(lhs) && isErrorType(tuple.At(i).Type()) && !rhsExempt(pass, as.Rhs[0]) {
+			if isBlank(lhs) && isErrorType(tuple.At(i).Type()) && !rhsExempt(info, as.Rhs[0]) {
 				pass.Reportf(lhs.Pos(),
 					"error discarded into _; handle it or annotate //harmony:allow errflow <reason>")
 			}
@@ -122,7 +101,7 @@ func checkBlankErr(pass *Pass, as *ast.AssignStmt) {
 		if !ok {
 			continue
 		}
-		if isErrorType(tv.Type) && !rhsExempt(pass, as.Rhs[i]) {
+		if isErrorType(tv.Type) && !rhsExempt(info, as.Rhs[i]) {
 			pass.Reportf(lhs.Pos(),
 				"error discarded into _; handle it or annotate //harmony:allow errflow <reason>")
 		}
@@ -130,12 +109,9 @@ func checkBlankErr(pass *Pass, as *ast.AssignStmt) {
 }
 
 // rhsExempt applies the call exemptions to the assignment form.
-func rhsExempt(pass *Pass, rhs ast.Expr) bool {
-	call, ok := astUnparen(rhs).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	return errFlowExempt(calleeFunc(pass, call))
+func rhsExempt(info *types.Info, rhs ast.Expr) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	return ok && errFlowExempt(staticCallee(info, call))
 }
 
 // errFlowExempt implements the documented exemptions.

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"regexp"
 )
@@ -15,46 +16,40 @@ import (
 // plus anything inside a function whose name marks it as a tolerance
 // helper (approx/almost/near/tol/close).
 var FloatEq = &Analyzer{
-	Name: "floateq",
-	Doc:  "flag ==/!= on floats outside tolerance helpers",
-	Run:  runFloatEq,
+	Name:      "floateq",
+	Doc:       "flag ==/!= on floats outside tolerance helpers",
+	RunModule: runFloatEq,
 }
 
 var toleranceFunc = regexp.MustCompile(`(?i)(approx|almost|near|tol|close)`)
 
-func runFloatEq(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && toleranceFunc.MatchString(fd.Name.Name) {
-				continue
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				be, ok := n.(*ast.BinaryExpr)
-				if !ok || (be.Op.String() != "==" && be.Op.String() != "!=") {
-					return true
-				}
-				xt, yt := info.Types[be.X], info.Types[be.Y]
-				if !isFloat(xt.Type) && !isFloat(yt.Type) {
-					return true
-				}
-				if xt.Value != nil && yt.Value != nil {
-					return true // fully constant, decided at compile time
-				}
-				if isZeroConst(xt.Value) || isZeroConst(yt.Value) {
-					return true // exact-zero sentinel check
-				}
-				if types.ExprString(be.X) == types.ExprString(be.Y) {
-					return true // x != x NaN idiom
-				}
-				pass.Reportf(be.OpPos,
-					"float %s comparison; use a tolerance helper or compare against an exact-zero sentinel (//harmony:allow floateq <reason> to permit)",
-					be.Op)
-				return true
-			})
+func runFloatEq(pass *ModulePass) {
+	pass.inspectFiles(func(pkg *Package, n ast.Node) bool {
+		if fd, ok := n.(*ast.FuncDecl); ok && toleranceFunc.MatchString(fd.Name.Name) {
+			return false
 		}
-	}
+		be, ok := n.(*ast.BinaryExpr)
+		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+			return true
+		}
+		xt, yt := pkg.Info.Types[be.X], pkg.Info.Types[be.Y]
+		if !isFloat(xt.Type) && !isFloat(yt.Type) {
+			return true
+		}
+		if xt.Value != nil && yt.Value != nil {
+			return true // fully constant, decided at compile time
+		}
+		if isZeroConst(xt.Value) || isZeroConst(yt.Value) {
+			return true // exact-zero sentinel check
+		}
+		if types.ExprString(be.X) == types.ExprString(be.Y) {
+			return true // x != x NaN idiom
+		}
+		pass.Reportf(be.OpPos,
+			"float %s comparison; use a tolerance helper or compare against an exact-zero sentinel (//harmony:allow floateq <reason> to permit)",
+			be.Op)
+		return true
+	})
 }
 
 func isFloat(t types.Type) bool {

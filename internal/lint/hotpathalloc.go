@@ -113,11 +113,11 @@ func scanAllocs(pass *ModulePass, n *Node, path []string) {
 			return
 		}
 		for i, rhs := range as.Rhs {
-			call, ok := astUnparen(rhs).(*ast.CallExpr)
+			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 			if !ok || !isBuiltin(info, call, "append") || len(call.Args) == 0 {
 				continue
 			}
-			if types.ExprString(astUnparen(call.Args[0])) == types.ExprString(astUnparen(as.Lhs[i])) {
+			if types.ExprString(ast.Unparen(call.Args[0])) == types.ExprString(ast.Unparen(as.Lhs[i])) {
 				amortized[call] = true
 			}
 		}
@@ -149,7 +149,7 @@ func scanAllocs(pass *ModulePass, n *Node, path []string) {
 			}
 		case *ast.UnaryExpr:
 			if v.Op == token.AND {
-				if cl, ok := astUnparen(v.X).(*ast.CompositeLit); ok {
+				if cl, ok := ast.Unparen(v.X).(*ast.CompositeLit); ok {
 					skipLits[cl] = true
 					report(v.Pos(), "&composite literal (escapes to the heap)")
 				}
@@ -184,25 +184,12 @@ func scanAllocs(pass *ModulePass, n *Node, path []string) {
 
 // isBuiltin reports whether the call invokes the named builtin.
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := astUnparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != name {
 		return false
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-// staticCallee resolves the statically known callee of a call, or nil.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := astUnparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // allocatingConversion flags string <-> byte/rune slice conversions,

@@ -8,11 +8,11 @@
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature but
 // is dependency-free: packages are loaded through `go list -export` plus
-// the standard library's gc importer (see Loader), and each Analyzer is
-// either a function over one type-checked Package (Run) or a whole-module
-// pass over every loaded package plus the module call graph (RunModule;
-// see Graph). Interprocedural analyzers — detertaint, goleak,
-// hotpathalloc — are module passes; the rest run per package.
+// the standard library's gc importer (see Loader), and every Analyzer is
+// one whole-module pass (RunModule) over the loaded packages plus the
+// module call graph (see Graph), whose nodes cache the per-function
+// facts — CFG, locksets, def-use flow — the flow-sensitive analyzers
+// share. Production scoping goes through one table (see Scope).
 //
 // A finding can be silenced in place with an annotation on the flagged
 // line, at the end of it, or in the contiguous comment block directly
@@ -37,10 +37,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -57,50 +55,24 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named check. Exactly one of Run (per type-checked
-// package) and RunModule (once over every loaded package, with the module
-// call graph) is set; unusedallow sets neither and is special-cased in
-// checkAll because it consumes the other analyzers' suppression usage.
+// Analyzer is one named check: RunModule runs once over every loaded
+// package with the module call graph. unusedallow sets none and is
+// special-cased in checkAll because it consumes the other analyzers'
+// suppression usage.
 type Analyzer struct {
 	Name string
 	Doc  string
 
-	// Packages reports whether the analyzer applies to a package; nil
-	// means every package. The fixture runner bypasses this so testdata
-	// exercises analyzers regardless of their production scope.
-	// Module analyzers scope themselves inside RunModule instead.
-	Packages func(pkgPath string) bool
-	// Files restricts findings to specific files within an applicable
-	// package; nil means every file.
-	Files func(pkgPath, filename string) bool
-
-	Run       func(*Pass)
 	RunModule func(*ModulePass)
 }
 
-// Pass carries one analyzer run over one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-
-	diags []Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Pkg.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries one module analyzer run over every loaded package.
+// ModulePass carries one analyzer run over every loaded package.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 	Graph    *Graph
 
+	scoped bool // false in fixture mode: see InScope
 	allows *allowSet
 	diags  []Diagnostic
 }
@@ -123,93 +95,73 @@ func (p *ModulePass) ReportPathf(pos token.Pos, path []string, format string, ar
 	})
 }
 
-// Allowed reports whether an annotation suppresses the named analyzer at
-// pos. Module analyzers use it to let a vetted //harmony:allow at a taint
-// root stop propagation instead of merely hiding the boundary diagnostic.
-func (p *ModulePass) Allowed(name string, pos token.Pos) bool {
-	return p.allows.allows(name, p.Fset().Position(pos))
+// Allowed reports whether an annotation suppresses this analyzer at pos.
+// Analyzers use it to let a vetted //harmony:allow at a taint root stop
+// propagation instead of merely hiding the boundary diagnostic.
+func (p *ModulePass) Allowed(pos token.Pos) bool {
+	return p.allows.allows(p.Analyzer.Name, p.Fset().Position(pos))
 }
 
-// Check runs the analyzers over the packages, honoring each analyzer's
-// package/file scope and the //harmony:allow annotations, and returns the
+// inspectFiles walks every file of every loaded package, ast.Inspect
+// style, for the analyzers that need no call graph.
+func (p *ModulePass) inspectFiles(visit func(pkg *Package, n ast.Node) bool) {
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool { return visit(pkg, n) })
+		}
+	}
+}
+
+// Check runs the analyzers over the packages, honoring the production
+// scope table and the //harmony:allow annotations, and returns the
 // surviving diagnostics sorted by position.
 func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	ds, _ := checkTimed(pkgs, analyzers, true)
+	ds, _ := checkAll(pkgs, analyzers, true)
 	return ds
 }
 
 // AnalyzerTiming is one analyzer's wall-clock cost in a CheckTimed run.
-// Analyzers run concurrently, so the sum of Elapsed generally exceeds the
-// run's wall time; each entry is the budget -timing enforces per analyzer.
+// Shared per-function facts are charged to whichever analyzer asks first.
 type AnalyzerTiming struct {
 	Name    string
 	Elapsed time.Duration
 }
 
-// CheckTimed is Check plus per-analyzer wall-clock timings, sorted by
-// analyzer name. The diagnostics are byte-identical to Check's.
+// CheckTimed is Check plus per-analyzer wall-clock timings in run order.
 func CheckTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
-	return checkTimed(pkgs, analyzers, true)
+	return checkAll(pkgs, analyzers, true)
 }
 
-func checkAll(pkgs []*Package, analyzers []*Analyzer, scoped bool) []Diagnostic {
-	ds, _ := checkTimed(pkgs, analyzers, scoped)
-	return ds
-}
-
-// checkTimed is the shared engine behind Check, CheckTimed, and the
-// fixture runner. When scoped is false the Packages/Files predicates are
-// ignored (fixture mode); allow annotations are honored either way.
+// checkAll is the shared engine behind Check, CheckTimed, and the
+// fixture runner. When scoped is false the scope table is bypassed
+// (fixture mode, see InScope); allow annotations are honored either way.
 //
-// Analyzers are independent of each other — they share only read-only
-// package/type data, the prebuilt call graph, and the allowSet (which
-// serializes its monotone used-marking internally) — so each one runs in
-// its own goroutine. Determinism survives the concurrency because every
-// analyzer's findings land in a slot fixed by its position in the input
-// slice, slots are merged in that order after the barrier, and the final
-// stable sort breaks all remaining ties by (position, analyzer, message).
-// unusedallow cannot join the pool: it reports the annotations nothing
-// else consumed, so it runs after the barrier.
-func checkTimed(pkgs []*Package, analyzers []*Analyzer, scoped bool) ([]Diagnostic, []AnalyzerTiming) {
+// Analyzers run one after another over one call graph, so the facts an
+// earlier analyzer built on a Node (see nodeFacts) are there for the
+// later ones. unusedallow reports the annotations nothing else consumed,
+// so it runs last.
+func checkAll(pkgs []*Package, analyzers []*Analyzer, scoped bool) ([]Diagnostic, []AnalyzerTiming) {
 	allows := collectAllows(pkgs...)
+	g := BuildGraph(pkgs)
 	ran := make(map[string]bool)
 	unused := false
-	needGraph := false
-	var workers []*Analyzer
+	var out []Diagnostic
+	var timings []AnalyzerTiming
 	for _, az := range analyzers {
-		if az.Name == UnusedAllow.Name {
+		if az == UnusedAllow {
 			unused = true
 			continue
 		}
 		ran[az.Name] = true
-		if az.RunModule != nil {
-			needGraph = true
+		start := time.Now()
+		pass := &ModulePass{Analyzer: az, Pkgs: pkgs, Graph: g, scoped: scoped, allows: allows}
+		az.RunModule(pass)
+		for _, d := range pass.diags {
+			if !allows.allows(az.Name, d.Pos) {
+				out = append(out, d)
+			}
 		}
-		workers = append(workers, az)
-	}
-
-	var g *Graph
-	if needGraph {
-		g = BuildGraph(pkgs)
-	}
-
-	results := make([][]Diagnostic, len(workers))
-	timings := make([]AnalyzerTiming, len(workers))
-	var wg sync.WaitGroup
-	for i, az := range workers {
-		wg.Add(1)
-		go func(i int, az *Analyzer) {
-			defer wg.Done()
-			start := time.Now()
-			results[i] = runOneAnalyzer(pkgs, az, g, allows, scoped)
-			timings[i] = AnalyzerTiming{Name: az.Name, Elapsed: time.Since(start)}
-		}(i, az)
-	}
-	wg.Wait()
-
-	var out []Diagnostic
-	for _, ds := range results {
-		out = append(out, ds...)
+		timings = append(timings, AnalyzerTiming{Name: az.Name, Elapsed: time.Since(start)})
 	}
 
 	if unused {
@@ -232,43 +184,7 @@ func checkTimed(pkgs []*Package, analyzers []*Analyzer, scoped bool) ([]Diagnost
 	}
 
 	sortDiagnostics(out)
-	sort.Slice(timings, func(i, j int) bool { return timings[i].Name < timings[j].Name })
 	return out, timings
-}
-
-// runOneAnalyzer produces one analyzer's post-filter findings: the
-// per-analyzer unit of work the concurrent engine fans out.
-func runOneAnalyzer(pkgs []*Package, az *Analyzer, g *Graph, allows *allowSet, scoped bool) []Diagnostic {
-	var out []Diagnostic
-	if az.Run != nil {
-		for _, pkg := range pkgs {
-			if scoped && az.Packages != nil && !az.Packages(pkg.Path) {
-				continue
-			}
-			pass := &Pass{Analyzer: az, Pkg: pkg}
-			az.Run(pass)
-			for _, d := range pass.diags {
-				if scoped && az.Files != nil && !az.Files(pkg.Path, d.Pos.Filename) {
-					continue
-				}
-				if allows.allows(az.Name, d.Pos) {
-					continue
-				}
-				out = append(out, d)
-			}
-		}
-	}
-	if az.RunModule != nil {
-		mp := &ModulePass{Analyzer: az, Pkgs: pkgs, Graph: g, allows: allows}
-		az.RunModule(mp)
-		for _, d := range mp.diags {
-			if allows.allows(az.Name, d.Pos) {
-				continue
-			}
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 func sortDiagnostics(ds []Diagnostic) {
@@ -305,18 +221,13 @@ type allowAnn struct {
 // enclosing contiguous comment block — so a regular // comment between
 // the annotation and the flagged code does not break the binding.
 type allowSet struct {
-	mu     sync.Mutex                     // serializes used-marking across concurrent analyzers
 	byLine map[string]map[int][]*allowAnn // file -> bound line -> annotations
 	anns   []*allowAnn                    // collection order, for unusedallow
 }
 
 // allows reports whether a diagnostic from the named analyzer at pos is
-// suppressed, marking the matching annotation as used. The marking is
-// monotone (used only ever flips to true), so the answer is independent
-// of the interleaving of concurrent analyzers.
+// suppressed, marking the matching annotation as used.
 func (a *allowSet) allows(name string, pos token.Position) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	hit := false
 	for _, ann := range a.byLine[pos.Filename][pos.Line] {
 		if ann.analyzer == name {
@@ -400,7 +311,6 @@ func (a *allowSet) bind(ann *allowAnn, line int) {
 // All returns every analyzer in the suite, sorted by name.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CtxFlow,
 		DeferClose,
 		DeterTaint,
 		DivZero,
@@ -411,7 +321,6 @@ func All() []*Analyzer {
 		LockedField,
 		LockOrder,
 		NaNSource,
-		NoDeterm,
 		RNGDiscipline,
 		SortedEmit,
 		UnitCheck,
@@ -444,18 +353,4 @@ func ByName(names []string) ([]*Analyzer, error) {
 var UnusedAllow = &Analyzer{
 	Name: "unusedallow",
 	Doc:  "report //harmony:allow annotations that no longer suppress any finding",
-}
-
-// pkgPathOf resolves the import path behind a selector base, or "" when
-// the expression is not a package qualifier.
-func (p *Pass) pkgPathOf(x ast.Expr) string {
-	id, ok := x.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	pn, ok := p.Pkg.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return ""
-	}
-	return pn.Imported().Path()
 }

@@ -89,9 +89,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -116,7 +113,7 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 	f, ok := l.exports[path]
 	l.mu.Unlock()
 	if !ok {
-		if err := l.ensureExports(path); err != nil {
+		if _, err := l.goList(path); err != nil {
 			return nil, err
 		}
 		l.mu.Lock()
@@ -160,11 +157,6 @@ func (l *Loader) goList(patterns ...string) ([]*listedPackage, error) {
 	}
 	l.mu.Unlock()
 	return pkgs, nil
-}
-
-func (l *Loader) ensureExports(paths ...string) error {
-	_, err := l.goList(paths...)
-	return err
 }
 
 // Load lists the patterns and returns every non-dependency package,
@@ -212,15 +204,10 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir parses and type-checks every .go file directly inside dir as a
-// single package, resolving imports the same way Load does. It exists for
-// fixture packages under testdata, which `go list ./...` skips.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	return l.loadDirAs("fixture/"+filepath.Base(dir), dir)
-}
-
 // LoadFixtureTree loads dir and every subdirectory beneath it as fixture
-// packages, depth-first so a parent fixture can import its own
+// packages — each directory's .go files parsed and type-checked as one
+// package, imports resolved the same way Load does; `go list ./...` skips
+// testdata — depth-first so a parent fixture can import its own
 // sub-packages by their fixture path (e.g. fixture/detertaint/impure).
 // The root package comes first in the result.
 func (l *Loader) LoadFixtureTree(dir string) ([]*Package, error) {
@@ -307,7 +294,7 @@ func (l *Loader) check(path, dir string, files []string) (*Package, error) {
 	}
 	l.mu.Unlock()
 	if len(missing) > 0 {
-		if err := l.ensureExports(missing...); err != nil {
+		if _, err := l.goList(missing...); err != nil {
 			return nil, err
 		}
 	}

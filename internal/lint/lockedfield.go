@@ -29,7 +29,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -41,14 +42,6 @@ var LockedField = &Analyzer{
 }
 
 const guardedByMarker = "harmony:guardedby"
-
-func lockedfieldCovered(pkgPath string) bool {
-	switch pkgPath {
-	case "harmony/internal/daemon", "harmony/internal/tenant", "harmony/internal/metrics":
-		return true
-	}
-	return strings.HasPrefix(pkgPath, "fixture/lockedfield")
-}
 
 // lfAccess is one field access with its lock context.
 type lfAccess struct {
@@ -65,6 +58,7 @@ type lfGroup struct {
 }
 
 func runLockedField(pass *ModulePass) {
+	covered := func(pkgPath string) bool { return pass.InScope(ScopeLockOwning, pkgPath, token.NoPos) }
 	declared := collectGuardedBy(pass)
 	entries := computeEntryLocksets(pass)
 
@@ -82,56 +76,46 @@ func runLockedField(pass *ModulePass) {
 	}
 
 	for _, n := range pass.Graph.Funcs {
-		body := n.Body()
-		if body == nil || !lockedfieldCovered(n.Pkg.Path) {
+		if !covered(n.Pkg.Path) {
 			continue
 		}
 		made := composedTypes(n)
-		writes := writeSelectors(body)
-		cfg := NewCFG(body)
-		sol := solveLocksets(n.Pkg, cfg, true, entries[n])
-		for _, blk := range cfg.Blocks {
-			in, ok := sol.In[blk]
-			if !ok {
-				continue
-			}
-			walkLockOps(n.Pkg, blk, in, func(nd ast.Node, held heldLocks) {
-				walkNodeOps(nd, func(m ast.Node) {
-					sel, ok := m.(*ast.SelectorExpr)
-					if !ok {
-						return
+		writes := writeSelectors(n.Body())
+		walkLocksets(n, n.MustLocks(entries[n]), func(_ *Block, nd ast.Node, held heldLocks) {
+			walkNodeOps(nd, func(m ast.Node) {
+				sel, ok := m.(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				selection, ok := n.Pkg.Info.Selections[sel]
+				if !ok || selection.Kind() != types.FieldVal {
+					return
+				}
+				owner := namedStructOf(n.Pkg.Info.Types[sel.X].Type)
+				if owner == nil || owner.Obj().Pkg() == nil || !covered(owner.Obj().Pkg().Path()) {
+					return
+				}
+				if made[owner] {
+					return // constructor: the value is not shared yet
+				}
+				if tv, ok := n.Pkg.Info.Types[sel]; ok && mutexishType(tv.Type) {
+					return // the guard itself, WaitGroups, etc.
+				}
+				base := types.ExprString(sel.X)
+				var guards []string
+				for _, h := range sortedHeld(held) {
+					if h.Ref.Base == base && strings.HasPrefix(h.Ref.Instance, base+".") {
+						guards = append(guards, h.Ref.Instance[len(base)+1:])
 					}
-					selection, ok := n.Pkg.Info.Selections[sel]
-					if !ok || selection.Kind() != types.FieldVal {
-						return
-					}
-					owner := namedStructOf(n.Pkg.Info.Types[sel.X].Type)
-					if owner == nil || owner.Obj().Pkg() == nil ||
-						!lockedfieldCovered(owner.Obj().Pkg().Path()) {
-						return
-					}
-					if made[owner] {
-						return // constructor: the value is not shared yet
-					}
-					if tv, ok := n.Pkg.Info.Types[sel]; ok && mutexishType(tv.Type) {
-						return // the guard itself, WaitGroups, etc.
-					}
-					base := types.ExprString(sel.X)
-					var guards []string
-					for _, h := range sortedHeld(held) {
-						if h.Ref.Base == base && strings.HasPrefix(h.Ref.Instance, base+".") {
-							guards = append(guards, h.Ref.Instance[len(base)+1:])
-						}
-					}
-					g := group(globalFieldName(owner, sel.Sel.Name))
-					g.accesses = append(g.accesses, lfAccess{
-						pos:    sel.Pos(),
-						write:  writes[sel.Pos()],
-						guards: guards,
-					})
+				}
+				g := group(globalFieldName(owner, sel.Sel.Name))
+				g.accesses = append(g.accesses, lfAccess{
+					pos:    sel.Pos(),
+					write:  writes[sel.Pos()],
+					guards: guards,
 				})
 			})
-		}
+		})
 	}
 
 	reportGuardFindings(pass, groups)
@@ -141,16 +125,11 @@ func runLockedField(pass *ModulePass) {
 // diagnostics: strict checks for annotated fields, ratio-inferred
 // checks for the rest.
 func reportGuardFindings(pass *ModulePass, groups map[string]*lfGroup) {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(groups) {
 		g := groups[k]
 		if g.declared != "" {
 			for _, a := range g.accesses {
-				if !containsStr(a.guards, g.declared) {
+				if !slices.Contains(a.guards, g.declared) {
 					pass.Reportf(a.pos,
 						"field %s is annotated //harmony:guardedby(%s) but this access does not hold %s on every path (//harmony:allow lockedfield <reason> to permit)",
 						g.key, g.declared, g.declared)
@@ -172,7 +151,7 @@ func reportGuardFindings(pass *ModulePass, groups map[string]*lfGroup) {
 			}
 		}
 		best, bestN := "", 0
-		for _, name := range sortedCountKeys(guardCount) {
+		for _, name := range sortedKeys(guardCount) {
 			if guardCount[name] > bestN {
 				best, bestN = name, guardCount[name]
 			}
@@ -183,7 +162,7 @@ func reportGuardFindings(pass *ModulePass, groups map[string]*lfGroup) {
 			continue
 		}
 		for _, a := range g.accesses {
-			if containsStr(a.guards, best) {
+			if slices.Contains(a.guards, best) {
 				continue
 			}
 			pass.Reportf(a.pos,
@@ -193,75 +172,53 @@ func reportGuardFindings(pass *ModulePass, groups map[string]*lfGroup) {
 	}
 }
 
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedCountKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // collectGuardedBy parses //harmony:guardedby(mu) field annotations in
 // the covered packages, validating that the named guard is a sibling
 // field. Returns field key → guard field name.
 func collectGuardedBy(pass *ModulePass) map[string]string {
 	out := make(map[string]string)
-	for _, pkg := range pass.Pkgs {
-		if !lockedfieldCovered(pkg.Path) {
-			continue
+	pass.inspectFiles(func(pkg *Package, a ast.Node) bool {
+		if !pass.InScope(ScopeLockOwning, pkg.Path, token.NoPos) {
+			return false
 		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(a ast.Node) bool {
-				ts, ok := a.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName)
-				if !ok {
-					return true
-				}
-				named, ok := tn.Type().(*types.Named)
-				if !ok {
-					return true
-				}
-				fieldNames := make(map[string]bool)
-				for _, fld := range st.Fields.List {
-					for _, name := range fld.Names {
-						fieldNames[name.Name] = true
-					}
-				}
-				for _, fld := range st.Fields.List {
-					guard, pos, ok := guardedByDirective(fld)
-					if !ok {
-						continue
-					}
-					if !fieldNames[guard] {
-						pass.Reportf(pos,
-							"//harmony:guardedby(%s) names no field of %s", guard, ts.Name.Name)
-						continue
-					}
-					for _, name := range fld.Names {
-						out[globalFieldName(named, name.Name)] = guard
-					}
-				}
-				return true
-			})
+		ts, ok := a.(*ast.TypeSpec)
+		if !ok {
+			return true
 		}
-	}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName)
+		if !ok {
+			return true
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			return true
+		}
+		fieldNames := make(map[string]bool)
+		for _, fld := range st.Fields.List {
+			for _, name := range fld.Names {
+				fieldNames[name.Name] = true
+			}
+		}
+		for _, fld := range st.Fields.List {
+			guard, pos, ok := guardedByDirective(fld)
+			if !ok {
+				continue
+			}
+			if !fieldNames[guard] {
+				pass.Reportf(pos,
+					"//harmony:guardedby(%s) names no field of %s", guard, ts.Name.Name)
+				continue
+			}
+			for _, name := range fld.Names {
+				out[globalFieldName(named, name.Name)] = guard
+			}
+		}
+		return true
+	})
 	return out
 }
 
@@ -277,18 +234,13 @@ func guardedByDirective(fld *ast.Field) (string, token.Pos, bool) {
 			if !ok {
 				// The (mu) form parses as part of the marker word.
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, guardedByMarker+"(") {
+				if args, ok = strings.CutPrefix(text, guardedByMarker); !ok || !strings.HasPrefix(args, "(") {
 					continue
 				}
-				args = strings.TrimPrefix(text, guardedByMarker)
 			}
 			args = strings.TrimSpace(args)
 			if strings.HasPrefix(args, "(") {
-				if i := strings.IndexByte(args, ')'); i >= 0 {
-					args = args[1:i]
-				} else {
-					args = strings.TrimPrefix(args, "(")
-				}
+				args, _, _ = strings.Cut(args[1:], ")")
 			} else if fs := strings.Fields(args); len(fs) > 0 {
 				args = fs[0]
 			}
@@ -305,11 +257,7 @@ func guardedByDirective(fld *ast.Field) (string, token.Pos, bool) {
 // composite literals — its "constructor for" set.
 func composedTypes(n *Node) map[*types.Named]bool {
 	out := make(map[*types.Named]bool)
-	body := n.Body()
-	if body == nil {
-		return out
-	}
-	forEachOwnNode(body, func(a ast.Node) {
+	forEachOwnNode(n.Body(), func(a ast.Node) {
 		cl, ok := a.(*ast.CompositeLit)
 		if !ok {
 			return
@@ -357,55 +305,37 @@ func writeSelectors(body ast.Node) map[token.Pos]bool {
 func computeEntryLocksets(pass *ModulePass) map[*Node]heldLocks {
 	g := pass.Graph
 	entries := make(map[*Node]heldLocks)
-	cfgs := make(map[*Node]*CFG)
 
 	for iter := 0; iter < 4; iter++ {
 		proposals := make(map[*Node][]heldLocks)
 		litEntries := make(map[*Node]heldLocks)
 		for _, n := range g.Funcs {
-			body := n.Body()
-			if body == nil || !lockedfieldCovered(n.Pkg.Path) {
+			if !pass.InScope(ScopeLockOwning, n.Pkg.Path, token.NoPos) {
 				continue
 			}
-			cfg, ok := cfgs[n]
-			if !ok {
-				cfg = NewCFG(body)
-				cfgs[n] = cfg
-			}
-			posEdges := make(map[token.Pos][]*Edge, len(n.Out))
-			for _, e := range n.Out {
-				posEdges[e.Pos] = append(posEdges[e.Pos], e)
-			}
-			sol := solveLocksets(n.Pkg, cfg, true, entries[n])
-			for _, blk := range cfg.Blocks {
-				in, ok := sol.In[blk]
-				if !ok {
-					continue
-				}
-				walkLockOps(n.Pkg, blk, in, func(nd ast.Node, held heldLocks) {
-					goLits := goStmtLits(nd)
-					walkNodeOps(nd, func(m ast.Node) {
-						if lit, ok := m.(*ast.FuncLit); ok {
-							if ln := g.NodeOfLit(lit); ln != nil && !goLits[lit] {
-								litEntries[ln] = cloneHeld(held)
-							}
-							return
+			walkLocksets(n, n.MustLocks(entries[n]), func(_ *Block, nd ast.Node, held heldLocks) {
+				goLits := goStmtLits(nd)
+				walkNodeOps(nd, func(m ast.Node) {
+					if lit, ok := m.(*ast.FuncLit); ok {
+						if ln := g.NodeOfLit(lit); ln != nil && !goLits[lit] {
+							litEntries[ln] = maps.Clone(held)
 						}
-						call, ok := m.(*ast.CallExpr)
-						if !ok || len(held) == 0 {
-							return
+						return
+					}
+					call, ok := m.(*ast.CallExpr)
+					if !ok || len(held) == 0 {
+						return
+					}
+					for _, e := range n.EdgesAt(call.Pos()) {
+						if e.Kind != EdgeCall || e.Dynamic || e.Callee.Fn == nil {
+							continue
 						}
-						for _, e := range posEdges[call.Pos()] {
-							if e.Kind != EdgeCall || e.Dynamic || e.Callee.Fn == nil {
-								continue
-							}
-							if remapped, ok := remapToCallee(n.Pkg, call, e.Callee, held); ok {
-								proposals[e.Callee] = append(proposals[e.Callee], remapped)
-							}
+						if remapped, ok := remapToCallee(call, e.Callee, held); ok {
+							proposals[e.Callee] = append(proposals[e.Callee], remapped)
 						}
-					})
+					}
 				})
-			}
+			})
 		}
 
 		next := make(map[*Node]heldLocks)
@@ -472,7 +402,7 @@ func goStmtLits(nd ast.Node) map[*ast.FuncLit]bool {
 // frame: locks rooted at the call's receiver expression become locks
 // rooted at the callee's receiver name. Calls that are not method calls
 // on a named receiver propose nothing.
-func remapToCallee(pkg *Package, call *ast.CallExpr, callee *Node, held heldLocks) (heldLocks, bool) {
+func remapToCallee(call *ast.CallExpr, callee *Node, held heldLocks) (heldLocks, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || callee.Decl == nil || callee.Decl.Recv == nil ||
 		len(callee.Decl.Recv.List) != 1 || len(callee.Decl.Recv.List[0].Names) != 1 {

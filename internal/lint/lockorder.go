@@ -32,23 +32,6 @@ var LockOrder = &Analyzer{
 	RunModule: runLockOrder,
 }
 
-// lockorderCovered scopes the analyzer to the concurrent subsystems.
-func lockorderCovered(pkgPath, filename string) bool {
-	if goleakCovered(pkgPath, filename) && !strings.HasPrefix(pkgPath, "fixture/") {
-		return true
-	}
-	return pkgPath == "harmony/internal/metrics" ||
-		strings.HasPrefix(pkgPath, "fixture/lockorder")
-}
-
-// acqStep is one hop of an interprocedural acquisition summary: where
-// this function acquires the lock, or the call site and callee it
-// acquires it through.
-type acqStep struct {
-	pos    token.Pos
-	callee *Node // nil: acquired directly at pos
-}
-
 // orderEdge is one A-held-while-acquiring-B observation.
 type orderEdge struct {
 	from, to string
@@ -62,46 +45,28 @@ func runLockOrder(pass *ModulePass) {
 	g := pass.Graph
 
 	// Pass 1: direct acquisitions per function (module-wide — a covered
-	// function may reach lock acquisitions through uncovered helpers).
-	acquires := make(map[*Node]map[string]acqStep)
+	// function may reach lock acquisitions through uncovered helpers),
+	// deferred ones excluded. trans[n][lock] is the callee n acquires the
+	// lock through, nil when n acquires it itself.
+	trans := make(map[*Node]map[string]*Node)
 	for _, n := range g.Funcs {
-		body := n.Body()
-		if body == nil {
-			continue
-		}
-		own := make(map[string]acqStep)
-		forEachOwnNode(body, func(a ast.Node) {
-			if inDefer(body, a) {
-				return
-			}
+		walkNodeOps(n.Body(), func(a ast.Node) {
 			recv, kind, ok := mutexOp(n.Pkg, a)
 			if !ok || (kind != "Lock" && kind != "RLock") {
 				return
 			}
-			ref := resolveLockRef(n.Pkg, recv)
-			if ref.Global == "" {
-				return
-			}
-			if _, seen := own[ref.Global]; !seen {
-				own[ref.Global] = acqStep{pos: a.Pos()}
+			if ref := resolveLockRef(n.Pkg, recv); ref.Global != "" {
+				if trans[n] == nil {
+					trans[n] = make(map[string]*Node)
+				}
+				trans[n][ref.Global] = nil
 			}
 		})
-		if len(own) > 0 {
-			acquires[n] = own
-		}
 	}
 
 	// Pass 2: transitive closure over call edges, deterministic sweeps
 	// to a fixed point. First discovery wins, so witness chains are
 	// stable across runs.
-	trans := make(map[*Node]map[string]acqStep, len(acquires))
-	for n, own := range acquires {
-		m := make(map[string]acqStep, len(own))
-		for id, s := range own {
-			m[id] = s
-		}
-		trans[n] = m
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.Funcs {
@@ -109,20 +74,14 @@ func runLockOrder(pass *ModulePass) {
 				if !summaryEdgeOK(e) {
 					continue
 				}
-				callee := trans[e.Callee]
-				if len(callee) == 0 {
-					continue
-				}
-				mine := trans[n]
-				for _, id := range sortedKeys(callee) {
-					if _, seen := mine[id]; seen {
+				for _, id := range sortedKeys(trans[e.Callee]) {
+					if _, seen := trans[n][id]; seen {
 						continue
 					}
-					if mine == nil {
-						mine = make(map[string]acqStep)
-						trans[n] = mine
+					if trans[n] == nil {
+						trans[n] = make(map[string]*Node)
 					}
-					mine[id] = acqStep{pos: e.Pos, callee: e.Callee}
+					trans[n][id] = e.Callee
 					changed = true
 				}
 			}
@@ -144,99 +103,57 @@ func runLockOrder(pass *ModulePass) {
 		}
 	}
 	for _, n := range g.Funcs {
-		body := n.Body()
-		if body == nil || !lockorderCovered(n.Pkg.Path, pass.Fset().Position(n.Pos()).Filename) {
+		if !pass.InScope(ScopeLockOrder, n.Pkg.Path, n.Pos()) {
 			continue
 		}
-		posEdges := make(map[token.Pos][]*Edge, len(n.Out))
-		for _, e := range n.Out {
-			posEdges[e.Pos] = append(posEdges[e.Pos], e)
-		}
-		cfg := NewCFG(body)
-		sol := solveLocksets(n.Pkg, cfg, false, nil)
-		for _, blk := range cfg.Blocks {
-			in, ok := sol.In[blk]
-			if !ok {
-				continue
+		walkLocksets(n, n.MayLocks(), func(_ *Block, nd ast.Node, held heldLocks) {
+			if len(held) == 0 {
+				return
 			}
-			walkLockOps(n.Pkg, blk, in, func(nd ast.Node, held heldLocks) {
-				if len(held) == 0 {
+			walkNodeOps(nd, func(a ast.Node) {
+				if recv, kind, ok := mutexOp(n.Pkg, a); ok && (kind == "Lock" || kind == "RLock") {
+					ref := resolveLockRef(n.Pkg, recv)
+					if ref.Global != "" {
+						for _, h := range sortedHeld(held) {
+							record(h, ref.Global, a.Pos(), n, nil)
+						}
+					}
 					return
 				}
-				walkNodeOps(nd, func(a ast.Node) {
-					if recv, kind, ok := mutexOp(n.Pkg, a); ok && (kind == "Lock" || kind == "RLock") {
-						ref := resolveLockRef(n.Pkg, recv)
-						if ref.Global != "" {
-							for _, h := range sortedHeld(held) {
-								record(h, ref.Global, a.Pos(), n, nil)
-							}
-						}
-						return
+				call, ok := a.(*ast.CallExpr)
+				if !ok {
+					return
+				}
+				for _, e := range n.EdgesAt(call.Pos()) {
+					if !summaryEdgeOK(e) {
+						continue
 					}
-					call, ok := a.(*ast.CallExpr)
-					if !ok {
-						return
-					}
-					for _, e := range posEdges[call.Pos()] {
-						if !summaryEdgeOK(e) {
-							continue
-						}
-						for _, id := range sortedKeys(trans[e.Callee]) {
-							chain := acqChain(pass, n, e, id, trans)
-							for _, h := range sortedHeld(held) {
-								record(h, id, call.Pos(), n, chain)
-							}
+					for _, id := range sortedKeys(trans[e.Callee]) {
+						chain := acqChain(n, e, id, trans)
+						for _, h := range sortedHeld(held) {
+							record(h, id, call.Pos(), n, chain)
 						}
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 
 	reportOrderCycles(pass, edges)
 }
 
-// inDefer reports whether node a sits inside a defer statement directly
-// under body (not crossing function-literal boundaries, which
-// forEachOwnNode already stops at).
-func inDefer(body ast.Node, a ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found || n == nil {
-			return false
-		}
-		if _, isLit := n.(*ast.FuncLit); isLit && n != body {
-			return false
-		}
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if d.Pos() <= a.Pos() && a.End() <= d.End() {
-				found = true
-				return false
-			}
-			// Still descend: nested non-deferred literals were cut above.
-		}
-		return true
-	})
-	return found
-}
-
 // acqChain renders the call-chain witness for an interprocedural
 // acquisition: caller → call sites → the acquiring function.
-func acqChain(pass *ModulePass, n *Node, e *Edge, id string, trans map[*Node]map[string]acqStep) []string {
+func acqChain(n *Node, e *Edge, id string, trans map[*Node]map[string]*Node) []string {
 	chain := []string{n.Name}
-	cur := e.Callee
-	for i := 0; cur != nil && i < 64; i++ {
+	for cur, i := e.Callee, 0; cur != nil && i < 64; cur, i = trans[cur][id], i+1 {
 		chain = append(chain, cur.Name)
-		step, ok := trans[cur][id]
-		if !ok {
-			break
-		}
-		cur = step.callee
 	}
 	return chain
 }
 
-func sortedKeys(m map[string]acqStep) []string {
+// sortedKeys returns a map's keys in order, for deterministic iteration.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

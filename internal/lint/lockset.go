@@ -9,7 +9,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 )
 
 // lockRef identifies one mutex value at a program point.
@@ -40,38 +40,16 @@ type lockAcq struct {
 // immutable: transfer functions clone before editing.
 type heldLocks map[string]lockAcq
 
-func cloneHeld(h heldLocks) heldLocks {
-	out := make(heldLocks, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
 func heldEqual(a, b heldLocks) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || va.Pos != vb.Pos || va.Kind != vb.Kind {
-			return false
-		}
-	}
-	return true
+	return maps.EqualFunc(a, b, func(va, vb lockAcq) bool { return va.Pos == vb.Pos && va.Kind == vb.Kind })
 }
 
 // sortedHeld returns the held set ordered by Instance for deterministic
 // iteration and message rendering.
 func sortedHeld(h heldLocks) []lockAcq {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]lockAcq, len(keys))
-	for i, k := range keys {
-		out[i] = h[k]
+	out := make([]lockAcq, 0, len(h))
+	for _, k := range sortedKeys(h) {
+		out = append(out, h[k])
 	}
 	return out
 }
@@ -229,7 +207,7 @@ func applyLockOps(pkg *Package, n ast.Node, fact heldLocks) heldLocks {
 		}
 		ref := resolveLockRef(pkg, recv)
 		if !mutated {
-			out = cloneHeld(out)
+			out = maps.Clone(out)
 			mutated = true
 		}
 		switch kind {
@@ -258,7 +236,7 @@ func (p lockProblem) Boundary() heldLocks {
 	if p.entry == nil {
 		return make(heldLocks)
 	}
-	return cloneHeld(p.entry)
+	return maps.Clone(p.entry)
 }
 
 func (p lockProblem) Transfer(b *Block, in heldLocks) heldLocks {
@@ -282,7 +260,7 @@ func (p lockProblem) Merge(a, b heldLocks) heldLocks {
 		}
 		return out
 	}
-	out := cloneHeld(a)
+	out := maps.Clone(a)
 	for k, vb := range b {
 		if va, ok := out[k]; !ok || vb.Pos < va.Pos {
 			out[k] = vb
@@ -293,19 +271,10 @@ func (p lockProblem) Merge(a, b heldLocks) heldLocks {
 
 func (p lockProblem) Equal(a, b heldLocks) bool { return heldEqual(a, b) }
 
-// solveLocksets runs the held-lockset analysis over a function body.
+// solveLocksets runs the held-lockset analysis over a function body;
+// analyzers get its solutions through Node.MayLocks / Node.MustLocks.
 func solveLocksets(pkg *Package, c *CFG, must bool, entry heldLocks) Solution[heldLocks] {
 	return Solve[heldLocks](c, lockProblem{pkg: pkg, must: must, entry: entry}, Forward)
-}
-
-// walkLockOps replays one block from its entry fact, calling visit with
-// the lockset in force immediately before each node takes effect.
-func walkLockOps(pkg *Package, blk *Block, in heldLocks, visit func(n ast.Node, held heldLocks)) {
-	fact := in
-	for _, n := range blk.Nodes {
-		visit(n, fact)
-		fact = applyLockOps(pkg, n, fact)
-	}
 }
 
 // blockingOp recognizes calls that can block indefinitely: net/http

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // NaNSource flags expressions that can mint NaN or ±Inf and flow into
@@ -24,16 +23,11 @@ var NaNSource = &Analyzer{
 	RunModule: runNaNSource,
 }
 
-func nansourceCovered(pkgPath string) bool {
-	return unitNumericPkgs[pkgPath] || strings.HasPrefix(pkgPath, "fixture/nansource")
-}
-
 func runNaNSource(pass *ModulePass) {
 	for _, n := range pass.Graph.Funcs {
-		if !nansourceCovered(n.Pkg.Path) {
-			continue
+		if pass.InScope(ScopeNumeric, n.Pkg.Path, token.NoPos) {
+			checkNaNSource(pass, n)
 		}
-		checkNaNSource(pass, n)
 	}
 }
 
@@ -41,11 +35,7 @@ func runNaNSource(pass *ModulePass) {
 var nanLogFuncs = map[string]bool{"Log": true, "Log2": true, "Log10": true, "Log1p": true}
 
 func checkNaNSource(pass *ModulePass, fn *Node) {
-	ff := newFuncFlow(fn)
-	if ff == nil {
-		return
-	}
-	fc := newFuncFacts(ff)
+	ff, fc := fn.Flow(), fn.ValueFacts()
 	info := fn.Pkg.Info
 	guarded := nanGuardedVars(fn, info)
 	for _, blk := range ff.cfg.Blocks {
@@ -61,7 +51,7 @@ func checkNaNSource(pass *ModulePass, fn *Node) {
 			if _, ok := nd.(*ast.ReturnStmt); ok {
 				sink = " and flows into a return"
 			}
-			inspectOwn(nd, func(n ast.Node) {
+			forEachOwnNode(nd, func(n ast.Node) {
 				switch x := n.(type) {
 				case *ast.CallExpr:
 					checkNaNCall(pass, ff, fc, st, x, sink)
@@ -86,14 +76,14 @@ func checkNaNCall(pass *ModulePass, ff *funcFlow, fc *funcFacts, st factState, c
 		if bits&factNonneg != 0 {
 			return
 		}
-		pass.ReportPathf(call.Lparen, nanWitness(ff, arg),
+		pass.ReportPathf(call.Lparen, ff.witness(arg),
 			"math.Sqrt of %s, which is not provably non-negative, can mint NaN%s; validate or clamp first",
 			types.ExprString(arg), sink)
 	case nanLogFuncs[fn.Name()]:
 		if bits&factPositive == factPositive {
 			return
 		}
-		pass.ReportPathf(call.Lparen, nanWitness(ff, arg),
+		pass.ReportPathf(call.Lparen, ff.witness(arg),
 			"math.%s of %s, which is not provably positive, can mint NaN/-Inf%s; validate first",
 			fn.Name(), types.ExprString(arg), sink)
 	}
@@ -115,48 +105,23 @@ func checkSelfDivide(pass *ModulePass, ff *funcFlow, fc *funcFacts, st factState
 	if !ok || b.Info()&types.IsFloat == 0 {
 		return
 	}
-	lx, rx := astUnparen(bin.X), astUnparen(bin.Y)
+	lx, rx := ast.Unparen(bin.X), ast.Unparen(bin.Y)
 	if types.ExprString(lx) != types.ExprString(rx) {
 		return
 	}
 	if fc.exprBits(st, rx)&factNonzero != 0 {
 		return
 	}
-	pass.ReportPathf(bin.OpPos, nanWitness(ff, rx),
+	pass.ReportPathf(bin.OpPos, ff.witness(rx),
 		"%s / %s is NaN when %s is zero, and it is not provably nonzero%s; guard the division",
 		types.ExprString(lx), types.ExprString(rx), types.ExprString(rx), sink)
-}
-
-// nanWitness builds the def-use witness for the unvalidated operand.
-func nanWitness(ff *funcFlow, e ast.Expr) []string {
-	var id *ast.Ident
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id != nil {
-			return false
-		}
-		if x, ok := n.(*ast.Ident); ok {
-			if v, ok := ff.pkg.Info.Uses[x].(*types.Var); ok && ff.tracked[v] && len(ff.useDefs[x]) > 0 {
-				id = x
-				return false
-			}
-		}
-		return true
-	})
-	if id == nil {
-		return nil
-	}
-	return ff.defChain(id, 4)
 }
 
 // nanGuardedVars collects variables the function explicitly checks with
 // math.IsNaN or math.IsInf — results it validates are its own business.
 func nanGuardedVars(fn *Node, info *types.Info) map[*types.Var]bool {
 	out := make(map[*types.Var]bool)
-	body := fn.Body()
-	if body == nil {
-		return out
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(fn.Body(), func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -194,7 +159,7 @@ func resultVarGuarded(info *types.Info, nd ast.Node, guarded map[*types.Var]bool
 		return false
 	}
 	for _, lhs := range as.Lhs {
-		if id, ok := astUnparen(lhs).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			v, _ := info.Uses[id].(*types.Var)
 			if v == nil {
 				v, _ = info.Defs[id].(*types.Var)

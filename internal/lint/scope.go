@@ -1,0 +1,122 @@
+package lint
+
+import (
+	"go/token"
+	"path/filepath"
+)
+
+// Scope names one production package set. Every analyzer that does not
+// apply module-wide asks ModulePass.InScope with one of these instead of
+// carrying its own predicate.
+type Scope uint8
+
+const (
+	// ScopeDeterministic: packages whose behavior must be a pure function
+	// of their inputs (detertaint).
+	ScopeDeterministic Scope = iota
+	// ScopeSpawn: where goroutines are spawned and must be joined (goleak).
+	ScopeSpawn
+	// ScopeLockOrder: ScopeSpawn plus metrics, whose vecs lock (lockorder).
+	ScopeLockOrder
+	// ScopeRelease: the concurrent surface plus metrics and harmonyd, the
+	// code that holds locks, tickers, files, and response bodies
+	// (deferclose).
+	ScopeRelease
+	// ScopeLockOwning: packages whose struct types own mutexes
+	// (lockedfield).
+	ScopeLockOwning
+	// ScopeNumeric: the annotated numeric surface — the energy→cost chain
+	// and the demand chain (unitcheck, divzero, nansource).
+	ScopeNumeric
+	// ScopeUnitAnnot: ScopeNumeric plus the packages whose //harmony:unit
+	// annotations are collected but whose function bodies are not checked:
+	// daemon mirrors tenant's config fields, so its declarations feed
+	// cross-package checks.
+	ScopeUnitAnnot
+)
+
+// concurrentSurface is the part every concurrency scope shares. An entry
+// is a whole package, or "pkg:file.go" for one file of it.
+var concurrentSurface = []string{
+	"harmony/internal/daemon",
+	"harmony/internal/tenant",            // per-tenant ingest workers + group tick fan-out
+	"harmony:parallel.go",                // the parallel experiment fan-out
+	"harmony/internal/sim:parallel.go",   // the sharded machine audit
+	"harmony/internal/core:placement.go", // the per-type placement fan-out
+}
+
+var numericSurface = []string{
+	"harmony/internal/energy",
+	"harmony/internal/tenant",
+	"harmony/internal/core",
+	"harmony/internal/queueing",
+	"harmony/internal/forecast",
+	"harmony/internal/sched",
+	"harmony/internal/trace",
+}
+
+// scopeTable is the one declarative statement of what each scope covers.
+var scopeTable = map[Scope]map[string]bool{
+	// The simulator, the trace generator and streaming readers (a seed
+	// must reproduce the same task stream in chunked and one-shot modes),
+	// the control loop and its solvers, and the daemon (whose Replay is
+	// the batch reference a streamed trace must reproduce bit-for-bit).
+	// cmd/harmonyd is included so its genuinely wall-clock tick loop
+	// carries explicit annotations.
+	ScopeDeterministic: scopeSet(nil,
+		"harmony/internal/sim",
+		"harmony/internal/trace",
+		"harmony/internal/sched",
+		"harmony/internal/core",
+		"harmony/internal/queueing",
+		"harmony/internal/binpack",
+		"harmony/internal/kmeans",
+		"harmony/internal/forecast",
+		"harmony/internal/classify",
+		"harmony/internal/daemon",
+		"harmony/internal/tenant",
+		"harmony/cmd/harmonyd",
+	),
+	// trace: streaming sources are single-goroutine by contract.
+	ScopeSpawn:      scopeSet(concurrentSurface, "harmony/internal/trace"),
+	ScopeLockOrder:  scopeSet(concurrentSurface, "harmony/internal/trace", "harmony/internal/metrics"),
+	ScopeRelease:    scopeSet(concurrentSurface, "harmony/internal/metrics", "harmony/cmd/harmonyd"),
+	ScopeLockOwning: scopeSet(nil, "harmony/internal/daemon", "harmony/internal/tenant", "harmony/internal/metrics"),
+	ScopeNumeric:    scopeSet(numericSurface),
+	ScopeUnitAnnot:  scopeSet(numericSurface, "harmony/internal/daemon"),
+}
+
+func scopeSet(base []string, more ...string) map[string]bool {
+	set := make(map[string]bool, len(base)+len(more))
+	for _, e := range base {
+		set[e] = true
+	}
+	for _, e := range more {
+		set[e] = true
+	}
+	return set
+}
+
+// scopeContains consults the table: filename may be "" to ask about the
+// package as a whole (file-restricted entries then do not match).
+func scopeContains(s Scope, pkgPath, filename string) bool {
+	set := scopeTable[s]
+	return set[pkgPath] || filename != "" && set[pkgPath+":"+filepath.Base(filename)]
+}
+
+// InScope reports whether the scope covers the package — at pos, for the
+// scopes with file-restricted entries; pass token.NoPos to ask about the
+// package as a whole. In fixture mode the table is bypassed: the fixture's
+// root package is in every scope and its sub-packages are in none, so a
+// fixture tree can model in-scope code calling out-of-scope helpers
+// (detertaint's impure/pure) without test hooks in the table.
+func (p *ModulePass) InScope(s Scope, pkgPath string, pos token.Pos) bool {
+	if !p.scoped {
+		return pkgPath == p.Pkgs[0].Path
+	}
+	filename := ""
+	if pos.IsValid() {
+		filename = p.Fset().Position(pos).Filename
+	}
+	return scopeContains(s, pkgPath, filename)
+}

@@ -11,9 +11,9 @@ import (
 // nondeterministic bytes — collect the keys, sort, and iterate the sorted
 // slice instead (the pattern metrics.Render and the figure writers use).
 var SortedEmit = &Analyzer{
-	Name: "sortedemit",
-	Doc:  "flag map iteration that emits output without sorting first",
-	Run:  runSortedEmit,
+	Name:      "sortedemit",
+	Doc:       "flag map iteration that emits output without sorting first",
+	RunModule: runSortedEmit,
 }
 
 // emitFuncs are package-level functions that write formatted output.
@@ -30,33 +30,30 @@ var emitMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 }
 
-func runSortedEmit(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			tv, ok := info.Types[rng.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if emit := findEmit(pass, rng.Body); emit != nil {
-				pass.Reportf(rng.Pos(),
-					"map iteration emits output (%s at line %d); map order is random — collect keys, sort, then emit (//harmony:allow sortedemit <reason> to permit)",
-					emitName(pass, emit), pass.Pkg.Fset.Position(emit.Pos()).Line)
-			}
+func runSortedEmit(pass *ModulePass) {
+	pass.inspectFiles(func(pkg *Package, n ast.Node) bool {
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok {
 			return true
-		})
-	}
+		}
+		tv, ok := pkg.Info.Types[rng.X]
+		if !ok {
+			return true
+		}
+		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+			return true
+		}
+		if emit := findEmit(pkg, rng.Body); emit != nil {
+			pass.Reportf(rng.Pos(),
+				"map iteration emits output (%s at line %d); map order is random — collect keys, sort, then emit (//harmony:allow sortedemit <reason> to permit)",
+				emitName(pkg, emit), pkg.Fset.Position(emit.Pos()).Line)
+		}
+		return true
+	})
 }
 
 // findEmit returns the first output-writing call inside body, or nil.
-func findEmit(pass *Pass, body ast.Node) *ast.CallExpr {
+func findEmit(pkg *Package, body ast.Node) *ast.CallExpr {
 	var found *ast.CallExpr
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found != nil {
@@ -70,7 +67,7 @@ func findEmit(pass *Pass, body ast.Node) *ast.CallExpr {
 		if !ok {
 			return true
 		}
-		if pkgPath := pass.pkgPathOf(sel.X); pkgPath != "" {
+		if pkgPath := importPathOf(pkg, sel.X); pkgPath != "" {
 			if emitFuncs[pkgPath][sel.Sel.Name] {
 				found = call
 			}
@@ -85,9 +82,9 @@ func findEmit(pass *Pass, body ast.Node) *ast.CallExpr {
 	return found
 }
 
-func emitName(pass *Pass, call *ast.CallExpr) string {
+func emitName(pkg *Package, call *ast.CallExpr) string {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pkgPath := pass.pkgPathOf(sel.X); pkgPath != "" {
+		if pkgPath := importPathOf(pkg, sel.X); pkgPath != "" {
 			return pathBase(pkgPath) + "." + sel.Sel.Name
 		}
 		return sel.Sel.Name

@@ -4,7 +4,7 @@
 // module to actually close it.
 package ctxflow
 
-func work() {}
+func work() { beat <- struct{}{} }
 
 func sink(int) {}
 
@@ -36,7 +36,7 @@ func spin() {
 }
 
 func spawnTransitive() {
-	go outer()
+	go outer() //harmony:allow goleak unjoined on purpose: this tree exercises the termination half
 }
 
 // A loop whose select has a terminating case is fine.
@@ -120,9 +120,15 @@ func (c *closedServer) run() {
 // An annotation on the loop suppresses the finding.
 func spawnAllowed() {
 	go func() {
-		//harmony:allow ctxflow burn-in loop by design, killed with the process
+		//harmony:allow goleak burn-in loop by design, killed with the process
 		for {
 			work()
 		}
 	}()
 }
+
+// beat gives work() — and so every goroutine above that calls it — the
+// join evidence goleak's other half asks for, so this tree's findings
+// are the termination ones alone: goroutines that touch a join signal
+// and still can never end.
+var beat = make(chan struct{})

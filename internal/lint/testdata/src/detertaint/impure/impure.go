@@ -26,7 +26,7 @@ func Roll() float64 { return rand.Float64() }
 // Vetted reads the wall clock behind a vouched-for annotation: the
 // taint stops at the source, so callers stay clean.
 func Vetted() float64 {
-	//harmony:allow nodeterm latency metric only; never influences decisions
+	//harmony:allow detertaint latency metric only; never influences decisions
 	return float64(time.Now().UnixNano())
 }
 

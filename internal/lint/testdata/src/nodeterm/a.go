@@ -47,10 +47,10 @@ func seededDraw(r *rand.Rand) float64 { return r.Float64() }
 func period() time.Duration { return 300 * time.Second }
 
 func tickLoop() time.Time {
-	//harmony:allow nodeterm the daemon tick loop is genuinely wall-clock
+	//harmony:allow detertaint the daemon tick loop is genuinely wall-clock
 	return time.Now()
 }
 
 func dumpHook() string {
-	return os.Getenv("HARMONY_DUMP_PLAN") //harmony:allow nodeterm debug-only dump hook
+	return os.Getenv("HARMONY_DUMP_PLAN") //harmony:allow detertaint debug-only dump hook
 }

@@ -28,29 +28,6 @@ var UnitCheck = &Analyzer{
 	RunModule: runUnitCheck,
 }
 
-// unitNumericPkgs is the annotated numeric surface: the energy→cost
-// chain and the demand chain. divzero and nansource share it.
-var unitNumericPkgs = map[string]bool{
-	"harmony/internal/energy":   true,
-	"harmony/internal/tenant":   true,
-	"harmony/internal/core":     true,
-	"harmony/internal/queueing": true,
-	"harmony/internal/forecast": true,
-	"harmony/internal/sched":    true,
-	"harmony/internal/trace":    true,
-}
-
-func unitcheckCovered(pkgPath string) bool {
-	return unitNumericPkgs[pkgPath] || strings.HasPrefix(pkgPath, "fixture/unitcheck")
-}
-
-// unitAnnotCovered adds the packages whose annotations are collected but
-// whose function bodies are not checked: daemon mirrors tenant's config
-// fields, so its declarations feed cross-package checks.
-func unitAnnotCovered(pkgPath string) bool {
-	return unitcheckCovered(pkgPath) || pkgPath == "harmony/internal/daemon"
-}
-
 const unitMarker = "harmony:unit"
 
 // parseUnitComment recognizes a //harmony:unit(EXPR) directive. ok means
@@ -118,10 +95,9 @@ func runUnitCheck(pass *ModulePass) {
 	}
 	w.collect()
 	for _, n := range pass.Graph.Funcs {
-		if !unitcheckCovered(n.Pkg.Path) {
-			continue
+		if pass.InScope(ScopeNumeric, n.Pkg.Path, token.NoPos) {
+			w.checkFunc(n)
 		}
-		w.checkFunc(n)
 	}
 }
 
@@ -129,7 +105,7 @@ func runUnitCheck(pass *ModulePass) {
 
 func (w *unitWorld) collect() {
 	for _, pkg := range w.pass.Pkgs {
-		if !unitAnnotCovered(pkg.Path) {
+		if !w.pass.InScope(ScopeUnitAnnot, pkg.Path, token.NoPos) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -376,7 +352,7 @@ func (w *unitWorld) envFor(n *Node) *unitEnv {
 	if env, ok := w.envs[n]; ok {
 		return env
 	}
-	env := &unitEnv{w: w, pkg: n.Pkg, ff: newFuncFlow(n), inferring: make(map[int]bool)}
+	env := &unitEnv{w: w, pkg: n.Pkg, ff: n.Flow(), inferring: make(map[int]bool)}
 	w.envs[n] = env
 	return env
 }
@@ -397,7 +373,7 @@ func (w *unitWorld) typeUnit(t types.Type) (unit, bool) {
 // the known side (absence of annotation is not evidence of a bug).
 func (env *unitEnv) unitOf(e ast.Expr) unit {
 	info := env.pkg.Info
-	e = astUnparen(e)
+	e = ast.Unparen(e)
 	tv, hasTV := info.Types[e]
 	if hasTV && tv.Value != nil {
 		// Constants are dimensionless unless their declaration or type
@@ -449,7 +425,7 @@ func (env *unitEnv) unitOf(e ast.Expr) unit {
 // named type (FlatPrice(0.10)).
 func (env *unitEnv) annotConst(e ast.Expr, t types.Type) (unit, bool) {
 	info := env.pkg.Info
-	switch x := astUnparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if u, ok := env.w.objUnits[info.Uses[x]]; ok {
 			return u, true
@@ -465,7 +441,7 @@ func (env *unitEnv) annotConst(e ast.Expr, t types.Type) (unit, bool) {
 // constPolymorphic reports whether e is a constant with no declared
 // unit: literals adopt whatever unit their context demands.
 func (env *unitEnv) constPolymorphic(e ast.Expr) bool {
-	e = astUnparen(e)
+	e = ast.Unparen(e)
 	tv, ok := env.pkg.Info.Types[e]
 	if !ok || tv.Value == nil {
 		return false
@@ -549,7 +525,7 @@ func (env *unitEnv) unitOfCall(x *ast.CallExpr) unit {
 	if lenCallArg(info, x) != nil {
 		return scalarUnit
 	}
-	fn := unitCallee(info, x)
+	fn := staticCallee(info, x)
 	if fn == nil {
 		return unit{}
 	}
@@ -565,25 +541,10 @@ func (env *unitEnv) unitOfCall(x *ast.CallExpr) unit {
 		}
 		return unit{}
 	}
-	if m, ok := env.w.resultUnits[fn.Origin()]; ok {
-		if u, ok := m[0]; ok {
-			return u
-		}
+	if u, ok := env.w.resultUnits[fn.Origin()][0]; ok {
+		return u
 	}
 	return env.w.summary(fn)
-}
-
-// unitCallee resolves the statically known callee, including interface
-// methods (whose annotation stands in for every implementation).
-func unitCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	if sel, ok := astUnparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selection, ok := info.Selections[sel]; ok {
-			if fn, ok := selection.Obj().(*types.Func); ok {
-				return fn
-			}
-		}
-	}
-	return staticCallee(info, call)
 }
 
 // summary infers a single-result function's unit from its return
@@ -598,7 +559,7 @@ func (w *unitWorld) summary(fn *types.Func) unit {
 		return unit{}
 	}
 	node := w.pass.Graph.NodeOf(fn)
-	if node == nil || !unitAnnotCovered(node.Pkg.Path) {
+	if node == nil || !w.pass.InScope(ScopeUnitAnnot, node.Pkg.Path, token.NoPos) {
 		return unit{}
 	}
 	sig, _ := fn.Type().(*types.Signature)
@@ -644,7 +605,7 @@ func (w *unitWorld) summary(fn *types.Func) unit {
 }
 
 func constFloat(info *types.Info, e ast.Expr) (float64, bool) {
-	tv, ok := info.Types[astUnparen(e)]
+	tv, ok := info.Types[ast.Unparen(e)]
 	if !ok || tv.Value == nil {
 		return 0, false
 	}
@@ -705,7 +666,6 @@ var unitCompareOps = map[token.Token]bool{
 
 func (w *unitWorld) checkFunc(n *Node) {
 	env := w.envFor(n)
-	info := n.Pkg.Info
 	forEachOwnNode(n.Body(), func(nd ast.Node) {
 		switch x := nd.(type) {
 		case *ast.BinaryExpr:
@@ -722,12 +682,9 @@ func (w *unitWorld) checkFunc(n *Node) {
 			}
 		}
 	})
-	_ = info
 }
 
-// reportMismatch renders the two flavors of disagreement: different
-// dimensions ("unit mismatch") and same dimension at different scales
-// ("scale mixing" / "unannotated scale hop").
+// scaleHint renders the conversion that takes from's scale to to's.
 func (env *unitEnv) scaleHint(from, to unit) string {
 	f := from.scale / to.scale
 	if f >= 1 {
@@ -743,24 +700,49 @@ func (env *unitEnv) checkBinary(x *ast.BinaryExpr) {
 	if env.constPolymorphic(x.X) || env.constPolymorphic(x.Y) {
 		return // a literal adopts the other side's unit
 	}
-	lu, ru := env.unitOf(x.X), env.unitOf(x.Y)
+	env.checkMixing(x.OpPos, x, env.unitOf(x.X), x.Op, env.unitOf(x.Y))
+}
+
+// checkMixing reports two operands of an additive or comparing operator
+// whose units disagree. Both checks render the two flavors of
+// disagreement: different dimensions ("unit mismatch") and one dimension
+// at different scales ("scale mixing" / "unannotated scale hop").
+func (env *unitEnv) checkMixing(pos token.Pos, witness ast.Expr, lu unit, op token.Token, ru unit) {
 	if !lu.known || !ru.known || lu.compatible(ru) {
 		return
 	}
-	op := x.Op.String()
 	if lu.sameDims(ru) {
-		env.w.pass.ReportPathf(x.OpPos, env.witness(x),
+		env.w.pass.ReportPathf(pos, env.ff.witness(witness),
 			"scale mixing: %s %s %s without an annotated conversion (%s the %s side)",
 			lu, op, ru, env.scaleHint(lu, ru), lu)
 		return
 	}
-	env.w.pass.ReportPathf(x.OpPos, env.witness(x), "unit mismatch: %s %s %s", lu, op, ru)
+	env.w.pass.ReportPathf(pos, env.ff.witness(witness), "unit mismatch: %s %s %s", lu, op, ru)
+}
+
+// checkFlow reports a value whose unit disagrees with the declared unit
+// of the slot it flows into — an assignment target, a struct field, a
+// parameter, a result. describe renders the flow given the value's unit.
+func (env *unitEnv) checkFlow(pos token.Pos, value ast.Expr, want unit, describe func(got unit) string) {
+	if !want.known || env.constPolymorphic(value) {
+		return
+	}
+	got := env.unitOf(value)
+	if !got.known || want.compatible(got) {
+		return
+	}
+	if want.sameDims(got) {
+		env.w.pass.ReportPathf(pos, env.ff.witness(value),
+			"unannotated scale hop: %s (convert with %s)", describe(got), env.scaleHint(got, want))
+		return
+	}
+	env.w.pass.ReportPathf(pos, env.ff.witness(value), "unit mismatch: %s", describe(got))
 }
 
 // targetUnit resolves the declared unit of an assignable target.
 func (env *unitEnv) targetUnit(lhs ast.Expr) (unit, bool) {
 	info := env.pkg.Info
-	lhs = astUnparen(lhs)
+	lhs = ast.Unparen(lhs)
 	switch x := lhs.(type) {
 	case *ast.Ident:
 		obj := info.Uses[x]
@@ -806,22 +788,10 @@ func (env *unitEnv) checkAssign(x *ast.AssignStmt) {
 			return
 		}
 		for i, lhs := range x.Lhs {
-			tu, ok := env.targetUnit(lhs)
-			if !ok || !tu.known || env.constPolymorphic(x.Rhs[i]) {
-				continue
-			}
-			ru := env.unitOf(x.Rhs[i])
-			if !ru.known || tu.compatible(ru) {
-				continue
-			}
-			if tu.sameDims(ru) {
-				env.w.pass.ReportPathf(x.Pos(), env.witness(x.Rhs[i]),
-					"unannotated scale hop: assigning %s value to %s target %s (convert with %s)",
-					ru, tu, types.ExprString(lhs), env.scaleHint(ru, tu))
-				continue
-			}
-			env.w.pass.ReportPathf(x.Pos(), env.witness(x.Rhs[i]),
-				"unit mismatch: assigning %s value to %s target %s", ru, tu, types.ExprString(lhs))
+			tu, _ := env.targetUnit(lhs)
+			env.checkFlow(x.Pos(), x.Rhs[i], tu, func(ru unit) string {
+				return fmt.Sprintf("assigning %s value to %s target %s", ru, tu, types.ExprString(lhs))
+			})
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN:
 		if env.constPolymorphic(x.Rhs[0]) {
@@ -831,18 +801,7 @@ func (env *unitEnv) checkAssign(x *ast.AssignStmt) {
 		if tu, ok := env.targetUnit(x.Lhs[0]); ok {
 			lu = tu
 		}
-		ru := env.unitOf(x.Rhs[0])
-		if !lu.known || !ru.known || lu.compatible(ru) {
-			return
-		}
-		op := x.Tok.String()
-		if lu.sameDims(ru) {
-			env.w.pass.ReportPathf(x.Pos(), env.witness(x.Rhs[0]),
-				"scale mixing: %s %s %s without an annotated conversion (%s the %s side)",
-				lu, op, ru, env.scaleHint(lu, ru), lu)
-			return
-		}
-		env.w.pass.ReportPathf(x.Pos(), env.witness(x.Rhs[0]), "unit mismatch: %s %s %s", lu, op, ru)
+		env.checkMixing(x.Pos(), x.Rhs[0], lu, x.Tok, env.unitOf(x.Rhs[0]))
 	case token.MUL_ASSIGN, token.QUO_ASSIGN:
 		tu, ok := env.targetUnit(x.Lhs[0])
 		if !ok || !tu.known || tu.dims.isScalar() {
@@ -853,7 +812,7 @@ func (env *unitEnv) checkAssign(x *ast.AssignStmt) {
 			return // an annotated-target rescale in place is on its own head
 		}
 		if ru.known && !ru.isScalar() {
-			env.w.pass.ReportPathf(x.Pos(), env.witness(x.Rhs[0]),
+			env.w.pass.ReportPathf(x.Pos(), env.ff.witness(x.Rhs[0]),
 				"unit mismatch: %s by a %s value changes the unit of %s target %s",
 				x.Tok, ru, tu, types.ExprString(x.Lhs[0]))
 		}
@@ -886,22 +845,10 @@ func (env *unitEnv) checkCompositeLit(x *ast.CompositeLit) {
 		if field == nil {
 			continue
 		}
-		fu, ok := env.w.objUnits[field]
-		if !ok || !fu.known || env.constPolymorphic(value) {
-			continue
-		}
-		vu := env.unitOf(value)
-		if !vu.known || fu.compatible(vu) {
-			continue
-		}
-		if fu.sameDims(vu) {
-			env.w.pass.ReportPathf(value.Pos(), env.witness(value),
-				"unannotated scale hop: field %s is %s but the value is %s (convert with %s)",
-				field.Name(), fu, vu, env.scaleHint(vu, fu))
-			continue
-		}
-		env.w.pass.ReportPathf(value.Pos(), env.witness(value),
-			"unit mismatch: field %s is %s but the value is %s", field.Name(), fu, vu)
+		fu := env.w.objUnits[field]
+		env.checkFlow(value.Pos(), value, fu, func(vu unit) string {
+			return fmt.Sprintf("field %s is %s but the value is %s", field.Name(), fu, vu)
+		})
 	}
 }
 
@@ -910,7 +857,7 @@ func (env *unitEnv) checkCallArgs(x *ast.CallExpr) {
 	if tv, ok := info.Types[x.Fun]; ok && tv.IsType() {
 		return
 	}
-	fn := unitCallee(info, x)
+	fn := staticCallee(info, x)
 	if fn == nil {
 		return
 	}
@@ -923,23 +870,11 @@ func (env *unitEnv) checkCallArgs(x *ast.CallExpr) {
 			break
 		}
 		param := sig.Params().At(i)
-		pu, ok := env.w.objUnits[param]
-		if !ok || !pu.known || env.constPolymorphic(arg) {
-			continue
-		}
-		au := env.unitOf(arg)
-		if !au.known || pu.compatible(au) {
-			continue
-		}
-		if pu.sameDims(au) {
-			env.w.pass.ReportPathf(arg.Pos(), env.witness(arg),
-				"unannotated scale hop: argument %d to %s is %s but parameter %s is %s (convert with %s)",
-				i+1, prettyFuncName(fn), au, param.Name(), pu, env.scaleHint(au, pu))
-			continue
-		}
-		env.w.pass.ReportPathf(arg.Pos(), env.witness(arg),
-			"unit mismatch: argument %d to %s is %s but parameter %s is %s",
-			i+1, prettyFuncName(fn), au, param.Name(), pu)
+		pu := env.w.objUnits[param]
+		env.checkFlow(arg.Pos(), arg, pu, func(au unit) string {
+			return fmt.Sprintf("argument %d to %s is %s but parameter %s is %s",
+				i+1, prettyFuncName(fn), au, param.Name(), pu)
+		})
 	}
 }
 
@@ -948,54 +883,13 @@ func (env *unitEnv) checkReturn(fn *types.Func, ret *ast.ReturnStmt) {
 	if !ok || len(ret.Results) != sig.Results().Len() {
 		return
 	}
-	declared := func(i int) (unit, bool) {
-		if m, ok := env.w.resultUnits[fn.Origin()]; ok {
-			if u, ok := m[i]; ok {
-				return u, true
-			}
-		}
-		u, ok := env.w.objUnits[sig.Results().At(i)]
-		return u, ok
-	}
 	for i, res := range ret.Results {
-		ru, ok := declared(i)
-		if !ok || !ru.known || env.constPolymorphic(res) {
-			continue
+		ru, ok := env.w.resultUnits[fn.Origin()][i]
+		if !ok {
+			ru = env.w.objUnits[sig.Results().At(i)]
 		}
-		au := env.unitOf(res)
-		if !au.known || ru.compatible(au) {
-			continue
-		}
-		if ru.sameDims(au) {
-			env.w.pass.ReportPathf(res.Pos(), env.witness(res),
-				"unannotated scale hop: returning %s from %s, whose result is declared %s (convert with %s)",
-				au, prettyFuncName(fn), ru, env.scaleHint(au, ru))
-			continue
-		}
-		env.w.pass.ReportPathf(res.Pos(), env.witness(res),
-			"unit mismatch: returning %s from %s, whose result is declared %s",
-			au, prettyFuncName(fn), ru)
+		env.checkFlow(res.Pos(), res, ru, func(au unit) string {
+			return fmt.Sprintf("returning %s from %s, whose result is declared %s", au, prettyFuncName(fn), ru)
+		})
 	}
-}
-
-// witness builds a def-use witness path for a reported expression: the
-// definition chain of its first tracked-variable operand, origin first.
-func (env *unitEnv) witness(e ast.Expr) []string {
-	var id *ast.Ident
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id != nil {
-			return false
-		}
-		if x, ok := n.(*ast.Ident); ok {
-			if v, ok := env.pkg.Info.Uses[x].(*types.Var); ok && env.ff.tracked[v] && len(env.ff.useDefs[x]) > 0 {
-				id = x
-				return false
-			}
-		}
-		return true
-	})
-	if id == nil {
-		return nil
-	}
-	return env.ff.defChain(id, 4)
 }

@@ -21,6 +21,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 )
@@ -79,7 +80,7 @@ func newFuncFlow(fn *Node) *funcFlow {
 	ff := &funcFlow{
 		pkg:     fn.Pkg,
 		body:    fn.Body(),
-		cfg:     NewCFG(fn.Body()),
+		cfg:     fn.CFG(),
 		defsIn:  make(map[ast.Node][]*defSite),
 		rngDefs: make(map[*ast.RangeStmt][]*defSite),
 		tracked: make(map[*types.Var]bool),
@@ -106,7 +107,7 @@ func (ff *funcFlow) collectTracked() {
 		}
 	})
 	untrack := func(e ast.Expr) {
-		if id, ok := astUnparen(e).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 			if v, ok := info.Uses[id].(*types.Var); ok {
 				delete(ff.tracked, v)
 			}
@@ -201,7 +202,7 @@ func (ff *funcFlow) collectDefs(sig *types.Signature) {
 			case *ast.AssignStmt:
 				ff.assignDefs(n, s, bind)
 			case *ast.IncDecStmt:
-				if id, ok := astUnparen(s.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(s.X).(*ast.Ident); ok {
 					bind(n, id, defIncDec, nil)
 				}
 			case *ast.DeclStmt:
@@ -253,19 +254,19 @@ func (ff *funcFlow) assignDefs(n ast.Node, s *ast.AssignStmt, bind func(ast.Node
 	case token.ASSIGN, token.DEFINE:
 		if len(s.Lhs) == len(s.Rhs) {
 			for i, lhs := range s.Lhs {
-				if id, ok := astUnparen(lhs).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					bind(n, id, defAssign, s.Rhs[i])
 				}
 			}
 			return
 		}
 		for _, lhs := range s.Lhs {
-			if id, ok := astUnparen(lhs).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				bind(n, id, defOpaque, nil)
 			}
 		}
 	default: // +=, -=, *=, /=, ...
-		if id, ok := astUnparen(s.Lhs[0]).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(s.Lhs[0]).(*ast.Ident); ok {
 			bind(n, id, defCompound, s.Rhs[0])
 		}
 	}
@@ -385,7 +386,7 @@ func (ff *funcFlow) recordUses(n ast.Node, cur reachFact) {
 	defTargets := make(map[*ast.Ident]bool)
 	if as, ok := n.(*ast.AssignStmt); ok && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) {
 		for _, lhs := range as.Lhs {
-			if id, ok := astUnparen(lhs).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				defTargets[id] = true
 			}
 		}
@@ -462,6 +463,28 @@ func (ff *funcFlow) defChain(id *ast.Ident, depth int) []string {
 	return chain
 }
 
+// witness builds a def-use witness path for a reported expression: the
+// definition chain of its first tracked-variable operand, origin first.
+func (ff *funcFlow) witness(e ast.Expr) []string {
+	var id *ast.Ident
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id != nil {
+			return false
+		}
+		if x, ok := n.(*ast.Ident); ok {
+			if v, ok := ff.pkg.Info.Uses[x].(*types.Var); ok && ff.tracked[v] && len(ff.useDefs[x]) > 0 {
+				id = x
+				return false
+			}
+		}
+		return true
+	})
+	if id == nil {
+		return nil
+	}
+	return ff.defChain(id, 4)
+}
+
 // renderDef formats one definition site for a witness path.
 func (ff *funcFlow) renderDef(d *defSite) string {
 	switch d.kind {
@@ -496,14 +519,6 @@ type factKey struct {
 }
 
 type factState map[factKey]factBits
-
-func copyState(s factState) factState {
-	out := make(factState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
 
 // funcFacts holds the per-node entry states of the fact analysis: a
 // custom worklist (the generic solver is block-grained, and facts need
@@ -540,7 +555,7 @@ func (fc *funcFacts) solve() {
 			} else {
 				next = intersectState(in[s], edge)
 			}
-			if !seen[s] || !equalState(in[s], next) {
+			if !seen[s] || !maps.Equal(in[s], next) {
 				in[s] = next
 				seen[s] = true
 				if !inWork[s] {
@@ -556,16 +571,16 @@ func (fc *funcFacts) solve() {
 		if !ok {
 			continue
 		}
-		cur := copyState(st)
+		cur := maps.Clone(st)
 		for _, n := range blk.Nodes {
-			fc.atNode[n] = copyState(cur)
+			fc.atNode[n] = maps.Clone(cur)
 			fc.applyNode(cur, n)
 		}
 	}
 }
 
 func (fc *funcFacts) transfer(blk *Block, st factState) factState {
-	cur := copyState(st)
+	cur := maps.Clone(st)
 	for _, n := range blk.Nodes {
 		fc.applyNode(cur, n)
 	}
@@ -652,11 +667,11 @@ func (fc *funcFacts) varOf(e ast.Expr) *types.Var {
 }
 
 // exprBits computes the provable fact bits of an expression under the
-// given state. It is the single sign/zero oracle: divzero and nansource
-// query it via bitsAt.
+// given state. It is the single sign/zero oracle divzero and nansource
+// query.
 func (fc *funcFacts) exprBits(st factState, e ast.Expr) factBits {
 	info := fc.ff.pkg.Info
-	e = astUnparen(e)
+	e = ast.Unparen(e)
 	if tv, ok := info.Types[e]; ok && tv.Value != nil {
 		return constBits(tv.Value)
 	}
@@ -697,7 +712,7 @@ func (fc *funcFacts) exprBits(st factState, e ast.Expr) factBits {
 		l, r := fc.exprBits(st, x.X), fc.exprBits(st, x.Y)
 		switch x.Op {
 		case token.MUL:
-			if types.ExprString(astUnparen(x.X)) == types.ExprString(astUnparen(x.Y)) {
+			if types.ExprString(ast.Unparen(x.X)) == types.ExprString(ast.Unparen(x.Y)) {
 				// x*x is a square: nonnegative, nonzero iff x is.
 				return factNonneg | l&factNonzero
 			}
@@ -742,16 +757,6 @@ func (fc *funcFacts) exprBits(st factState, e ast.Expr) factBits {
 	return 0
 }
 
-// bitsAt evaluates an expression's fact bits at the program point of its
-// enclosing block-level node (zero if the node is unreachable).
-func (fc *funcFacts) bitsAt(n ast.Node, e ast.Expr) factBits {
-	st, ok := fc.atNode[n]
-	if !ok {
-		return 0
-	}
-	return fc.exprBits(st, e)
-}
-
 func constBits(v constant.Value) factBits {
 	switch v.Kind() {
 	case constant.Int, constant.Float:
@@ -792,7 +797,7 @@ func (fc *funcFacts) refineEdge(out factState, from, to *Block) factState {
 	if cond == nil {
 		return out
 	}
-	st := copyState(out)
+	st := maps.Clone(out)
 	fc.applyCond(st, cond, truth)
 	return st
 }
@@ -801,7 +806,7 @@ func (fc *funcFacts) refineEdge(out factState, from, to *Block) factState {
 // Facts are only ever added — the must-analysis intersection at joins
 // does the forgetting.
 func (fc *funcFacts) applyCond(st factState, cond ast.Expr, truth bool) {
-	cond = astUnparen(cond)
+	cond = ast.Unparen(cond)
 	switch c := cond.(type) {
 	case *ast.UnaryExpr:
 		if c.Op == token.NOT {
@@ -942,23 +947,11 @@ func intersectState(a, b factState) factState {
 	return out
 }
 
-func equalState(a, b factState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // unwrapConv strips parens and single-argument type conversions:
 // float64(x) carries x's value facts.
 func unwrapConv(info *types.Info, e ast.Expr) ast.Expr {
 	for {
-		e = astUnparen(e)
+		e = ast.Unparen(e)
 		call, ok := e.(*ast.CallExpr)
 		if !ok || len(call.Args) != 1 {
 			return e
@@ -974,12 +967,12 @@ func unwrapConv(info *types.Info, e ast.Expr) ast.Expr {
 // lenCallArg returns the operand of a len(...) call, or nil. Conversions
 // around the call are NOT stripped by this helper — callers unwrap first.
 func lenCallArg(info *types.Info, e ast.Expr) ast.Expr {
-	e = astUnparen(e)
+	e = ast.Unparen(e)
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 1 {
 		return nil
 	}
-	id, ok := astUnparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "len" {
 		return nil
 	}

@@ -152,9 +152,6 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if cfg.MinHistory <= 0 {
 		cfg.MinHistory = 24
 	}
-	if cfg.ARIMAOrder == [3]int{} {
-		cfg.ARIMAOrder = [3]int{2, 0, 1}
-	}
 	if cfg.Price == nil {
 		cfg.Price = energy.FlatPrice(0.08)
 	}
@@ -617,6 +614,33 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 	return demand, nil
 }
 
+// NewPredictor returns the unfitted forecaster a PredictorKind selects,
+// for a control period of periodSeconds (the seasonal models' season is
+// one day of periods) and, for PredictARIMA, the fixed (p,d,q) order —
+// its zero value means (2,0,1). The bootstrap EWMA stands in when the
+// order is invalid. The control loop and harmonyd's forecast backtest
+// both build their model here, so the backtest scores what the loop
+// actually runs.
+func NewPredictor(kind PredictorKind, periodSeconds float64, order [3]int) forecast.Predictor {
+	switch kind {
+	case PredictAutoARIMA:
+		return &forecast.AutoARIMA{}
+	case PredictSeasonal:
+		return &forecast.SeasonalNaive{Season: int(trace.Day / periodSeconds)}
+	case PredictHoltWinters:
+		return &forecast.HoltWinters{Season: int(trace.Day / periodSeconds)}
+	case PredictEWMA: // the bootstrap model below
+	default:
+		if order == [3]int{} {
+			order = [3]int{2, 0, 1}
+		}
+		if ar, err := forecast.NewARIMA(order[0], order[1], order[2]); err == nil {
+			return ar
+		}
+	}
+	return &forecast.EWMA{Alpha: 0.4}
+}
+
 // forecastRates predicts the next len(dst) arrival rates for type n,
 // filling dst in place. Before MinHistory periods accumulate it uses EWMA
 // over whatever exists; after that it fits the configured ARIMA model,
@@ -634,32 +658,9 @@ func (h *Harmony) forecastRates(n int, dst []float64) error {
 	}
 	var pred forecast.Predictor
 	if len(hist) >= h.cfg.MinHistory {
-		switch h.cfg.Predictor {
-		case PredictAutoARIMA:
-			a := &forecast.AutoARIMA{}
-			if err := a.Fit(hist); err == nil {
-				pred = a
-			}
-		case PredictSeasonal:
-			season := int(trace.Day / h.cfg.PeriodSeconds)
-			sn := &forecast.SeasonalNaive{Season: season}
-			if err := sn.Fit(hist); err == nil {
-				pred = sn
-			}
-		case PredictHoltWinters:
-			season := int(trace.Day / h.cfg.PeriodSeconds)
-			hw := &forecast.HoltWinters{Season: season}
-			if err := hw.Fit(hist); err == nil {
-				pred = hw
-			}
-		case PredictEWMA:
-			// handled by the fallback below
-		default:
-			if ar, err := forecast.NewARIMA(h.cfg.ARIMAOrder[0], h.cfg.ARIMAOrder[1], h.cfg.ARIMAOrder[2]); err == nil {
-				if err := ar.Fit(hist); err == nil {
-					pred = ar
-				}
-			}
+		pred = NewPredictor(h.cfg.Predictor, h.cfg.PeriodSeconds, h.cfg.ARIMAOrder)
+		if err := pred.Fit(hist); err != nil {
+			pred = nil
 		}
 	}
 	if pred == nil {

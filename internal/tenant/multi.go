@@ -8,6 +8,7 @@ import (
 
 	"harmony/internal/classify"
 	"harmony/internal/daemon"
+	"harmony/internal/energy"
 	"harmony/internal/metrics"
 	"harmony/internal/trace"
 )
@@ -148,13 +149,6 @@ func New(cfg Config) (*Multi, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 
-	maxIdle := 0.0
-	for _, mdl := range cfg.Base.Models {
-		if mdl.IdleWatts > maxIdle {
-			maxIdle = mdl.IdleWatts
-		}
-	}
-
 	m := &Multi{cfg: cfg, byName: make(map[string]*tenantState, len(cfg.Tenants))}
 	for gi, members := range GroupSpecs(cfg.Tenants, cfg.SLOTolerance) {
 		g := &Group{
@@ -176,12 +170,9 @@ func New(cfg Config) (*Multi, error) {
 		g.price = eng.PricePerKWh()
 		g.periodH = eng.PeriodSeconds() / 3600
 		g.idleKW = make([]float64, len(cfg.Base.Models))
-		g.switchCost = make([]float64, len(cfg.Base.Models))
+		g.switchCost = energy.SwitchCosts(cfg.Base.Models, eng.SwitchCostDollars())
 		for i, mdl := range cfg.Base.Models {
 			g.idleKW[i] = mdl.IdleWatts / 1000
-			if maxIdle > 0 {
-				g.switchCost[i] = eng.SwitchCostDollars() * mdl.IdleWatts / maxIdle
-			}
 		}
 		for _, s := range members {
 			if s.Share == 0 {
