@@ -89,22 +89,18 @@ func (m *ARIMA) Fit(series []float64) error {
 	if rows <= cols {
 		return ErrTooShort
 	}
-	x := make([][]float64, rows)
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		t := start + i
-		row := make([]float64, cols)
-		row[0] = 1
+	ne := newNormalEq(cols)
+	for t := start; t < len(w); t++ {
+		ne.row[0] = 1
 		for j := 0; j < m.P; j++ {
-			row[1+j] = w[t-1-j]
+			ne.row[1+j] = w[t-1-j]
 		}
 		for j := 0; j < m.Q; j++ {
-			row[1+m.P+j] = resid[t-1-j]
+			ne.row[1+m.P+j] = resid[t-1-j]
 		}
-		x[i] = row
-		y[i] = w[t]
+		ne.add(w[t])
 	}
-	beta, err := leastSquares(x, y)
+	beta, err := ne.solve()
 	if err != nil {
 		return err
 	}
@@ -168,79 +164,96 @@ func fitAR(w []float64, p int) (c float64, phi []float64, err error) {
 	if rows <= cols {
 		return 0, nil, ErrTooShort
 	}
-	x := make([][]float64, rows)
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		t := p + i
-		row := make([]float64, cols)
-		row[0] = 1
+	ne := newNormalEq(cols)
+	for t := p; t < len(w); t++ {
+		ne.row[0] = 1
 		for j := 0; j < p; j++ {
-			row[1+j] = w[t-1-j]
+			ne.row[1+j] = w[t-1-j]
 		}
-		x[i] = row
-		y[i] = w[t]
+		ne.add(w[t])
 	}
-	beta, err := leastSquares(x, y)
+	beta, err := ne.solve()
 	if err != nil {
 		return 0, nil, err
 	}
 	return beta[0], beta[1:], nil
 }
 
-// leastSquares solves min ||Xb - y||² via the normal equations with a
-// ridge fallback for (near-)singular designs.
-func leastSquares(x [][]float64, y []float64) ([]float64, error) {
-	rows := len(x)
-	if rows == 0 {
-		return nil, ErrTooShort
+// normalEq accumulates the normal equations XᵀX·b = Xᵀy of a
+// least-squares fit one design row at a time, so a fit over n
+// observations allocates a fixed handful of cols-sized buffers instead
+// of n rows: the caller fills row and calls add with that row's target.
+type normalEq struct {
+	row []float64   // the design row being added; reused across add calls
+	xtx [][]float64 // upper triangle until solve mirrors it
+	xty []float64
+}
+
+func newNormalEq(cols int) *normalEq {
+	cells := make([]float64, cols*cols)
+	ne := &normalEq{
+		row: make([]float64, cols),
+		xtx: make([][]float64, cols),
+		xty: make([]float64, cols),
 	}
-	cols := len(x[0])
+	for i := range ne.xtx {
+		ne.xtx[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return ne
+}
+
+// add folds the current row, with target y, into XᵀX and Xᵀy.
+func (ne *normalEq) add(y float64) {
+	row := ne.row
+	xty := ne.xty[:len(row)]
+	for i, xi := range row {
+		xty[i] += xi * y
+		rest := row[i:]
+		acc := ne.xtx[i][i:][:len(rest)] // same length as rest: no bounds checks in the loop
+		for j, xj := range rest {
+			acc[j] += xi * xj
+		}
+	}
+}
+
+// solve returns argmin ||Xb - y||² over the rows added so far, with a
+// ridge fallback for (near-)singular designs.
+func (ne *normalEq) solve() ([]float64, error) {
+	cols := len(ne.row)
 	if cols == 0 {
 		return nil, ErrTooShort
 	}
-	// Build XtX and Xty.
-	xtx := make([][]float64, cols)
-	xty := make([]float64, cols)
-	for i := 0; i < cols; i++ {
-		xtx[i] = make([]float64, cols)
-	}
-	for r := 0; r < rows; r++ {
-		for i := 0; i < cols; i++ {
-			xty[i] += x[r][i] * y[r]
-			for j := i; j < cols; j++ {
-				xtx[i][j] += x[r][i] * x[r][j]
-			}
-		}
-	}
 	for i := 0; i < cols; i++ {
 		for j := 0; j < i; j++ {
-			xtx[i][j] = xtx[j][i]
+			ne.xtx[i][j] = ne.xtx[j][i]
 		}
 	}
-	b, err := solveSPD(xtx, xty)
+	b, err := solveSPD(ne.xtx, ne.xty)
 	if err == nil {
 		return b, nil
 	}
 	// Ridge fallback: add a small multiple of the diagonal scale.
 	scale := 0.0
 	for i := 0; i < cols; i++ {
-		scale += xtx[i][i]
+		scale += ne.xtx[i][i]
 	}
 	lambda := 1e-8 * (scale/float64(cols) + 1)
 	for i := 0; i < cols; i++ {
-		xtx[i][i] += lambda
+		ne.xtx[i][i] += lambda
 	}
-	return solveSPD(xtx, xty)
+	return solveSPD(ne.xtx, ne.xty)
 }
 
 // solveSPD solves Ax=b by Gaussian elimination with partial pivoting.
 func solveSPD(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)
-	// Work on copies to leave inputs intact for the ridge retry.
+	// Work on an augmented copy to leave inputs intact for the ridge retry.
+	cells := make([]float64, n*(n+1))
 	m := make([][]float64, n)
 	for i := range m {
-		m[i] = append([]float64(nil), a[i]...)
-		m[i] = append(m[i], b[i])
+		m[i] = cells[i*(n+1) : (i+1)*(n+1)]
+		copy(m[i], a[i])
+		m[i][n] = b[i]
 	}
 	for col := 0; col < n; col++ {
 		piv := col

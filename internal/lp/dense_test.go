@@ -265,3 +265,36 @@ func (t *tableau) solution(p *Problem) (*Solution, error) {
 	}
 	return &Solution{X: x, Objective: obj, Iterations: t.iters}, nil
 }
+
+// denseBtranRow is the reference e_rᵀ·B⁻¹ for the dual simplex's pivot
+// row: e_r pushed back through the eta file, then a full dense dot
+// against every folded inverse column — the O(m²) loop btranRow ran
+// before it dotted only the multiplier's nonzero positions. It uses its
+// own vectors, so calling it does not disturb the solver.
+func (sv *sparseSolver) denseBtranRow(r int) []float64 {
+	u := make([]float64, sv.m)
+	u[r] = 1
+	for k := len(sv.etas) - 1; k >= 0; k-- {
+		e := &sv.etas[k]
+		var s float64
+		for q, i := range e.idx {
+			s += u[i] * e.val[q]
+		}
+		u[e.r] = s
+	}
+	if sv.binv == nil {
+		return u
+	}
+	rho := make([]float64, sv.m)
+	for j := 0; j < sv.m; j++ {
+		col := sv.binv[j]
+		var s float64
+		for i, c := range col {
+			if u[i] != 0 {
+				s += u[i] * c
+			}
+		}
+		rho[j] = s
+	}
+	return rho
+}

@@ -8,8 +8,16 @@
 // pays O(m·n) per pivot regardless; the revised simplex below stores the
 // matrix column-wise, represents the basis inverse as a product of
 // sparse eta matrices folded periodically into dense inverse columns,
-// and re-prices from scratch each iteration, so a pivot costs roughly
-// O(nnz(A) + m·|etas| + m²/refactorEvery).
+// and re-prices from scratch each iteration, so a primal pivot costs
+// roughly O(nnz(A) + m·|etas| + m²/refactorEvery) on a cold start; on a
+// warm start the inverse is dense from the first pivot and the BTRAN of
+// the full cost vector (computeDuals) is O(m²). A dual-repair pivot
+// prices incrementally and needs one row of B⁻¹ instead: btranRow's
+// multiplier is a unit vector plus one entry per pivot since the last
+// fold, so that row costs O(etaNNZ + m·(1+pivots)), not O(m²). The
+// O(m²) terms left on the warm path — startWarm's deep copy and B⁻¹·B
+// check, the folds in refactor and captureBasis — are what an LU
+// factorization in place of the explicit inverse would remove.
 //
 // SolveWarm additionally accepts the Basis captured by a previous solve
 // of a structurally identical problem (same variables, constraints, and
@@ -191,6 +199,7 @@ type sparseSolver struct {
 	yR, yM []float64 // dual pair
 	w      []float64 // FTRAN scratch (transformed entering column)
 	rho    []float64 // BTRAN scratch for one row of B^{-1} (dual simplex)
+	rhoNZ  []int32   // btranRow scratch: nonzero positions of its multiplier vector
 	iters  int
 	// mActive is whether any artificial column is currently basic; once
 	// the artificials are driven out the Big-M dual components are
@@ -210,6 +219,7 @@ func newSparseSolver(s *std) *sparseSolver {
 		yM:    make([]float64, s.m),
 		w:     make([]float64, s.m),
 		rho:   make([]float64, s.m),
+		rhoNZ: make([]int32, 0, s.m),
 	}
 }
 
@@ -580,7 +590,15 @@ func (sv *sparseSolver) runBudget(maxIter, blandAfter int) error {
 }
 
 // btranRow computes sv.rho = e_rᵀ·B⁻¹, row r of the basis inverse (the
-// pivot row generator for the dual simplex).
+// pivot row generator for the dual simplex). The multiplier vector that
+// reaches the folded inverse is e_r pushed back through the eta file: a
+// unit vector plus at most one more entry per pivot since the last
+// refactor. Its nonzero positions are collected once, ascending, and
+// only those are dotted against each inverse column, so a dual pivot
+// row costs O(etaNNZ + m·(1+pivots)) instead of a full O(m²) scan; the
+// terms and their order are exactly those of the dense product with
+// its zero terms dropped (dense_test.go keeps that product as the
+// bit-for-bit oracle).
 func (sv *sparseSolver) btranRow(r int) {
 	// The M duals are unused on the artificial-free dual path, so their
 	// scratch vector is free here.
@@ -601,13 +619,17 @@ func (sv *sparseSolver) btranRow(r int) {
 		copy(sv.rho, u)
 		return
 	}
-	for j := 0; j < sv.m; j++ {
-		col := sv.binv[j]
+	nz := sv.rhoNZ[:0]
+	for i, v := range u {
+		if v != 0 {
+			nz = append(nz, int32(i))
+		}
+	}
+	sv.rhoNZ = nz
+	for j, col := range sv.binv {
 		var s float64
-		for i, c := range col {
-			if u[i] != 0 {
-				s += u[i] * c
-			}
+		for _, i := range nz {
+			s += u[i] * col[i]
 		}
 		sv.rho[j] = s
 	}
@@ -626,9 +648,12 @@ func (sv *sparseSolver) btranRow(r int) {
 // eligible pivot is chosen, and the primal cleanup that follows
 // re-prices from scratch — stale rc only risks a longer path.
 //
+// The pivot budget is explicit, like runBudget's, so tests can stop the
+// repair after k pivots and inspect the state the next pivot row is
+// generated from.
+//
 //harmony:hotpath
-func (sv *sparseSolver) runDual() error {
-	maxIter := 500 * (sv.m + sv.n + 10)
+func (sv *sparseSolver) runDual(maxIter int) error {
 	rc := make([]float64, sv.n)   //harmony:allow hotpathalloc per-solve pricing vector, not per-pivot
 	wrow := make([]float64, sv.n) //harmony:allow hotpathalloc per-solve pricing vector, not per-pivot
 	sv.computeDuals()
@@ -798,7 +823,7 @@ func (sv *sparseSolver) tryWarm(warm *Basis) (finished bool, err error) {
 		return false, nil
 	}
 	sv.refactor() // fold etas and recompute xB under the NEW RHS
-	if e := sv.runDual(); e != nil {
+	if e := sv.runDual(500 * (sv.m + sv.n + 10)); e != nil {
 		return false, nil
 	}
 	if e := sv.run(); e != nil { // phase C: usually 0 pivots

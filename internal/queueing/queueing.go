@@ -135,12 +135,14 @@ func MinContainersHint(lambda, mu, sqCV, maxDelay float64, hint int) (int, error
 		waitEvals.Add(1)
 		return MGcWait(c, lambda, mu, sqCV)
 	}
-	// Stability requires c > a, so lo is the smallest stable count.
+	// Stability requires c > a, so lo is the smallest stable count. The
+	// bound is checked on the float: a runaway forecast (λ = 1e300, +Inf)
+	// overflows the conversion to int into a negative count.
 	a := lambda / mu
-	lo := int(math.Floor(a)) + 1
-	if lo > maxContainers {
+	if a >= maxContainers {
 		return 0, fmt.Errorf("%w: lambda=%v mu=%v", ErrUnstable, lambda, mu)
 	}
+	lo := int(math.Floor(a)) + 1
 	w, err := eval(lo)
 	if err != nil {
 		return 0, err

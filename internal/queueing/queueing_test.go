@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -158,6 +159,38 @@ func TestMinContainersValidation(t *testing.T) {
 	}
 	if _, err := MinContainers(-1, 1, 1, 1); err == nil {
 		t.Error("negative lambda accepted")
+	}
+}
+
+// A load no container count can carry is ErrUnstable however large it is:
+// the stability bound must be tested before λ/μ is converted to an int,
+// where 1e300 and +Inf overflow to a negative count.
+func TestMinContainersRunawayLoad(t *testing.T) {
+	tests := []struct {
+		name       string
+		lambda, mu float64
+		hint       int
+	}{
+		{"at the cap", maxContainers, 1, 0},
+		{"1e300", 1e300, 1, 0},
+		{"+Inf", math.Inf(1), 1, 0},
+		{"+Inf hinted", math.Inf(1), 0.5, 12},
+		{"huge over tiny mu", 1e200, 1e-200, 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			before := WaitEvals()
+			c, err := MinContainersHint(tt.lambda, tt.mu, 1, 60, tt.hint)
+			if !errors.Is(err, ErrUnstable) || c != 0 {
+				t.Errorf("MinContainersHint(%v, %v) = %d, %v; want 0, ErrUnstable", tt.lambda, tt.mu, c, err)
+			}
+			if n := WaitEvals() - before; n != 0 {
+				t.Errorf("%d MGcWait evaluations spent on an unsizable load", n)
+			}
+		})
+	}
+	if c, err := MinContainers(maxContainers-0.5, 1, 0, 1e9); err != nil || c != maxContainers {
+		t.Errorf("just under the cap: %d, %v; want %d", c, err, maxContainers)
 	}
 }
 

@@ -113,6 +113,9 @@ type Harmony struct {
 	// sub-types (where all arrivals land); long sub-types keep 0.
 	//harmony:unit(task/s)
 	lastRates []float64
+	// forecasts counts forecastRates calls over the policy's life; the
+	// tick makes one per distinct class, whatever its sub-type count.
+	forecasts int
 	// Per-period scratch, allocated once in NewHarmony and overwritten
 	// every tick so the steady-state control path does not churn the
 	// allocator. Handing these buffers out in the Directive (and via
@@ -120,8 +123,12 @@ type Harmony struct {
 	// period's directive before the next Period call: the sim engine
 	// re-applies the directive at every period boundary, and the daemon
 	// runs at most one solve at a time and copies what it keeps.
-	demandBuf  [][]float64
-	ratesBuf   []float64
+	demandBuf [][]float64
+	// ratesBuf[s] holds this tick's forecast for the class whose short
+	// sub-type is s; only rows with shortSibling[s] == s are ever filled.
+	// Both sub-types of a class size their demand from the same row, so
+	// the class's history is fitted once per tick, not once per sub-type.
+	ratesBuf   [][]float64
 	priceBuf   []float64
 	initialBuf []float64
 	quotaBuf   [][]int
@@ -315,7 +322,11 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	for m := range h.quotaBuf {
 		h.quotaBuf[m] = quotaRows[m*nt : (m+1)*nt : (m+1)*nt]
 	}
-	h.ratesBuf = make([]float64, w)
+	h.ratesBuf = make([][]float64, nt)
+	rateRows := make([]float64, nt*w)
+	for i := range h.ratesBuf {
+		h.ratesBuf[i] = rateRows[i*w : (i+1)*w : (i+1)*w]
+	}
 	h.priceBuf = make([]float64, w)
 	h.initialBuf = make([]float64, nm)
 	h.reserveCPU = make([]float64, nt)
@@ -533,7 +544,8 @@ func (h *Harmony) Period(obs *sim.Observation) sim.Directive {
 //
 // Arrival attribution follows the paper's label-short-first scheme: every
 // task of a class arrives labeled short, so the measured rate on the short
-// type is the whole class's rate. The long sub-type receives its share
+// type is the whole class's rate — forecast once per tick per class, read
+// by both of its sub-types. The long sub-type receives its share
 // (the class's long fraction) of that rate, and the short sub-type is
 // additionally charged for the slots that soon-to-be-relabeled long tasks
 // pin for up to one control period.
@@ -541,14 +553,17 @@ func (h *Harmony) Period(obs *sim.Observation) sim.Directive {
 //harmony:hotpath
 func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 	demand := h.demandBuf
-	for n, tt := range h.cfg.Types {
-		rates := h.ratesBuf
-		if err := h.forecastRates(h.shortSibling[n], rates); err != nil {
+	for n := range h.cfg.Types {
+		if h.shortSibling[n] != n {
+			continue
+		}
+		if err := h.forecastRates(n, h.ratesBuf[n]); err != nil {
 			return nil, err
 		}
-		if h.shortSibling[n] == n {
-			h.lastRates[n] = rates[0]
-		}
+		h.lastRates[n] = h.ratesBuf[n][0]
+	}
+	for n, tt := range h.cfg.Types {
+		rates := h.ratesBuf[h.shortSibling[n]]
 		pLong := h.longFrac[n]
 		mu := 1 / tt.MeanDuration
 		slo := h.cfg.SLODelay[tt.Group]
@@ -644,10 +659,12 @@ func NewPredictor(kind PredictorKind, periodSeconds float64, order [3]int) forec
 // forecastRates predicts the next len(dst) arrival rates for type n,
 // filling dst in place. Before MinHistory periods accumulate it uses EWMA
 // over whatever exists; after that it fits the configured ARIMA model,
-// falling back to EWMA when the fit degenerates.
+// falling back to EWMA when the fit degenerates. Rates no queue can be
+// sized for (negative, NaN, +Inf) are zeroed.
 //
 //harmony:coldpath the predictor's fit and forecast are the budgeted residue TestPeriodScratchReuse measures
 func (h *Harmony) forecastRates(n int, dst []float64) error {
+	h.forecasts++
 	hist := h.history[n]
 	w := len(dst)
 	if len(hist) == 0 {
@@ -676,7 +693,7 @@ func (h *Harmony) forecastRates(n int, dst []float64) error {
 	}
 	copy(dst, rates)
 	for i, r := range dst {
-		if r < 0 || math.IsNaN(r) {
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 1) {
 			dst[i] = 0
 		}
 	}

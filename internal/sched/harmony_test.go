@@ -300,7 +300,7 @@ func TestHarmonyWarmStartsContainerSolver(t *testing.T) {
 // after the first period the controller's delta path actually reuses
 // unchanged machine types instead of repacking the fleet.
 func TestHarmonyPeriodDeltaPlacement(t *testing.T) {
-	h, obs := steadyHarmony(t, core.CBS)
+	h, obs := steadyHarmony(t, core.CBS, PredictEWMA)
 	start := h.ctrl.DeltaStats()
 	for period := 0; period < 4; period++ {
 		if dir := h.Period(obs); dir.TargetActive == nil {
