@@ -30,9 +30,9 @@ func run(args []string, out io.Writer) error {
 		scale   = fs.Int("scale", 40, "cluster scale divisor (Table II has 10000 machines at scale 1)")
 		policy  = fs.String("policy", "cbs", "policy: baseline | cbs | cbp | always-on")
 		period  = fs.Float64("period", 300, "control period in seconds")
-		horizon = fs.Int("horizon", 2, "MPC look-ahead periods")
+		horizon = fs.Int("horizon", 0, "MPC look-ahead periods (0 = default 2)")
 		epsilon = fs.Float64("epsilon", 0, "container-sizing overflow bound (0 = default 0.25)")
-		omega   = fs.Float64("omega", 1, "over-provisioning factor")
+		omega   = fs.Float64("omega", 0, "over-provisioning factor (0 = default 1.05)")
 		diurnal = fs.Bool("diurnal-price", false, "use a sinusoidal daily electricity price")
 		series  = fs.Bool("series", false, "also print the active-machine time series")
 
@@ -61,16 +61,27 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
+	wcfg := harmony.WorkloadConfig{
+		Seed:           *seed,
+		Hours:          *hours,
+		TasksPerSecond: *rate,
+		Cluster:        harmony.ClusterTableII,
+		ClusterScale:   *scale,
+	}
+	simCfg := harmony.SimulationConfig{
+		Policy:        p,
+		PeriodSeconds: *period,
+		Horizon:       *horizon,
+		Epsilon:       *epsilon,
+		Omega:         *omega,
+		DiurnalPrice:  *diurnal,
+	}
+
 	if *stream {
 		if *traceIn != "" {
 			return fmt.Errorf("-stream generates its workload; it cannot be combined with -trace")
 		}
-		return runStream(out, p, streamParams{
-			seed: *seed, hours: *hours, rate: *rate, scale: *scale,
-			period: *period, horizon: *horizon, epsilon: *epsilon, omega: *omega,
-			diurnal: *diurnal, delaySamples: *delaySamples,
-			sampleHours: *sampleHours, maxHeapMB: *maxHeapMB,
-		})
+		return runStream(out, wcfg, simCfg, *delaySamples, *sampleHours, *maxHeapMB)
 	}
 
 	var (
@@ -80,13 +91,7 @@ func run(args []string, out io.Writer) error {
 	if *traceIn != "" {
 		w, err = harmony.LoadWorkload(*traceIn)
 	} else {
-		w, err = harmony.GenerateWorkload(harmony.WorkloadConfig{
-			Seed:           *seed,
-			Hours:          *hours,
-			TasksPerSecond: *rate,
-			Cluster:        harmony.ClusterTableII,
-			ClusterScale:   *scale,
-		})
+		w, err = harmony.GenerateWorkload(wcfg)
 	}
 	if err != nil {
 		return err
@@ -103,14 +108,7 @@ func run(args []string, out io.Writer) error {
 			len(ch.Classes()), ch.NumTaskTypes())
 	}
 
-	res, err := harmony.Simulate(w, ch, harmony.SimulationConfig{
-		Policy:        p,
-		PeriodSeconds: *period,
-		Horizon:       *horizon,
-		Epsilon:       *epsilon,
-		Omega:         *omega,
-		DiurnalPrice:  *diurnal,
-	})
+	res, err := harmony.Simulate(w, ch, simCfg)
 	if err != nil {
 		return err
 	}
@@ -134,43 +132,23 @@ func printResults(out io.Writer, res *harmony.SimulationResult, series bool) {
 	}
 }
 
-type streamParams struct {
-	seed           int64
-	hours, rate    float64
-	scale          int
-	period         float64
-	horizon        int
-	epsilon, omega float64
-	diurnal        bool
-	delaySamples   int
-	sampleHours    float64
-	maxHeapMB      float64
-}
-
 // runStream runs the streaming entry point: the workload flows through
 // the simulator chunk by chunk, so the full trace is never in memory.
 // The HARMONY policies still need a characterization, which comes from
 // a short materialized sample of the same workload.
-func runStream(out io.Writer, p harmony.Policy, sp streamParams) error {
-	wcfg := harmony.WorkloadConfig{
-		Seed:           sp.seed,
-		Hours:          sp.hours,
-		TasksPerSecond: sp.rate,
-		Cluster:        harmony.ClusterTableII,
-		ClusterScale:   sp.scale,
-	}
-
+func runStream(out io.Writer, wcfg harmony.WorkloadConfig, simCfg harmony.SimulationConfig,
+	delaySamples int, sampleHours, maxHeapMB float64) error {
 	var ch *harmony.Characterization
-	if p == harmony.PolicyCBS || p == harmony.PolicyCBP {
+	if p := simCfg.Policy; p == harmony.PolicyCBS || p == harmony.PolicyCBP {
 		sampleCfg := wcfg
-		if sp.sampleHours > 0 && sp.sampleHours < sampleCfg.Hours {
-			sampleCfg.Hours = sp.sampleHours
+		if sampleHours > 0 && sampleHours < sampleCfg.Hours {
+			sampleCfg.Hours = sampleHours
 		}
 		sample, err := harmony.GenerateWorkload(sampleCfg)
 		if err != nil {
 			return err
 		}
-		ch, err = sample.Characterize(harmony.CharacterizeConfig{Seed: sp.seed})
+		ch, err = sample.Characterize(harmony.CharacterizeConfig{Seed: wcfg.Seed})
 		if err != nil {
 			return err
 		}
@@ -180,15 +158,8 @@ func runStream(out io.Writer, p harmony.Policy, sp streamParams) error {
 
 	res, metrics, err := harmony.SimulateStream(harmony.StreamConfig{
 		Workload:        wcfg,
-		MaxDelaySamples: sp.delaySamples,
-	}, ch, harmony.SimulationConfig{
-		Policy:        p,
-		PeriodSeconds: sp.period,
-		Horizon:       sp.horizon,
-		Epsilon:       sp.epsilon,
-		Omega:         sp.omega,
-		DiurnalPrice:  sp.diurnal,
-	})
+		MaxDelaySamples: delaySamples,
+	}, ch, simCfg)
 	if err != nil {
 		return err
 	}
@@ -200,8 +171,8 @@ func runStream(out io.Writer, p harmony.Policy, sp streamParams) error {
 	fmt.Fprintf(out, "  wall time:     %.2f s (%.0f tasks/s)\n", metrics.WallSeconds, metrics.TasksPerSecond)
 	fmt.Fprintf(out, "  allocation:    %.0f bytes/task\n", metrics.BytesPerTask)
 	fmt.Fprintf(out, "  peak heap:     %.1f MiB\n", peakMB)
-	if sp.maxHeapMB > 0 && peakMB > sp.maxHeapMB {
-		return fmt.Errorf("peak heap %.1f MiB exceeds cap %.1f MiB", peakMB, sp.maxHeapMB)
+	if maxHeapMB > 0 && peakMB > maxHeapMB {
+		return fmt.Errorf("peak heap %.1f MiB exceeds cap %.1f MiB", peakMB, maxHeapMB)
 	}
 	return nil
 }

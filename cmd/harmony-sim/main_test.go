@@ -66,3 +66,28 @@ func TestRunStreamCBS(t *testing.T) {
 		t.Errorf("missing CBS results:\n%s", out.String())
 	}
 }
+
+// TestRunOmegaDefault pins the -omega flag default to the facade's: an
+// unset (or 0) -omega runs ω = 1.05 like Simulate, harmonyd and
+// EXPERIMENTS.md, not the ω = 1 the flag used to default to.
+func TestRunOmegaDefault(t *testing.T) {
+	base := []string{"-hours", "2", "-rate", "0.5", "-scale", "100", "-policy", "cbs"}
+	output := func(extra ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append(base[:len(base):len(base)], extra...), &out); err != nil {
+			t.Fatalf("run(%v): %v", extra, err)
+		}
+		return out.String()
+	}
+	unset := output()
+	if got := output("-omega", "1.05"); got != unset {
+		t.Errorf("unset -omega differs from -omega 1.05:\n%s\nvs\n%s", unset, got)
+	}
+	if got := output("-omega", "0"); got != unset {
+		t.Errorf("-omega 0 differs from the default:\n%s\nvs\n%s", unset, got)
+	}
+	if got := output("-omega", "1"); got == unset {
+		t.Error("-omega 1 gave the default's output; the flag is not reaching the policy")
+	}
+}

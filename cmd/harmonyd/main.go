@@ -31,7 +31,6 @@ import (
 	"harmony/internal/energy"
 	"harmony/internal/sched"
 	"harmony/internal/tenant"
-	"harmony/internal/trace"
 )
 
 func main() {
@@ -49,17 +48,17 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("harmonyd", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", ":8080", "HTTP listen address")
-		charPath = fs.String("char", "", "characterization JSON (from harmony-classify -o); required")
-		scale    = fs.Int("scale", 100, "divide the Table II cluster size by this factor")
-		mode     = fs.String("mode", "CBS", "container mode: CBS (spread) or CBP (pack)")
-		period   = fs.Float64("period", 300, "control period in model-time seconds")
-		horizon  = fs.Int("horizon", 2, "MPC look-ahead periods")
+		addr        = fs.String("addr", ":8080", "HTTP listen address")
+		charPath    = fs.String("char", "", "characterization JSON (from harmony-classify -o); required")
+		scale       = fs.Int("scale", 100, "divide the Table II cluster size by this factor")
+		mode        = fs.String("mode", "CBS", "container mode: CBS (spread) or CBP (pack)")
+		period      = fs.Float64("period", 300, "control period in model-time seconds")
+		horizon     = fs.Int("horizon", 0, "MPC look-ahead periods (0 = default 2)")
 		tickWall    = fs.Duration("tick-every", 0, "wall-clock interval between automatic ticks (0 = tick only via POST /v1/tick)")
 		deadline    = fs.Duration("tick-deadline", 30*time.Second, "per-tick solve deadline")
 		queue       = fs.Int("queue", 65536, "ingest queue capacity (excess tasks get 429)")
 		tenantsPath = fs.String("tenants", "", "tenants config JSON; enables multi-tenant mode")
-		forecaster  = fs.String("forecaster", "arima", "arrival forecaster: arima, auto, seasonal, ewma, or holtwinters")
+		forecaster  = fs.String("forecaster", "arima", "arrival forecaster: arima, auto-arima, seasonal, ewma, or holtwinters")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,20 +75,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	default:
 		return fmt.Errorf("unknown -mode %q (want CBS or CBP)", *mode)
 	}
-	var predictor sched.PredictorKind
-	switch *forecaster {
-	case "arima":
-		predictor = sched.PredictARIMA
-	case "auto":
-		predictor = sched.PredictAutoARIMA
-	case "seasonal":
-		predictor = sched.PredictSeasonal
-	case "ewma":
-		predictor = sched.PredictEWMA
-	case "holtwinters":
-		predictor = sched.PredictHoltWinters
-	default:
-		return fmt.Errorf("unknown -forecaster %q (want arima, auto, seasonal, ewma, or holtwinters)", *forecaster)
+	predictor, err := sched.ParsePredictor(*forecaster)
+	if err != nil {
+		return fmt.Errorf("unknown -forecaster: %w", err)
 	}
 
 	f, err := os.Open(*charPath)
@@ -102,18 +90,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		return fmt.Errorf("load characterization: %w", err)
 	}
 
-	models := energy.TableII()
-	machines := make([]trace.MachineType, len(models))
-	for i := range models {
-		if *scale > 1 {
-			models[i].Count /= *scale
-			if models[i].Count < 1 {
-				models[i].Count = 1
-			}
-		}
-		machines[i] = models[i].MachineType(i + 1)
-	}
-
+	models, machines := energy.TableIIScaled(*scale)
 	engCfg := daemon.Config{
 		Machines:      machines,
 		Models:        models,

@@ -90,6 +90,7 @@ func TestRunServesUntilSIGTERM(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-char", char,
 			"-scale", "400",
+			"-forecaster", "auto-arima", // the facade's spelling; "auto" is the daemon's older one
 			"-tick-deadline", "10s",
 		}, &out, ready)
 	}()

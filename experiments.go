@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"harmony/internal/energy"
-	"harmony/internal/stats"
 	"harmony/internal/trace"
 )
 
@@ -40,36 +39,33 @@ func (e *Experiment) Render() string {
 	return b.String()
 }
 
+// memo is a value computed at most once, by whichever caller gets there
+// first; concurrent callers block until it is ready.
+type memo[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (m *memo[T]) get(compute func() (T, error)) (T, error) {
+	m.once.Do(func() { m.v, m.err = compute() })
+	return m.v, m.err
+}
+
 // Env holds the lazily built inputs shared by all experiments: the
-// workload, its characterization, and the three policy simulations.
-// Every cache is sync.Once-guarded, so one Env may be shared by any
-// number of goroutines: concurrent callers of the same accessor block
-// until the first finishes, and dependent stages (workload →
-// characterization → simulation) compose safely.
+// workload, its characterization, and one simulation per policy. Every
+// one of them is memoized, so one Env may be shared by any number of
+// goroutines: concurrent callers of the same accessor block until the
+// first finishes, and dependent stages (workload → characterization →
+// simulation) compose safely.
 type Env struct {
 	WorkloadCfg     WorkloadConfig
 	CharacterizeCfg CharacterizeConfig
 	SimCfg          SimulationConfig
 
-	wOnce sync.Once
-	w     *Workload
-	wErr  error
-
-	cOnce sync.Once
-	c     *Characterization
-	cErr  error
-
-	baseOnce sync.Once
-	base     *SimulationResult
-	baseErr  error
-
-	cbsOnce sync.Once
-	cbs     *SimulationResult
-	cbsErr  error
-
-	cbpOnce sync.Once
-	cbp     *SimulationResult
-	cbpErr  error
+	w    memo[*Workload]
+	c    memo[*Characterization]
+	runs [PolicyAlwaysOn + 1]memo[*SimulationResult] // indexed by Policy
 }
 
 // NewEnv creates an experiment environment. Zero-valued configs get the
@@ -83,71 +79,62 @@ func NewEnv(wc WorkloadConfig, cc CharacterizeConfig, sc SimulationConfig) *Env 
 
 // Workload returns the (lazily generated) workload.
 func (e *Env) Workload() (*Workload, error) {
-	e.wOnce.Do(func() { e.w, e.wErr = GenerateWorkload(e.WorkloadCfg) })
-	return e.w, e.wErr
+	return e.w.get(func() (*Workload, error) { return GenerateWorkload(e.WorkloadCfg) })
 }
 
 // Characterization returns the (lazily computed) clustering.
 func (e *Env) Characterization() (*Characterization, error) {
-	e.cOnce.Do(func() {
+	return e.c.get(func() (*Characterization, error) {
 		w, err := e.Workload()
 		if err != nil {
-			e.cErr = err
-			return
+			return nil, err
 		}
-		e.c, e.cErr = w.Characterize(e.CharacterizeCfg)
+		return w.Characterize(e.CharacterizeCfg)
 	})
-	return e.c, e.cErr
 }
 
 // prime pre-populates the workload and characterization caches; tests
 // and benchmarks use it to measure the policy simulations in isolation.
 func (e *Env) prime(w *Workload, c *Characterization) {
-	e.wOnce.Do(func() { e.w = w })
-	e.cOnce.Do(func() { e.c = c })
+	e.w.once.Do(func() { e.w.v = w })
+	e.c.once.Do(func() { e.c.v = c })
 }
 
+// simulate returns the cached simulation of the workload under p.
 func (e *Env) simulate(p Policy) (*SimulationResult, error) {
-	w, err := e.Workload()
-	if err != nil {
-		return nil, err
-	}
-	var c *Characterization
-	if p == PolicyCBS || p == PolicyCBP {
-		if c, err = e.Characterization(); err != nil {
+	return e.runs[p].get(func() (*SimulationResult, error) {
+		w, err := e.Workload()
+		if err != nil {
 			return nil, err
 		}
-	}
-	cfg := e.SimCfg
-	cfg.Policy = p
-	return Simulate(w, c, cfg)
+		var c *Characterization
+		if p == PolicyCBS || p == PolicyCBP {
+			if c, err = e.Characterization(); err != nil {
+				return nil, err
+			}
+		}
+		cfg := e.SimCfg
+		cfg.Policy = p
+		return Simulate(w, c, cfg)
+	})
 }
 
 // BaselineRun returns the cached baseline simulation.
-func (e *Env) BaselineRun() (*SimulationResult, error) {
-	e.baseOnce.Do(func() { e.base, e.baseErr = e.simulate(PolicyBaseline) })
-	return e.base, e.baseErr
-}
+func (e *Env) BaselineRun() (*SimulationResult, error) { return e.simulate(PolicyBaseline) }
 
 // CBSRun returns the cached HARMONY-CBS simulation.
-func (e *Env) CBSRun() (*SimulationResult, error) {
-	e.cbsOnce.Do(func() { e.cbs, e.cbsErr = e.simulate(PolicyCBS) })
-	return e.cbs, e.cbsErr
-}
+func (e *Env) CBSRun() (*SimulationResult, error) { return e.simulate(PolicyCBS) }
 
 // CBPRun returns the cached HARMONY-CBP simulation.
-func (e *Env) CBPRun() (*SimulationResult, error) {
-	e.cbpOnce.Do(func() { e.cbp, e.cbpErr = e.simulate(PolicyCBP) })
-	return e.cbp, e.cbpErr
-}
+func (e *Env) CBPRun() (*SimulationResult, error) { return e.simulate(PolicyCBP) }
 
 // PolicyRuns evaluates the baseline, CBS, and CBP simulations
 // concurrently and returns all three. The paper's §IX comparison runs
 // three independent policies over one trace, so the fan-out is free
 // parallelism: each simulation owns its state and shares only the
-// Once-guarded workload and characterization. Results are cached
-// exactly like the individual accessors and are bit-identical to
-// running them sequentially.
+// memoized workload and characterization. Results are cached exactly
+// like the individual accessors and are bit-identical to running them
+// sequentially.
 func (e *Env) PolicyRuns() (base, cbs, cbp *SimulationResult, err error) {
 	err = runAll(
 		func() error { r, err := e.BaselineRun(); base = r; return err },
@@ -157,55 +144,53 @@ func (e *Env) PolicyRuns() (base, cbs, cbp *SimulationResult, err error) {
 	return base, cbs, cbp, err
 }
 
+// experiments lists every regenerable figure/table in paper order.
+var experiments = []struct {
+	id  string
+	run func(*Env) (*Experiment, error)
+}{
+	{"fig1", func(e *Env) (*Experiment, error) { return e.demandExperiment(true) }},
+	{"fig2", func(e *Env) (*Experiment, error) { return e.demandExperiment(false) }},
+	{"fig3", (*Env).machineUsageExperiment},
+	{"fig4", (*Env).delayCDFExperiment},
+	{"fig5", (*Env).machineTypesExperiment},
+	{"fig6", (*Env).durationCDFExperiment},
+	{"fig7", (*Env).taskSizeExperiment},
+	{"fig9", func(*Env) (*Experiment, error) { return energyCurvesExperiment(), nil }},
+	{"fig10-12", (*Env).classSizesExperiment},
+	{"fig13-17", (*Env).centroidsExperiment},
+	{"fig14-18", (*Env).shortLongExperiment},
+	{"fig19", (*Env).arrivalRatesExperiment},
+	{"fig20", (*Env).containersExperiment},
+	{"fig21", func(e *Env) (*Experiment, error) { return e.serversExperiment(PolicyBaseline) }},
+	{"fig22", func(e *Env) (*Experiment, error) { return e.serversExperiment(PolicyCBS) }},
+	{"fig23-25", (*Env).policyDelaysExperiment},
+	{"fig26", (*Env).energyComparisonExperiment},
+}
+
 // ExperimentIDs lists every regenerable figure/table in paper order.
 func ExperimentIDs() []string {
-	return []string{
-		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"fig9", "fig10-12", "fig13-17", "fig14-18", "fig19",
-		"fig20", "fig21", "fig22", "fig23-25", "fig26",
+	ids := make([]string, len(experiments))
+	for i, x := range experiments {
+		ids[i] = x.id
 	}
+	return ids
 }
 
 // Run regenerates one experiment by id.
 func (e *Env) Run(id string) (*Experiment, error) {
-	switch id {
-	case "fig1":
-		return e.demandExperiment(true)
-	case "fig2":
-		return e.demandExperiment(false)
-	case "fig3":
-		return e.machineUsageExperiment()
-	case "fig4":
-		return e.delayCDFExperiment()
-	case "fig5":
-		return e.machineTypesExperiment()
-	case "fig6":
-		return e.durationCDFExperiment()
-	case "fig7":
-		return e.taskSizeExperiment()
-	case "fig9":
-		return energyCurvesExperiment(), nil
-	case "fig10-12":
-		return e.classSizesExperiment()
-	case "fig13-17":
-		return e.centroidsExperiment()
-	case "fig14-18":
-		return e.shortLongExperiment()
-	case "fig19":
-		return e.arrivalRatesExperiment()
-	case "fig20":
-		return e.containersExperiment()
-	case "fig21":
-		return e.serversExperiment("fig21", PolicyBaseline)
-	case "fig22":
-		return e.serversExperiment("fig22", PolicyCBS)
-	case "fig23-25":
-		return e.policyDelaysExperiment()
-	case "fig26":
-		return e.energyComparisonExperiment()
-	default:
-		return nil, fmt.Errorf("harmony: unknown experiment %q", id)
+	for _, x := range experiments {
+		if x.id != id {
+			continue
+		}
+		exp, err := x.run(e)
+		if err != nil {
+			return nil, err
+		}
+		exp.ID = id
+		return exp, nil
 	}
+	return nil, fmt.Errorf("harmony: unknown experiment %q", id)
 }
 
 func (e *Env) demandExperiment(cpu bool) (*Experiment, error) {
@@ -213,36 +198,26 @@ func (e *Env) demandExperiment(cpu bool) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpuS, memS, err := trace.DemandSeries(w.Trace, e.binWidth())
+	cpuS, s, err := trace.DemandSeries(w.Trace, e.binWidth())
 	if err != nil {
 		return nil, err
 	}
+	title, peak := "Total memory demand over time", "peak memory demand"
 	if cpu {
-		return &Experiment{
-			ID:     "fig1",
-			Title:  "Total CPU demand over time",
-			Series: []Series{fromStatsSeries(cpuS)},
-			Summary: map[string]float64{
-				"peak CPU demand": maxY(cpuS),
-			},
-		}, nil
+		s, title, peak = cpuS, "Total CPU demand over time", "peak CPU demand"
 	}
 	return &Experiment{
-		ID:     "fig2",
-		Title:  "Total memory demand over time",
-		Series: []Series{fromStatsSeries(memS)},
-		Summary: map[string]float64{
-			"peak memory demand": maxY(memS),
-		},
+		Title:   title,
+		Series:  []Series{s},
+		Summary: map[string]float64{peak: maxY(s.Points)},
 	}, nil
 }
 
+// binWidth is the control period the simulations run at.
 func (e *Env) binWidth() float64 {
-	bw := e.SimCfg.PeriodSeconds
-	if bw <= 0 {
-		bw = 300
-	}
-	return bw
+	cfg := e.SimCfg
+	cfg.defaults()
+	return cfg.PeriodSeconds
 }
 
 func (e *Env) machineUsageExperiment() (*Experiment, error) {
@@ -250,9 +225,7 @@ func (e *Env) machineUsageExperiment() (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.SimCfg
-	cfg.Policy = PolicyAlwaysOn
-	res, err := Simulate(w, nil, cfg)
+	res, err := e.simulate(PolicyAlwaysOn)
 	if err != nil {
 		return nil, err
 	}
@@ -263,50 +236,29 @@ func (e *Env) machineUsageExperiment() (*Experiment, error) {
 	// With every machine powered, the interesting curve is how many are
 	// actually running at least one task — the paper's observation that
 	// the cluster never adjusts capacity to demand.
-	used, err := e.usedSeries(w)
+	cfg := e.SimCfg
+	cfg.Policy, cfg.BootDelaySeconds, cfg.MTBFHours = PolicyAlwaysOn, -1, 0
+	raw, err := Simulate(w, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
+	used := raw.UsedMachines
 	return &Experiment{
-		ID:     "fig3",
 		Title:  "Machines available vs used (capacity never adjusted)",
 		Series: []Series{avail, used},
 		Summary: map[string]float64{
 			"machines available": float64(w.NumMachines()),
-			"peak machines used": maxYP(used.Points),
+			"peak machines used": maxY(used.Points),
 		},
 	}, nil
 }
 
-// usedSeries reruns the always-on simulation at the sim layer to extract
-// the used-machine curve.
-func (e *Env) usedSeries(w *Workload) (Series, error) {
-	cfg := e.SimCfg
-	cfg.defaults()
-	counts := make([]int, len(w.Trace.Machines))
-	for i, mt := range w.Trace.Machines {
-		counts[i] = mt.Count
-	}
-	res, err := runRawSim(w, cfg, counts)
-	if err != nil {
-		return Series{}, err
-	}
-	return fromStatsSeries(res.UsedSeries), nil
-}
-
 func (e *Env) delayCDFExperiment() (*Experiment, error) {
-	w, err := e.Workload()
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.SimCfg
-	cfg.Policy = PolicyAlwaysOn
-	res, err := Simulate(w, nil, cfg)
+	res, err := e.simulate(PolicyAlwaysOn)
 	if err != nil {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig4",
 		Title:   "CDF of task scheduling delay by priority group",
 		Summary: map[string]float64{},
 	}
@@ -338,7 +290,6 @@ func (e *Env) machineTypesExperiment() (*Experiment, error) {
 		summary["largest type share"] = hs[0].Fraction
 	}
 	return &Experiment{
-		ID:      "fig5",
 		Title:   "Machine heterogeneity (types, capacities, population)",
 		Series:  []Series{count, cpu, mem},
 		Summary: summary,
@@ -352,14 +303,12 @@ func (e *Env) durationCDFExperiment() (*Experiment, error) {
 	}
 	cdfs := trace.DurationCDFs(w.Trace)
 	exp := &Experiment{
-		ID:      "fig6",
 		Title:   "CDF of task duration by priority group",
 		Summary: map[string]float64{},
 	}
 	for _, g := range Groups() {
 		cdf := cdfs[g]
-		s := stats.Series{Name: "duration CDF " + g.String(), Points: cdf.Points(101)}
-		exp.Series = append(exp.Series, fromStatsSeries(s))
+		exp.Series = append(exp.Series, Series{Name: "duration CDF " + g.String(), Points: cdf.Points(101)})
 		exp.Summary["median duration "+g.String()+" (s)"] = cdf.Quantile(0.5)
 		exp.Summary["max duration "+g.String()+" (s)"] = cdf.Quantile(1)
 	}
@@ -372,13 +321,11 @@ func (e *Env) taskSizeExperiment() (*Experiment, error) {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig7",
 		Title:   "Task size scatter (CPU vs memory) per priority group",
 		Summary: map[string]float64{},
 	}
 	for _, g := range Groups() {
 		pts := trace.SizeScatter(w.Trace, g)
-		s := Series{Name: "task sizes " + g.String()}
 		var minC, maxC float64
 		for i, p := range pts {
 			if i == 0 || p.X < minC {
@@ -387,12 +334,9 @@ func (e *Env) taskSizeExperiment() (*Experiment, error) {
 			if p.X > maxC {
 				maxC = p.X
 			}
-			// Cap the emitted scatter for readability.
-			if i < 2000 {
-				s.Points = append(s.Points, Point{X: p.X, Y: p.Y})
-			}
 		}
-		exp.Series = append(exp.Series, s)
+		// Cap the emitted scatter for readability.
+		exp.Series = append(exp.Series, Series{Name: "task sizes " + g.String(), Points: pts[:min(len(pts), 2000)]})
 		if minC > 0 {
 			exp.Summary["CPU size ratio "+g.String()] = maxC / minC
 		}
@@ -402,7 +346,6 @@ func (e *Env) taskSizeExperiment() (*Experiment, error) {
 
 func energyCurvesExperiment() *Experiment {
 	exp := &Experiment{
-		ID:      "fig9",
 		Title:   "Machine energy consumption vs CPU usage (Table II models)",
 		Summary: map[string]float64{},
 	}
@@ -417,14 +360,12 @@ func energyCurvesExperiment() *Experiment {
 	}
 	return exp
 }
-
 func (e *Env) classSizesExperiment() (*Experiment, error) {
 	c, err := e.Characterization()
 	if err != nil {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig10-12",
 		Title:   "Tasks per class for each priority group",
 		Summary: map[string]float64{},
 	}
@@ -448,7 +389,6 @@ func (e *Env) centroidsExperiment() (*Experiment, error) {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig13-17",
 		Title:   "Class centroids: mean and stddev of CPU and memory",
 		Summary: map[string]float64{},
 	}
@@ -484,7 +424,6 @@ func (e *Env) shortLongExperiment() (*Experiment, error) {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig14-18",
 		Title:   "Short/long duration sub-classes per class",
 		Summary: map[string]float64{},
 	}
@@ -515,14 +454,13 @@ func (e *Env) arrivalRatesExperiment() (*Experiment, error) {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig19",
 		Title:   "Aggregated task arrival rates per priority group",
 		Summary: map[string]float64{},
 	}
 	for _, g := range Groups() {
 		s := rates[g]
-		exp.Series = append(exp.Series, fromStatsSeries(s))
-		exp.Summary["peak rate "+g.String()+" (tasks/s)"] = maxY(s)
+		exp.Series = append(exp.Series, s)
+		exp.Summary["peak rate "+g.String()+" (tasks/s)"] = maxY(s.Points)
 	}
 	return exp, nil
 }
@@ -533,45 +471,31 @@ func (e *Env) containersExperiment() (*Experiment, error) {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig20",
 		Title:   "Containers provisioned per priority group (HARMONY)",
 		Summary: map[string]float64{},
 	}
 	for _, g := range Groups() {
 		s := res.Containers[g]
 		exp.Series = append(exp.Series, s)
-		exp.Summary["peak containers "+g.String()] = maxYP(s.Points)
+		exp.Summary["peak containers "+g.String()] = maxY(s.Points)
 	}
 	return exp, nil
 }
 
-func (e *Env) serversExperiment(id string, p Policy) (*Experiment, error) {
-	var (
-		res *SimulationResult
-		err error
-	)
-	switch p {
-	case PolicyBaseline:
-		res, err = e.BaselineRun()
-	case PolicyCBS:
-		res, err = e.CBSRun()
-	default:
-		res, err = e.simulate(p)
-	}
+func (e *Env) serversExperiment(p Policy) (*Experiment, error) {
+	res, err := e.simulate(p)
 	if err != nil {
 		return nil, err
 	}
-	title := fmt.Sprintf("Active servers over time (%s)", res.Policy)
 	exp := &Experiment{
-		ID:     id,
-		Title:  title,
+		Title:  fmt.Sprintf("Active servers over time (%s)", res.Policy),
 		Series: []Series{res.ActiveMachines},
 		Summary: map[string]float64{
-			"peak active machines": maxYP(res.ActiveMachines.Points),
-			"mean active machines": meanYP(res.ActiveMachines.Points),
+			"peak active machines": maxY(res.ActiveMachines.Points),
+			"mean active machines": meanY(res.ActiveMachines.Points),
 		},
 	}
-	if id == "fig22" {
+	if p == PolicyCBS {
 		// CBS and CBP provision essentially the same machines; attach
 		// CBP's series for completeness.
 		cbp, err := e.CBPRun()
@@ -579,7 +503,7 @@ func (e *Env) serversExperiment(id string, p Policy) (*Experiment, error) {
 			return nil, err
 		}
 		exp.Series = append(exp.Series, cbp.ActiveMachines)
-		exp.Summary["mean active machines CBP"] = meanYP(cbp.ActiveMachines.Points)
+		exp.Summary["mean active machines CBP"] = meanY(cbp.ActiveMachines.Points)
 	}
 	return exp, nil
 }
@@ -590,7 +514,6 @@ func (e *Env) policyDelaysExperiment() (*Experiment, error) {
 		return nil, err
 	}
 	exp := &Experiment{
-		ID:      "fig23-25",
 		Title:   "Scheduling-delay CDFs per priority group, all policies",
 		Summary: map[string]float64{},
 	}
@@ -626,24 +549,13 @@ func (e *Env) energyComparisonExperiment() (*Experiment, error) {
 		{X: 1, Y: base.EnergyKWh}, {X: 2, Y: cbp.EnergyKWh}, {X: 3, Y: cbs.EnergyKWh},
 	}}
 	return &Experiment{
-		ID:      "fig26",
 		Title:   "Total energy consumption: baseline vs CBP vs CBS",
 		Series:  []Series{bars},
 		Summary: summary,
 	}, nil
 }
 
-func maxY(s stats.Series) float64 {
-	mx := 0.0
-	for _, p := range s.Points {
-		if p.Y > mx {
-			mx = p.Y
-		}
-	}
-	return mx
-}
-
-func maxYP(pts []Point) float64 {
+func maxY(pts []Point) float64 {
 	mx := 0.0
 	for _, p := range pts {
 		if p.Y > mx {
@@ -653,7 +565,7 @@ func maxYP(pts []Point) float64 {
 	return mx
 }
 
-func meanYP(pts []Point) float64 {
+func meanY(pts []Point) float64 {
 	if len(pts) == 0 {
 		return 0
 	}

@@ -39,33 +39,10 @@ import (
 )
 
 // Point is one (x, y) sample of a plotted series.
-type Point struct {
-	X float64
-	Y float64
-}
+type Point = stats.Point
 
 // Series is a named sequence of points — the unit every experiment emits.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-func fromStatsSeries(s stats.Series) Series {
-	out := Series{Name: s.Name, Points: make([]Point, len(s.Points))}
-	for i, p := range s.Points {
-		out.Points[i] = Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
-
-// Render writes the series as aligned text rows.
-func (s Series) Render() string {
-	ss := stats.Series{Name: s.Name, Points: make([]stats.Point, len(s.Points))}
-	for i, p := range s.Points {
-		ss.Points[i] = stats.Point{X: p.X, Y: p.Y}
-	}
-	return ss.Render()
-}
+type Series = stats.Series
 
 // Group identifies a task priority group.
 type Group = trace.PriorityGroup
@@ -114,65 +91,42 @@ type Workload struct {
 // GenerateWorkload builds a synthetic Google-like workload (Section III
 // statistics) against the selected cluster.
 func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
-	if cfg.Hours <= 0 {
-		cfg.Hours = 24
-	}
-	if cfg.TasksPerSecond <= 0 {
-		cfg.TasksPerSecond = 1
-	}
-	if cfg.ClusterScale <= 0 {
-		cfg.ClusterScale = 1
-	}
-	if cfg.Cluster == 0 {
-		cfg.Cluster = ClusterTableII
-	}
-
-	machines, models, err := clusterPopulation(cfg)
+	gen, models, err := cfg.generator()
 	if err != nil {
 		return nil, err
 	}
-
-	genCfg := trace.DefaultConfig(cfg.Seed)
-	genCfg.Horizon = cfg.Hours * trace.Hour
-	genCfg.RatePerS = cfg.TasksPerSecond
-	genCfg.Machines = machines
-	tr, err := trace.Generate(genCfg)
+	tr, err := trace.Generate(gen)
 	if err != nil {
 		return nil, fmt.Errorf("harmony: generate workload: %w", err)
 	}
 	return &Workload{Trace: tr, Models: models}, nil
 }
 
-// clusterPopulation resolves a workload config's cluster selection into
-// a machine population and matching energy models.
-func clusterPopulation(cfg WorkloadConfig) ([]trace.MachineType, []energy.Model, error) {
-	if cfg.ClusterScale <= 0 {
-		cfg.ClusterScale = 1
+// generator applies the workload defaults and resolves the cluster
+// selection into the trace generator's configuration and the energy
+// models matching its machine population. GenerateWorkload materializes
+// what it describes; SimulateStream streams it.
+func (cfg WorkloadConfig) generator() (trace.Config, []energy.Model, error) {
+	if cfg.Hours <= 0 {
+		cfg.Hours = 24
 	}
-	if cfg.Cluster == 0 {
-		cfg.Cluster = ClusterTableII
+	if cfg.TasksPerSecond <= 0 {
+		cfg.TasksPerSecond = 1
 	}
-	var (
-		machines []trace.MachineType
-		models   []energy.Model
-	)
+	gen := trace.DefaultConfig(cfg.Seed)
+	gen.Horizon = cfg.Hours * trace.Hour
+	gen.RatePerS = cfg.TasksPerSecond
+	var models []energy.Model
 	switch cfg.Cluster {
-	case ClusterTableII:
-		models = energy.TableII()
-		for i := range models {
-			models[i].Count /= cfg.ClusterScale
-			if models[i].Count < 1 {
-				models[i].Count = 1
-			}
-			machines = append(machines, models[i].MachineType(i+1))
-		}
+	case 0, ClusterTableII:
+		models, gen.Machines = energy.TableIIScaled(cfg.ClusterScale)
 	case ClusterGoogleLike:
-		machines = trace.GoogleLikeMachines(12000 / cfg.ClusterScale)
-		models = energy.SyntheticModels(machines)
+		gen.Machines = trace.GoogleLikeMachines(12000 / max(cfg.ClusterScale, 1))
+		models = energy.SyntheticModels(gen.Machines)
 	default:
-		return nil, nil, fmt.Errorf("harmony: unknown cluster %d", int(cfg.Cluster))
+		return trace.Config{}, nil, fmt.Errorf("harmony: unknown cluster %d", int(cfg.Cluster))
 	}
-	return machines, models, nil
+	return gen, models, nil
 }
 
 // LoadWorkload reads a workload from a trace file produced by
@@ -324,14 +278,13 @@ func (p Policy) String() string {
 type SimulationConfig struct {
 	Policy        Policy
 	PeriodSeconds float64 // control period (default 300)
-	Horizon       int     // MPC look-ahead periods (default 2)
-	// Epsilon is the per-machine overflow bound for container sizing
-	// (default 0.25; the paper handles residual violations by reserving
-	// extra machines, §VII-A — tighter bounds inflate reservations).
+	// Horizon (MPC look-ahead periods), Epsilon (per-machine overflow
+	// bound for container sizing) and Omega (over-provisioning factor
+	// compensating bin-packing inefficiency, Eq. 17) pass through to the
+	// HARMONY policy; zero values take its defaults (2, 0.25, 1.05).
+	Horizon int
 	Epsilon float64
-	// Omega is the over-provisioning factor compensating bin-packing
-	// inefficiency (Eq. 17; default 1.05).
-	Omega float64
+	Omega   float64
 	// SLODelay overrides the per-group scheduling-delay targets.
 	SLODelay map[Group]float64
 	// SwitchCostDollars is the per-transition cost of the largest
@@ -342,7 +295,7 @@ type SimulationConfig struct {
 	PricePerKWh  float64
 	DiurnalPrice bool
 	// BaselineUtilization is the baseline policy's bottleneck target
-	// (default 0.8).
+	// (zero takes the policy's default, 0.8).
 	BaselineUtilization float64
 	// BootDelaySeconds is how long machines take from power-on to
 	// accepting tasks (default 120). Reactive policies feel this as
@@ -354,7 +307,7 @@ type SimulationConfig struct {
 	MTBFHours float64
 	// Forecaster selects the arrival-rate prediction model for the
 	// HARMONY policies: "arima" (default), "auto-arima", "seasonal",
-	// or "ewma".
+	// "ewma" or "holtwinters".
 	Forecaster string
 }
 
@@ -362,23 +315,11 @@ func (cfg *SimulationConfig) defaults() {
 	if cfg.PeriodSeconds <= 0 {
 		cfg.PeriodSeconds = 300
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.25
-	}
-	if cfg.Omega < 1 {
-		cfg.Omega = 1.05
-	}
 	if cfg.SwitchCostDollars <= 0 {
 		cfg.SwitchCostDollars = 0.01
 	}
 	if cfg.PricePerKWh <= 0 {
 		cfg.PricePerKWh = 0.08
-	}
-	if cfg.BaselineUtilization <= 0 {
-		cfg.BaselineUtilization = 0.8
 	}
 	if cfg.BootDelaySeconds < 0 {
 		cfg.BootDelaySeconds = 0
@@ -410,6 +351,9 @@ type SimulationResult struct {
 	DelayCDF map[Group]Series
 	// ActiveMachines is the powered-machine count over time.
 	ActiveMachines Series
+	// UsedMachines is the count of machines running at least one task
+	// over time.
+	UsedMachines Series
 	// QueueLength is the queue length over time.
 	QueueLength Series
 	// Containers, for HARMONY policies, is the per-group container
@@ -417,122 +361,72 @@ type SimulationResult struct {
 	Containers map[Group]Series
 }
 
-// runRawSim runs an always-on simulation and returns the raw sim result;
-// experiment code uses it to reach series the public result does not carry.
-func runRawSim(w *Workload, cfg SimulationConfig, counts []int) (*sim.Result, error) {
+// Simulate runs the workload under the selected policy and returns its
+// measurements. The characterization is required for the HARMONY policies
+// and optional (may be nil) for baseline/always-on.
+func Simulate(w *Workload, c *Characterization, cfg SimulationConfig) (*SimulationResult, error) {
+	if w == nil {
+		return nil, errors.New("harmony: nil workload")
+	}
+	return run(trace.NewSliceSource(w.Trace), w.Models, c, cfg, 0)
+}
+
+// run is the one wiring of the pipeline behind Simulate and
+// SimulateStream: price, switch costs, the policy and (for the HARMONY
+// policies) the task-type labeling, over the machine population src
+// announces. maxDelaySamples is sim.Config.MaxDelaySamples.
+func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg SimulationConfig, maxDelaySamples int) (*SimulationResult, error) {
 	cfg.defaults()
-	return sim.Run(sim.Config{
-		Trace:    w.Trace,
-		Models:   w.Models,
-		Price:    energy.FlatPrice(cfg.PricePerKWh),
-		Policy:   &sched.AlwaysOn{Counts: counts},
-		Period:   cfg.PeriodSeconds,
-		NumTypes: 1,
-		TypeOf:   func(trace.Task) int { return 0 },
-	})
-}
-
-// policySetup bundles everything a sim.Config needs beyond the task
-// stream itself: the price model, per-type switch costs, the task-type
-// mapping, and the constructed policy. It is shared between the batch
-// (Simulate) and streaming (SimulateStream) entry points.
-type policySetup struct {
-	price      energy.Price
-	switchCost []float64
-	numTypes   int
-	typeOf     func(trace.Task) int
-	relabel    func(int, float64) int
-	policy     sim.Policy
-	harmony    *sched.Harmony
-}
-
-// buildPolicySetup constructs the policy plumbing for a machine
-// population. cfg must already have defaults applied.
-func buildPolicySetup(machines []trace.MachineType, models []energy.Model, c *Characterization, cfg SimulationConfig) (*policySetup, error) {
+	machines := src.Meta().Machines
 	var price energy.Price = energy.FlatPrice(cfg.PricePerKWh)
 	if cfg.DiurnalPrice {
 		price = energy.DiurnalPrice{Base: cfg.PricePerKWh, Amplitude: cfg.PricePerKWh / 3, PhaseHour: 4}
 	}
-
-	// Per-type switch costs scale with idle power relative to the
-	// largest machine (the same helper harmonyd's engine uses).
-	switchCost := energy.SwitchCosts(models, cfg.SwitchCostDollars)
-
-	// Task-type mapping. Only the HARMONY policies get per-type queues
-	// and relabeling: container-based scheduling restructures the
-	// scheduler around task classes. The baseline and always-on policies
-	// keep the legacy scheduler — per-priority FIFO first-fit — which
+	// Only the HARMONY policies get per-type queues and relabeling:
+	// container-based scheduling restructures the scheduler around task
+	// classes. The baseline and always-on policies keep the legacy
+	// scheduler — per-priority FIFO first-fit, one task type — which
 	// suffers head-of-line blocking when a large task cannot be placed
 	// (the schedulability failure the paper attributes to
 	// heterogeneity-oblivious provisioning, §IX-B).
-	numTypes := 1
-	typeOf := func(trace.Task) int { return 0 }
-	var relabel func(int, float64) int
-	if c != nil && (cfg.Policy == PolicyCBS || cfg.Policy == PolicyCBP) {
-		types := c.ch.TaskTypes()
-		labeler := classify.NewLabeler(c.ch)
-		typeIdx := make(map[classify.TypeID]int, len(types))
-		for i, tt := range types {
-			typeIdx[tt.ID] = i
-		}
-		numTypes = len(types)
-		typeOf = func(task trace.Task) int {
-			id, ok := labeler.Initial(task)
-			if !ok {
-				return 0
-			}
-			return typeIdx[id]
-		}
-		relabel = func(current int, age float64) int {
-			if current < 0 || current >= len(types) {
-				return current
-			}
-			next := labeler.Refresh(types[current].ID, age)
-			if out, ok := typeIdx[next]; ok {
-				return out
-			}
-			return current
-		}
+	sc := sim.Config{
+		Source:   src,
+		Models:   models,
+		Price:    price,
+		Period:   cfg.PeriodSeconds,
+		NumTypes: 1,
+		TypeOf:   func(trace.Task) int { return 0 },
+		// Per-type switch costs scale with idle power relative to the
+		// largest machine (the same helper harmonyd's engine uses).
+		SwitchCost:      energy.SwitchCosts(models, cfg.SwitchCostDollars),
+		BootDelay:       cfg.BootDelaySeconds,
+		MTBFHours:       cfg.MTBFHours,
+		MaxDelaySamples: maxDelaySamples,
 	}
 	var harmonyPolicy *sched.Harmony
-
-	var policy sim.Policy
 	switch cfg.Policy {
 	case PolicyAlwaysOn:
 		counts := make([]int, len(machines))
 		for i, mt := range machines {
 			counts[i] = mt.Count
 		}
-		policy = &sched.AlwaysOn{Counts: counts}
+		sc.Policy = &sched.AlwaysOn{Counts: counts}
 	case PolicyBaseline:
-		policy = &sched.Baseline{
-			Machines:    machines,
-			Models:      models,
-			Utilization: cfg.BaselineUtilization,
-		}
+		sc.Policy = &sched.Baseline{Machines: machines, Models: models, Utilization: cfg.BaselineUtilization}
 	case PolicyCBS, PolicyCBP:
 		if c == nil {
 			return nil, errors.New("harmony: HARMONY policies need a characterization")
+		}
+		predictor, err := sched.ParsePredictor(cfg.Forecaster)
+		if err != nil {
+			return nil, fmt.Errorf("harmony: %w", err)
 		}
 		mode := core.CBS
 		if cfg.Policy == PolicyCBP {
 			mode = core.CBP
 		}
-		var predictor sched.PredictorKind
-		switch cfg.Forecaster {
-		case "", "arima":
-			predictor = sched.PredictARIMA
-		case "auto-arima":
-			predictor = sched.PredictAutoARIMA
-		case "seasonal":
-			predictor = sched.PredictSeasonal
-		case "ewma":
-			predictor = sched.PredictEWMA
-		default:
-			return nil, fmt.Errorf("harmony: unknown forecaster %q", cfg.Forecaster)
-		}
 		types := c.ch.TaskTypes()
-		h, err := sched.NewHarmony(sched.HarmonyConfig{
+		harmonyPolicy, err = sched.NewHarmony(sched.HarmonyConfig{
 			Mode:          mode,
 			Machines:      machines,
 			Models:        models,
@@ -543,65 +437,28 @@ func buildPolicySetup(machines []trace.MachineType, models []energy.Model, c *Ch
 			SLODelay:      cfg.SLODelay,
 			Epsilon:       cfg.Epsilon,
 			Omega:         cfg.Omega,
-			SwitchCost:    switchCost,
+			SwitchCost:    sc.SwitchCost,
 			Predictor:     predictor,
 		})
 		if err != nil {
 			return nil, err
 		}
-		harmonyPolicy = h
-		policy = h
+		labeler := classify.NewLabeler(c.ch)
+		sc.Policy = harmonyPolicy
+		sc.NumTypes = len(types)
+		sc.TypeOf = func(task trace.Task) int {
+			idx, _ := labeler.InitialIndex(task) // unlabeled tasks queue as type 0
+			return idx
+		}
+		sc.Relabel = labeler.RefreshIndex
 	default:
 		return nil, fmt.Errorf("harmony: unknown policy %d", int(cfg.Policy))
 	}
-	return &policySetup{
-		price:      price,
-		switchCost: switchCost,
-		numTypes:   numTypes,
-		typeOf:     typeOf,
-		relabel:    relabel,
-		policy:     policy,
-		harmony:    harmonyPolicy,
-	}, nil
-}
 
-// Simulate runs the workload under the selected policy and returns its
-// measurements. The characterization is required for the HARMONY policies
-// and optional (may be nil) for baseline/always-on.
-func Simulate(w *Workload, c *Characterization, cfg SimulationConfig) (*SimulationResult, error) {
-	cfg.defaults()
-	if w == nil {
-		return nil, errors.New("harmony: nil workload")
-	}
-	setup, err := buildPolicySetup(w.Trace.Machines, w.Models, c, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := sim.Run(sim.Config{
-		Trace:      w.Trace,
-		Models:     w.Models,
-		Price:      setup.price,
-		Policy:     setup.policy,
-		Period:     cfg.PeriodSeconds,
-		NumTypes:   setup.numTypes,
-		TypeOf:     setup.typeOf,
-		Relabel:    setup.relabel,
-		SwitchCost: setup.switchCost,
-		BootDelay:  cfg.BootDelaySeconds,
-		MTBFHours:  cfg.MTBFHours,
-	})
+	res, err := sim.Run(sc)
 	if err != nil {
 		return nil, fmt.Errorf("harmony: simulate %v: %w", cfg.Policy, err)
 	}
-	if setup.harmony != nil && setup.harmony.Err() != nil {
-		return nil, fmt.Errorf("harmony: policy error: %w", setup.harmony.Err())
-	}
-	return buildResult(res, setup.harmony), nil
-}
-
-// buildResult converts a raw sim.Result into the public view.
-func buildResult(res *sim.Result, harmonyPolicy *sched.Harmony) *SimulationResult {
 	out := &SimulationResult{
 		Policy:           res.Policy,
 		EnergyKWh:        res.EnergyKWh,
@@ -615,21 +472,22 @@ func buildResult(res *sim.Result, harmonyPolicy *sched.Harmony) *SimulationResul
 		TasksKilled:      res.TasksKilled,
 		MeanDelaySeconds: make(map[Group]float64, trace.NumGroups),
 		DelayCDF:         make(map[Group]Series, trace.NumGroups),
-		ActiveMachines:   fromStatsSeries(res.ActiveSeries),
-		QueueLength:      fromStatsSeries(res.QueueSeries),
+		ActiveMachines:   res.ActiveSeries,
+		UsedMachines:     res.UsedSeries,
+		QueueLength:      res.QueueSeries,
 	}
 	for _, g := range trace.Groups() {
 		out.MeanDelaySeconds[g] = res.MeanDelay(g)
-		cdf := res.DelayByGroup[g]
-		pts := cdf.Points(101)
-		s := stats.Series{Name: fmt.Sprintf("delay CDF %s (%s)", g, res.Policy), Points: pts}
-		out.DelayCDF[g] = fromStatsSeries(s)
-	}
-	if harmonyPolicy != nil {
-		out.Containers = make(map[Group]Series, trace.NumGroups)
-		for g, s := range harmonyPolicy.ContainerSeries() {
-			out.Containers[g] = fromStatsSeries(s)
+		out.DelayCDF[g] = Series{
+			Name:   fmt.Sprintf("delay CDF %s (%s)", g, res.Policy),
+			Points: res.DelayByGroup[g].Points(101),
 		}
 	}
-	return out
+	if harmonyPolicy != nil {
+		if err := harmonyPolicy.Err(); err != nil {
+			return nil, fmt.Errorf("harmony: policy error: %w", err)
+		}
+		out.Containers = harmonyPolicy.ContainerSeries()
+	}
+	return out, nil
 }

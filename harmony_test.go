@@ -227,7 +227,7 @@ func TestSimulateForecasterValidation(t *testing.T) {
 	if _, err := Simulate(w, ch, SimulationConfig{Policy: PolicyCBS, Forecaster: "crystal-ball"}); err == nil {
 		t.Error("unknown forecaster accepted")
 	}
-	for _, f := range []string{"", "arima", "auto-arima", "seasonal", "ewma"} {
+	for _, f := range []string{"", "arima", "auto-arima", "seasonal", "ewma", "holtwinters"} {
 		if _, err := Simulate(w, ch, SimulationConfig{Policy: PolicyCBS, Forecaster: f}); err != nil {
 			t.Errorf("forecaster %q rejected: %v", f, err)
 		}

@@ -58,17 +58,6 @@ type Class struct {
 	logCentroid kmeans.Point
 }
 
-// ShortSub returns the short-duration sub-class (index 0).
-func (c *Class) ShortSub() SubClass { return c.Sub[0] }
-
-// LongSub returns the long-duration sub-class and whether one exists.
-func (c *Class) LongSub() (SubClass, bool) {
-	if len(c.Sub) < 2 {
-		return SubClass{}, false
-	}
-	return c.Sub[1], true
-}
-
 // Config controls characterization.
 type Config struct {
 	MaxK     int     // maximum classes per priority group (default 8)
@@ -254,16 +243,6 @@ func subClassOf(durs []float64) SubClass {
 	}
 }
 
-// ClassesOf returns the classes belonging to a priority group.
-func (ch *Characterization) ClassesOf(g trace.PriorityGroup) []*Class {
-	ids := ch.byGroup[g.Index()]
-	out := make([]*Class, len(ids))
-	for i, id := range ids {
-		out[i] = &ch.Classes[id]
-	}
-	return out
-}
-
 // Label assigns a task to its nearest class (Euclidean distance in
 // (log CPU, log Mem) space, restricted to the task's priority group) and
 // returns the class ID. It returns -1 when the group has no classes.
@@ -303,11 +282,24 @@ type TypeID struct {
 // short-lived (Section V).
 type Labeler struct {
 	ch *Characterization
+	// base[c] is the position of class c's short sub-type in TaskTypes()
+	// (its long sub-type, when it has one, follows at base[c]+1) and
+	// ids[i] is the TypeID at position i: the dense task-type index every
+	// consumer of TaskTypes() addresses its per-type arrays with.
+	base []int
+	ids  []TypeID
 }
 
 // NewLabeler returns a Labeler over a characterization.
 func NewLabeler(ch *Characterization) *Labeler {
-	return &Labeler{ch: ch}
+	l := &Labeler{ch: ch, base: make([]int, len(ch.Classes))}
+	for i, tt := range ch.TaskTypes() {
+		if tt.ID.Sub == 0 {
+			l.base[tt.ID.Class] = i
+		}
+		l.ids = append(l.ids, tt.ID)
+	}
+	return l
 }
 
 // Initial labels a newly arrived task: nearest class, short sub-class.
@@ -318,6 +310,15 @@ func (l *Labeler) Initial(t trace.Task) (TypeID, bool) {
 		return TypeID{}, false
 	}
 	return TypeID{Class: cls, Sub: 0}, true
+}
+
+// InitialIndex is Initial as an index into TaskTypes().
+func (l *Labeler) InitialIndex(t trace.Task) (int, bool) {
+	cls := l.ch.Label(t)
+	if cls < 0 {
+		return 0, false
+	}
+	return l.base[cls], true
 }
 
 // Refresh re-evaluates a task's label given its observed age (seconds since
@@ -335,6 +336,16 @@ func (l *Labeler) Refresh(id TypeID, age float64) TypeID {
 		id.Sub = 1
 	}
 	return id
+}
+
+// RefreshIndex is Refresh over indices into TaskTypes(); an index outside
+// the table is returned unchanged.
+func (l *Labeler) RefreshIndex(idx int, age float64) int {
+	if idx < 0 || idx >= len(l.ids) {
+		return idx
+	}
+	next := l.Refresh(l.ids[idx], age)
+	return l.base[next.Class] + next.Sub
 }
 
 // TaskType describes one provisionable task type (class × sub-class) with

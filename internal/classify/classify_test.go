@@ -39,6 +39,16 @@ func syntheticTrace() *trace.Trace {
 	return tr
 }
 
+func classesOf(ch *Characterization, g trace.PriorityGroup) []Class {
+	var out []Class
+	for _, c := range ch.Classes {
+		if c.Group == g {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func TestCharacterizeBasics(t *testing.T) {
 	ch, err := Characterize(syntheticTrace(), Config{Seed: 1})
 	if err != nil {
@@ -49,7 +59,7 @@ func TestCharacterizeBasics(t *testing.T) {
 	}
 	// Every group got at least one class.
 	for _, g := range trace.Groups() {
-		if len(ch.ClassesOf(g)) == 0 {
+		if len(classesOf(ch, g)) == 0 {
 			t.Errorf("group %v has no classes", g)
 		}
 	}
@@ -85,7 +95,7 @@ func TestCharacterizeSeparatesSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Gratis should split small (0.01) from large (0.2) tasks.
-	gratis := ch.ClassesOf(trace.Gratis)
+	gratis := classesOf(ch, trace.Gratis)
 	var hasSmall, hasLarge bool
 	for _, c := range gratis {
 		if c.CPU < 0.05 {
@@ -107,14 +117,10 @@ func TestShortLongSplit(t *testing.T) {
 	}
 	// The gratis small class mixes 30s and 5000s tasks: must split.
 	found := false
-	for _, c := range ch.ClassesOf(trace.Gratis) {
+	for _, c := range classesOf(ch, trace.Gratis) {
 		if c.CPU < 0.05 && len(c.Sub) == 2 {
 			found = true
-			short := c.ShortSub()
-			long, ok := c.LongSub()
-			if !ok {
-				t.Fatal("LongSub missing after split")
-			}
+			short, long := c.Sub[0], c.Sub[1]
 			if short.MeanDuration >= long.MeanDuration {
 				t.Errorf("sub-classes not sorted: %v >= %v", short.MeanDuration, long.MeanDuration)
 			}
@@ -183,6 +189,42 @@ func TestLabelerInitialAndRefresh(t *testing.T) {
 	bogus := l.Refresh(TypeID{Class: -1}, 100)
 	if bogus.Class != -1 {
 		t.Error("bogus class mutated")
+	}
+}
+
+// TestLabelerIndexMatchesTaskTypes pins the index-returning pair to the
+// TypeID pair: for every task type and age, RefreshIndex lands on the
+// position in TaskTypes() of what Refresh returns, and InitialIndex on the
+// position of what Initial returns.
+func TestLabelerIndexMatchesTaskTypes(t *testing.T) {
+	ch, err := Characterize(syntheticTrace(), Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := ch.TaskTypes()
+	pos := make(map[TypeID]int, len(types))
+	for i, tt := range types {
+		pos[tt.ID] = i
+	}
+	l := NewLabeler(ch)
+	for i, tt := range types {
+		for _, age := range []float64{0, 1, 100, 1e4, 1e12} {
+			if got, want := l.RefreshIndex(i, age), pos[l.Refresh(tt.ID, age)]; got != want {
+				t.Errorf("RefreshIndex(%d, %v) = %d, want %d", i, age, got, want)
+			}
+		}
+	}
+	for _, idx := range []int{-1, len(types)} {
+		if got := l.RefreshIndex(idx, 1e12); got != idx {
+			t.Errorf("RefreshIndex(%d) = %d, want unchanged", idx, got)
+		}
+	}
+	for _, task := range syntheticTrace().Tasks {
+		id, ok := l.Initial(task)
+		idx, okIdx := l.InitialIndex(task)
+		if ok != okIdx || (ok && idx != pos[id]) {
+			t.Fatalf("InitialIndex = %d,%v; Initial = %v,%v (position %d)", idx, okIdx, id, ok, pos[id])
+		}
 	}
 }
 

@@ -40,9 +40,11 @@ type Config struct {
 	Mode core.Mode // CBS (default) or CBP
 	//harmony:unit(s)
 	PeriodSeconds float64 // control period in model time (default 300)
-	Horizon       int     // MPC look-ahead periods (default 2)
-	Epsilon       float64 // container-sizing overflow bound (default 0.25)
-	Omega         float64 // over-provisioning factor (default 1.05)
+	// Horizon, Epsilon and Omega pass through to sched.HarmonyConfig,
+	// which owns their defaults.
+	Horizon int     // MPC look-ahead periods
+	Epsilon float64 // container-sizing overflow bound
+	Omega   float64 // over-provisioning factor
 	//harmony:unit(s)
 	SLODelay map[trace.PriorityGroup]float64
 	// PricePerKWh is the flat electricity price (default 0.08).
@@ -65,15 +67,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.PeriodSeconds <= 0 {
 		cfg.PeriodSeconds = 300
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.25
-	}
-	if cfg.Omega < 1 {
-		cfg.Omega = 1.05
 	}
 	if cfg.PricePerKWh <= 0 {
 		cfg.PricePerKWh = 0.08
@@ -155,7 +148,6 @@ type Engine struct {
 	price   energy.Price
 	types   []classify.TaskType
 	labeler *classify.Labeler
-	typeIdx map[classify.TypeID]int
 
 	mu sync.Mutex
 	//harmony:guardedby(mu)
@@ -253,16 +245,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("daemon: build policy: %w", err)
 	}
 
-	typeIdx := make(map[classify.TypeID]int, len(types))
-	for i, tt := range types {
-		typeIdx[tt.ID] = i
-	}
 	e := &Engine{
 		cfg:      cfg,
 		price:    price,
 		types:    types,
 		labeler:  classify.NewLabeler(cfg.Char),
-		typeIdx:  typeIdx,
 		arrivals: make([]int, len(types)),
 		active:   make([]int, len(cfg.Machines)),
 		arrHist:  make([][]float64, len(types)),
@@ -335,11 +322,8 @@ func (e *Engine) Ingest(t trace.Task) error {
 	if err := validateTask(t); err != nil {
 		return err
 	}
-	tt := 0
-	id, labeled := e.labeler.Initial(t)
-	if labeled {
-		tt = e.typeIdx[id]
-	} else {
+	tt, labeled := e.labeler.InitialIndex(t)
+	if !labeled {
 		e.mFallbacks.Inc()
 	}
 	e.mTasks.With(t.Group().String()).Inc()
@@ -387,13 +371,9 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 		if ot.submit+ot.duration <= now {
 			continue
 		}
-		age := now - ot.submit
-		cur := e.types[ot.typ].ID
-		if next := e.labeler.Refresh(cur, age); next != cur {
-			if ni, ok := e.typeIdx[next]; ok {
-				ot.typ = ni
-				relabels++
-			}
+		if next := e.labeler.RefreshIndex(ot.typ, now-ot.submit); next != ot.typ {
+			ot.typ = next
+			relabels++
 		}
 		kept = append(kept, ot)
 	}

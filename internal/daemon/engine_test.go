@@ -59,15 +59,7 @@ func testChar(t testing.TB) *classify.Characterization {
 
 // testCluster returns the Table II cluster scaled down by factor.
 func testCluster(factor int) ([]trace.MachineType, []energy.Model) {
-	models := energy.TableII()
-	machines := make([]trace.MachineType, len(models))
-	for i := range models {
-		models[i].Count /= factor
-		if models[i].Count < 1 {
-			models[i].Count = 1
-		}
-		machines[i] = models[i].MachineType(i + 1)
-	}
+	models, machines := energy.TableIIScaled(factor)
 	return machines, models
 }
 

@@ -10,7 +10,6 @@
 package energy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -106,15 +105,20 @@ func TableII() []Model {
 	}
 }
 
-// TableIIMachineTypes converts TableII into trace machine types with
-// IDs 1..4.
-func TableIIMachineTypes() []trace.MachineType {
+// TableIIScaled returns the Table II cluster with every machine count
+// divided by scale (at least one machine per model; scale <= 1 keeps the
+// full population), as energy models and as trace machine types with IDs
+// 1..4.
+func TableIIScaled(scale int) ([]Model, []trace.MachineType) {
 	models := TableII()
-	out := make([]trace.MachineType, len(models))
-	for i, m := range models {
-		out[i] = m.MachineType(i + 1)
+	machines := make([]trace.MachineType, len(models))
+	for i := range models {
+		if scale > 1 {
+			models[i].Count = max(models[i].Count/scale, 1)
+		}
+		machines[i] = models[i].MachineType(i + 1)
 	}
-	return out
+	return models, machines
 }
 
 // SyntheticModel derives a plausible power model for an arbitrary machine
@@ -236,40 +240,6 @@ func SwitchCosts(models []Model, largestDollars float64) []float64 {
 	}
 	return costs
 }
-
-// Meter accumulates cluster energy and cost over a simulation.
-type Meter struct {
-	joules  float64 //harmony:unit(J)
-	dollars float64 //harmony:unit($)
-}
-
-// ErrBadInterval is returned by Accumulate for negative intervals.
-var ErrBadInterval = errors.New("energy: negative interval")
-
-// Accumulate records a power draw sustained for an interval at the given
-// price.
-//
-//harmony:unit(W) watts
-//harmony:unit(s) seconds
-//harmony:unit($/kWh) dollarsPerKWh
-func (m *Meter) Accumulate(watts, seconds, dollarsPerKWh float64) error {
-	if seconds < 0 {
-		return ErrBadInterval
-	}
-	m.joules += watts * seconds
-	m.dollars += Cost(watts, seconds, dollarsPerKWh)
-	return nil
-}
-
-// KWh returns total energy recorded in kilowatt-hours.
-//
-//harmony:unit(kWh) return
-func (m *Meter) KWh() float64 { return m.joules / 3.6e6 }
-
-// Dollars returns total energy cost recorded.
-//
-//harmony:unit($) return
-func (m *Meter) Dollars() float64 { return m.dollars }
 
 func clamp01(x float64) float64 {
 	if x < 0 {

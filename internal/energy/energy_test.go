@@ -81,9 +81,24 @@ func TestMachineTypeConversion(t *testing.T) {
 	if mt.CPU != 0.25 || mt.Mem != 0.5 {
 		t.Errorf("capacities = %v/%v, want 0.25/0.5", mt.CPU, mt.Mem)
 	}
-	all := TableIIMachineTypes()
-	if len(all) != 4 || all[0].ID != 1 || all[3].ID != 4 {
-		t.Errorf("TableIIMachineTypes IDs wrong: %+v", all)
+}
+
+func TestTableIIScaled(t *testing.T) {
+	models, machines := TableIIScaled(1000)
+	if len(machines) != 4 || machines[0].ID != 1 || machines[3].ID != 4 {
+		t.Errorf("machine IDs wrong: %+v", machines)
+	}
+	// 7000/1500/1000/500 over 1000, floored at one machine per model.
+	for i, want := range []int{7, 1, 1, 1} {
+		if models[i].Count != want || machines[i].Count != want {
+			t.Errorf("model %d: count %d / %d, want %d", i, models[i].Count, machines[i].Count, want)
+		}
+	}
+	full, _ := TableIIScaled(0)
+	for i, m := range TableII() {
+		if full[i] != m {
+			t.Errorf("scale 0 changed model %d: %+v", i, full[i])
+		}
 	}
 }
 
@@ -152,21 +167,5 @@ func TestSwitchCosts(t *testing.T) {
 		if c != 0 {
 			t.Errorf("zero-idle SwitchCosts[%d] = %v, want 0", i, c)
 		}
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	if err := m.Accumulate(500, 7200, 0.10); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.KWh(); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("KWh = %v, want 1", got)
-	}
-	if got := m.Dollars(); math.Abs(got-0.10) > 1e-12 {
-		t.Errorf("Dollars = %v, want 0.10", got)
-	}
-	if err := m.Accumulate(1, -1, 0.10); err == nil {
-		t.Error("negative interval accepted")
 	}
 }

@@ -53,6 +53,8 @@ var numericSurface = []string{
 	"harmony/internal/forecast",
 	"harmony/internal/sched",
 	"harmony/internal/trace",
+	"harmony/internal/sim",
+	"harmony", // the facade: it once fed NaN switch costs into CBS-RELAX
 }
 
 // scopeTable is the one declarative statement of what each scope covers.

@@ -39,10 +39,11 @@ type HarmonyConfig struct {
 	// per period; zero entries get defaults ordered by priority.
 	ValuePerPeriod map[trace.PriorityGroup]float64
 	// Epsilon is the machine-overflow bound for container sizing
-	// (default 0.05).
+	// (default 0.25; the paper handles residual violations by reserving
+	// extra machines, §VII-A — tighter bounds inflate reservations).
 	Epsilon float64
 	// Omega is the over-provisioning factor applied to every container
-	// type (default 1).
+	// type to compensate bin-packing inefficiency (Eq. 17; default 1.05).
 	Omega float64
 	// SwitchCost[m] is the dollar cost of one machine on/off transition.
 	//harmony:unit($)
@@ -76,6 +77,25 @@ const (
 	// exist.
 	PredictHoltWinters
 )
+
+// ParsePredictor resolves a forecaster name as the facade, harmony-sim and
+// harmonyd spell it: "arima" (also ""), "auto-arima" (also "auto"),
+// "seasonal", "ewma" or "holtwinters".
+func ParsePredictor(name string) (PredictorKind, error) {
+	switch name {
+	case "", "arima":
+		return PredictARIMA, nil
+	case "auto-arima", "auto":
+		return PredictAutoARIMA, nil
+	case "seasonal":
+		return PredictSeasonal, nil
+	case "ewma":
+		return PredictEWMA, nil
+	case "holtwinters":
+		return PredictHoltWinters, nil
+	}
+	return 0, fmt.Errorf("forecaster %q is not one of arima, auto-arima, seasonal, ewma, holtwinters", name)
+}
 
 // Harmony is the paper's full pipeline as a simulation policy: it observes
 // per-type arrivals, forecasts rates, converts them to container demands
@@ -151,10 +171,10 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 		cfg.Horizon = 2
 	}
 	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
-		cfg.Epsilon = 0.05
+		cfg.Epsilon = 0.25
 	}
 	if cfg.Omega < 1 {
-		cfg.Omega = 1
+		cfg.Omega = 1.05
 	}
 	if cfg.MinHistory <= 0 {
 		cfg.MinHistory = 24

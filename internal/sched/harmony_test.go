@@ -14,15 +14,7 @@ import (
 
 // scaledTableII returns the Table II cluster divided by factor.
 func scaledTableII(factor int) ([]trace.MachineType, []energy.Model) {
-	models := energy.TableII()
-	machines := make([]trace.MachineType, len(models))
-	for i := range models {
-		models[i].Count /= factor
-		if models[i].Count < 1 {
-			models[i].Count = 1
-		}
-		machines[i] = models[i].MachineType(i + 1)
-	}
+	models, machines := energy.TableIIScaled(factor)
 	return machines, models
 }
 
@@ -87,6 +79,17 @@ func TestNewHarmonyDefaults(t *testing.T) {
 	if h.cfg.ValuePerPeriod[trace.Gratis] != 0.01 {
 		t.Errorf("gratis value default = %v", h.cfg.ValuePerPeriod[trace.Gratis])
 	}
+	// The sizing defaults every front door (facade, harmony-sim, harmonyd)
+	// inherits: nobody else writes these numbers.
+	zero := testHarmonyConfig(core.CBS)
+	zero.Horizon = 0
+	hz, err := NewHarmony(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := hz.cfg; c.Epsilon != 0.25 || c.Omega != 1.05 || c.Horizon != 2 {
+		t.Errorf("defaults ε=%v ω=%v W=%d, want 0.25, 1.05, 2", c.Epsilon, c.Omega, c.Horizon)
+	}
 	sz := h.Sizing()
 	if len(sz) != 3 {
 		t.Fatalf("sizings = %d", len(sz))
@@ -96,6 +99,21 @@ func TestNewHarmonyDefaults(t *testing.T) {
 		if s.CPU < tt.CPU || s.Mem < tt.Mem {
 			t.Errorf("sizing %d below mean: %+v vs %v/%v", i, s, tt.CPU, tt.Mem)
 		}
+	}
+}
+
+func TestParsePredictor(t *testing.T) {
+	for name, want := range map[string]PredictorKind{
+		"": PredictARIMA, "arima": PredictARIMA,
+		"auto-arima": PredictAutoARIMA, "auto": PredictAutoARIMA,
+		"seasonal": PredictSeasonal, "ewma": PredictEWMA, "holtwinters": PredictHoltWinters,
+	} {
+		if got, err := ParsePredictor(name); err != nil || got != want {
+			t.Errorf("ParsePredictor(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParsePredictor("crystal-ball"); err == nil {
+		t.Error("unknown forecaster accepted")
 	}
 }
 
@@ -207,10 +225,6 @@ func TestHarmonyEndToEnd(t *testing.T) {
 	}
 	types := ch.TaskTypes()
 	labeler := classify.NewLabeler(ch)
-	typeIdx := make(map[classify.TypeID]int, len(types))
-	for i, tt := range types {
-		typeIdx[tt.ID] = i
-	}
 
 	for _, mode := range []core.Mode{core.CBS, core.CBP} {
 		h, err := NewHarmony(HarmonyConfig{
@@ -232,11 +246,8 @@ func TestHarmonyEndToEnd(t *testing.T) {
 			Period:   300,
 			NumTypes: len(types),
 			TypeOf: func(task trace.Task) int {
-				id, ok := labeler.Initial(task)
-				if !ok {
-					return 0
-				}
-				return typeIdx[id]
+				idx, _ := labeler.InitialIndex(task)
+				return idx
 			},
 		})
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"harmony/internal/classify"
 	"harmony/internal/daemon"
 	"harmony/internal/energy"
 	"harmony/internal/metrics"
@@ -88,9 +87,8 @@ func (g *Group) Registry() *metrics.Registry { return g.reg }
 
 // tenantState is the per-tenant accounting the multi layer owns.
 type tenantState struct {
-	spec    Spec
-	group   *Group
-	labeler *classify.Labeler
+	spec  Spec
+	group *Group
 
 	mu sync.Mutex
 	//harmony:guardedby(mu)
@@ -99,8 +97,10 @@ type tenantState struct {
 	invalid uint64
 	//harmony:guardedby(mu)
 	rejected uint64 // queue-full rejections, recorded by the server
+	// byClass[c] counts tasks labeled class c; the last slot counts tasks
+	// whose priority group has no class.
 	//harmony:guardedby(mu)
-	byClass map[string]uint64
+	byClass []uint64
 	//harmony:guardedby(mu)
 	window uint64 // tasks since the group's last tick (cost attribution)
 	//harmony:guardedby(mu)
@@ -181,8 +181,7 @@ func New(cfg Config) (*Multi, error) {
 			ts := &tenantState{
 				spec:    s,
 				group:   g,
-				labeler: classify.NewLabeler(cfg.Base.Char),
-				byClass: make(map[string]uint64),
+				byClass: make([]uint64, len(cfg.Base.Char.Classes)+1),
 			}
 			g.members = append(g.members, ts)
 			m.tenants = append(m.tenants, ts)
@@ -237,15 +236,6 @@ func sortTenants(xs []*tenantState) {
 // Groups returns the provisioning groups in deterministic order.
 func (m *Multi) Groups() []*Group { return m.groups }
 
-// TenantNames returns the tenant names in deterministic (sorted) order.
-func (m *Multi) TenantNames() []string {
-	names := make([]string, len(m.tenants))
-	for i, ts := range m.tenants {
-		names[i] = ts.spec.Name
-	}
-	return names
-}
-
 // resolve maps a task's tenant tag to its state. An empty tag routes to
 // the single tenant when exactly one is configured.
 func (m *Multi) resolve(name string) (*tenantState, error) {
@@ -264,9 +254,8 @@ func (m *Multi) resolve(name string) (*tenantState, error) {
 }
 
 // Ingest routes one task to its tenant's group engine and keeps the
-// per-tenant accounting: ingest counts, per-class classification counts
-// (the tenant's own labeler state), and the arrival window used for cost
-// attribution at the next tick.
+// per-tenant accounting: ingest counts, per-class classification counts,
+// and the arrival window used for cost attribution at the next tick.
 func (m *Multi) Ingest(t trace.Task) error {
 	ts, err := m.resolve(t.Tenant)
 	if err != nil {
@@ -279,14 +268,14 @@ func (m *Multi) Ingest(t trace.Task) error {
 		m.mTenantInvalid.With(ts.spec.Name).Inc()
 		return err
 	}
-	classKey := "unclassified"
-	if id, ok := ts.labeler.Initial(t); ok {
-		classKey = fmt.Sprintf("class%d", id.Class)
+	cls := m.cfg.Base.Char.Label(t)
+	if cls < 0 {
+		cls = len(m.cfg.Base.Char.Classes) // the "unclassified" slot
 	}
 	ts.mu.Lock()
 	ts.ingested++
 	ts.window++
-	ts.byClass[classKey]++
+	ts.byClass[cls]++
 	ts.mu.Unlock()
 	m.mTenantTasks.With(ts.spec.Name).Inc()
 	return nil
@@ -487,9 +476,15 @@ func (m *Multi) Snapshot() MultiStats {
 	}
 	for _, ts := range m.tenants {
 		ts.mu.Lock()
-		byClass := make(map[string]uint64, len(ts.byClass))
-		for k, v := range ts.byClass {
-			byClass[k] = v
+		byClass := make(map[string]uint64)
+		for c, n := range ts.byClass {
+			switch {
+			case n == 0:
+			case c == len(ts.byClass)-1:
+				byClass["unclassified"] = n
+			default:
+				byClass[fmt.Sprintf("class%d", c)] = n
+			}
 		}
 		st := TenantStats{
 			Name:          ts.spec.Name,

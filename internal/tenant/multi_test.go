@@ -60,15 +60,7 @@ func testChar(t testing.TB) *classify.Characterization {
 // scaled down 100x with the two-class characterization.
 func testBase(t testing.TB) daemon.Config {
 	t.Helper()
-	models := energy.TableII()
-	machines := make([]trace.MachineType, len(models))
-	for i := range models {
-		models[i].Count /= 100
-		if models[i].Count < 1 {
-			models[i].Count = 1
-		}
-		machines[i] = models[i].MachineType(i + 1)
-	}
+	models, machines := energy.TableIIScaled(100)
 	return daemon.Config{Machines: machines, Models: models, Char: testChar(t)}
 }
 

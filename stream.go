@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"harmony/internal/sim"
 	"harmony/internal/trace"
 )
 
@@ -63,57 +62,21 @@ type ScaleMetrics struct {
 // same workload first) and may be nil for baseline/always-on.
 func SimulateStream(cfg StreamConfig, c *Characterization, simCfg SimulationConfig) (*SimulationResult, *ScaleMetrics, error) {
 	cfg.defaults()
-	simCfg.defaults()
-
-	wcfg := cfg.Workload
-	if wcfg.Hours <= 0 {
-		wcfg.Hours = 24
-	}
-	if wcfg.TasksPerSecond <= 0 {
-		wcfg.TasksPerSecond = 1
-	}
-	machines, models, err := clusterPopulation(wcfg)
+	gen, models, err := cfg.Workload.generator()
 	if err != nil {
 		return nil, nil, err
 	}
-	genCfg := trace.DefaultConfig(wcfg.Seed)
-	genCfg.Horizon = wcfg.Hours * trace.Hour
-	genCfg.RatePerS = wcfg.TasksPerSecond
-	genCfg.Machines = machines
-	src, err := trace.NewGenSource(genCfg, cfg.ChunkSize)
+	src, err := trace.NewGenSource(gen, cfg.ChunkSize)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harmony: stream workload: %w", err)
 	}
-
-	setup, err := buildPolicySetup(machines, models, c, simCfg)
+	meter := newMeterSource(src, cfg.SampleEveryTasks)
+	start := time.Now()
+	res, err := run(meter, models, c, simCfg, cfg.MaxDelaySamples)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	meter := newMeterSource(src, cfg.SampleEveryTasks)
-	start := time.Now()
-	res, err := sim.Run(sim.Config{
-		Source:          meter,
-		Models:          models,
-		Price:           setup.price,
-		Policy:          setup.policy,
-		Period:          simCfg.PeriodSeconds,
-		NumTypes:        setup.numTypes,
-		TypeOf:          setup.typeOf,
-		Relabel:         setup.relabel,
-		SwitchCost:      setup.switchCost,
-		BootDelay:       simCfg.BootDelaySeconds,
-		MTBFHours:       simCfg.MTBFHours,
-		MaxDelaySamples: cfg.MaxDelaySamples,
-	})
-	wall := time.Since(start)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harmony: stream simulate %v: %w", simCfg.Policy, err)
-	}
-	if setup.harmony != nil && setup.harmony.Err() != nil {
-		return nil, nil, fmt.Errorf("harmony: policy error: %w", setup.harmony.Err())
-	}
-	return buildResult(res, setup.harmony), meter.metrics(wall), nil
+	return res, meter.metrics(time.Since(start)), nil
 }
 
 // meterSource wraps a TaskSource and measures the run around it: task
