@@ -236,19 +236,12 @@ func (e *Env) machineUsageExperiment() (*Experiment, error) {
 	// With every machine powered, the interesting curve is how many are
 	// actually running at least one task — the paper's observation that
 	// the cluster never adjusts capacity to demand.
-	cfg := e.SimCfg
-	cfg.Policy, cfg.BootDelaySeconds, cfg.MTBFHours = PolicyAlwaysOn, -1, 0
-	raw, err := Simulate(w, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	used := raw.UsedMachines
 	return &Experiment{
 		Title:  "Machines available vs used (capacity never adjusted)",
-		Series: []Series{avail, used},
+		Series: []Series{avail, res.UsedMachines},
 		Summary: map[string]float64{
 			"machines available": float64(w.NumMachines()),
-			"peak machines used": maxY(used.Points),
+			"peak machines used": maxY(res.UsedMachines.Points),
 		},
 	}, nil
 }
