@@ -142,14 +142,15 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestCommittedGoldens guards the repository's own golden files: the fast
-// deterministic experiments must reproduce them exactly.
+// TestCommittedGoldens guards the repository's own golden files: every
+// experiment, the simulation-backed ones included, must reproduce its
+// golden exactly at the default operating point (≈ 3 s).
 func TestCommittedGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping experiment regeneration in -short mode")
 	}
 	var b strings.Builder
-	if err := run([]string{"-exp", "fig1,fig9,fig10-12", "-golden", "check"}, &b); err != nil {
+	if err := run([]string{"-exp", "all", "-golden", "check"}, &b); err != nil {
 		t.Fatalf("committed goldens stale: %v\n%s", err, b.String())
 	}
 }

@@ -120,30 +120,9 @@ func validate(items []Item, capacity []float64) error {
 // opening a new bin whenever an item fits in none. Items oversized for a
 // single bin cause an error.
 func FirstFit(items []Item, capacity []float64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
-		return nil, err
-	}
-	var bins []*Bin
-	for _, it := range items {
-		placed := false
-		for _, b := range bins {
-			if b.Fits(it) {
-				if err := b.Add(it); err != nil {
-					return nil, err
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			b := NewBin(capacity)
-			if err := b.Add(it); err != nil {
-				return nil, err
-			}
-			bins = append(bins, b)
-		}
-	}
-	return bins, nil
+	// With one bin allowed per item the bound never binds.
+	bins, _, err := FirstFitBounded(items, capacity, len(items))
+	return bins, err
 }
 
 // FirstFitDecreasing sorts items by their largest normalized dimension,

@@ -1,7 +1,7 @@
 // Package stats provides the numeric substrate shared by all HARMONY
-// modules: descriptive statistics, empirical distributions, histograms,
-// the standard normal distribution (CDF and quantile), and a small set of
-// random-variate generators used by the synthetic trace generator.
+// modules: descriptive statistics, empirical distributions, time-binned
+// series, the standard normal distribution (CDF and quantile), and a small
+// set of random-variate generators used by the synthetic trace generator.
 //
 // Everything in this package is deterministic given its inputs; functions
 // that need randomness take an explicit *rand.Rand.
@@ -93,15 +93,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // CoefVar returns the coefficient of variation (stddev/mean) of xs.
 // It returns 0 when the mean is 0.
 func CoefVar(xs []float64) float64 {
@@ -147,9 +138,4 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
 }

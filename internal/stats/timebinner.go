@@ -5,58 +5,6 @@ import (
 	"math"
 )
 
-// Histogram counts samples into equal-width bins over [lo, hi). Samples
-// outside the range are clamped into the first or last bin so no data is
-// silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(lo < hi) {
-		return nil, errors.New("stats: histogram needs lo < hi")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the normalized density of bin i (fraction of samples per
-// unit of x), or 0 when the histogram is empty.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / float64(h.total) / w
-}
-
 // TimeBinner accumulates (time, value) observations into fixed-width time
 // bins, producing a time series of per-bin sums. It is used to turn raw
 // trace events into the demand/arrival-rate curves of Figures 1, 2 and 19.
