@@ -198,11 +198,11 @@ func (e *Env) demandExperiment(cpu bool) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpuS, s, err := trace.DemandSeries(w.Trace, e.binWidth())
+	cpuS, memS, err := trace.DemandSeries(w.Trace, e.binWidth())
 	if err != nil {
 		return nil, err
 	}
-	title, peak := "Total memory demand over time", "peak memory demand"
+	s, title, peak := memS, "Total memory demand over time", "peak memory demand"
 	if cpu {
 		s, title, peak = cpuS, "Total CPU demand over time", "peak CPU demand"
 	}

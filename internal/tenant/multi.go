@@ -476,16 +476,7 @@ func (m *Multi) Snapshot() MultiStats {
 	}
 	for _, ts := range m.tenants {
 		ts.mu.Lock()
-		byClass := make(map[string]uint64)
-		for c, n := range ts.byClass {
-			switch {
-			case n == 0:
-			case c == len(ts.byClass)-1:
-				byClass["unclassified"] = n
-			default:
-				byClass[fmt.Sprintf("class%d", c)] = n
-			}
-		}
+		counts := append([]uint64(nil), ts.byClass...)
 		st := TenantStats{
 			Name:          ts.spec.Name,
 			Group:         ts.group.name,
@@ -494,10 +485,20 @@ func (m *Multi) Snapshot() MultiStats {
 			TasksIngested: ts.ingested,
 			TasksInvalid:  ts.invalid,
 			TasksRejected: ts.rejected,
-			TasksByClass:  byClass,
+			TasksByClass:  make(map[string]uint64),
 			CostDollars:   ts.cost,
 		}
 		ts.mu.Unlock()
+		for c, n := range counts {
+			if n == 0 {
+				continue
+			}
+			key := "unclassified"
+			if c < len(counts)-1 {
+				key = fmt.Sprintf("class%d", c)
+			}
+			st.TasksByClass[key] = n
+		}
 		gv := groupRate[ts.group]
 		st.SLOViolations = uint64(gv[0])
 		st.SLOViolationRate = gv[1]
