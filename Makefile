@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench fuzz benchmark-module check
+.PHONY: build vet lint test race bench fuzz benchmark-module check loc
 
 build:
 	$(GO) build ./...
@@ -39,3 +39,13 @@ benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 check: build lint race bench fuzz benchmark-module
+
+# Code lines (non-blank, not comment-only) of non-test Go per package:
+# the one ruler simplicity PRs quote before and after. The last line
+# leaves out internal/lint, the enforcer, which is counted on its own.
+LOC = grep -hv '^\s*\(//.*\)\?$$' /dev/null $$(find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*') | wc -l
+loc:
+	@printf '%-22s %6d\n' harmony $$($(call LOC,. -maxdepth 1))
+	@for d in internal/*/; do printf '%-22s %6d\n' $${d%/} $$($(call LOC,$$d)); done
+	@printf '%-22s %6d\n' cmd $$($(call LOC,cmd))
+	@printf '%-22s %6d\n' 'total (without lint)' $$($(call LOC,. ! -path './benchmark/*' ! -path './internal/lint/*'))

@@ -1,11 +1,10 @@
 // Command harmony-bench regenerates the paper's tables and figures: each
 // experiment id produces the corresponding data series and headline
 // numbers. Run with -list to see the available experiments, -exp all to
-// regenerate everything (comma-separated ids select a subset), and
-// -parallel N to fan independent experiments out across N workers
-// (results print in deterministic input order). The -golden write|check
-// modes persist each experiment's full rendering under -golden-dir and
-// diff against it, so CI can catch unintended result drift.
+// regenerate everything (comma-separated ids select a subset; results
+// print in input order). The -golden write|check modes persist each
+// experiment's full rendering under -golden-dir and diff against it, so
+// CI can catch unintended result drift.
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 
 	"harmony"
 )
@@ -41,7 +39,6 @@ func run(args []string, out io.Writer) error {
 		cluster   = fs.String("cluster", "tableii", "cluster: tableii | googlelike")
 		full      = fs.Bool("full-series", false, "print full series (default: summaries only)")
 		epsilon   = fs.Float64("epsilon", 0, "container-sizing overflow bound (0 = default 0.25)")
-		parallel  = fs.Int("parallel", 1, "experiments to run concurrently (>= 1)")
 		golden    = fs.String("golden", "", "golden mode: 'write' records per-experiment renderings, 'check' diffs against them")
 		goldenDir = fs.String("golden-dir", filepath.Join("testdata", "golden"), "directory for golden files")
 
@@ -69,7 +66,7 @@ func run(args []string, out io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 	if err := runExperiments(out, *exp, *list, *seed, *hours, *rate, *scale,
-		*cluster, *full, *epsilon, *parallel, *golden, *goldenDir); err != nil {
+		*cluster, *full, *epsilon, *golden, *goldenDir); err != nil {
 		return err
 	}
 	if *memprofile != "" {
@@ -86,10 +83,10 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runExperiments regenerates the selected experiments (optionally in
-// parallel and against goldens).
+// runExperiments regenerates the selected experiments (optionally
+// against goldens).
 func runExperiments(out io.Writer, exp string, list bool, seed int64, hours, rate float64,
-	scale int, cluster string, full bool, epsilon float64, parallel int,
+	scale int, cluster string, full bool, epsilon float64,
 	golden, goldenDir string) error {
 	if list {
 		for _, id := range harmony.ExperimentIDs() {
@@ -99,9 +96,6 @@ func runExperiments(out io.Writer, exp string, list bool, seed int64, hours, rat
 	}
 	if exp == "" {
 		return fmt.Errorf("missing -exp (use -list to see ids)")
-	}
-	if parallel < 1 {
-		return fmt.Errorf("invalid -parallel %d: must be >= 1", parallel)
 	}
 
 	kind := harmony.ClusterTableII
@@ -149,37 +143,20 @@ func runExperiments(out io.Writer, exp string, list bool, seed int64, hours, rat
 		harmony.SimulationConfig{Epsilon: epsilon},
 	)
 
-	// The Env is race-safe (Once-guarded caches), so independent
-	// experiment ids fan out across workers; rendered text is collected
-	// per id and printed in input order so the output is byte-identical
-	// to a sequential run. Golden mode always records the full rendering,
-	// so the series data is what gets diffed.
+	// The ids share one Env, so each workload, characterization and
+	// per-policy simulation is computed once however many experiments
+	// read it. Golden mode always records the full rendering, so the
+	// series data is what gets diffed.
 	texts := make([]string, len(ids))
-	errs := make([]error, len(ids))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	wg.Add(len(ids))
 	for i, id := range ids {
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			result, err := env.Run(id)
-			if err != nil {
-				errs[i] = fmt.Errorf("experiment %s: %w", id, err)
-				return
-			}
-			if full || golden != "" {
-				texts[i] = result.Render()
-			} else {
-				texts[i] = summarize(result)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range ids {
-		if errs[i] != nil {
-			return errs[i]
+		result, err := env.Run(id)
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", id, err)
+		}
+		if full || golden != "" {
+			texts[i] = result.Render()
+		} else {
+			texts[i] = summarize(result)
 		}
 	}
 	if golden != "" {

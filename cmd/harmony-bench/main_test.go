@@ -18,9 +18,12 @@ func TestRunFlagErrors(t *testing.T) {
 		{"unknown exp", []string{"-exp", "fig999"}, "unknown experiment"},
 		{"unknown exp among all ids", []string{"-exp", "nope"}, "unknown experiment"},
 		{"unknown cluster", []string{"-exp", "fig9", "-cluster", "azure"}, "unknown cluster"},
-		{"zero parallel", []string{"-exp", "fig9", "-parallel", "0"}, "invalid -parallel"},
-		{"negative parallel", []string{"-exp", "fig9", "-parallel", "-3"}, "invalid -parallel"},
-		{"non-numeric parallel", []string{"-exp", "fig9", "-parallel", "lots"}, "invalid value"},
+		// -parallel is gone (experiments run in input order, sharing one
+		// Env): every spelling of it is an undefined flag.
+		{"removed parallel flag", []string{"-exp", "fig9", "-parallel", "2"}, "flag provided but not defined: -parallel"},
+		{"zero parallel", []string{"-exp", "fig9", "-parallel", "0"}, "flag provided but not defined"},
+		{"negative parallel", []string{"-exp", "fig9", "-parallel", "-3"}, "flag provided but not defined"},
+		{"non-numeric parallel", []string{"-exp", "fig9", "-parallel", "lots"}, "flag provided but not defined"},
 		{"undefined flag", []string{"-exp", "fig9", "-bogus"}, "flag provided but not defined"},
 		{"bad golden mode", []string{"-exp", "fig9", "-golden", "verify"}, "invalid -golden"},
 		{"unknown id in list", []string{"-exp", "fig9,fig999"}, "unknown experiment"},
@@ -50,18 +53,6 @@ func TestRunList(t *testing.T) {
 		if !strings.Contains(b.String(), id) {
 			t.Errorf("-list output missing %q", id)
 		}
-	}
-}
-
-// A static experiment regenerates under -parallel without touching the
-// simulation caches, and the flag accepts values above the id count.
-func TestRunStaticExperimentParallel(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-exp", "fig9", "-parallel", "8"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "fig9") {
-		t.Errorf("fig9 output missing header: %q", b.String())
 	}
 }
 

@@ -28,8 +28,8 @@ func run(args []string, out io.Writer) error {
 	var (
 		in      = fs.String("trace", "", "input trace file (JSON lines, from tracegen)")
 		outPath = fs.String("o", "", "write the characterization JSON to this file")
-		maxK    = fs.Int("max-classes", 12, "maximum classes per priority group")
-		gain    = fs.Float64("elbow-gain", 0.05, "elbow threshold for choosing k")
+		maxK    = fs.Int("max-classes", 0, "maximum classes per priority group (0 = default 12)")
+		gain    = fs.Float64("elbow-gain", 0, "elbow threshold for choosing k (0 = default 0.05)")
 		seed    = fs.Int64("seed", 1, "clustering seed")
 		verbose = fs.Bool("v", false, "also print per-class duration sub-classes")
 	)

@@ -155,10 +155,12 @@ func (w *Workload) NumTasks() int { return len(w.Trace.Tasks) }
 // NumMachines returns the machine population size.
 func (w *Workload) NumMachines() int { return w.Trace.TotalMachines() }
 
-// CharacterizeConfig controls the two-step clustering.
+// CharacterizeConfig controls the two-step clustering. Zero
+// MaxClassesPerGroup and ElbowGain take the classifier's defaults
+// (12, 0.05).
 type CharacterizeConfig struct {
-	MaxClassesPerGroup int     // default 12
-	ElbowGain          float64 // default 0.05
+	MaxClassesPerGroup int
+	ElbowGain          float64
 	Seed               int64
 }
 
@@ -181,12 +183,6 @@ type Characterization struct {
 
 // Characterize runs HARMONY's two-step task classification on the workload.
 func (w *Workload) Characterize(cfg CharacterizeConfig) (*Characterization, error) {
-	if cfg.MaxClassesPerGroup <= 0 {
-		cfg.MaxClassesPerGroup = 12
-	}
-	if cfg.ElbowGain <= 0 {
-		cfg.ElbowGain = 0.05
-	}
 	ch, err := classify.Characterize(w.Trace, classify.Config{
 		MaxK:    cfg.MaxClassesPerGroup,
 		MinGain: cfg.ElbowGain,
@@ -316,10 +312,10 @@ func (cfg *SimulationConfig) defaults() {
 		cfg.PeriodSeconds = 300
 	}
 	if cfg.SwitchCostDollars <= 0 {
-		cfg.SwitchCostDollars = 0.01
+		cfg.SwitchCostDollars = energy.DefaultSwitchCostDollars
 	}
 	if cfg.PricePerKWh <= 0 {
-		cfg.PricePerKWh = 0.08
+		cfg.PricePerKWh = energy.DefaultPricePerKWh
 	}
 	if cfg.BootDelaySeconds < 0 {
 		cfg.BootDelaySeconds = 0

@@ -58,23 +58,24 @@ type Class struct {
 	logCentroid kmeans.Point
 }
 
-// Config controls characterization.
+// Config controls characterization. The MaxK and MinGain defaults are
+// the values every front door (facade, harmony-classify) runs at;
+// nobody else writes these numbers.
 type Config struct {
-	MaxK     int     // maximum classes per priority group (default 8)
-	MinGain  float64 // elbow threshold for ChooseK (default 0.15)
-	Seed     int64
-	Restarts int // k-means restarts (default 4)
+	MaxK    int     // maximum classes per priority group (default 12)
+	MinGain float64 // elbow threshold for ChooseK (default 0.05)
+	Seed    int64
 }
+
+// restarts is the number of k-means restarts behind both clustering steps.
+const restarts = 4
 
 func (cfg *Config) defaults() {
 	if cfg.MaxK <= 0 {
-		cfg.MaxK = 8
+		cfg.MaxK = 12
 	}
 	if cfg.MinGain <= 0 {
-		cfg.MinGain = 0.15
-	}
-	if cfg.Restarts <= 0 {
-		cfg.Restarts = 4
+		cfg.MinGain = 0.05
 	}
 }
 
@@ -95,26 +96,35 @@ var ErrNoTasks = errors.New("classify: no tasks")
 // (Section III-D) and arithmetic-space K-means would be dominated by the
 // few largest tasks. Step two runs k=2 K-means on log duration within each
 // class, yielding the short/long split the online labeler relies on.
+//
+// Both steps work in log space, so every task's CPU, Mem and Duration
+// must lie in (0, +Inf); the first task that does not is reported as an
+// error rather than clustered at −Inf/NaN.
 func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 	cfg.defaults()
 	if len(tr.Tasks) == 0 {
 		return nil, ErrNoTasks
 	}
 
+	var (
+		ptsByGroup   [trace.NumGroups][]kmeans.Point
+		tasksByGroup [trace.NumGroups][]*trace.Task
+	)
+	for i := range tr.Tasks {
+		t := &tr.Tasks[i]
+		p, ok := logSizes(t)
+		if !ok || !(t.Duration > 0) || math.IsInf(t.Duration, 1) {
+			return nil, fmt.Errorf("classify: task %d (index %d): cpu %v, mem %v and duration %v must all be positive and finite",
+				t.ID, i, t.CPU, t.Mem, t.Duration)
+		}
+		gi := t.Group().Index()
+		ptsByGroup[gi] = append(ptsByGroup[gi], p)
+		tasksByGroup[gi] = append(tasksByGroup[gi], t)
+	}
+
 	ch := &Characterization{}
 	for _, g := range trace.Groups() {
-		var (
-			pts   []kmeans.Point
-			tasks []*trace.Task
-		)
-		for i := range tr.Tasks {
-			t := &tr.Tasks[i]
-			if t.Group() != g {
-				continue
-			}
-			pts = append(pts, kmeans.Point{math.Log(t.CPU), math.Log(t.Mem)})
-			tasks = append(tasks, t)
-		}
+		pts, tasks := ptsByGroup[g.Index()], tasksByGroup[g.Index()]
 		if len(pts) == 0 {
 			continue
 		}
@@ -124,12 +134,12 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		}
 		_, res, err := kmeans.ChooseK(pts, maxK, cfg.MinGain, kmeans.Config{
 			Seed:     cfg.Seed + int64(g),
-			Restarts: cfg.Restarts,
+			Restarts: restarts,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("classify: step one for %v: %w", g, err)
 		}
-		if err := ch.addGroupClasses(g, res, pts, tasks, cfg); err != nil {
+		if err := ch.addGroupClasses(g, res, tasks, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -142,7 +152,6 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 func (ch *Characterization) addGroupClasses(
 	g trace.PriorityGroup,
 	res *kmeans.Result,
-	pts []kmeans.Point,
 	tasks []*trace.Task,
 	cfg Config,
 ) error {
@@ -190,7 +199,6 @@ func (ch *Characterization) addGroupClasses(
 		ch.byGroup[g.Index()] = append(ch.byGroup[g.Index()], cls.ID)
 		ch.Classes = append(ch.Classes, cls)
 	}
-	_ = pts
 	return nil
 }
 
@@ -203,9 +211,10 @@ func splitDurations(durs []float64, cfg Config) []SubClass {
 	}
 	pts := make([]kmeans.Point, len(durs))
 	for i, d := range durs {
+		//harmony:allow nansource Characterize admits only durations in (0, +Inf)
 		pts[i] = kmeans.Point{math.Log(d)}
 	}
-	res, err := kmeans.Run(pts, kmeans.Config{K: 2, Seed: cfg.Seed, Restarts: cfg.Restarts})
+	res, err := kmeans.Run(pts, kmeans.Config{K: 2, Seed: cfg.Seed, Restarts: restarts})
 	if err != nil {
 		return []SubClass{subClassOf(durs)}
 	}
@@ -243,15 +252,27 @@ func subClassOf(durs []float64) SubClass {
 	}
 }
 
+// logSizes returns t's position in the (log CPU, log Mem) space that
+// clustering and labeling share. ok is false when either size is not in
+// (0, +Inf): its log would be −Inf or NaN, which no distance survives.
+func logSizes(t *trace.Task) (p kmeans.Point, ok bool) {
+	cpu, mem := t.CPU, t.Mem
+	if !(cpu > 0 && mem > 0) || math.IsInf(cpu, 1) || math.IsInf(mem, 1) {
+		return nil, false
+	}
+	return kmeans.Point{math.Log(cpu), math.Log(mem)}, true
+}
+
 // Label assigns a task to its nearest class (Euclidean distance in
 // (log CPU, log Mem) space, restricted to the task's priority group) and
-// returns the class ID. It returns -1 when the group has no classes.
+// returns the class ID. It returns -1 when the group has no classes or
+// the task's CPU or Mem is not in (0, +Inf).
 func (ch *Characterization) Label(t trace.Task) int {
 	ids := ch.byGroup[t.Group().Index()]
-	if len(ids) == 0 {
+	p, ok := logSizes(&t)
+	if len(ids) == 0 || !ok {
 		return -1
 	}
-	p := kmeans.Point{math.Log(t.CPU), math.Log(t.Mem)}
 	best, bestD := -1, math.Inf(1)
 	for _, id := range ids {
 		c := &ch.Classes[id]
@@ -303,7 +324,7 @@ func NewLabeler(ch *Characterization) *Labeler {
 }
 
 // Initial labels a newly arrived task: nearest class, short sub-class.
-// ok is false when the task's group has no classes.
+// ok is false when Label finds no class for the task.
 func (l *Labeler) Initial(t trace.Task) (TypeID, bool) {
 	cls := l.ch.Label(t)
 	if cls < 0 {

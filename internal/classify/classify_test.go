@@ -1,7 +1,9 @@
 package classify
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"harmony/internal/kmeans"
@@ -418,5 +420,73 @@ func TestInitialEmptyGroup(t *testing.T) {
 	// The populated group still labels.
 	if _, ok := l.Initial(trace.Task{CPU: 0.02, Mem: 0.02, Priority: 0}); !ok {
 		t.Error("gratis task unlabeled")
+	}
+}
+
+// badSizes are the task shapes log-space clustering cannot place: a CPU,
+// Mem or Duration outside (0, +Inf) has a log of −Inf or NaN.
+var badSizes = []struct {
+	name           string
+	cpu, mem, dur  float64
+	badForLabeling bool // Label looks at CPU and Mem only
+}{
+	{"zero cpu", 0, 0.1, 60, true},
+	{"negative mem", 0.1, -0.2, 60, true},
+	{"NaN cpu", math.NaN(), 0.1, 60, true},
+	{"infinite mem", 0.1, math.Inf(1), 60, true},
+	{"zero duration", 0.1, 0.1, 0, false},
+	{"NaN duration", 0.1, 0.1, math.NaN(), false},
+	{"infinite duration", 0.1, 0.1, math.Inf(1), false},
+}
+
+// Characterize names the first unclusterable task instead of averaging
+// −Inf/NaN into the centroids.
+func TestCharacterizeRejectsUnloggableTasks(t *testing.T) {
+	for _, tt := range badSizes {
+		t.Run(tt.name, func(t *testing.T) {
+			tr := syntheticTrace()
+			bad := &tr.Tasks[17]
+			bad.CPU, bad.Mem, bad.Duration = tt.cpu, tt.mem, tt.dur
+			ch, err := Characterize(tr, Config{Seed: 1})
+			if err == nil {
+				t.Fatalf("accepted; %d classes", len(ch.Classes))
+			}
+			if want := fmt.Sprintf("task %d (index 17)", bad.ID); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
+			}
+		})
+	}
+}
+
+// A task whose sizes have no logarithm belongs to no class: Label and
+// both Labeler entry points say so instead of comparing NaN distances.
+func TestLabelRejectsUnloggableTasks(t *testing.T) {
+	ch, err := Characterize(syntheticTrace(), Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLabeler(ch)
+	for _, tt := range badSizes {
+		t.Run(tt.name, func(t *testing.T) {
+			task := trace.Task{CPU: tt.cpu, Mem: tt.mem, Duration: tt.dur, Priority: 10}
+			cls := ch.Label(task)
+			id, okID := l.Initial(task)
+			idx, okIdx := l.InitialIndex(task)
+			if !tt.badForLabeling {
+				if cls < 0 || !okID || !okIdx {
+					t.Errorf("sizes are fine, yet Label = %d, Initial ok = %v, InitialIndex ok = %v", cls, okID, okIdx)
+				}
+				return
+			}
+			if cls != -1 {
+				t.Errorf("Label = %d, want -1", cls)
+			}
+			if okID || id != (TypeID{}) {
+				t.Errorf("Initial = %+v, %v, want the zero TypeID and false", id, okID)
+			}
+			if okIdx || idx != 0 {
+				t.Errorf("InitialIndex = %d, %v, want 0 and false", idx, okIdx)
+			}
+		})
 	}
 }

@@ -3,18 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"harmony/internal/binpack"
 )
 
 // typePacking is the CBS rounding result for one machine type. Machine
-// types are a conflict-free partition of the placement problem: type m's
-// packing reads only plan.Active[m]/plan.Alloc[m] and writes only the
-// type-m decision slots, so the per-type packings can run on any number
-// of workers and be merged in type order with a bit-identical result.
+// types partition the placement problem: type m's packing reads only
+// plan.Active[m]/plan.Alloc[m] and writes only the type-m decision slots,
+// which is what lets the delta path repack some types and reuse others.
 type typePacking struct {
 	active   int
 	packings []map[int]int
@@ -146,42 +142,6 @@ func (c *Controller) packType(plan *Plan, m int) typePacking {
 	return p
 }
 
-// packInto packs the listed machine types into their slots of parts,
-// fanning the per-type packings out across workers with the same
-// deterministic-reduce recipe as sim's sharded machine audit: work is
-// claimed from an atomic counter, each result lands in its own pre-sized
-// slot, and the caller merges slots in type order — the decision is
-// bit-identical to the serial pass at any GOMAXPROCS.
-func (c *Controller) packInto(plan *Plan, types []int, parts []typePacking) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(types) {
-		workers = len(types)
-	}
-	if workers <= 1 {
-		for _, m := range types {
-			parts[m] = c.packType(plan, m)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(types) {
-					return
-				}
-				m := types[i]
-				parts[m] = c.packType(plan, m)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // roundCBS realizes period 0 with First-Fit packing per machine type,
 // repacking every type from scratch. The delta path (roundCBSDelta)
 // shortcuts this for types whose plan projection is unchanged; roundCBS
@@ -190,11 +150,9 @@ func (c *Controller) packInto(plan *Plan, types []int, parts []typePacking) {
 func (c *Controller) roundCBS(plan *Plan) (*Decision, error) {
 	nm := len(c.Machines)
 	parts := make([]typePacking, nm)
-	types := make([]int, nm)
-	for m := range types {
-		types[m] = m
+	for m := range parts {
+		parts[m] = c.packType(plan, m)
 	}
-	c.packInto(plan, types, parts)
 
 	d := &Decision{
 		ActiveMachines: make([]int, nm),
@@ -210,9 +168,8 @@ func (c *Controller) roundCBS(plan *Plan) (*Decision, error) {
 }
 
 // mergeParts folds the per-type packings into the decision in type
-// order, so the result (and the reported error, always the lowest-type
-// failure) is bit-identical to the serial pass regardless of worker
-// completion order. The merge writes only into pre-sized storage.
+// order, so the reported error is always the lowest-type failure. The
+// merge writes only into pre-sized storage.
 //
 //harmony:hotpath
 func mergeParts(d *Decision, parts []typePacking) error {

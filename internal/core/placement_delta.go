@@ -77,8 +77,8 @@ func (c *Controller) roundCBSDelta(prev *Decision, plan *Plan) (*Decision, error
 	}
 
 	parts := make([]typePacking, nm)
-	if len(changed) > 0 {
-		c.packInto(plan, changed, parts)
+	for _, m := range changed {
+		parts[m] = c.packType(plan, m)
 	}
 	c.deltaStats.ReusedTypes += nm - len(changed)
 	c.deltaStats.RepackedTypes += len(changed)
@@ -91,8 +91,7 @@ func (c *Controller) roundCBSDelta(prev *Decision, plan *Plan) (*Decision, error
 		Plan:           plan,
 	}
 	// Merge in type order, like mergeParts, so the reported error is
-	// always the lowest-type failure and the result is bit-identical to
-	// the full repack regardless of worker completion order. Reused
+	// always the lowest-type failure, as in the full repack. Reused
 	// types cannot fail: their projection packed successfully last time
 	// and packType is deterministic in the projection.
 	for m := 0; m < nm; m++ {

@@ -3,19 +3,16 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
 // TestDeltaPlacementIdentity drives randomized multi-period MPC
 // sequences and pins the delta contract: on every tick, realizing the
 // plan against the previous period's decision is bit-identical to the
-// full repack, at GOMAXPROCS 1, 4, and 8 (the same equivalence recipe as
-// TestParallelPlacementIdentity and the warm-LP property tests).
+// full repack (the same equivalence recipe as the warm-LP property
+// tests).
 func TestDeltaPlacementIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
 	for trial := 0; trial < 6; trial++ {
 		in := wideInput(r, 6+r.Intn(6))
 		ctrl := &Controller{
@@ -35,19 +32,12 @@ func TestDeltaPlacementIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d period %d cold: %v", trial, period, err)
 			}
-			var delta *Decision
-			for _, procs := range []int{1, 4, 8} {
-				runtime.GOMAXPROCS(procs)
-				d, err := ctrl.RealizeDelta(prev, plan)
-				runtime.GOMAXPROCS(orig)
-				if err != nil {
-					t.Fatalf("trial %d period %d procs %d: %v", trial, period, procs, err)
-				}
-				if !reflect.DeepEqual(cold, d) {
-					t.Fatalf("trial %d period %d procs %d: delta decision differs from full repack",
-						trial, period, procs)
-				}
-				delta = d
+			delta, err := ctrl.RealizeDelta(prev, plan)
+			if err != nil {
+				t.Fatalf("trial %d period %d delta: %v", trial, period, err)
+			}
+			if !reflect.DeepEqual(cold, delta) {
+				t.Fatalf("trial %d period %d: delta decision differs from full repack", trial, period)
 			}
 			prev = delta
 		}

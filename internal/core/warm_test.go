@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"harmony/internal/lp"
@@ -207,39 +206,4 @@ func wideInput(r *rand.Rand, nm int) *PlanInput {
 		in.InitialActive[m] = float64(r.Intn(in.Machines[m].Available))
 	}
 	return in
-}
-
-// TestParallelPlacementIdentity pins the deterministic-reduce contract:
-// the CBS rounding decision is bit-identical at GOMAXPROCS 1, 4, and 8.
-func TestParallelPlacementIdentity(t *testing.T) {
-	r := rand.New(rand.NewSource(2718))
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	for trial := 0; trial < 8; trial++ {
-		in := wideInput(r, 6+r.Intn(6))
-		plan, err := SolveRelaxed(in)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		ctrl := &Controller{
-			Machines: in.Machines, Containers: in.Containers,
-			PeriodSeconds: in.PeriodSeconds, Horizon: in.Horizon, Mode: CBS,
-		}
-		var ref *Decision
-		for _, procs := range []int{1, 4, 8} {
-			runtime.GOMAXPROCS(procs)
-			d, err := ctrl.Realize(plan)
-			runtime.GOMAXPROCS(orig)
-			if err != nil {
-				t.Fatalf("trial %d procs %d: %v", trial, procs, err)
-			}
-			if ref == nil {
-				ref = d
-				continue
-			}
-			if !reflect.DeepEqual(ref, d) {
-				t.Fatalf("trial %d: decision differs between GOMAXPROCS=1 and %d", trial, procs)
-			}
-		}
-	}
 }

@@ -40,21 +40,13 @@ type Config struct {
 	Mode core.Mode // CBS (default) or CBP
 	//harmony:unit(s)
 	PeriodSeconds float64 // control period in model time (default 300)
-	// Horizon, Epsilon and Omega pass through to sched.HarmonyConfig,
-	// which owns their defaults.
-	Horizon int     // MPC look-ahead periods
-	Epsilon float64 // container-sizing overflow bound
-	Omega   float64 // over-provisioning factor
+	// Horizon passes through to sched.HarmonyConfig, which owns its
+	// default (as it does ε and ω); the electricity price and switching
+	// cost are energy's defaults.
+	Horizon int // MPC look-ahead periods
 	//harmony:unit(s)
-	SLODelay map[trace.PriorityGroup]float64
-	// PricePerKWh is the flat electricity price (default 0.08).
-	//harmony:unit($/kWh)
-	PricePerKWh float64
-	// SwitchCostDollars is the per-transition cost of the largest
-	// machine; other types scale by idle power (default 0.01).
-	//harmony:unit($)
-	SwitchCostDollars float64
-	Forecaster        sched.PredictorKind
+	SLODelay   map[trace.PriorityGroup]float64
+	Forecaster sched.PredictorKind
 
 	// Registry receives the daemon's metrics; a private registry is
 	// created when nil.
@@ -67,12 +59,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.PeriodSeconds <= 0 {
 		cfg.PeriodSeconds = 300
-	}
-	if cfg.PricePerKWh <= 0 {
-		cfg.PricePerKWh = 0.08
-	}
-	if cfg.SwitchCostDollars <= 0 {
-		cfg.SwitchCostDollars = 0.01
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
@@ -225,8 +211,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// Per-type switch costs scale with idle power relative to the
 	// largest machine — the helper harmony.Simulate uses, so the daemon's
 	// plans match the batch pipeline's.
-	switchCost := energy.SwitchCosts(cfg.Models, cfg.SwitchCostDollars)
-	price := energy.FlatPrice(cfg.PricePerKWh)
+	switchCost := energy.SwitchCosts(cfg.Models, energy.DefaultSwitchCostDollars)
+	price := energy.FlatPrice(energy.DefaultPricePerKWh)
 	policy, err := sched.NewHarmony(sched.HarmonyConfig{
 		Mode:          cfg.Mode,
 		Machines:      cfg.Machines,
@@ -236,8 +222,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		PeriodSeconds: cfg.PeriodSeconds,
 		Horizon:       cfg.Horizon,
 		SLODelay:      cfg.SLODelay,
-		Epsilon:       cfg.Epsilon,
-		Omega:         cfg.Omega,
 		SwitchCost:    switchCost,
 		Predictor:     cfg.Forecaster,
 	})
@@ -285,12 +269,6 @@ func (e *Engine) NumTaskTypes() int { return len(e.types) }
 
 // PeriodSeconds returns the control period in model time.
 func (e *Engine) PeriodSeconds() float64 { return e.cfg.PeriodSeconds }
-
-// PricePerKWh returns the resolved flat electricity price.
-func (e *Engine) PricePerKWh() float64 { return e.cfg.PricePerKWh }
-
-// SwitchCostDollars returns the resolved per-transition switching cost.
-func (e *Engine) SwitchCostDollars() float64 { return e.cfg.SwitchCostDollars }
 
 // validateTask rejects tasks the trace model would reject. The positivity
 // checks are written as !(x > 0) so NaN fields (which compare false
@@ -607,7 +585,7 @@ func (e *Engine) ForecastBacktest() map[string]float64 {
 		}
 		// Score the model the control loop runs: the same constructor,
 		// with the ARIMA order the engine leaves at sched's default.
-		pred := sched.NewPredictor(e.cfg.Forecaster, e.cfg.PeriodSeconds, [3]int{})
+		pred := sched.NewPredictor(e.cfg.Forecaster, e.cfg.PeriodSeconds)
 		m, err := forecast.Backtest(pred, h, backtestMinTrain)
 		if err != nil {
 			// Models that need more structure than the history offers

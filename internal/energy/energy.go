@@ -218,6 +218,19 @@ func Cost(watts, seconds, dollarsPerKWh float64) float64 {
 	return watts / 1000 * seconds / 3600 * dollarsPerKWh
 }
 
+// The electricity price and switching cost every entry point runs at
+// unless a caller supplies its own: the facade, harmonyd's engine, the
+// HARMONY policy and the tenant cost model all read them here.
+const (
+	// DefaultPricePerKWh is the flat electricity price.
+	//harmony:unit($/kWh)
+	DefaultPricePerKWh = 0.08
+	// DefaultSwitchCostDollars is the cost of one on/off transition of
+	// the largest machine type (the largestDollars of SwitchCosts).
+	//harmony:unit($)
+	DefaultSwitchCostDollars = 0.01
+)
+
 // SwitchCosts returns the per-type cost of one on/off transition: the
 // cost of switching the largest machine, scaled by each type's idle power
 // relative to the largest idle power in models. A fleet with no idle

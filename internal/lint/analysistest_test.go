@@ -219,10 +219,10 @@ func TestScopes(t *testing.T) {
 		{ScopeSpawn, "harmony", "/x/parallel.go", true},
 		{ScopeSpawn, "harmony", "/x/harmony.go", false},
 		{ScopeSpawn, "harmony", "", false}, // file-restricted: not the package as a whole
-		{ScopeSpawn, "harmony/internal/sim", "/x/parallel.go", true},
+		// sim and core are sequential by construction: no file of theirs
+		// is on the concurrent surface.
 		{ScopeSpawn, "harmony/internal/sim", "/x/sim.go", false},
-		{ScopeSpawn, "harmony/internal/core", "/x/placement.go", true},
-		{ScopeSpawn, "harmony/internal/core", "/x/relax.go", false},
+		{ScopeSpawn, "harmony/internal/core", "/x/placement.go", false},
 		{ScopeSpawn, "harmony/internal/stats", "/x/rng.go", false},
 		{ScopeSpawn, "harmony/internal/metrics", "/x/metrics.go", false},
 
@@ -233,7 +233,6 @@ func TestScopes(t *testing.T) {
 		{ScopeRelease, "harmony/internal/daemon", "/x/engine.go", true},
 		{ScopeRelease, "harmony/internal/metrics", "/x/metrics.go", true},
 		{ScopeRelease, "harmony/cmd/harmonyd", "/x/main.go", true},
-		{ScopeRelease, "harmony/internal/sim", "/x/parallel.go", true},
 		{ScopeRelease, "harmony/internal/sim", "/x/sim.go", false},
 		{ScopeRelease, "harmony/internal/trace", "/x/stream.go", false},
 		{ScopeRelease, "harmony/internal/stats", "/x/rng.go", false},
@@ -250,6 +249,7 @@ func TestScopes(t *testing.T) {
 		{ScopeNumeric, "harmony/internal/forecast", "", true},
 		{ScopeNumeric, "harmony/internal/sched", "", true},
 		{ScopeNumeric, "harmony/internal/trace", "", true},
+		{ScopeNumeric, "harmony/internal/classify", "", true},
 		{ScopeNumeric, "harmony/internal/daemon", "", false},
 		{ScopeNumeric, "harmony/internal/stats", "", false},
 		{ScopeNumeric, "harmony/internal/lp", "", false},

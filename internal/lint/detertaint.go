@@ -9,7 +9,8 @@ import (
 )
 
 // DeterTaint forbids nondeterministic inputs — wall-clock reads,
-// environment reads, and the global math/rand source — from reaching the
+// environment reads, the host core count, and the global math/rand
+// source — from reaching the
 // deterministic packages (ScopeDeterministic), at any call depth.
 // Replayability of the paper's figures depends on these packages taking
 // time from the simulation clock and randomness from a seeded
@@ -37,7 +38,7 @@ import (
 // exactly once, at the point where determinism is first lost.
 var DeterTaint = &Analyzer{
 	Name: "detertaint",
-	Doc: "forbid time.Now, os.Getenv, and global math/rand in deterministic packages (sim, trace, " +
+	Doc: "forbid time.Now, os.Getenv, host core-count reads, and global math/rand in deterministic packages (sim, trace, " +
 		"sched, core, queueing, binpack, kmeans, forecast, classify, daemon, tenant, harmonyd), " +
 		"directly or through transitive callees, with the full call-path witness",
 	RunModule: runDeterTaint,
@@ -59,6 +60,12 @@ var nondetermRoots = map[string]map[string]string{
 		"Getenv":    "process environment",
 		"LookupEnv": "process environment",
 		"Environ":   "process environment",
+	},
+	// A worker count taken from the host makes the schedule, and any
+	// reduction that depends on it, a function of where the code ran.
+	"runtime": {
+		"GOMAXPROCS": "host core count",
+		"NumCPU":     "host core count",
 	},
 }
 

@@ -6,9 +6,8 @@ import (
 )
 
 // GoLeak is the goroutine-lifetime analyzer: every goroutine spawned in
-// the concurrent subsystems — the daemon, the tenant fan-out, the
-// parallel helpers, and the parallel placement pass — must be joined,
-// and must be able to end.
+// the concurrent subsystems — the daemon, the tenant fan-out and the
+// facade's per-policy fan-out — must be joined, and must be able to end.
 //
 // Joined: somewhere reachable in the spawned function (following call
 // and defer edges through the module) there must be a
@@ -36,7 +35,7 @@ import (
 //     the module, the worker outlives every shutdown.
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc: "require every goroutine in daemon, tenant, parallel, and core placement to have a " +
+	Doc: "require every goroutine in daemon, tenant, and the facade's parallel.go to have a " +
 		"provable join (WaitGroup.Done, collector send, or cancellation receive) and a " +
 		"terminating path: no inescapable loops, no ranges over channels nothing ever closes",
 	RunModule: runGoLeak,

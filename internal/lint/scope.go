@@ -39,10 +39,8 @@ const (
 // is a whole package, or "pkg:file.go" for one file of it.
 var concurrentSurface = []string{
 	"harmony/internal/daemon",
-	"harmony/internal/tenant",            // per-tenant ingest workers + group tick fan-out
-	"harmony:parallel.go",                // the parallel experiment fan-out
-	"harmony/internal/sim:parallel.go",   // the sharded machine audit
-	"harmony/internal/core:placement.go", // the per-type placement fan-out
+	"harmony/internal/tenant", // per-tenant ingest workers + group tick fan-out
+	"harmony:parallel.go",     // the per-policy simulation fan-out (Env.PolicyRuns)
 }
 
 var numericSurface = []string{
@@ -54,7 +52,8 @@ var numericSurface = []string{
 	"harmony/internal/sched",
 	"harmony/internal/trace",
 	"harmony/internal/sim",
-	"harmony", // the facade: it once fed NaN switch costs into CBS-RELAX
+	"harmony/internal/classify", // log-space clustering: math.Log of task sizes and durations
+	"harmony",                   // the facade: it once fed NaN switch costs into CBS-RELAX
 }
 
 // scopeTable is the one declarative statement of what each scope covers.

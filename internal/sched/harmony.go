@@ -35,9 +35,6 @@ type HarmonyConfig struct {
 	// (production 120s, other 300s, gratis 900s).
 	//harmony:unit(s)
 	SLODelay map[trace.PriorityGroup]float64
-	// ValuePerPeriod[g] is the utility earned per scheduled container
-	// per period; zero entries get defaults ordered by priority.
-	ValuePerPeriod map[trace.PriorityGroup]float64
 	// Epsilon is the machine-overflow bound for container sizing
 	// (default 0.25; the paper handles residual violations by reserving
 	// extra machines, §VII-A — tighter bounds inflate reservations).
@@ -48,14 +45,21 @@ type HarmonyConfig struct {
 	// SwitchCost[m] is the dollar cost of one machine on/off transition.
 	//harmony:unit($)
 	SwitchCost []float64
-	// MinHistory is how many periods of arrival history must accumulate
-	// before ARIMA replaces the EWMA bootstrap predictor (default 24).
-	MinHistory int
-	// ARIMAOrder holds (p,d,q); zero value defaults to (2,0,1).
-	ARIMAOrder [3]int
-	// Predictor selects the forecasting model once MinHistory periods
+	// Predictor selects the forecasting model once minHistory periods
 	// have accumulated (before that an EWMA bootstrap is used).
 	Predictor PredictorKind
+}
+
+// minHistory is how many periods of arrival history must accumulate
+// before the configured predictor replaces the EWMA bootstrap.
+const minHistory = 24
+
+// valuePerPeriod[g] is the utility earned per scheduled container per
+// period, ordered by priority (the f_n weights of Eq. 3).
+var valuePerPeriod = map[trace.PriorityGroup]float64{
+	trace.Production: 1.0,
+	trace.Other:      0.1,
+	trace.Gratis:     0.01,
 }
 
 // PredictorKind selects the arrival-rate forecaster.
@@ -63,7 +67,7 @@ type PredictorKind int
 
 // Forecaster choices for HarmonyConfig.Predictor.
 const (
-	// PredictARIMA fits the fixed-order ARIMA of ARIMAOrder (default).
+	// PredictARIMA fits a fixed-order ARIMA(2,0,1) (default).
 	PredictARIMA PredictorKind = iota
 	// PredictAutoARIMA selects ARIMA orders by AIC each refit.
 	PredictAutoARIMA
@@ -176,11 +180,8 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if cfg.Omega < 1 {
 		cfg.Omega = 1.05
 	}
-	if cfg.MinHistory <= 0 {
-		cfg.MinHistory = 24
-	}
 	if cfg.Price == nil {
-		cfg.Price = energy.FlatPrice(0.08)
+		cfg.Price = energy.FlatPrice(energy.DefaultPricePerKWh)
 	}
 	if cfg.SLODelay == nil {
 		cfg.SLODelay = map[trace.PriorityGroup]float64{}
@@ -188,12 +189,6 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	fillDefault(cfg.SLODelay, trace.Production, 120)
 	fillDefault(cfg.SLODelay, trace.Other, 300)
 	fillDefault(cfg.SLODelay, trace.Gratis, 900)
-	if cfg.ValuePerPeriod == nil {
-		cfg.ValuePerPeriod = map[trace.PriorityGroup]float64{}
-	}
-	fillDefault(cfg.ValuePerPeriod, trace.Production, 1.0)
-	fillDefault(cfg.ValuePerPeriod, trace.Other, 0.1)
-	fillDefault(cfg.ValuePerPeriod, trace.Gratis, 0.01)
 
 	h := &Harmony{
 		cfg:        cfg,
@@ -265,7 +260,7 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 			Type:  i,
 			CPU:   s.CPU,
 			Mem:   s.Mem,
-			Value: cfg.ValuePerPeriod[tt.Group] * turnover * sizeFactor,
+			Value: valuePerPeriod[tt.Group] * turnover * sizeFactor,
 			Omega: cfg.Omega,
 		}
 	}
@@ -651,12 +646,10 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 
 // NewPredictor returns the unfitted forecaster a PredictorKind selects,
 // for a control period of periodSeconds (the seasonal models' season is
-// one day of periods) and, for PredictARIMA, the fixed (p,d,q) order —
-// its zero value means (2,0,1). The bootstrap EWMA stands in when the
-// order is invalid. The control loop and harmonyd's forecast backtest
+// one day of periods). The control loop and harmonyd's forecast backtest
 // both build their model here, so the backtest scores what the loop
 // actually runs.
-func NewPredictor(kind PredictorKind, periodSeconds float64, order [3]int) forecast.Predictor {
+func NewPredictor(kind PredictorKind, periodSeconds float64) forecast.Predictor {
 	switch kind {
 	case PredictAutoARIMA:
 		return &forecast.AutoARIMA{}
@@ -666,10 +659,7 @@ func NewPredictor(kind PredictorKind, periodSeconds float64, order [3]int) forec
 		return &forecast.HoltWinters{Season: int(trace.Day / periodSeconds)}
 	case PredictEWMA: // the bootstrap model below
 	default:
-		if order == [3]int{} {
-			order = [3]int{2, 0, 1}
-		}
-		if ar, err := forecast.NewARIMA(order[0], order[1], order[2]); err == nil {
+		if ar, err := forecast.NewARIMA(2, 0, 1); err == nil {
 			return ar
 		}
 	}
@@ -677,7 +667,7 @@ func NewPredictor(kind PredictorKind, periodSeconds float64, order [3]int) forec
 }
 
 // forecastRates predicts the next len(dst) arrival rates for type n,
-// filling dst in place. Before MinHistory periods accumulate it uses EWMA
+// filling dst in place. Before minHistory periods accumulate it uses EWMA
 // over whatever exists; after that it fits the configured ARIMA model,
 // falling back to EWMA when the fit degenerates. Rates no queue can be
 // sized for (negative, NaN, +Inf) are zeroed.
@@ -694,8 +684,8 @@ func (h *Harmony) forecastRates(n int, dst []float64) error {
 		return nil
 	}
 	var pred forecast.Predictor
-	if len(hist) >= h.cfg.MinHistory {
-		pred = NewPredictor(h.cfg.Predictor, h.cfg.PeriodSeconds, h.cfg.ARIMAOrder)
+	if len(hist) >= minHistory {
+		pred = NewPredictor(h.cfg.Predictor, h.cfg.PeriodSeconds)
 		if err := pred.Fit(hist); err != nil {
 			pred = nil
 		}

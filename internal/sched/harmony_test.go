@@ -76,8 +76,8 @@ func TestNewHarmonyDefaults(t *testing.T) {
 	if h.cfg.SLODelay[trace.Production] != 120 {
 		t.Errorf("production SLO default = %v", h.cfg.SLODelay[trace.Production])
 	}
-	if h.cfg.ValuePerPeriod[trace.Gratis] != 0.01 {
-		t.Errorf("gratis value default = %v", h.cfg.ValuePerPeriod[trace.Gratis])
+	if valuePerPeriod[trace.Gratis] != 0.01 {
+		t.Errorf("gratis value = %v", valuePerPeriod[trace.Gratis])
 	}
 	// The sizing defaults every front door (facade, harmony-sim, harmonyd)
 	// inherits: nobody else writes these numbers.
@@ -239,7 +239,7 @@ func TestHarmonyEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sim.Run(sim.Config{
-			Trace:    tr,
+			Source:   trace.NewSliceSource(tr),
 			Models:   models,
 			Price:    energy.FlatPrice(0.08),
 			Policy:   h,

@@ -13,7 +13,7 @@ import (
 // steadyHarmony builds a Harmony policy and drives it until every
 // warm-start path (LP basis, M/G/c hints, scratch buffers) is in its
 // steady state, the way a long simulation or daemon run sees it: a few
-// periods for the EWMA bootstrap, past MinHistory for a fitted model, so
+// periods for the EWMA bootstrap, past minHistory for a fitted model, so
 // the tick under test refits the configured predictor. Arrivals wobble
 // during the warm-up so a fitted model sees a non-degenerate history.
 func steadyHarmony(t testing.TB, mode core.Mode, kind PredictorKind) (*Harmony, *sim.Observation) {
@@ -32,7 +32,7 @@ func steadyHarmony(t testing.TB, mode core.Mode, kind PredictorKind) (*Harmony, 
 	}
 	warmup := 6
 	if kind != PredictEWMA {
-		warmup += h.cfg.MinHistory
+		warmup += minHistory
 	}
 	for i := 0; i < warmup; i++ {
 		obs.Arrivals = []int{240 + (i*37)%23, 90 + (i*11)%7, 12 + i%3}
@@ -50,7 +50,7 @@ func steadyHarmony(t testing.TB, mode core.Mode, kind PredictorKind) (*Harmony, 
 // allocated once and reused, and containerDemand itself stays within a
 // small per-type allocation budget (the residue is the predictor's fit
 // and forecast, not tick-path bookkeeping) — for the EWMA bootstrap and
-// for the ARIMA refit past MinHistory alike.
+// for the ARIMA refit past minHistory alike.
 func TestPeriodScratchReuse(t *testing.T) {
 	// What remains per type is the predictor value, its fit's fixed
 	// handful of buffers and its forecast slice, plus M/G/c solver
@@ -111,7 +111,7 @@ func twoSubTypeConfig() HarmonyConfig {
 // TestOneForecastPerClass pins the tick's forecasting cost: both
 // sub-types of a class read one forecast of the class's history (recorded
 // on its short sub-type), so a period fits one model per distinct class —
-// before and after MinHistory — not one per task type.
+// before and after minHistory — not one per task type.
 func TestOneForecastPerClass(t *testing.T) {
 	cfg := twoSubTypeConfig()
 	h, err := NewHarmony(cfg)
@@ -125,7 +125,7 @@ func TestOneForecastPerClass(t *testing.T) {
 		Price:   0.08,
 	}
 	const classes = 3
-	for i := 0; i < h.cfg.MinHistory+3; i++ {
+	for i := 0; i < minHistory+3; i++ {
 		obs.Arrivals = []int{240 + (i*37)%23, 90 + (i*11)%7, 12 + i%3, 0}
 		before := h.forecasts
 		if dir := h.Period(obs); dir.TargetActive == nil {

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"harmony/internal/energy"
@@ -23,7 +22,7 @@ func bigEngine(t *testing.T) *engine {
 		Horizon: 1000,
 	}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   simModels(),
 		Price:    energy.FlatPrice(0.1),
 		Policy:   &staticPolicy{name: "x", target: []int{0, 0}},
@@ -35,7 +34,7 @@ func bigEngine(t *testing.T) *engine {
 		t.Fatal(err)
 	}
 	cfg.applyDefaults()
-	e := newEngine(cfg, trace.NewSliceSource(tr))
+	e := newEngine(cfg)
 	rng := rand.New(rand.NewSource(7))
 	for mi := range e.machines {
 		m := &e.machines[mi]
@@ -57,21 +56,12 @@ func bigEngine(t *testing.T) *engine {
 	return e
 }
 
-// flatBounds snapshots the per-(type, shard) bounds for comparison.
-func flatBounds(e *engine) (cpu, mem [][]float64) {
-	for ti := range e.freeCPUBound {
-		cpu = append(cpu, append([]float64(nil), e.freeCPUBound[ti]...))
-		mem = append(mem, append([]float64(nil), e.freeMemBound[ti]...))
-	}
-	return cpu, mem
-}
-
-// The sharded audit must agree with a plain sequential per-shard scan
-// and be bit-for-bit identical no matter how many workers run it.
-func TestAuditMachinesDeterministicAcrossWorkers(t *testing.T) {
+// The sharded audit must agree with a plain per-machine scan that knows
+// nothing about shard boundaries.
+func TestAuditMatchesMachineScan(t *testing.T) {
 	e := bigEngine(t)
 
-	// Reference: straightforward sequential accounting per (type, shard).
+	// Reference: one pass over the machines, bucketed by shard.
 	wantCPU := make([][]float64, len(e.types))
 	wantMem := make([][]float64, len(e.types))
 	for ti := range e.types {
@@ -98,20 +88,12 @@ func TestAuditMachinesDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	// Fixed worker counts (not NumCPU) so the multi-worker path runs
-	// even on a single-core box.
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		e.refreshAccounting()
-		gotCPU, gotMem := flatBounds(e)
-		if !reflect.DeepEqual(gotCPU, wantCPU) || !reflect.DeepEqual(gotMem, wantMem) {
-			t.Errorf("GOMAXPROCS=%d: audit bounds differ from sequential reference", procs)
-		}
-		if e.usedCount != wantUsed {
-			t.Errorf("GOMAXPROCS=%d: used = %d, want %d", procs, e.usedCount, wantUsed)
-		}
+	e.refreshAccounting()
+	if !reflect.DeepEqual(e.freeCPUBound, wantCPU) || !reflect.DeepEqual(e.freeMemBound, wantMem) {
+		t.Error("audit bounds differ from the machine-scan reference")
+	}
+	if e.usedCount != wantUsed {
+		t.Errorf("used = %d, want %d", e.usedCount, wantUsed)
 	}
 }
 
@@ -129,7 +111,7 @@ func genFailureConfig(t *testing.T, seed int64) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Trace:         tr,
+		Source:        trace.NewSliceSource(tr),
 		Models:        simModels(),
 		Price:         energy.FlatPrice(0.1),
 		Policy:        &staticPolicy{name: "all", target: []int{30, 10}},
@@ -141,38 +123,11 @@ func genFailureConfig(t *testing.T, seed int64) Config {
 	}
 }
 
-// Identical seeds must produce bit-identical results whether the audit
-// shards run on one worker or many (the tentpole determinism guarantee).
-// GOMAXPROCS 1, 4, and 8 all reduce to the same answer.
-func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	runtime.GOMAXPROCS(1)
-	r1, err := Run(genFailureConfig(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{4, 8} {
-		runtime.GOMAXPROCS(procs)
-		rn, err := Run(genFailureConfig(t, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1, rn) {
-			t.Errorf("results differ between GOMAXPROCS=1 and GOMAXPROCS=%d", procs)
-		}
-	}
-}
-
 // Property test: across random seeds, a simulation fed by the streaming
 // generator must be bit-identical to the same simulation over the
-// materialized trace, at every worker count. This is the heart of the
-// streaming contract — the engine cannot tell which mode fed it.
+// materialized trace. This is the heart of the streaming contract — the
+// engine cannot tell which mode fed it.
 func TestRunStreamingMatchesMaterialized(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 4; trial++ {
 		seed := rng.Int63()
@@ -197,28 +152,23 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 		}
 
 		mat := base
-		mat.Trace = tr
-		runtime.GOMAXPROCS(1)
+		mat.Source = trace.NewSliceSource(tr)
 		want, err := Run(mat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, procs := range []int{1, 4, 8} {
-			runtime.GOMAXPROCS(procs)
-			src, err := trace.NewGenSource(cfgTr, 1+rng.Intn(300))
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream := base
-			stream.Source = src
-			got, err := Run(stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("trial %d (seed=%d, procs=%d): streamed result differs from materialized",
-					trial, seed, procs)
-			}
+		src, err := trace.NewGenSource(cfgTr, 1+rng.Intn(300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := base
+		stream.Source = src
+		got, err := Run(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("trial %d (seed=%d): streamed result differs from materialized", trial, seed)
 		}
 	}
 }
@@ -236,7 +186,7 @@ func TestRunFailureAccountingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(cfg.Trace.Tasks)
+	n := int(cfg.Source.Meta().Tasks)
 	if res.Failures == 0 || res.TasksKilled == 0 {
 		t.Fatalf("stress run injected no failures (failures=%d killed=%d)",
 			res.Failures, res.TasksKilled)

@@ -17,7 +17,7 @@ func TestBootDelayPostponesScheduling(t *testing.T) {
 		Horizon:  2000,
 	}
 	cfg := Config{
-		Trace:     tr,
+		Source:    trace.NewSliceSource(tr),
 		Models:    []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:     energy.FlatPrice(0.1),
 		Policy:    &staticPolicy{name: "one", target: []int{1}},
@@ -52,7 +52,7 @@ func TestBootDelayZeroIsInstant(t *testing.T) {
 		Horizon:  2000,
 	}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:    energy.FlatPrice(0.1),
 		Policy:   &staticPolicy{name: "one", target: []int{1}},
@@ -84,7 +84,7 @@ func TestRelabelMovesOccupancy(t *testing.T) {
 		Horizon:  3000,
 	}
 	cfg := Config{
-		Trace:  tr,
+		Source: trace.NewSliceSource(tr),
 		Models: []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:  energy.FlatPrice(0.1),
 		Policy: &staticPolicy{
@@ -128,7 +128,7 @@ func TestRelabelIgnoresBadTypes(t *testing.T) {
 		Horizon:  2000,
 	}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:    energy.FlatPrice(0.1),
 		Policy:   &staticPolicy{name: "one", target: []int{1}},
@@ -169,7 +169,7 @@ func TestPlacementConstraintRespected(t *testing.T) {
 
 	// Only PF-A powered: the task can never start.
 	res, err := Run(Config{
-		Trace: tr, Models: models, Price: energy.FlatPrice(0.1),
+		Source: trace.NewSliceSource(tr), Models: models, Price: energy.FlatPrice(0.1),
 		Policy: &staticPolicy{name: "a-only", target: []int{1, 0}},
 		Period: 100, NumTypes: 1, TypeOf: func(trace.Task) int { return 0 },
 	})
@@ -182,7 +182,7 @@ func TestPlacementConstraintRespected(t *testing.T) {
 
 	// PF-B powered: it runs.
 	res, err = Run(Config{
-		Trace: tr, Models: models, Price: energy.FlatPrice(0.1),
+		Source: trace.NewSliceSource(tr), Models: models, Price: energy.FlatPrice(0.1),
 		Policy: &staticPolicy{name: "both", target: []int{1, 1}},
 		Period: 100, NumTypes: 1, TypeOf: func(trace.Task) int { return 0 },
 	})

@@ -24,11 +24,7 @@ func TestConfigApplyDefaults(t *testing.T) {
 		{"set FailureSeed kept", Config{FailureSeed: 42},
 			func(c Config) bool { return c.FailureSeed == 42 }},
 		{"zero FailBudgetPerQueue -> 64", Config{},
-			func(c Config) bool { return c.FailBudgetPerQueue == 64 }},
-		{"negative FailBudgetPerQueue -> 64", Config{FailBudgetPerQueue: -1},
-			func(c Config) bool { return c.FailBudgetPerQueue == 64 }},
-		{"set FailBudgetPerQueue kept", Config{FailBudgetPerQueue: 7},
-			func(c Config) bool { return c.FailBudgetPerQueue == 7 }},
+			func(Config) bool { return failBudgetPerQueue == 64 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -56,12 +52,10 @@ func TestConfigDefaultsEquivalentRuns(t *testing.T) {
 	base := run(func(cfg *Config) {
 		cfg.RepairSeconds = 0
 		cfg.FailureSeed = 0
-		cfg.FailBudgetPerQueue = 0
 	})
 	explicit := run(func(cfg *Config) {
 		cfg.RepairSeconds = 900
 		cfg.FailureSeed = 1
-		cfg.FailBudgetPerQueue = 64
 	})
 	if !reflect.DeepEqual(base, explicit) {
 		t.Error("zero-valued defaults and explicit defaults give different results")

@@ -9,7 +9,7 @@ import (
 
 func failureConfig(tr *trace.Trace, mtbf float64) Config {
 	return Config{
-		Trace:         tr,
+		Source:        trace.NewSliceSource(tr),
 		Models:        []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:         energy.FlatPrice(0.1),
 		Policy:        &staticPolicy{name: "on", target: []int{4}},

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"harmony/internal/energy"
@@ -22,7 +23,7 @@ func steadyEngine(t *testing.T, maxDelaySamples int) *engine {
 		Horizon: 1e9,
 	}
 	cfg := Config{
-		Trace:           tr,
+		Source:          trace.NewSliceSource(tr),
 		Models:          simModels(),
 		Price:           energy.FlatPrice(0.1),
 		Policy:          &staticPolicy{name: "x", target: []int{600, 600}},
@@ -36,7 +37,7 @@ func steadyEngine(t *testing.T, maxDelaySamples int) *engine {
 		t.Fatal(err)
 	}
 	cfg.applyDefaults()
-	return newEngine(cfg, trace.NewSliceSource(tr))
+	return newEngine(cfg)
 }
 
 // The steady-state event path — arrival, placement, heap push, energy
@@ -173,13 +174,13 @@ func TestRunSourceErrors(t *testing.T) {
 			t.Fatal("out-of-order stream accepted")
 		}
 	})
-	t.Run("both trace and source", func(t *testing.T) {
-		tr := &trace.Trace{Machines: []trace.MachineType{{ID: 1, CPU: 1, Mem: 1, Count: 5}}, Horizon: 10}
-		cfg := base()
-		cfg.Trace = tr
-		cfg.Source = trace.NewSliceSource(tr)
-		if _, err := Run(cfg); err == nil {
-			t.Fatal("ambiguous workload config accepted")
+	t.Run("no source", func(t *testing.T) {
+		_, err := Run(base())
+		if err == nil {
+			t.Fatal("config without a source accepted")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "source") || strings.Contains(msg, "trace") {
+			t.Errorf("error %q should name the missing source, not a trace", msg)
 		}
 	})
 }

@@ -73,12 +73,10 @@ type Policy interface {
 
 // Config parameterizes a simulation run.
 type Config struct {
-	// Trace is the materialized workload. Exactly one of Trace and
-	// Source must be set.
-	Trace *trace.Trace
-	// Source streams the workload in submit order without materializing
-	// it; machines and horizon come from Source.Meta(). This is how
-	// trace-scale runs keep peak memory independent of trace length.
+	// Source yields the workload in submit order; machines and horizon
+	// come from Source.Meta(). A streaming source keeps peak memory
+	// independent of trace length; trace.NewSliceSource wraps a
+	// materialized trace.
 	Source trace.TaskSource
 
 	Models []energy.Model // one per machine type, same order as the machine population
@@ -116,12 +114,6 @@ type Config struct {
 	// sub-class boundary are upgraded to the long sub-class, so quota
 	// and demand accounting track reality.
 	Relabel func(current int, age float64) int
-	// FailBudgetPerQueue bounds how many placement failures are
-	// tolerated per task-type queue in one scheduling pass before the
-	// rest of that queue is skipped (0 = default 64). It models a
-	// scheduler that skips currently-unschedulable tasks rather than
-	// blocking on them.
-	FailBudgetPerQueue int
 	// MaxDelaySamples, when positive, bounds the per-priority-group
 	// scheduling-delay sample retained for the delay CDFs using
 	// deterministic reservoir sampling (seeded per group). 0 keeps every
@@ -265,23 +257,19 @@ type pendingTask struct {
 
 // machineShardSize fixes the shard width of per-type machine state:
 // placement pruning bounds and the period-boundary audit both work in
-// (machine type, shard) granules. Shard boundaries depend only on the
-// machine population — never on GOMAXPROCS — so sharded results are
-// bit-for-bit independent of worker count.
+// (machine type, shard) granules.
 const machineShardSize = 512
 
-// auditItem is one (machine type, shard) granule of the periodic
-// accounting audit; lo/hi are machine-id bounds.
-type auditItem struct {
-	ti, shard int
-	lo, hi    int
-}
+// failBudgetPerQueue bounds how many placement failures are tolerated
+// per task-type queue in one scheduling pass before the rest of that
+// queue is skipped. It models a scheduler that skips
+// currently-unschedulable tasks rather than blocking on them.
+const failBudgetPerQueue = 64
 
 // engine is the mutable simulation state.
 type engine struct {
 	cfg Config
 
-	src     trace.TaskSource
 	types   []trace.MachineType
 	horizon float64
 
@@ -320,9 +308,6 @@ type engine struct {
 	freeCPUBound [][]float64
 	freeMemBound [][]float64
 
-	auditItems []auditItem
-	auditUsed  []int // per-item used-machine partials, reused across periods
-
 	// delayRes, when non-nil per group, reservoir-samples scheduling
 	// delays instead of retaining all of them.
 	delayRes [trace.NumGroups]*stats.Reservoir
@@ -336,11 +321,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	src := cfg.Source
-	if src == nil {
-		src = trace.NewSliceSource(cfg.Trace)
-	}
-	e := newEngine(cfg, src)
+	e := newEngine(cfg)
 	if err := e.run(); err != nil {
 		return nil, err
 	}
@@ -351,9 +332,6 @@ func Run(cfg Config) (*Result, error) {
 // the defaults documented on the struct hold regardless of which path
 // constructed the config.
 func (cfg *Config) applyDefaults() {
-	if cfg.FailBudgetPerQueue <= 0 {
-		cfg.FailBudgetPerQueue = 64
-	}
 	if cfg.RepairSeconds <= 0 {
 		cfg.RepairSeconds = 900
 	}
@@ -363,17 +341,12 @@ func (cfg *Config) applyDefaults() {
 }
 
 func validateConfig(cfg *Config) error {
-	var machines []trace.MachineType
-	switch {
-	case cfg.Trace != nil && cfg.Source != nil:
-		return errors.New("sim: set exactly one of Trace and Source")
-	case cfg.Trace != nil:
-		machines = cfg.Trace.Machines
-	case cfg.Source != nil:
-		machines = cfg.Source.Meta().Machines
+	if cfg.Source == nil {
+		return errors.New("sim: missing task source")
 	}
+	machines := cfg.Source.Meta().Machines
 	if len(machines) == 0 {
-		return errors.New("sim: missing trace or machines")
+		return errors.New("sim: task source declares no machines")
 	}
 	if len(cfg.Models) != len(machines) {
 		return fmt.Errorf("sim: %d energy models for %d machine types",
@@ -400,12 +373,11 @@ func validateConfig(cfg *Config) error {
 	return nil
 }
 
-func newEngine(cfg Config, src trace.TaskSource) *engine {
-	meta := src.Meta()
+func newEngine(cfg Config) *engine {
+	meta := cfg.Source.Meta()
 	nm := len(meta.Machines)
 	e := &engine{
 		cfg:          cfg,
-		src:          src,
 		types:        meta.Machines,
 		horizon:      meta.Horizon,
 		active:       make([]int, nm),
@@ -450,20 +422,11 @@ func newEngine(cfg Config, src trace.TaskSource) *engine {
 		}
 		e.freeCPUBound[ti] = make([]float64, shards)
 		e.freeMemBound[ti] = make([]float64, shards)
-		for s := 0; s < shards; s++ {
-			lo := id + s*machineShardSize
-			hi := lo + machineShardSize
-			if hi > id+mt.Count {
-				hi = id + mt.Count
-			}
-			e.auditItems = append(e.auditItems, auditItem{ti: ti, shard: s, lo: lo, hi: hi})
-		}
 		for k := 0; k < mt.Count; k++ {
 			e.machines = append(e.machines, machine{id: id, typeIdx: ti})
 			id++
 		}
 	}
-	e.auditUsed = make([]int, len(e.auditItems))
 	if cfg.InitialActive != nil {
 		for ti, want := range cfg.InitialActive {
 			for mi := e.typeFirst[ti]; mi < e.typeFirst[ti]+e.typeCount[ti]; mi++ {
@@ -491,7 +454,7 @@ func (e *engine) run() error {
 		prevSub = math.Inf(-1)
 	)
 	pull := func() error {
-		ok, err := e.src.Next(&next)
+		ok, err := e.cfg.Source.Next(&next)
 		if err != nil {
 			return fmt.Errorf("sim: task source: %w", err)
 		}
@@ -736,7 +699,7 @@ func (e *engine) schedulePending() {
 			fails := 0
 			kept := q[:0]
 			for qi, p := range q {
-				if fails >= e.cfg.FailBudgetPerQueue {
+				if fails >= failBudgetPerQueue {
 					kept = append(kept, q[qi:]...)
 					break
 				}
@@ -1028,6 +991,46 @@ func (e *engine) injectFailures() {
 			e.res.Scheduled--
 		}
 	}
+}
+
+// refreshAccounting replaces the incrementally tracked used-machine
+// count and the per-(type, shard) free-capacity pruning bounds with
+// exact values from a full machine scan. The bounds only ever drift
+// loose between refreshes, so tightening them here cannot change
+// placement decisions — a pruned shard is one where every powered
+// machine provably cannot fit the task — but it lets placeInType skip
+// whole shards without scanning.
+func (e *engine) refreshAccounting() {
+	used := 0
+	for ti, mt := range e.types {
+		first := e.typeFirst[ti]
+		last := first + e.typeCount[ti]
+		for s := range e.freeCPUBound[ti] {
+			lo := first + s*machineShardSize
+			hi := min(lo+machineShardSize, last)
+			var maxCPU, maxMem float64
+			for mi := lo; mi < hi; mi++ {
+				m := &e.machines[mi]
+				if m.tasks > 0 {
+					used++
+				}
+				if !m.on {
+					continue
+				}
+				// Booting machines count: the free-capacity bounds must
+				// stay upper bounds over everything placeInType scans.
+				if f := mt.CPU - m.usedCPU; f > maxCPU {
+					maxCPU = f
+				}
+				if f := mt.Mem - m.usedMem; f > maxMem {
+					maxMem = f
+				}
+			}
+			e.freeCPUBound[ti][s] = maxCPU
+			e.freeMemBound[ti][s] = maxMem
+		}
+	}
+	e.usedCount = used
 }
 
 // relabelRunning applies the configured relabel hook to every running

@@ -55,7 +55,7 @@ func simModels() []energy.Model {
 
 func baseConfig(tr *trace.Trace, p Policy) Config {
 	return Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   simModels(),
 		Price:    energy.FlatPrice(0.10),
 		Policy:   p,
@@ -72,7 +72,7 @@ func TestValidateConfig(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"no trace", func(c *Config) { c.Trace = nil }},
+		{"no trace", func(c *Config) { c.Source = nil }},
 		{"model mismatch", func(c *Config) { c.Models = c.Models[:1] }},
 		{"no price", func(c *Config) { c.Price = nil }},
 		{"no policy", func(c *Config) { c.Policy = nil }},
@@ -145,7 +145,7 @@ func TestRunDelayMeasured(t *testing.T) {
 		Horizon:  2000,
 	}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:    energy.FlatPrice(0.1),
 		Policy:   &staticPolicy{name: "one", target: []int{1}},
@@ -181,7 +181,7 @@ func TestRunPriorityOrdering(t *testing.T) {
 		Horizon:  1000,
 	}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:    energy.FlatPrice(0.1),
 		Policy:   &staticPolicy{name: "one", target: []int{1}},
@@ -242,7 +242,7 @@ func TestRunReservationInflatesFootprint(t *testing.T) {
 		Horizon:  1000,
 	}
 	cfg := Config{
-		Trace:  tr,
+		Source: trace.NewSliceSource(tr),
 		Models: []energy.Model{{CPUCap: 0.5, MemCap: 0.5, IdleWatts: 100, AlphaCPU: 50, AlphaMem: 20}},
 		Price:  energy.FlatPrice(0.1),
 		Policy: &staticPolicy{
@@ -321,7 +321,7 @@ func TestRunBusyMachineNotPoweredOff(t *testing.T) {
 	}
 	flip := &flipPolicy{}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   []energy.Model{{CPUCap: 1, MemCap: 1, IdleWatts: 100, AlphaCPU: 100, AlphaMem: 40}},
 		Price:    energy.FlatPrice(0.1),
 		Policy:   flip,
@@ -387,7 +387,7 @@ func TestRunConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Trace:    tr,
+		Source:   trace.NewSliceSource(tr),
 		Models:   simModels(),
 		Price:    energy.FlatPrice(0.1),
 		Policy:   &staticPolicy{name: "all", target: []int{30, 10}},

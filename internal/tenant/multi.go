@@ -53,8 +53,6 @@ type Group struct {
 	idleKW []float64 // per machine type
 	//harmony:unit($)
 	switchCost []float64 // per on/off transition, per type
-	//harmony:unit($/kWh)
-	price float64
 	//harmony:unit(h)
 	periodH float64 // model time per period
 
@@ -165,12 +163,12 @@ func New(cfg Config) (*Multi, error) {
 			return nil, fmt.Errorf("tenant: group %s engine: %w", g.name, err)
 		}
 		g.eng = eng
-		// The cost model prices what the engine provisions, so it reads the
-		// engine's resolved period, price and switching cost.
-		g.price = eng.PricePerKWh()
+		// The cost model prices what the engine provisions: the engine's
+		// resolved period, at the price and switching cost the engine
+		// itself takes from energy.
 		g.periodH = eng.PeriodSeconds() / 3600
 		g.idleKW = make([]float64, len(cfg.Base.Models))
-		g.switchCost = energy.SwitchCosts(cfg.Base.Models, eng.SwitchCostDollars())
+		g.switchCost = energy.SwitchCosts(cfg.Base.Models, energy.DefaultSwitchCostDollars)
 		for i, mdl := range cfg.Base.Models {
 			g.idleKW[i] = mdl.IdleWatts / 1000
 		}
@@ -336,7 +334,7 @@ func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
 	g.mu.Lock()
 	cost := 0.0
 	for i, mp := range plan.Machines {
-		cost += float64(mp.Active) * g.idleKW[i] * g.periodH * g.price
+		cost += float64(mp.Active) * g.idleKW[i] * g.periodH * energy.DefaultPricePerKWh
 		delta := mp.Active - g.prevActive[i]
 		if delta < 0 {
 			delta = -delta

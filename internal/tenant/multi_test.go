@@ -159,8 +159,10 @@ func TestNewValidation(t *testing.T) {
 const defaultPeriodSeconds = 300
 
 // TestCostDefaultsMatchEngine pins the cost model to the engine it
-// prices: with no period, price or switching cost configured, each group
-// bills the engine's resolved defaults rather than values of its own.
+// prices: each group bills the engine's resolved period and the
+// switching cost the engine itself runs at (energy's), rather than values
+// of its own. (The price is energy.DefaultPricePerKWh at the point of
+// use, as in the engine.)
 func TestCostDefaultsMatchEngine(t *testing.T) {
 	base := testBase(t)
 	eng, err := daemon.NewEngine(base)
@@ -176,17 +178,16 @@ func TestCostDefaultsMatchEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.groups[0]
-	if g.periodH*3600 != eng.PeriodSeconds() || g.price != eng.PricePerKWh() {
-		t.Errorf("cost model bills period %vs at $%v/kWh, engine runs %vs at $%v/kWh",
-			g.periodH*3600, g.price, eng.PeriodSeconds(), eng.PricePerKWh())
+	if g.periodH*3600 != eng.PeriodSeconds() {
+		t.Errorf("cost model bills period %vs, engine runs %vs", g.periodH*3600, eng.PeriodSeconds())
 	}
 	maxSwitch := 0.0
 	for _, c := range g.switchCost {
 		maxSwitch = math.Max(maxSwitch, c)
 	}
-	if math.Abs(maxSwitch-eng.SwitchCostDollars()) > 1e-12 {
+	if math.Abs(maxSwitch-energy.DefaultSwitchCostDollars) > 1e-12 {
 		t.Errorf("largest per-type switch cost %v, engine switching cost %v",
-			maxSwitch, eng.SwitchCostDollars())
+			maxSwitch, energy.DefaultSwitchCostDollars)
 	}
 }
 
