@@ -135,7 +135,11 @@ func BenchmarkSolveRelaxedCold(b *testing.B) {
 }
 
 // BenchmarkSolveRelaxedWarm solves the same periods, each seeded from
-// the previous period's optimal basis — the steady-state MPC cost.
+// the previous period's optimal basis, through one long-lived Controller
+// — the steady-state MPC cost a tick pays: the controller keeps whatever
+// it keeps between Steps (the CBS-RELAX program, since it is built once
+// per catalog), and the rounding that follows the solve is a percent of
+// it (BenchmarkRoundCBSDelta).
 func BenchmarkSolveRelaxedWarm(b *testing.B) {
 	seq := benchSequence()
 	bases := make([]*lp.Basis, benchPeriods)
@@ -152,11 +156,17 @@ func BenchmarkSolveRelaxedWarm(b *testing.B) {
 		}
 		pivots += plan.Iterations
 	}
+	ctrl := &Controller{
+		Machines: seq[0].Machines, Containers: seq[0].Containers,
+		PeriodSeconds: seq[0].PeriodSeconds, Horizon: seq[0].Horizon, Mode: CBS,
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % benchPeriods
-		if _, _, err := SolveRelaxedWarm(seq[k+1], bases[k]); err != nil {
+		in := seq[k+1]
+		ctrl.basis = bases[k]
+		if _, err := ctrl.Step(in.InitialActive, in.Demand, in.Price); err != nil {
 			b.Fatal(err)
 		}
 	}

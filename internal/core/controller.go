@@ -53,6 +53,13 @@ type Controller struct {
 	// problem and silently falls back to a cold solve if the catalog or
 	// horizon changed, so a stale basis can never change the answer.
 	basis *lp.Basis
+	// relax is the CBS-RELAX program the previous Step solved, kept so a
+	// period refills its objective and right-hand side instead of
+	// rebuilding the constraint matrix. Each Step compares it with the
+	// exported catalog fields above (callers may edit them between Steps)
+	// and rebuilds on any difference; nil, as in a Controller literal,
+	// just means nothing is kept yet.
+	relax *relaxation
 	// lastCBS is the previous Step's CBS decision, the packing-layer
 	// mirror of basis: RealizeDelta diffs the new plan against it and
 	// repacks only the machine types whose projection changed, falling
@@ -106,7 +113,8 @@ func (c *Controller) Step(initialActive []float64, demand [][]float64, price []f
 		Price:         price,
 		InitialActive: initialActive,
 	}
-	plan, basis, err := SolveRelaxedWarm(in, c.basis)
+	plan, basis, relax, err := solveRelaxed(c.relax, in, c.basis)
+	c.relax = relax
 	if err != nil {
 		return nil, err
 	}

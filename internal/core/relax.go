@@ -239,58 +239,150 @@ func SolveRelaxed(in *PlanInput) (*Plan, error) {
 // (catalog change, horizon change) is detected inside lp.SolveWarm and
 // falls back to a cold solve; the answer is identical either way.
 func SolveRelaxedWarm(in *PlanInput, basis *lp.Basis) (*Plan, *lp.Basis, error) {
-	if err := in.validate(); err != nil {
-		return nil, nil, err
-	}
-	v := newVarIndex(in)
-	prob := buildProblem(in, v)
-	sol, next, err := lp.SolveWarm(prob, basis)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: CBS-RELAX: %w", err)
-	}
-	return extractPlan(sol, v), next, nil
+	plan, next, _, err := solveRelaxed(nil, in, basis)
+	return plan, next, err
 }
 
-// buildProblem assembles the CBS-RELAX LP over the column layout v.
-func buildProblem(in *PlanInput, v *varIndex) *lp.Problem {
-	prob := &lp.Problem{NumVars: v.numCol, Objective: make([]float64, v.numCol)}
+// solveRelaxed is the one CBS-RELAX solve. r is the program a previous
+// call built: it is refilled when it still describes in, replaced when
+// it does not (or is nil), and returned for the next call either way, so
+// a caller that keeps it pays for the constraint matrix once per catalog
+// and a caller that does not gets the same answer from a fresh build.
+func solveRelaxed(r *relaxation, in *PlanInput, basis *lp.Basis) (*Plan, *lp.Basis, *relaxation, error) {
+	if err := in.validate(); err != nil {
+		return nil, nil, r, err
+	}
+	if r == nil || !r.refill(in) {
+		var err error
+		if r, err = newRelaxation(in); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	sol, next, err := r.std.SolveWarm(basis)
+	if err != nil {
+		return nil, nil, r, fmt.Errorf("core: CBS-RELAX: %w", err)
+	}
+	return extractPlan(sol, r.v), next, r, nil
+}
 
+// relaxation is the CBS-RELAX program of one catalog: the column layout
+// and the constraint matrix in the solver's standard form, both fixed by
+// the catalog alone, plus the two vectors a control period does change.
+type relaxation struct {
+	// The catalog the matrix was built from: horizon (v.w), machine
+	// CPU/Mem and container CPU/Mem/Omega decide compatibility and the
+	// effective sizes; nothing else reaches a coefficient.
+	machines   []MachineSpec
+	containers []ContainerSpec
+	v          *varIndex
+	std        *lp.Standard
+	obj, rhs   []float64 // per-period scratch, in column and row order
+}
+
+// newRelaxation builds the program for in, objective and RHS included.
+func newRelaxation(in *PlanInput) (*relaxation, error) {
+	v := newVarIndex(in)
+	r := &relaxation{
+		machines:   append([]MachineSpec(nil), in.Machines...),
+		containers: append([]ContainerSpec(nil), in.Containers...),
+		v:          v,
+		obj:        make([]float64, v.numCol),
+		rhs:        make([]float64, v.w*(4*v.nm+2*v.nn)),
+	}
+	r.fill(in)
+	std, err := lp.NewStandard(buildProblem(in, v, r.obj, r.rhs))
+	if err != nil {
+		return nil, fmt.Errorf("core: CBS-RELAX: %w", err)
+	}
+	r.std = std
+	return r, nil
+}
+
+// sameBits is float equality for the catalog comparison: the matrix is a
+// function of the exact values, so "equal" means the same bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// refill restates the kept program for in's objective and right-hand
+// side. It reports false, and the program must be rebuilt, when in's
+// catalog differs from the one the matrix was built from or an RHS sign
+// change would standardize a row differently.
+func (r *relaxation) refill(in *PlanInput) bool {
+	if in.Horizon != r.v.w || len(in.Machines) != len(r.machines) || len(in.Containers) != len(r.containers) {
+		return false
+	}
+	for i, m := range in.Machines {
+		if k := r.machines[i]; !sameBits(m.CPU, k.CPU) || !sameBits(m.Mem, k.Mem) {
+			return false
+		}
+	}
+	for i, c := range in.Containers {
+		if k := r.containers[i]; !sameBits(c.CPU, k.CPU) || !sameBits(c.Mem, k.Mem) || !sameBits(c.Omega, k.Omega) {
+			return false
+		}
+	}
+	r.fill(in)
+	return r.std.Refill(r.obj, r.rhs)
+}
+
+// fill computes the objective (Eq. 14) and the right-hand sides for in,
+// in the column order of r.v and the row order of buildProblem.
+func (r *relaxation) fill(in *PlanInput) {
+	v, obj, rhs := r.v, r.obj, r.rhs
+	for i := range obj {
+		obj[i] = 0
+	}
 	kwhPerWattPeriod := in.PeriodSeconds / 3.6e6
-
-	// Objective.
+	i := 0
 	for t := 0; t < v.w; t++ {
 		price := in.Price[t]
 		for m, ms := range in.Machines {
-			prob.Objective[v.z(m, t)] -= price * ms.IdleWatts * kwhPerWattPeriod
-			prob.Objective[v.dp(m, t)] -= ms.SwitchCost
-			prob.Objective[v.dm(m, t)] -= ms.SwitchCost
+			obj[v.z(m, t)] -= price * ms.IdleWatts * kwhPerWattPeriod
+			obj[v.dp(m, t)] -= ms.SwitchCost
+			obj[v.dm(m, t)] -= ms.SwitchCost
 			for n, cs := range in.Containers {
 				col := v.x(m, n, t)
 				if col < 0 {
 					continue
 				}
 				dynWatts := ms.AlphaCPU*cs.CPU/ms.CPU + ms.AlphaMem*cs.Mem/ms.Mem
-				prob.Objective[col] -= price * dynWatts * kwhPerWattPeriod
+				obj[col] -= price * dynWatts * kwhPerWattPeriod
 			}
+			// Availability, capacity per resource, switching linkage.
+			rhs[i], rhs[i+1], rhs[i+2], rhs[i+3] = float64(ms.Available), 0, 0, 0
+			if t == 0 {
+				rhs[i+3] = in.InitialActive[m]
+			}
+			i += 4
 		}
 		for n, cs := range in.Containers {
-			prob.Objective[v.s(n, t)] += cs.Value
+			obj[v.s(n, t)] += cs.Value
+			// Scheduled <= allocated, scheduled <= demand.
+			rhs[i], rhs[i+1] = 0, in.Demand[n][t]
+			i += 2
 		}
 	}
+}
 
-	// Constraints.
+// buildProblem assembles the CBS-RELAX LP over the column layout v, with
+// the objective and the right-hand sides (one per row, in the order the
+// rows are added below) as fill computed them.
+func buildProblem(in *PlanInput, v *varIndex, obj, rhs []float64) *lp.Problem {
+	prob := &lp.Problem{NumVars: v.numCol, Objective: obj}
 	row := make([]float64, v.numCol)
 	reset := func() {
 		for i := range row {
 			row[i] = 0
 		}
 	}
+	add := func(sense lp.Sense) {
+		prob.AddConstraint(row, sense, rhs[len(prob.Constraints)])
+	}
 	for t := 0; t < v.w; t++ {
 		for m, ms := range in.Machines {
 			// Availability (Eq. 15): z <= N_m.
 			reset()
 			row[v.z(m, t)] = 1
-			prob.AddConstraint(row, lp.LE, float64(ms.Available))
+			add(lp.LE)
 
 			// Capacity per resource (Eq. 16/17), with per-pair
 			// integrality-aware effective sizes:
@@ -317,21 +409,19 @@ func buildProblem(in *PlanInput, v *varIndex) *lp.Problem {
 				} else {
 					row[v.z(m, t)] = -ms.Mem
 				}
-				prob.AddConstraint(row, lp.LE, 0)
+				add(lp.LE)
 			}
 
-			// Switching linkage (Eq. 12): z_t - z_{t-1} = δ⁺ - δ⁻.
+			// Switching linkage (Eq. 12): z_t - z_{t-1} = δ⁺ - δ⁻, with
+			// z_{-1} the initial state on the right-hand side.
 			reset()
 			row[v.z(m, t)] = 1
 			row[v.dp(m, t)] = -1
 			row[v.dm(m, t)] = 1
-			rhs := 0.0
-			if t == 0 {
-				rhs = in.InitialActive[m]
-			} else {
+			if t > 0 {
 				row[v.z(m, t-1)] = -1
 			}
-			prob.AddConstraint(row, lp.EQ, rhs)
+			add(lp.EQ)
 		}
 		for n := range in.Containers {
 			// Scheduled containers earn utility up to demand:
@@ -343,11 +433,11 @@ func buildProblem(in *PlanInput, v *varIndex) *lp.Problem {
 					row[col] = -1
 				}
 			}
-			prob.AddConstraint(row, lp.LE, 0)
+			add(lp.LE)
 
 			reset()
 			row[v.s(n, t)] = 1
-			prob.AddConstraint(row, lp.LE, in.Demand[n][t])
+			add(lp.LE)
 		}
 	}
 	return prob

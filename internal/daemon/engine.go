@@ -562,14 +562,16 @@ const (
 	backtestMinTrain = 8
 )
 
-// ForecastBacktest runs a rolling-origin backtest (forecast.Backtest) of
-// the configured predictor over each class's recorded arrival windows:
-// at every origin past the training prefix the model is refitted on the
-// prefix and its one-step forecast is scored against the next observed
-// window. The result maps "class<k>" to MAE in tasks/period — directly
-// comparable with both Stats.ForecastMAE (the online one-step error) and
-// the offline rolling-origin numbers from internal/forecast. Classes
-// with insufficient history are omitted.
+// ForecastBacktest runs a rolling-origin backtest of the control loop's
+// forecast chain (sched.ForecastChain: the EWMA bootstrap below its
+// minimum history, the configured predictor after it, the EWMA again
+// when a fit degenerates) over each class's recorded arrival windows: at
+// every origin past the training prefix the chain forecasts one step
+// from the prefix, as the loop did at that origin, and is scored against
+// the next observed window. The result maps "class<k>" to MAE in
+// tasks/period — directly comparable with both Stats.ForecastMAE (the
+// online one-step error) and the offline rolling-origin numbers from
+// internal/forecast. Classes with insufficient history are omitted.
 func (e *Engine) ForecastBacktest() map[string]float64 {
 	e.mu.Lock()
 	hist := make([][]float64, len(e.arrHist))
@@ -583,18 +585,20 @@ func (e *Engine) ForecastBacktest() map[string]float64 {
 		if len(h) <= backtestMinTrain {
 			continue
 		}
-		// Score the model the control loop runs: the same constructor,
-		// with the ARIMA order the engine leaves at sched's default.
+		// One predictor for all origins, as the loop keeps one per class:
+		// each origin extends the last, so carried fitting work is reused.
 		pred := sched.NewPredictor(e.cfg.Forecaster, e.cfg.PeriodSeconds)
-		m, err := forecast.Backtest(pred, h, backtestMinTrain)
+		predicted := make([]float64, len(h)-backtestMinTrain)
+		var err error
+		for k := 0; k < len(predicted) && err == nil; k++ {
+			err = sched.ForecastChain(pred, h[:backtestMinTrain+k], predicted[k:k+1])
+		}
 		if err != nil {
-			// Models that need more structure than the history offers
-			// (seasonal-naive before a full day, ARIMA on a degenerate
-			// series) fall back to the same EWMA bootstrap the policy's
-			// forecast chain uses.
-			if m, err = forecast.Backtest(&forecast.EWMA{Alpha: 0.4}, h, backtestMinTrain); err != nil {
-				continue
-			}
+			continue
+		}
+		m, err := forecast.Evaluate(h[backtestMinTrain:], predicted)
+		if err != nil {
+			continue
 		}
 		out[fmt.Sprintf("class%d", e.types[i].ID.Class)] = m.MAE
 	}

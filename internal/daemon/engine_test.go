@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +12,9 @@ import (
 
 	"harmony/internal/classify"
 	"harmony/internal/energy"
+	"harmony/internal/forecast"
 	"harmony/internal/metrics"
+	"harmony/internal/sched"
 	"harmony/internal/trace"
 )
 
@@ -397,5 +400,59 @@ func TestReplayMatchesManualDrive(t *testing.T) {
 	b, _ := json.Marshal(manualPlan)
 	if string(a) != string(b) {
 		t.Errorf("replay and manual plans differ:\n%s\n%s", a, b)
+	}
+}
+
+// TestForecastBacktestScoresTheLoopsChain: the backtest reports the
+// error of what the control loop forecast at each origin — the EWMA
+// bootstrap while the history is short, the configured ARIMA once it is
+// not — and not the EWMA fallback's. (ARIMA(2,0,1) cannot fit the
+// 8-sample training prefix, and while a failed fit at the first origin
+// aborted the whole backtest, every class was scored with EWMA alone.)
+func TestForecastBacktestScoresTheLoopsChain(t *testing.T) {
+	eng, err := NewEngine(testEngineConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sawtooth: ARIMA picks up the alternation, EWMA lags it.
+	series := make([]float64, 100)
+	for i := range series {
+		series[i] = 40 + 25*float64(i%2) + float64(i%7)
+	}
+	eng.arrHist[0] = series
+
+	score := func(forecast1 func(prefix []float64) float64) float64 {
+		sum := 0.0
+		for i := backtestMinTrain; i < len(series); i++ {
+			sum += math.Abs(forecast1(series[:i]) - series[i])
+		}
+		return sum / float64(len(series)-backtestMinTrain)
+	}
+	chain := score(func(prefix []float64) float64 {
+		// A predictor that has seen nothing, at every origin.
+		var dst [1]float64
+		if err := sched.ForecastChain(sched.NewPredictor(sched.PredictARIMA, eng.PeriodSeconds()), prefix, dst[:]); err != nil {
+			t.Fatal(err)
+		}
+		return dst[0]
+	})
+	ewma := score(func(prefix []float64) float64 {
+		e := &forecast.EWMA{Alpha: 0.4}
+		if err := e.Fit(prefix); err != nil {
+			t.Fatal(err)
+		}
+		f, err := e.Forecast(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f[0]
+	})
+	if chain >= 0.8*ewma {
+		t.Fatalf("chain MAE %v vs EWMA %v: the series does not tell the two apart", chain, ewma)
+	}
+	got := eng.ForecastBacktest()
+	key := fmt.Sprintf("class%d", eng.types[0].ID.Class)
+	if mae, ok := got[key]; !ok || math.Abs(mae-chain) > 1e-12*chain {
+		t.Errorf("backtest %s = %v (%v), want the chain's %v (EWMA alone scores %v)", key, mae, ok, chain, ewma)
 	}
 }

@@ -22,6 +22,22 @@ type ARIMA struct {
 	residTail []float64 // last Q residuals
 	lastVals  []float64 // last D values of the raw series (for integration)
 	fitted    bool
+
+	// Stage one's normal equations, carried from one Fit to the next: the
+	// long autoregression has one design row per sample, in sample order,
+	// so a series that extends the previous one only appends rows. seen
+	// is the differenced series whose rows stageOne has absorbed, at
+	// long-AR order long; a Fit whose differenced series does not start
+	// with seen bit for bit, or whose order differs, starts the sums over
+	// — a fresh model is a carried model with nothing carried. The sums
+	// are accumulated in the same order either way, so the coefficients
+	// are bit-identical.
+	stageOne *normalEq
+	long     int
+	seen     []float64
+	// stageOneAdds counts rows added to stageOne over the model's life
+	// (cost contract: an extending Fit adds only the new rows).
+	stageOneAdds int
 }
 
 // NewARIMA constructs an ARIMA(p,d,q) model. Orders must be non-negative
@@ -57,7 +73,7 @@ func (m *ARIMA) Fit(series []float64) error {
 		if long < 1 {
 			long = 1
 		}
-		c0, phi0, err := fitAR(w, long)
+		c0, phi0, err := m.fitLongAR(w, long)
 		if err != nil {
 			return err
 		}
@@ -157,21 +173,26 @@ func (m *ARIMA) Forecast(h int) ([]float64, error) {
 	return out, nil
 }
 
-// fitAR estimates an AR(p) model with intercept by ordinary least squares.
-func fitAR(w []float64, p int) (c float64, phi []float64, err error) {
-	rows := len(w) - p
-	cols := 1 + p
-	if rows <= cols {
+// fitLongAR estimates stage one's AR(long) model with intercept by
+// ordinary least squares on w, adding to the carried normal equations
+// only the rows they have not absorbed yet.
+func (m *ARIMA) fitLongAR(w []float64, long int) (c float64, phi []float64, err error) {
+	if len(w)-long <= 1+long {
 		return 0, nil, ErrTooShort
 	}
-	ne := newNormalEq(cols)
-	for t := p; t < len(w); t++ {
+	if m.stageOne == nil || m.long != long || !extends(w, m.seen) {
+		m.stageOne, m.long, m.seen = newNormalEq(1+long), long, m.seen[:0]
+	}
+	ne := m.stageOne
+	for t := max(len(m.seen), long); t < len(w); t++ {
 		ne.row[0] = 1
-		for j := 0; j < p; j++ {
+		for j := 0; j < long; j++ {
 			ne.row[1+j] = w[t-1-j]
 		}
 		ne.add(w[t])
+		m.stageOneAdds++
 	}
+	m.seen = append(m.seen, w[len(m.seen):]...)
 	beta, err := ne.solve()
 	if err != nil {
 		return 0, nil, err
@@ -179,27 +200,44 @@ func fitAR(w []float64, p int) (c float64, phi []float64, err error) {
 	return beta[0], beta[1:], nil
 }
 
+// extends reports whether w starts with prefix, bit for bit.
+func extends(w, prefix []float64) bool {
+	if len(w) < len(prefix) {
+		return false
+	}
+	for i, v := range prefix {
+		if math.Float64bits(w[i]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // normalEq accumulates the normal equations XᵀX·b = Xᵀy of a
 // least-squares fit one design row at a time, so a fit over n
 // observations allocates a fixed handful of cols-sized buffers instead
 // of n rows: the caller fills row and calls add with that row's target.
+// solve reads the sums without changing them, so rows can keep being
+// added after a solve.
 type normalEq struct {
 	row []float64   // the design row being added; reused across add calls
-	xtx [][]float64 // upper triangle until solve mirrors it
+	xtx [][]float64 // upper triangle only
 	xty []float64
+	sym [][]float64 // solve's working copy of xtx: mirrored, plus the ridge
 }
 
 func newNormalEq(cols int) *normalEq {
-	cells := make([]float64, cols*cols)
-	ne := &normalEq{
+	cells := make([]float64, 2*cols*cols)
+	rows := make([][]float64, 2*cols)
+	for i := range rows {
+		rows[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return &normalEq{
 		row: make([]float64, cols),
-		xtx: make([][]float64, cols),
+		xtx: rows[:cols:cols],
 		xty: make([]float64, cols),
+		sym: rows[cols:],
 	}
-	for i := range ne.xtx {
-		ne.xtx[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	return ne
 }
 
 // add folds the current row, with target y, into XᵀX and Xᵀy.
@@ -217,7 +255,9 @@ func (ne *normalEq) add(y float64) {
 }
 
 // solve returns argmin ||Xb - y||² over the rows added so far, with a
-// ridge fallback for (near-)singular designs.
+// ridge fallback for (near-)singular designs. The ridge goes on the
+// working copy: a design that was singular over a constant prefix must
+// not stay regularized once later rows make it regular.
 func (ne *normalEq) solve() ([]float64, error) {
 	cols := len(ne.row)
 	if cols == 0 {
@@ -225,23 +265,24 @@ func (ne *normalEq) solve() ([]float64, error) {
 	}
 	for i := 0; i < cols; i++ {
 		for j := 0; j < i; j++ {
-			ne.xtx[i][j] = ne.xtx[j][i]
+			ne.sym[i][j] = ne.xtx[j][i]
 		}
+		copy(ne.sym[i][i:], ne.xtx[i][i:])
 	}
-	b, err := solveSPD(ne.xtx, ne.xty)
+	b, err := solveSPD(ne.sym, ne.xty)
 	if err == nil {
 		return b, nil
 	}
 	// Ridge fallback: add a small multiple of the diagonal scale.
 	scale := 0.0
 	for i := 0; i < cols; i++ {
-		scale += ne.xtx[i][i]
+		scale += ne.sym[i][i]
 	}
 	lambda := 1e-8 * (scale/float64(cols) + 1)
 	for i := 0; i < cols; i++ {
-		ne.xtx[i][i] += lambda
+		ne.sym[i][i] += lambda
 	}
-	return solveSPD(ne.xtx, ne.xty)
+	return solveSPD(ne.sym, ne.xty)
 }
 
 // solveSPD solves Ax=b by Gaussian elimination with partial pivoting.

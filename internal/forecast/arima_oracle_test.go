@@ -209,7 +209,10 @@ func TestStreamingFitMatchesMaterialized(t *testing.T) {
 
 // TestARIMAFitAllocsIndependentOfLength is the cost contract of the
 // streaming normal equations: a fit allocates the same small number of
-// objects whether it sees one day of history or ten.
+// objects whether it sees one day of history or ten. The model is kept
+// across the fits, as the control loop keeps it, so stage one's
+// accumulators are not among them (18 objects before they were carried,
+// 14 since).
 func TestARIMAFitAllocsIndependentOfLength(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	xs := make([]float64, 3000)
@@ -228,7 +231,7 @@ func TestARIMAFitAllocsIndependentOfLength(t *testing.T) {
 	if short != long {
 		t.Errorf("Fit allocates %.0f objects at 300 points, %.0f at 3000", short, long)
 	}
-	if lid := 24.0; long > lid {
+	if lid := 16.0; long > lid {
 		t.Errorf("Fit allocates %.0f objects, budget %.0f", long, lid)
 	}
 	t.Logf("Fit: %.0f allocs at 300 points, %.0f at 3000", short, long)

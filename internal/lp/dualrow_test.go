@@ -141,7 +141,7 @@ func (in *mpcLP) problem() *Problem {
 // primal feasible) or the repair finished in fewer than k pivots.
 func dualRepairState(t *testing.T, p *Problem, warm *Basis, k int) (sv *sparseSolver, ok bool) {
 	t.Helper()
-	sv = newSparseSolver(standardize(p))
+	sv = newSparseSolver(&mustStandard(t, p).std)
 	valid, feasible := sv.startWarm(warm)
 	if !valid || sv.mActive {
 		t.Fatalf("warm basis rejected (valid=%v, artificial basic=%v)", valid, sv.mActive)

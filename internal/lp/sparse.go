@@ -28,6 +28,17 @@
 // inverse must invert this problem's basis columns) and checked for
 // primal feasibility under the new right-hand side; on any mismatch the
 // solver silently falls back to a cold Big-M start.
+//
+// What a solve costs before its first pivot: NewStandard reads every
+// dense row once, O(rows·vars), and allocates the column-wise matrix —
+// for CBS-RELAX at 66 container types 1.6 MB of rows built and
+// re-sparsified for a matrix that depends on the catalog alone. A
+// Standard therefore outlives a solve: the caller that knows its matrix
+// is fixed keeps it and Refills the two vectors a period changes,
+// O(rows+vars); per solve that leaves the solver's O(m+n) scratch and
+// the warm path's O(m²) terms above. The verification in startWarm is
+// kept either way: a kept Standard with a Basis from elsewhere is as
+// possible as a rebuilt one.
 package lp
 
 import (
@@ -95,38 +106,45 @@ type std struct {
 	initBasis  []int
 }
 
-// standardize mirrors the dense tableau's setup exactly: rows with
-// negative RHS are flipped, LE rows get a +1 slack, GE rows a -1 surplus
-// plus a +1 artificial, EQ rows a +1 artificial; artificial columns
-// carry cost (0, -1) in (real, M) terms.
-func standardize(p *Problem) *std {
-	m := len(p.Constraints)
-	type nrow struct {
-		coeffs []float64
-		sense  Sense
-		rhs    float64
+// Standard is a Problem in standard form that outlives one solve: a
+// caller whose constraint matrix is fixed — CBS-RELAX between two
+// control periods — builds it once with NewStandard, then per solve only
+// Refills the objective and the right-hand side and calls SolveWarm, so
+// no dense row is rebuilt or re-sparsified. SolveWarm(p, warm) is the
+// same two steps used once.
+type Standard struct {
+	std
+	// flipped[i] records that row i was negated at build time (its RHS
+	// was negative): Refill negates the new RHS the same way, and refuses
+	// one whose sign would have standardized the row differently.
+	flipped []bool
+}
+
+// NewStandard validates p and puts it in standard form, mirroring the
+// dense tableau's setup exactly: rows with negative RHS are flipped, LE
+// rows get a +1 slack, GE rows a -1 surplus plus a +1 artificial, EQ rows
+// a +1 artificial; artificial columns carry cost (0, -1) in (real, M)
+// terms. p is not retained.
+func NewStandard(p *Problem) (*Standard, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
-	rows := make([]nrow, m)
+	m := len(p.Constraints)
+	senses := make([]Sense, m)
+	slacks, arts := 0, 0
+	flipped := make([]bool, m)
 	for i, c := range p.Constraints {
-		rows[i] = nrow{coeffs: c.Coeffs, sense: c.Sense, rhs: c.RHS}
+		senses[i] = c.Sense
 		if c.RHS < 0 {
-			flipped := make([]float64, len(c.Coeffs))
-			for j, v := range c.Coeffs {
-				flipped[j] = -v
-			}
-			rows[i].coeffs = flipped
-			rows[i].rhs = -c.RHS
+			flipped[i] = true
 			switch c.Sense {
 			case LE:
-				rows[i].sense = GE
+				senses[i] = GE
 			case GE:
-				rows[i].sense = LE
+				senses[i] = LE
 			}
 		}
-	}
-	slacks, arts := 0, 0
-	for _, r := range rows {
-		switch r.sense {
+		switch senses[i] {
 		case LE:
 			slacks++
 		case GE:
@@ -137,7 +155,7 @@ func standardize(p *Problem) *std {
 		}
 	}
 	n := p.NumVars + slacks + arts
-	s := &std{
+	s := &Standard{flipped: flipped, std: std{
 		m: m, n: n,
 		cols:       make([]spCol, n),
 		b:          make([]float64, m),
@@ -146,22 +164,29 @@ func standardize(p *Problem) *std {
 		artificial: make([]bool, n),
 		structural: p.NumVars,
 		initBasis:  make([]int, m),
-	}
+	}}
 	copy(s.cR, p.Objective)
 	// Row-major append keeps each column's row indices ascending.
-	for i, r := range rows {
-		s.b[i] = r.rhs
-		for j, v := range r.coeffs {
-			if v != 0 {
-				s.cols[j].idx = append(s.cols[j].idx, int32(i))
-				s.cols[j].val = append(s.cols[j].val, v)
+	for i, c := range p.Constraints {
+		s.b[i] = c.RHS
+		if flipped[i] {
+			s.b[i] = -c.RHS
+		}
+		for j, v := range c.Coeffs {
+			if v == 0 {
+				continue
 			}
+			if flipped[i] {
+				v = -v
+			}
+			s.cols[j].idx = append(s.cols[j].idx, int32(i))
+			s.cols[j].val = append(s.cols[j].val, v)
 		}
 	}
 	slackCol := p.NumVars
 	artCol := p.NumVars + slacks
-	for i, r := range rows {
-		switch r.sense {
+	for i, sense := range senses {
+		switch sense {
 		case LE:
 			s.cols[slackCol] = unitCol(i, 1)
 			s.initBasis[i] = slackCol
@@ -182,7 +207,31 @@ func standardize(p *Problem) *std {
 			artCol++
 		}
 	}
-	return s
+	return s, nil
+}
+
+// Refill replaces the objective and the right-hand side, both in the
+// Problem's own terms (NumVars costs, one RHS per constraint, signs as
+// the caller states them), and reports whether the result is exactly the
+// standard form NewStandard would build from the problem so changed. It
+// is not when a length is off or an RHS changed sign, which would flip a
+// row and re-assign its slack and artificial columns; the Standard is
+// then left partly refilled and the caller must build a new one.
+func (s *Standard) Refill(objective, rhs []float64) bool {
+	if len(objective) != s.structural || len(rhs) != s.m {
+		return false
+	}
+	copy(s.cR, objective)
+	for i, v := range rhs {
+		if (v < 0) != s.flipped[i] {
+			return false
+		}
+		if v < 0 {
+			v = -v
+		}
+		s.b[i] = v
+	}
+	return true
 }
 
 // sparseSolver is the revised-simplex iteration state.
@@ -746,8 +795,8 @@ func (sv *sparseSolver) checkFeasible() error {
 	return nil
 }
 
-func (sv *sparseSolver) solution(p *Problem) *Solution {
-	x := make([]float64, p.NumVars)
+func (sv *sparseSolver) solution() *Solution {
+	x := make([]float64, sv.structural)
 	for i, bj := range sv.basis {
 		if bj < sv.structural {
 			v := sv.xB[i]
@@ -758,7 +807,7 @@ func (sv *sparseSolver) solution(p *Problem) *Solution {
 		}
 	}
 	obj := 0.0
-	for j, c := range p.Objective {
+	for j, c := range sv.cR[:sv.structural] {
 		obj += c * x[j]
 	}
 	return &Solution{X: x, Objective: obj, Iterations: sv.iters}
@@ -848,25 +897,30 @@ func Solve(p *Problem) (*Solution, error) {
 // back to a cold solve; the answer is optimal either way, so callers can
 // thread the returned Basis through a solve sequence unconditionally.
 func SolveWarm(p *Problem, warm *Basis) (*Solution, *Basis, error) {
-	if err := p.validate(); err != nil {
+	s, err := NewStandard(p)
+	if err != nil {
 		return nil, nil, err
 	}
-	s := standardize(p)
+	return s.SolveWarm(warm)
+}
+
+// SolveWarm is SolveWarm(p, warm) for the problem s currently states.
+func (s *Standard) SolveWarm(warm *Basis) (*Solution, *Basis, error) {
 	if warm != nil {
-		sv := newSparseSolver(s)
+		sv := newSparseSolver(&s.std)
 		if finished, err := sv.tryWarm(warm); finished {
 			if err != nil {
 				return nil, nil, err
 			}
-			return sv.solution(p), sv.captureBasis(), nil
+			return sv.solution(), sv.captureBasis(), nil
 		}
 		// Fall through to a pristine cold solver: tryWarm left pivot
 		// state behind, but s itself is untouched.
 	}
-	sv := newSparseSolver(s)
+	sv := newSparseSolver(&s.std)
 	sv.startCold()
 	if err := sv.run(); err != nil {
 		return nil, nil, err
 	}
-	return sv.solution(p), sv.captureBasis(), nil
+	return sv.solution(), sv.captureBasis(), nil
 }

@@ -34,6 +34,16 @@ func randomLP(r *rand.Rand, nVars, nRows int) *Problem {
 	return p
 }
 
+// mustStandard is NewStandard for a problem known to be well formed.
+func mustStandard(t testing.TB, p *Problem) *Standard {
+	t.Helper()
+	s, err := NewStandard(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // assertFeasible checks x against every row of p within tolerance.
 func assertFeasible(t *testing.T, p *Problem, x []float64) {
 	t.Helper()
@@ -273,12 +283,12 @@ func TestSparseDegenerateBland(t *testing.T) {
 	p.AddConstraint([]float64{0.25, -60, -0.04, 9}, LE, 0)
 	p.AddConstraint([]float64{0.5, -90, -0.02, 3}, LE, 0)
 	p.AddConstraint([]float64{0, 0, 1, 0}, LE, 1)
-	sv := newSparseSolver(standardize(p))
+	sv := newSparseSolver(&mustStandard(t, p).std)
 	sv.startCold()
 	if err := sv.runBudget(10000, 0); err != nil {
 		t.Fatalf("Bland-from-start failed: %v", err)
 	}
-	s := sv.solution(p)
+	s := sv.solution()
 	if math.Abs(s.Objective-0.05) > 1e-9 {
 		t.Fatalf("objective %g, want 0.05", s.Objective)
 	}

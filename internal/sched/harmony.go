@@ -140,6 +140,10 @@ type Harmony struct {
 	// forecasts counts forecastRates calls over the policy's life; the
 	// tick makes one per distinct class, whatever its sub-type count.
 	forecasts int
+	// predictors[s] is the forecaster of the class whose short sub-type
+	// is s (nil on long sub-types), built once: a model that can carry
+	// work from one period's fit to the next does.
+	predictors []forecast.Predictor
 	// Per-period scratch, allocated once in NewHarmony and overwritten
 	// every tick so the steady-state control path does not churn the
 	// allocator. Handing these buffers out in the Directive (and via
@@ -322,6 +326,13 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 		}
 		if total := classCount[tt.ID.Class]; total > 0 {
 			h.longFrac[i] = float64(long) / float64(total)
+		}
+	}
+
+	h.predictors = make([]forecast.Predictor, len(cfg.Types))
+	for i, si := range h.shortSibling {
+		if si == i {
+			h.predictors[i] = NewPredictor(cfg.Predictor, cfg.PeriodSeconds)
 		}
 	}
 
@@ -646,9 +657,9 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 
 // NewPredictor returns the unfitted forecaster a PredictorKind selects,
 // for a control period of periodSeconds (the seasonal models' season is
-// one day of periods). The control loop and harmonyd's forecast backtest
-// both build their model here, so the backtest scores what the loop
-// actually runs.
+// one day of periods). It is the model ForecastChain hands histories to;
+// one lives as long as the class it forecasts, so a model that can carry
+// work from one fit to the next (ARIMA's stage-one sums) does.
 func NewPredictor(kind PredictorKind, periodSeconds float64) forecast.Predictor {
 	switch kind {
 	case PredictAutoARIMA:
@@ -666,38 +677,41 @@ func NewPredictor(kind PredictorKind, periodSeconds float64) forecast.Predictor 
 	return &forecast.EWMA{Alpha: 0.4}
 }
 
-// forecastRates predicts the next len(dst) arrival rates for type n,
-// filling dst in place. Before minHistory periods accumulate it uses EWMA
-// over whatever exists; after that it fits the configured ARIMA model,
-// falling back to EWMA when the fit degenerates. Rates no queue can be
-// sized for (negative, NaN, +Inf) are zeroed.
-//
-//harmony:coldpath the predictor's fit and forecast are the budgeted residue TestPeriodScratchReuse measures
+// forecastRates predicts the next len(dst) arrival rates of type n's
+// class from its history, with the predictor the class keeps.
 func (h *Harmony) forecastRates(n int, dst []float64) error {
 	h.forecasts++
-	hist := h.history[n]
-	w := len(dst)
+	return ForecastChain(h.predictors[n], h.history[n], dst)
+}
+
+// ForecastChain is the control loop's forecast of the len(dst) values
+// that follow hist, written to dst: an EWMA over whatever exists before
+// minHistory samples accumulate, after that pred (from NewPredictor)
+// refitted on hist, and the EWMA again when that fit degenerates. Values
+// no queue can be sized for (negative, NaN, +Inf) are zeroed. The policy
+// calls it once per class per period and harmonyd's forecast backtest
+// once per origin, each with one predictor kept across calls, so the
+// backtest scores what the loop ran.
+//
+//harmony:coldpath the predictor's fit and forecast are the budgeted residue TestPeriodScratchReuse measures
+func ForecastChain(pred forecast.Predictor, hist, dst []float64) error {
 	if len(hist) == 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return nil
 	}
-	var pred forecast.Predictor
+	fitted := false
 	if len(hist) >= minHistory {
-		pred = NewPredictor(h.cfg.Predictor, h.cfg.PeriodSeconds)
-		if err := pred.Fit(hist); err != nil {
-			pred = nil
-		}
+		fitted = pred.Fit(hist) == nil
 	}
-	if pred == nil {
-		e := &forecast.EWMA{Alpha: 0.4}
-		if err := e.Fit(hist); err != nil {
+	if !fitted {
+		pred = &forecast.EWMA{Alpha: 0.4}
+		if err := pred.Fit(hist); err != nil {
 			return err
 		}
-		pred = e
 	}
-	rates, err := pred.Forecast(w)
+	rates, err := pred.Forecast(len(dst))
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,92 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+
+	"harmony/internal/energy"
+	"harmony/internal/trace"
+)
+
+// backloggedEngine is a powered two-type cluster with one task type's
+// queue filled from tasks, none placed yet.
+func backloggedEngine(t testing.TB, tasks []trace.Task) *engine {
+	t.Helper()
+	tr := &trace.Trace{
+		Machines: []trace.MachineType{
+			{ID: 1, Platform: "PF-A", CPU: 0.5, Mem: 0.5, Count: 600},
+			{ID: 2, Platform: "PF-B", CPU: 1, Mem: 1, Count: 600},
+		},
+		Horizon: 1e9,
+	}
+	cfg := Config{
+		Source:        trace.NewSliceSource(tr),
+		Models:        simModels(),
+		Price:         energy.FlatPrice(0.1),
+		Policy:        &staticPolicy{name: "x", target: []int{600, 600}},
+		Period:        300,
+		NumTypes:      1,
+		TypeOf:        func(trace.Task) int { return 0 },
+		InitialActive: []int{600, 600},
+	}
+	if err := validateConfig(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.applyDefaults()
+	e := newEngine(cfg)
+	for _, tk := range tasks {
+		gi := tk.Group().Index()
+		e.pending[gi][0] = append(e.pending[gi][0], pendingTask{task: tk})
+		e.pendingCount++
+	}
+	return e
+}
+
+// BenchmarkSchedulePass times one scheduling pass over a backlogged
+// queue that cannot drain (every machine is full in one dimension):
+// tasks of one size, of
+// mixed sizes (each failure dominates fewer of its successors), and
+// constrained (the constraint splits the dominance classes).
+func BenchmarkSchedulePass(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	queue := func(size func(i int) (cpu, mem float64, constraint string)) []trace.Task {
+		tasks := make([]trace.Task, 4096)
+		for i := range tasks {
+			cpu, mem, c := size(i)
+			tasks[i] = trace.Task{ID: uint64(i), Duration: 10, CPU: cpu, Mem: mem, Constraint: c}
+		}
+		return tasks
+	}
+	for _, bc := range []struct {
+		name  string
+		tasks []trace.Task
+	}{
+		{"equal-size", queue(func(int) (float64, float64, string) { return 0.2, 0.2, "" })},
+		{"mixed-size", queue(func(int) (float64, float64, string) { return 0.1 + 0.3*r.Float64(), 0.1 + 0.3*r.Float64(), "" })},
+		{"constrained", queue(func(i int) (float64, float64, string) { return 0.2, 0.2, []string{"", "PF-A", "PF-B"}[i%3] })},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := backloggedEngine(b, bc.tasks)
+			// No queued task fits anywhere, but no shard can be pruned:
+			// every other machine is out of CPU, the rest out of memory,
+			// so the per-shard free-capacity bounds stay high and a place
+			// attempt scans the machines, as a fragmented cluster's does.
+			for mi := range e.machines {
+				m := &e.machines[mi]
+				mt := e.types[m.typeIdx]
+				m.usedCPU, m.usedMem, m.tasks = mt.CPU-0.05, 0, 1
+				if mi%2 == 1 {
+					m.usedCPU, m.usedMem = 0, mt.Mem-0.05
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.schedulePending()
+			}
+			if e.res.Scheduled != 0 {
+				b.Fatal("the backlog drained")
+			}
+		})
+	}
+}

@@ -308,6 +308,12 @@ type engine struct {
 	freeCPUBound [][]float64
 	freeMemBound [][]float64
 
+	// failed is schedulePending's scratch: the shapes that failed in the
+	// queue being walked (at most the fail budget). placeAttempts counts
+	// place calls over the run (cost contract of the dominance rule).
+	failed        []failedShape
+	placeAttempts int
+
 	// delayRes, when non-nil per group, reservoir-samples scheduling
 	// delays instead of retaining all of them.
 	delayRes [trace.NumGroups]*stats.Reservoir
@@ -390,6 +396,7 @@ func newEngine(cfg Config) *engine {
 		occupancy:    make([][]int, nm),
 		freeCPUBound: make([][]float64, nm),
 		freeMemBound: make([][]float64, nm),
+		failed:       make([]failedShape, 0, failBudgetPerQueue),
 		res: &Result{
 			Policy:       cfg.Policy.Name(),
 			DelayByGroup: make(map[trace.PriorityGroup]*stats.CDF, trace.NumGroups),
@@ -491,6 +498,7 @@ func (e *engine) run() error {
 		//harmony:allow floateq exact by construction: tEvt is the min of the compared values
 		case tEvt == nextPeriod:
 			e.periodBoundary(periodIdx)
+			e.schedulePending()
 			periodIdx++
 			nextPeriod += e.cfg.Period
 		//harmony:allow floateq exact by construction: tEvt is the min of the compared values
@@ -519,8 +527,10 @@ func (e *engine) handleArrival(t trace.Task) {
 	p := pendingTask{task: t, taskType: tt}
 	// Fast path: preserve FIFO per (group, type) but place an arriving
 	// task immediately when nothing of its kind waits.
-	if len(e.pending[gi][tt]) == 0 && e.place(p) {
-		return
+	if len(e.pending[gi][tt]) == 0 {
+		if cpu, mem := e.reserved(&p); e.place(&p, cpu, mem) {
+			return
+		}
 	}
 	e.pending[gi][tt] = append(e.pending[gi][tt], p)
 	e.pendingCount++
@@ -561,7 +571,8 @@ func (e *engine) advanceTo(t float64) {
 }
 
 // periodBoundary runs the control-period work: failure injection, exact
-// accounting audit, relabeling, observation, and the policy decision.
+// accounting audit, relabeling, observation, and the policy decision
+// (the caller follows it with a scheduling pass under the new directive).
 // It is the budgeted residue outside the per-event hot path.
 //
 //harmony:coldpath period work is budgeted per control period, not per event
@@ -586,7 +597,6 @@ func (e *engine) periodBoundary(periodIdx int) {
 	for i := range e.arrivals {
 		e.arrivals[i] = 0
 	}
-	e.schedulePending()
 }
 
 func (e *engine) observe(periodIdx int) *Observation {
@@ -679,11 +689,27 @@ func (e *engine) setActive(ti, target int) {
 	}
 }
 
+// failedShape is what decides a placement within one scheduling pass,
+// for a task of a given queue: its constraint and the CPU and memory it
+// would occupy.
+type failedShape struct {
+	constraint string
+	cpu, mem   float64
+}
+
 // schedulePending walks the queues in priority order (production first),
 // then per task type, first-fitting tasks onto powered machines while
 // honoring quotas and container reservations. Each type queue tolerates a
 // bounded number of placement failures per pass so one unschedulable task
 // cannot starve everything behind it.
+//
+// Within a pass the clock stands still, nothing completes and no machine
+// changes power state, so (task demands being positive) free capacity
+// only shrinks and quota occupancy only grows. A task of a queue (one task type, hence one reservation
+// and one quota column) that needs at least the CPU and memory of an
+// earlier task of that queue with the same constraint which failed in
+// this pass must therefore fail too: it is charged to the fail budget
+// like any failure, without the machine scan.
 //
 //harmony:hotpath
 func (e *engine) schedulePending() {
@@ -696,30 +722,45 @@ func (e *engine) schedulePending() {
 			if len(q) == 0 {
 				continue
 			}
-			fails := 0
-			kept := q[:0]
-			for qi, p := range q {
-				if fails >= failBudgetPerQueue {
-					kept = append(kept, q[qi:]...)
+			failed := e.failed[:0]
+			kept := 0
+			for qi := range q {
+				if len(failed) == failBudgetPerQueue {
+					kept += copy(q[kept:], q[qi:])
 					break
 				}
-				if e.place(p) {
+				p := &q[qi]
+				cpu, mem := e.reserved(p)
+				if !dominated(failed, p.task.Constraint, cpu, mem) && e.place(p, cpu, mem) {
 					e.pendingCount--
 					continue
 				}
-				kept = append(kept, p)
-				fails++
+				failed = append(failed, failedShape{p.task.Constraint, cpu, mem})
+				if kept != qi {
+					q[kept] = *p
+				}
+				kept++
 			}
-			e.pending[gi][tt] = kept
+			e.pending[gi][tt] = q[:kept]
 		}
 	}
 }
 
-// place tries to start p on some machine; reports success.
-//
-//harmony:hotpath
-func (e *engine) place(p pendingTask) bool {
-	cpu, mem := p.task.CPU, p.task.Mem
+// dominated reports whether a task of this shape needs at least what one
+// of the failed shapes, under the same constraint, already could not get.
+func dominated(failed []failedShape, constraint string, cpu, mem float64) bool {
+	for i := range failed {
+		if f := &failed[i]; cpu >= f.cpu && mem >= f.mem && constraint == f.constraint {
+			return true
+		}
+	}
+	return false
+}
+
+// reserved returns what p would occupy on a machine: its demand, raised
+// to its type's container reservation under CBS.
+func (e *engine) reserved(p *pendingTask) (cpu, mem float64) {
+	cpu, mem = p.task.CPU, p.task.Mem
 	if e.reserveCPU != nil && p.taskType < len(e.reserveCPU) {
 		if r := e.reserveCPU[p.taskType]; r > cpu {
 			cpu = r
@@ -730,6 +771,15 @@ func (e *engine) place(p pendingTask) bool {
 			mem = r
 		}
 	}
+	return cpu, mem
+}
+
+// place tries to start p, occupying cpu and mem (from reserved), on some
+// machine; reports success.
+//
+//harmony:hotpath
+func (e *engine) place(p *pendingTask, cpu, mem float64) bool {
+	e.placeAttempts++
 	for ti := range e.types {
 		if e.active[ti] == 0 {
 			continue
@@ -833,7 +883,7 @@ func (e *engine) placeInType(ti int, mt trace.MachineType, cpu, mem float64) int
 }
 
 //harmony:hotpath
-func (e *engine) start(p pendingTask, mi int, cpu, mem float64) {
+func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 	m := &e.machines[mi]
 	m.usedCPU += cpu
 	m.usedMem += mem
