@@ -277,7 +277,8 @@ type SimulationConfig struct {
 	// Horizon (MPC look-ahead periods), Epsilon (per-machine overflow
 	// bound for container sizing) and Omega (over-provisioning factor
 	// compensating bin-packing inefficiency, Eq. 17) pass through to the
-	// HARMONY policy; zero values take its defaults (2, 0.25, 1.05).
+	// HARMONY policy; zero values take its defaults (2, 0.25, 1.05), any
+	// other Epsilon outside (0,1) or Omega outside [1,+Inf) is an error.
 	Horizon int
 	Epsilon float64
 	Omega   float64

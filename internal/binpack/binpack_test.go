@@ -1,174 +1,154 @@
 package binpack
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-func item(id int, demands ...float64) Item {
-	return Item{ID: id, Demands: demands}
-}
-
-func TestBinAddRemove(t *testing.T) {
-	b := NewBin([]float64{1, 1})
-	if err := b.Add(item(1, 0.5, 0.3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(item(2, 0.5, 0.3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(item(3, 0.1, 0.5)); err == nil {
-		t.Error("overflow accepted")
-	}
-	if !b.Remove(1) {
-		t.Error("remove failed")
-	}
-	if b.Remove(99) {
-		t.Error("removed phantom item")
-	}
-	if b.Used[0] != 0.5 || len(b.Items) != 1 {
-		t.Errorf("after remove: used=%v items=%d", b.Used, len(b.Items))
-	}
-	// Now item 3 fits.
-	if err := b.Add(item(3, 0.1, 0.5)); err != nil {
-		t.Errorf("add after remove: %v", err)
-	}
-}
-
-func TestBinFitsDimMismatch(t *testing.T) {
-	b := NewBin([]float64{1})
-	if b.Fits(item(1, 0.1, 0.1)) {
-		t.Error("dim mismatch accepted")
-	}
-}
-
-func TestEffectiveUtilization(t *testing.T) {
-	b := NewBin([]float64{1, 2})
-	_ = b.Add(item(1, 0.5, 1.0))
-	if got := b.EffectiveUtilization(); got != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", got)
-	}
-	var empty Bin
-	if empty.EffectiveUtilization() != 0 {
-		t.Error("empty bin utilization should be 0")
-	}
-}
-
 func TestValidation(t *testing.T) {
-	if _, err := FirstFit([]Item{item(1, 0.5)}, nil); err == nil {
-		t.Error("empty capacity accepted")
+	one := []int{1}
+	tests := []struct {
+		name     string
+		demands  [][]float64
+		counts   []int
+		capacity []float64
+		maxBins  int
+	}{
+		{"empty capacity", [][]float64{{0.5}}, one, nil, 1},
+		{"zero capacity", [][]float64{{0.5}}, one, []float64{0}, 1},
+		{"NaN capacity", [][]float64{{0.5}}, one, []float64{math.NaN()}, 1},
+		{"oversized item", [][]float64{{2}}, one, []float64{1}, 1},
+		{"negative demand", [][]float64{{-0.1}}, one, []float64{1}, 1},
+		{"NaN demand", [][]float64{{math.NaN()}}, one, []float64{1}, 1},
+		{"dim mismatch", [][]float64{{0.1, 0.1}}, one, []float64{1}, 1},
+		{"counts length", [][]float64{{0.1}}, []int{1, 1}, []float64{1}, 1},
+		{"negative budget", [][]float64{{0.1}}, one, []float64{1}, -1},
 	}
-	if _, err := FirstFit([]Item{item(1, 0.5)}, []float64{0}); err == nil {
-		t.Error("zero capacity accepted")
+	for _, tt := range tests {
+		if _, _, err := FirstFitBounded(tt.demands, tt.counts, tt.capacity, tt.maxBins); err == nil {
+			t.Errorf("%s accepted", tt.name)
+		}
 	}
-	if _, err := FirstFit([]Item{item(1, 2)}, []float64{1}); err == nil {
-		t.Error("oversized item accepted")
-	}
-	if _, err := FirstFit([]Item{item(1, -0.1)}, []float64{1}); err == nil {
-		t.Error("negative demand accepted")
-	}
-	if _, err := FirstFit([]Item{item(1, 0.1, 0.1)}, []float64{1}); err == nil {
-		t.Error("dim mismatch accepted")
+	// A kind with nothing to pack is not looked at, as when every item
+	// was its own argument: the controller's catalog holds container
+	// sizes some machine types cannot host.
+	bins, unplaced, err := FirstFitBounded([][]float64{{2}, {0.5}}, []int{0, 1}, []float64{1}, 1)
+	if err != nil || len(bins) != 1 || unplaced != nil {
+		t.Errorf("oversized kind with count 0: bins=%d unplaced=%v err=%v", len(bins), unplaced, err)
 	}
 }
 
 func TestFirstFitExact(t *testing.T) {
-	items := []Item{
-		item(1, 0.6), item(2, 0.6), item(3, 0.4), item(4, 0.4),
-	}
-	bins, err := FirstFit(items, []float64{1})
+	// FF of 0.6, 0.6, 0.4, 0.4: [0.6, 0.4], [0.6, 0.4] -> 2 bins.
+	bins, unplaced, err := FirstFitBounded([][]float64{{0.6}, {0.4}}, []int{2, 2}, []float64{1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FF: [0.6, 0.4], [0.6, 0.4] -> 2 bins.
-	if len(bins) != 2 {
-		t.Fatalf("bins = %d, want 2", len(bins))
-	}
-}
-
-func TestFirstFitDecreasingBeatsFF(t *testing.T) {
-	// Classic instance where FFD helps: FF of 0.3,0.3,0.3,0.8 wastes.
-	items := []Item{item(1, 0.3), item(2, 0.3), item(3, 0.3), item(4, 0.8)}
-	ff, _ := FirstFit(items, []float64{1})
-	ffd, _ := FirstFitDecreasing(items, []float64{1})
-	if len(ffd) > len(ff) {
-		t.Errorf("FFD used %d bins, FF used %d", len(ffd), len(ff))
-	}
-	if len(ffd) != 2 {
-		t.Errorf("FFD bins = %d, want 2", len(ffd))
-	}
-}
-
-func TestBestFit(t *testing.T) {
-	items := []Item{item(1, 0.5), item(2, 0.3), item(3, 0.5), item(4, 0.2)}
-	bins, err := BestFit(items, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 2 {
-		t.Errorf("BestFit bins = %d, want 2", len(bins))
+	want := []Bin{{Counts: []int{1, 1}, Used: []float64{1}}, {Counts: []int{1, 1}, Used: []float64{1}}}
+	if !reflect.DeepEqual(bins, want) || unplaced != nil {
+		t.Errorf("bins = %v unplaced = %v, want %v and none", bins, unplaced, want)
 	}
 }
 
 func TestFirstFitBounded(t *testing.T) {
-	items := []Item{item(1, 0.9), item(2, 0.9), item(3, 0.9)}
-	bins, unplaced, err := FirstFitBounded(items, []float64{1}, 2)
+	demands, counts := [][]float64{{0.9}, {0.05}}, []int{3, 1}
+	bins, unplaced, err := FirstFitBounded(demands, counts, []float64{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bins) != 2 || len(unplaced) != 1 {
-		t.Errorf("bins=%d unplaced=%d, want 2/1", len(bins), len(unplaced))
-	}
-	if unplaced[0].ID != 3 {
-		t.Errorf("unplaced = %v", unplaced)
-	}
-	if _, _, err := FirstFitBounded(items, []float64{1}, -1); err == nil {
-		t.Error("negative budget accepted")
+	// The third 0.9 finds both bins taken; the 0.05 still fits the first.
+	if len(bins) != 2 || !reflect.DeepEqual(unplaced, []int{1, 0}) || bins[0].Counts[1] != 1 {
+		t.Errorf("bins=%v unplaced=%v, want 2 bins and one item of kind 0 left", bins, unplaced)
 	}
 	// Zero budget: everything unplaced.
-	bins, unplaced, err = FirstFitBounded(items, []float64{1}, 0)
-	if err != nil || len(bins) != 0 || len(unplaced) != 3 {
-		t.Errorf("zero budget: bins=%d unplaced=%d err=%v", len(bins), len(unplaced), err)
+	bins, unplaced, err = FirstFitBounded(demands, counts, []float64{1}, 0)
+	if err != nil || len(bins) != 0 || !reflect.DeepEqual(unplaced, counts) {
+		t.Errorf("zero budget: bins=%d unplaced=%v err=%v", len(bins), unplaced, err)
 	}
 }
 
-func TestDrain(t *testing.T) {
-	// Three bins, light load: draining to 2 should re-home everything.
-	var bins []*Bin
-	for i := 0; i < 3; i++ {
-		b := NewBin([]float64{1, 1})
-		_ = b.Add(item(i, 0.2, 0.2))
-		bins = append(bins, b)
+// firstFitItems is First-Fit one item at a time, every bin tried from the
+// first for every item: the form FirstFitBounded had before it took
+// counts, kept as the oracle for the count form.
+func firstFitItems(demands [][]float64, counts []int, capacity []float64, maxBins int) (bins []Bin, unplaced []int) {
+	for k, dem := range demands {
+	item:
+		for i := 0; i < counts[k]; i++ {
+			for b := range bins {
+				if fits(bins[b].Used, dem, capacity) {
+					bins[b].Counts[k]++
+					for d, v := range dem {
+						bins[b].Used[d] += v
+					}
+					continue item
+				}
+			}
+			if len(bins) == maxBins {
+				if unplaced == nil {
+					unplaced = make([]int, len(demands))
+				}
+				unplaced[k]++
+				continue
+			}
+			b := Bin{Counts: make([]int, len(demands)), Used: append([]float64(nil), dem...)}
+			b.Counts[k] = 1
+			bins = append(bins, b)
+		}
 	}
-	kept, stranded := Drain(bins, 2)
-	if len(kept) != 2 || len(stranded) != 0 {
-		t.Errorf("kept=%d stranded=%d", len(kept), len(stranded))
-	}
-	total := 0
-	for _, b := range kept {
-		total += len(b.Items)
-	}
-	if total != 3 {
-		t.Errorf("items after drain = %d, want 3", total)
-	}
+	return bins, unplaced
+}
 
-	// Heavy load: draining strands items.
-	var heavy []*Bin
-	for i := 0; i < 2; i++ {
-		b := NewBin([]float64{1})
-		_ = b.Add(Item{ID: i, Demands: []float64{0.9}})
-		heavy = append(heavy, b)
+// randomKinds draws 1–3 dimensions, unit capacity, 1–12 kinds with
+// demands in [0, 0.9) and counts in [-1, 8] (the controller's floor of a
+// slightly negative LP value is -1: nothing to pack).
+func randomKinds(r *rand.Rand) (demands [][]float64, counts []int, capacity []float64) {
+	capacity = make([]float64, 1+r.Intn(3))
+	for d := range capacity {
+		capacity[d] = 1
 	}
-	kept, stranded = Drain(heavy, 1)
-	if len(kept) != 1 || len(stranded) != 1 {
-		t.Errorf("heavy drain kept=%d stranded=%d", len(kept), len(stranded))
+	demands = make([][]float64, 1+r.Intn(12))
+	counts = make([]int, len(demands))
+	for k := range demands {
+		demands[k] = make([]float64, len(capacity))
+		for d := range demands[k] {
+			demands[k][d] = r.Float64() * 0.9
+		}
+		counts[k] = r.Intn(10) - 1
 	}
+	return demands, counts, capacity
+}
 
-	// Target >= len: no-op.
-	kept, stranded = Drain(heavy, 5)
-	if len(kept) != 2 || stranded != nil {
-		t.Error("no-op drain changed bins")
+// Property: the count form makes the item-at-a-time decisions, bit for bit.
+func TestFirstFitMatchesItemAtATime(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		demands, counts, capacity := randomKinds(r)
+		maxBins := r.Intn(30)
+		bins, unplaced, err := FirstFitBounded(demands, counts, capacity, maxBins)
+		if err != nil {
+			return false
+		}
+		want, wantUnplaced := firstFitItems(demands, counts, capacity, maxBins)
+		if len(bins) != len(want) || !reflect.DeepEqual(unplaced, wantUnplaced) {
+			return false
+		}
+		for b := range bins {
+			if !reflect.DeepEqual(bins[b].Counts, want[b].Counts) {
+				return false
+			}
+			for d := range capacity {
+				if math.Float64bits(bins[b].Used[d]) != math.Float64bits(want[b].Used[d]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -178,79 +158,46 @@ func TestDrain(t *testing.T) {
 func TestFirstFitProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dims := 1 + r.Intn(3)
-		capacity := make([]float64, dims)
-		for d := range capacity {
-			capacity[d] = 1
-		}
-		n := 1 + r.Intn(60)
-		items := make([]Item, n)
-		for i := range items {
-			dem := make([]float64, dims)
-			for d := range dem {
-				dem[d] = r.Float64() * 0.9
+		demands, counts, capacity := randomKinds(r)
+		total := 0
+		for _, c := range counts {
+			if c > 0 {
+				total += c
 			}
-			items[i] = Item{ID: i, Demands: dem}
 		}
-		bins, err := FirstFit(items, capacity)
-		if err != nil {
+		bins, unplaced, err := FirstFitBounded(demands, counts, capacity, total)
+		if err != nil || unplaced != nil {
 			return false
 		}
-		seen := make(map[int]bool, n)
+		packed := make([]int, len(demands))
+		underHalf := 0
 		for _, b := range bins {
+			util := 0.0
 			for d := range capacity {
 				sum := 0.0
-				for _, it := range b.Items {
-					sum += it.Demands[d]
+				for k, c := range b.Counts {
+					sum += float64(c) * demands[k][d]
 				}
-				if sum > capacity[d]+1e-9 {
+				if sum > capacity[d]+1e-9 || math.Abs(sum-b.Used[d]) > 1e-9 {
 					return false
 				}
+				util += b.Used[d] / capacity[d]
 			}
-			for _, it := range b.Items {
-				if seen[it.ID] {
-					return false
-				}
-				seen[it.ID] = true
+			if util/float64(len(capacity)) < 1/(2*float64(len(capacity))) {
+				underHalf++
+			}
+			for k, c := range b.Counts {
+				packed[k] += c
 			}
 		}
-		if len(seen) != n {
-			return false
+		for k, c := range counts {
+			if packed[k] != c && (c > 0 || packed[k] != 0) {
+				return false
+			}
 		}
-		return HalfFullCount(bins, dims) <= 1
+		return underHalf <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: FFD and BestFit also produce valid packings of all items.
-func TestVariantsPackEverything(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + r.Intn(50)
-		items := make([]Item, n)
-		for i := range items {
-			items[i] = item(i, r.Float64()*0.8, r.Float64()*0.8)
-		}
-		capacity := []float64{1, 1}
-		for _, pack := range []func([]Item, []float64) ([]*Bin, error){FirstFitDecreasing, BestFit} {
-			bins, err := pack(items, capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			count := 0
-			for _, b := range bins {
-				count += len(b.Items)
-				for d := range capacity {
-					if b.Used[d] > capacity[d]+1e-9 {
-						t.Fatal("overfull bin")
-					}
-				}
-			}
-			if count != n {
-				t.Fatalf("packed %d of %d items", count, n)
-			}
-		}
 	}
 }

@@ -20,24 +20,20 @@ var ErrBadBound = errors.New("container: error bound must be in (0,1)")
 // numResources independent resource dimensions: if each resource violates
 // with probability at most eps_r and violations are independent, the joint
 // violation probability is at most 1-(1-eps_r)^R <= eps when
-// eps_r = 1-(1-eps)^{1/R}.
+// eps_r = 1-(1-eps)^{1/R}. An eps outside (0,1), NaN, or so small that
+// eps_r rounds to 0 (an infinite Z) is ErrBadBound.
 func PerResourceBound(eps float64, numResources int) (float64, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		return 0, fmt.Errorf("%w: eps=%v", ErrBadBound, eps)
 	}
 	if numResources <= 0 {
 		return 0, errors.New("container: need at least one resource")
 	}
-	return 1 - math.Pow(1-eps, 1/float64(numResources)), nil
-}
-
-// ZScore returns the Z multiplier for a per-resource violation bound
-// eps_r: the (1-eps_r) percentile of the unit normal.
-func ZScore(epsR float64) (float64, error) {
-	if epsR <= 0 || epsR >= 1 {
-		return 0, fmt.Errorf("%w: eps_r=%v", ErrBadBound, epsR)
+	epsR := 1 - math.Pow(1-eps, 1/float64(numResources))
+	if !(epsR > 0) {
+		return 0, fmt.Errorf("%w: eps=%v is too small to split", ErrBadBound, eps)
 	}
-	return stats.NormalQuantile(1 - epsR), nil
+	return epsR, nil
 }
 
 // Size is the container reservation for one resource: c = μ + Z·σ,
@@ -68,25 +64,9 @@ func ViolationProbability(capacity, totalMean, totalVar float64) float64 {
 	return 1 - stats.NormalCDF(zz)
 }
 
-// GroupFits checks the Eq. 3 inequality for a concrete group of tasks:
-// (C - Σμ) / sqrt(Σσ²) >= Z. It reports whether the machine capacity C
-// accommodates the group at the Z-score's confidence level.
-func GroupFits(capacity float64, means, stddevs []float64, z float64) (bool, error) {
-	if len(means) != len(stddevs) {
-		return false, fmt.Errorf("container: %d means vs %d stddevs", len(means), len(stddevs))
-	}
-	var sumMu, sumVar float64
-	for i := range means {
-		sumMu += means[i]
-		sumVar += stddevs[i] * stddevs[i]
-	}
-	if sumVar == 0 {
-		return sumMu <= capacity, nil
-	}
-	return (capacity-sumMu)/math.Sqrt(sumVar) >= z, nil
-}
-
 // Sizing bundles the sizing decision for one task class across resources.
+// Z is the multiplier for the per-resource violation bound eps_r: the
+// (1-eps_r) percentile of the unit normal.
 type Sizing struct {
 	CPU float64
 	Mem float64
@@ -101,10 +81,7 @@ func ForClass(cpuMean, cpuStd, memMean, memStd, eps float64) (Sizing, error) {
 	if err != nil {
 		return Sizing{}, err
 	}
-	z, err := ZScore(epsR)
-	if err != nil {
-		return Sizing{}, err
-	}
+	z := stats.NormalQuantile(1 - epsR)
 	return Sizing{
 		CPU: Size(cpuMean, cpuStd, z, 1),
 		Mem: Size(memMean, memStd, z, 1),

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,21 +33,26 @@ func TestPerResourceBound(t *testing.T) {
 	if _, err := PerResourceBound(1, 2); err == nil {
 		t.Error("eps=1 accepted")
 	}
+	// NaN passes neither range test; 1e-17 splits to an eps_r of 0, whose
+	// Z is +Inf.
+	for _, eps := range []float64{math.NaN(), 1e-17} {
+		if _, err := PerResourceBound(eps, 2); !errors.Is(err, ErrBadBound) {
+			t.Errorf("eps=%v: err = %v, want ErrBadBound", eps, err)
+		}
+	}
 	if _, err := PerResourceBound(0.1, 0); err == nil {
 		t.Error("zero resources accepted")
 	}
 }
 
 func TestZScore(t *testing.T) {
-	z, err := ZScore(0.025)
+	// A joint bound of 1-(1-0.025)² over two resources is eps_r = 0.025.
+	s, err := ForClass(0.1, 0.02, 0.05, 0.01, 1-0.975*0.975)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(z-1.959964) > 1e-4 {
-		t.Errorf("Z(0.025) = %v, want 1.96", z)
-	}
-	if _, err := ZScore(0); err == nil {
-		t.Error("eps_r=0 accepted")
+	if math.Abs(s.Z-1.959964) > 1e-4 {
+		t.Errorf("Z(0.025) = %v, want 1.96", s.Z)
 	}
 }
 
@@ -82,31 +88,6 @@ func TestViolationProbability(t *testing.T) {
 	}
 }
 
-func TestGroupFits(t *testing.T) {
-	ok, err := GroupFits(1, []float64{0.2, 0.2}, []float64{0.05, 0.05}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("comfortable group rejected")
-	}
-	ok, err = GroupFits(0.5, []float64{0.3, 0.3}, []float64{0.05, 0.05}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("overloaded group accepted")
-	}
-	if _, err := GroupFits(1, []float64{0.1}, []float64{0.1, 0.2}, 1); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	// Zero-variance group reduces to a deterministic capacity check.
-	ok, _ = GroupFits(1, []float64{0.5, 0.5}, []float64{0, 0}, 3)
-	if !ok {
-		t.Error("deterministic exact fit rejected")
-	}
-}
-
 func TestForClass(t *testing.T) {
 	s, err := ForClass(0.1, 0.02, 0.05, 0.01, 0.05)
 	if err != nil {
@@ -138,10 +119,7 @@ func TestSizingBoundsEmpiricalViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := ZScore(epsR)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := stats.NormalQuantile(1 - epsR)
 	cSize := Size(taskMean, taskStd, z, 1)
 	n := int(capacity / cSize) // containers that "fit" by reservation
 

@@ -79,9 +79,10 @@ type Decision struct {
 	// type-m machines. For CBS it equals the packed counts; for CBP it
 	// is the rounded fractional allocation.
 	Quota [][]int
-	// Packings[m] lists, for CBS, the per-machine container-type counts
-	// chosen by First-Fit (one entry per machine to keep on). Nil for CBP.
-	Packings [][]map[int]int
+	// Packings[m] lists, for CBS, the per-machine container counts chosen
+	// by First-Fit: one entry per machine to keep on, indexed by container
+	// type. Nil for CBP.
+	Packings [][][]int
 	// Dropped[n] counts containers of type n the rounding could not
 	// place within the machine budget (CBS only).
 	Dropped []int

@@ -13,23 +13,11 @@ import (
 // which is what lets the delta path repack some types and reuse others.
 type typePacking struct {
 	active   int
-	packings []map[int]int
+	packings [][]int // per machine, indexed by container type
 	quota    []int
 	dropped  []int // indexed by container type
 	err      error
 }
-
-// packTypeShift is how many bits of a binpack item ID hold the per-type
-// item counter; the low bits hold the container type. The counter side is
-// effectively unbounded (47 spare bits on 64-bit platforms), but the
-// container-type side caps the catalog size.
-const packTypeShift = 16
-
-// maxPackContainerTypes is the largest container catalog the id<<shift|n
-// item encoding can represent. Beyond it the decode (ID & mask) would
-// silently fold high type indices onto low ones and mis-merge counts, so
-// packType refuses such catalogs with an explicit error instead.
-const maxPackContainerTypes = 1 << packTypeShift
 
 // packBudget is the integer machine budget First-Fit may use for machine
 // type m in period 0: ⌈z*⌉ plus Lemma 1's one-machine allowance, capped
@@ -74,11 +62,6 @@ func quotaCap(plan *Plan, m, n int) int {
 func (c *Controller) packType(plan *Plan, m int) typePacking {
 	ms := c.Machines[m]
 	p := typePacking{quota: make([]int, len(c.Containers))}
-	if len(c.Containers) > maxPackContainerTypes {
-		p.err = fmt.Errorf("core: CBS rounding type %d: %d container types exceed the %d-type item-encoding limit",
-			ms.Type, len(c.Containers), maxPackContainerTypes)
-		return p
-	}
 	budget := c.packBudget(plan, m)
 	if budget == 0 {
 		// No machines to pack onto, but the plan may still have allocated
@@ -97,45 +80,28 @@ func (c *Controller) packType(plan *Plan, m int) typePacking {
 		return p
 	}
 
-	// Integer container counts for this machine type.
-	var items []binpack.Item
-	id := 0
+	// Integer container counts and reserved sizes for this machine type.
+	demands := make([][]float64, len(c.Containers))
+	counts := make([]int, len(c.Containers))
 	for n, cs := range c.Containers {
-		count := itemCount(plan, m, n)
 		om := cs.Omega
 		if om < 1 {
 			om = 1
 		}
-		for k := 0; k < count; k++ {
-			items = append(items, binpack.Item{
-				ID:      id<<packTypeShift | n,
-				Demands: []float64{om * cs.CPU, om * cs.Mem},
-			})
-			id++
-		}
+		demands[n] = []float64{om * cs.CPU, om * cs.Mem}
+		counts[n] = itemCount(plan, m, n)
 	}
-	capacity := []float64{ms.CPU, ms.Mem}
-	bins, unplaced, err := binpack.FirstFitBounded(items, capacity, budget)
+	bins, unplaced, err := binpack.FirstFitBounded(demands, counts, []float64{ms.CPU, ms.Mem}, budget)
 	if err != nil {
 		p.err = fmt.Errorf("core: CBS rounding type %d: %w", ms.Type, err)
 		return p
 	}
 	p.active = len(bins)
-	p.packings = make([]map[int]int, len(bins))
-	for bi, bin := range bins {
-		pack := make(map[int]int)
-		for _, it := range bin.Items {
-			n := it.ID & (maxPackContainerTypes - 1)
-			pack[n]++
-		}
-		p.packings[bi] = pack
+	p.packings = make([][]int, len(bins))
+	for bi := range bins {
+		p.packings[bi] = bins[bi].Counts
 	}
-	if len(unplaced) > 0 {
-		p.dropped = make([]int, len(c.Containers))
-		for _, it := range unplaced {
-			p.dropped[it.ID&(maxPackContainerTypes-1)]++
-		}
-	}
+	p.dropped = unplaced
 	for n := range c.Containers {
 		p.quota[n] = quotaCap(plan, m, n)
 	}
@@ -157,7 +123,7 @@ func (c *Controller) roundCBS(plan *Plan) (*Decision, error) {
 	d := &Decision{
 		ActiveMachines: make([]int, nm),
 		Quota:          make([][]int, nm),
-		Packings:       make([][]map[int]int, nm),
+		Packings:       make([][][]int, nm),
 		Dropped:        make([]int, len(c.Containers)),
 		Plan:           plan,
 	}

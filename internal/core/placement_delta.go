@@ -86,7 +86,7 @@ func (c *Controller) roundCBSDelta(prev *Decision, plan *Plan) (*Decision, error
 	d := &Decision{
 		ActiveMachines: make([]int, nm),
 		Quota:          make([][]int, nm),
-		Packings:       make([][]map[int]int, nm),
+		Packings:       make([][][]int, nm),
 		Dropped:        make([]int, len(c.Containers)),
 		Plan:           plan,
 	}

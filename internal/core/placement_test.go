@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -165,32 +164,36 @@ func TestPlacementConservation(t *testing.T) {
 	}
 }
 
-// TestPackTypeCatalogLimit pins the item-encoding guard: catalogs beyond
-// the 16-bit container-type space must be rejected with an explicit
-// error instead of silently folding high type indices onto low ones.
+// TestPackTypeCatalogLimit pins that there is none: packing is in counts
+// per container type, so a 65,537-type catalog packs, and its last type
+// (the one a 16-bit type field would have folded onto type 0) is counted
+// on its own.
 func TestPackTypeCatalogLimit(t *testing.T) {
-	nn := maxPackContainerTypes + 1
+	const nn = 1<<16 + 1
 	ctrl := &Controller{
-		Machines:      []MachineSpec{{Type: 1, CPU: 1, Mem: 1, Available: 1}},
+		Machines:      []MachineSpec{{Type: 1, CPU: 1, Mem: 1, Available: 2}},
 		Containers:    make([]ContainerSpec, nn),
 		PeriodSeconds: 300, Horizon: 1, Mode: CBS,
 	}
 	for n := range ctrl.Containers {
 		ctrl.Containers[n] = ContainerSpec{Type: n, CPU: 0.1, Mem: 0.1, Omega: 1}
 	}
-	active := []float64{1}
 	alloc := [][]float64{make([]float64, nn)}
-	_, err := ctrl.Realize(flatPlan(active, alloc))
-	if err == nil {
-		t.Fatal("oversized container catalog accepted")
+	alloc[0][0], alloc[0][nn-1] = 3, 4
+	dec, err := ctrl.Realize(flatPlan([]float64{1}, alloc))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "item-encoding limit") {
-		t.Errorf("error %q does not name the encoding limit", err)
+	if dec.ActiveMachines[0] != 1 || len(dec.Packings[0]) != 1 {
+		t.Fatalf("active=%d packings=%d, want one machine", dec.ActiveMachines[0], len(dec.Packings[0]))
 	}
-	// One type fewer is within the encoding and packs cleanly.
-	ctrl.Containers = ctrl.Containers[:maxPackContainerTypes]
-	alloc[0] = alloc[0][:maxPackContainerTypes]
-	if _, err := ctrl.Realize(flatPlan(active, alloc)); err != nil {
-		t.Errorf("catalog at the limit rejected: %v", err)
+	pack := dec.Packings[0][0]
+	if len(pack) != nn || pack[0] != 3 || pack[nn-1] != 4 {
+		t.Errorf("packed %d of type 0 and %d of type %d, want 3 and 4", pack[0], pack[nn-1], nn-1)
+	}
+	for n, cnt := range dec.Dropped {
+		if cnt != 0 {
+			t.Errorf("type %d: %d dropped", n, cnt)
+		}
 	}
 }

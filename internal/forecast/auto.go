@@ -50,12 +50,6 @@ type AutoARIMA struct {
 	MaxP, MaxD, MaxQ int
 
 	chosen *ARIMA
-	orders [3]int
-}
-
-// Orders returns the selected (p,d,q) after Fit.
-func (a *AutoARIMA) Orders() (p, d, q int) {
-	return a.orders[0], a.orders[1], a.orders[2]
 }
 
 // Fit implements Predictor: grid-search orders by AIC.
@@ -75,7 +69,6 @@ func (a *AutoARIMA) Fit(series []float64) error {
 
 	bestAIC := math.Inf(1)
 	var best *ARIMA
-	var bestOrders [3]int
 	for d := 0; d <= maxD; d++ {
 		for p := 0; p <= maxP; p++ {
 			for q := 0; q <= maxQ; q++ {
@@ -96,7 +89,6 @@ func (a *AutoARIMA) Fit(series []float64) error {
 				if aic < bestAIC {
 					bestAIC = aic
 					best = m
-					bestOrders = [3]int{p, d, q}
 				}
 			}
 		}
@@ -105,7 +97,6 @@ func (a *AutoARIMA) Fit(series []float64) error {
 		return ErrTooShort
 	}
 	a.chosen = best
-	a.orders = bestOrders
 	return nil
 }
 

@@ -68,7 +68,7 @@ func TestAutoARIMASelectsReasonableOrder(t *testing.T) {
 	if err := a.Fit(xs); err != nil {
 		t.Fatal(err)
 	}
-	p, d, q := a.Orders()
+	p, d, q := a.chosen.P, a.chosen.D, a.chosen.Q
 	if p == 0 && q == 0 {
 		t.Error("degenerate order selected")
 	}

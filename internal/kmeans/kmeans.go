@@ -192,6 +192,7 @@ func Nearest(centroids []Point, p Point) (int, float64) {
 	if best < 0 {
 		return -1, math.Inf(1)
 	}
+	//harmony:allow nansource a squared distance
 	return best, math.Sqrt(bestD)
 }
 
@@ -311,6 +312,7 @@ func (r *Result) Silhouette(points []Point) float64 {
 			if i == j {
 				continue
 			}
+			//harmony:allow nansource a squared distance
 			sums[r.Assignment[j]] += math.Sqrt(sqDist(p, q))
 		}
 		a := sums[own] / float64(sizes[own]-1)

@@ -250,11 +250,16 @@ func TestScopes(t *testing.T) {
 		{ScopeNumeric, "harmony/internal/sched", "", true},
 		{ScopeNumeric, "harmony/internal/trace", "", true},
 		{ScopeNumeric, "harmony/internal/classify", "", true},
+		{ScopeNumeric, "harmony/internal/stats", "", true},
+		{ScopeNumeric, "harmony/internal/lp", "", true},
+		{ScopeNumeric, "harmony/internal/kmeans", "", true},
+		{ScopeNumeric, "harmony/internal/binpack", "", true},
+		{ScopeNumeric, "harmony/internal/container", "", true},
 		{ScopeNumeric, "harmony/internal/daemon", "", false},
-		{ScopeNumeric, "harmony/internal/stats", "", false},
-		{ScopeNumeric, "harmony/internal/lp", "", false},
+		{ScopeNumeric, "harmony/internal/metrics", "", false},
 		{ScopeUnitAnnot, "harmony/internal/daemon", "", true},
-		{ScopeUnitAnnot, "harmony/internal/stats", "", false},
+		{ScopeUnitAnnot, "harmony/internal/stats", "", true},
+		{ScopeUnitAnnot, "harmony/internal/metrics", "", false},
 	} {
 		if got := scopeContains(c.scope, c.pkg, c.file); got != c.want {
 			t.Errorf("scopeContains(%d, %q, %q) = %v, want %v", c.scope, c.pkg, c.file, got, c.want)

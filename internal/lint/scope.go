@@ -52,6 +52,11 @@ var numericSurface = []string{
 	"harmony/internal/sched",
 	"harmony/internal/trace",
 	"harmony/internal/sim",
+	"harmony/internal/lp",
+	"harmony/internal/stats",
+	"harmony/internal/kmeans",
+	"harmony/internal/binpack",
+	"harmony/internal/container",
 	"harmony/internal/classify", // log-space clustering: math.Log of task sizes and durations
 	"harmony",                   // the facade: it once fed NaN switch costs into CBS-RELAX
 }

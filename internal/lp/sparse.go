@@ -745,6 +745,7 @@ func (sv *sparseSolver) runDual(maxIter int) error {
 			if wj >= -eps {
 				continue
 			}
+			//harmony:allow divzero the continue above leaves wj < -eps
 			ratio := rc[j] / wj
 			if ratio < bestRatio-eps ||
 				(math.Abs(ratio-bestRatio) <= eps && (enter < 0 || j < enter)) {

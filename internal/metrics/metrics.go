@@ -106,13 +106,6 @@ func (h *Histogram) Count() uint64 {
 	return h.samples
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // metric is one registered family.
 type metric struct {
 	name, help, kind string

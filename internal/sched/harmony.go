@@ -35,12 +35,14 @@ type HarmonyConfig struct {
 	// (production 120s, other 300s, gratis 900s).
 	//harmony:unit(s)
 	SLODelay map[trace.PriorityGroup]float64
-	// Epsilon is the machine-overflow bound for container sizing
-	// (default 0.25; the paper handles residual violations by reserving
-	// extra machines, §VII-A — tighter bounds inflate reservations).
+	// Epsilon is the machine-overflow bound for container sizing, in
+	// (0,1) (0 means the default 0.25; the paper handles residual
+	// violations by reserving extra machines, §VII-A — tighter bounds
+	// inflate reservations).
 	Epsilon float64
 	// Omega is the over-provisioning factor applied to every container
-	// type to compensate bin-packing inefficiency (Eq. 17; default 1.05).
+	// type to compensate bin-packing inefficiency, finite and at least 1
+	// (Eq. 17; 0 means the default 1.05).
 	Omega float64
 	// SwitchCost[m] is the dollar cost of one machine on/off transition.
 	//harmony:unit($)
@@ -178,11 +180,14 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 2
 	}
-	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
-		cfg.Epsilon = 0.25
+	if cfg.Epsilon == 0 {
+		cfg.Epsilon = 0.25 // any other value is PerResourceBound's to judge, below
 	}
-	if cfg.Omega < 1 {
+	if cfg.Omega == 0 {
 		cfg.Omega = 1.05
+	}
+	if !(cfg.Omega >= 1) || math.IsInf(cfg.Omega, 1) {
+		return nil, fmt.Errorf("sched: Omega %v not in [1,+Inf)", cfg.Omega)
 	}
 	if cfg.Price == nil {
 		cfg.Price = energy.FlatPrice(energy.DefaultPricePerKWh)
@@ -214,7 +219,7 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	containers := make([]core.ContainerSpec, len(cfg.Types))
 	epsR, err := container.PerResourceBound(cfg.Epsilon, 2)
 	if err != nil {
-		return nil, fmt.Errorf("sched: epsilon: %w", err)
+		return nil, fmt.Errorf("sched: Epsilon: %w", err)
 	}
 	qi := quantileIndex(1 - epsR)
 	for i, tt := range cfg.Types {

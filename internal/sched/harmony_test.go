@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"harmony/internal/classify"
@@ -45,21 +47,34 @@ func testHarmonyConfig(mode core.Mode) HarmonyConfig {
 }
 
 func TestNewHarmonyValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	tests := []struct {
 		name   string
 		mutate func(*HarmonyConfig)
+		want   string // the error names this
 	}{
-		{"no machines", func(c *HarmonyConfig) { c.Machines = nil }},
-		{"model mismatch", func(c *HarmonyConfig) { c.Models = c.Models[:1] }},
-		{"no types", func(c *HarmonyConfig) { c.Types = nil }},
-		{"zero period", func(c *HarmonyConfig) { c.PeriodSeconds = 0 }},
+		{"no machines", func(c *HarmonyConfig) { c.Machines = nil }, "machines"},
+		{"model mismatch", func(c *HarmonyConfig) { c.Models = c.Models[:1] }, "models"},
+		{"no types", func(c *HarmonyConfig) { c.Types = nil }, "types"},
+		{"zero period", func(c *HarmonyConfig) { c.PeriodSeconds = 0 }, "period"},
+		// Only 0 means "the default". NaN fails no x <= 0 test and used
+		// to reach the container sizes.
+		{"NaN epsilon", func(c *HarmonyConfig) { c.Epsilon = nan }, "Epsilon"},
+		{"+Inf epsilon", func(c *HarmonyConfig) { c.Epsilon = inf }, "Epsilon"},
+		{"-Inf epsilon", func(c *HarmonyConfig) { c.Epsilon = -inf }, "Epsilon"},
+		{"negative epsilon", func(c *HarmonyConfig) { c.Epsilon = -0.1 }, "Epsilon"},
+		{"epsilon 1", func(c *HarmonyConfig) { c.Epsilon = 1 }, "Epsilon"},
+		{"NaN omega", func(c *HarmonyConfig) { c.Omega = nan }, "Omega"},
+		{"+Inf omega", func(c *HarmonyConfig) { c.Omega = inf }, "Omega"},
+		{"-Inf omega", func(c *HarmonyConfig) { c.Omega = -inf }, "Omega"},
+		{"omega below 1", func(c *HarmonyConfig) { c.Omega = 0.9 }, "Omega"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := testHarmonyConfig(core.CBS)
 			tt.mutate(&cfg)
-			if _, err := NewHarmony(cfg); err == nil {
-				t.Error("invalid config accepted")
+			if _, err := NewHarmony(cfg); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("err = %v, want one naming %q", err, tt.want)
 			}
 		})
 	}

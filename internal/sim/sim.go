@@ -788,7 +788,7 @@ func (e *engine) place(p *pendingTask, cpu, mem float64) bool {
 		if p.task.Constraint != "" && mt.Platform != p.task.Constraint {
 			continue // placement constraint: wrong platform
 		}
-		if cpu > mt.CPU || mem > mt.Mem {
+		if !mt.Fits(cpu, mem) {
 			continue
 		}
 		if e.quota != nil && ti < len(e.quota) && e.quota[ti] != nil {

@@ -42,17 +42,18 @@ func (c *CDF) freeze() {
 // P returns the empirical probability P[X <= x], i.e. the fraction of
 // sample points that are <= x. It returns 0 for an empty CDF.
 func (c *CDF) P(x float64) float64 {
-	if len(c.sorted) == 0 {
+	c.freeze()
+	sorted := c.sorted
+	if len(sorted) == 0 {
 		return 0
 	}
-	c.freeze()
-	idx := sort.SearchFloat64s(c.sorted, x)
+	idx := sort.SearchFloat64s(sorted, x)
 	// Advance over equal values so P is right-continuous (<=, not <).
 	//harmony:allow floateq scanning stored duplicates of x requires exact equality
-	for idx < len(c.sorted) && c.sorted[idx] == x {
+	for idx < len(sorted) && sorted[idx] == x {
 		idx++
 	}
-	return float64(idx) / float64(len(c.sorted))
+	return float64(idx) / float64(len(sorted))
 }
 
 // Quantile returns the smallest sample value v such that P[X <= v] >= q,

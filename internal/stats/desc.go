@@ -62,21 +62,8 @@ func SampleVariance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
+	//harmony:allow nansource Variance is a mean of squares
 	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the minimum of xs. It returns an error on empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // Max returns the maximum of xs. It returns an error on empty input.
@@ -91,16 +78,6 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// CoefVar returns the coefficient of variation (stddev/mean) of xs.
-// It returns 0 when the mean is 0.
-func CoefVar(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
 }
 
 // SquaredCV returns the squared coefficient of variation CV² = Var/Mean²,
@@ -121,7 +98,7 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		return 0, errors.New("stats: percentile out of [0,100]")
 	}
 	sorted := make([]float64, len(xs))

@@ -50,6 +50,7 @@ func NormalQuantile(p float64) float64 {
 	var x float64
 	switch {
 	case p < pLow:
+		//harmony:allow nansource 0 < p < pLow here: the log is finite and negative
 		q := math.Sqrt(-2 * math.Log(p))
 		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
@@ -59,6 +60,7 @@ func NormalQuantile(p float64) float64 {
 		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	default:
+		//harmony:allow nansource 1-pLow < p < 1 here: the log is finite and negative
 		q := math.Sqrt(-2 * math.Log(1-p))
 		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)

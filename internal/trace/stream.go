@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -106,20 +105,4 @@ func Collect(src TaskSource) (*Trace, error) {
 		return nil, fmt.Errorf("trace: source meta says %d tasks, stream had %d", m.Tasks, len(tr.Tasks))
 	}
 	return tr, nil
-}
-
-// errSource is a source that fails immediately; constructors use it so
-// callers get the error on first Next when they ignore construction
-// errors.
-type errSource struct{ err error }
-
-func (e errSource) Meta() Meta               { return Meta{} }
-func (e errSource) Next(*Task) (bool, error) { return false, e.err }
-
-// ErrSource returns a TaskSource whose Next always fails with err.
-func ErrSource(err error) TaskSource {
-	if err == nil {
-		err = errors.New("trace: nil source error")
-	}
-	return errSource{err: err}
 }

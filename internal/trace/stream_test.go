@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -245,10 +246,15 @@ func TestCollectValidation(t *testing.T) {
 	if _, err := Collect(NewSliceSource(bad)); err == nil {
 		t.Fatal("Collect accepted out-of-order source")
 	}
-	if _, err := Collect(ErrSource(nil)); err == nil {
+	if _, err := Collect(failingSource{}); err == nil {
 		t.Fatal("Collect accepted failing source")
 	}
 }
+
+type failingSource struct{}
+
+func (failingSource) Meta() Meta               { return Meta{} }
+func (failingSource) Next(*Task) (bool, error) { return false, errors.New("source failed") }
 
 // --- DemandSeries boundary pins (the end-bin accounting fix) ---
 
