@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench fuzz benchmark-module check loc
+.PHONY: build vet lint test race bench fuzz benchmark-module bench-pairs check loc
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,15 @@ fuzz:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# PAIRS alternating runs of one BENCHMARK.json workload at PARENT and in
+# the working tree: per-pair ratios and medians of the six end-to-end
+# metrics, failing if a deterministic one differs (scripts/bench-pairs.sh).
+WORKLOAD ?= sim_baseline_fleet
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS)
+
 check: build lint race bench fuzz benchmark-module
 
 # Code lines (non-blank, not comment-only) of non-test Go per package:
@@ -48,4 +57,4 @@ loc:
 	@printf '%-22s %6d\n' harmony $$($(call LOC,. -maxdepth 1))
 	@for d in internal/*/; do printf '%-22s %6d\n' $${d%/} $$($(call LOC,$$d)); done
 	@printf '%-22s %6d\n' cmd $$($(call LOC,cmd))
-	@printf '%-22s %6d\n' 'total (without lint)' $$($(call LOC,. ! -path './benchmark/*' ! -path './internal/lint/*'))
+	@printf '%-22s %6d\n' 'total (without lint)' $$($(call LOC,. ! -path './benchmark/*' ! -path './.bench_build/*' ! -path './internal/lint/*'))

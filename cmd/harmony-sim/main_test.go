@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -31,6 +32,32 @@ func TestRunFlagErrors(t *testing.T) {
 				t.Errorf("run(%v) error = %q, want substring %q", tt.args, err, tt.want)
 			}
 		})
+	}
+}
+
+// Non-finite -period, -hours and -rate used to hang the simulator (NaN is
+// false under every "<= 0" validation, +Inf passes it) or exit 0 having
+// simulated nothing. Each is an error now, and a regression fails here on
+// the timeout instead of hanging the suite.
+func TestRunRejectsNonFiniteFlags(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-period", "NaN"}, {"-period", "+Inf"},
+		{"-hours", "NaN"}, {"-hours", "+Inf"},
+		{"-rate", "NaN"}, {"-rate", "+Inf"},
+	} {
+		for _, mode := range [][]string{nil, {"-stream"}} {
+			args := append(append([]string{"-policy", "baseline", "-hours", "0.5", "-rate", "0.3", "-scale", "200"}, mode...), bad...)
+			done := make(chan error, 1)
+			go func() { done <- run(args, io.Discard) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "must be finite") {
+					t.Errorf("run(%v) error = %v, want a must-be-finite error", args, err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("run(%v) still running after 20 s", args)
+			}
+		}
 	}
 }
 

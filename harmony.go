@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"harmony/internal/classify"
@@ -107,6 +108,12 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 // models matching its machine population. GenerateWorkload materializes
 // what it describes; SimulateStream streams it.
 func (cfg WorkloadConfig) generator() (trace.Config, []energy.Model, error) {
+	if err := finite("Hours", cfg.Hours); err != nil {
+		return trace.Config{}, nil, err
+	}
+	if err := finite("TasksPerSecond", cfg.TasksPerSecond); err != nil {
+		return trace.Config{}, nil, err
+	}
 	if cfg.Hours <= 0 {
 		cfg.Hours = 24
 	}
@@ -127,6 +134,16 @@ func (cfg WorkloadConfig) generator() (trace.Config, []energy.Model, error) {
 		return trace.Config{}, nil, fmt.Errorf("harmony: unknown cluster %d", int(cfg.Cluster))
 	}
 	return gen, models, nil
+}
+
+// finite rejects NaN and ±Inf for a field whose zero and negative values
+// select its default: NaN fails the "<= 0" test the defaults use, and an
+// infinite length, rate or period is a run that never ends.
+func finite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("harmony: %s must be finite, got %v", field, v)
+	}
+	return nil
 }
 
 // LoadWorkload reads a workload from a trace file produced by
@@ -373,6 +390,9 @@ func Simulate(w *Workload, c *Characterization, cfg SimulationConfig) (*Simulati
 // policies) the task-type labeling, over the machine population src
 // announces. maxDelaySamples is sim.Config.MaxDelaySamples.
 func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg SimulationConfig, maxDelaySamples int) (*SimulationResult, error) {
+	if err := finite("PeriodSeconds", cfg.PeriodSeconds); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
 	machines := src.Meta().Machines
 	var price energy.Price = energy.FlatPrice(cfg.PricePerKWh)

@@ -151,6 +151,38 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// NaN is false under the "<= 0 means default" tests and ±Inf is a run
+// that never ends: the facade names the field instead of starting one.
+func TestNonFiniteConfigRejected(t *testing.T) {
+	w := testWorkload(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []float64{nan, inf, -inf} {
+		for field, wc := range map[string]WorkloadConfig{
+			"Hours":          {Hours: v, TasksPerSecond: 0.2, ClusterScale: 100},
+			"TasksPerSecond": {Hours: 1, TasksPerSecond: v, ClusterScale: 100},
+		} {
+			if _, err := GenerateWorkload(wc); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("GenerateWorkload with %s = %v: error %v, want one naming the field", field, v, err)
+			}
+			if _, _, err := SimulateStream(StreamConfig{Workload: wc}, nil, SimulationConfig{Policy: PolicyBaseline}); err == nil {
+				t.Errorf("SimulateStream with %s = %v accepted", field, v)
+			}
+		}
+		if _, err := Simulate(w, nil, SimulationConfig{Policy: PolicyBaseline, PeriodSeconds: v}); err == nil || !strings.Contains(err.Error(), "PeriodSeconds") {
+			t.Errorf("Simulate with PeriodSeconds = %v: error %v, want one naming the field", v, err)
+		}
+	}
+	for name, cfg := range map[string]SimulationConfig{
+		"NaN boot delay": {Policy: PolicyBaseline, BootDelaySeconds: nan},
+		"NaN MTBF":       {Policy: PolicyBaseline, MTBFHours: nan},
+		"negative MTBF":  {Policy: PolicyBaseline, MTBFHours: -1},
+	} {
+		if _, err := Simulate(w, nil, cfg); err == nil {
+			t.Errorf("Simulate with %s accepted", name)
+		}
+	}
+}
+
 func TestPolicyString(t *testing.T) {
 	tests := []struct {
 		p    Policy

@@ -43,10 +43,13 @@ func backloggedEngine(t testing.TB, tasks []trace.Task) *engine {
 }
 
 // BenchmarkSchedulePass times one scheduling pass over a backlogged
-// queue that cannot drain (every machine is full in one dimension):
-// tasks of one size, of
+// queue that cannot drain (every machine is full in one dimension). The
+// pass after a period boundary, which scans: tasks of one size, of
 // mixed sizes (each failure dominates fewer of its successors), and
-// constrained (the constraint splits the dominance classes).
+// constrained (the constraint splits the dominance classes). And
+// after-completion, the pass the event loop runs once per finished task:
+// the mixed-size queue, already tried, against one freed machine that is
+// too small for any of it.
 func BenchmarkSchedulePass(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	queue := func(size func(i int) (cpu, mem float64, constraint string)) []trace.Task {
@@ -57,13 +60,18 @@ func BenchmarkSchedulePass(b *testing.B) {
 		}
 		return tasks
 	}
+	mixed := queue(func(int) (float64, float64, string) { return 0.1 + 0.3*r.Float64(), 0.1 + 0.3*r.Float64(), "" })
 	for _, bc := range []struct {
 		name  string
 		tasks []trace.Task
+		// What the event loop did before the pass: a completion (on a
+		// machine too small for the queue), else a period boundary.
+		afterCompletion bool
 	}{
-		{"equal-size", queue(func(int) (float64, float64, string) { return 0.2, 0.2, "" })},
-		{"mixed-size", queue(func(int) (float64, float64, string) { return 0.1 + 0.3*r.Float64(), 0.1 + 0.3*r.Float64(), "" })},
-		{"constrained", queue(func(i int) (float64, float64, string) { return 0.2, 0.2, []string{"", "PF-A", "PF-B"}[i%3] })},
+		{"equal-size", queue(func(int) (float64, float64, string) { return 0.2, 0.2, "" }), false},
+		{"mixed-size", mixed, false},
+		{"constrained", queue(func(i int) (float64, float64, string) { return 0.2, 0.2, []string{"", "PF-A", "PF-B"}[i%3] }), false},
+		{"after-completion", mixed, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := backloggedEngine(b, bc.tasks)
@@ -79,9 +87,15 @@ func BenchmarkSchedulePass(b *testing.B) {
 					m.usedCPU, m.usedMem = 0, mt.Mem-0.05
 				}
 			}
+			e.schedulePending()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if bc.afterCompletion {
+					e.freed = i % len(e.machines)
+				} else {
+					e.forgetTried()
+				}
 				e.schedulePending()
 			}
 			if e.res.Scheduled != 0 {

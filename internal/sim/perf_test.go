@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,32 +47,42 @@ func steadyEngine(t *testing.T, maxDelaySamples int) *engine {
 // analyzer enforces statically: at 25M tasks, even one small allocation
 // per event is gigabytes of garbage.
 func TestEventLoopSteadyStateAllocFree(t *testing.T) {
-	e := steadyEngine(t, 256)
-	task := trace.Task{ID: 1, Submit: 0, Duration: 10, CPU: 0.1, Mem: 0.1, Priority: 9}
+	for _, backlog := range []int{0, 100} {
+		t.Run(fmt.Sprintf("%d queued", backlog), func(t *testing.T) {
+			e := steadyEngine(t, 256)
+			// The backlog waits for a platform the cluster does not have: each
+			// pass walks its queue's tried run against the freed machine (the
+			// tasks are small enough for it) and keeps all of it.
+			for i := 0; i < backlog; i++ {
+				e.handleArrival(trace.Task{ID: uint64(2 + i), Duration: 10, CPU: 0.05, Mem: 0.05, Constraint: "PF-none"})
+			}
+			task := trace.Task{ID: 1, Submit: 0, Duration: 10, CPU: 0.1, Mem: 0.1, Priority: 9}
+			cycle := func() {
+				e.advanceTo(e.now + 1)
+				task.Submit = e.now
+				e.handleArrival(task)
+				e.advanceTo(e.running[0].finish)
+				e.completeOne()
+				e.schedulePending()
+			}
 
-	// Warm-up: fill the reservoirs past capacity and grow the heap and
-	// queue backing arrays to their steady size.
-	for i := 0; i < 1024; i++ {
-		e.advanceTo(e.now + 1)
-		task.Submit = e.now
-		e.handleArrival(task)
-		e.advanceTo(e.running[0].finish)
-		e.completeOne()
-		e.schedulePending()
-	}
-
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 16; i++ {
-			e.advanceTo(e.now + 1)
-			task.Submit = e.now
-			e.handleArrival(task)
-			e.advanceTo(e.running[0].finish)
-			e.completeOne()
-			e.schedulePending()
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state event loop allocates %.1f objects per run, want 0", allocs)
+			// Warm-up: fill the reservoirs past capacity and grow the heap and
+			// queue backing arrays to their steady size.
+			for i := 0; i < 1024; i++ {
+				cycle()
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				for i := 0; i < 16; i++ {
+					cycle()
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state event loop allocates %.1f objects per run, want 0", allocs)
+			}
+			if e.pendingCount != backlog || e.res.Completed == 0 {
+				t.Errorf("%d tasks queued, %d completed: the loop did not run over the backlog of %d", e.pendingCount, e.res.Completed, backlog)
+			}
+		})
 	}
 }
 

@@ -310,9 +310,19 @@ type engine struct {
 
 	// failed is schedulePending's scratch: the shapes that failed in the
 	// queue being walked (at most the fail budget). placeAttempts counts
-	// place calls over the run (cost contract of the dominance rule).
+	// place calls, each a scan over the machines, over the run (cost
+	// contract of the dominance rule and of the tried runs).
 	failed        []failedShape
 	placeAttempts int
+
+	// What the next scheduling pass may assume of the last one: tried
+	// mirrors pending, freed is the machine the completion just before the
+	// pass released capacity on (-1: nothing was freed), and nextReady is
+	// the earliest instant after now at which a powered machine finishes
+	// booting or repair (+Inf: every powered machine is ready).
+	tried     [trace.NumGroups][]triedRun
+	freed     int
+	nextReady float64
 
 	// delayRes, when non-nil per group, reservoir-samples scheduling
 	// delays instead of retaining all of them.
@@ -364,8 +374,18 @@ func validateConfig(cfg *Config) error {
 	if cfg.Policy == nil {
 		return errors.New("sim: missing policy")
 	}
-	if cfg.Period <= 0 {
-		return errors.New("sim: period must be positive")
+	// NaN fails every comparison and +Inf passes "> 0": with either the
+	// event loop never reaches the next boundary, or the horizon.
+	if !(cfg.Period > 0) || math.IsInf(cfg.Period, 1) {
+		return fmt.Errorf("sim: period must be positive and finite, got %v", cfg.Period)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"boot delay", cfg.BootDelay}, {"repair time", cfg.RepairSeconds}, {"MTBF", cfg.MTBFHours}} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("sim: %s must not be negative or NaN, got %v", f.name, f.v)
+		}
 	}
 	if cfg.NumTypes <= 0 || cfg.TypeOf == nil {
 		return errors.New("sim: task-type mapping required")
@@ -397,6 +417,8 @@ func newEngine(cfg Config) *engine {
 		freeCPUBound: make([][]float64, nm),
 		freeMemBound: make([][]float64, nm),
 		failed:       make([]failedShape, 0, failBudgetPerQueue),
+		freed:        -1,
+		nextReady:    math.Inf(1),
 		res: &Result{
 			Policy:       cfg.Policy.Name(),
 			DelayByGroup: make(map[trace.PriorityGroup]*stats.CDF, trace.NumGroups),
@@ -413,6 +435,7 @@ func newEngine(cfg Config) *engine {
 	}
 	for gi := range e.pending {
 		e.pending[gi] = make([][]pendingTask, cfg.NumTypes)
+		e.tried[gi] = make([]triedRun, cfg.NumTypes)
 	}
 	if cfg.MTBFHours > 0 {
 		e.failRand = stats.NewRNG(cfg.FailureSeed)
@@ -528,9 +551,11 @@ func (e *engine) handleArrival(t trace.Task) {
 	// Fast path: preserve FIFO per (group, type) but place an arriving
 	// task immediately when nothing of its kind waits.
 	if len(e.pending[gi][tt]) == 0 {
-		if cpu, mem := e.reserved(&p); e.place(&p, cpu, mem) {
+		cpu, mem := e.reserved(&p)
+		if e.place(&p, cpu, mem) {
 			return
 		}
+		e.tried[gi][tt] = triedRun{n: 1, minCPU: cpu, minMem: mem}
 	}
 	e.pending[gi][tt] = append(e.pending[gi][tt], p)
 	e.pendingCount++
@@ -597,6 +622,31 @@ func (e *engine) periodBoundary(periodIdx int) {
 	for i := range e.arrivals {
 		e.arrivals[i] = 0
 	}
+	// Failures, relabeling and the directive may each have made room for a
+	// queued task anywhere: the pass that follows starts from scratch.
+	e.forgetTried()
+	e.nextReady = e.earliestReady()
+}
+
+// forgetTried ends every queue's tried run: the next pass gives each
+// queued task a full place again.
+func (e *engine) forgetTried() {
+	for gi := range e.tried {
+		clear(e.tried[gi])
+	}
+}
+
+// earliestReady returns the first instant after now at which a powered
+// machine finishes booting or repair, +Inf when all of them are ready.
+func (e *engine) earliestReady() float64 {
+	next := math.Inf(1)
+	for mi := range e.machines {
+		m := &e.machines[mi]
+		if r := max(m.readyAt, m.downTil); m.on && r > e.now && r < next {
+			next = r
+		}
+	}
+	return next
 }
 
 func (e *engine) observe(periodIdx int) *Observation {
@@ -697,6 +747,15 @@ type failedShape struct {
 	cpu, mem   float64
 }
 
+// triedRun is what one scheduling pass leaves the next about a queue: its
+// first n tasks failed a full place (or were dominated by one that did)
+// and have failed on every machine freed since, and none of them would
+// occupy less than minCPU or minMem.
+type triedRun struct {
+	n              int
+	minCPU, minMem float64
+}
+
 // schedulePending walks the queues in priority order (production first),
 // then per task type, first-fitting tasks onto powered machines while
 // honoring quotas and container reservations. Each type queue tolerates a
@@ -711,6 +770,19 @@ type failedShape struct {
 // this pass must therefore fail too: it is charged to the fail budget
 // like any failure, without the machine scan.
 //
+// The same holds from one pass to the next, but for what the trigger of
+// the pass released: a completion makes room on one machine (completeOne
+// records it in freed) and, if it takes a quota cell from full to not
+// full, in that cell (completeOne ends the tried runs of that task type).
+// A task inside its queue's tried run can therefore start nowhere but on
+// the freed machine, and is tested against that machine alone; a queue
+// whose tried run covers everything the fail budget lets a pass reach,
+// and whose smallest shape the freed machine cannot hold, is left as it
+// is. Only tasks behind the run pay dominated and a scan. Every other way
+// a failed task becomes placeable — a period boundary, a powered machine
+// finishing boot or repair — ends all tried runs (periodBoundary,
+// completeOne), and the pass is the one above.
+//
 //harmony:hotpath
 func (e *engine) schedulePending() {
 	if e.pendingCount == 0 {
@@ -722,7 +794,15 @@ func (e *engine) schedulePending() {
 			if len(q) == 0 {
 				continue
 			}
+			tr := &e.tried[gi][tt]
+			tried := tr.n
+			// Whether the freed machine could hold the smallest of the run.
+			runFits := tried > 0 && e.fitsFreed("", tt, tr.minCPU, tr.minMem)
+			if !runFits && (tried == len(q) || tried == failBudgetPerQueue) {
+				continue
+			}
 			failed := e.failed[:0]
+			*tr = triedRun{minCPU: math.Inf(1), minMem: math.Inf(1)}
 			kept := 0
 			for qi := range q {
 				if len(failed) == failBudgetPerQueue {
@@ -731,16 +811,29 @@ func (e *engine) schedulePending() {
 				}
 				p := &q[qi]
 				cpu, mem := e.reserved(p)
-				if !dominated(failed, p.task.Constraint, cpu, mem) && e.place(p, cpu, mem) {
+				if qi < tried {
+					if runFits && e.fitsFreed(p.task.Constraint, tt, cpu, mem) {
+						e.start(p, e.freed, cpu, mem)
+						e.pendingCount--
+						continue
+					}
+				} else if !dominated(failed, p.task.Constraint, cpu, mem) && e.place(p, cpu, mem) {
 					e.pendingCount--
 					continue
 				}
 				failed = append(failed, failedShape{p.task.Constraint, cpu, mem})
+				if cpu < tr.minCPU {
+					tr.minCPU = cpu
+				}
+				if mem < tr.minMem {
+					tr.minMem = mem
+				}
 				if kept != qi {
 					q[kept] = *p
 				}
 				kept++
 			}
+			tr.n = len(failed)
 			e.pending[gi][tt] = q[:kept]
 		}
 	}
@@ -781,28 +874,54 @@ func (e *engine) reserved(p *pendingTask) (cpu, mem float64) {
 func (e *engine) place(p *pendingTask, cpu, mem float64) bool {
 	e.placeAttempts++
 	for ti := range e.types {
-		if e.active[ti] == 0 {
+		if !e.typeAdmits(ti, p.task.Constraint, p.taskType, cpu, mem) {
 			continue
 		}
-		mt := e.types[ti]
-		if p.task.Constraint != "" && mt.Platform != p.task.Constraint {
-			continue // placement constraint: wrong platform
-		}
-		if !mt.Fits(cpu, mem) {
-			continue
-		}
-		if e.quota != nil && ti < len(e.quota) && e.quota[ti] != nil {
-			if p.taskType < len(e.quota[ti]) &&
-				e.occupancy[ti][p.taskType] >= e.quota[ti][p.taskType] {
-				continue
-			}
-		}
-		if mi := e.placeInType(ti, mt, cpu, mem); mi >= 0 {
+		if mi := e.placeInType(ti, e.types[ti], cpu, mem); mi >= 0 {
 			e.start(p, mi, cpu, mem)
 			return true
 		}
 	}
 	return false
+}
+
+// typeAdmits is the part of a placement decided per machine type: some
+// type-ti machine is powered, it is of the platform the constraint names,
+// an empty one is large enough, and the (ti, taskType) quota cell has room.
+func (e *engine) typeAdmits(ti int, constraint string, taskType int, cpu, mem float64) bool {
+	mt := &e.types[ti]
+	return e.active[ti] > 0 &&
+		(constraint == "" || mt.Platform == constraint) &&
+		mt.Fits(cpu, mem) &&
+		!e.quotaFull(ti, taskType)
+}
+
+// quotaFull reports whether the directive's quota forbids one more
+// type-taskType task on type-ti machines.
+func (e *engine) quotaFull(ti, taskType int) bool {
+	return e.quota != nil && ti < len(e.quota) && e.quota[ti] != nil &&
+		taskType < len(e.quota[ti]) &&
+		e.occupancy[ti][taskType] >= e.quota[ti][taskType]
+}
+
+// holds is the part of a placement decided per machine: m, of type mt, is
+// powered, done booting and repaired, and has cpu and mem to spare.
+func (e *engine) holds(m *machine, mt *trace.MachineType, cpu, mem float64) bool {
+	if !m.on || e.now < m.readyAt || e.now < m.downTil {
+		return false
+	}
+	return !(m.usedCPU+cpu > mt.CPU+1e-12 || m.usedMem+mem > mt.Mem+1e-12)
+}
+
+// fitsFreed reports whether place would start a task of this shape on
+// the freed machine, were it the only machine with room.
+func (e *engine) fitsFreed(constraint string, taskType int, cpu, mem float64) bool {
+	if e.freed < 0 {
+		return false
+	}
+	m := &e.machines[e.freed]
+	return e.typeAdmits(m.typeIdx, constraint, taskType, cpu, mem) &&
+		e.holds(m, &e.types[m.typeIdx], cpu, mem)
 }
 
 // placeInType scans the machines of one type shard by shard: legacy
@@ -852,10 +971,7 @@ func (e *engine) placeInType(ti int, mt trace.MachineType, cpu, mem float64) int
 			if freeMem > maxFreeMem {
 				maxFreeMem = freeMem
 			}
-			if e.now < m.readyAt || e.now < m.downTil {
-				continue
-			}
-			if m.usedCPU+cpu > mt.CPU+1e-12 || m.usedMem+mem > mt.Mem+1e-12 {
+			if !e.holds(m, &mt, cpu, mem) {
 				continue
 			}
 			if !e.bestFit {
@@ -929,6 +1045,12 @@ func (e *engine) recordDelay(g trace.PriorityGroup, d float64) {
 
 //harmony:hotpath
 func (e *engine) completeOne() {
+	e.freed = -1
+	if e.now >= e.nextReady {
+		// A machine powered on at an earlier boundary is ready now.
+		e.forgetTried()
+		e.nextReady = e.earliestReady()
+	}
 	rt := e.running.pop()
 	m := &e.machines[rt.machine]
 	if rt.epoch != m.epoch {
@@ -955,7 +1077,15 @@ func (e *engine) completeOne() {
 	if e.sumUsedMem[ti] < 0 {
 		e.sumUsedMem[ti] = 0
 	}
+	wasFull := e.quotaFull(ti, rt.taskType)
 	e.occupancy[ti][rt.taskType]--
+	if wasFull && !e.quotaFull(ti, rt.taskType) {
+		// Every type-ti machine just opened to this task type, not only m.
+		for gi := range e.tried {
+			e.tried[gi][rt.taskType] = triedRun{}
+		}
+	}
+	e.freed = rt.machine
 	e.runningN[rt.taskType]--
 	e.raiseBounds(rt.machine)
 	e.res.Completed++

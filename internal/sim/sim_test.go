@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"harmony/internal/energy"
@@ -77,6 +78,14 @@ func TestValidateConfig(t *testing.T) {
 		{"no price", func(c *Config) { c.Price = nil }},
 		{"no policy", func(c *Config) { c.Policy = nil }},
 		{"zero period", func(c *Config) { c.Period = 0 }},
+		{"NaN period", func(c *Config) { c.Period = math.NaN() }},
+		{"infinite period", func(c *Config) { c.Period = math.Inf(1) }},
+		{"NaN boot delay", func(c *Config) { c.BootDelay = math.NaN() }},
+		{"negative boot delay", func(c *Config) { c.BootDelay = -1 }},
+		{"NaN repair time", func(c *Config) { c.RepairSeconds = math.NaN() }},
+		{"negative repair time", func(c *Config) { c.RepairSeconds = -1 }},
+		{"NaN MTBF", func(c *Config) { c.MTBFHours = math.NaN() }},
+		{"negative MTBF", func(c *Config) { c.MTBFHours = -1 }},
 		{"no type map", func(c *Config) { c.TypeOf = nil }},
 		{"bad switch cost", func(c *Config) { c.SwitchCost = []float64{1} }},
 		{"bad initial", func(c *Config) { c.InitialActive = []int{1} }},

@@ -68,6 +68,10 @@ func TestGenerateConfigValidation(t *testing.T) {
 	}{
 		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
 		{"zero rate", func(c *Config) { c.RatePerS = 0 }},
+		{"NaN horizon", func(c *Config) { c.Horizon = math.NaN() }},
+		{"infinite horizon", func(c *Config) { c.Horizon = math.Inf(1) }},
+		{"NaN rate", func(c *Config) { c.RatePerS = math.NaN() }},
+		{"infinite rate", func(c *Config) { c.RatePerS = math.Inf(1) }},
 		{"no machines", func(c *Config) { c.Machines = nil }},
 		{"negative share", func(c *Config) { c.Groups[0].Share = -1 }},
 		{"zero shares", func(c *Config) {

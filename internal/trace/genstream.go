@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"harmony/internal/stats"
@@ -45,11 +46,13 @@ const genChunkSize = 4096
 // validateGenConfig is the shared precondition check of Generate and
 // NewGenSource.
 func validateGenConfig(cfg *Config) error {
-	if cfg.Horizon <= 0 {
-		return errors.New("trace: horizon must be positive")
+	// NaN fails every comparison and +Inf passes "> 0": either would keep
+	// the generator (and a simulation over it) from ever reaching the end.
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
+		return fmt.Errorf("trace: horizon must be positive and finite, got %v", cfg.Horizon)
 	}
-	if cfg.RatePerS <= 0 {
-		return errors.New("trace: rate must be positive")
+	if !(cfg.RatePerS > 0) || math.IsInf(cfg.RatePerS, 1) {
+		return fmt.Errorf("trace: rate must be positive and finite, got %v", cfg.RatePerS)
 	}
 	if len(cfg.Machines) == 0 {
 		return errors.New("trace: no machines configured")
