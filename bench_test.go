@@ -212,61 +212,3 @@ func BenchmarkAblationForecaster(b *testing.B) {
 		})
 	}
 }
-
-// policyEnvs builds n fresh Envs sharing one pre-built workload and
-// characterization, so the three-policy benchmarks time exactly the
-// simulations (the Env caches would otherwise absorb every iteration
-// after the first).
-func policyEnvs(b *testing.B, n int) []*Env {
-	b.Helper()
-	base := benchEnvironment()
-	w, err := base.Workload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch, err := base.Characterization()
-	if err != nil {
-		b.Fatal(err)
-	}
-	envs := make([]*Env, n)
-	for i := range envs {
-		e := NewEnv(base.WorkloadCfg, base.CharacterizeCfg, base.SimCfg)
-		e.prime(w, ch)
-		envs[i] = e
-	}
-	return envs
-}
-
-// BenchmarkEnvSequentialPolicies is the pre-parallelization baseline:
-// the three policy simulations of the paper's §IX comparison run one
-// after another.
-func BenchmarkEnvSequentialPolicies(b *testing.B) {
-	envs := policyEnvs(b, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := envs[i]
-		if _, err := e.BaselineRun(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.CBSRun(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.CBPRun(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEnvParallel fans the same three simulations out across
-// goroutines via Env.PolicyRuns. Compare ns/op against
-// BenchmarkEnvSequentialPolicies: on >= 4 cores the fan-out runs at the
-// speed of the slowest single policy, a ~2-3x wall-clock win.
-func BenchmarkEnvParallel(b *testing.B) {
-	envs := policyEnvs(b, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := envs[i].PolicyRuns(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

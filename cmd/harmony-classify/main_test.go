@@ -38,6 +38,7 @@ func writeTestTrace(t *testing.T) string {
 }
 
 func TestRunFlagErrors(t *testing.T) {
+	tracePath := writeTestTrace(t)
 	tests := []struct {
 		name string
 		args []string
@@ -47,6 +48,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"missing trace", nil, "missing -trace"},
 		{"bad flag value", []string{"-max-classes", "many"}, "invalid value"},
 		{"missing trace file", []string{"-trace", "/does/not/exist.jsonl"}, "no such file"},
+		{"NaN elbow gain", []string{"-trace", tracePath, "-elbow-gain", "NaN"}, "MinGain is NaN"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

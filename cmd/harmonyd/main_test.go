@@ -60,6 +60,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad mode", []string{"-char", char, "-mode", "XXX"}, "unknown -mode"},
 		{"missing char file", []string{"-char", "/does/not/exist.json"}, "no such file"},
 		{"bad forecaster", []string{"-char", char, "-forecaster", "psychic"}, "unknown -forecaster"},
+		{"NaN period", []string{"-char", char, "-period", "NaN"}, "period must be positive and finite"},
 		{"missing tenants file", []string{"-char", char, "-tenants", "/does/not/exist.json"}, "no such file"},
 		{"empty tenants doc", []string{"-char", char, "-tenants", badTenants}, "no tenants"},
 	}

@@ -51,6 +51,8 @@ func run(args []string, out io.Writer) error {
 			*machines = 1
 		}
 		*rate = 10.14 / float64(*scale)
+	} else if *machines < 1 {
+		return fmt.Errorf("-machines must be at least 1, got %d", *machines)
 	}
 
 	cfg := trace.DefaultConfig(*seed)

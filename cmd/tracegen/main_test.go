@@ -22,6 +22,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"non-numeric rate", []string{"-rate", "fast"}, "invalid value"},
 		{"undefined flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"missing inspect file", []string{"-inspect", "/nonexistent/trace.jsonl"}, "no such file"},
+		{"negative machines", []string{"-hours", "0.05", "-machines", "-5"}, "-machines must be at least 1"},
 		{"bad output dir", []string{"-hours", "0.05", "-o", "/nonexistent/dir/t.jsonl"}, "no such file"},
 	}
 	for _, tt := range tests {

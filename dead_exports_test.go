@@ -17,16 +17,12 @@ var calledOnlyByTests = map[string]string{
 	"forecast.Naive":         "test baseline the ARIMA and seasonal forecasters must beat",
 	"forecast.MovingAverage": "test baseline in the Holt-Winters backtest comparison",
 	"forecast.Backtest":      "test harness that scores the forecasters against those baselines",
-	// Dead, and to be deleted with the ten tests that pin them (ROADMAP
-	// open item 7): a PR may drop only a few pinned tests, and binpack's
-	// took this one's share.
-	"stats.Poisson":        "dead: goes with TestPoissonMean",
-	"stats.SampleVariance": "dead: goes with TestSampleVariance",
-	"stats.NormalPDF":      "dead: goes with TestNormalPDFSymmetric",
-	"kmeans.Nearest":       "dead: goes with TestNearest",
-	"kmeans.ClusterStats":  "dead: goes with TestClusterStats, TestClusterStatsEmpty",
-	"kmeans.Silhouette":    "dead: goes with the three TestSilhouette* tests",
-	"trace.ReadCSV":        "dead: goes with TestReadCSVInfersHorizon; the other callers read through NewCSVSource",
+	// Dead, and to be deleted with the six tests that pin them (ROADMAP
+	// open item 9a): a PR may drop only a few pinned tests, and the last
+	// fan-out's and stats' took this one's share.
+	"kmeans.Nearest":      "dead: goes with TestNearest",
+	"kmeans.ClusterStats": "dead: goes with TestClusterStats, TestClusterStatsEmpty",
+	"kmeans.Silhouette":   "dead: goes with the three TestSilhouette* tests",
 }
 
 // TestLibraryExportsHaveCallers keeps the library packages down to what

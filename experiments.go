@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"harmony/internal/energy"
 	"harmony/internal/trace"
@@ -39,25 +38,24 @@ func (e *Experiment) Render() string {
 	return b.String()
 }
 
-// memo is a value computed at most once, by whichever caller gets there
-// first; concurrent callers block until it is ready.
+// memo is a value computed on first use and kept, error included.
 type memo[T any] struct {
-	once sync.Once
+	done bool
 	v    T
 	err  error
 }
 
 func (m *memo[T]) get(compute func() (T, error)) (T, error) {
-	m.once.Do(func() { m.v, m.err = compute() })
+	if !m.done {
+		m.v, m.err = compute()
+		m.done = true
+	}
 	return m.v, m.err
 }
 
 // Env holds the lazily built inputs shared by all experiments: the
-// workload, its characterization, and one simulation per policy. Every
-// one of them is memoized, so one Env may be shared by any number of
-// goroutines: concurrent callers of the same accessor block until the
-// first finishes, and dependent stages (workload → characterization →
-// simulation) compose safely.
+// workload, its characterization, and one simulation per policy, each
+// computed on first use and kept. An Env is for one goroutine.
 type Env struct {
 	WorkloadCfg     WorkloadConfig
 	CharacterizeCfg CharacterizeConfig
@@ -93,13 +91,6 @@ func (e *Env) Characterization() (*Characterization, error) {
 	})
 }
 
-// prime pre-populates the workload and characterization caches; tests
-// and benchmarks use it to measure the policy simulations in isolation.
-func (e *Env) prime(w *Workload, c *Characterization) {
-	e.w.once.Do(func() { e.w.v = w })
-	e.c.once.Do(func() { e.c.v = c })
-}
-
 // simulate returns the cached simulation of the workload under p.
 func (e *Env) simulate(p Policy) (*SimulationResult, error) {
 	return e.runs[p].get(func() (*SimulationResult, error) {
@@ -128,19 +119,16 @@ func (e *Env) CBSRun() (*SimulationResult, error) { return e.simulate(PolicyCBS)
 // CBPRun returns the cached HARMONY-CBP simulation.
 func (e *Env) CBPRun() (*SimulationResult, error) { return e.simulate(PolicyCBP) }
 
-// PolicyRuns evaluates the baseline, CBS, and CBP simulations
-// concurrently and returns all three. The paper's §IX comparison runs
-// three independent policies over one trace, so the fan-out is free
-// parallelism: each simulation owns its state and shares only the
-// memoized workload and characterization. Results are cached exactly
-// like the individual accessors and are bit-identical to running them
-// sequentially.
-func (e *Env) PolicyRuns() (base, cbs, cbp *SimulationResult, err error) {
-	err = runAll(
-		func() error { r, err := e.BaselineRun(); base = r; return err },
-		func() error { r, err := e.CBSRun(); cbs = r; return err },
-		func() error { r, err := e.CBPRun(); cbp = r; return err },
-	)
+// comparisonRuns returns the three simulations of the paper's §IX
+// comparison, run on first use in the order baseline, CBS, CBP.
+func (e *Env) comparisonRuns() (base, cbs, cbp *SimulationResult, err error) {
+	if base, err = e.BaselineRun(); err != nil {
+		return nil, nil, nil, err
+	}
+	if cbs, err = e.CBSRun(); err != nil {
+		return nil, nil, nil, err
+	}
+	cbp, err = e.CBPRun()
 	return base, cbs, cbp, err
 }
 
@@ -502,7 +490,7 @@ func (e *Env) serversExperiment(p Policy) (*Experiment, error) {
 }
 
 func (e *Env) policyDelaysExperiment() (*Experiment, error) {
-	base, cbs, cbp, err := e.PolicyRuns()
+	base, cbs, cbp, err := e.comparisonRuns()
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +508,7 @@ func (e *Env) policyDelaysExperiment() (*Experiment, error) {
 }
 
 func (e *Env) energyComparisonExperiment() (*Experiment, error) {
-	base, cbs, cbp, err := e.PolicyRuns()
+	base, cbs, cbp, err := e.comparisonRuns()
 	if err != nil {
 		return nil, err
 	}

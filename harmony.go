@@ -173,11 +173,9 @@ func (w *Workload) NumTasks() int { return len(w.Trace.Tasks) }
 func (w *Workload) NumMachines() int { return w.Trace.TotalMachines() }
 
 // CharacterizeConfig controls the two-step clustering. Zero
-// MaxClassesPerGroup and ElbowGain take the classifier's defaults
-// (12, 0.05).
+// MaxClassesPerGroup takes the classifier's default (12).
 type CharacterizeConfig struct {
 	MaxClassesPerGroup int
-	ElbowGain          float64
 	Seed               int64
 }
 
@@ -201,9 +199,8 @@ type Characterization struct {
 // Characterize runs HARMONY's two-step task classification on the workload.
 func (w *Workload) Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 	ch, err := classify.Characterize(w.Trace, classify.Config{
-		MaxK:    cfg.MaxClassesPerGroup,
-		MinGain: cfg.ElbowGain,
-		Seed:    cfg.Seed,
+		MaxK: cfg.MaxClassesPerGroup,
+		Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("harmony: characterize: %w", err)
@@ -299,18 +296,9 @@ type SimulationConfig struct {
 	Horizon int
 	Epsilon float64
 	Omega   float64
-	// SLODelay overrides the per-group scheduling-delay targets.
-	SLODelay map[Group]float64
-	// SwitchCostDollars is the per-transition cost of the largest
-	// machine; other types scale by idle power. Default 0.01.
-	SwitchCostDollars float64
-	// PricePerKWh is a flat electricity price (default 0.08). Set
-	// DiurnalPrice to use a sinusoidal daily price instead.
-	PricePerKWh  float64
+	// DiurnalPrice swaps the flat electricity price
+	// (energy.DefaultPricePerKWh) for a sinusoidal daily one around it.
 	DiurnalPrice bool
-	// BaselineUtilization is the baseline policy's bottleneck target
-	// (zero takes the policy's default, 0.8).
-	BaselineUtilization float64
 	// BootDelaySeconds is how long machines take from power-on to
 	// accepting tasks (default 120). Reactive policies feel this as
 	// scheduling delay on every ramp; the MPC controller pre-provisions.
@@ -328,12 +316,6 @@ type SimulationConfig struct {
 func (cfg *SimulationConfig) defaults() {
 	if cfg.PeriodSeconds <= 0 {
 		cfg.PeriodSeconds = 300
-	}
-	if cfg.SwitchCostDollars <= 0 {
-		cfg.SwitchCostDollars = energy.DefaultSwitchCostDollars
-	}
-	if cfg.PricePerKWh <= 0 {
-		cfg.PricePerKWh = energy.DefaultPricePerKWh
 	}
 	if cfg.BootDelaySeconds < 0 {
 		cfg.BootDelaySeconds = 0
@@ -395,9 +377,10 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 	}
 	cfg.defaults()
 	machines := src.Meta().Machines
-	var price energy.Price = energy.FlatPrice(cfg.PricePerKWh)
+	const kwh = energy.DefaultPricePerKWh
+	var price energy.Price = energy.FlatPrice(kwh)
 	if cfg.DiurnalPrice {
-		price = energy.DiurnalPrice{Base: cfg.PricePerKWh, Amplitude: cfg.PricePerKWh / 3, PhaseHour: 4}
+		price = energy.DiurnalPrice{Base: kwh, Amplitude: kwh / 3, PhaseHour: 4}
 	}
 	// Only the HARMONY policies get per-type queues and relabeling:
 	// container-based scheduling restructures the scheduler around task
@@ -415,7 +398,7 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 		TypeOf:   func(trace.Task) int { return 0 },
 		// Per-type switch costs scale with idle power relative to the
 		// largest machine (the same helper harmonyd's engine uses).
-		SwitchCost:      energy.SwitchCosts(models, cfg.SwitchCostDollars),
+		SwitchCost:      energy.SwitchCosts(models, energy.DefaultSwitchCostDollars),
 		BootDelay:       cfg.BootDelaySeconds,
 		MTBFHours:       cfg.MTBFHours,
 		MaxDelaySamples: maxDelaySamples,
@@ -429,7 +412,7 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 		}
 		sc.Policy = &sched.AlwaysOn{Counts: counts}
 	case PolicyBaseline:
-		sc.Policy = &sched.Baseline{Machines: machines, Models: models, Utilization: cfg.BaselineUtilization}
+		sc.Policy = &sched.Baseline{Machines: machines, Models: models}
 	case PolicyCBS, PolicyCBP:
 		if c == nil {
 			return nil, errors.New("harmony: HARMONY policies need a characterization")
@@ -451,7 +434,6 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 			Price:         price,
 			PeriodSeconds: cfg.PeriodSeconds,
 			Horizon:       cfg.Horizon,
-			SLODelay:      cfg.SLODelay,
 			Epsilon:       cfg.Epsilon,
 			Omega:         cfg.Omega,
 			SwitchCost:    sc.SwitchCost,

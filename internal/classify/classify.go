@@ -101,6 +101,11 @@ var ErrNoTasks = errors.New("classify: no tasks")
 // must lie in (0, +Inf); the first task that does not is reported as an
 // error rather than clustered at −Inf/NaN.
 func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
+	// NaN fails defaults' "<= 0" test and then every "gain < MinGain"
+	// test in ChooseK, which would hand each group MaxK classes.
+	if math.IsNaN(cfg.MinGain) {
+		return nil, errors.New("classify: MinGain is NaN")
+	}
 	cfg.defaults()
 	if len(tr.Tasks) == 0 {
 		return nil, ErrNoTasks

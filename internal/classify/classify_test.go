@@ -458,6 +458,14 @@ func TestCharacterizeRejectsUnloggableTasks(t *testing.T) {
 	}
 }
 
+// A NaN elbow threshold is an error, not "every group gets MaxK classes".
+func TestCharacterizeRejectsNaNMinGain(t *testing.T) {
+	_, err := Characterize(syntheticTrace(), Config{Seed: 1, MinGain: math.NaN()})
+	if err == nil || !strings.Contains(err.Error(), "MinGain") {
+		t.Errorf("err = %v, want one naming MinGain", err)
+	}
+}
+
 // A task whose sizes have no logarithm belongs to no class: Label and
 // both Labeler entry points say so instead of comparing NaN distances.
 func TestLabelRejectsUnloggableTasks(t *testing.T) {

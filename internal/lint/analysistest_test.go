@@ -196,73 +196,71 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// TestScopes pins the production scope table: which packages (and, for
-// the concurrent surface, which files) each named scope covers.
+// TestScopes pins the production scope table: which packages each named
+// scope covers.
 func TestScopes(t *testing.T) {
+	production := &ModulePass{scoped: true}
 	for _, c := range []struct {
-		scope     Scope
-		pkg, file string
-		want      bool
+		scope Scope
+		pkg   string
+		want  bool
 	}{
-		{ScopeDeterministic, "harmony/internal/sim", "", true},
-		{ScopeDeterministic, "harmony/internal/daemon", "", true},
-		{ScopeDeterministic, "harmony/cmd/harmonyd", "", true},
-		{ScopeDeterministic, "harmony/internal/forecast", "", true},
-		{ScopeDeterministic, "harmony/internal/classify", "", true},
-		{ScopeDeterministic, "harmony/internal/kmeans", "", true},
-		{ScopeDeterministic, "harmony/internal/trace", "", true},
-		{ScopeDeterministic, "harmony/internal/sched", "", true},
-		{ScopeDeterministic, "harmony/internal/stats", "", false},
+		{ScopeDeterministic, "harmony/internal/sim", true},
+		{ScopeDeterministic, "harmony/internal/daemon", true},
+		{ScopeDeterministic, "harmony/cmd/harmonyd", true},
+		{ScopeDeterministic, "harmony/internal/forecast", true},
+		{ScopeDeterministic, "harmony/internal/classify", true},
+		{ScopeDeterministic, "harmony/internal/kmeans", true},
+		{ScopeDeterministic, "harmony/internal/trace", true},
+		{ScopeDeterministic, "harmony/internal/sched", true},
+		{ScopeDeterministic, "harmony/internal/stats", false},
 
-		{ScopeSpawn, "harmony/internal/daemon", "/x/engine.go", true},
-		{ScopeSpawn, "harmony/internal/tenant", "/x/server.go", true},
-		{ScopeSpawn, "harmony", "/x/parallel.go", true},
-		{ScopeSpawn, "harmony", "/x/harmony.go", false},
-		{ScopeSpawn, "harmony", "", false}, // file-restricted: not the package as a whole
-		// sim and core are sequential by construction: no file of theirs
-		// is on the concurrent surface.
-		{ScopeSpawn, "harmony/internal/sim", "/x/sim.go", false},
-		{ScopeSpawn, "harmony/internal/core", "/x/placement.go", false},
-		{ScopeSpawn, "harmony/internal/stats", "/x/rng.go", false},
-		{ScopeSpawn, "harmony/internal/metrics", "/x/metrics.go", false},
+		{ScopeSpawn, "harmony/internal/daemon", true},
+		{ScopeSpawn, "harmony/internal/tenant", true},
+		// sim and core are sequential by construction: neither is on the
+		// concurrent surface.
+		{ScopeSpawn, "harmony/internal/sim", false},
+		{ScopeSpawn, "harmony/internal/core", false},
+		{ScopeSpawn, "harmony/internal/stats", false},
+		{ScopeSpawn, "harmony/internal/metrics", false},
 
 		// The lock-centric scopes widen the concurrent surface.
-		{ScopeLockOrder, "harmony/internal/tenant", "/x/server.go", true},
-		{ScopeLockOrder, "harmony/internal/metrics", "/x/metrics.go", true},
-		{ScopeLockOrder, "harmony/internal/stats", "/x/rng.go", false},
-		{ScopeRelease, "harmony/internal/daemon", "/x/engine.go", true},
-		{ScopeRelease, "harmony/internal/metrics", "/x/metrics.go", true},
-		{ScopeRelease, "harmony/cmd/harmonyd", "/x/main.go", true},
-		{ScopeRelease, "harmony/internal/sim", "/x/sim.go", false},
-		{ScopeRelease, "harmony/internal/trace", "/x/stream.go", false},
-		{ScopeRelease, "harmony/internal/stats", "/x/rng.go", false},
-		{ScopeLockOwning, "harmony/internal/metrics", "", true},
-		{ScopeLockOwning, "harmony/internal/core", "", false},
+		{ScopeLockOrder, "harmony/internal/tenant", true},
+		{ScopeLockOrder, "harmony/internal/metrics", true},
+		{ScopeLockOrder, "harmony/internal/stats", false},
+		{ScopeRelease, "harmony/internal/daemon", true},
+		{ScopeRelease, "harmony/internal/metrics", true},
+		{ScopeRelease, "harmony/cmd/harmonyd", true},
+		{ScopeRelease, "harmony/internal/sim", false},
+		{ScopeRelease, "harmony/internal/trace", false},
+		{ScopeRelease, "harmony/internal/stats", false},
+		{ScopeLockOwning, "harmony/internal/metrics", true},
+		{ScopeLockOwning, "harmony/internal/core", false},
 
 		// The value-flow analyzers share the annotated numeric surface
 		// (the energy→cost and demand chains); unitcheck additionally
 		// collects (but does not check) daemon's config annotations.
-		{ScopeNumeric, "harmony/internal/energy", "", true},
-		{ScopeNumeric, "harmony/internal/tenant", "", true},
-		{ScopeNumeric, "harmony/internal/core", "", true},
-		{ScopeNumeric, "harmony/internal/queueing", "", true},
-		{ScopeNumeric, "harmony/internal/forecast", "", true},
-		{ScopeNumeric, "harmony/internal/sched", "", true},
-		{ScopeNumeric, "harmony/internal/trace", "", true},
-		{ScopeNumeric, "harmony/internal/classify", "", true},
-		{ScopeNumeric, "harmony/internal/stats", "", true},
-		{ScopeNumeric, "harmony/internal/lp", "", true},
-		{ScopeNumeric, "harmony/internal/kmeans", "", true},
-		{ScopeNumeric, "harmony/internal/binpack", "", true},
-		{ScopeNumeric, "harmony/internal/container", "", true},
-		{ScopeNumeric, "harmony/internal/daemon", "", false},
-		{ScopeNumeric, "harmony/internal/metrics", "", false},
-		{ScopeUnitAnnot, "harmony/internal/daemon", "", true},
-		{ScopeUnitAnnot, "harmony/internal/stats", "", true},
-		{ScopeUnitAnnot, "harmony/internal/metrics", "", false},
+		{ScopeNumeric, "harmony/internal/energy", true},
+		{ScopeNumeric, "harmony/internal/tenant", true},
+		{ScopeNumeric, "harmony/internal/core", true},
+		{ScopeNumeric, "harmony/internal/queueing", true},
+		{ScopeNumeric, "harmony/internal/forecast", true},
+		{ScopeNumeric, "harmony/internal/sched", true},
+		{ScopeNumeric, "harmony/internal/trace", true},
+		{ScopeNumeric, "harmony/internal/classify", true},
+		{ScopeNumeric, "harmony/internal/stats", true},
+		{ScopeNumeric, "harmony/internal/lp", true},
+		{ScopeNumeric, "harmony/internal/kmeans", true},
+		{ScopeNumeric, "harmony/internal/binpack", true},
+		{ScopeNumeric, "harmony/internal/container", true},
+		{ScopeNumeric, "harmony/internal/daemon", false},
+		{ScopeNumeric, "harmony/internal/metrics", false},
+		{ScopeUnitAnnot, "harmony/internal/daemon", true},
+		{ScopeUnitAnnot, "harmony/internal/stats", true},
+		{ScopeUnitAnnot, "harmony/internal/metrics", false},
 	} {
-		if got := scopeContains(c.scope, c.pkg, c.file); got != c.want {
-			t.Errorf("scopeContains(%d, %q, %q) = %v, want %v", c.scope, c.pkg, c.file, got, c.want)
+		if got := production.InScope(c.scope, c.pkg); got != c.want {
+			t.Errorf("InScope(%d, %q) = %v, want %v", c.scope, c.pkg, got, c.want)
 		}
 	}
 
@@ -270,9 +268,9 @@ func TestScopes(t *testing.T) {
 	// scope, its sub-packages (detertaint's impure/pure) in none.
 	fixture := &ModulePass{Pkgs: []*Package{{Path: "fixture/detertaint"}}}
 	for s := range scopeTable {
-		if !fixture.InScope(s, "fixture/detertaint", token.NoPos) ||
-			fixture.InScope(s, "fixture/detertaint/impure", token.NoPos) ||
-			fixture.InScope(s, "harmony/internal/daemon", token.NoPos) {
+		if !fixture.InScope(s, "fixture/detertaint") ||
+			fixture.InScope(s, "fixture/detertaint/impure") ||
+			fixture.InScope(s, "harmony/internal/daemon") {
 			t.Errorf("fixture-mode InScope wrong for scope %d", s)
 		}
 	}

@@ -56,7 +56,7 @@ type openRes map[string]resAcq
 // checks on their own CFGs.
 func runDeferClose(pass *ModulePass) {
 	for _, n := range pass.Graph.Funcs {
-		if pass.InScope(ScopeRelease, n.Pkg.Path, n.Pos()) {
+		if pass.InScope(ScopeRelease, n.Pkg.Path) {
 			checkFuncResources(pass, n)
 			checkFuncBlocking(pass, n)
 		}

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -87,7 +86,7 @@ type taintInfo struct {
 
 func runDeterTaint(pass *ModulePass) {
 	deterministic := func(pkgPath string) bool {
-		return pass.InScope(ScopeDeterministic, pkgPath, token.NoPos)
+		return pass.InScope(ScopeDeterministic, pkgPath)
 	}
 
 	// Depth 0: direct references to a root in a deterministic package.

@@ -26,7 +26,7 @@ var DivZero = &Analyzer{
 func runDivZero(pass *ModulePass) {
 	zeroReturns := make(map[*types.Func]bool)
 	for _, n := range pass.Graph.Funcs {
-		if pass.InScope(ScopeNumeric, n.Pkg.Path, token.NoPos) {
+		if pass.InScope(ScopeNumeric, n.Pkg.Path) {
 			checkDivZero(pass, n, zeroReturns)
 		}
 	}

@@ -35,7 +35,7 @@ import (
 //     the module, the worker outlives every shutdown.
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc: "require every goroutine in daemon, tenant, and the facade's parallel.go to have a " +
+	Doc: "require every goroutine in daemon and tenant to have a " +
 		"provable join (WaitGroup.Done, collector send, or cancellation receive) and a " +
 		"terminating path: no inescapable loops, no ranges over channels nothing ever closes",
 	RunModule: runGoLeak,
@@ -47,16 +47,17 @@ func runGoLeak(pass *ModulePass) {
 	reportedRange := make(map[token.Pos]bool) // never-closed-range reports
 
 	for _, n := range pass.Graph.Funcs {
+		if !pass.InScope(ScopeSpawn, n.Pkg.Path) {
+			continue
+		}
 		// A go statement through a bare function value is unprovable by
 		// construction, whatever candidate edges the graph resolved.
 		for _, dp := range n.DynGo {
-			if pass.InScope(ScopeSpawn, n.Pkg.Path, dp) {
-				pass.Reportf(dp,
-					"goroutine spawned through a function value; its join cannot be proven — spawn a named function or literal with an explicit join (//harmony:allow goleak <reason> to permit)")
-			}
+			pass.Reportf(dp,
+				"goroutine spawned through a function value; its join cannot be proven — spawn a named function or literal with an explicit join (//harmony:allow goleak <reason> to permit)")
 		}
 		for _, e := range n.Out {
-			if e.Kind != EdgeGo || !pass.InScope(ScopeSpawn, n.Pkg.Path, e.Pos) {
+			if e.Kind != EdgeGo {
 				continue
 			}
 			if e.Dynamic && e.Via == "function value" {

@@ -103,7 +103,7 @@ func runLockOrder(pass *ModulePass) {
 		}
 	}
 	for _, n := range g.Funcs {
-		if !pass.InScope(ScopeLockOrder, n.Pkg.Path, n.Pos()) {
+		if !pass.InScope(ScopeLockOrder, n.Pkg.Path) {
 			continue
 		}
 		walkLocksets(n, n.MayLocks(), func(_ *Block, nd ast.Node, held heldLocks) {

@@ -25,7 +25,7 @@ var NaNSource = &Analyzer{
 
 func runNaNSource(pass *ModulePass) {
 	for _, n := range pass.Graph.Funcs {
-		if pass.InScope(ScopeNumeric, n.Pkg.Path, token.NoPos) {
+		if pass.InScope(ScopeNumeric, n.Pkg.Path) {
 			checkNaNSource(pass, n)
 		}
 	}

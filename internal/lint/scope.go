@@ -1,10 +1,5 @@
 package lint
 
-import (
-	"go/token"
-	"path/filepath"
-)
-
 // Scope names one production package set. Every analyzer that does not
 // apply module-wide asks ModulePass.InScope with one of these instead of
 // carrying its own predicate.
@@ -35,12 +30,10 @@ const (
 	ScopeUnitAnnot
 )
 
-// concurrentSurface is the part every concurrency scope shares. An entry
-// is a whole package, or "pkg:file.go" for one file of it.
+// concurrentSurface is the part every concurrency scope shares.
 var concurrentSurface = []string{
 	"harmony/internal/daemon",
 	"harmony/internal/tenant", // per-tenant ingest workers + group tick fan-out
-	"harmony:parallel.go",     // the per-policy simulation fan-out (Env.PolicyRuns)
 }
 
 var numericSurface = []string{
@@ -103,26 +96,14 @@ func scopeSet(base []string, more ...string) map[string]bool {
 	return set
 }
 
-// scopeContains consults the table: filename may be "" to ask about the
-// package as a whole (file-restricted entries then do not match).
-func scopeContains(s Scope, pkgPath, filename string) bool {
-	set := scopeTable[s]
-	return set[pkgPath] || filename != "" && set[pkgPath+":"+filepath.Base(filename)]
-}
-
-// InScope reports whether the scope covers the package — at pos, for the
-// scopes with file-restricted entries; pass token.NoPos to ask about the
-// package as a whole. In fixture mode the table is bypassed: the fixture's
-// root package is in every scope and its sub-packages are in none, so a
-// fixture tree can model in-scope code calling out-of-scope helpers
-// (detertaint's impure/pure) without test hooks in the table.
-func (p *ModulePass) InScope(s Scope, pkgPath string, pos token.Pos) bool {
+// InScope reports whether the scope covers the package. In fixture mode
+// the table is bypassed: the fixture's root package is in every scope and
+// its sub-packages are in none, so a fixture tree can model in-scope code
+// calling out-of-scope helpers (detertaint's impure/pure) without test
+// hooks in the table.
+func (p *ModulePass) InScope(s Scope, pkgPath string) bool {
 	if !p.scoped {
 		return pkgPath == p.Pkgs[0].Path
 	}
-	filename := ""
-	if pos.IsValid() {
-		filename = p.Fset().Position(pos).Filename
-	}
-	return scopeContains(s, pkgPath, filename)
+	return scopeTable[s][pkgPath]
 }

@@ -95,7 +95,7 @@ func runUnitCheck(pass *ModulePass) {
 	}
 	w.collect()
 	for _, n := range pass.Graph.Funcs {
-		if pass.InScope(ScopeNumeric, n.Pkg.Path, token.NoPos) {
+		if pass.InScope(ScopeNumeric, n.Pkg.Path) {
 			w.checkFunc(n)
 		}
 	}
@@ -105,7 +105,7 @@ func runUnitCheck(pass *ModulePass) {
 
 func (w *unitWorld) collect() {
 	for _, pkg := range w.pass.Pkgs {
-		if !w.pass.InScope(ScopeUnitAnnot, pkg.Path, token.NoPos) {
+		if !w.pass.InScope(ScopeUnitAnnot, pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -559,7 +559,7 @@ func (w *unitWorld) summary(fn *types.Func) unit {
 		return unit{}
 	}
 	node := w.pass.Graph.NodeOf(fn)
-	if node == nil || !w.pass.InScope(ScopeUnitAnnot, node.Pkg.Path, token.NoPos) {
+	if node == nil || !w.pass.InScope(ScopeUnitAnnot, node.Pkg.Path) {
 		return unit{}
 	}
 	sig, _ := fn.Type().(*types.Signature)

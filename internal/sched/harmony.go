@@ -174,8 +174,8 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if len(cfg.Types) == 0 {
 		return nil, errors.New("sched: no task types")
 	}
-	if cfg.PeriodSeconds <= 0 {
-		return nil, errors.New("sched: period must be positive")
+	if !(cfg.PeriodSeconds > 0) || math.IsInf(cfg.PeriodSeconds, 1) {
+		return nil, fmt.Errorf("sched: period must be positive and finite, got %v", cfg.PeriodSeconds)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 2

@@ -57,6 +57,9 @@ func TestNewHarmonyValidation(t *testing.T) {
 		{"model mismatch", func(c *HarmonyConfig) { c.Models = c.Models[:1] }, "models"},
 		{"no types", func(c *HarmonyConfig) { c.Types = nil }, "types"},
 		{"zero period", func(c *HarmonyConfig) { c.PeriodSeconds = 0 }, "period"},
+		// harmonyd -period NaN used to listen and then fail every tick.
+		{"NaN period", func(c *HarmonyConfig) { c.PeriodSeconds = nan }, "period"},
+		{"+Inf period", func(c *HarmonyConfig) { c.PeriodSeconds = inf }, "period"},
 		// Only 0 means "the default". NaN fails no x <= 0 test and used
 		// to reach the container sizes.
 		{"NaN epsilon", func(c *HarmonyConfig) { c.Epsilon = nan }, "Epsilon"},

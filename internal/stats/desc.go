@@ -44,22 +44,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by n-1),
-// or 0 if xs has fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(n-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	//harmony:allow nansource Variance is a mean of squares

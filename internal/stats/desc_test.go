@@ -40,17 +40,6 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	if got := SampleVariance([]float64{1}); got != 0 {
-		t.Errorf("SampleVariance(single) = %v, want 0", got)
-	}
-	xs := []float64{1, 2, 3, 4}
-	// mean 2.5, sum sq dev = 2.25+0.25+0.25+2.25 = 5, /3
-	if got := SampleVariance(xs); !almostEq(got, 5.0/3.0, 1e-12) {
-		t.Errorf("SampleVariance = %v, want %v", got, 5.0/3.0)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, err := Max(nil); err == nil {
 		t.Error("Max(nil) should error")

@@ -85,14 +85,3 @@ func TestNormalQuantileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNormalPDFSymmetric(t *testing.T) {
-	for _, x := range []float64{0.1, 0.7, 1.3, 2.9} {
-		if !almostEq(NormalPDF(x), NormalPDF(-x), 1e-15) {
-			t.Errorf("PDF not symmetric at %v", x)
-		}
-	}
-	if !almostEq(NormalPDF(0), 0.3989422804014327, 1e-15) {
-		t.Errorf("PDF(0) = %v", NormalPDF(0))
-	}
-}

@@ -66,32 +66,6 @@ func TruncNormal(r *rand.Rand, mu, sigma, lo, hi float64) float64 {
 	return x
 }
 
-// Poisson draws a Poisson variate with the given mean using Knuth's method
-// for small means and a normal approximation for large ones.
-func Poisson(r *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation with continuity correction.
-		x := math.Round(mean + math.Sqrt(mean)*r.NormFloat64())
-		if x < 0 {
-			return 0
-		}
-		return int(x)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // WeightedChoice returns an index in [0, len(weights)) drawn with
 // probability proportional to weights[i]. Non-positive total weight
 // returns 0.

@@ -86,27 +86,6 @@ func TestTruncNormalBounds(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, mean := range []float64{0.5, 3, 20, 200} {
-		const n = 20000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += Poisson(r, mean)
-		}
-		got := float64(sum) / n
-		if !almostEq(got, mean, 0.05*mean+0.05) {
-			t.Errorf("poisson(%v) mean = %v", mean, got)
-		}
-	}
-	if Poisson(r, 0) != 0 {
-		t.Error("Poisson(0) should be 0")
-	}
-	if Poisson(r, -1) != 0 {
-		t.Error("Poisson(-1) should be 0")
-	}
-}
-
 func TestWeightedChoice(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	weights := []float64{1, 0, 3}

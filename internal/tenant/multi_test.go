@@ -191,6 +191,27 @@ func TestCostDefaultsMatchEngine(t *testing.T) {
 	}
 }
 
+// TestGroupCostInDollars pins one tick's provisioning cost in absolute
+// terms (the other cost tests compare runs, so a unit slip common to both
+// sides cancels): Table II idles at 60/120/140/260 W, a period is 300 s,
+// a kWh is $0.08 and a switch is $0.01 scaled by idle power.
+func TestGroupCostInDollars(t *testing.T) {
+	m, err := New(Config{Base: testBase(t), Tenants: []Spec{{Name: "app"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &daemon.Plan{Machines: []daemon.MachinePlan{{Active: 10}, {}, {}, {Active: 2}}}
+	m.accountTick(m.groups[0], plan)
+	const (
+		idleKW    = (10*60 + 2*260) / 1000.0
+		idle      = idleKW * (300.0 / 3600) * 0.08
+		switching = 10*0.01*60/260 + 2*0.01 // all twelve machines power on
+	)
+	if got := m.Snapshot().Groups[0].CostDollars; math.Abs(got-(idle+switching)) > 1e-12 {
+		t.Errorf("group cost after one tick = $%v, want $%v", got, idle+switching)
+	}
+}
+
 // stream builds a deterministic two-class arrival stream covering the
 // given number of default control periods.
 func stream(periods int, tenant string) []trace.Task {

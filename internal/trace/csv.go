@@ -59,9 +59,8 @@ func WriteCSVStream(w io.Writer, src TaskSource) (int64, error) {
 
 // CSVSource streams tasks from a WriteCSV export one row at a time. The
 // caller supplies the machine population (CSV does not carry it) and
-// horizon; horizon <= 0 leaves Meta.Horizon at 0, and batch callers that
-// need an inferred horizon should use ReadCSV instead (inference requires
-// seeing every row).
+// horizon; horizon <= 0 leaves Meta.Horizon at 0 (inferring it would
+// require seeing every row). Collect materializes the stream.
 type CSVSource struct {
 	cr   *csv.Reader
 	meta Meta
@@ -123,28 +122,6 @@ func (s *CSVSource) Next(t *Task) (bool, error) {
 	s.prev = tt.Submit
 	*t = tt
 	return true, nil
-}
-
-// ReadCSV parses a task stream produced by WriteCSV. The caller supplies
-// the machine population (CSV does not carry it) and horizon; pass
-// horizon <= 0 to infer it from the last task's submit+duration.
-func ReadCSV(r io.Reader, machines []MachineType, horizon float64) (*Trace, error) {
-	src, err := NewCSVSource(r, machines, horizon)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := Collect(src)
-	if err != nil {
-		return nil, err
-	}
-	if tr.Horizon <= 0 {
-		for i := range tr.Tasks {
-			if end := tr.Tasks[i].Submit + tr.Tasks[i].Duration; end > tr.Horizon {
-				tr.Horizon = end
-			}
-		}
-	}
-	return tr, nil
 }
 
 func taskFromCSV(rec []string) (Task, error) {

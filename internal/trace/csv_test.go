@@ -2,9 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
+
+// readCSV materializes a WriteCSV export the way a batch caller does.
+func readCSV(r io.Reader, machines []MachineType, horizon float64) (*Trace, error) {
+	src, err := NewCSVSource(r, machines, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
+}
 
 func TestCSVRoundTrip(t *testing.T) {
 	tr := tinyTrace()
@@ -12,7 +22,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf, tr.Machines, tr.Horizon)
+	got, err := readCSV(&buf, tr.Machines, tr.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,22 +42,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadCSVInfersHorizon(t *testing.T) {
-	tr := tinyTrace()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, tr.Machines, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Last-ending task: submit 15 + duration 30 = 45.
-	if got.Horizon != 45 {
-		t.Errorf("inferred horizon = %v, want 45", got.Horizon)
-	}
-}
-
 func TestReadCSVRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"empty":        "",
@@ -59,7 +53,7 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		"short row":    "id,job,submit,duration,cpu,mem,priority,class\n1,1,0\n",
 	}
 	for name, body := range cases {
-		if _, err := ReadCSV(strings.NewReader(body), nil, 1); err == nil {
+		if _, err := readCSV(strings.NewReader(body), nil, 1); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

@@ -73,6 +73,10 @@ func TestGenerateConfigValidation(t *testing.T) {
 		{"NaN rate", func(c *Config) { c.RatePerS = math.NaN() }},
 		{"infinite rate", func(c *Config) { c.RatePerS = math.Inf(1) }},
 		{"no machines", func(c *Config) { c.Machines = nil }},
+		// What GoogleLikeMachines(-5) rounds to; the trace readers reject it.
+		{"negative machine count", func(c *Config) {
+			c.Machines = []MachineType{{ID: 1, CPU: 0.5, Mem: 0.5, Count: -3}}
+		}},
 		{"negative share", func(c *Config) { c.Groups[0].Share = -1 }},
 		{"zero shares", func(c *Config) {
 			for i := range c.Groups {

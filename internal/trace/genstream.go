@@ -57,6 +57,11 @@ func validateGenConfig(cfg *Config) error {
 	if len(cfg.Machines) == 0 {
 		return errors.New("trace: no machines configured")
 	}
+	for _, mt := range cfg.Machines {
+		if mt.Count <= 0 {
+			return fmt.Errorf("trace: machine type %d count must be positive, got %d", mt.ID, mt.Count)
+		}
+	}
 	shareSum := 0.0
 	for _, g := range cfg.Groups {
 		if g.Share < 0 {

@@ -187,7 +187,7 @@ func TestJSONLSourceValidation(t *testing.T) {
 	})
 }
 
-// CSV streaming source matches ReadCSV and rejects shuffled rows.
+// CSV streaming source round-trips an export and rejects shuffled rows.
 func TestCSVSourceRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(11)
 	cfg.Horizon = Hour

@@ -16,30 +16,26 @@ type StreamConfig struct {
 	// Workload selects the generator parameters and cluster population,
 	// exactly as GenerateWorkload interprets them.
 	Workload WorkloadConfig
-	// ChunkSize is the generator refill granularity in tasks
-	// (default 4096).
-	ChunkSize int
 	// MaxDelaySamples caps the per-group scheduling-delay samples kept
 	// for the CDFs, via seeded reservoir sampling. Default 100 000;
 	// a negative value keeps every sample (exact CDFs, O(tasks) memory).
 	MaxDelaySamples int
-	// SampleEveryTasks is how often the scale meter reads the heap for
-	// the peak-heap proxy (default every 65 536 tasks).
-	SampleEveryTasks int64
 }
 
+const (
+	// streamChunkSize is the generator refill granularity in tasks.
+	streamChunkSize = 4096
+	// heapSampleEvery is how often, in tasks, the scale meter reads the
+	// heap for the peak-heap proxy.
+	heapSampleEvery = 65536
+)
+
 func (cfg *StreamConfig) defaults() {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 4096
-	}
 	switch {
 	case cfg.MaxDelaySamples == 0:
 		cfg.MaxDelaySamples = 100_000
 	case cfg.MaxDelaySamples < 0:
 		cfg.MaxDelaySamples = 0 // exact CDFs
-	}
-	if cfg.SampleEveryTasks <= 0 {
-		cfg.SampleEveryTasks = 65536
 	}
 }
 
@@ -66,11 +62,11 @@ func SimulateStream(cfg StreamConfig, c *Characterization, simCfg SimulationConf
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := trace.NewGenSource(gen, cfg.ChunkSize)
+	src, err := trace.NewGenSource(gen, streamChunkSize)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harmony: stream workload: %w", err)
 	}
-	meter := newMeterSource(src, cfg.SampleEveryTasks)
+	meter := newMeterSource(src)
 	start := time.Now()
 	res, err := run(meter, models, c, simCfg, cfg.MaxDelaySamples)
 	if err != nil {
@@ -85,14 +81,13 @@ func SimulateStream(cfg StreamConfig, c *Characterization, simCfg SimulationConf
 // the runtime clock or memory statistics themselves.
 type meterSource struct {
 	src        trace.TaskSource
-	every      int64
 	n          int64
 	startTotal uint64
 	peakHeap   uint64
 }
 
-func newMeterSource(src trace.TaskSource, every int64) *meterSource {
-	m := &meterSource{src: src, every: every}
+func newMeterSource(src trace.TaskSource) *meterSource {
+	m := &meterSource{src: src}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m.startTotal = ms.TotalAlloc
@@ -106,7 +101,7 @@ func (m *meterSource) Next(t *trace.Task) (bool, error) {
 	ok, err := m.src.Next(t)
 	if ok {
 		m.n++
-		if m.n%m.every == 0 {
+		if m.n%heapSampleEvery == 0 {
 			m.sample()
 		}
 	}

@@ -30,7 +30,6 @@ func TestSimulateStreamMatchesBatch(t *testing.T) {
 
 		stream, metrics, err := SimulateStream(StreamConfig{
 			Workload:        wcfg,
-			ChunkSize:       512,
 			MaxDelaySamples: -1, // exact CDFs, comparable to batch
 		}, nil, simCfg)
 		if err != nil {
@@ -97,7 +96,7 @@ func TestSimulateStreamValidation(t *testing.T) {
 func TestStreamConfigDefaults(t *testing.T) {
 	var cfg StreamConfig
 	cfg.defaults()
-	if cfg.ChunkSize != 4096 || cfg.MaxDelaySamples != 100_000 || cfg.SampleEveryTasks != 65536 {
+	if cfg.MaxDelaySamples != 100_000 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	exact := StreamConfig{MaxDelaySamples: -1}
