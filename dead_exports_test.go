@@ -17,12 +17,6 @@ var calledOnlyByTests = map[string]string{
 	"forecast.Naive":         "test baseline the ARIMA and seasonal forecasters must beat",
 	"forecast.MovingAverage": "test baseline in the Holt-Winters backtest comparison",
 	"forecast.Backtest":      "test harness that scores the forecasters against those baselines",
-	// Dead, and to be deleted with the six tests that pin them (ROADMAP
-	// open item 9a): a PR may drop only a few pinned tests, and the last
-	// fan-out's and stats' took this one's share.
-	"kmeans.Nearest":      "dead: goes with TestNearest",
-	"kmeans.ClusterStats": "dead: goes with TestClusterStats, TestClusterStatsEmpty",
-	"kmeans.Silhouette":   "dead: goes with the three TestSilhouette* tests",
 }
 
 // TestLibraryExportsHaveCallers keeps the library packages down to what

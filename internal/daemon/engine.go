@@ -270,11 +270,12 @@ func (e *Engine) NumTaskTypes() int { return len(e.types) }
 // PeriodSeconds returns the control period in model time.
 func (e *Engine) PeriodSeconds() float64 { return e.cfg.PeriodSeconds }
 
-// validateTask rejects tasks the trace model would reject. The positivity
-// checks are written as !(x > 0) so NaN fields (which compare false
-// against everything) are rejected rather than slipping past a x <= 0
-// guard into the arrival windows.
-func validateTask(t trace.Task) error {
+// ValidateTask rejects tasks the trace model would reject. Both HTTP
+// front-ends call it at admission; Ingest calls it again for Replay and
+// library callers. The positivity checks are written as !(x > 0) so NaN
+// fields (which compare false against everything) are rejected rather
+// than slipping past a x <= 0 guard into the arrival windows.
+func ValidateTask(t trace.Task) error {
 	if !(t.Duration > 0) || math.IsInf(t.Duration, 1) {
 		return fmt.Errorf("daemon: task %d duration not in (0,+Inf)", t.ID)
 	}
@@ -297,7 +298,7 @@ func validateTask(t trace.Task) error {
 // (short sub-class first), arrival accounting for the current window, and
 // membership in the open set for later relabeling.
 func (e *Engine) Ingest(t trace.Task) error {
-	if err := validateTask(t); err != nil {
+	if err := ValidateTask(t); err != nil {
 		return err
 	}
 	tt, labeled := e.labeler.InitialIndex(t)

@@ -1,11 +1,7 @@
 package daemon
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -81,101 +77,52 @@ func (s *Server) Flush() { s.lane.Flush() }
 // TickDeadline returns the bound on each control-loop solve.
 func (s *Server) TickDeadline() time.Duration { return s.cfg.TickDeadline }
 
-// DecodeTasks parses an ingest request body: a single JSON task object, a
-// JSON array of tasks, or an NDJSON stream of task objects. It is shared
-// with the multi-tenant front-end so both daemons accept the same wire
-// formats.
-func DecodeTasks(r io.Reader) ([]trace.Task, error) {
-	br := bufio.NewReader(r)
-	first, err := peekNonSpace(br)
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("empty body")
-		}
-		return nil, err
-	}
-	dec := json.NewDecoder(br)
-	var tasks []trace.Task
-	if first == '[' {
-		if _, err := dec.Token(); err != nil { // consume '['
-			return nil, err
-		}
-		for dec.More() {
-			var t trace.Task
-			if err := dec.Decode(&t); err != nil {
-				return nil, fmt.Errorf("task %d: %w", len(tasks), err)
-			}
-			tasks = append(tasks, t)
-		}
-		if _, err := dec.Token(); err != nil { // consume ']'
-			return nil, err
-		}
-		// Only whitespace may follow, as after an NDJSON stream.
-		if _, err := dec.Token(); err != io.EOF {
-			return nil, fmt.Errorf("trailing data after the task array")
-		}
-		return tasks, nil
-	}
-	if first != '{' {
-		return nil, fmt.Errorf("expected a task object, array, or NDJSON stream")
-	}
-	// Stream of objects: covers both the single-object and NDJSON cases.
-	for {
-		var t trace.Task
-		if err := dec.Decode(&t); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("task %d: %w", len(tasks), err)
-		}
-		tasks = append(tasks, t)
-	}
-	return tasks, nil
-}
-
-// peekNonSpace returns the first non-whitespace byte without consuming it.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		if err := br.UnreadByte(); err != nil {
-			return 0, err
-		}
-		return b, nil
-	}
-}
-
 type ingestResponse struct {
 	Accepted int    `json:"accepted"`
 	Rejected int    `json:"rejected,omitempty"`
+	Invalid  int    `json:"invalid,omitempty"`
 	Error    string `json:"error,omitempty"`
 }
 
+// handleTasks validates every decoded task at admission: invalid ones are
+// counted as invalid and never take a queue slot, and a body with no valid
+// task is a 400 naming the first reason. Admission of the valid tasks
+// stops at the first one the queue cannot hold.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	tasks, err := DecodeTasks(r.Body)
 	if err != nil {
 		WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Admission stops at the first task that does not fit.
-	accepted := 0
-	for accepted < len(tasks) && s.lane.TryPush(tasks[accepted]) {
-		accepted++
+	var resp ingestResponse
+	var firstInvalid error
+	valid := tasks[:0]
+	for _, t := range tasks {
+		if err := ValidateTask(t); err != nil {
+			resp.Invalid++
+			if firstInvalid == nil {
+				firstInvalid = err
+			}
+			continue
+		}
+		valid = append(valid, t)
 	}
-	resp := ingestResponse{Accepted: accepted, Rejected: len(tasks) - accepted}
-	if resp.Rejected > 0 {
+	s.mIngestErrs.Add(float64(resp.Invalid))
+	for resp.Accepted < len(valid) && s.lane.TryPush(valid[resp.Accepted]) {
+		resp.Accepted++
+	}
+	resp.Rejected = len(valid) - resp.Accepted
+	switch {
+	case resp.Rejected > 0:
 		s.mRejected.Add(float64(resp.Rejected))
 		resp.Error = "ingest queue full"
 		WriteJSON(w, http.StatusTooManyRequests, resp)
-		return
+	case resp.Invalid > 0 && resp.Accepted == 0:
+		resp.Error = firstInvalid.Error()
+		WriteJSON(w, http.StatusBadRequest, resp)
+	default:
+		WriteJSON(w, http.StatusAccepted, resp)
 	}
-	WriteJSON(w, http.StatusAccepted, resp)
 }
 
 // ForceTick flushes the ingest lane and runs one control-period tick

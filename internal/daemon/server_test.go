@@ -1,15 +1,12 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -50,97 +47,6 @@ func taskNDJSON(tasks ...trace.Task) string {
 	return sb.String()
 }
 
-func TestDecodeTasksFormats(t *testing.T) {
-	one := gratisTask(1, 10, 60)
-	two := gratisTask(2, 20, 60)
-	oneJSON, _ := json.Marshal(one)
-	twoJSON, _ := json.Marshal(two)
-
-	tests := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"single object", string(oneJSON), 1},
-		{"array", fmt.Sprintf("[%s, %s]", oneJSON, twoJSON), 2},
-		{"ndjson", taskNDJSON(one, two), 2},
-		{"leading whitespace", "\n\t " + string(oneJSON), 1},
-		{"empty array", "[]", 0},
-		{"array then whitespace", fmt.Sprintf("[%s]\n \t", oneJSON), 1},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			tasks, err := DecodeTasks(strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tasks) != tc.want {
-				t.Errorf("decoded %d tasks, want %d", len(tasks), tc.want)
-			}
-			if tc.want > 0 && tasks[0].ID != 1 {
-				t.Errorf("first task = %+v", tasks[0])
-			}
-		})
-	}
-
-	// Trailing garbage is rejected after every form, arrays included.
-	for _, bad := range []string{"", "   ", "not json", "42", `{"id":}`,
-		string(oneJSON) + " garbage", fmt.Sprintf("[%s] garbage", oneJSON),
-		fmt.Sprintf("[%s] ]", oneJSON), fmt.Sprintf("[%s] %s", oneJSON, twoJSON), "[] []"} {
-		if _, err := DecodeTasks(strings.NewReader(bad)); err == nil {
-			t.Errorf("decoded garbage %q", bad)
-		}
-	}
-}
-
-// FuzzDecodeTasks drives the ingest decoder with arbitrary bodies: it
-// must never panic, an error must come with no tasks, and whatever it
-// does accept must survive the round trip — the array form and the
-// NDJSON form of the decoded tasks decode back to the same tasks.
-func FuzzDecodeTasks(f *testing.F) {
-	one, _ := json.Marshal(gratisTask(1, 10, 60))
-	two, _ := json.Marshal(gratisTask(2, 20, 60))
-	for _, seed := range []string{
-		string(one),
-		fmt.Sprintf("[%s, %s]", one, two),
-		taskNDJSON(gratisTask(1, 10, 60), gratisTask(2, 20, 60)),
-		"\n\t " + string(one),
-		"[]",
-		fmt.Sprintf("[%s] garbage", one),
-		"", "   ", "not json", "42", `{"id":}`,
-		`{"id":1,"constraint":"x86","tenant":"a"}`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		tasks, err := DecodeTasks(bytes.NewReader(body))
-		if err != nil {
-			if tasks != nil {
-				t.Fatalf("error %v came with %d tasks", err, len(tasks))
-			}
-			return
-		}
-		if len(tasks) == 0 {
-			return // "[]": there is no NDJSON spelling of zero tasks
-		}
-		array, err := json.Marshal(tasks)
-		if err != nil {
-			t.Fatalf("accepted tasks do not re-encode: %v", err)
-		}
-		fromArray, err := DecodeTasks(bytes.NewReader(array))
-		if err != nil {
-			t.Fatalf("array form rejected: %v\n%s", err, array)
-		}
-		fromNDJSON, err := DecodeTasks(strings.NewReader(taskNDJSON(tasks...)))
-		if err != nil {
-			t.Fatalf("NDJSON form rejected: %v", err)
-		}
-		if !reflect.DeepEqual(fromArray, tasks) || !reflect.DeepEqual(fromNDJSON, tasks) {
-			t.Fatalf("forms disagree:\n decoded %+v\n array   %+v\n ndjson  %+v", tasks, fromArray, fromNDJSON)
-		}
-	})
-}
-
 func TestIngestEndpoint(t *testing.T) {
 	s, eng := newTestServer(t, ServerConfig{})
 	srv := httptest.NewServer(s)
@@ -175,6 +81,53 @@ func TestIngestEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage status = %d", resp.StatusCode)
+	}
+}
+
+// TestIngestValidatesAtAdmission posts tasks that fail ValidateTask next
+// to a valid one: the response counts them invalid rather than accepted,
+// they take no queue slot, and a body with nothing valid is a 400 that
+// names the reason.
+func TestIngestValidatesAtAdmission(t *testing.T) {
+	s, eng := newTestServer(t, ServerConfig{QueueSize: 1})
+	release := holdLane(t, s.lane)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	post := func(body string) (int, ingestResponse) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ir ingestResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, ir
+	}
+
+	noCPU := gratisTask(1, 0, 60)
+	noCPU.CPU = 0
+	code, ir := post(taskNDJSON(noCPU, gratisTask(2, 1, 60)) + "null\n")
+	if code != http.StatusAccepted || ir.Accepted != 1 || ir.Invalid != 2 || ir.Rejected != 0 {
+		t.Errorf("mixed body: status %d response %+v, want 202 with 1 accepted and 2 invalid", code, ir)
+	}
+
+	code, ir = post(taskNDJSON(noCPU))
+	if code != http.StatusBadRequest || ir.Invalid != 1 || ir.Accepted != 0 ||
+		!strings.Contains(ir.Error, "demand out of (0,1]") {
+		t.Errorf("all-invalid body: status %d response %+v, want 400 naming the demand", code, ir)
+	}
+
+	release()
+	s.Flush()
+	if got := eng.Snapshot().TasksIngested; got != 1 {
+		t.Errorf("ingested = %d, want 1", got)
+	}
+	if got := s.mIngestErrs.Value(); got != 3 {
+		t.Errorf("invalid counter = %v, want 3", got)
 	}
 }
 

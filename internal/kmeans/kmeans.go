@@ -180,77 +180,6 @@ func lloyd(points []Point, centroids []Point, maxIter int) *Result {
 	}
 }
 
-// Nearest returns the index of the centroid closest (Euclidean) to p and
-// the distance to it. It returns (-1, +Inf) when centroids is empty.
-func Nearest(centroids []Point, p Point) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	for c, cen := range centroids {
-		if d := sqDist(p, cen); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	//harmony:allow nansource a squared distance
-	return best, math.Sqrt(bestD)
-}
-
-// ClusterSizes returns the number of points assigned to each cluster.
-func (r *Result) ClusterSizes() []int {
-	sizes := make([]int, len(r.Centroids))
-	for _, c := range r.Assignment {
-		sizes[c]++
-	}
-	return sizes
-}
-
-// ClusterStats returns, for each cluster and feature dimension, the mean
-// and standard deviation of the member points. These are the mean±stddev
-// bars of Figures 13, 15 and 17, and feed container sizing (Eq. 3).
-func (r *Result) ClusterStats(points []Point) (means, stddevs []Point) {
-	k := len(r.Centroids)
-	if k == 0 || len(points) == 0 {
-		return nil, nil
-	}
-	dim := len(points[0])
-	sums := make([][]float64, k)
-	sqs := make([][]float64, k)
-	counts := make([]int, k)
-	for c := 0; c < k; c++ {
-		sums[c] = make([]float64, dim)
-		sqs[c] = make([]float64, dim)
-	}
-	for i, p := range points {
-		c := r.Assignment[i]
-		counts[c]++
-		for d := 0; d < dim; d++ {
-			sums[c][d] += p[d]
-			sqs[c][d] += p[d] * p[d]
-		}
-	}
-	means = make([]Point, k)
-	stddevs = make([]Point, k)
-	for c := 0; c < k; c++ {
-		means[c] = make(Point, dim)
-		stddevs[c] = make(Point, dim)
-		if counts[c] == 0 {
-			continue
-		}
-		n := float64(counts[c])
-		for d := 0; d < dim; d++ {
-			m := sums[c][d] / n
-			means[c][d] = m
-			v := sqs[c][d]/n - m*m
-			if v < 0 {
-				v = 0
-			}
-			stddevs[c][d] = math.Sqrt(v)
-		}
-	}
-	return means, stddevs
-}
-
 // ChooseK runs Run for k = 1..maxK and returns the smallest k past the
 // "elbow": the first k whose relative SSE improvement over k-1 drops below
 // minGain (e.g. 0.1 for 10%). This mirrors the paper's "no significant
@@ -285,55 +214,6 @@ func ChooseK(points []Point, maxK int, minGain float64, cfg Config) (int, *Resul
 		prevSSE, prevRes = res.SSE, res
 	}
 	return maxK, prevRes, nil
-}
-
-// Silhouette returns the mean silhouette coefficient of the clustering,
-// a quality measure in [-1, 1]: near 1 means points sit well inside their
-// clusters, near 0 means clusters touch, negative means misassignment.
-// Clusters with a single member contribute 0 (the standard convention).
-// It is O(n²) and intended for characterization-quality reporting, not
-// hot paths.
-func (r *Result) Silhouette(points []Point) float64 {
-	n := len(points)
-	if n == 0 || len(r.Centroids) < 2 {
-		return 0
-	}
-	sizes := r.ClusterSizes()
-	total := 0.0
-	for i, p := range points {
-		own := r.Assignment[i]
-		if sizes[own] <= 1 {
-			continue // silhouette of a singleton is 0
-		}
-		// a = mean distance to own cluster (excluding self);
-		// b = smallest mean distance to another cluster.
-		sums := make([]float64, len(r.Centroids))
-		for j, q := range points {
-			if i == j {
-				continue
-			}
-			//harmony:allow nansource a squared distance
-			sums[r.Assignment[j]] += math.Sqrt(sqDist(p, q))
-		}
-		a := sums[own] / float64(sizes[own]-1)
-		b := math.Inf(1)
-		for c := range sums {
-			if c == own || sizes[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(sizes[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-		}
-	}
-	return total / float64(n)
 }
 
 func sqDist(a, b Point) float64 {

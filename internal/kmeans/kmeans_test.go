@@ -22,6 +22,15 @@ func threeBlobs(r *rand.Rand, perBlob int, centers []Point, sigma float64) []Poi
 	return pts
 }
 
+// nearestSq returns the squared distance from p to its closest centroid.
+func nearestSq(centroids []Point, p Point) float64 {
+	best := math.Inf(1)
+	for _, cen := range centroids {
+		best = math.Min(best, sqDist(p, cen))
+	}
+	return best
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, Config{K: 1}); err == nil {
 		t.Error("empty input accepted")
@@ -48,12 +57,14 @@ func TestRunRecoversBlobs(t *testing.T) {
 	}
 	// Each true center should have a recovered centroid within 1.0.
 	for _, c := range centers {
-		_, d := Nearest(res.Centroids, c)
-		if d > 1.0 {
+		if d := math.Sqrt(nearestSq(res.Centroids, c)); d > 1.0 {
 			t.Errorf("no centroid near %v (closest at distance %v)", c, d)
 		}
 	}
-	sizes := res.ClusterSizes()
+	sizes := make([]int, len(res.Centroids))
+	for _, c := range res.Assignment {
+		sizes[c]++
+	}
 	for i, s := range sizes {
 		if s < 80 || s > 120 {
 			t.Errorf("cluster %d size = %d, want ~100", i, s)
@@ -100,8 +111,7 @@ func TestRunAssignmentOptimality(t *testing.T) {
 		}
 		sse := 0.0
 		for i, p := range pts {
-			best, _ := Nearest(res.Centroids, p)
-			bd := sqDist(p, res.Centroids[best])
+			bd := nearestSq(res.Centroids, p)
 			ad := sqDist(p, res.Centroids[res.Assignment[i]])
 			if ad > bd+1e-9 {
 				return false
@@ -132,44 +142,6 @@ func TestSSEDecreasesWithK(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	cents := []Point{{0, 0}, {10, 0}}
-	idx, d := Nearest(cents, Point{6, 0})
-	if idx != 1 || math.Abs(d-4) > 1e-9 {
-		t.Errorf("Nearest = %d, %v; want 1, 4", idx, d)
-	}
-	idx, d = Nearest(nil, Point{1})
-	if idx != -1 || !math.IsInf(d, 1) {
-		t.Errorf("Nearest(empty) = %d, %v", idx, d)
-	}
-}
-
-func TestClusterStats(t *testing.T) {
-	pts := []Point{{0, 0}, {2, 0}, {10, 10}, {12, 10}}
-	res := &Result{
-		Centroids:  []Point{{1, 0}, {11, 10}},
-		Assignment: []int{0, 0, 1, 1},
-	}
-	means, stds := res.ClusterStats(pts)
-	if math.Abs(means[0][0]-1) > 1e-9 || math.Abs(means[1][0]-11) > 1e-9 {
-		t.Errorf("means = %v", means)
-	}
-	if math.Abs(stds[0][0]-1) > 1e-9 {
-		t.Errorf("stddev = %v, want 1", stds[0][0])
-	}
-	if stds[0][1] != 0 {
-		t.Errorf("stddev dim1 = %v, want 0", stds[0][1])
-	}
-}
-
-func TestClusterStatsEmpty(t *testing.T) {
-	res := &Result{}
-	m, s := res.ClusterStats(nil)
-	if m != nil || s != nil {
-		t.Error("expected nil stats for empty result")
-	}
-}
-
 func TestChooseK(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	pts := threeBlobs(r, 80, []Point{{0, 0}, {20, 0}, {0, 20}}, 0.5)
@@ -196,46 +168,5 @@ func TestChooseKCapsAtN(t *testing.T) {
 	}
 	if k > 3 {
 		t.Errorf("k = %d exceeds n", k)
-	}
-}
-
-func TestSilhouetteWellSeparated(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	pts := threeBlobs(r, 40, []Point{{0, 0}, {50, 50}}, 0.5)
-	res, err := Run(pts, Config{K: 2, Seed: 3, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.Silhouette(pts); s < 0.9 {
-		t.Errorf("silhouette = %v, want > 0.9 for well-separated blobs", s)
-	}
-}
-
-func TestSilhouetteOverlapping(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	pts := threeBlobs(r, 40, []Point{{0, 0}, {0.5, 0.5}}, 2.0)
-	res, err := Run(pts, Config{K: 2, Seed: 3, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.Silhouette(pts); s > 0.5 {
-		t.Errorf("silhouette = %v, want low for overlapping blobs", s)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	// Single cluster: silhouette is 0 by definition.
-	pts := []Point{{0}, {1}, {2}}
-	res, err := Run(pts, Config{K: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.Silhouette(pts); s != 0 {
-		t.Errorf("single-cluster silhouette = %v, want 0", s)
-	}
-	// Empty input.
-	var empty Result
-	if s := empty.Silhouette(nil); s != 0 {
-		t.Errorf("empty silhouette = %v", s)
 	}
 }

@@ -260,10 +260,7 @@ func (m *Multi) Ingest(t trace.Task) error {
 		return err
 	}
 	if err := ts.group.eng.Ingest(t); err != nil {
-		ts.mu.Lock()
-		ts.invalid++
-		ts.mu.Unlock()
-		m.mTenantInvalid.With(ts.spec.Name).Inc()
+		m.recordInvalid(ts)
 		return err
 	}
 	cls := m.cfg.Base.Char.Label(t)
@@ -277,6 +274,14 @@ func (m *Multi) Ingest(t trace.Task) error {
 	ts.mu.Unlock()
 	m.mTenantTasks.With(ts.spec.Name).Inc()
 	return nil
+}
+
+// recordInvalid charges a task that failed validation to a tenant.
+func (m *Multi) recordInvalid(ts *tenantState) {
+	ts.mu.Lock()
+	ts.invalid++
+	ts.mu.Unlock()
+	m.mTenantInvalid.With(ts.spec.Name).Inc()
 }
 
 // recordRejected charges queue-full rejections to a tenant (server path).

@@ -148,9 +148,10 @@ type ingestResponse struct {
 // handleTasks ingests a tenant-tagged task stream (object, array, or
 // NDJSON — the same wire formats as the single-tenant daemon). Each task
 // routes by its "tenant" field; a ?tenant= query parameter supplies the
-// tag for untagged tasks. Tasks naming unknown tenants are counted
-// invalid; a full tenant queue (or the global cap) rejects the remainder
-// of that tenant's tasks with 429.
+// tag for untagged tasks. Tasks naming unknown tenants or failing
+// daemon.ValidateTask are counted invalid at admission, and a body with
+// nothing valid is a 400 naming the first reason; a full tenant queue (or
+// the global cap) rejects the remainder of that tenant's tasks with 429.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	tasks, err := daemon.DecodeTasks(r.Body)
 	if err != nil {
@@ -159,14 +160,23 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	defaultTenant := r.URL.Query().Get("tenant")
 	var resp ingestResponse
+	var firstInvalid error
 	for _, t := range tasks {
 		if t.Tenant == "" {
 			t.Tenant = defaultTenant
 		}
 		ts, err := s.multi.resolve(t.Tenant)
+		if err == nil {
+			if err = daemon.ValidateTask(t); err != nil {
+				s.multi.recordInvalid(ts)
+			}
+		}
 		if err != nil {
 			resp.Invalid++
 			s.mIngestErrs.Inc()
+			if firstInvalid == nil {
+				firstInvalid = err
+			}
 			continue
 		}
 		if !s.enqueue(s.lanes[ts.spec.Name], t) {
@@ -182,7 +192,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		resp.Error = "ingest queue full"
 		daemon.WriteJSON(w, http.StatusTooManyRequests, resp)
 	case resp.Invalid > 0 && resp.Accepted == 0:
-		resp.Error = "unknown tenant"
+		resp.Error = firstInvalid.Error()
 		daemon.WriteJSON(w, http.StatusBadRequest, resp)
 	default:
 		daemon.WriteJSON(w, http.StatusAccepted, resp)

@@ -114,6 +114,37 @@ func TestRoutingByTenantTag(t *testing.T) {
 	}
 }
 
+// TestIngestValidatesAtAdmission posts a task that fails
+// daemon.ValidateTask and an untagged null task beside a valid one: both
+// count as invalid, not accepted, the validation failure is charged to its
+// tenant, and a body with nothing valid is a 400 that names the reason.
+func TestIngestValidatesAtAdmission(t *testing.T) {
+	s, m := newTestServer(t, ServerConfig{},
+		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	noCPU := gratisTask(1, 0, 60, "web")
+	noCPU.CPU = 0
+	code, ir := postTasks(t, srv.URL, taskNDJSON(noCPU, gratisTask(2, 1, 60, "web"))+"null\n")
+	if code != http.StatusAccepted || ir.Accepted != 1 || ir.Invalid != 2 {
+		t.Errorf("mixed body: status %d response %+v, want 202 with 1 accepted and 2 invalid", code, ir)
+	}
+
+	code, ir = postTasks(t, srv.URL, taskNDJSON(noCPU))
+	if code != http.StatusBadRequest || ir.Invalid != 1 || ir.Accepted != 0 ||
+		!strings.Contains(ir.Error, "demand out of (0,1]") {
+		t.Errorf("all-invalid body: status %d response %+v, want 400 naming the demand", code, ir)
+	}
+
+	s.Flush()
+	for _, ts := range m.Snapshot().Tenants {
+		if ts.Name == "web" && (ts.TasksIngested != 1 || ts.TasksInvalid != 2) {
+			t.Errorf("web ingested %d invalid %d, want 1 and 2", ts.TasksIngested, ts.TasksInvalid)
+		}
+	}
+}
+
 func TestPerTenantBackpressure429(t *testing.T) {
 	s, m := newTestServer(t, ServerConfig{QueueSize: 4},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
