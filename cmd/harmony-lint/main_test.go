@@ -43,7 +43,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run -list = %d, stderr %q", code, errOut.String())
 	}
-	for _, name := range []string{"deferclose", "detertaint", "divzero", "floateq", "goleak", "lockedfield", "lockorder", "nansource", "rngdiscipline", "sortedemit", "unitcheck"} {
+	for _, name := range []string{"deferclose", "detertaint", "divzero", "floateq", "goleak", "lockedfield", "lockorder", "nansource", "rngdiscipline", "sortedemit"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -192,9 +192,9 @@ func TestWriteFindingsJSON(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "/work/repo/internal/energy/energy.go", Line: 133, Column: 14},
-			Analyzer: "unitcheck",
-			Message:  "scale mixing: W + kW without an annotated conversion (/1000 the W side)",
-			Path:     []string{"w := m.Power(u) [W]", "budget := g.idleKW [kW]"},
+			Analyzer: "divzero",
+			Message:  "possible division by zero: n is assigned len(xs) with no nonempty guard; guard the division",
+			Path:     []string{"xs (parameter)", "n := float64(len(xs)) (energy.go:132)"},
 		},
 	}
 	var out bytes.Buffer
@@ -209,7 +209,7 @@ func TestWriteFindingsJSON(t *testing.T) {
 // folded into the message text.
 func TestWriteFindingsSARIF(t *testing.T) {
 	base := "/work/repo"
-	azs, err := lint.ByName([]string{"detertaint", "floateq", "unitcheck"})
+	azs, err := lint.ByName([]string{"detertaint", "divzero", "floateq"})
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
@@ -227,9 +227,9 @@ func TestWriteFindingsSARIF(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "/work/repo/internal/energy/energy.go", Line: 133, Column: 14},
-			Analyzer: "unitcheck",
-			Message:  "scale mixing: W + kW without an annotated conversion (/1000 the W side)",
-			Path:     []string{"w := m.Power(u) [W]", "budget := g.idleKW [kW]"},
+			Analyzer: "divzero",
+			Message:  "possible division by zero: n is assigned len(xs) with no nonempty guard; guard the division",
+			Path:     []string{"xs (parameter)", "n := float64(len(xs)) (energy.go:132)"},
 		},
 	}
 	var out bytes.Buffer

@@ -40,9 +40,8 @@ func (m Mode) String() string {
 // each control period it solves CBS-RELAX over a prediction horizon and
 // realizes the first period of the plan as an integer decision.
 type Controller struct {
-	Machines   []MachineSpec
-	Containers []ContainerSpec
-	//harmony:unit(s)
+	Machines      []MachineSpec
+	Containers    []ContainerSpec
 	PeriodSeconds float64
 	Horizon       int
 	Mode          Mode

@@ -19,15 +19,11 @@ type MachineSpec struct {
 	CPU, Mem  float64 // per-machine normalized capacity
 	Available int     // N^m_t: machines of this type that exist
 
-	//harmony:unit(W)
-	IdleWatts float64 // E_idle,m
-	//harmony:unit(W)
-	AlphaCPU float64 // α_m,cpu (watts at full CPU)
-	//harmony:unit(W)
-	AlphaMem float64 // α_m,mem
+	IdleWatts float64 // E_idle,m (watts when on but idle)
+	AlphaCPU  float64 // α_m,cpu (watts at full CPU)
+	AlphaMem  float64 // α_m,mem (watts at full memory)
 	// SwitchCost q_m is the dollar cost of turning one machine of this
 	// type on or off (container reassignment cost folded in, §VII-C).
-	//harmony:unit($)
 	SwitchCost float64
 }
 
@@ -45,7 +41,6 @@ type ContainerSpec struct {
 
 // PlanInput is one CBS-RELAX instance over a prediction horizon.
 type PlanInput struct {
-	//harmony:unit(s)
 	PeriodSeconds float64 // control-interval length
 	Horizon       int     // W: number of look-ahead periods
 
@@ -56,7 +51,6 @@ type PlanInput struct {
 	// in period t (from the queueing module on forecast arrival rates).
 	Demand [][]float64
 	// Price[t] is the electricity price in $/kWh for period t.
-	//harmony:unit($/kWh)
 	Price []float64
 	// InitialActive[m] is z^m_{t-1}, the machines of type m currently on.
 	InitialActive []float64

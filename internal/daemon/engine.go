@@ -37,15 +37,13 @@ type Config struct {
 	Models   []energy.Model
 	Char     *classify.Characterization
 
-	Mode core.Mode // CBS (default) or CBP
-	//harmony:unit(s)
-	PeriodSeconds float64 // control period in model time (default 300)
+	Mode          core.Mode // CBS (default) or CBP
+	PeriodSeconds float64   // control period in model time (default 300)
 	// Horizon passes through to sched.HarmonyConfig, which owns its
 	// default (as it does ε and ω); the electricity price and switching
 	// cost are energy's defaults.
-	Horizon int // MPC look-ahead periods
-	//harmony:unit(s)
-	SLODelay   map[trace.PriorityGroup]float64
+	Horizon    int                             // MPC look-ahead periods
+	SLODelay   map[trace.PriorityGroup]float64 // target scheduling delay (s) per group
 	Forecaster sched.PredictorKind
 
 	// Registry receives the daemon's metrics; a private registry is

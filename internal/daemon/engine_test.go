@@ -403,6 +403,36 @@ func TestReplayMatchesManualDrive(t *testing.T) {
 	}
 }
 
+// TestForecastMAESettlesOnConstantArrivals: with the same number of
+// arrivals every period, the one-period-ahead forecast settles on that
+// count, so Stats.ForecastMAE, in tasks/period, reads zero. This pins the
+// unit of the comparison: the forecast is a rate in tasks/s and must be
+// scaled by the period before it is set against a window's count.
+func TestForecastMAESettlesOnConstantArrivals(t *testing.T) {
+	e, err := NewEngine(testEngineConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perPeriod, ticks = 12, 40
+	period := e.PeriodSeconds()
+	id := uint64(0)
+	for k := 0; k < ticks; k++ {
+		for i := 0; i < perPeriod; i++ {
+			submit := float64(k)*period + float64(i)*period/perPeriod
+			if err := e.Ingest(gratisTask(id, submit, 60)); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		if _, err := e.Tick(context.Background()); err != nil {
+			t.Fatalf("tick %d: %v", k+1, err)
+		}
+	}
+	if mae := e.Snapshot().ForecastMAE; !(mae < 1e-6) {
+		t.Errorf("ForecastMAE = %v tasks/period on %d arrivals every period, want 0", mae, perPeriod)
+	}
+}
+
 // TestForecastBacktestScoresTheLoopsChain: the backtest reports the
 // error of what the control loop forecast at each origin — the EWMA
 // bootstrap while the history is short, the configured ARIMA once it is

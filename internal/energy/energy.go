@@ -27,28 +27,21 @@ type Model struct {
 	CPUCap float64 // normalized CPU capacity (largest machine = 1)
 	MemCap float64 // normalized memory capacity
 
-	// E_idle,m: draw when on but idle
-	//harmony:unit(W)
+	// E_idle,m: draw when on but idle (watts)
 	IdleWatts float64
 	// α for CPU utilization (watts at u=1)
-	//harmony:unit(W)
 	AlphaCPU float64
 	// α for memory utilization (watts at u=1)
-	//harmony:unit(W)
 	AlphaMem float64
 }
 
 // Power returns the electrical draw in watts at the given utilizations
 // (each in [0,1], clamped). This is Eq. 7's per-machine term.
-//
-//harmony:unit(W) return
 func (m Model) Power(cpuUtil, memUtil float64) float64 {
 	return m.IdleWatts + m.AlphaCPU*clamp01(cpuUtil) + m.AlphaMem*clamp01(memUtil)
 }
 
 // PeakWatts returns the draw at full utilization.
-//
-//harmony:unit(W) return
 func (m Model) PeakWatts() float64 { return m.Power(1, 1) }
 
 // EfficiencyAtPeak returns normalized capacity delivered per watt at full
@@ -171,34 +164,25 @@ type CurvePoint struct {
 // Price is a time-varying electricity price in dollars per kWh.
 type Price interface {
 	// At returns the price at t seconds since simulation start.
-	//harmony:unit($/kWh)
 	At(t float64) float64
 }
 
-// FlatPrice is a constant electricity price.
-//
-//harmony:unit($/kWh)
+// FlatPrice is a constant electricity price in dollars per kWh.
 type FlatPrice float64
 
 // At implements Price.
-//
-//harmony:unit($/kWh) return
 func (p FlatPrice) At(float64) float64 { return float64(p) }
 
 // DiurnalPrice follows a daily sinusoid: Base + Amplitude·sin(2πt/day +
-// phase), floored at zero. It models the run-time electricity price feed
+// phase), floored at zero, in dollars per kWh. It models the run-time electricity price feed
 // the paper's objective multiplies energy by.
 type DiurnalPrice struct {
-	//harmony:unit($/kWh)
-	Base float64
-	//harmony:unit($/kWh)
+	Base      float64
 	Amplitude float64
 	PhaseHour float64 // hour of day at which the sinusoid crosses upward
 }
 
 // At implements Price.
-//
-//harmony:unit($/kWh) return
 func (p DiurnalPrice) At(t float64) float64 {
 	v := p.Base + p.Amplitude*math.Sin(2*math.Pi*(t/trace.Day)-p.PhaseHour*2*math.Pi/24)
 	if v < 0 {
@@ -208,12 +192,7 @@ func (p DiurnalPrice) At(t float64) float64 {
 }
 
 // Cost converts a power draw sustained for an interval into dollars:
-// W/1000 → kW, ·s/3600 → kWh, ·$/kWh → $. unitcheck verifies the chain.
-//
-//harmony:unit(W) watts
-//harmony:unit(s) seconds
-//harmony:unit($/kWh) dollarsPerKWh
-//harmony:unit($) return
+// W/1000 → kW, ·s/3600 → kWh, ·$/kWh → $. TestCost pins the chain.
 func Cost(watts, seconds, dollarsPerKWh float64) float64 {
 	return watts / 1000 * seconds / 3600 * dollarsPerKWh
 }
@@ -223,11 +202,9 @@ func Cost(watts, seconds, dollarsPerKWh float64) float64 {
 // HARMONY policy and the tenant cost model all read them here.
 const (
 	// DefaultPricePerKWh is the flat electricity price.
-	//harmony:unit($/kWh)
 	DefaultPricePerKWh = 0.08
 	// DefaultSwitchCostDollars is the cost of one on/off transition of
 	// the largest machine type (the largestDollars of SwitchCosts).
-	//harmony:unit($)
 	DefaultSwitchCostDollars = 0.01
 )
 
@@ -236,8 +213,6 @@ const (
 // relative to the largest idle power in models. A fleet with no idle
 // draw at all (every IdleWatts zero) switches for free rather than at
 // 0/0 — NaN switch costs would poison CBS-RELAX's objective.
-//
-//harmony:unit($) largestDollars
 func SwitchCosts(models []Model, largestDollars float64) []float64 {
 	maxIdle := 0.0
 	for _, m := range models {

@@ -136,6 +136,16 @@ func TestPrices(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-0.06) > 1e-3 {
 		t.Errorf("diurnal mean = %v, want ~0.06", mean)
 	}
+	// The period is one day: the price repeats a day later and has moved
+	// a quarter-day later (a mean check cannot see the period).
+	for _, at := range []float64{0, trace.Hour, 17 * trace.Hour} {
+		if a, b := p.At(at), p.At(at+trace.Day); math.Abs(a-b) > 1e-12 {
+			t.Errorf("diurnal price at %vs = %v, a day later %v", at, a, b)
+		}
+		if a, b := p.At(at), p.At(at+6*trace.Hour); math.Abs(a-b) < 1e-3 {
+			t.Errorf("diurnal price at %vs = %v, 6 h later %v: want a change", at, a, b)
+		}
+	}
 	// Never negative even with large amplitude.
 	pBig := DiurnalPrice{Base: 0.01, Amplitude: 0.5}
 	for i := 0; i < n; i++ {

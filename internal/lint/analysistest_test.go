@@ -29,6 +29,10 @@ var (
 	loaderOnce sync.Once
 	loader     *Loader
 	loaderErr  error
+
+	treeOnce sync.Once
+	treePkgs []*Package
+	treeErr  error
 )
 
 func sharedLoader(t *testing.T) *Loader {
@@ -168,7 +172,6 @@ func TestLockedFieldFixture(t *testing.T)   { runFixture(t, "lockedfield", Locke
 func TestGoLeakFixture(t *testing.T)        { runFixture(t, "goleak", GoLeak) }
 func TestHotPathAllocFixture(t *testing.T)  { runFixture(t, "hotpathalloc", HotPathAlloc) }
 func TestErrFlowFixture(t *testing.T)       { runFixture(t, "errflow", ErrFlow) }
-func TestUnitCheckFixture(t *testing.T)     { runFixture(t, "unitcheck", UnitCheck) }
 func TestDivZeroFixture(t *testing.T)       { runFixture(t, "divzero", DivZero) }
 func TestNaNSourceFixture(t *testing.T)     { runFixture(t, "nansource", NaNSource) }
 
@@ -184,10 +187,7 @@ func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, err := sharedLoader(t).Load("./...")
-	if err != nil {
-		t.Fatalf("load ./...: %v", err)
-	}
+	pkgs := loadTree(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
@@ -237,9 +237,8 @@ func TestScopes(t *testing.T) {
 		{ScopeLockOwning, "harmony/internal/metrics", true},
 		{ScopeLockOwning, "harmony/internal/core", false},
 
-		// The value-flow analyzers share the annotated numeric surface
-		// (the energy→cost and demand chains); unitcheck additionally
-		// collects (but does not check) daemon's config annotations.
+		// The value-flow analyzers share the numeric surface (the
+		// energy→cost and demand chains).
 		{ScopeNumeric, "harmony/internal/energy", true},
 		{ScopeNumeric, "harmony/internal/tenant", true},
 		{ScopeNumeric, "harmony/internal/core", true},
@@ -255,9 +254,6 @@ func TestScopes(t *testing.T) {
 		{ScopeNumeric, "harmony/internal/container", true},
 		{ScopeNumeric, "harmony/internal/daemon", false},
 		{ScopeNumeric, "harmony/internal/metrics", false},
-		{ScopeUnitAnnot, "harmony/internal/daemon", true},
-		{ScopeUnitAnnot, "harmony/internal/stats", true},
-		{ScopeUnitAnnot, "harmony/internal/metrics", false},
 	} {
 		if got := production.InScope(c.scope, c.pkg); got != c.want {
 			t.Errorf("InScope(%d, %q) = %v, want %v", c.scope, c.pkg, got, c.want)

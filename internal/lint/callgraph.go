@@ -689,8 +689,7 @@ func (b *builder) linkIn() {
 
 // staticCallee resolves the statically known callee of a call, or nil:
 // a declared function, a package-qualified one, or a method — concrete
-// or interface (for unitcheck an interface method's annotation stands in
-// for every implementation).
+// or interface.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch e := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

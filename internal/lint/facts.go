@@ -9,7 +9,7 @@ import (
 // analyzer reads through the Node accessors below. Each fact is built on
 // first request and kept for the rest of the run (one Graph per
 // checkAll), so a function analyzed by goleak, deferclose, lockorder,
-// lockedfield, divzero, nansource, and unitcheck is lowered to a CFG once
+// lockedfield, divzero, and nansource is lowered to a CFG once
 // and solved once per problem. Analyzers run sequentially; the record
 // needs no locking.
 type nodeFacts struct {

@@ -323,7 +323,6 @@ func All() []*Analyzer {
 		NaNSource,
 		RNGDiscipline,
 		SortedEmit,
-		UnitCheck,
 		UnusedAllow,
 	}
 }

@@ -184,20 +184,15 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
+		// go list -deps emits dependency order, so by the time an importer
+		// is checked its module-internal imports are already registered
+		// (see check) — giving one *types.Func identity per function
+		// module-wide, which the call graph's byObj lookup depends on for
+		// cross-package static dispatch.
 		pkg, err := l.check(p.ImportPath, p.Dir, files)
 		if err != nil {
 			return nil, err
 		}
-		// Register the source-checked package so later packages in this
-		// load import it directly instead of through export data. go list
-		// -deps emits dependency order, so by the time an importer is
-		// checked its module-internal imports are already registered —
-		// giving one *types.Func identity per function module-wide, which
-		// the call graph's byObj lookup depends on for cross-package
-		// static dispatch.
-		l.mu.Lock()
-		l.src[p.ImportPath] = pkg.Types
-		l.mu.Unlock()
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -242,7 +237,7 @@ func (l *Loader) LoadFixtureTree(dir string) ([]*Package, error) {
 }
 
 // loadDirAs loads the .go files directly inside dir as one package under
-// the given import path and registers it for import by later fixtures.
+// the given import path, registered for import by later fixtures.
 func (l *Loader) loadDirAs(path, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -257,17 +252,12 @@ func (l *Loader) loadDirAs(path, dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no .go files in %s", dir)
 	}
-	pkg, err := l.check(path, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.src[path] = pkg.Types
-	l.mu.Unlock()
-	return pkg, nil
+	return l.check(path, dir, files)
 }
 
-// check parses files and type-checks them as one package.
+// check parses files, type-checks them as one package, and registers the
+// result so packages checked after it import it from source instead of
+// through export data.
 func (l *Loader) check(path, dir string, files []string) (*Package, error) {
 	var asts []*ast.File
 	for _, f := range files {
@@ -285,7 +275,7 @@ func (l *Loader) check(path, dir string, files []string) (*Package, error) {
 		for _, imp := range af.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
 			if _, srcOK := l.src[p]; srcOK {
-				continue // fixture sub-package, checked from source
+				continue // already checked from source
 			}
 			if _, ok := l.exports[p]; !ok && p != "unsafe" {
 				missing = append(missing, p)
@@ -323,5 +313,8 @@ func (l *Loader) check(path, dir string, files []string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.mu.Lock()
+	l.src[path] = tpkg
+	l.mu.Unlock()
 	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: asts, Types: tpkg, Info: info}, nil
 }

@@ -20,38 +20,15 @@ const (
 	// ScopeLockOwning: packages whose struct types own mutexes
 	// (lockedfield).
 	ScopeLockOwning
-	// ScopeNumeric: the annotated numeric surface — the energy→cost chain
-	// and the demand chain (unitcheck, divzero, nansource).
+	// ScopeNumeric: the numeric surface — the energy→cost chain and the
+	// demand chain (divzero, nansource).
 	ScopeNumeric
-	// ScopeUnitAnnot: ScopeNumeric plus the packages whose //harmony:unit
-	// annotations are collected but whose function bodies are not checked:
-	// daemon mirrors tenant's config fields, so its declarations feed
-	// cross-package checks.
-	ScopeUnitAnnot
 )
 
 // concurrentSurface is the part every concurrency scope shares.
 var concurrentSurface = []string{
 	"harmony/internal/daemon",
 	"harmony/internal/tenant", // per-tenant ingest workers + group tick fan-out
-}
-
-var numericSurface = []string{
-	"harmony/internal/energy",
-	"harmony/internal/tenant",
-	"harmony/internal/core",
-	"harmony/internal/queueing",
-	"harmony/internal/forecast",
-	"harmony/internal/sched",
-	"harmony/internal/trace",
-	"harmony/internal/sim",
-	"harmony/internal/lp",
-	"harmony/internal/stats",
-	"harmony/internal/kmeans",
-	"harmony/internal/binpack",
-	"harmony/internal/container",
-	"harmony/internal/classify", // log-space clustering: math.Log of task sizes and durations
-	"harmony",                   // the facade: it once fed NaN switch costs into CBS-RELAX
 }
 
 // scopeTable is the one declarative statement of what each scope covers.
@@ -81,8 +58,23 @@ var scopeTable = map[Scope]map[string]bool{
 	ScopeLockOrder:  scopeSet(concurrentSurface, "harmony/internal/trace", "harmony/internal/metrics"),
 	ScopeRelease:    scopeSet(concurrentSurface, "harmony/internal/metrics", "harmony/cmd/harmonyd"),
 	ScopeLockOwning: scopeSet(nil, "harmony/internal/daemon", "harmony/internal/tenant", "harmony/internal/metrics"),
-	ScopeNumeric:    scopeSet(numericSurface),
-	ScopeUnitAnnot:  scopeSet(numericSurface, "harmony/internal/daemon"),
+	ScopeNumeric: scopeSet(nil,
+		"harmony/internal/energy",
+		"harmony/internal/tenant",
+		"harmony/internal/core",
+		"harmony/internal/queueing",
+		"harmony/internal/forecast",
+		"harmony/internal/sched",
+		"harmony/internal/trace",
+		"harmony/internal/sim",
+		"harmony/internal/lp",
+		"harmony/internal/stats",
+		"harmony/internal/kmeans",
+		"harmony/internal/binpack",
+		"harmony/internal/container",
+		"harmony/internal/classify", // log-space clustering: math.Log of task sizes and durations
+		"harmony",                   // the facade: it once fed NaN switch costs into CBS-RELAX
+	),
 }
 
 func scopeSet(base []string, more ...string) map[string]bool {

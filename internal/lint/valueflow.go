@@ -4,8 +4,8 @@ package lint
 // definitions give def-use chains (local single-assignment numbering
 // with a phi-at-join approximation — a use reached by several defs sees
 // the union), and a separate edge-refined must-analysis tracks simple
-// value facts (nonzero, nonnegative) through conditionals. The three
-// value-flow analyzers (unitcheck, divzero, nansource) are built on it.
+// value facts (nonzero, nonnegative) through conditionals. The two
+// value-flow analyzers (divzero, nansource) are built on it.
 //
 // Soundness stance, matching the rest of the suite: the layer is
 // deliberately unsound in well-documented ways (see DESIGN.md §14) —

@@ -58,10 +58,6 @@ func ErlangC(c int, a float64) (float64, error) {
 // waiting probability, λ the arrival rate (tasks/s), mu the per-container
 // service rate (1/mean duration), and sqCV the squared coefficient of
 // variation of service times. It returns +Inf when the queue is unstable.
-//
-//harmony:unit(task/s) lambda
-//harmony:unit(task/s) mu
-//harmony:unit(s) return
 func MGcWait(c int, lambda, mu, sqCV float64) (float64, error) {
 	if c <= 0 || lambda < 0 || mu <= 0 || sqCV < 0 {
 		return 0, fmt.Errorf("%w: c=%d lambda=%v mu=%v cv2=%v", ErrBadParam, c, lambda, mu, sqCV)
@@ -100,10 +96,6 @@ var waitEvals atomic.Int64
 // solver gallops (doubling the offset above the stability bound) to
 // bracket the answer and then binary-searches the bracket: O(log c)
 // MGcWait evaluations, each itself O(c), instead of O(c) evaluations.
-//
-//harmony:unit(task/s) lambda
-//harmony:unit(task/s) mu
-//harmony:unit(s) maxDelay
 func MinContainers(lambda, mu, sqCV, maxDelay float64) (int, error) {
 	return MinContainersHint(lambda, mu, sqCV, maxDelay, 0)
 }
@@ -120,9 +112,6 @@ func WaitEvals() int64 { return waitEvals.Load() }
 // hint <= 0 disables warm-starting.
 //
 //harmony:coldpath M/G/c solve internals are part of containerDemand's measured per-type allocation budget
-//harmony:unit(task/s) lambda
-//harmony:unit(task/s) mu
-//harmony:unit(s) maxDelay
 func MinContainersHint(lambda, mu, sqCV, maxDelay float64, hint int) (int, error) {
 	if lambda < 0 || mu <= 0 || sqCV < 0 || maxDelay <= 0 {
 		return 0, fmt.Errorf("%w: lambda=%v mu=%v cv2=%v delay=%v",
@@ -222,10 +211,6 @@ func MinContainersHint(lambda, mu, sqCV, maxDelay float64, hint int) (int, error
 
 // Utilization returns the traffic intensity ρ = λ/(cμ) of an M/G/c queue,
 // the fraction of container-time that is busy.
-//
-//harmony:unit(task/s) lambda
-//harmony:unit(task/s) mu
-//harmony:unit(1) return
 func Utilization(c int, lambda, mu float64) float64 {
 	if c <= 0 || mu <= 0 {
 		return math.Inf(1)

@@ -26,14 +26,12 @@ type HarmonyConfig struct {
 	Types    []classify.TaskType // flattened task types (class × sub-class)
 	Price    energy.Price
 
-	//harmony:unit(s)
 	PeriodSeconds float64
 	Horizon       int // MPC look-ahead W (>=1)
 
 	// SLODelay[g] is the target mean scheduling delay (seconds) per
 	// priority group. Zero entries default to sensible values
 	// (production 120s, other 300s, gratis 900s).
-	//harmony:unit(s)
 	SLODelay map[trace.PriorityGroup]float64
 	// Epsilon is the machine-overflow bound for container sizing, in
 	// (0,1) (0 means the default 0.25; the paper handles residual
@@ -45,7 +43,6 @@ type HarmonyConfig struct {
 	// (Eq. 17; 0 means the default 1.05).
 	Omega float64
 	// SwitchCost[m] is the dollar cost of one machine on/off transition.
-	//harmony:unit($)
 	SwitchCost []float64
 	// Predictor selects the forecasting model once minHistory periods
 	// have accumulated (before that an EWMA bootstrap is used).
@@ -107,11 +104,10 @@ func ParsePredictor(name string) (PredictorKind, error) {
 // per-type arrivals, forecasts rates, converts them to container demands
 // via the M/G/c model, and runs the CBS/CBP controller every period.
 type Harmony struct {
-	cfg    HarmonyConfig
-	ctrl   *core.Controller
-	sizing []container.Sizing
-	//harmony:unit(task/s)
-	history    [][]float64 // arrival rate per type per elapsed period
+	cfg        HarmonyConfig
+	ctrl       *core.Controller
+	sizing     []container.Sizing
+	history    [][]float64 // arrival rate (tasks/s) per type per elapsed period
 	contSeries map[trace.PriorityGroup]*stats.TimeBinner
 	lastErr    error
 	lastDemand [][]float64
@@ -137,7 +133,6 @@ type Harmony struct {
 	// lastRates[n] is the most recent one-period-ahead arrival-rate
 	// forecast (tasks/s) for type n's class, recorded on short
 	// sub-types (where all arrivals land); long sub-types keep 0.
-	//harmony:unit(task/s)
 	lastRates []float64
 	// forecasts counts forecastRates calls over the policy's life; the
 	// tick makes one per distinct class, whatever its sub-type count.

@@ -138,22 +138,3 @@ func efficiencyOrder(models []energy.Model) []int {
 	}
 	return order
 }
-
-// FirstFitAllOn is a degenerate policy used in analysis runs: all machines
-// on, no quotas — i.e. the cluster as operated in the original trace
-// (capacity never adjusted, Figure 3's observation).
-type FirstFitAllOn struct {
-	Machines []trace.MachineType
-}
-
-// Name implements sim.Policy.
-func (f *FirstFitAllOn) Name() string { return "all-on-first-fit" }
-
-// Period implements sim.Policy.
-func (f *FirstFitAllOn) Period(*sim.Observation) sim.Directive {
-	active := make([]int, len(f.Machines))
-	for i, mt := range f.Machines {
-		active[i] = mt.Count
-	}
-	return sim.Directive{TargetActive: active}
-}

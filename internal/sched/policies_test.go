@@ -85,15 +85,3 @@ func TestBaselineRespectsCounts(t *testing.T) {
 		t.Errorf("over count: %v", d.TargetActive)
 	}
 }
-
-func TestFirstFitAllOn(t *testing.T) {
-	machines := []trace.MachineType{{ID: 1, CPU: 1, Mem: 1, Count: 7}}
-	p := &FirstFitAllOn{Machines: machines}
-	d := p.Period(nil)
-	if d.TargetActive[0] != 7 {
-		t.Errorf("directive = %v", d.TargetActive)
-	}
-	if p.Name() != "all-on-first-fit" {
-		t.Error("name wrong")
-	}
-}

@@ -49,12 +49,9 @@ type Group struct {
 	members []*tenantState
 
 	// Cost model inputs, mirrored from the effective engine config.
-	//harmony:unit(kW)
-	idleKW []float64 // per machine type
-	//harmony:unit($)
-	switchCost []float64 // per on/off transition, per type
-	//harmony:unit(h)
-	periodH float64 // model time per period
+	idleKW     []float64 // per machine type
+	switchCost []float64 // dollars per on/off transition, per type
+	periodH    float64   // model hours per period
 
 	mu sync.Mutex
 	//harmony:guardedby(mu)
@@ -64,8 +61,7 @@ type Group struct {
 	//harmony:guardedby(mu)
 	violations uint64
 	//harmony:guardedby(mu)
-	//harmony:unit($)
-	cost float64
+	cost float64 // dollars
 	//harmony:guardedby(mu)
 	lastPlan *daemon.Plan
 }
@@ -102,8 +98,7 @@ type tenantState struct {
 	//harmony:guardedby(mu)
 	window uint64 // tasks since the group's last tick (cost attribution)
 	//harmony:guardedby(mu)
-	//harmony:unit($)
-	cost float64
+	cost float64 // dollars
 }
 
 // Multi owns N tenants and their provisioning groups. Ingest may be called

@@ -54,6 +54,9 @@ type Server struct {
 	// add-then-check with rollback so concurrent producers cannot
 	// overshoot GlobalQueueCap.
 	globalDepth atomic.Int64
+	// push admits one task onto a tenant's lane (enqueue); tests
+	// substitute it to script a refusal.
+	push func(*daemon.Lane, trace.Task) bool
 
 	mRejected   *metrics.Counter
 	mIngestErrs *metrics.Counter
@@ -72,6 +75,7 @@ func NewServer(m *Multi, cfg ServerConfig) *Server {
 		mRejected:   r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because a tenant queue or the global cap was full."),
 		mIngestErrs: r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation or named an unknown tenant."),
 	}
+	s.push = s.enqueue
 	depthVec := r.GaugeVec("harmonyd_tenant_queue_depth", "Tasks waiting on the tenant's ingest queue.", "tenant")
 	// The sink releases the global-cap slot enqueue took for the task.
 	sink := func(t trace.Task) {
@@ -161,6 +165,10 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	defaultTenant := r.URL.Query().Get("tenant")
 	var resp ingestResponse
 	var firstInvalid error
+	// Once a tenant is refused, the rest of its tasks in this body are
+	// refused untried: a lane drained meanwhile must not admit a later
+	// task ahead of an earlier refused one.
+	var refused map[*tenantState]bool
 	for _, t := range tasks {
 		if t.Tenant == "" {
 			t.Tenant = defaultTenant
@@ -179,7 +187,11 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		if !s.enqueue(s.lanes[ts.spec.Name], t) {
+		if refused[ts] || !s.push(s.lanes[ts.spec.Name], t) {
+			if refused == nil {
+				refused = make(map[*tenantState]bool)
+			}
+			refused[ts] = true
 			resp.Rejected++
 			s.mRejected.Inc()
 			s.multi.recordRejected(ts, 1)

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -180,6 +181,47 @@ func TestPerTenantBackpressure429(t *testing.T) {
 	code, _ = postTasks(t, srv.URL, taskNDJSON(gratisTask(100, 0, 60, "web")))
 	if code != http.StatusAccepted {
 		t.Errorf("post-drain status = %d", code)
+	}
+}
+
+// TestRefusedTenantStaysRefusedInBody scripts the race a concurrent drain
+// opens: the web lane refuses web's first task and would take the next
+// ones. The handler must refuse the rest of web's tasks untried, so none
+// is admitted ahead of the refused one, while api's task is still tried.
+func TestRefusedTenantStaysRefusedInBody(t *testing.T) {
+	s, m := newTestServer(t, ServerConfig{},
+		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
+	t.Cleanup(s.Close)
+	var pushed []string
+	s.push = func(lane *daemon.Lane, task trace.Task) bool {
+		pushed = append(pushed, fmt.Sprintf("%s%d", task.Tenant, task.ID))
+		if len(pushed) == 1 {
+			return false
+		}
+		return s.enqueue(lane, task)
+	}
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tasks", strings.NewReader(taskNDJSON(
+		gratisTask(1, 0, 60, "web"),
+		gratisTask(2, 1, 60, "web"),
+		gratisTask(3, 2, 60, "api"),
+		gratisTask(4, 3, 60, "web"),
+	))))
+	var ir ingestResponse
+	if err := json.NewDecoder(rec.Body).Decode(&ir); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusTooManyRequests || ir.Accepted != 1 || ir.Rejected != 3 {
+		t.Errorf("status %d response %+v, want 429 with 1 accepted and 3 rejected", rec.Code, ir)
+	}
+	if got := strings.Join(pushed, ","); got != "web1,api3" {
+		t.Errorf("pushed %s, want web1,api3: web is refused untried after its first refusal", got)
+	}
+	for _, ts := range m.Snapshot().Tenants {
+		if ts.Name == "web" && ts.TasksRejected != 3 {
+			t.Errorf("web rejected = %d, want 3", ts.TasksRejected)
+		}
 	}
 }
 

@@ -6,10 +6,11 @@ import (
 	"harmony/internal/stats"
 )
 
-// Day and Hour are the time units used by generator configuration.
+// Day and Hour are the time units used by generator configuration, in
+// seconds.
 const (
-	Hour = 3600.0    //harmony:unit(s)
-	Day  = 24 * Hour //harmony:unit(s)
+	Hour = 3600.0
+	Day  = 24 * Hour
 )
 
 // SizeCluster is one mode of the per-group task-size mixture. Sizes are
@@ -25,17 +26,14 @@ type SizeCluster struct {
 
 // GroupProfile configures the workload of one priority group.
 type GroupProfile struct {
-	Share     float64       // fraction of all tasks in this group
-	Sizes     []SizeCluster // task-size mixture
-	ShortFrac float64       // fraction of short tasks
-	//harmony:unit(s)
-	ShortMean float64 // mean short duration (log-normal)
-	LongAlpha float64 // Pareto shape for long durations
-	//harmony:unit(s)
-	LongMin float64 // minimum long duration
-	//harmony:unit(s)
-	LongMax     float64 // maximum long duration
-	MinClass    int     // scheduling classes drawn in [MinClass, MaxClass]
+	Share       float64       // fraction of all tasks in this group
+	Sizes       []SizeCluster // task-size mixture
+	ShortFrac   float64       // fraction of short tasks
+	ShortMean   float64       // mean short duration (s, log-normal)
+	LongAlpha   float64       // Pareto shape for long durations
+	LongMin     float64       // minimum long duration (s)
+	LongMax     float64       // maximum long duration (s)
+	MinClass    int           // scheduling classes drawn in [MinClass, MaxClass]
 	MaxClass    int
 	PriorityLo  int // raw priorities drawn uniformly in [PriorityLo, PriorityHi]
 	PriorityHi  int
@@ -47,10 +45,8 @@ type GroupProfile struct {
 
 // Config fully parameterizes the synthetic generator.
 type Config struct {
-	Seed int64
-	//harmony:unit(s)
-	Horizon float64 // trace length
-	//harmony:unit(task/s)
+	Seed     int64
+	Horizon  float64 // trace length (s)
 	RatePerS float64 // mean task arrival rate across groups
 
 	// Diurnal is the relative amplitude of the daily sinusoid on the

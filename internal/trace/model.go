@@ -64,12 +64,10 @@ func Groups() []PriorityGroup { return []PriorityGroup{Gratis, Other, Production
 // Task is a single schedulable unit. CPU and Mem are normalized to the
 // largest machine in the cluster (capacity 1.0), exactly as in the trace.
 type Task struct {
-	ID    uint64 `json:"id"`
-	JobID uint64 `json:"job"`
-	//harmony:unit(s)
-	Submit float64 `json:"submit"` // since trace start
-	//harmony:unit(s)
-	Duration   float64 `json:"duration"` // execution time once placed
+	ID         uint64  `json:"id"`
+	JobID      uint64  `json:"job"`
+	Submit     float64 `json:"submit"`   // seconds since trace start
+	Duration   float64 `json:"duration"` // execution time (s) once placed
 	CPU        float64 `json:"cpu"`      // normalized CPU demand in (0,1]
 	Mem        float64 `json:"mem"`      // normalized memory demand in (0,1]
 	Priority   int     `json:"priority"` // 0..11
