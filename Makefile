@@ -27,9 +27,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Ten seconds of the ingest decoder's fuzz target, the same smoke CI runs.
+# Ten seconds of each fuzz target (the ingest decoder, the
+# characterization loader), the same smoke CI runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTasks -fuzztime 10s ./internal/daemon
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/classify
 
 # benchmark/ is a nested module that `go test ./...` never compiles; vet
 # and test it (unit tests plus the untraced smoke, ~5 s) so a refactor

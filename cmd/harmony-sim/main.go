@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"harmony"
@@ -45,6 +46,16 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// NaN fails every comparison: a NaN cap would never trip and a NaN
+	// sample length would characterize the whole workload.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"max-heap-mb", *maxHeapMB}, {"sample-hours", *sampleHours}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("-%s must be finite and non-negative, got %v", f.name, f.v)
+		}
 	}
 
 	var p harmony.Policy

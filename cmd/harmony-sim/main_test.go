@@ -37,13 +37,17 @@ func TestRunFlagErrors(t *testing.T) {
 
 // Non-finite -period, -hours and -rate used to hang the simulator (NaN is
 // false under every "<= 0" validation, +Inf passes it) or exit 0 having
-// simulated nothing. Each is an error now, and a regression fails here on
-// the timeout instead of hanging the suite.
+// simulated nothing. A NaN or negative -max-heap-mb used to disable the
+// cap, and a NaN -sample-hours characterized the whole workload. Each is
+// an error now, and a regression fails here on the timeout instead of
+// hanging the suite.
 func TestRunRejectsNonFiniteFlags(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-period", "NaN"}, {"-period", "+Inf"},
 		{"-hours", "NaN"}, {"-hours", "+Inf"},
 		{"-rate", "NaN"}, {"-rate", "+Inf"},
+		{"-max-heap-mb", "NaN"}, {"-max-heap-mb", "+Inf"}, {"-max-heap-mb", "-5"},
+		{"-sample-hours", "NaN"}, {"-sample-hours", "+Inf"}, {"-sample-hours", "-1"},
 	} {
 		for _, mode := range [][]string{nil, {"-stream"}} {
 			args := append(append([]string{"-policy", "baseline", "-hours", "0.5", "-rate", "0.3", "-scale", "200"}, mode...), bad...)

@@ -87,6 +87,9 @@ func Load(r io.Reader) (*Characterization, error) {
 		if len(d.LogCentroid) != 2 {
 			return nil, fmt.Errorf("classify: load: class %d centroid dimension %d", i, len(d.LogCentroid))
 		}
+		if err := d.sizable(); err != nil {
+			return nil, fmt.Errorf("classify: load: class %d %w", i, err)
+		}
 		ch.Classes = append(ch.Classes, Class{
 			ID:           d.ID,
 			Group:        d.Group,
@@ -103,4 +106,40 @@ func Load(r io.Reader) (*Characterization, error) {
 		ch.byGroup[d.Group.Index()] = append(ch.byGroup[d.Group.Index()], d.ID)
 	}
 	return ch, nil
+}
+
+// sizable reports the first field of d that the provisioning pipeline
+// cannot size: container sizing (Eq. 3) needs a demand in (0,1] and
+// non-negative spreads, and the queueing model a positive mean duration
+// and a non-negative squared coefficient of variation. JSON holds no NaN
+// or infinity, so a decoded value fails a test only by its sign or size.
+func (d *classDTO) sizable() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   bool
+	}{
+		{"cpu", d.CPU, d.CPU > 0 && d.CPU <= 1},
+		{"mem", d.Mem, d.Mem > 0 && d.Mem <= 1},
+		{"cpuStd", d.CPUStd, d.CPUStd >= 0},
+		{"memStd", d.MemStd, d.MemStd >= 0},
+	} {
+		if !f.ok {
+			return fmt.Errorf("%s %v is out of range", f.name, f.v)
+		}
+	}
+	if d.Count < 0 {
+		return fmt.Errorf("count %d is negative", d.Count)
+	}
+	for s, sub := range d.Sub {
+		switch {
+		case sub.MeanDuration <= 0:
+			return fmt.Errorf("sub-class %d MeanDuration %v is not positive", s, sub.MeanDuration)
+		case sub.SqCV < 0:
+			return fmt.Errorf("sub-class %d SqCV %v is negative", s, sub.SqCV)
+		case sub.Count < 0:
+			return fmt.Errorf("sub-class %d Count %d is negative", s, sub.Count)
+		}
+	}
+	return nil
 }

@@ -35,6 +35,16 @@ var mutationTable = []mutant{
 		"Time:        now,",
 		"Time:        float64(time.Now().Unix()),"}},
 		[]string{"detertaint"}},
+	// Taint through a helper outside the deterministic packages: the
+	// simulator's delay reservoir, the helper's caller, is flagged.
+	{"delay reservoir seeded from the clock", []edit{
+		{"internal/stats/reservoir.go",
+			"package stats\n\n// Reservoir is",
+			"package stats\n\nimport \"time\"\n\n// Reservoir is"},
+		{"internal/stats/reservoir.go",
+			"\tif k < 1 {\n\t\tk = 1\n\t}\n",
+			"\tif k < 1 {\n\t\tk = 1\n\t}\n\tif seed == 0 {\n\t\tseed = time.Now().UnixNano()\n\t}\n"}},
+		[]string{"detertaint"}},
 	{"mean of an empty slice", []edit{{"internal/stats/desc.go",
 		"func Mean(xs []float64) float64 {\n\tif len(xs) == 0 {\n\t\treturn 0\n\t}\n",
 		"func Mean(xs []float64) float64 {\n"}},
@@ -58,6 +68,13 @@ var mutationTable = []mutant{
 	{"tick allocates its initial-state buffer", []edit{{"internal/sched/harmony.go",
 		"initial := h.initialBuf[:0]",
 		"initial := make([]float64, 0, len(obs.Active))"}},
+		[]string{"hotpathalloc"}},
+	// An allocation in a callee of the sim's hot-path roots: holds, reached
+	// from placeInType and from schedulePending through fitsFreed.
+	{"machine fit check builds resource vectors", []edit{{"internal/sim/sim.go",
+		"\treturn !(m.usedCPU+cpu > mt.CPU+1e-12 || m.usedMem+mem > mt.Mem+1e-12)\n",
+		"\tneed, free := []float64{cpu, mem}, []float64{mt.CPU - m.usedCPU, mt.Mem - m.usedMem}\n" +
+			"\tfor r := range need {\n\t\tif need[r] > free[r]+1e-12 {\n\t\t\treturn false\n\t\t}\n\t}\n\treturn true\n"}},
 		[]string{"hotpathalloc"}},
 	{"tenant window reset after unlock", []edit{{"internal/tenant/multi.go",
 		"ts.window = 0\n\t\tts.mu.Unlock()",

@@ -9,94 +9,6 @@ import (
 	"harmony/internal/trace"
 )
 
-// bigEngine builds an engine over enough machines to span several audit
-// shards, with a deterministic pseudo-random mix of powered, loaded, and
-// failed machines.
-func bigEngine(t *testing.T) *engine {
-	t.Helper()
-	tr := &trace.Trace{
-		Machines: []trace.MachineType{
-			{ID: 1, CPU: 0.5, Mem: 0.5, Count: 3000},
-			{ID: 2, CPU: 1, Mem: 1, Count: 2500},
-		},
-		Horizon: 1000,
-	}
-	cfg := Config{
-		Source:   trace.NewSliceSource(tr),
-		Models:   simModels(),
-		Price:    energy.FlatPrice(0.1),
-		Policy:   &staticPolicy{name: "x", target: []int{0, 0}},
-		Period:   100,
-		NumTypes: 1,
-		TypeOf:   func(trace.Task) int { return 0 },
-	}
-	if err := validateConfig(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.applyDefaults()
-	e := newEngine(cfg)
-	rng := rand.New(rand.NewSource(7))
-	for mi := range e.machines {
-		m := &e.machines[mi]
-		switch rng.Intn(4) {
-		case 0: // off
-		case 1: // powered, idle
-			m.on = true
-		case 2: // powered, loaded
-			m.on = true
-			mt := tr.Machines[m.typeIdx]
-			m.usedCPU = rng.Float64() * mt.CPU
-			m.usedMem = rng.Float64() * mt.Mem
-			m.tasks = 1 + rng.Intn(3)
-		case 3: // booting
-			m.on = true
-			m.readyAt = 500
-		}
-	}
-	return e
-}
-
-// The sharded audit must agree with a plain per-machine scan that knows
-// nothing about shard boundaries.
-func TestAuditMatchesMachineScan(t *testing.T) {
-	e := bigEngine(t)
-
-	// Reference: one pass over the machines, bucketed by shard.
-	wantCPU := make([][]float64, len(e.types))
-	wantMem := make([][]float64, len(e.types))
-	for ti := range e.types {
-		wantCPU[ti] = make([]float64, len(e.freeCPUBound[ti]))
-		wantMem[ti] = make([]float64, len(e.freeMemBound[ti]))
-	}
-	wantUsed := 0
-	for mi := range e.machines {
-		m := &e.machines[mi]
-		if m.tasks > 0 {
-			wantUsed++
-		}
-		if !m.on {
-			continue
-		}
-		ti := m.typeIdx
-		s := (mi - e.typeFirst[ti]) / machineShardSize
-		mt := e.types[ti]
-		if f := mt.CPU - m.usedCPU; f > wantCPU[ti][s] {
-			wantCPU[ti][s] = f
-		}
-		if f := mt.Mem - m.usedMem; f > wantMem[ti][s] {
-			wantMem[ti][s] = f
-		}
-	}
-
-	e.refreshAccounting()
-	if !reflect.DeepEqual(e.freeCPUBound, wantCPU) || !reflect.DeepEqual(e.freeMemBound, wantMem) {
-		t.Error("audit bounds differ from the machine-scan reference")
-	}
-	if e.usedCount != wantUsed {
-		t.Errorf("used = %d, want %d", e.usedCount, wantUsed)
-	}
-}
-
 func genFailureConfig(t *testing.T, seed int64) Config {
 	t.Helper()
 	cfgTr := trace.DefaultConfig(seed)
@@ -111,15 +23,14 @@ func genFailureConfig(t *testing.T, seed int64) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Source:        trace.NewSliceSource(tr),
-		Models:        simModels(),
-		Price:         energy.FlatPrice(0.1),
-		Policy:        &staticPolicy{name: "all", target: []int{30, 10}},
-		Period:        300,
-		NumTypes:      1,
-		TypeOf:        func(trace.Task) int { return 0 },
-		MTBFHours:     1,
-		RepairSeconds: 200,
+		Source:    trace.NewSliceSource(tr),
+		Models:    simModels(),
+		Price:     energy.FlatPrice(0.1),
+		Policy:    &staticPolicy{name: "all", target: []int{30, 10}},
+		Period:    300,
+		NumTypes:  1,
+		TypeOf:    func(trace.Task) int { return 0 },
+		MTBFHours: 1,
 	}
 }
 
@@ -210,7 +121,7 @@ func TestRunFailureAccountingInvariants(t *testing.T) {
 
 // The used-machine series must never go negative or exceed the powered
 // count, even when failures take loaded machines down (the pre-fix
-// simulator leaked usedCount on failure).
+// simulator leaked the used count on failure).
 func TestRunUsedCountSaneUnderFailures(t *testing.T) {
 	res, err := Run(genFailureConfig(t, 5))
 	if err != nil {

@@ -20,26 +20,32 @@ func backloggedEngine(t testing.TB, tasks []trace.Task) *engine {
 		Horizon: 1e9,
 	}
 	cfg := Config{
-		Source:        trace.NewSliceSource(tr),
-		Models:        simModels(),
-		Price:         energy.FlatPrice(0.1),
-		Policy:        &staticPolicy{name: "x", target: []int{600, 600}},
-		Period:        300,
-		NumTypes:      1,
-		TypeOf:        func(trace.Task) int { return 0 },
-		InitialActive: []int{600, 600},
+		Source:   trace.NewSliceSource(tr),
+		Models:   simModels(),
+		Price:    energy.FlatPrice(0.1),
+		Policy:   &staticPolicy{name: "x", target: []int{600, 600}},
+		Period:   300,
+		NumTypes: 1,
+		TypeOf:   func(trace.Task) int { return 0 },
 	}
 	if err := validateConfig(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.applyDefaults()
 	e := newEngine(cfg)
+	powerAll(e)
 	for _, tk := range tasks {
 		gi := tk.Group().Index()
 		e.pending[gi][0] = append(e.pending[gi][0], pendingTask{task: tk})
 		e.pendingCount++
 	}
 	return e
+}
+
+// powerAll powers every machine of e on, ready at once.
+func powerAll(e *engine) {
+	for ti, mt := range e.types {
+		e.setActive(ti, mt.Count)
+	}
 }
 
 // BenchmarkSchedulePass times one scheduling pass over a backlogged
@@ -75,10 +81,9 @@ func BenchmarkSchedulePass(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := backloggedEngine(b, bc.tasks)
-			// No queued task fits anywhere, but no shard can be pruned:
-			// every other machine is out of CPU, the rest out of memory,
-			// so the per-shard free-capacity bounds stay high and a place
-			// attempt scans the machines, as a fragmented cluster's does.
+			// No queued task fits anywhere: every other machine is out of
+			// CPU, the rest out of memory, so a place attempt scans every
+			// machine, as on a fragmented cluster.
 			for mi := range e.machines {
 				m := &e.machines[mi]
 				mt := e.types[m.typeIdx]

@@ -53,7 +53,6 @@ func runWithPass(t *testing.T, cfg Config, pass func(*engine)) (*Result, int) {
 	if err := validateConfig(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.applyDefaults()
 	e := newEngine(cfg)
 	var next trace.Task
 	pull := func() bool {
@@ -174,11 +173,18 @@ func TestSchedulePassMatchesReference(t *testing.T) {
 		cfg.TypeOf = func(tk trace.Task) int { return tk.Priority % 4 }
 		pol.types = 4
 	}
-	bootFailuresQuotas := func(cfg *Config, pol *wobblePolicy) {
+	// Failures are drawn at period boundaries and repair takes
+	// repairSeconds (900 s); a 400 s period does not divide it, so a failed
+	// machine comes out of repair in the middle of a period.
+	failures := func(cfg *Config, pol *wobblePolicy) {
 		byPriority(cfg, pol)
 		pol.quotas = true
-		cfg.BootDelay = 130
+		cfg.Period = 400
 		cfg.MTBFHours = 0.5
+	}
+	bootFailuresQuotas := func(cfg *Config, pol *wobblePolicy) {
+		failures(cfg, pol)
+		cfg.BootDelay = 130
 	}
 	scenarios := map[string]func(*Config, *wobblePolicy){
 		"baseline single queue": func(*Config, *wobblePolicy) {},
@@ -192,22 +198,17 @@ func TestSchedulePassMatchesReference(t *testing.T) {
 			byPriority(cfg, pol)
 			cfg.BootDelay = 120
 		},
-		"failures": func(cfg *Config, pol *wobblePolicy) {
-			byPriority(cfg, pol)
-			pol.quotas = true
-			cfg.MTBFHours = 0.5
-			cfg.RepairSeconds = 400
-		},
-		// A machine that fails and is powered on again at the same
-		// boundary accepts tasks from max(readyAt, downTil): the end of
-		// its boot in the first scenario, of its repair in the second.
+		"failures": failures,
+		// A machine that fails and is powered on again accepts tasks from
+		// max(readyAt, downTil): the end of its boot in the first scenario,
+		// of its repair in the second. Repair is fixed, so the boot delay
+		// sets the order.
 		"boot, failures, quotas, repair shorter than boot": func(cfg *Config, pol *wobblePolicy) {
 			bootFailuresQuotas(cfg, pol)
-			cfg.RepairSeconds = 40
+			cfg.BootDelay = 950
 		},
 		"boot, failures, quotas, repair longer than boot": func(cfg *Config, pol *wobblePolicy) {
 			bootFailuresQuotas(cfg, pol)
-			cfg.RepairSeconds = 430
 		},
 		"relabel moves quota occupancy": func(cfg *Config, pol *wobblePolicy) {
 			byPriority(cfg, pol)

@@ -31,14 +31,14 @@ func steadyEngine(t *testing.T, maxDelaySamples int) *engine {
 		Period:          300,
 		NumTypes:        1,
 		TypeOf:          func(trace.Task) int { return 0 },
-		InitialActive:   []int{600, 600},
 		MaxDelaySamples: maxDelaySamples,
 	}
 	if err := validateConfig(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.applyDefaults()
-	return newEngine(cfg)
+	e := newEngine(cfg)
+	powerAll(e)
+	return e
 }
 
 // The steady-state event path — arrival, placement, heap push, energy

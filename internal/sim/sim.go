@@ -88,11 +88,8 @@ type Config struct {
 	NumTypes int
 	TypeOf   func(trace.Task) int
 	// SwitchCost[m] is the dollar cost per on/off transition of a
-	// type-m machine. Optional.
+	// type-m machine. Optional. Every machine starts powered off.
 	SwitchCost []float64
-	// InitialActive[m] optionally sets how many machines per type start
-	// powered on. Nil starts with everything off.
-	InitialActive []int
 	// BootDelay is how long a powered-on machine takes before it can
 	// accept tasks (seconds). It draws idle power while booting. 0 means
 	// instant boot.
@@ -101,12 +98,8 @@ type Config struct {
 	// machine fails independently with the matching per-period
 	// probability. A failed machine kills its running tasks (they are
 	// requeued and restart from scratch) and stays unavailable for
-	// RepairSeconds.
+	// repairSeconds. The failure draws come from one fixed seed.
 	MTBFHours float64
-	// RepairSeconds is how long a failed machine stays down (default 900).
-	RepairSeconds float64
-	// FailureSeed seeds the failure process (default 1).
-	FailureSeed int64
 	// Relabel, when non-nil, is called at each period boundary for every
 	// running task with its current type and age (seconds since start);
 	// the returned type replaces the current one. This realizes the
@@ -174,7 +167,6 @@ func (r *Result) MeanDelay(g trace.PriorityGroup) float64 {
 }
 
 type machine struct {
-	id      int
 	typeIdx int
 	on      bool
 	readyAt float64 // machine accepts tasks from this time (boot delay)
@@ -191,7 +183,6 @@ type runningTask struct {
 	machine  int
 	epoch    int // machine epoch at placement; stale entries are ignored
 	taskType int
-	group    trace.PriorityGroup
 	task     trace.Task
 	cpu, mem float64 // reserved amounts on the machine
 }
@@ -255,16 +246,18 @@ type pendingTask struct {
 	taskType int
 }
 
-// machineShardSize fixes the shard width of per-type machine state:
-// placement pruning bounds and the period-boundary audit both work in
-// (machine type, shard) granules.
-const machineShardSize = 512
-
 // failBudgetPerQueue bounds how many placement failures are tolerated
 // per task-type queue in one scheduling pass before the rest of that
 // queue is skipped. It models a scheduler that skips
 // currently-unschedulable tasks rather than blocking on them.
 const failBudgetPerQueue = 64
+
+// repairSeconds is how long a failed machine stays down, and failureSeed
+// seeds the failure process.
+const (
+	repairSeconds = 900
+	failureSeed   = 1
+)
 
 // engine is the mutable simulation state.
 type engine struct {
@@ -275,7 +268,6 @@ type engine struct {
 
 	machines  []machine
 	typeFirst []int // first machine id per type (ids are contiguous per type)
-	typeCount []int
 	active    []int // powered count per type
 
 	// pending[group][taskType] is a FIFO queue; scheduling scans groups
@@ -296,17 +288,8 @@ type engine struct {
 	lastEnergy float64 // time up to which energy is integrated
 	sumUsedCPU []float64
 	sumUsedMem []float64
-	usedCount  int // machines with at least one running task
 
 	failRand *stats.RNG
-
-	// freeCPUBound/freeMemBound[m][s] are upper bounds on the largest
-	// free CPU/memory of any powered type-m machine in shard s, used to
-	// prune placement scans shard by shard. They are tightened to exact
-	// values whenever a shard is fully scanned, and wholesale by the
-	// period-boundary audit.
-	freeCPUBound [][]float64
-	freeMemBound [][]float64
 
 	// failed is schedulePending's scratch: the shapes that failed in the
 	// queue being walked (at most the fail budget). placeAttempts counts
@@ -336,24 +319,11 @@ func Run(cfg Config) (*Result, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
-	cfg.applyDefaults()
 	e := newEngine(cfg)
 	if err := e.run(); err != nil {
 		return nil, err
 	}
 	return e.res, nil
-}
-
-// applyDefaults normalizes every optional Config field in one place, so
-// the defaults documented on the struct hold regardless of which path
-// constructed the config.
-func (cfg *Config) applyDefaults() {
-	if cfg.RepairSeconds <= 0 {
-		cfg.RepairSeconds = 900
-	}
-	if cfg.FailureSeed == 0 {
-		cfg.FailureSeed = 1
-	}
 }
 
 func validateConfig(cfg *Config) error {
@@ -382,7 +352,7 @@ func validateConfig(cfg *Config) error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"boot delay", cfg.BootDelay}, {"repair time", cfg.RepairSeconds}, {"MTBF", cfg.MTBFHours}} {
+	}{{"boot delay", cfg.BootDelay}, {"MTBF", cfg.MTBFHours}} {
 		if !(f.v >= 0) {
 			return fmt.Errorf("sim: %s must not be negative or NaN, got %v", f.name, f.v)
 		}
@@ -393,9 +363,6 @@ func validateConfig(cfg *Config) error {
 	if cfg.SwitchCost != nil && len(cfg.SwitchCost) != len(machines) {
 		return errors.New("sim: switch-cost length mismatch")
 	}
-	if cfg.InitialActive != nil && len(cfg.InitialActive) != len(machines) {
-		return errors.New("sim: initial-active length mismatch")
-	}
 	return nil
 }
 
@@ -403,22 +370,19 @@ func newEngine(cfg Config) *engine {
 	meta := cfg.Source.Meta()
 	nm := len(meta.Machines)
 	e := &engine{
-		cfg:          cfg,
-		types:        meta.Machines,
-		horizon:      meta.Horizon,
-		active:       make([]int, nm),
-		typeFirst:    make([]int, nm),
-		typeCount:    make([]int, nm),
-		arrivals:     make([]int, cfg.NumTypes),
-		runningN:     make([]int, cfg.NumTypes),
-		sumUsedCPU:   make([]float64, nm),
-		sumUsedMem:   make([]float64, nm),
-		occupancy:    make([][]int, nm),
-		freeCPUBound: make([][]float64, nm),
-		freeMemBound: make([][]float64, nm),
-		failed:       make([]failedShape, 0, failBudgetPerQueue),
-		freed:        -1,
-		nextReady:    math.Inf(1),
+		cfg:        cfg,
+		types:      meta.Machines,
+		horizon:    meta.Horizon,
+		active:     make([]int, nm),
+		typeFirst:  make([]int, nm),
+		arrivals:   make([]int, cfg.NumTypes),
+		runningN:   make([]int, cfg.NumTypes),
+		sumUsedCPU: make([]float64, nm),
+		sumUsedMem: make([]float64, nm),
+		occupancy:  make([][]int, nm),
+		failed:     make([]failedShape, 0, failBudgetPerQueue),
+		freed:      -1,
+		nextReady:  math.Inf(1),
 		res: &Result{
 			Policy:       cfg.Policy.Name(),
 			DelayByGroup: make(map[trace.PriorityGroup]*stats.CDF, trace.NumGroups),
@@ -438,35 +402,14 @@ func newEngine(cfg Config) *engine {
 		e.tried[gi] = make([]triedRun, cfg.NumTypes)
 	}
 	if cfg.MTBFHours > 0 {
-		e.failRand = stats.NewRNG(cfg.FailureSeed)
+		e.failRand = stats.NewRNG(failureSeed)
 	}
-	id := 0
 	for ti, mt := range e.types {
 		e.occupancy[ti] = make([]int, cfg.NumTypes)
 		e.res.ActiveByType[ti].Name = fmt.Sprintf("active type %d", mt.ID)
-		e.typeFirst[ti] = id
-		e.typeCount[ti] = mt.Count
-		shards := (mt.Count + machineShardSize - 1) / machineShardSize
-		if shards < 1 {
-			shards = 1
-		}
-		e.freeCPUBound[ti] = make([]float64, shards)
-		e.freeMemBound[ti] = make([]float64, shards)
+		e.typeFirst[ti] = len(e.machines)
 		for k := 0; k < mt.Count; k++ {
-			e.machines = append(e.machines, machine{id: id, typeIdx: ti})
-			id++
-		}
-	}
-	if cfg.InitialActive != nil {
-		for ti, want := range cfg.InitialActive {
-			for mi := e.typeFirst[ti]; mi < e.typeFirst[ti]+e.typeCount[ti]; mi++ {
-				if e.active[ti] >= want {
-					break
-				}
-				e.machines[mi].on = true
-				e.active[ti]++
-				e.raiseBounds(mi)
-			}
+			e.machines = append(e.machines, machine{typeIdx: ti})
 		}
 	}
 	e.res.ActiveSeries.Name = "active machines " + cfg.Policy.Name()
@@ -595,15 +538,14 @@ func (e *engine) advanceTo(t float64) {
 	e.now = t
 }
 
-// periodBoundary runs the control-period work: failure injection, exact
-// accounting audit, relabeling, observation, and the policy decision
+// periodBoundary runs the control-period work: failure injection,
+// relabeling, observation, and the policy decision
 // (the caller follows it with a scheduling pass under the new directive).
 // It is the budgeted residue outside the per-event hot path.
 //
 //harmony:coldpath period work is budgeted per control period, not per event
 func (e *engine) periodBoundary(periodIdx int) {
 	e.injectFailures()
-	e.refreshAccounting()
 	e.relabelRunning()
 	obs := e.observe(periodIdx)
 	e.res.ActiveSeries.Points = append(e.res.ActiveSeries.Points,
@@ -615,7 +557,7 @@ func (e *engine) periodBoundary(periodIdx int) {
 	e.res.QueueSeries.Points = append(e.res.QueueSeries.Points,
 		stats.Point{X: e.now, Y: float64(totalInts(obs.Queued))})
 	e.res.UsedSeries.Points = append(e.res.UsedSeries.Points,
-		stats.Point{X: e.now, Y: float64(e.usedCount)})
+		stats.Point{X: e.now, Y: float64(e.usedMachines())})
 
 	dir := e.cfg.Policy.Period(obs)
 	e.apply(dir)
@@ -626,6 +568,17 @@ func (e *engine) periodBoundary(periodIdx int) {
 	// queued task anywhere: the pass that follows starts from scratch.
 	e.forgetTried()
 	e.nextReady = e.earliestReady()
+}
+
+// usedMachines counts the machines running at least one task.
+func (e *engine) usedMachines() int {
+	used := 0
+	for mi := range e.machines {
+		if e.machines[mi].tasks > 0 {
+			used++
+		}
+	}
+	return used
 }
 
 // forgetTried ends every queue's tried run: the next pass gives each
@@ -683,7 +636,7 @@ func (e *engine) apply(dir Directive) {
 	if dir.TargetActive == nil {
 		return
 	}
-	for ti := range e.typeCount {
+	for ti, mt := range e.types {
 		target := 0
 		if ti < len(dir.TargetActive) {
 			target = dir.TargetActive[ti]
@@ -691,8 +644,8 @@ func (e *engine) apply(dir Directive) {
 		if target < 0 {
 			target = 0
 		}
-		if target > e.typeCount[ti] {
-			target = e.typeCount[ti]
+		if target > mt.Count {
+			target = mt.Count
 		}
 		e.setActive(ti, target)
 	}
@@ -705,7 +658,7 @@ func (e *engine) setActive(ti, target int) {
 	if e.cfg.SwitchCost != nil {
 		cost = e.cfg.SwitchCost[ti]
 	}
-	first, count := e.typeFirst[ti], e.typeCount[ti]
+	first, count := e.typeFirst[ti], e.types[ti].Count
 	if e.active[ti] < target {
 		for mi := first; mi < first+count; mi++ {
 			if e.active[ti] >= target {
@@ -718,7 +671,6 @@ func (e *engine) setActive(ti, target int) {
 				e.active[ti]++
 				e.res.SwitchEvents++
 				e.res.SwitchCost += cost
-				e.raiseBounds(mi)
 			}
 		}
 		return
@@ -924,76 +876,30 @@ func (e *engine) fitsFreed(constraint string, taskType int, cpu, mem float64) bo
 		e.holds(m, &e.types[m.typeIdx], cpu, mem)
 }
 
-// placeInType scans the machines of one type shard by shard: legacy
-// first-fit by default; best-fit (least leftover capacity) when the
-// policy requests scheduler coordination — best-fit keeps large
-// contiguous slots available, which matters because some containers
-// occupy almost a whole machine.
-//
-// A shard whose free-capacity upper bounds already rule the task out is
-// skipped without touching its machines — skipping cannot change the
-// placement decision, because such a shard provably holds no feasible
-// machine. Any shard that is fully scanned has its bounds tightened to
-// the exact maxima seen, so repeated placement failures get cheaper.
+// placeInType scans the machines of one type: legacy first-fit by
+// default; best-fit (least leftover capacity) when the policy requests
+// scheduler coordination — best-fit keeps large contiguous slots
+// available, which matters because some containers occupy almost a
+// whole machine.
 //
 //harmony:hotpath
 func (e *engine) placeInType(ti int, mt trace.MachineType, cpu, mem float64) int {
 	first := e.typeFirst[ti]
-	last := first + e.typeCount[ti]
-	cpuB := e.freeCPUBound[ti]
-	memB := e.freeMemBound[ti]
 	best := -1
 	bestLeft := math.Inf(1)
-	for s := range cpuB {
-		if cpu > cpuB[s]+1e-12 || mem > memB[s]+1e-12 {
-			continue // no powered machine in this shard can fit it
+	for mi := first; mi < first+mt.Count; mi++ {
+		m := &e.machines[mi]
+		if !e.holds(m, &mt, cpu, mem) {
+			continue
 		}
-		lo := first + s*machineShardSize
-		hi := lo + machineShardSize
-		if hi > last {
-			hi = last
+		if !e.bestFit {
+			return mi
 		}
-		var maxFreeCPU, maxFreeMem float64
-		hit := -1
-		for mi := lo; mi < hi; mi++ {
-			m := &e.machines[mi]
-			if !m.on {
-				continue
-			}
-			// Booting machines count toward the free-capacity bound
-			// (they will be ready soon; the bound must stay an upper
-			// bound) but cannot accept tasks yet.
-			freeCPU := mt.CPU - m.usedCPU
-			freeMem := mt.Mem - m.usedMem
-			if freeCPU > maxFreeCPU {
-				maxFreeCPU = freeCPU
-			}
-			if freeMem > maxFreeMem {
-				maxFreeMem = freeMem
-			}
-			if !e.holds(m, &mt, cpu, mem) {
-				continue
-			}
-			if !e.bestFit {
-				hit = mi
-				break
-			}
-			left := (freeCPU-cpu)/mt.CPU + (freeMem-mem)/mt.Mem
-			if left < bestLeft {
-				bestLeft = left
-				best = mi
-			}
+		left := (mt.CPU-m.usedCPU-cpu)/mt.CPU + (mt.Mem-m.usedMem-mem)/mt.Mem
+		if left < bestLeft {
+			bestLeft = left
+			best = mi
 		}
-		if !e.bestFit && hit >= 0 {
-			// First fit found mid-shard: the shard was not fully
-			// scanned, so its bounds stay as they were (still valid
-			// upper bounds).
-			return hit
-		}
-		// The scan saw every powered machine in the shard: the maxima
-		// are exact, so the bounds tighten.
-		cpuB[s] = maxFreeCPU
-		memB[s] = maxFreeMem
 	}
 	return best
 }
@@ -1003,9 +909,6 @@ func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 	m := &e.machines[mi]
 	m.usedCPU += cpu
 	m.usedMem += mem
-	if m.tasks == 0 {
-		e.usedCount++
-	}
 	m.tasks++
 	ti := m.typeIdx
 	e.sumUsedCPU[ti] += cpu
@@ -1018,7 +921,6 @@ func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 		machine:  mi,
 		epoch:    m.epoch,
 		taskType: p.taskType,
-		group:    p.task.Group(),
 		task:     p.task,
 		cpu:      cpu,
 		mem:      mem,
@@ -1065,9 +967,6 @@ func (e *engine) completeOne() {
 		m.usedMem = 0
 	}
 	m.tasks--
-	if m.tasks == 0 {
-		e.usedCount--
-	}
 	ti := m.typeIdx
 	e.sumUsedCPU[ti] -= rt.cpu
 	e.sumUsedMem[ti] -= rt.mem
@@ -1087,7 +986,6 @@ func (e *engine) completeOne() {
 	}
 	e.freed = rt.machine
 	e.runningN[rt.taskType]--
-	e.raiseBounds(rt.machine)
 	e.res.Completed++
 }
 
@@ -1122,16 +1020,13 @@ func (e *engine) injectFailures() {
 		liveEpoch[mi] = m.epoch
 		m.epoch++
 		m.on = false
-		m.downTil = e.now + e.cfg.RepairSeconds
+		m.downTil = e.now + repairSeconds
 		ti := m.typeIdx
 		e.active[ti]--
 		e.sumUsedCPU[ti] -= m.usedCPU
 		e.sumUsedMem[ti] -= m.usedMem
 		m.usedCPU = 0
 		m.usedMem = 0
-		if m.tasks > 0 {
-			e.usedCount--
-		}
 		m.tasks = 0
 	}
 	if len(failed) == 0 {
@@ -1173,46 +1068,6 @@ func (e *engine) injectFailures() {
 	}
 }
 
-// refreshAccounting replaces the incrementally tracked used-machine
-// count and the per-(type, shard) free-capacity pruning bounds with
-// exact values from a full machine scan. The bounds only ever drift
-// loose between refreshes, so tightening them here cannot change
-// placement decisions — a pruned shard is one where every powered
-// machine provably cannot fit the task — but it lets placeInType skip
-// whole shards without scanning.
-func (e *engine) refreshAccounting() {
-	used := 0
-	for ti, mt := range e.types {
-		first := e.typeFirst[ti]
-		last := first + e.typeCount[ti]
-		for s := range e.freeCPUBound[ti] {
-			lo := first + s*machineShardSize
-			hi := min(lo+machineShardSize, last)
-			var maxCPU, maxMem float64
-			for mi := lo; mi < hi; mi++ {
-				m := &e.machines[mi]
-				if m.tasks > 0 {
-					used++
-				}
-				if !m.on {
-					continue
-				}
-				// Booting machines count: the free-capacity bounds must
-				// stay upper bounds over everything placeInType scans.
-				if f := mt.CPU - m.usedCPU; f > maxCPU {
-					maxCPU = f
-				}
-				if f := mt.Mem - m.usedMem; f > maxMem {
-					maxMem = f
-				}
-			}
-			e.freeCPUBound[ti][s] = maxCPU
-			e.freeMemBound[ti][s] = maxMem
-		}
-	}
-	e.usedCount = used
-}
-
 // relabelRunning applies the configured relabel hook to every running
 // task, moving quota occupancy and per-type counts when a label changes.
 func (e *engine) relabelRunning() {
@@ -1234,24 +1089,6 @@ func (e *engine) relabelRunning() {
 		e.runningN[rt.taskType]--
 		e.runningN[nt]++
 		rt.taskType = nt
-	}
-}
-
-// raiseBounds loosens machine mi's shard free-capacity upper bounds
-// after resources are freed or the machine powers on. Bounds only ever
-// need to stay >= the true maxima, so raising them is always safe.
-//
-//harmony:hotpath
-func (e *engine) raiseBounds(mi int) {
-	m := &e.machines[mi]
-	ti := m.typeIdx
-	s := (mi - e.typeFirst[ti]) / machineShardSize
-	mt := e.types[ti]
-	if f := mt.CPU - m.usedCPU; f > e.freeCPUBound[ti][s] {
-		e.freeCPUBound[ti][s] = f
-	}
-	if f := mt.Mem - m.usedMem; f > e.freeMemBound[ti][s] {
-		e.freeMemBound[ti][s] = f
 	}
 }
 

@@ -82,13 +82,10 @@ func TestValidateConfig(t *testing.T) {
 		{"infinite period", func(c *Config) { c.Period = math.Inf(1) }},
 		{"NaN boot delay", func(c *Config) { c.BootDelay = math.NaN() }},
 		{"negative boot delay", func(c *Config) { c.BootDelay = -1 }},
-		{"NaN repair time", func(c *Config) { c.RepairSeconds = math.NaN() }},
-		{"negative repair time", func(c *Config) { c.RepairSeconds = -1 }},
 		{"NaN MTBF", func(c *Config) { c.MTBFHours = math.NaN() }},
 		{"negative MTBF", func(c *Config) { c.MTBFHours = -1 }},
 		{"no type map", func(c *Config) { c.TypeOf = nil }},
 		{"bad switch cost", func(c *Config) { c.SwitchCost = []float64{1} }},
-		{"bad initial", func(c *Config) { c.InitialActive = []int{1} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
