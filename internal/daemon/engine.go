@@ -268,35 +268,13 @@ func (e *Engine) NumTaskTypes() int { return len(e.types) }
 // PeriodSeconds returns the control period in model time.
 func (e *Engine) PeriodSeconds() float64 { return e.cfg.PeriodSeconds }
 
-// ValidateTask rejects tasks the trace model would reject. Both HTTP
-// front-ends call it at admission; Ingest calls it again for Replay and
-// library callers. The positivity checks are written as !(x > 0) so NaN
-// fields (which compare false against everything) are rejected rather
-// than slipping past a x <= 0 guard into the arrival windows.
-func ValidateTask(t trace.Task) error {
-	if !(t.Duration > 0) || math.IsInf(t.Duration, 1) {
-		return fmt.Errorf("daemon: task %d duration not in (0,+Inf)", t.ID)
-	}
-	if !(t.CPU > 0 && t.CPU <= 1) || !(t.Mem > 0 && t.Mem <= 1) {
-		return fmt.Errorf("daemon: task %d demand out of (0,1]", t.ID)
-	}
-	if t.Priority < 0 || t.Priority > 11 {
-		return fmt.Errorf("daemon: task %d priority out of [0,11]", t.ID)
-	}
-	if t.SchedClass < 0 || t.SchedClass > 3 {
-		return fmt.Errorf("daemon: task %d sched class out of [0,3]", t.ID)
-	}
-	if !(t.Submit >= 0) || math.IsInf(t.Submit, 1) {
-		return fmt.Errorf("daemon: task %d submit not in [0,+Inf)", t.ID)
-	}
-	return nil
-}
-
 // Ingest records one arriving task: nearest-centroid classification
 // (short sub-class first), arrival accounting for the current window, and
-// membership in the open set for later relabeling.
+// membership in the open set for later relabeling. It rejects a task that
+// fails trace.Task.Validate, which both HTTP front-ends already apply at
+// admission, for Replay and library callers.
 func (e *Engine) Ingest(t trace.Task) error {
-	if err := ValidateTask(t); err != nil {
+	if err := t.Validate(); err != nil {
 		return err
 	}
 	tt, labeled := e.labeler.InitialIndex(t)

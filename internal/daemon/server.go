@@ -98,7 +98,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	var firstInvalid error
 	valid := tasks[:0]
 	for _, t := range tasks {
-		if err := ValidateTask(t); err != nil {
+		if err := t.Validate(); err != nil {
 			resp.Invalid++
 			if firstInvalid == nil {
 				firstInvalid = err

@@ -84,10 +84,10 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
-// TestIngestValidatesAtAdmission posts tasks that fail ValidateTask next
-// to a valid one: the response counts them invalid rather than accepted,
-// they take no queue slot, and a body with nothing valid is a 400 that
-// names the reason.
+// TestIngestValidatesAtAdmission posts tasks that fail trace.Task.Validate
+// next to a valid one: the response counts them invalid rather than
+// accepted, they take no queue slot, and a body with nothing valid is a
+// 400 that names the reason.
 func TestIngestValidatesAtAdmission(t *testing.T) {
 	s, eng := newTestServer(t, ServerConfig{QueueSize: 1})
 	release := holdLane(t, s.lane)

@@ -92,6 +92,7 @@ func BenchmarkSchedulePass(b *testing.B) {
 					m.usedCPU, m.usedMem = 0, mt.Mem-0.05
 				}
 			}
+			refitAll(e)
 			e.schedulePending()
 			b.ReportAllocs()
 			b.ResetTimer()

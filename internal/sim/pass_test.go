@@ -47,8 +47,10 @@ func (e *engine) schedulePendingReference() {
 
 // runWithPass is Run with the scheduling pass as a parameter: engine.run's
 // event loop (arrival, completion, period boundary, in that tie order)
-// around pass instead of e.schedulePending.
-func runWithPass(t *testing.T, cfg Config, pass func(*engine)) (*Result, int) {
+// around pass instead of e.schedulePending. It returns the engine after
+// the run, its Result and cost counters. After every event it checks that
+// the fit trees match the machines.
+func runWithPass(t *testing.T, cfg Config, pass func(*engine)) *engine {
 	t.Helper()
 	if err := validateConfig(&cfg); err != nil {
 		t.Fatal(err)
@@ -64,12 +66,9 @@ func runWithPass(t *testing.T, cfg Config, pass func(*engine)) (*Result, int) {
 	}
 	have := pull()
 	for nextPeriod, periodIdx := 0.0, 0; ; {
-		tArr, tFin := math.Inf(1), math.Inf(1)
+		tArr, tFin := math.Inf(1), e.running.next()
 		if have {
 			tArr = next.Submit
-		}
-		if len(e.running) > 0 {
-			tFin = e.running[0].finish
 		}
 		tEvt := min(tArr, tFin, nextPeriod)
 		if tEvt > e.horizon {
@@ -89,10 +88,13 @@ func runWithPass(t *testing.T, cfg Config, pass func(*engine)) (*Result, int) {
 			e.handleArrival(next)
 			have = pull()
 		}
+		if ti := staleFitTree(e); ti >= 0 {
+			t.Fatalf("t=%g: type %d's fit tree does not match its machines", tEvt, ti)
+		}
 	}
 	e.advanceTo(e.horizon)
 	e.finish(e.horizon)
-	return e.res, e.placeAttempts
+	return e
 }
 
 // wobblePolicy re-draws machine targets and, in CBS style, per-type
@@ -224,8 +226,9 @@ func TestSchedulePassMatchesReference(t *testing.T) {
 	for name, mutate := range scenarios {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				want, refAttempts := runWithPass(t, passScenario(t, seed, mutate), (*engine).schedulePendingReference)
-				got, attempts := runWithPass(t, passScenario(t, seed, mutate), (*engine).schedulePending)
+				ref := runWithPass(t, passScenario(t, seed, mutate), (*engine).schedulePendingReference)
+				e := runWithPass(t, passScenario(t, seed, mutate), (*engine).schedulePending)
+				want, refAttempts, got, attempts := ref.res, ref.placeAttempts, e.res, e.placeAttempts
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("result differs from the reference pass:\n got %+v\nwant %+v", got, want)
 				}
@@ -308,6 +311,7 @@ func fullCluster(t *testing.T, queued []trace.Task, running map[int][]runningTas
 			m.usedCPU -= rt.cpu
 			m.usedMem -= rt.cpu
 		}
+		e.refit(mi)
 		for _, rt := range running[mi] {
 			e.start(&pendingTask{task: trace.Task{Duration: rt.finish}}, mi, rt.cpu, rt.cpu)
 		}
@@ -339,6 +343,7 @@ func TestTriedRunMeetsOnlyTheFreedMachine(t *testing.T) {
 	// tasks, from t = 400.
 	e.machines[booting].usedCPU, e.machines[booting].usedMem, e.machines[booting].tasks = 0, 0, 0
 	e.machines[booting].readyAt = 400
+	e.refit(booting)
 	queue := func() []pendingTask { return e.pending[0][0] }
 	// pass runs the scheduling pass the event loop runs at time at — after
 	// the completion due then, or after the period boundary — and returns
@@ -350,8 +355,8 @@ func TestTriedRunMeetsOnlyTheFreedMachine(t *testing.T) {
 		if boundary {
 			e.periodBoundary(1)
 		} else {
-			if e.running[0].finish != at {
-				t.Fatalf("next completion at %g, want %g", e.running[0].finish, at)
+			if e.running.next() != at {
+				t.Fatalf("next completion at %g, want %g", e.running.next(), at)
 			}
 			e.completeOne()
 		}
@@ -413,6 +418,7 @@ func TestOpenedQuotaCellEndsTriedRun(t *testing.T) {
 	e := backloggedEngine(t, []trace.Task{{ID: 1, Duration: 10, CPU: 0.3, Mem: 0.3}})
 	e.quota = [][]int{{1}, {0}}
 	e.machines[0].usedCPU, e.machines[0].usedMem, e.machines[0].tasks = 0.4, 0.4, 1
+	e.refit(0)
 	e.start(&pendingTask{task: trace.Task{Duration: 10}}, 0, 0.1, 0.1)
 	e.schedulePending()
 	if tr := e.tried[0][0]; e.res.Scheduled != 1 || tr.n != 1 {
@@ -447,12 +453,14 @@ func (p *feedbackPolicy) Period(obs *Observation) Directive {
 }
 
 // TestBaselineFleetScansAboutOncePerTask bounds what the benchmark's
-// sim_baseline_fleet regime costs in machine scans, on that scenario
-// scaled down 20 times (Table II / 20, 0.15 tasks/s, 13 h, one first-fit
-// FIFO queue per priority under a reactive policy): a task is scanned
-// when it arrives or is first reached behind its queue's tried run, and
-// after that meets freed machines one at a time, so the run pays about
-// one scan per task where the attempt-everything pass pays several.
+// sim_baseline_fleet regime costs in place calls and fit-tree visits, on
+// that scenario scaled down 20 times (Table II / 20, 0.15 tasks/s, 13 h,
+// one first-fit FIFO queue per priority under a reactive policy): a task
+// is placed when it arrives or is first reached behind its queue's tried
+// run, and after that meets freed machines one at a time, so the run pays
+// about one place per task where the attempt-everything pass pays
+// several; and a place descends its types' fit trees instead of scanning
+// their machines.
 func TestBaselineFleetScansAboutOncePerTask(t *testing.T) {
 	models, machines := energy.TableIIScaled(20)
 	config := func() Config {
@@ -475,17 +483,30 @@ func TestBaselineFleetScansAboutOncePerTask(t *testing.T) {
 			BootDelay: 120,
 		}
 	}
-	want, refScans := runWithPass(t, config(), (*engine).schedulePendingReference)
-	got, scans := runWithPass(t, config(), (*engine).schedulePending)
-	if !reflect.DeepEqual(want, got) {
+	ref := runWithPass(t, config(), (*engine).schedulePendingReference)
+	e := runWithPass(t, config(), (*engine).schedulePending)
+	if !reflect.DeepEqual(ref.res, e.res) {
 		t.Fatal("result differs from the reference pass")
 	}
-	tasks := got.Scheduled + got.Unscheduled
-	t.Logf("%d tasks (%d left queued): %d scans, %d in the reference pass", tasks, got.Unscheduled, scans, refScans)
+	tasks := e.res.Scheduled + e.res.Unscheduled
+	scans, refScans := e.placeAttempts, ref.placeAttempts
+	perPlace := float64(e.fitVisits) / float64(scans)
+	t.Logf("%d tasks (%d left queued): %d place calls, %d in the reference pass; %d fit-tree node visits (%.1f per place), where scans would have visited %d machines (%.1f per place)",
+		tasks, e.res.Unscheduled, scans, refScans, e.fitVisits, perPlace, e.scanVisits, float64(e.scanVisits)/float64(scans))
 	if float64(scans) > 1.25*float64(tasks) {
-		t.Errorf("%d scans for %d tasks: more than 1.25 per task", scans, tasks)
+		t.Errorf("%d place calls for %d tasks: more than 1.25 per task", scans, tasks)
 	}
 	if refScans < 3*scans {
-		t.Errorf("the reference pass scanned %d times, the pass %d: the scenario does not back its queues up", refScans, scans)
+		t.Errorf("the reference pass placed %d times, the pass %d: the scenario does not back its queues up", refScans, scans)
+	}
+	if perPlace > fitVisitsPerPlace {
+		t.Errorf("%.1f fit-tree node visits per place, want at most %d", perPlace, fitVisitsPerPlace)
 	}
 }
+
+// fitVisitsPerPlace bounds TestBaselineFleetScansAboutOncePerTask's
+// fit-tree node visits per place call: 10.0 measured, over 6.8 machines a
+// scan would visit at this scale, where the first fitting machine comes
+// early in types of 25 to 350 machines. On the full-scale scenario a place
+// visits 58 nodes where a scan visited 244 machines.
+const fitVisitsPerPlace = 12

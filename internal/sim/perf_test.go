@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func TestEventLoopSteadyStateAllocFree(t *testing.T) {
 				e.advanceTo(e.now + 1)
 				task.Submit = e.now
 				e.handleArrival(task)
-				e.advanceTo(e.running[0].finish)
+				e.advanceTo(e.running.next())
 				e.completeOne()
 				e.schedulePending()
 			}
@@ -84,38 +85,6 @@ func TestEventLoopSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
-}
-
-// The typed finish heap must order identically to container/heap's
-// sift rules: pops come out in finish order, ties broken by heap
-// mechanics, and interleaved push/pop keeps the min at the root.
-func TestFinishHeapOrdering(t *testing.T) {
-	var h finishHeap
-	finishes := []float64{9, 3, 7, 3, 1, 8, 2, 5, 4, 6, 0, 3}
-	for i, f := range finishes {
-		h.push(runningTask{finish: f, machine: i})
-	}
-	prev := -1.0
-	for len(h) > 0 {
-		if h[0].finish != h.minFinish() {
-			t.Fatal("root is not the minimum")
-		}
-		rt := h.pop()
-		if rt.finish < prev {
-			t.Fatalf("pop order violated: %g after %g", rt.finish, prev)
-		}
-		prev = rt.finish
-	}
-}
-
-func (h finishHeap) minFinish() float64 {
-	min := h[0].finish
-	for _, rt := range h {
-		if rt.finish < min {
-			min = rt.finish
-		}
-	}
-	return min
 }
 
 // MaxDelaySamples bounds delay-CDF memory without changing any other
@@ -151,13 +120,14 @@ func TestMaxDelaySamplesBoundsMemoryOnly(t *testing.T) {
 }
 
 // A source error surfaces as a Run error rather than a silent truncation,
-// and an out-of-order stream is rejected.
+// and an out-of-order stream, or a task whose submit or duration would
+// corrupt the run, is rejected with an error naming the task.
 func TestRunSourceErrors(t *testing.T) {
 	base := func() Config {
 		return Config{
 			Models:   simModels(),
 			Price:    energy.FlatPrice(0.1),
-			Policy:   &staticPolicy{name: "x", target: []int{5}},
+			Policy:   &staticPolicy{name: "x", target: []int{2, 1}},
 			Period:   300,
 			NumTypes: 1,
 			TypeOf:   func(trace.Task) int { return 0 },
@@ -167,22 +137,73 @@ func TestRunSourceErrors(t *testing.T) {
 	t.Run("failing source", func(t *testing.T) {
 		cfg := base()
 		cfg.Source = failAfterSource{n: 3}
-		if _, err := Run(cfg); err == nil {
-			t.Fatal("source error swallowed")
+		if _, err := Run(cfg); !errors.Is(err, errTestSource) {
+			t.Fatalf("source error swallowed: Run returned %v", err)
 		}
 	})
 	t.Run("out of order", func(t *testing.T) {
 		cfg := base()
 		cfg.Source = trace.NewSliceSource(&trace.Trace{
-			Machines: []trace.MachineType{{ID: 1, CPU: 1, Mem: 1, Count: 5}},
+			Machines: simTrace(nil, 0).Machines,
 			Horizon:  1000,
 			Tasks: []trace.Task{
 				{ID: 1, Submit: 500, Duration: 1, CPU: 0.1, Mem: 0.1},
 				{ID: 2, Submit: 100, Duration: 1, CPU: 0.1, Mem: 0.1},
 			},
 		})
-		if _, err := Run(cfg); err == nil {
-			t.Fatal("out-of-order stream accepted")
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of submit order") {
+			t.Fatalf("out-of-order stream: Run returned %v", err)
+		}
+	})
+	// A NaN submit used to give a NaN energy and switch the order check off
+	// for the next task; a negative duration finished a task before it
+	// started and moved the clock back. An oversized task is still accepted:
+	// it never fits and stays queued.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		submit []float64
+		dur    float64
+		bad    int // index of the task the error names; -1: no error
+	}{
+		{"NaN submit", []float64{nan}, 1, 0},
+		{"NaN submit between 10 and 3", []float64{10, nan, 3}, 1, 1},
+		{"infinite submit", []float64{inf}, 1, 0},
+		{"-Inf submit", []float64{-inf}, 1, 0},
+		{"NaN duration", []float64{5}, nan, 0},
+		{"negative duration", []float64{5}, -50, 0},
+		{"infinite duration", []float64{5}, inf, 0},
+		{"zero duration", []float64{5}, 0, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &trace.Trace{
+				Machines: simTrace(nil, 0).Machines,
+				Horizon:  1000,
+			}
+			for i, s := range tc.submit {
+				tr.Tasks = append(tr.Tasks, trace.Task{ID: uint64(7 + i), Submit: s, Duration: tc.dur, CPU: 0.1, Mem: 0.1})
+			}
+			cfg := base()
+			cfg.Source = trace.NewSliceSource(tr)
+			_, err := Run(cfg)
+			if (tc.bad < 0) != (err == nil) {
+				t.Fatalf("Run error %v, want an error: %v", err, tc.bad >= 0)
+			}
+			if name := fmt.Sprintf("task %d ", 7+tc.bad); err != nil && !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not name %q", err, name)
+			}
+		})
+	}
+	t.Run("oversized task", func(t *testing.T) {
+		cfg := base()
+		cfg.Source = trace.NewSliceSource(&trace.Trace{
+			Machines: simTrace(nil, 0).Machines,
+			Horizon:  1000,
+			Tasks:    []trace.Task{{ID: 1, Submit: 5, Duration: 1, CPU: 2, Mem: 2}},
+		})
+		res, err := Run(cfg)
+		if err != nil || res.Unscheduled != 1 {
+			t.Fatalf("oversized task: error %v, result %+v; want it accepted and left queued", err, res)
 		}
 	})
 	t.Run("no source", func(t *testing.T) {
@@ -201,7 +222,7 @@ type failAfterSource struct{ n int }
 
 func (s failAfterSource) Meta() trace.Meta {
 	return trace.Meta{
-		Machines: []trace.MachineType{{ID: 1, CPU: 1, Mem: 1, Count: 5}},
+		Machines: simTrace(nil, 0).Machines,
 		Horizon:  1000,
 		Tasks:    trace.TasksUnknown,
 	}

@@ -187,31 +187,67 @@ type runningTask struct {
 	cpu, mem float64 // reserved amounts on the machine
 }
 
+// finishKey is one finish-heap entry: a running task's finish time and
+// its slot in the heap's slab.
+type finishKey struct {
+	finish float64
+	slot   int32
+}
+
 // finishHeap is a typed binary min-heap on finish time. The sift
 // routines mirror container/heap exactly (same comparison and swap
-// order), so results are bit-identical to the boxed implementation it
-// replaces — but push/pop stay monomorphic and allocation-free instead
-// of boxing every runningTask through an interface.
-type finishHeap []runningTask
+// order), so tasks pop in the order of the boxed implementation it
+// replaces. It sifts 16-byte keys; the tasks stay put in a slab whose
+// free slots are reused, so push and pop are monomorphic and, once the
+// slab has grown to the peak running count, allocation-free.
+type finishHeap struct {
+	keys []finishKey
+	slab []runningTask
+	free []int32 // slab slots no key refers to
+}
+
+// next returns the earliest finish time, +Inf when nothing runs.
+func (h *finishHeap) next() float64 {
+	if len(h.keys) == 0 {
+		return math.Inf(1)
+	}
+	return h.keys[0].finish
+}
+
+// at returns the i-th task in heap order.
+func (h *finishHeap) at(i int) *runningTask { return &h.slab[h.keys[i].slot] }
 
 //harmony:hotpath
 func (h *finishHeap) push(rt runningTask) {
-	*h = append(*h, rt)
-	h.up(len(*h) - 1)
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = rt
+	} else {
+		slot = int32(len(h.slab))
+		h.slab = append(h.slab, rt)
+	}
+	h.keys = append(h.keys, finishKey{rt.finish, slot})
+	siftUp(h.keys, len(h.keys)-1)
 }
 
+// pop removes the task that finishes first. The task stays valid until
+// the next push.
+//
 //harmony:hotpath
-func (h *finishHeap) pop() runningTask {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	it := old[n]
-	*h = old[:n]
-	return it
+func (h *finishHeap) pop() *runningTask {
+	keys := h.keys
+	n := len(keys) - 1
+	keys[0], keys[n] = keys[n], keys[0]
+	siftDown(keys, 0, n)
+	slot := keys[n].slot
+	h.keys = keys[:n]
+	h.free = append(h.free, slot)
+	return &h.slab[slot]
 }
 
-func (h finishHeap) up(j int) {
+func siftUp(h []finishKey, j int) {
 	for {
 		i := (j - 1) / 2 // parent
 		if i == j || h[i].finish <= h[j].finish {
@@ -222,7 +258,7 @@ func (h finishHeap) up(j int) {
 	}
 }
 
-func (h finishHeap) down(i0, n int) {
+func siftDown(h []finishKey, i0, n int) {
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -267,8 +303,9 @@ type engine struct {
 	horizon float64
 
 	machines  []machine
-	typeFirst []int // first machine id per type (ids are contiguous per type)
-	active    []int // powered count per type
+	typeFirst []int     // first machine id per type (ids are contiguous per type)
+	active    []int     // powered count per type
+	fit       []fitTree // per type: usage bounds of its powered machines
 
 	// pending[group][taskType] is a FIFO queue; scheduling scans groups
 	// in descending priority, then types, so a stuck type cannot block
@@ -293,10 +330,14 @@ type engine struct {
 
 	// failed is schedulePending's scratch: the shapes that failed in the
 	// queue being walked (at most the fail budget). placeAttempts counts
-	// place calls, each a scan over the machines, over the run (cost
-	// contract of the dominance rule and of the tried runs).
+	// place calls over the run, fitVisits the fit-tree nodes they visited
+	// and scanVisits the machines a scan of each type would have visited
+	// (cost contracts of the dominance rule, the tried runs and the fit
+	// trees).
 	failed        []failedShape
 	placeAttempts int
+	fitVisits     int
+	scanVisits    int
 
 	// What the next scheduling pass may assume of the last one: tried
 	// mirrors pending, freed is the machine the completion just before the
@@ -375,6 +416,7 @@ func newEngine(cfg Config) *engine {
 		horizon:    meta.Horizon,
 		active:     make([]int, nm),
 		typeFirst:  make([]int, nm),
+		fit:        make([]fitTree, nm),
 		arrivals:   make([]int, cfg.NumTypes),
 		runningN:   make([]int, cfg.NumTypes),
 		sumUsedCPU: make([]float64, nm),
@@ -408,6 +450,7 @@ func newEngine(cfg Config) *engine {
 		e.occupancy[ti] = make([]int, cfg.NumTypes)
 		e.res.ActiveByType[ti].Name = fmt.Sprintf("active type %d", mt.ID)
 		e.typeFirst[ti] = len(e.machines)
+		e.fit[ti] = newFitTree(mt.Count)
 		for k := 0; k < mt.Count; k++ {
 			e.machines = append(e.machines, machine{typeIdx: ti})
 		}
@@ -433,6 +476,14 @@ func (e *engine) run() error {
 		}
 		have = ok
 		if ok {
+			// A NaN or infinite submit would make the energy NaN or stop the
+			// order check; a negative duration would move the clock back.
+			if math.IsNaN(next.Submit) || math.IsInf(next.Submit, 0) {
+				return fmt.Errorf("sim: task %d submit %g is not finite", next.ID, next.Submit)
+			}
+			if !(next.Duration >= 0) || math.IsInf(next.Duration, 1) {
+				return fmt.Errorf("sim: task %d duration %g not in [0,+Inf)", next.ID, next.Duration)
+			}
 			if next.Submit < prevSub {
 				return fmt.Errorf("sim: task %d out of submit order (%g after %g)",
 					next.ID, next.Submit, prevSub)
@@ -447,12 +498,9 @@ func (e *engine) run() error {
 
 	for {
 		// Next event time: min(arrival, completion, period boundary).
-		tArr, tFin := math.Inf(1), math.Inf(1)
+		tArr, tFin := math.Inf(1), e.running.next()
 		if have {
 			tArr = next.Submit
-		}
-		if len(e.running) > 0 {
-			tFin = e.running[0].finish
 		}
 		tEvt := math.Min(math.Min(tArr, tFin), nextPeriod)
 		if tEvt > e.horizon {
@@ -668,6 +716,7 @@ func (e *engine) setActive(ti, target int) {
 			if !m.on {
 				m.on = true
 				m.readyAt = e.now + e.cfg.BootDelay
+				e.refit(mi)
 				e.active[ti]++
 				e.res.SwitchEvents++
 				e.res.SwitchCost += cost
@@ -683,6 +732,7 @@ func (e *engine) setActive(ti, target int) {
 			m := &e.machines[mi]
 			if m.on && m.tasks == 0 {
 				m.on = false
+				e.refit(mi)
 				e.active[ti]--
 				e.res.SwitchEvents++
 				e.res.SwitchCost += cost
@@ -876,40 +926,13 @@ func (e *engine) fitsFreed(constraint string, taskType int, cpu, mem float64) bo
 		e.holds(m, &e.types[m.typeIdx], cpu, mem)
 }
 
-// placeInType scans the machines of one type: legacy first-fit by
-// default; best-fit (least leftover capacity) when the policy requests
-// scheduler coordination — best-fit keeps large contiguous slots
-// available, which matters because some containers occupy almost a
-// whole machine.
-//
-//harmony:hotpath
-func (e *engine) placeInType(ti int, mt trace.MachineType, cpu, mem float64) int {
-	first := e.typeFirst[ti]
-	best := -1
-	bestLeft := math.Inf(1)
-	for mi := first; mi < first+mt.Count; mi++ {
-		m := &e.machines[mi]
-		if !e.holds(m, &mt, cpu, mem) {
-			continue
-		}
-		if !e.bestFit {
-			return mi
-		}
-		left := (mt.CPU-m.usedCPU-cpu)/mt.CPU + (mt.Mem-m.usedMem-mem)/mt.Mem
-		if left < bestLeft {
-			bestLeft = left
-			best = mi
-		}
-	}
-	return best
-}
-
 //harmony:hotpath
 func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 	m := &e.machines[mi]
 	m.usedCPU += cpu
 	m.usedMem += mem
 	m.tasks++
+	e.refit(mi)
 	ti := m.typeIdx
 	e.sumUsedCPU[ti] += cpu
 	e.sumUsedMem[ti] += mem
@@ -967,6 +990,7 @@ func (e *engine) completeOne() {
 		m.usedMem = 0
 	}
 	m.tasks--
+	e.refit(rt.machine)
 	ti := m.typeIdx
 	e.sumUsedCPU[ti] -= rt.cpu
 	e.sumUsedMem[ti] -= rt.mem
@@ -1028,6 +1052,7 @@ func (e *engine) injectFailures() {
 		m.usedCPU = 0
 		m.usedMem = 0
 		m.tasks = 0
+		e.refit(mi)
 	}
 	if len(failed) == 0 {
 		return
@@ -1043,8 +1068,8 @@ func (e *engine) injectFailures() {
 		orderOf[mi] = i
 	}
 	aborted := make([][]*runningTask, len(failed))
-	for i := range e.running {
-		rt := &e.running[i]
+	for i := range e.running.keys {
+		rt := e.running.at(i)
 		oi, ok := orderOf[rt.machine]
 		if !ok || rt.epoch != liveEpoch[rt.machine] {
 			continue
@@ -1074,8 +1099,8 @@ func (e *engine) relabelRunning() {
 	if e.cfg.Relabel == nil {
 		return
 	}
-	for i := range e.running {
-		rt := &e.running[i]
+	for i := range e.running.keys {
+		rt := e.running.at(i)
 		if rt.epoch != e.machines[rt.machine].epoch {
 			continue
 		}

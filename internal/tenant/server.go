@@ -153,7 +153,7 @@ type ingestResponse struct {
 // NDJSON — the same wire formats as the single-tenant daemon). Each task
 // routes by its "tenant" field; a ?tenant= query parameter supplies the
 // tag for untagged tasks. Tasks naming unknown tenants or failing
-// daemon.ValidateTask are counted invalid at admission, and a body with
+// trace.Task.Validate are counted invalid at admission, and a body with
 // nothing valid is a 400 naming the first reason; a full tenant queue (or
 // the global cap) rejects the remainder of that tenant's tasks with 429.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
@@ -175,7 +175,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		}
 		ts, err := s.multi.resolve(t.Tenant)
 		if err == nil {
-			if err = daemon.ValidateTask(t); err != nil {
+			if err = t.Validate(); err != nil {
 				s.multi.recordInvalid(ts)
 			}
 		}

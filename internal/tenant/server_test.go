@@ -116,7 +116,7 @@ func TestRoutingByTenantTag(t *testing.T) {
 }
 
 // TestIngestValidatesAtAdmission posts a task that fails
-// daemon.ValidateTask and an untagged null task beside a valid one: both
+// trace.Task.Validate and an untagged null task beside a valid one: both
 // count as invalid, not accepted, the validation failure is charged to its
 // tenant, and a body with nothing valid is a 400 that names the reason.
 func TestIngestValidatesAtAdmission(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -135,16 +136,16 @@ func taskFromCSV(rec []string) (Task, error) {
 	if t.JobID, err = strconv.ParseUint(rec[1], 10, 64); err != nil {
 		return t, fmt.Errorf("job: %w", err)
 	}
-	if t.Submit, err = strconv.ParseFloat(rec[2], 64); err != nil {
+	if t.Submit, err = parseFinite(rec[2]); err != nil {
 		return t, fmt.Errorf("submit: %w", err)
 	}
-	if t.Duration, err = strconv.ParseFloat(rec[3], 64); err != nil {
+	if t.Duration, err = parseFinite(rec[3]); err != nil {
 		return t, fmt.Errorf("duration: %w", err)
 	}
-	if t.CPU, err = strconv.ParseFloat(rec[4], 64); err != nil {
+	if t.CPU, err = parseFinite(rec[4]); err != nil {
 		return t, fmt.Errorf("cpu: %w", err)
 	}
-	if t.Mem, err = strconv.ParseFloat(rec[5], 64); err != nil {
+	if t.Mem, err = parseFinite(rec[5]); err != nil {
 		return t, fmt.Errorf("mem: %w", err)
 	}
 	if t.Priority, err = strconv.Atoi(rec[6]); err != nil {
@@ -155,4 +156,15 @@ func taskFromCSV(rec []string) (Task, error) {
 	}
 	t.Constraint = rec[8]
 	return t, nil
+}
+
+// parseFinite parses a float that is neither NaN nor infinite: strconv
+// accepts "NaN" and "Inf", which a JSON-lines trace cannot carry, and a
+// NaN submit would switch the source's order check off.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not finite", s)
+	}
+	return v, err
 }

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -129,40 +130,51 @@ func (tr *Trace) SortTasks() {
 	})
 }
 
-// Validate checks internal consistency: sorted non-negative submissions,
-// positive durations, demands in (0,1], and a non-empty machine population.
+// Validate checks one task against the model: a positive finite
+// duration, demands in (0,1], priority in [0,11], class in [0,3] and a
+// finite non-negative submit. The tests are written as !(x > 0) so that a
+// NaN field, which compares false against everything, is rejected rather
+// than slipping past an x <= 0 guard.
+func (t Task) Validate() error {
+	if !(t.Duration > 0) || math.IsInf(t.Duration, 1) {
+		return fmt.Errorf("trace: task %d duration not in (0,+Inf)", t.ID)
+	}
+	if !(t.CPU > 0 && t.CPU <= 1) || !(t.Mem > 0 && t.Mem <= 1) {
+		return fmt.Errorf("trace: task %d demand out of (0,1]", t.ID)
+	}
+	if t.Priority < 0 || t.Priority > 11 {
+		return fmt.Errorf("trace: task %d priority out of [0,11]", t.ID)
+	}
+	if t.SchedClass < 0 || t.SchedClass > 3 {
+		return fmt.Errorf("trace: task %d sched class out of [0,3]", t.ID)
+	}
+	if !(t.Submit >= 0) || math.IsInf(t.Submit, 1) {
+		return fmt.Errorf("trace: task %d submit not in [0,+Inf)", t.ID)
+	}
+	return nil
+}
+
+// Validate checks internal consistency: a non-empty machine population
+// with capacities in (0,1], every task valid (Task.Validate), and tasks
+// sorted by submit.
 func (tr *Trace) Validate() error {
 	if len(tr.Machines) == 0 {
 		return fmt.Errorf("trace: no machine types")
 	}
 	for _, m := range tr.Machines {
-		if m.CPU <= 0 || m.CPU > 1 || m.Mem <= 0 || m.Mem > 1 {
+		if !(m.CPU > 0 && m.CPU <= 1) || !(m.Mem > 0 && m.Mem <= 1) {
 			return fmt.Errorf("trace: machine type %d capacity out of (0,1]", m.ID)
 		}
 		if m.Count < 0 {
 			return fmt.Errorf("trace: machine type %d negative count", m.ID)
 		}
 	}
-	prev := -1.0
 	for i, t := range tr.Tasks {
-		if t.Submit < 0 {
-			return fmt.Errorf("trace: task %d negative submit", i)
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("%w (index %d)", err, i)
 		}
-		if t.Submit < prev {
+		if i > 0 && t.Submit < tr.Tasks[i-1].Submit {
 			return fmt.Errorf("trace: tasks not sorted at index %d", i)
-		}
-		prev = t.Submit
-		if t.Duration <= 0 {
-			return fmt.Errorf("trace: task %d non-positive duration", i)
-		}
-		if t.CPU <= 0 || t.CPU > 1 || t.Mem <= 0 || t.Mem > 1 {
-			return fmt.Errorf("trace: task %d demand out of (0,1]", i)
-		}
-		if t.Priority < 0 || t.Priority > 11 {
-			return fmt.Errorf("trace: task %d priority out of [0,11]", i)
-		}
-		if t.SchedClass < 0 || t.SchedClass > 3 {
-			return fmt.Errorf("trace: task %d sched class out of [0,3]", i)
 		}
 	}
 	return nil

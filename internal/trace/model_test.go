@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,21 @@ func TestTraceValidate(t *testing.T) {
 		{"oversized task", func(tr *Trace) { tr.Tasks[0].CPU = 1.2 }},
 		{"bad priority", func(tr *Trace) { tr.Tasks[0].Priority = 12 }},
 		{"bad class", func(tr *Trace) { tr.Tasks[0].SchedClass = 4 }},
+		// NaN compares false against everything and must not pass as in range.
+		{"NaN machine cpu", func(tr *Trace) { tr.Machines[0].CPU = math.NaN() }},
+		{"NaN machine mem", func(tr *Trace) { tr.Machines[0].Mem = math.NaN() }},
+		{"infinite machine cpu", func(tr *Trace) { tr.Machines[0].CPU = math.Inf(1) }},
+		{"NaN submit", func(tr *Trace) { tr.Tasks[1].Submit = math.NaN() }},
+		{"infinite submit", func(tr *Trace) { tr.Tasks[1].Submit = math.Inf(1) }},
+		{"-Inf submit", func(tr *Trace) { tr.Tasks[0].Submit = math.Inf(-1) }},
+		{"NaN duration", func(tr *Trace) { tr.Tasks[0].Duration = math.NaN() }},
+		{"infinite duration", func(tr *Trace) { tr.Tasks[0].Duration = math.Inf(1) }},
+		{"NaN cpu", func(tr *Trace) { tr.Tasks[0].CPU = math.NaN() }},
+		{"NaN mem", func(tr *Trace) { tr.Tasks[0].Mem = math.NaN() }},
+		{"-Inf cpu", func(tr *Trace) { tr.Tasks[0].CPU = math.Inf(-1) }},
+		{"NaN submit, +Inf duration, NaN cpu", func(tr *Trace) {
+			tr.Tasks[1].Submit, tr.Tasks[1].Duration, tr.Tasks[1].CPU = math.NaN(), math.Inf(1), math.NaN()
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
