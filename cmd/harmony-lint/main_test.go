@@ -43,10 +43,13 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run -list = %d, stderr %q", code, errOut.String())
 	}
-	for _, name := range []string{"deferclose", "detertaint", "divzero", "floateq", "goleak", "lockedfield", "lockorder", "nansource", "rngdiscipline", "sortedemit"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := "deferclose detertaint divzero errflow floateq goleak hotpathalloc lockedfield nansource rngdiscipline sortedemit unusedallow"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("-list names = %q, want the 12 analyzers %q", got, want)
 	}
 }
 

@@ -167,7 +167,6 @@ func TestFloatEqFixture(t *testing.T)       { runFixture(t, "floateq", FloatEq) 
 func TestDeterTaintFixture(t *testing.T)    { runFixture(t, "detertaint", DeterTaint) }
 func TestCtxFlowFixture(t *testing.T)       { runFixture(t, "ctxflow", GoLeak) }
 func TestDeferCloseFixture(t *testing.T)    { runFixture(t, "deferclose", DeferClose) }
-func TestLockOrderFixture(t *testing.T)     { runFixture(t, "lockorder", LockOrder) }
 func TestLockedFieldFixture(t *testing.T)   { runFixture(t, "lockedfield", LockedField) }
 func TestGoLeakFixture(t *testing.T)        { runFixture(t, "goleak", GoLeak) }
 func TestHotPathAllocFixture(t *testing.T)  { runFixture(t, "hotpathalloc", HotPathAlloc) }
@@ -224,18 +223,16 @@ func TestScopes(t *testing.T) {
 		{ScopeSpawn, "harmony/internal/stats", false},
 		{ScopeSpawn, "harmony/internal/metrics", false},
 
-		// The lock-centric scopes widen the concurrent surface.
-		{ScopeLockOrder, "harmony/internal/tenant", true},
-		{ScopeLockOrder, "harmony/internal/metrics", true},
-		{ScopeLockOrder, "harmony/internal/stats", false},
+		// The lock scope widens the concurrent surface by the mutex
+		// owners and harmonyd's tickers and files.
 		{ScopeRelease, "harmony/internal/daemon", true},
+		{ScopeRelease, "harmony/internal/tenant", true},
 		{ScopeRelease, "harmony/internal/metrics", true},
 		{ScopeRelease, "harmony/cmd/harmonyd", true},
 		{ScopeRelease, "harmony/internal/sim", false},
 		{ScopeRelease, "harmony/internal/trace", false},
 		{ScopeRelease, "harmony/internal/stats", false},
-		{ScopeLockOwning, "harmony/internal/metrics", true},
-		{ScopeLockOwning, "harmony/internal/core", false},
+		{ScopeRelease, "harmony/internal/core", false},
 
 		// The value-flow analyzers share the numeric surface (the
 		// energy→cost and demand chains).

@@ -188,7 +188,7 @@ b8 exit:
 // kindsProblem collects the set of block kinds traversed from the
 // boundary — a may-analysis whose lattice (sets under union) saturates,
 // so loops converge. Facts are treated as immutable.
-type kindsProblem struct{}
+type kindsProblem struct{ plainEdges[map[string]bool] }
 
 func (kindsProblem) Boundary() map[string]bool { return map[string]bool{} }
 
@@ -248,7 +248,7 @@ func f(c bool) {
 	}
 }`)
 	c := NewCFG(body)
-	sol := Solve(c, kindsProblem{}, Forward)
+	sol := Solve[map[string]bool](c, kindsProblem{})
 
 	in, ok := sol.In[c.Exit]
 	if !ok {
@@ -273,7 +273,7 @@ func f(c bool) {
 	done()
 }`)
 	c := NewCFG(body)
-	sol := Solve(c, kindsProblem{}, Forward)
+	sol := Solve[map[string]bool](c, kindsProblem{})
 
 	for _, blk := range c.Blocks {
 		switch blk.Kind {
@@ -289,109 +289,47 @@ func f(c bool) {
 	}
 }
 
-// TestSolveBackward runs the same collector against the flow: the entry
-// block's backward fact holds everything between it and exit.
-func TestSolveBackward(t *testing.T) {
+// edgeProblem is the kind-collector with an edge step: every edge out of
+// an if adds "from→to", so a successor's fact records the branch taken.
+type edgeProblem struct{ kindsProblem }
+
+func (edgeProblem) Refine(from, to *Block, out map[string]bool) map[string]bool {
+	if _, ok := from.Term.(*ast.IfStmt); !ok {
+		return out
+	}
+	return kindsProblem{}.Merge(out, map[string]bool{from.Kind + "→" + to.Kind: true})
+}
+
+// TestSolveRefinesEdges: the edge step applies per edge, before the
+// merge — each arm sees only its own edge, the join sees both, and the
+// solution's Out stays the unrefined transfer result.
+func TestSolveRefinesEdges(t *testing.T) {
 	_, body := parseBody(t, `
 func f(c bool) {
 	if c {
 		work()
+	} else {
+		rest()
 	}
 	done()
 }`)
 	c := NewCFG(body)
-	sol := Solve(c, kindsProblem{}, Backward)
+	sol := Solve[map[string]bool](c, edgeProblem{})
 
-	in, ok := sol.In[c.Entry]
-	if !ok {
-		t.Fatal("entry block missing from backward solution")
-	}
-	if got, want := kindSet(in), "exit if.done if.then"; got != want {
-		t.Errorf("kinds leaving entry (backward) = %q, want %q", got, want)
-	}
-}
-
-// liveProblem is textbook liveness — a genuinely backward kill/gen
-// problem, unlike the saturating kind-collector above: facts are sets of
-// variable names, an assignment kills its target before generating its
-// operands, and Transfer replays each block's Nodes in reverse.
-type liveProblem struct{}
-
-func (liveProblem) Boundary() map[string]bool { return map[string]bool{} }
-
-func (liveProblem) Transfer(b *Block, in map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(in))
-	for k := range in {
-		out[k] = true
-	}
-	for i := len(b.Nodes) - 1; i >= 0; i-- {
-		n := b.Nodes[i]
-		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
-			if id, ok := as.Lhs[0].(*ast.Ident); ok {
-				delete(out, id.Name) // kill before gen: x := x+1 keeps x live
-			}
-			for _, rhs := range as.Rhs {
-				ast.Inspect(rhs, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						out[id.Name] = true
-					}
-					return true
-				})
-			}
-			continue
-		}
-		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				out[id.Name] = true
-			}
-			return true
-		})
-	}
-	return out
-}
-
-func (liveProblem) Merge(a, b map[string]bool) map[string]bool {
-	return kindsProblem{}.Merge(a, b)
-}
-
-func (liveProblem) Equal(a, b map[string]bool) bool {
-	return kindsProblem{}.Equal(a, b)
-}
-
-// TestSolveLiveness drives liveness through the backward solver and
-// pins the per-block facts: every parameter is live at function start,
-// the killed temporary x is dead there, only a survives into the
-// overwriting branch, and only y is live at the join's start.
-func TestSolveLiveness(t *testing.T) {
-	_, body := parseBody(t, `
-func f(a, b, c int) int {
-	x := a + b
-	y := x * 2
-	if c > 0 {
-		y = a
-	}
-	return y
-}`)
-	c := NewCFG(body)
-	sol := Solve(c, liveProblem{}, Backward)
-
-	// Backward flow: Out[blk] is the fact at the block's *start*.
-	wantAtStart := map[string]string{
-		"entry":   "a b c",
-		"if.then": "a",
-		"if.done": "y",
+	want := map[string]string{
+		"if.then": "entry entry→if.then",
+		"if.else": "entry entry→if.else",
+		"if.done": "entry entry→if.else entry→if.then if.else if.then",
 	}
 	for _, blk := range c.Blocks {
-		want, ok := wantAtStart[blk.Kind]
-		if !ok {
-			continue
-		}
-		if got := kindSet(sol.Out[blk]); got != want {
-			t.Errorf("live at start of %s = %q, want %q", blk.Kind, got, want)
+		if w, ok := want[blk.Kind]; ok {
+			if got := kindSet(sol.In[blk]); got != w {
+				t.Errorf("facts into %s = %q, want %q", blk.Kind, got, w)
+			}
 		}
 	}
-	if live := sol.Out[c.Entry]; live["x"] || live["y"] {
-		t.Errorf("x/y live at function start: %q — kills not applied", kindSet(live))
+	if got := kindSet(sol.Out[c.Entry]); got != "entry" {
+		t.Errorf("entry out-fact = %q, want the unrefined %q", got, "entry")
 	}
 }
 
@@ -406,7 +344,7 @@ func f() int {
 	_ = x
 }`)
 	c := NewCFG(body)
-	sol := Solve(c, kindsProblem{}, Forward)
+	sol := Solve[map[string]bool](c, kindsProblem{})
 	for _, blk := range c.Blocks {
 		if blk.Kind != "dead" {
 			continue

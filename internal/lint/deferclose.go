@@ -17,24 +17,31 @@ package lint
 //     default, range over a channel, WaitGroup.Wait, time.Sleep,
 //     net/http round-trips — runs while a mutex is held. Here deferred
 //     unlocks do NOT release: a lock held to function exit is held at
-//     the blocking site.
+//     the blocking site. Taking a second lock blocks too: a Lock/RLock
+//     while any lock may be held, or a call whose callee takes a
+//     module-wide lock, itself or through its callees. Locks are never
+//     nested, so no two paths can take them in opposite orders and no
+//     lock-order deadlock can form.
 //
 // Both checks are flow-sensitive: a resource released on one branch and
 // leaked on another is reported with the leaking side's position.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"maps"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 var DeferClose = &Analyzer{
 	Name: "deferclose",
 	Doc: "require every acquired resource (locks, tickers, files, response bodies) to be " +
-		"released on all paths, and forbid blocking calls while a mutex is held",
+		"released on all paths, and forbid blocking calls and nested lock acquisitions while a mutex is held",
 	RunModule: runDeferClose,
 }
 
@@ -55,16 +62,20 @@ type openRes map[string]resAcq
 // runDeferClose checks every in-scope function; literals run the same
 // checks on their own CFGs.
 func runDeferClose(pass *ModulePass) {
+	takers := make(lockTakers)
 	for _, n := range pass.Graph.Funcs {
 		if pass.InScope(ScopeRelease, n.Pkg.Path) {
 			checkFuncResources(pass, n)
-			checkFuncBlocking(pass, n)
+			checkFuncBlocking(pass, n, takers)
 		}
 	}
 }
 
 // resProblem is the forward may-open-resource analysis.
-type resProblem struct{ pkg *Package }
+type resProblem struct {
+	plainEdges[openRes]
+	pkg *Package
+}
 
 func (p resProblem) Boundary() openRes { return make(openRes) }
 
@@ -341,7 +352,7 @@ func resourceAcquisition(pkg *Package, call *ast.CallExpr) (what, release string
 // the function exit.
 func checkFuncResources(pass *ModulePass, n *Node) {
 	cfg := n.CFG()
-	sol := Solve[openRes](cfg, resProblem{pkg: n.Pkg}, Forward)
+	sol := Solve[openRes](cfg, resProblem{pkg: n.Pkg})
 
 	// Walk exit predecessors: each carries the facts of the paths that
 	// end there. Report once per resource, at the acquisition.
@@ -394,13 +405,13 @@ func blockEndPos(blk *Block) token.Pos {
 // checkFuncBlocking reports blocking operations while a mutex is held.
 // Locks released only by defer stay held to the exit — exactly the
 // semantics the held-span lockset implements.
-func checkFuncBlocking(pass *ModulePass, n *Node) {
+func checkFuncBlocking(pass *ModulePass, n *Node, takers lockTakers) {
 	sol := n.MayLocks()
 	walkLocksets(n, sol, func(blk *Block, nd ast.Node, held heldLocks) {
 		if len(held) == 0 || nd == blk.Comm {
 			return
 		}
-		if what, ok := blockingNode(n.Pkg, nd); ok {
+		if what, ok := blockingNode(n, nd, takers); ok {
 			reportBlocked(pass, nd.Pos(), what, held)
 		}
 	})
@@ -433,8 +444,10 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 	return false
 }
 
-// blockingNode recognizes blocking operations inside one CFG node.
-func blockingNode(pkg *Package, n ast.Node) (string, bool) {
+// blockingNode recognizes blocking operations inside one CFG node of fn:
+// channel operations, blocking calls, lock acquisitions, and calls whose
+// callee takes a module-wide lock.
+func blockingNode(fn *Node, n ast.Node, takers lockTakers) (string, bool) {
 	found := ""
 	walkNodeOps(n, func(m ast.Node) {
 		if found != "" {
@@ -448,12 +461,62 @@ func blockingNode(pkg *Package, n ast.Node) (string, bool) {
 				found = "channel receive"
 			}
 		case *ast.CallExpr:
-			if what, ok := blockingOp(pkg, v); ok {
+			if recv, kind, ok := mutexOp(fn.Pkg, v); ok {
+				if kind == "Lock" || kind == "RLock" {
+					found = kind + " of " + describeLock(resolveLockRef(fn.Pkg, recv))
+				}
+				return
+			}
+			if what, ok := blockingOp(fn.Pkg, v); ok {
 				found = what
+				return
+			}
+			for _, e := range fn.EdgesAt(v.Pos()) {
+				if !summaryEdgeOK(e) {
+					continue
+				}
+				if ids := takers.via(e.Callee); len(ids) > 0 {
+					found = "call to " + e.Callee.Name + ", which takes " + strings.Join(ids, ", ") + ","
+					return
+				}
 			}
 		}
 	})
 	return found, found != ""
+}
+
+// lockTakers memoizes, per function, the module-wide locks a call to it
+// may take: its own acquisitions (deferred ones excluded — they run at
+// its exit) and, transitively, those of its callees along
+// summaryEdgeOK edges. Locals and parameters have no module-wide name
+// and take part only in their own function's lockset.
+type lockTakers map[*Node][]string
+
+func (lt lockTakers) via(callee *Node) []string {
+	if ids, ok := lt[callee]; ok {
+		return ids
+	}
+	set := make(map[string]bool)
+	seen := map[*Node]bool{callee: true}
+	for stack := []*Node{callee}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		walkNodeOps(n.Body(), func(a ast.Node) {
+			if recv, kind, ok := mutexOp(n.Pkg, a); ok && (kind == "Lock" || kind == "RLock") {
+				if id := resolveLockRef(n.Pkg, recv).Global; id != "" {
+					set[id] = true
+				}
+			}
+		})
+		for _, e := range n.Out {
+			if summaryEdgeOK(e) && !seen[e.Callee] {
+				seen[e.Callee] = true
+				stack = append(stack, e.Callee)
+			}
+		}
+	}
+	lt[callee] = sortedKeys(set)
+	return lt[callee]
 }
 
 func reportBlocked(pass *ModulePass, pos token.Pos, what string, held heldLocks) {
@@ -462,4 +525,10 @@ func reportBlocked(pass *ModulePass, pos token.Pos, what string, held heldLocks)
 	pass.Reportf(pos,
 		"blocking %s while holding %s (acquired at %s): a blocked lock holder stalls every reader of the control plane (//harmony:allow deferclose <reason> to permit)",
 		what, describeLock(h.Ref), shortPos(pass.Fset(), h.Pos))
+}
+
+// shortPos renders a position as base-filename:line for messages.
+func shortPos(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -319,7 +319,6 @@ func All() []*Analyzer {
 		GoLeak,
 		HotPathAlloc,
 		LockedField,
-		LockOrder,
 		NaNSource,
 		RNGDiscipline,
 		SortedEmit,

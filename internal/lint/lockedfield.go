@@ -58,7 +58,7 @@ type lfGroup struct {
 }
 
 func runLockedField(pass *ModulePass) {
-	covered := func(pkgPath string) bool { return pass.InScope(ScopeLockOwning, pkgPath) }
+	covered := func(pkgPath string) bool { return pass.InScope(ScopeRelease, pkgPath) }
 	declared := collectGuardedBy(pass)
 	entries := computeEntryLocksets(pass)
 
@@ -178,7 +178,7 @@ func reportGuardFindings(pass *ModulePass, groups map[string]*lfGroup) {
 func collectGuardedBy(pass *ModulePass) map[string]string {
 	out := make(map[string]string)
 	pass.inspectFiles(func(pkg *Package, a ast.Node) bool {
-		if !pass.InScope(ScopeLockOwning, pkg.Path) {
+		if !pass.InScope(ScopeRelease, pkg.Path) {
 			return false
 		}
 		ts, ok := a.(*ast.TypeSpec)
@@ -310,7 +310,7 @@ func computeEntryLocksets(pass *ModulePass) map[*Node]heldLocks {
 		proposals := make(map[*Node][]heldLocks)
 		litEntries := make(map[*Node]heldLocks)
 		for _, n := range g.Funcs {
-			if !pass.InScope(ScopeLockOwning, n.Pkg.Path) {
+			if !pass.InScope(ScopeRelease, n.Pkg.Path) {
 				continue
 			}
 			walkLocksets(n, n.MustLocks(entries[n]), func(_ *Block, nd ast.Node, held heldLocks) {

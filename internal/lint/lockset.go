@@ -2,14 +2,15 @@ package lint
 
 // Shared machinery for the flow-sensitive concurrency analyzers:
 // mutex/channel identity resolution, recognition of sync primitive and
-// blocking calls, and the held-lockset dataflow problem the lockorder /
-// lockedfield / deferclose analyzers run over function CFGs.
+// blocking calls, and the held-lockset dataflow problem the lockedfield
+// and deferclose analyzers run over function CFGs.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"maps"
+	"sort"
 )
 
 // lockRef identifies one mutex value at a program point.
@@ -52,6 +53,16 @@ func sortedHeld(h heldLocks) []lockAcq {
 		out = append(out, h[k])
 	}
 	return out
+}
+
+// sortedKeys returns a map's keys in order, for deterministic iteration.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // importPathOf resolves the import path behind a selector base, or ""
@@ -224,9 +235,10 @@ func applyLockOps(pkg *Package, n ast.Node, fact heldLocks) heldLocks {
 
 // lockProblem is the forward held-lockset analysis. must selects the
 // merge: intersection proves a lock is held on every path (lockedfield
-// guard checks), union tracks locks that may be held (lockorder edges,
-// blocking-under-lock).
+// guard checks), union tracks locks that may be held (blocking and
+// nested acquisitions under a lock).
 type lockProblem struct {
+	plainEdges[heldLocks]
 	pkg   *Package
 	must  bool
 	entry heldLocks
@@ -274,7 +286,7 @@ func (p lockProblem) Equal(a, b heldLocks) bool { return heldEqual(a, b) }
 // solveLocksets runs the held-lockset analysis over a function body;
 // analyzers get its solutions through Node.MayLocks / Node.MustLocks.
 func solveLocksets(pkg *Package, c *CFG, must bool, entry heldLocks) Solution[heldLocks] {
-	return Solve[heldLocks](c, lockProblem{pkg: pkg, must: must, entry: entry}, Forward)
+	return Solve[heldLocks](c, lockProblem{pkg: pkg, must: must, entry: entry})
 }
 
 // blockingOp recognizes calls that can block indefinitely: net/http
@@ -360,7 +372,7 @@ func describeLock(ref lockRef) string {
 // summaries: normal call/defer edges, excluding goroutine spawns (the
 // spawnee runs on its own stack, caller locks are not held there) and
 // dynamic dispatch except provably-local closures (CHA candidate sets
-// would manufacture lock-order edges that no execution takes).
+// would manufacture nested acquisitions that no execution takes).
 func summaryEdgeOK(e *Edge) bool {
 	if e.Kind == EdgeGo {
 		return false

@@ -94,7 +94,11 @@ var mutationTable = []mutant{
 		{"internal/tenant/multi.go",
 			"CostDollars:   ts.cost,\n\t\t}\n\t\tts.mu.Unlock()",
 			"CostDollars:   ts.cost,\n\t\t}\n\t\tts.group.mu.Lock()\n\t\tst.SLOViolations = ts.group.violations\n\t\tts.group.mu.Unlock()\n\t\tts.mu.Unlock()"}},
-		[]string{"lockorder"}},
+		[]string{"deferclose"}},
+	{"tick result handed over under the engine lock", []edit{{"internal/daemon/engine.go",
+		"\t\te.solving.Store(false)\n\t\tdone <- result{plan, err}\n",
+		"\t\te.mu.Lock()\n\t\te.solving.Store(false)\n\t\tdone <- result{plan, err}\n\t\te.mu.Unlock()\n"}},
+		[]string{"deferclose"}},
 	{"log-normal mean not validated", []edit{{"internal/trace/generator.go",
 		"mean := g.ShortMean\n\t\tif mean <= 0 {\n\t\t\tmean = 1\n\t\t}\n",
 		"mean := g.ShortMean\n"}},

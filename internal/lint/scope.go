@@ -11,15 +11,10 @@ const (
 	ScopeDeterministic Scope = iota
 	// ScopeSpawn: where goroutines are spawned and must be joined (goleak).
 	ScopeSpawn
-	// ScopeLockOrder: ScopeSpawn plus metrics, whose vecs lock (lockorder).
-	ScopeLockOrder
 	// ScopeRelease: the concurrent surface plus metrics and harmonyd, the
 	// code that holds locks, tickers, files, and response bodies
-	// (deferclose).
+	// (deferclose), and whose struct types own mutexes (lockedfield).
 	ScopeRelease
-	// ScopeLockOwning: packages whose struct types own mutexes
-	// (lockedfield).
-	ScopeLockOwning
 	// ScopeNumeric: the numeric surface — the energy→cost chain and the
 	// demand chain (divzero, nansource).
 	ScopeNumeric
@@ -54,10 +49,8 @@ var scopeTable = map[Scope]map[string]bool{
 		"harmony/cmd/harmonyd",
 	),
 	// trace: streaming sources are single-goroutine by contract.
-	ScopeSpawn:      scopeSet(concurrentSurface, "harmony/internal/trace"),
-	ScopeLockOrder:  scopeSet(concurrentSurface, "harmony/internal/trace", "harmony/internal/metrics"),
-	ScopeRelease:    scopeSet(concurrentSurface, "harmony/internal/metrics", "harmony/cmd/harmonyd"),
-	ScopeLockOwning: scopeSet(nil, "harmony/internal/daemon", "harmony/internal/tenant", "harmony/internal/metrics"),
+	ScopeSpawn:   scopeSet(concurrentSurface, "harmony/internal/trace"),
+	ScopeRelease: scopeSet(concurrentSurface, "harmony/internal/metrics", "harmony/cmd/harmonyd"),
 	ScopeNumeric: scopeSet(nil,
 		"harmony/internal/energy",
 		"harmony/internal/tenant",

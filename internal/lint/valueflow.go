@@ -62,7 +62,6 @@ type funcFlow struct {
 	rngDefs map[*ast.RangeStmt][]*defSite // range stmt -> key/value defs
 	tracked map[*types.Var]bool
 	useDefs map[*ast.Ident][]int // use ident -> reaching def ids (sorted)
-	sol     Solution[reachFact]
 }
 
 // funcSignature resolves the *types.Signature of a call-graph node.
@@ -88,8 +87,9 @@ func newFuncFlow(fn *Node) *funcFlow {
 	}
 	ff.collectTracked()
 	ff.collectDefs(funcSignature(fn))
-	ff.sol = Solve[reachFact](ff.cfg, &reachDefsProblem{ff: ff}, Forward)
-	ff.replayUses()
+	sol := Solve[reachFact](ff.cfg, &reachDefsProblem{ff: ff})
+	// Within one statement the pre-state applies (x = x+1 reads the old x).
+	replay(ff.cfg, sol, ff.step, func(_ *Block, n ast.Node, cur reachFact) { ff.recordUses(n, cur) })
 	return ff
 }
 
@@ -276,7 +276,10 @@ func (ff *funcFlow) assignDefs(n ast.Node, s *ast.AssignStmt, bind func(ast.Node
 // may reach this program point.
 type reachFact map[*types.Var][]int
 
-type reachDefsProblem struct{ ff *funcFlow }
+type reachDefsProblem struct {
+	plainEdges[reachFact]
+	ff *funcFlow
+}
 
 func (p *reachDefsProblem) Boundary() reachFact {
 	f := make(reachFact)
@@ -289,19 +292,28 @@ func (p *reachDefsProblem) Boundary() reachFact {
 }
 
 func (p *reachDefsProblem) Transfer(b *Block, in reachFact) reachFact {
-	out := make(reachFact, len(in))
-	for v, ids := range in {
-		out[v] = ids
-	}
+	out := in
 	for _, n := range b.Nodes {
-		for _, d := range p.ff.defsIn[n] {
-			out[d.v] = []int{d.id}
-		}
+		out = p.ff.step(n, out)
 	}
 	if rs, ok := b.Term.(*ast.RangeStmt); ok {
-		for _, d := range p.ff.rngDefs[rs] {
-			out[d.v] = []int{d.id}
-		}
+		out = bindDefs(out, p.ff.rngDefs[rs])
+	}
+	return out
+}
+
+// step folds one block-level node's defs into a reaching-defs fact.
+func (ff *funcFlow) step(n ast.Node, in reachFact) reachFact { return bindDefs(in, ff.defsIn[n]) }
+
+// bindDefs makes each def the only one reaching its variable, copying
+// the fact first when there is anything to bind.
+func bindDefs(in reachFact, defs []*defSite) reachFact {
+	if len(defs) == 0 {
+		return in
+	}
+	out := maps.Clone(in)
+	for _, d := range defs {
+		out[d.v] = []int{d.id}
 	}
 	return out
 }
@@ -354,28 +366,6 @@ func unionSorted(a, b []int) []int {
 		}
 	}
 	return out[:w]
-}
-
-// replayUses walks each reachable block with its entry fact and records,
-// for every use of a tracked variable, the defs reaching it. Within one
-// statement the pre-state applies (x = x+1 reads the old x).
-func (ff *funcFlow) replayUses() {
-	for _, blk := range ff.cfg.Blocks {
-		in, ok := ff.sol.In[blk]
-		if !ok {
-			continue // unreachable
-		}
-		cur := make(reachFact, len(in))
-		for v, ids := range in {
-			cur[v] = ids
-		}
-		for _, n := range blk.Nodes {
-			ff.recordUses(n, cur)
-			for _, d := range ff.defsIn[n] {
-				cur[d.v] = []int{d.id}
-			}
-		}
-	}
 }
 
 // recordUses registers the reaching defs for each tracked-variable use
@@ -520,9 +510,9 @@ type factKey struct {
 
 type factState map[factKey]factBits
 
-// funcFacts holds the per-node entry states of the fact analysis: a
-// custom worklist (the generic solver is block-grained, and facts need
-// branch-edge refinement) with intersection merges at joins.
+// funcFacts holds the per-node entry states of the fact analysis, a
+// forward must-problem for Solve: intersection at joins, and an edge
+// step that adds what a branch condition proves on that edge.
 type funcFacts struct {
 	ff     *funcFlow
 	atNode map[ast.Node]factState // entry state per block-level node
@@ -530,73 +520,43 @@ type funcFacts struct {
 
 func newFuncFacts(ff *funcFlow) *funcFacts {
 	fc := &funcFacts{ff: ff, atNode: make(map[ast.Node]factState)}
-	fc.solve()
+	sol := Solve[factState](ff.cfg, fc)
+	replay(ff.cfg, sol, fc.step, func(_ *Block, n ast.Node, st factState) { fc.atNode[n] = st })
 	return fc
 }
 
-func (fc *funcFacts) solve() {
-	c := fc.ff.cfg
-	in := make(map[*Block]factState)
-	seen := make(map[*Block]bool)
-	in[c.Entry] = factState{}
-	seen[c.Entry] = true
-	work := []*Block{c.Entry}
-	inWork := map[*Block]bool{c.Entry: true}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-		out := fc.transfer(blk, in[blk])
-		for _, s := range blk.Succs {
-			edge := fc.refineEdge(out, blk, s)
-			var next factState
-			if !seen[s] {
-				next = edge
-			} else {
-				next = intersectState(in[s], edge)
-			}
-			if !seen[s] || !maps.Equal(in[s], next) {
-				in[s] = next
-				seen[s] = true
-				if !inWork[s] {
-					work = append(work, s)
-					inWork[s] = true
-				}
-			}
-		}
-	}
-	// Final replay: record the entry state of every block-level node.
-	for _, blk := range c.Blocks {
-		st, ok := in[blk]
-		if !ok {
-			continue
-		}
-		cur := maps.Clone(st)
-		for _, n := range blk.Nodes {
-			fc.atNode[n] = maps.Clone(cur)
-			fc.applyNode(cur, n)
-		}
-	}
-}
+func (fc *funcFacts) Boundary() factState { return factState{} }
 
-func (fc *funcFacts) transfer(blk *Block, st factState) factState {
-	cur := maps.Clone(st)
+func (fc *funcFacts) Transfer(blk *Block, st factState) factState {
 	for _, n := range blk.Nodes {
-		fc.applyNode(cur, n)
+		st = fc.step(n, st)
 	}
 	if rs, ok := blk.Term.(*ast.RangeStmt); ok {
-		for _, d := range fc.ff.rngDefs[rs] {
-			fc.applyDef(cur, d)
-		}
+		st = fc.applyDefs(st, fc.ff.rngDefs[rs])
 	}
-	return cur
+	return st
 }
 
-// applyNode updates the fact state across one block-level node.
-func (fc *funcFacts) applyNode(st factState, n ast.Node) {
-	for _, d := range fc.ff.defsIn[n] {
+func (fc *funcFacts) Merge(a, b factState) factState { return intersectState(a, b) }
+
+func (fc *funcFacts) Equal(a, b factState) bool { return maps.Equal(a, b) }
+
+// step updates the fact state across one block-level node.
+func (fc *funcFacts) step(n ast.Node, st factState) factState {
+	return fc.applyDefs(st, fc.ff.defsIn[n])
+}
+
+// applyDefs applies each def in turn to a copy of the state, when there
+// is any.
+func (fc *funcFacts) applyDefs(st factState, defs []*defSite) factState {
+	if len(defs) == 0 {
+		return st
+	}
+	st = maps.Clone(st)
+	for _, d := range defs {
 		fc.applyDef(st, d)
 	}
+	return st
 }
 
 // applyDef kills the old facts of the defined variable and installs
@@ -770,10 +730,10 @@ func constBits(v constant.Value) factBits {
 	return 0
 }
 
-// refineEdge strengthens the outgoing state along a conditional edge:
-// the then-edge of an if and the body-edge of a for assume the condition
+// Refine strengthens the outgoing state along a conditional edge: the
+// then-edge of an if and the body-edge of a for assume the condition
 // true, the else/done edges assume it false.
-func (fc *funcFacts) refineEdge(out factState, from, to *Block) factState {
+func (fc *funcFacts) Refine(from, to *Block, out factState) factState {
 	var cond ast.Expr
 	truth := false
 	switch t := from.Term.(type) {
