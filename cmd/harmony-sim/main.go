@@ -57,6 +57,9 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-%s must be finite and non-negative, got %v", f.name, f.v)
 		}
 	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	}
 
 	var p harmony.Policy
 	switch *policy {

@@ -19,6 +19,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"undefined flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"missing trace file", []string{"-trace", "/nonexistent/trace.jsonl"}, "no such file"},
 		{"stream with trace", []string{"-stream", "-trace", "x.jsonl"}, "cannot be combined"},
+		{"negative scale", []string{"-scale", "-3"}, "-scale must be at least 1"},
 		{"heap cap exceeded", []string{"-stream", "-hours", "0.5", "-rate", "0.5", "-scale", "100",
 			"-policy", "baseline", "-max-heap-mb", "0.001"}, "exceeds cap"},
 	}

@@ -66,6 +66,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	if *charPath == "" {
 		return fmt.Errorf("missing -char (run harmony-classify -o to create one)")
 	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	}
 	var coreMode core.Mode
 	switch *mode {
 	case "CBS", "cbs":

@@ -61,6 +61,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"missing char file", []string{"-char", "/does/not/exist.json"}, "no such file"},
 		{"bad forecaster", []string{"-char", char, "-forecaster", "psychic"}, "unknown -forecaster"},
 		{"NaN period", []string{"-char", char, "-period", "NaN"}, "period must be positive and finite"},
+		{"negative scale", []string{"-char", char, "-scale", "-5"}, "-scale must be at least 1"},
 		{"missing tenants file", []string{"-char", char, "-tenants", "/does/not/exist.json"}, "no such file"},
 		{"empty tenants doc", []string{"-char", char, "-tenants", badTenants}, "no tenants"},
 	}

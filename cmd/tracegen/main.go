@@ -43,6 +43,9 @@ func run(args []string, out io.Writer) error {
 		return inspectTrace(*inspect, out)
 	}
 
+	if *scale < 0 {
+		return fmt.Errorf("-scale must be 0 (off) or positive, got %d", *scale)
+	}
 	if *scale > 0 {
 		// The Google trace: 12 000 machines, 25.4M tasks over 29 days
 		// (≈10.14 tasks/s). -scale N keeps the shape at 1/N the size.

@@ -23,6 +23,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"undefined flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"missing inspect file", []string{"-inspect", "/nonexistent/trace.jsonl"}, "no such file"},
 		{"negative machines", []string{"-hours", "0.05", "-machines", "-5"}, "-machines must be at least 1"},
+		{"negative scale", []string{"-hours", "0.05", "-scale", "-2"}, "-scale must be 0 (off) or positive"},
 		{"bad output dir", []string{"-hours", "0.05", "-o", "/nonexistent/dir/t.jsonl"}, "no such file"},
 	}
 	for _, tt := range tests {
