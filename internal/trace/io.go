@@ -92,6 +92,9 @@ func NewJSONLSource(r io.Reader) (*JSONLSource, error) {
 	if err := dec.Decode(&h); err != nil {
 		return nil, fmt.Errorf("trace: decode header: %w", err)
 	}
+	if h.Tasks < TasksUnknown {
+		return nil, fmt.Errorf("trace: header says %d tasks (want a count, or %d for unknown)", h.Tasks, TasksUnknown)
+	}
 	return &JSONLSource{
 		dec:  dec,
 		meta: Meta{Machines: h.Machines, Horizon: h.Horizon, Tasks: h.Tasks},

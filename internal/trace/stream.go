@@ -82,7 +82,9 @@ func Collect(src TaskSource) (*Trace, error) {
 	m := src.Meta()
 	tr := &Trace{Machines: m.Machines, Horizon: m.Horizon}
 	if m.Tasks > 0 {
-		tr.Tasks = make([]Task, 0, m.Tasks)
+		// A header's count is a claim, not a budget: cap the up-front
+		// capacity so a hostile count cannot exhaust memory.
+		tr.Tasks = make([]Task, 0, min(m.Tasks, 1<<16))
 	}
 	prev := -1.0
 	var t Task

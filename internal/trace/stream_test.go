@@ -187,6 +187,76 @@ func TestJSONLSourceValidation(t *testing.T) {
 	})
 }
 
+// FuzzJSONLSource feeds arbitrary bytes to the JSON-lines reader; its
+// seed corpus is testdata/fuzz/FuzzJSONLSource. Neither the source nor
+// Read may panic, the source must hand out tasks in submit order, a
+// stream it ends without an error must hold exactly the header's task
+// count (unless the header says unknown), Read must agree with the
+// source, and WriteStream of the accepted tasks must read back bit for
+// bit.
+func FuzzJSONLSource(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, tinyTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Fuzz(func(t *testing.T, body string) {
+		read, readErr := Read(strings.NewReader(body))
+		src, err := NewJSONLSource(strings.NewReader(body))
+		if err != nil {
+			if readErr == nil {
+				t.Fatalf("Read accepted a stream whose header NewJSONLSource rejects: %v", err)
+			}
+			return
+		}
+		meta := src.Meta()
+		var tasks []Task
+		for {
+			var tk Task
+			ok, err := src.Next(&tk)
+			if err != nil {
+				if readErr == nil {
+					t.Fatalf("Read accepted a stream the source fails on: %v", err)
+				}
+				break
+			}
+			if !ok {
+				if meta.Tasks != TasksUnknown && int64(len(tasks)) != meta.Tasks {
+					t.Fatalf("header says %d tasks, the stream ended cleanly after %d", meta.Tasks, len(tasks))
+				}
+				if readErr != nil || len(read.Tasks) != len(tasks) {
+					t.Fatalf("Read = %d tasks, %v; the source accepted all %d", len(read.Tasks), readErr, len(tasks))
+				}
+				break
+			}
+			if n := len(tasks); n > 0 && tk.Submit < tasks[n-1].Submit {
+				t.Fatalf("task %d submits at %g, after %g", n, tk.Submit, tasks[n-1].Submit)
+			}
+			tasks = append(tasks, tk)
+		}
+
+		var out bytes.Buffer
+		if _, err := WriteStream(&out, NewSliceSource(&Trace{Machines: meta.Machines, Horizon: meta.Horizon, Tasks: tasks})); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-reading the accepted tasks: %v", err)
+		}
+		if math.Float64bits(back.Horizon) != math.Float64bits(meta.Horizon) || !reflect.DeepEqual(back.Machines, meta.Machines) {
+			t.Fatalf("header read back as %v %+v, want %v %+v", back.Horizon, back.Machines, meta.Horizon, meta.Machines)
+		}
+		if len(back.Tasks) != len(tasks) {
+			t.Fatalf("%d tasks read back, want %d", len(back.Tasks), len(tasks))
+		}
+		for i, got := range back.Tasks {
+			if !sameTask(got, tasks[i]) {
+				t.Fatalf("task %d read back as %+v, want %+v", i, got, tasks[i])
+			}
+		}
+	})
+}
+
 // CSV streaming source round-trips an export and rejects shuffled rows.
 func TestCSVSourceRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(11)
