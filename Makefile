@@ -28,18 +28,20 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Ten seconds of each fuzz target (the ingest decoder, the
-# characterization loader, the CSV and JSON-lines task sources), the
-# same smoke CI runs.
+# characterization and tenants-config loaders, the CSV and JSON-lines
+# task sources); CI's fuzz smoke runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTasks -fuzztime 10s ./internal/daemon
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/classify
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/tenant
 	$(GO) test -run '^$$' -fuzz FuzzCSVSource -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzJSONLSource -fuzztime 10s ./internal/trace
 
 # benchmark/ is a nested module that `go test ./...` never compiles; vet
 # and test it (unit tests plus the untraced smoke, ~5 s) so a refactor
 # cannot silently break the dependency surface it pins (its README lists
-# it). The perf ledger itself is BENCHMARK.json + benchmark/run.sh.
+# it), as CI does. The perf ledger itself is BENCHMARK.json +
+# benchmark/run.sh.
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 

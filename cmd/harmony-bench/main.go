@@ -53,6 +53,17 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("invalid -golden %q: must be 'write' or 'check'", *golden)
 	}
+	// The facade would quietly replace these with its defaults (24 h,
+	// 1 task/s, scale 10); NaN and ±Inf fall through to its finite checks.
+	if *hours <= 0 {
+		return fmt.Errorf("-hours must be positive, got %v", *hours)
+	}
+	if *rate <= 0 {
+		return fmt.Errorf("-rate must be positive, got %v", *rate)
+	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

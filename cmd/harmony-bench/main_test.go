@@ -29,6 +29,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"unknown id in list", []string{"-exp", "fig9,fig999"}, "unknown experiment"},
 		{"only commas", []string{"-exp", ",,"}, "missing -exp"},
 		{"unwritable cpuprofile", []string{"-list", "-cpuprofile", "/nonexistent-dir/cpu.prof"}, "-cpuprofile"},
+		{"negative hours", []string{"-exp", "fig9", "-hours", "-1"}, "-hours must be positive"},
+		{"zero rate", []string{"-exp", "fig9", "-rate", "0"}, "-rate must be positive"},
+		{"zero scale", []string{"-exp", "fig9", "-scale", "0"}, "-scale must be at least 1"},
+		{"negative scale", []string{"-exp", "fig9", "-scale", "-3"}, "-scale must be at least 1"},
 		{"unwritable memprofile", []string{"-list", "-memprofile", "/nonexistent-dir/mem.prof"}, "-memprofile"},
 	}
 	for _, tt := range tests {

@@ -47,9 +47,9 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "deferclose detertaint divzero errflow floateq goleak hotpathalloc lockedfield nansource rngdiscipline sortedemit unusedallow"
+	want := "deferclose detertaint divzero errflow floateq goleak hotpathalloc nansource rngdiscipline sortedemit unusedallow"
 	if got := strings.Join(names, " "); got != want {
-		t.Errorf("-list names = %q, want the 12 analyzers %q", got, want)
+		t.Errorf("-list names = %q, want the 11 analyzers %q", got, want)
 	}
 }
 

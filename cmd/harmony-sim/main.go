@@ -57,6 +57,20 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-%s must be finite and non-negative, got %v", f.name, f.v)
 		}
 	}
+	// The facade would quietly replace a non-positive length, rate or
+	// period with its default; NaN and ±Inf fall through to its finite
+	// checks.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"hours", *hours}, {"rate", *rate}, {"period", *period}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %v", f.name, f.v)
+		}
+	}
+	if *horizon < 0 {
+		return fmt.Errorf("-horizon must be non-negative, got %d", *horizon)
+	}
 	if *scale < 1 {
 		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
 	}

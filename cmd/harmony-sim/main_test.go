@@ -20,6 +20,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"missing trace file", []string{"-trace", "/nonexistent/trace.jsonl"}, "no such file"},
 		{"stream with trace", []string{"-stream", "-trace", "x.jsonl"}, "cannot be combined"},
 		{"negative scale", []string{"-scale", "-3"}, "-scale must be at least 1"},
+		{"negative hours", []string{"-hours", "-1"}, "-hours must be positive"},
+		{"zero hours", []string{"-hours", "0"}, "-hours must be positive"},
+		{"negative rate", []string{"-rate", "-1"}, "-rate must be positive"},
+		{"negative period", []string{"-period", "-5"}, "-period must be positive"},
+		{"negative horizon", []string{"-horizon", "-2"}, "-horizon must be non-negative"},
 		{"heap cap exceeded", []string{"-stream", "-hours", "0.5", "-rate", "0.5", "-scale", "100",
 			"-policy", "baseline", "-max-heap-mb", "0.001"}, "exceeds cap"},
 	}

@@ -133,29 +133,6 @@ type Engine struct {
 	types   []classify.TaskType
 	labeler *classify.Labeler
 
-	mu sync.Mutex
-	//harmony:guardedby(mu)
-	now float64 // model time of the last tick boundary
-	//harmony:guardedby(mu)
-	periodIdx int // completed ticks
-	//harmony:guardedby(mu)
-	arrivals []int // per type, since the last tick
-	//harmony:guardedby(mu)
-	open []openTask
-	//harmony:guardedby(mu)
-	plan *Plan
-	//harmony:guardedby(mu)
-	active []int // machines powered per type (MPC state)
-	//harmony:guardedby(mu)
-	prevForecast []float64
-	//harmony:guardedby(mu)
-	stats Stats
-	// arrHist[n] is the last backtestCap arrival windows (tasks/period)
-	// of short type n — the series ForecastBacktest evaluates. Long
-	// sub-types receive no direct arrivals and keep empty histories.
-	//harmony:guardedby(mu)
-	arrHist [][]float64
-
 	// solving serializes ticks without blocking ingest: the policy and
 	// MPC state transition are owned by whichever tick holds the flag.
 	solving atomic.Bool
@@ -177,6 +154,21 @@ type Engine struct {
 	mDeltaReuse  *metrics.Gauge
 	mDeltaRepack *metrics.Gauge
 	mDeltaFull   *metrics.Gauge
+
+	// mu guards the fields below.
+	mu           sync.Mutex
+	now          float64 // model time of the last tick boundary
+	periodIdx    int     // completed ticks
+	arrivals     []int   // per type, since the last tick
+	open         []openTask
+	plan         *Plan
+	active       []int // machines powered per type (MPC state)
+	prevForecast []float64
+	stats        Stats
+	// arrHist[n] is the last backtestCap arrival windows (tasks/period)
+	// of short type n — the series ForecastBacktest evaluates. Long
+	// sub-types receive no direct arrivals and keep empty histories.
+	arrHist [][]float64
 }
 
 // Tick coordination errors.

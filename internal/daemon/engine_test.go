@@ -340,12 +340,27 @@ func TestTickDeadlinePublishesLate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A reader that meets the solve goroutine only through e.mu: under
+	// -race it fails unless the late-tick counter is bumped under the lock.
+	late := make(chan uint64, 1)
+	go func() {
+		deadline := time.Now().Add(10 * time.Second)
+		s := e.Snapshot()
+		for s.TicksLate == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			s = e.Snapshot()
+		}
+		late <- s.TicksLate
+	}()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the solve must finish in the background
 	_, err = e.Tick(ctx)
 	// The solve may beat the cancelled-context branch; both are valid.
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("tick error: %v", err)
+	}
+	if n := <-late; n != 1 {
+		t.Fatalf("TicksLate = %d, want 1", n)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {

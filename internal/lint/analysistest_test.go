@@ -167,7 +167,6 @@ func TestFloatEqFixture(t *testing.T)       { runFixture(t, "floateq", FloatEq) 
 func TestDeterTaintFixture(t *testing.T)    { runFixture(t, "detertaint", DeterTaint) }
 func TestCtxFlowFixture(t *testing.T)       { runFixture(t, "ctxflow", GoLeak) }
 func TestDeferCloseFixture(t *testing.T)    { runFixture(t, "deferclose", DeferClose) }
-func TestLockedFieldFixture(t *testing.T)   { runFixture(t, "lockedfield", LockedField) }
 func TestGoLeakFixture(t *testing.T)        { runFixture(t, "goleak", GoLeak) }
 func TestHotPathAllocFixture(t *testing.T)  { runFixture(t, "hotpathalloc", HotPathAlloc) }
 func TestErrFlowFixture(t *testing.T)       { runFixture(t, "errflow", ErrFlow) }

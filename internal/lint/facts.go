@@ -8,17 +8,15 @@ import (
 // nodeFacts is the per-function facts record every flow-sensitive
 // analyzer reads through the Node accessors below. Each fact is built on
 // first request and kept for the rest of the run (one Graph per
-// checkAll), so a function analyzed by goleak, deferclose, lockedfield,
-// divzero, and nansource is lowered to a CFG once and solved once per
-// problem. Analyzers run sequentially; the record needs no locking.
+// checkAll), so a function analyzed by goleak, deferclose, divzero, and
+// nansource is lowered to a CFG once and solved once per problem.
+// Analyzers run sequentially; the record needs no locking.
 type nodeFacts struct {
-	cfg       *CFG
-	may       *Solution[heldLocks]
-	must      *Solution[heldLocks]
-	mustEntry heldLocks // the entry fact must was solved under
-	flow      *funcFlow
-	values    *funcFacts
-	edgesAt   map[token.Pos][]*Edge
+	cfg     *CFG
+	may     *Solution[heldLocks]
+	flow    *funcFlow
+	values  *funcFacts
+	edgesAt map[token.Pos][]*Edge
 }
 
 // CFG returns the function's control-flow graph.
@@ -33,21 +31,10 @@ func (n *Node) CFG() *CFG {
 // entry): the locks that can be held on some path.
 func (n *Node) MayLocks() Solution[heldLocks] {
 	if n.facts.may == nil {
-		sol := solveLocksets(n.Pkg, n.CFG(), false, nil)
+		sol := Solve[heldLocks](n.CFG(), lockProblem{pkg: n.Pkg})
 		n.facts.may = &sol
 	}
 	return *n.facts.may
-}
-
-// MustLocks returns the must-held lockset solution (intersection merge)
-// under the given entry fact. The last solution is kept: lockedfield's
-// entry-lockset fixpoint re-asks with the same entry once it converges.
-func (n *Node) MustLocks(entry heldLocks) Solution[heldLocks] {
-	if n.facts.must == nil || !heldEqual(n.facts.mustEntry, entry) {
-		sol := solveLocksets(n.Pkg, n.CFG(), true, entry)
-		n.facts.must, n.facts.mustEntry = &sol, entry
-	}
-	return *n.facts.must
 }
 
 // Flow returns the def-use value-flow summary.

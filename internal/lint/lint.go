@@ -318,7 +318,6 @@ func All() []*Analyzer {
 		FloatEq,
 		GoLeak,
 		HotPathAlloc,
-		LockedField,
 		NaNSource,
 		RNGDiscipline,
 		SortedEmit,

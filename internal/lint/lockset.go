@@ -2,8 +2,8 @@ package lint
 
 // Shared machinery for the flow-sensitive concurrency analyzers:
 // mutex/channel identity resolution, recognition of sync primitive and
-// blocking calls, and the held-lockset dataflow problem the lockedfield
-// and deferclose analyzers run over function CFGs.
+// blocking calls, and the may-held lockset dataflow problem deferclose
+// runs over function CFGs.
 
 import (
 	"go/ast"
@@ -20,14 +20,10 @@ import (
 // Global is the cross-function identity for struct fields and package
 // variables ("daemon.Engine.mu", "tenant.Multi.mu", "metrics.vec.mu"),
 // or "" for locals and parameters, which have no stable module-wide
-// name. Base is Instance minus the final selector ("e", "v.m.vec") and
-// Owner the named struct type the field lives on — lockedfield matches
-// a guarded access to its lock through Base+Owner.
+// name.
 type lockRef struct {
 	Instance string
 	Global   string
-	Base     string
-	Owner    *types.Named
 }
 
 // lockAcq is one acquisition: where, and of what.
@@ -40,10 +36,6 @@ type lockAcq struct {
 // heldLocks maps lock Instance keys to their acquisition. Facts are
 // immutable: transfer functions clone before editing.
 type heldLocks map[string]lockAcq
-
-func heldEqual(a, b heldLocks) bool {
-	return maps.EqualFunc(a, b, func(va, vb lockAcq) bool { return va.Pos == vb.Pos && va.Kind == vb.Kind })
-}
 
 // sortedHeld returns the held set ordered by Instance for deterministic
 // iteration and message rendering.
@@ -141,10 +133,8 @@ func resolveLockRef(pkg *Package, x ast.Expr) lockRef {
 	ref := lockRef{Instance: types.ExprString(x)}
 	switch x := x.(type) {
 	case *ast.SelectorExpr:
-		ref.Base = types.ExprString(x.X)
 		if tv, ok := pkg.Info.Types[x.X]; ok {
 			if named := namedStructOf(tv.Type); named != nil {
-				ref.Owner = named
 				ref.Global = globalFieldName(named, x.Sel.Name)
 			}
 		}
@@ -204,7 +194,7 @@ func walkNodeOps(n ast.Node, fn func(ast.Node)) {
 // applyLockOps folds one CFG node into a held-lockset. Deferred
 // unlocks are ignored: under held-span semantics a lock released only
 // by defer stays held until function exit, which is exactly what the
-// blocking-under-lock and guarded-field checks need.
+// blocking-under-lock check needs.
 func applyLockOps(pkg *Package, n ast.Node, fact heldLocks) heldLocks {
 	if _, isDefer := n.(*ast.DeferStmt); isDefer {
 		return fact
@@ -233,23 +223,15 @@ func applyLockOps(pkg *Package, n ast.Node, fact heldLocks) heldLocks {
 	return out
 }
 
-// lockProblem is the forward held-lockset analysis. must selects the
-// merge: intersection proves a lock is held on every path (lockedfield
-// guard checks), union tracks locks that may be held (blocking and
-// nested acquisitions under a lock).
+// lockProblem is the forward may-held lockset analysis: the union merge
+// tracks locks held on some path into a node (blocking and nested
+// acquisitions under a lock), from an empty entry.
 type lockProblem struct {
 	plainEdges[heldLocks]
-	pkg   *Package
-	must  bool
-	entry heldLocks
+	pkg *Package
 }
 
-func (p lockProblem) Boundary() heldLocks {
-	if p.entry == nil {
-		return make(heldLocks)
-	}
-	return maps.Clone(p.entry)
-}
+func (p lockProblem) Boundary() heldLocks { return make(heldLocks) }
 
 func (p lockProblem) Transfer(b *Block, in heldLocks) heldLocks {
 	out := in
@@ -260,18 +242,6 @@ func (p lockProblem) Transfer(b *Block, in heldLocks) heldLocks {
 }
 
 func (p lockProblem) Merge(a, b heldLocks) heldLocks {
-	if p.must {
-		out := make(heldLocks)
-		for k, va := range a {
-			if vb, ok := b[k]; ok {
-				if vb.Pos < va.Pos {
-					va = vb
-				}
-				out[k] = va
-			}
-		}
-		return out
-	}
 	out := maps.Clone(a)
 	for k, vb := range b {
 		if va, ok := out[k]; !ok || vb.Pos < va.Pos {
@@ -281,12 +251,8 @@ func (p lockProblem) Merge(a, b heldLocks) heldLocks {
 	return out
 }
 
-func (p lockProblem) Equal(a, b heldLocks) bool { return heldEqual(a, b) }
-
-// solveLocksets runs the held-lockset analysis over a function body;
-// analyzers get its solutions through Node.MayLocks / Node.MustLocks.
-func solveLocksets(pkg *Package, c *CFG, must bool, entry heldLocks) Solution[heldLocks] {
-	return Solve[heldLocks](c, lockProblem{pkg: pkg, must: must, entry: entry})
+func (p lockProblem) Equal(a, b heldLocks) bool {
+	return maps.EqualFunc(a, b, func(va, vb lockAcq) bool { return va.Pos == vb.Pos && va.Kind == vb.Kind })
 }
 
 // blockingOp recognizes calls that can block indefinitely: net/http
@@ -330,24 +296,6 @@ func blockingOp(pkg *Package, call *ast.CallExpr) (string, bool) {
 		return "WaitGroup.Wait", true
 	}
 	return "", false
-}
-
-// mutexishType reports types that are synchronization primitives
-// themselves; lockedfield skips such fields when counting accesses.
-func mutexishType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "Once", "WaitGroup", "Cond", "Map", "Pool":
-		return true
-	}
-	return false
 }
 
 // isChanType reports whether t's underlying type is a channel.

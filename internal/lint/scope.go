@@ -13,7 +13,7 @@ const (
 	ScopeSpawn
 	// ScopeRelease: the concurrent surface plus metrics and harmonyd, the
 	// code that holds locks, tickers, files, and response bodies
-	// (deferclose), and whose struct types own mutexes (lockedfield).
+	// (deferclose).
 	ScopeRelease
 	// ScopeNumeric: the numeric surface — the energy→cost chain and the
 	// demand chain (divzero, nansource).

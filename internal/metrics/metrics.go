@@ -66,14 +66,11 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates observations into fixed cumulative buckets.
 type Histogram struct {
-	mu sync.Mutex
-	//harmony:guardedby(mu)
-	bounds []float64 // upper bounds, ascending; +Inf implicit
-	//harmony:guardedby(mu)
-	counts []uint64 // len(bounds)+1, last is the +Inf bucket
-	//harmony:guardedby(mu)
-	sum float64
-	//harmony:guardedby(mu)
+	// mu guards the fields below.
+	mu      sync.Mutex
+	bounds  []float64 // upper bounds, ascending; +Inf implicit
+	counts  []uint64  // len(bounds)+1, last is the +Inf bucket
+	sum     float64
 	samples uint64
 }
 
@@ -118,17 +115,16 @@ type metric struct {
 
 // vec is a label-value-indexed family of scalar children.
 type vec struct {
-	mu sync.Mutex
-	//harmony:guardedby(mu)
+	// mu guards the fields below.
+	mu       sync.Mutex
 	counters map[string]*Counter
-	//harmony:guardedby(mu)
-	gauges map[string]*Gauge
+	gauges   map[string]*Gauge
 }
 
 // Registry holds metric families and renders them as Prometheus text.
 type Registry struct {
-	mu sync.Mutex
-	//harmony:guardedby(mu)
+	// mu guards the fields below.
+	mu       sync.Mutex
 	families map[string]*metric
 }
 

@@ -53,17 +53,13 @@ type Group struct {
 	switchCost []float64 // dollars per on/off transition, per type
 	periodH    float64   // model hours per period
 
-	mu sync.Mutex
-	//harmony:guardedby(mu)
+	// mu guards the fields below.
+	mu         sync.Mutex
 	prevActive []int
-	//harmony:guardedby(mu)
-	ticks uint64
-	//harmony:guardedby(mu)
+	ticks      uint64
 	violations uint64
-	//harmony:guardedby(mu)
-	cost float64 // dollars
-	//harmony:guardedby(mu)
-	lastPlan *daemon.Plan
+	cost       float64 // dollars
+	lastPlan   *daemon.Plan
 }
 
 // Name returns the group's deterministic identifier ("g0", "g1", ...).
@@ -84,21 +80,16 @@ type tenantState struct {
 	spec  Spec
 	group *Group
 
-	mu sync.Mutex
-	//harmony:guardedby(mu)
+	// mu guards the fields below.
+	mu       sync.Mutex
 	ingested uint64
-	//harmony:guardedby(mu)
-	invalid uint64
-	//harmony:guardedby(mu)
+	invalid  uint64
 	rejected uint64 // queue-full rejections, recorded by the server
 	// byClass[c] counts tasks labeled class c; the last slot counts tasks
 	// whose priority group has no class.
-	//harmony:guardedby(mu)
 	byClass []uint64
-	//harmony:guardedby(mu)
-	window uint64 // tasks since the group's last tick (cost attribution)
-	//harmony:guardedby(mu)
-	cost float64 // dollars
+	window  uint64  // tasks since the group's last tick (cost attribution)
+	cost    float64 // dollars
 }
 
 // Multi owns N tenants and their provisioning groups. Ingest may be called

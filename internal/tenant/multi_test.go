@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -103,6 +104,51 @@ func TestLoadValidation(t *testing.T) {
 			t.Errorf("accepted %q", body)
 		}
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the tenants config loader; its seed
+// corpus is testdata/fuzz/FuzzLoad. Load may not panic, and a document it
+// accepts must pass ValidateSpecs, carry a tolerance New accepts (0 or
+// finite and at least 1), come back equal from a json.Marshal and a
+// second Load, and have GroupSpecs place each tenant in exactly one group.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		doc, err := Load(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if err := ValidateSpecs(doc.Tenants); err != nil {
+			t.Fatalf("accepted specs ValidateSpecs rejects: %v", err)
+		}
+		if tol := doc.SLOTolerance; tol != 0 && !(tol >= 1 && !math.IsInf(tol, 1)) {
+			t.Fatalf("accepted sloTolerance %v", tol)
+		}
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("accepted document does not marshal: %v", err)
+		}
+		again, err := Load(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("marshalled document does not re-load: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(doc, again) {
+			t.Fatalf("round trip changed the document:\n%+v\n%+v", doc, again)
+		}
+		placed := make(map[string]int, len(doc.Tenants))
+		for _, g := range GroupSpecs(doc.Tenants, doc.SLOTolerance) {
+			for _, s := range g {
+				placed[s.Name]++
+			}
+		}
+		for _, s := range doc.Tenants {
+			if placed[s.Name] != 1 {
+				t.Fatalf("tenant %q is in %d groups", s.Name, placed[s.Name])
+			}
+		}
+		if len(placed) != len(doc.Tenants) {
+			t.Fatalf("groups hold %d tenants, the document %d", len(placed), len(doc.Tenants))
+		}
+	})
 }
 
 func TestGroupSpecs(t *testing.T) {
@@ -482,7 +528,9 @@ func TestCostAttributionByShare(t *testing.T) {
 
 // TestConcurrentTickIngestSnapshot exercises the multi layer under the
 // race detector: concurrent tagged ingest, overlapping tick requests, and
-// snapshot/plan readers.
+// snapshot/plan readers. The ingesters keep going until every tick has
+// returned, so each tick's accounting (the members' arrival windows
+// closed in accountTick) overlaps live ingests of the same tenants.
 func TestConcurrentTickIngestSnapshot(t *testing.T) {
 	m, err := New(Config{Base: testBase(t), Tenants: []Spec{
 		{Name: "web", SLODelay: 60},
@@ -493,17 +541,25 @@ func TestConcurrentTickIngestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{"web", "api", "batch"}
+	done := make(chan struct{})
+	var sent [4]uint64 // per ingester, read after the join
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := range sent {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				task := gratisTask(uint64(w*1000+j), float64(j), 60, names[(w+j)%len(names)])
+			for j := 0; ; j++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				task := gratisTask(uint64(w*1_000_000+j), float64(j%300), 60, names[(w+j)%len(names)])
 				if err := m.Ingest(task); err != nil {
 					t.Errorf("ingest: %v", err)
 					return
 				}
+				sent[w]++
 			}
 		}(w)
 	}
@@ -511,31 +567,45 @@ func TestConcurrentTickIngestSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_ = m.Snapshot()
+				_, _ = m.Plans()
+			}
+		}()
+	}
+	var tickers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		tickers.Add(1)
+		go func() {
+			defer tickers.Done()
 			// Overlapping ticks may hit ErrTickInFlight per group; that is
 			// the contract, not an error.
-			_, _ = m.Tick(context.Background())
+			for k := 0; k < 25; k++ {
+				_, _ = m.Tick(context.Background())
+			}
 		}()
 	}
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = m.Snapshot()
-			_, _ = m.Plans()
-		}()
-	}
+	tickers.Wait()
+	close(done)
 	wg.Wait()
 
 	if _, err := m.Tick(context.Background()); err != nil {
 		t.Fatalf("final tick: %v", err)
 	}
-	snap := m.Snapshot()
-	var total uint64
-	for _, ts := range snap.Tenants {
+	var want, total uint64
+	for _, n := range sent {
+		want += n
+	}
+	for _, ts := range m.Snapshot().Tenants {
 		total += ts.TasksIngested
 	}
-	if total != 200 {
-		t.Errorf("ingested %d tasks, want 200", total)
+	if total != want {
+		t.Errorf("ingested %d tasks, want %d", total, want)
 	}
 }
 
