@@ -8,7 +8,8 @@
 // -only restricts the run to a comma-separated analyzer subset. -pkg restricts *reporting* to packages whose import
 // path matches a glob (or contains the pattern as a substring when it
 // has no glob metacharacters); the analysis itself still sees the whole
-// module, so interprocedural facts stay accurate. -json emits the
+// module, so interprocedural facts stay accurate, and a pattern that
+// matches no loaded package is a usage error. -json emits the
 // findings as a JSON array (file, line, column, analyzer, message, and
 // the call-path witness for interprocedural findings), sorted the same
 // way as the text output, with file paths relative to the working
@@ -29,6 +30,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -94,9 +96,24 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, err)
 		return 2
 	}
+	// -pkg narrows reporting to the directories of the matching packages
+	// (analysis stays whole-module); a typo'd pattern must not pass as a
+	// clean run.
+	reported := make(map[string]bool)
+	if *pkgPat != "" {
+		for _, pkg := range pkgs {
+			if pkgPatternMatches(*pkgPat, pkg.Path) {
+				reported[pkg.Dir] = true
+			}
+		}
+		if len(reported) == 0 {
+			fmt.Fprintf(errOut, "harmony-lint: -pkg pattern %q matches none of the %d loaded packages\n", *pkgPat, len(pkgs))
+			return 2
+		}
+	}
 	diags, timings := lint.CheckTimed(pkgs, analyzers)
 	if *pkgPat != "" {
-		diags = filterDiagsByPkg(diags, pkgs, *pkgPat)
+		diags = slices.DeleteFunc(diags, func(d lint.Diagnostic) bool { return !reported[filepath.Dir(d.Pos.Filename)] })
 	}
 	if *jsonOut || *sarifOut {
 		cwd, err := os.Getwd()
@@ -181,25 +198,6 @@ func pkgPatternMatches(pattern, pkgPath string) bool {
 		return err == nil && ok
 	}
 	return strings.Contains(pkgPath, pattern)
-}
-
-// filterDiagsByPkg keeps the findings whose file belongs to a package
-// matching the -pkg pattern. The mapping goes through package
-// directories, so analysis stays whole-module while reporting narrows.
-func filterDiagsByPkg(diags []lint.Diagnostic, pkgs []*lint.Package, pattern string) []lint.Diagnostic {
-	dirs := make(map[string]bool)
-	for _, pkg := range pkgs {
-		if pkgPatternMatches(pattern, pkg.Path) {
-			dirs[pkg.Dir] = true
-		}
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		if dirs[filepath.Dir(d.Pos.Filename)] {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // --- SARIF 2.1.0 output -------------------------------------------------

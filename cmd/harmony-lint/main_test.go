@@ -47,9 +47,9 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "deferclose detertaint divzero errflow floateq goleak hotpathalloc nansource rngdiscipline sortedemit unusedallow"
+	want := "deferclose detertaint divzero errflow floateq goleak nansource rngdiscipline sortedemit unusedallow"
 	if got := strings.Join(names, " "); got != want {
-		t.Errorf("-list names = %q, want the 11 analyzers %q", got, want)
+		t.Errorf("-list names = %q, want the 10 analyzers %q", got, want)
 	}
 }
 
@@ -106,13 +106,29 @@ func TestRunOnlyFlag(t *testing.T) {
 	}
 }
 
+// TestRunBadPkgPattern: a -pkg pattern that cannot be parsed, or that
+// matches none of the loaded packages, is a usage error, not a clean run.
 func TestRunBadPkgPattern(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-pkg", "[", "./..."}, &out, &errOut); code != 2 {
-		t.Fatalf("run -pkg [ = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "bad -pkg pattern") {
-		t.Errorf("stderr %q missing bad-pattern error", errOut.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+		load bool // shells out to go list
+	}{
+		{[]string{"-pkg", "[", "./..."}, "bad -pkg pattern", false},
+		{[]string{"-pkg", "nosuchpkg", "./internal/queueing"}, `"nosuchpkg" matches none of the 1 loaded packages`, true},
+	} {
+		t.Run(tc.args[1], func(t *testing.T) {
+			if tc.load && testing.Short() {
+				t.Skip("shells out to go list")
+			}
+			var out, errOut bytes.Buffer
+			if code := run(tc.args, &out, &errOut); code != 2 {
+				t.Fatalf("run %q = %d, want 2", tc.args, code)
+			}
+			if !strings.Contains(errOut.String(), tc.want) {
+				t.Errorf("stderr %q missing %q", errOut.String(), tc.want)
+			}
+		})
 	}
 }
 

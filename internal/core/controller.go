@@ -101,8 +101,6 @@ func (d *Decision) TotalActive() int {
 // Step runs one MPC iteration: solve CBS-RELAX for the given initial
 // machine state, per-type demand over the horizon, and prices, then round
 // period 0 of the plan to integers according to the controller's mode.
-//
-//harmony:coldpath per-tick MPC assembly (problem build, LP setup, decision) is sized by the instance; the pivot loops and placement merge carry their own hotpath roots
 func (c *Controller) Step(initialActive []float64, demand [][]float64, price []float64) (*Decision, error) {
 	in := &PlanInput{
 		PeriodSeconds: c.PeriodSeconds,

@@ -23,8 +23,6 @@ type typePacking struct {
 // type m in period 0: ⌈z*⌉ plus Lemma 1's one-machine allowance, capped
 // at the machines that exist. The delta path diffs consecutive plans on
 // this same integerized value, so budget drift is always detected.
-//
-//harmony:hotpath
 func (c *Controller) packBudget(plan *Plan, m int) int {
 	zStar := plan.Active[m][0]
 	budget := int(math.Ceil(zStar - 1e-9))
@@ -40,8 +38,6 @@ func (c *Controller) packBudget(plan *Plan, m int) int {
 // itemCount is the integer number of type-n containers the plan allocates
 // to machine type m in period 0: floor of the fractional allocation (the
 // plan already respects capacity).
-//
-//harmony:hotpath
 func itemCount(plan *Plan, m, n int) int {
 	return int(math.Floor(plan.Alloc[m][n][0] + 1e-9))
 }
@@ -50,8 +46,6 @@ func itemCount(plan *Plan, m, n int) int {
 // type m: the plan's ceiling (Algorithm 1 lets the scheduler keep placing
 // as long as the total stays within x^{mn}), not the packed counts, which
 // floor-rounding would understate.
-//
-//harmony:hotpath
 func quotaCap(plan *Plan, m, n int) int {
 	return int(math.Ceil(plan.Alloc[m][n][0] - 1e-9))
 }
@@ -136,8 +130,6 @@ func (c *Controller) roundCBS(plan *Plan) (*Decision, error) {
 // mergeParts folds the per-type packings into the decision in type
 // order, so the reported error is always the lowest-type failure. The
 // merge writes only into pre-sized storage.
-//
-//harmony:hotpath
 func mergeParts(d *Decision, parts []typePacking) error {
 	for m := range parts {
 		p := &parts[m]

@@ -152,8 +152,6 @@ func (c *Controller) deltaReusable(prev *Decision, plan *Plan) bool {
 // Comparing the integerized values rather than the raw fractions matters:
 // two fractions within the packer's 1e-9 tolerance of each other can
 // still floor or ceil to different integers at a boundary.
-//
-//harmony:hotpath
 func (c *Controller) typeProjectionEqual(a, b *Plan, m int) bool {
 	if c.packBudget(a, m) != c.packBudget(b, m) {
 		return false
@@ -175,8 +173,6 @@ func (c *Controller) typeProjectionEqual(a, b *Plan, m int) bool {
 // so they are recomputed as planned-minus-placed — the projection is
 // unchanged, so the counts equal what a fresh repack would drop. The
 // merge writes only into pre-sized storage.
-//
-//harmony:hotpath
 func mergeReusedType(d *Decision, prev *Decision, plan *Plan, m int) {
 	d.ActiveMachines[m] = prev.ActiveMachines[m]
 	d.Quota[m] = prev.Quota[m]

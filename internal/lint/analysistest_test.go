@@ -168,7 +168,6 @@ func TestDeterTaintFixture(t *testing.T)    { runFixture(t, "detertaint", DeterT
 func TestCtxFlowFixture(t *testing.T)       { runFixture(t, "ctxflow", GoLeak) }
 func TestDeferCloseFixture(t *testing.T)    { runFixture(t, "deferclose", DeferClose) }
 func TestGoLeakFixture(t *testing.T)        { runFixture(t, "goleak", GoLeak) }
-func TestHotPathAllocFixture(t *testing.T)  { runFixture(t, "hotpathalloc", HotPathAlloc) }
 func TestErrFlowFixture(t *testing.T)       { runFixture(t, "errflow", ErrFlow) }
 func TestDivZeroFixture(t *testing.T)       { runFixture(t, "divzero", DivZero) }
 func TestNaNSourceFixture(t *testing.T)     { runFixture(t, "nansource", NaNSource) }

@@ -80,11 +80,6 @@ type Node struct {
 	// unprovable for join analysis and goleak flags the site.
 	DynGo []token.Pos
 
-	// HotPath / ColdPath mirror the //harmony:hotpath and
-	// //harmony:coldpath doc-comment annotations (declared functions only).
-	HotPath  bool
-	ColdPath bool
-
 	facts nodeFacts // lazily built, see facts.go
 }
 
@@ -236,16 +231,6 @@ func (b *builder) addDecl(pkg *Package, d *ast.FuncDecl) {
 		return
 	}
 	node := &Node{Fn: fn, Decl: d, Pkg: pkg, Name: prettyFuncName(fn)}
-	if d.Doc != nil {
-		for _, c := range d.Doc.List {
-			if _, ok := commentDirective(c, hotPathMarker); ok {
-				node.HotPath = true
-			}
-			if _, ok := commentDirective(c, coldPathMarker); ok {
-				node.ColdPath = true
-			}
-		}
-	}
 	b.g.byObj[fn.Origin()] = node
 	b.g.Funcs = append(b.g.Funcs, node)
 

@@ -3,8 +3,8 @@
 // contracts — the conventions (seeded internal/stats RNG only, no
 // wall-clock or environment reads in control paths, sorted iteration
 // before any output, tolerance-based float comparison, no blocking calls
-// under a mutex, joined goroutines, allocation-free hot paths) that the
-// bit-identical simulation and replay guarantees rest on.
+// under a mutex, joined goroutines) that the bit-identical simulation and
+// replay guarantees rest on.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature but
 // is dependency-free: packages are loaded through `go list -export` plus
@@ -23,14 +23,6 @@
 // The reason is free text; the analyzer name must match exactly. The
 // unusedallow analyzer reports annotations that no longer suppress
 // anything, so suppressions cannot rot silently.
-//
-// Two further function-level annotations drive hotpathalloc (they go in
-// the function's doc comment):
-//
-//	//harmony:hotpath  [reason...]  — the function and everything it
-//	        transitively calls must not allocate
-//	//harmony:coldpath [reason...]  — stop descending here: a fallback,
-//	        error path, or explicitly budgeted residue
 package lint
 
 import (
@@ -238,11 +230,7 @@ func (a *allowSet) allows(name string, pos token.Position) bool {
 	return hit
 }
 
-const (
-	allowPrefix    = "harmony:allow"
-	hotPathMarker  = "harmony:hotpath"
-	coldPathMarker = "harmony:coldpath"
-)
+const allowPrefix = "harmony:allow"
 
 // commentDirective strips the comment syntax from c and, when the result
 // starts with the given marker, returns the remainder (the marker's
@@ -317,7 +305,6 @@ func All() []*Analyzer {
 		ErrFlow,
 		FloatEq,
 		GoLeak,
-		HotPathAlloc,
 		NaNSource,
 		RNGDiscipline,
 		SortedEmit,

@@ -26,7 +26,11 @@ type edit struct{ file, old, new string }
 // those slips. tenant.TestConcurrentTickIngestSnapshot fails when a
 // tenant's arrival window is reset after ts.mu is released, and
 // daemon.TestTickDeadlinePublishesLate when the late-tick counter is
-// bumped outside e.mu.
+// bumped outside e.mu. Nor is an allocation on the tick or event path:
+// the testing.AllocsPerRun lids pin those (sched.TestPeriodScratchReuse
+// when the tick allocates its initial-state buffer,
+// lp.TestPivotLoopsAllocOnlyEtas, core.TestPlacementMergeAllocFree,
+// trace.TestSliceSourceNextAllocFree, sim.TestEventLoopSteadyStateAllocFree).
 var mutationTable = []mutant{
 	{"ticker is never stopped", []edit{{"internal/daemon/daemon.go",
 		"ticker := time.NewTicker(cfg.TickEvery)\n\t\tdefer ticker.Stop()\n",
@@ -70,17 +74,30 @@ var mutationTable = []mutant{
 		"l.closeOnce.Do(func() { close(l.queue) })\n",
 		""}},
 		[]string{"goleak"}},
-	{"tick allocates its initial-state buffer", []edit{{"internal/sched/harmony.go",
-		"initial := h.initialBuf[:0]",
-		"initial := make([]float64, 0, len(obs.Active))"}},
-		[]string{"hotpathalloc"}},
-	// An allocation in a callee of the sim's hot-path roots: holds, reached
-	// from placeInType and from schedulePending through fitsFreed.
-	{"machine fit check builds resource vectors", []edit{{"internal/sim/sim.go",
-		"\treturn !(m.usedCPU+cpu > mt.CPU+1e-12 || m.usedMem+mem > mt.Mem+1e-12)\n",
-		"\tneed, free := []float64{cpu, mem}, []float64{mt.CPU - m.usedCPU, mt.Mem - m.usedMem}\n" +
-			"\tfor r := range need {\n\t\tif need[r] > free[r]+1e-12 {\n\t\t\treturn false\n\t\t}\n\t}\n\treturn true\n"}},
-		[]string{"hotpathalloc"}},
+	{"empty evaluation window not rejected", []edit{{"internal/forecast/forecast.go",
+		"\tif len(actual) == 0 {\n\t\treturn Metrics{}, ErrTooShort\n\t}\n",
+		""}},
+		[]string{"divzero"}},
+	{"AIC of an exact fit takes log(0)", []edit{{"internal/forecast/auto.go",
+		"if n <= 0 || sse <= 0 {",
+		"if n <= 0 {"}},
+		[]string{"nansource"}},
+	{"task sizes logged unvalidated", []edit{{"internal/classify/classify.go",
+		"\tif !(cpu > 0 && mem > 0) || math.IsInf(cpu, 1) || math.IsInf(mem, 1) {\n\t\treturn nil, false\n\t}\n",
+		""}},
+		[]string{"nansource"}},
+	{"characterization save error dropped", []edit{{"internal/classify/persist.go",
+		"\tif err := enc.Encode(dto); err != nil {\n\t\treturn fmt.Errorf(\"classify: save: %w\", err)\n\t}\n",
+		"\tenc.Encode(dto)\n"}},
+		[]string{"errflow"}},
+	{"switch costs of an idle-free fleet", []edit{{"internal/energy/energy.go",
+		"\tif maxIdle > 0 {\n\t\tfor i, m := range models {\n\t\t\tcosts[i] = largestDollars * m.IdleWatts / maxIdle\n\t\t}\n\t}\n",
+		"\tfor i, m := range models {\n\t\tcosts[i] = largestDollars * m.IdleWatts / maxIdle\n\t}\n"}},
+		[]string{"divzero"}},
+	{"M/G/c probe error discarded", []edit{{"internal/queueing/queueing.go",
+		"\tw, err := eval(lo)\n\tif err != nil {\n\t\treturn 0, err\n\t}\n",
+		"\tw, _ := eval(lo)\n"}},
+		[]string{"errflow"}},
 	{"group and tenant locks taken in both orders", []edit{
 		{"internal/tenant/multi.go",
 			"g.mu.Lock()\n\tcost := 0.0",

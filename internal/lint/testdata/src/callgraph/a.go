@@ -81,9 +81,3 @@ func TakeInterfaceMethod(a Adder) func(int) int { return a.Add }
 // value-taken methods of that signature, never Shifter.Shift (not
 // taken) or Dog.Sound (different signature).
 func CallAdder(f func(int) int) int { return f(2) }
-
-//harmony:hotpath
-func Hot() {}
-
-//harmony:coldpath budgeted fallback
-func Cold() {}

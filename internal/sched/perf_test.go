@@ -50,8 +50,11 @@ func steadyHarmony(t testing.TB, mode core.Mode, kind PredictorKind) (*Harmony, 
 // allocated once and reused, containerDemand itself stays within a small
 // per-type allocation budget (the residue is the predictor's fit and
 // forecast, not tick-path bookkeeping) — for the EWMA bootstrap and for
-// the ARIMA refit past minHistory alike — and a whole warm Period stays
-// within a budget that has no room for rebuilding the CBS-RELAX program.
+// the ARIMA refit past minHistory alike — a whole warm Period stays
+// within a budget that has no room for rebuilding the CBS-RELAX program,
+// and the Period's own glue allocates nothing: a warm Period allocates
+// exactly what its containerDemand and its controller Step allocate on
+// the same state.
 func TestPeriodScratchReuse(t *testing.T) {
 	// What remains per type is the fit's fixed handful of buffers (the
 	// predictor and its stage-one sums are kept per class: 29 objects per
@@ -62,9 +65,10 @@ func TestPeriodScratchReuse(t *testing.T) {
 	// A whole Period of this 3-type, 4-machine-type instance (44 LP rows)
 	// allocated 462 (EWMA) and 540 (ARIMA) objects while every tick built
 	// one dense row per constraint and re-sparsified them; with the
-	// program kept across periods it is 102 and 165 — the solver's
+	// program kept across periods it is 102 and 159 — the solver's
 	// per-solve scratch, the basis copy and capture, the etas, the
-	// decision. The lids sit between, so a per-tick rebuild cannot hide.
+	// decision. The lids sit between, so a per-tick rebuild cannot hide;
+	// the glue difference below catches a single added object.
 	for _, tc := range []struct {
 		name             string
 		kind             PredictorKind
@@ -76,10 +80,10 @@ func TestPeriodScratchReuse(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h, obs := steadyHarmony(t, core.CBS, tc.kind)
 			dirA := h.Period(obs)
-			demandA := h.LastDemand()
+			demandA := h.lastDemand
 			obs.Time += h.cfg.PeriodSeconds
 			dirB := h.Period(obs)
-			demandB := h.LastDemand()
+			demandB := h.lastDemand
 
 			if &demandA[0][0] != &demandB[0][0] {
 				t.Error("demand matrix reallocated between periods")
@@ -91,19 +95,8 @@ func TestPeriodScratchReuse(t *testing.T) {
 				t.Error("reservation slices rebuilt between periods")
 			}
 
-			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := h.containerDemand(obs); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if lid := float64(tc.perType * len(h.cfg.Types)); allocs > lid {
-				t.Errorf("containerDemand allocates %.0f objects per call, budget %.0f", allocs, lid)
-			} else {
-				t.Logf("containerDemand: %.0f allocs per call (budget %.0f)", allocs, lid)
-			}
-
 			keep := len(h.history[0])
-			allocs = testing.AllocsPerRun(50, func() {
+			period := testing.AllocsPerRun(50, func() {
 				if dir := h.Period(obs); dir.TargetActive == nil {
 					t.Fatal(h.Err())
 				}
@@ -113,10 +106,35 @@ func TestPeriodScratchReuse(t *testing.T) {
 					h.history[n] = h.history[n][:keep]
 				}
 			})
-			if lid := float64(tc.perTick); allocs > lid {
-				t.Errorf("a warm Period allocates %.0f objects, budget %.0f", allocs, lid)
+			if lid := float64(tc.perTick); period > lid {
+				t.Errorf("a warm Period allocates %.0f objects, budget %.0f", period, lid)
 			} else {
-				t.Logf("warm Period: %.0f allocs (budget %.0f)", allocs, lid)
+				t.Logf("warm Period: %.0f allocs (budget %.0f)", period, lid)
+			}
+
+			// The callees, on the state the measured Periods ran them on:
+			// the history with this period's sample appended, and the
+			// inputs the Period handed its Step.
+			if dir := h.Period(obs); dir.TargetActive == nil {
+				t.Fatal(h.Err())
+			}
+			demand := testing.AllocsPerRun(50, func() {
+				if _, err := h.containerDemand(obs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if lid := float64(tc.perType * len(h.cfg.Types)); demand > lid {
+				t.Errorf("containerDemand allocates %.0f objects per call, budget %.0f", demand, lid)
+			} else {
+				t.Logf("containerDemand: %.0f allocs per call (budget %.0f)", demand, lid)
+			}
+			step := testing.AllocsPerRun(50, func() {
+				if _, err := h.ctrl.Step(h.initialBuf, h.lastDemand, h.priceBuf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if glue := period - demand - step; glue != 0 {
+				t.Errorf("a warm Period allocates %.0f objects beyond its containerDemand (%.0f) and Step (%.0f), want 0", glue, demand, step)
 			}
 		})
 	}
@@ -167,7 +185,7 @@ func TestOneForecastPerClass(t *testing.T) {
 	if rates := h.LastForecast(); rates[1] <= 0 || rates[3] != 0 {
 		t.Errorf("class 1 forecast recorded as %v on the short and %v on the long sub-type", rates[1], rates[3])
 	}
-	if d := h.LastDemand(); d[3][0] <= 0 {
+	if d := h.lastDemand; d[3][0] <= 0 {
 		t.Errorf("long sub-type demand %v: it did not read its class's forecast", d[3])
 	}
 }

@@ -37,8 +37,6 @@ func newFitTree(count int) fitTree {
 // refit brings machine mi's leaf in line with its power state and usage
 // and climbs until a node's bounds come out unchanged. Every writer of
 // machine.on, usedCPU or usedMem calls it after writing.
-//
-//harmony:hotpath
 func (e *engine) refit(mi int) {
 	m := &e.machines[mi]
 	t := &e.fit[m.typeIdx]
@@ -80,8 +78,6 @@ func sameBounds(a, b *fitBounds) bool {
 // in both usages, so that bounds every machine below from beneath. Both
 // tests only skip machines the scan would pass over, so the pick is the
 // scan's, bit for bit; a NaN bound compares false and skips nothing.
-//
-//harmony:hotpath
 func (e *engine) placeInType(ti int, mt trace.MachineType, cpu, mem float64) int {
 	t, first := &e.fit[ti], e.typeFirst[ti]
 	capCPU, capMem := mt.CPU+1e-12, mt.Mem+1e-12

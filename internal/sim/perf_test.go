@@ -43,18 +43,36 @@ func steadyEngine(t *testing.T, maxDelaySamples int) *engine {
 }
 
 // The steady-state event path — arrival, placement, heap push, energy
-// integration, completion, heap pop — must not allocate. This is the
-// dynamic half of the //harmony:hotpath contract the hotpathalloc
-// analyzer enforces statically: at 25M tasks, even one small allocation
-// per event is gigabytes of garbage.
+// integration, completion, heap pop — must not allocate: at 25M tasks,
+// even one small allocation per event is gigabytes of garbage. It runs
+// under the default directive (first fit, no quota or reservation) and
+// under the shape Harmony's CBS mode sends: best fit, a quota that closes
+// the first machine type, and container reservations above the task's
+// demand.
 func TestEventLoopSteadyStateAllocFree(t *testing.T) {
-	for _, backlog := range []int{0, 100} {
-		t.Run(fmt.Sprintf("%d queued", backlog), func(t *testing.T) {
+	cbs := Directive{
+		BestFit:    true,
+		Quota:      [][]int{{0}, {1000}},
+		ReserveCPU: []float64{0.15},
+		ReserveMem: []float64{0.12},
+	}
+	for _, tc := range []struct {
+		name    string
+		backlog int
+		dir     Directive
+	}{
+		{"0 queued", 0, Directive{}},
+		{"100 queued", 100, Directive{}},
+		{"CBS, 0 queued", 0, cbs},
+		{"CBS, 100 queued", 100, cbs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			e := steadyEngine(t, 256)
+			e.apply(tc.dir)
 			// The backlog waits for a platform the cluster does not have: each
 			// pass walks its queue's tried run against the freed machine (the
 			// tasks are small enough for it) and keeps all of it.
-			for i := 0; i < backlog; i++ {
+			for i := 0; i < tc.backlog; i++ {
 				e.handleArrival(trace.Task{ID: uint64(2 + i), Duration: 10, CPU: 0.05, Mem: 0.05, Constraint: "PF-none"})
 			}
 			task := trace.Task{ID: 1, Submit: 0, Duration: 10, CPU: 0.1, Mem: 0.1, Priority: 9}
@@ -80,8 +98,16 @@ func TestEventLoopSteadyStateAllocFree(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("steady-state event loop allocates %.1f objects per run, want 0", allocs)
 			}
-			if e.pendingCount != backlog || e.res.Completed == 0 {
-				t.Errorf("%d tasks queued, %d completed: the loop did not run over the backlog of %d", e.pendingCount, e.res.Completed, backlog)
+			if e.pendingCount != tc.backlog || e.res.Completed == 0 {
+				t.Errorf("%d tasks queued, %d completed: the loop did not run over the backlog of %d", e.pendingCount, e.res.Completed, tc.backlog)
+			}
+			if tc.dir.Quota != nil {
+				e.advanceTo(e.now + 1)
+				task.Submit = e.now
+				e.handleArrival(task)
+				if e.occupancy[0][0] != 0 || e.occupancy[1][0] != 1 {
+					t.Errorf("occupancy %v: the quota did not steer the task to the second machine type", e.occupancy)
+				}
 			}
 		})
 	}

@@ -9,9 +9,9 @@
 // trace-scale run (the Google trace is 25M tasks over 29 days) streams
 // through with peak memory proportional to live tasks plus machines, not
 // trace length. The steady-state event path — arrival, placement,
-// completion — is allocation-free and statically enforced by
-// harmony-lint's hotpathalloc analyzer via the //harmony:hotpath roots
-// below.
+// completion — is allocation-free; TestEventLoopSteadyStateAllocFree
+// pins it at zero allocations, under first fit and under the CBS
+// directive's best fit, quota and reservations.
 package sim
 
 import (
@@ -217,7 +217,6 @@ func (h *finishHeap) next() float64 {
 // at returns the i-th task in heap order.
 func (h *finishHeap) at(i int) *runningTask { return &h.slab[h.keys[i].slot] }
 
-//harmony:hotpath
 func (h *finishHeap) push(rt runningTask) {
 	var slot int32
 	if n := len(h.free); n > 0 {
@@ -234,8 +233,6 @@ func (h *finishHeap) push(rt runningTask) {
 
 // pop removes the task that finishes first. The task stays valid until
 // the next push.
-//
-//harmony:hotpath
 func (h *finishHeap) pop() *runningTask {
 	keys := h.keys
 	n := len(keys) - 1
@@ -532,8 +529,6 @@ func (e *engine) run() error {
 }
 
 // handleArrival enqueues (or immediately places) one arriving task.
-//
-//harmony:hotpath
 func (e *engine) handleArrival(t trace.Task) {
 	tt := e.typeOf(t)
 	e.arrivals[tt]++
@@ -561,8 +556,6 @@ func (e *engine) typeOf(t trace.Task) int {
 }
 
 // advanceTo integrates energy from lastEnergy to t.
-//
-//harmony:hotpath
 func (e *engine) advanceTo(t float64) {
 	dt := t - e.lastEnergy
 	if dt <= 0 {
@@ -590,8 +583,6 @@ func (e *engine) advanceTo(t float64) {
 // relabeling, observation, and the policy decision
 // (the caller follows it with a scheduling pass under the new directive).
 // It is the budgeted residue outside the per-event hot path.
-//
-//harmony:coldpath period work is budgeted per control period, not per event
 func (e *engine) periodBoundary(periodIdx int) {
 	e.injectFailures()
 	e.relabelRunning()
@@ -784,8 +775,6 @@ type triedRun struct {
 // a failed task becomes placeable — a period boundary, a powered machine
 // finishing boot or repair — ends all tried runs (periodBoundary,
 // completeOne), and the pass is the one above.
-//
-//harmony:hotpath
 func (e *engine) schedulePending() {
 	if e.pendingCount == 0 {
 		return
@@ -871,8 +860,6 @@ func (e *engine) reserved(p *pendingTask) (cpu, mem float64) {
 
 // place tries to start p, occupying cpu and mem (from reserved), on some
 // machine; reports success.
-//
-//harmony:hotpath
 func (e *engine) place(p *pendingTask, cpu, mem float64) bool {
 	e.placeAttempts++
 	for ti := range e.types {
@@ -926,7 +913,6 @@ func (e *engine) fitsFreed(constraint string, taskType int, cpu, mem float64) bo
 		e.holds(m, &e.types[m.typeIdx], cpu, mem)
 }
 
-//harmony:hotpath
 func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 	m := &e.machines[mi]
 	m.usedCPU += cpu
@@ -958,8 +944,6 @@ func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 
 // recordDelay routes one scheduling-delay sample either into the exact
 // per-group CDF or, at scale, into the bounded reservoir.
-//
-//harmony:hotpath
 func (e *engine) recordDelay(g trace.PriorityGroup, d float64) {
 	if rv := e.delayRes[g.Index()]; rv != nil {
 		rv.Add(d)
@@ -968,7 +952,6 @@ func (e *engine) recordDelay(g trace.PriorityGroup, d float64) {
 	e.res.DelayByGroup[g].Add(d)
 }
 
-//harmony:hotpath
 func (e *engine) completeOne() {
 	e.freed = -1
 	if e.now >= e.nextReady {

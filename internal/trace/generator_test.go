@@ -77,6 +77,18 @@ func TestGenerateConfigValidation(t *testing.T) {
 		{"negative machine count", func(c *Config) {
 			c.Machines = []MachineType{{ID: 1, CPU: 0.5, Mem: 0.5, Count: -3}}
 		}},
+		// Each of these hung Generate or emitted a wrong stream.
+		{"infinite burst factor", func(c *Config) { c.BurstFactor = math.Inf(1) }},
+		{"NaN burst factor", func(c *Config) { c.BurstFactor = math.NaN() }},
+		{"negative burst factor", func(c *Config) { c.BurstFactor = -1 }},
+		{"diurnal below -1", func(c *Config) { c.Diurnal = -2 }},
+		{"negative diurnal", func(c *Config) { c.Diurnal = -0.5 }},
+		{"diurnal above 1", func(c *Config) { c.Diurnal = 1.5 }},
+		{"NaN diurnal", func(c *Config) { c.Diurnal = math.NaN() }},
+		{"infinite diurnal", func(c *Config) { c.Diurnal = math.Inf(1) }},
+		{"NaN burst probability", func(c *Config) { c.BurstProb = math.NaN() }},
+		{"negative burst probability", func(c *Config) { c.BurstProb = -0.1 }},
+		{"burst probability above 1", func(c *Config) { c.BurstProb = 2 }},
 		{"negative share", func(c *Config) { c.Groups[0].Share = -1 }},
 		{"zero shares", func(c *Config) {
 			for i := range c.Groups {

@@ -54,6 +54,14 @@ func validateGenConfig(cfg *Config) error {
 	if !(cfg.RatePerS > 0) || math.IsInf(cfg.RatePerS, 1) {
 		return fmt.Errorf("trace: rate must be positive and finite, got %v", cfg.RatePerS)
 	}
+	// Thinning draws candidates at the peak rate RatePerS·(1+Diurnal)·
+	// max(BurstFactor, 1): an infinite peak draws every candidate at the
+	// same instant, a negative one moves time backwards, and a Diurnal
+	// below 0 puts the peak under the sinusoid's maximum, so the stream
+	// under-samples without a word. NaN fails every comparison.
+	if !(cfg.Diurnal >= 0 && cfg.Diurnal <= 1 && cfg.BurstProb >= 0 && cfg.BurstProb <= 1 && cfg.BurstFactor >= 0) || math.IsInf(cfg.BurstFactor, 1) {
+		return fmt.Errorf("trace: diurnal amplitude and burst probability must be in [0, 1] and the burst factor finite and non-negative, got %v, %v and %v", cfg.Diurnal, cfg.BurstProb, cfg.BurstFactor)
+	}
 	if len(cfg.Machines) == 0 {
 		return errors.New("trace: no machines configured")
 	}

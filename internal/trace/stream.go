@@ -47,8 +47,6 @@ func (s *SliceSource) Meta() Meta {
 }
 
 // Next implements TaskSource.
-//
-//harmony:hotpath
 func (s *SliceSource) Next(t *Task) (bool, error) {
 	if s.pos >= len(s.tr.Tasks) {
 		return false, nil

@@ -116,6 +116,40 @@ func TestReadChunk(t *testing.T) {
 	}
 }
 
+// SliceSource.Next feeds the simulator's event loop once per task, so it
+// must not allocate: the replay of a materialized trace costs nothing
+// beyond the trace.
+func TestSliceSourceNextAllocFree(t *testing.T) {
+	cfg := DefaultConfig(7)
+	cfg.Horizon = Hour
+	tr, err := Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	src := NewSliceSource(tr)
+	var tk Task
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		src.pos = 0
+		for {
+			ok, err := src.Next(&tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("replaying %d tasks allocates %.1f objects, want 0", len(tr.Tasks), allocs)
+	}
+	if n != 101*len(tr.Tasks) || len(tr.Tasks) == 0 {
+		t.Errorf("%d tasks read in 101 replays of %d", n, len(tr.Tasks))
+	}
+}
+
 // WriteStream -> JSONLSource round-trips the stream without a count in
 // the header, and Read accepts the tasks:-1 form.
 func TestWriteStreamRoundTrip(t *testing.T) {
