@@ -47,9 +47,9 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "deferclose detertaint divzero errflow floateq goleak nansource rngdiscipline sortedemit unusedallow"
+	want := "deferclose detertaint divzero errflow floateq nansource sortedemit unusedallow"
 	if got := strings.Join(names, " "); got != want {
-		t.Errorf("-list names = %q, want the 10 analyzers %q", got, want)
+		t.Errorf("-list names = %q, want the 8 analyzers %q", got, want)
 	}
 }
 
@@ -77,10 +77,10 @@ func TestRunUnknownAnalyzer(t *testing.T) {
 // unknown flag.
 func TestRunOnlyFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-only", "floateq,goleak", "-list"}, &out, &errOut); code != 0 {
-		t.Fatalf("run -only floateq,goleak -list = %d, stderr %q", code, errOut.String())
+	if code := run([]string{"-only", "floateq,errflow", "-list"}, &out, &errOut); code != 0 {
+		t.Fatalf("run -only floateq,errflow -list = %d, stderr %q", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "floateq") || !strings.Contains(out.String(), "goleak") {
+	if !strings.Contains(out.String(), "floateq") || !strings.Contains(out.String(), "errflow") {
 		t.Errorf("-only subset missing from -list output:\n%s", out.String())
 	}
 	if strings.Contains(out.String(), "detertaint") {

@@ -66,8 +66,23 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	if *charPath == "" {
 		return fmt.Errorf("missing -char (run harmony-classify -o to create one)")
 	}
-	if *scale < 1 {
+	// The engine and servers would quietly replace a non-positive period,
+	// queue or deadline and a negative horizon with defaults, and a
+	// negative tick interval would turn automatic ticks off. A NaN or
+	// infinite period falls through to the controller's finite check.
+	switch {
+	case *scale < 1:
 		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	case *period <= 0:
+		return fmt.Errorf("-period must be positive, got %v", *period)
+	case *horizon < 0:
+		return fmt.Errorf("-horizon must be non-negative, got %d", *horizon)
+	case *tickWall < 0:
+		return fmt.Errorf("-tick-every must be non-negative, got %v", *tickWall)
+	case *deadline <= 0:
+		return fmt.Errorf("-tick-deadline must be positive, got %v", *deadline)
+	case *queue <= 0:
+		return fmt.Errorf("-queue must be positive, got %d", *queue)
 	}
 	var coreMode core.Mode
 	switch *mode {

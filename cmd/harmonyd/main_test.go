@@ -35,6 +35,11 @@ const charDoc = `{
   ]
 }`
 
+// client bounds every request: a tick that never returns fails the test
+// that asked for it instead of holding the package until go test's
+// timeout.
+var client = &http.Client{Timeout: 15 * time.Second}
+
 func writeCharFile(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "char.json")
@@ -62,6 +67,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad forecaster", []string{"-char", char, "-forecaster", "psychic"}, "unknown -forecaster"},
 		{"NaN period", []string{"-char", char, "-period", "NaN"}, "period must be positive and finite"},
 		{"negative scale", []string{"-char", char, "-scale", "-5"}, "-scale must be at least 1"},
+		{"zero period", []string{"-char", char, "-period", "0"}, "-period must be positive"},
+		{"negative horizon", []string{"-char", char, "-horizon", "-3"}, "-horizon must be non-negative"},
+		{"negative tick interval", []string{"-char", char, "-tick-every", "-1s"}, "-tick-every must be non-negative"},
+		{"zero tick deadline", []string{"-char", char, "-tick-deadline", "0"}, "-tick-deadline must be positive"},
+		{"negative queue", []string{"-char", char, "-queue", "-5"}, "-queue must be positive"},
 		{"missing tenants file", []string{"-char", char, "-tenants", "/does/not/exist.json"}, "no such file"},
 		{"empty tenants doc", []string{"-char", char, "-tenants", badTenants}, "no tenants"},
 	}
@@ -107,7 +117,7 @@ func TestRunServesUntilSIGTERM(t *testing.T) {
 
 	body := `{"id":1,"submit":5,"duration":60,"cpu":0.02,"mem":0.02,"priority":0}` + "\n" +
 		`{"id":2,"submit":9,"duration":60,"cpu":0.02,"mem":0.02,"priority":0}` + "\n"
-	resp, err := http.Post("http://"+addr+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
+	resp, err := client.Post("http://"+addr+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +126,7 @@ func TestRunServesUntilSIGTERM(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
 	}
-	resp, err = http.Post("http://"+addr+"/v1/tick", "application/json", nil)
+	resp, err = client.Post("http://"+addr+"/v1/tick", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,7 @@ func TestRunMultiTenantServesUntilSIGTERM(t *testing.T) {
 
 	body := `{"id":1,"submit":5,"duration":60,"cpu":0.02,"mem":0.02,"priority":0,"tenant":"web"}` + "\n" +
 		`{"id":2,"submit":9,"duration":60,"cpu":0.02,"mem":0.02,"priority":0,"tenant":"batch"}` + "\n"
-	resp, err := http.Post("http://"+addr+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
+	resp, err := client.Post("http://"+addr+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +210,7 @@ func TestRunMultiTenantServesUntilSIGTERM(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
 	}
-	resp, err = http.Post("http://"+addr+"/v1/tick", "application/json", nil)
+	resp, err = client.Post("http://"+addr+"/v1/tick", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +219,7 @@ func TestRunMultiTenantServesUntilSIGTERM(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tick status = %d", resp.StatusCode)
 	}
-	resp, err = http.Get("http://" + addr + "/v1/stats")
+	resp, err = client.Get("http://" + addr + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

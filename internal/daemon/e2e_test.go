@@ -45,7 +45,8 @@ func TestStreamingMatchesBatchReplay(t *testing.T) {
 	cfg := Config{Machines: machines, Models: models, Char: ch, PeriodSeconds: period}
 
 	// Batch reference.
-	batchPlan, err := Replay(cfg, tasks, ticks)
+	var batchPlan *Plan
+	within("Replay", func() { batchPlan, err = Replay(cfg, tasks, ticks) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,9 @@ func TestStreamingMatchesBatchReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(eng, ServerConfig{}))
+	s := NewServer(eng, ServerConfig{})
+	t.Cleanup(func() { within("Server.Close", s.Close) })
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	streamed := 0

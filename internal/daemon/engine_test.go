@@ -297,6 +297,48 @@ func TestTickInFlightSkipped(t *testing.T) {
 	}
 }
 
+// TestTickErrorKeepsLastPlan drives the tick's error path: a long
+// gratis sub-class no finite fleet can serve makes the second tick's
+// container sizing fail. The error must come back from Tick (not hang
+// it), be counted, leave the last good plan published, and release the
+// in-flight flag.
+func TestTickErrorKeepsLastPlan(t *testing.T) {
+	doc := strings.Replace(testCharDoc, `"MeanDuration": 5000`, `"MeanDuration": 1e9`, 1)
+	ch, err := classify.Load(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testEngineConfig(t)
+	cfg.Char = ch
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Tick(context.Background()); err != nil {
+		t.Fatalf("tick 1: %v", err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := e.Ingest(gratisTask(uint64(i), 300+float64(i), 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := e.Tick(ctx); err == nil || !strings.Contains(err.Error(), "system unstable") {
+		t.Fatalf("tick 2 = %v, want the queueing instability error", err)
+	}
+	s := e.Snapshot()
+	if s.TickErrors != 1 || !strings.Contains(s.LastError, "system unstable") {
+		t.Errorf("after the failed tick: TickErrors %d, LastError %q", s.TickErrors, s.LastError)
+	}
+	if plan, err := e.Plan(); err != nil || plan.PeriodIndex != 1 {
+		t.Errorf("Plan() after the failed tick = %+v, %v; want the tick-1 plan", plan, err)
+	}
+	if _, err := e.Tick(ctx); errors.Is(err, ErrTickInFlight) {
+		t.Error("the failed tick left the in-flight flag set")
+	}
+}
+
 func TestRelabelShortToLongAcrossTicks(t *testing.T) {
 	e, err := NewEngine(testEngineConfig(t))
 	if err != nil {

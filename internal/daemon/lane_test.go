@@ -26,18 +26,19 @@ func (r *recordingSink) applied() []uint64 {
 	return append([]uint64(nil), r.ids...)
 }
 
-func newTestLane(size int) (*Lane, *recordingSink, *metrics.Gauge) {
+func newTestLane(t *testing.T, size int) (*Lane, *recordingSink, *metrics.Gauge) {
 	sink := &recordingSink{}
 	depth := metrics.NewRegistry().Gauge("depth", "test lane depth")
-	return NewLane(size, depth, sink.apply), sink, depth
+	l := NewLane(size, depth, sink.apply)
+	t.Cleanup(func() { within("Lane.Close", l.Close) })
+	return l, sink, depth
 }
 
 // TestLaneFlushAppliesEarlierTasksInOrder: Flush returns only once every
 // task admitted before it has reached the sink, and the sink sees them in
 // arrival order.
 func TestLaneFlushAppliesEarlierTasksInOrder(t *testing.T) {
-	l, sink, depth := newTestLane(64)
-	defer l.Close()
+	l, sink, depth := newTestLane(t, 64)
 	next := uint64(0)
 	for round := 1; round <= 5; round++ {
 		for i := 0; i < 10; i++ {
@@ -66,7 +67,7 @@ func TestLaneFlushAppliesEarlierTasksInOrder(t *testing.T) {
 // full: TryPush must refuse at once, the gauge must read the capacity,
 // and draining must free the room again.
 func TestLaneFullRejectsWithoutBlocking(t *testing.T) {
-	l, sink, depth := newTestLane(4)
+	l, sink, depth := newTestLane(t, 4)
 	release := holdLane(t, l)
 	for i := 0; i < 4; i++ {
 		if !l.TryPush(trace.Task{ID: uint64(i)}) {
@@ -98,13 +99,13 @@ func TestLaneFullRejectsWithoutBlocking(t *testing.T) {
 // TestLaneCloseDrainsAndJoins: Close applies everything already admitted,
 // returns only after the worker has exited, and may be called again.
 func TestLaneCloseDrainsAndJoins(t *testing.T) {
-	l, sink, _ := newTestLane(32)
+	l, sink, _ := newTestLane(t, 32)
 	release := holdLane(t, l)
 	for i := 0; i < 20; i++ {
 		l.TryPush(trace.Task{ID: uint64(i)})
 	}
 	release()
-	l.Close()
+	within("Lane.Close", l.Close)
 	if got := sink.applied(); len(got) != 20 {
 		t.Errorf("Close returned with %d of 20 admitted tasks applied", len(got))
 	}

@@ -20,12 +20,15 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(eng, cfg), eng
+	s := NewServer(eng, cfg)
+	t.Cleanup(func() { within("Server.Close", s.Close) })
+	return s, eng
 }
 
 // holdLane parks the lane's worker on a barrier, so the queue stays
 // exactly as full as the test makes it; the returned release lets the
-// worker drain again (and runs at cleanup regardless).
+// worker drain again (and runs at cleanup regardless, before the lane's
+// owner closes it).
 func holdLane(t *testing.T, l *Lane) (release func()) {
 	t.Helper()
 	gate, parked := make(chan struct{}), make(chan struct{})
@@ -33,7 +36,7 @@ func holdLane(t *testing.T, l *Lane) (release func()) {
 	<-parked
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(func() { release(); l.Close() })
+	t.Cleanup(release)
 	return release
 }
 

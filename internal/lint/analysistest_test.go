@@ -89,8 +89,7 @@ func collectWants(t *testing.T, dir string) []*expectation {
 // runFixture checks one analyzer (or a co-running set, for analyzers
 // that depend on each other's bookkeeping, like unusedallow) against the
 // named fixture tree. A folded analyzer keeps the trees of both halves:
-// detertaint runs over nodeterm's and its own, goleak over ctxflow's and
-// its own.
+// detertaint runs over nodeterm's and its own.
 func runFixture(t *testing.T, name string, azs ...*Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
@@ -160,17 +159,14 @@ func checkFindingsGolden(t *testing.T, dir string, diags []Diagnostic) {
 	}
 }
 
-func TestNoDetermFixture(t *testing.T)      { runFixture(t, "nodeterm", DeterTaint) }
-func TestRNGDisciplineFixture(t *testing.T) { runFixture(t, "rngdiscipline", RNGDiscipline) }
-func TestSortedEmitFixture(t *testing.T)    { runFixture(t, "sortedemit", SortedEmit) }
-func TestFloatEqFixture(t *testing.T)       { runFixture(t, "floateq", FloatEq) }
-func TestDeterTaintFixture(t *testing.T)    { runFixture(t, "detertaint", DeterTaint) }
-func TestCtxFlowFixture(t *testing.T)       { runFixture(t, "ctxflow", GoLeak) }
-func TestDeferCloseFixture(t *testing.T)    { runFixture(t, "deferclose", DeferClose) }
-func TestGoLeakFixture(t *testing.T)        { runFixture(t, "goleak", GoLeak) }
-func TestErrFlowFixture(t *testing.T)       { runFixture(t, "errflow", ErrFlow) }
-func TestDivZeroFixture(t *testing.T)       { runFixture(t, "divzero", DivZero) }
-func TestNaNSourceFixture(t *testing.T)     { runFixture(t, "nansource", NaNSource) }
+func TestNoDetermFixture(t *testing.T)   { runFixture(t, "nodeterm", DeterTaint) }
+func TestSortedEmitFixture(t *testing.T) { runFixture(t, "sortedemit", SortedEmit) }
+func TestFloatEqFixture(t *testing.T)    { runFixture(t, "floateq", FloatEq) }
+func TestDeterTaintFixture(t *testing.T) { runFixture(t, "detertaint", DeterTaint) }
+func TestDeferCloseFixture(t *testing.T) { runFixture(t, "deferclose", DeferClose) }
+func TestErrFlowFixture(t *testing.T)    { runFixture(t, "errflow", ErrFlow) }
+func TestDivZeroFixture(t *testing.T)    { runFixture(t, "divzero", DivZero) }
+func TestNaNSourceFixture(t *testing.T)  { runFixture(t, "nansource", NaNSource) }
 
 // unusedallow consumes the other analyzers' suppression bookkeeping, so
 // its fixture co-runs floateq: one allow in the fixture suppresses a real
@@ -212,16 +208,7 @@ func TestScopes(t *testing.T) {
 		{ScopeDeterministic, "harmony/internal/sched", true},
 		{ScopeDeterministic, "harmony/internal/stats", false},
 
-		{ScopeSpawn, "harmony/internal/daemon", true},
-		{ScopeSpawn, "harmony/internal/tenant", true},
-		// sim and core are sequential by construction: neither is on the
-		// concurrent surface.
-		{ScopeSpawn, "harmony/internal/sim", false},
-		{ScopeSpawn, "harmony/internal/core", false},
-		{ScopeSpawn, "harmony/internal/stats", false},
-		{ScopeSpawn, "harmony/internal/metrics", false},
-
-		// The lock scope widens the concurrent surface by the mutex
+		// The lock scope: the daemon, the tenant fan-out, the mutex
 		// owners and harmonyd's tickers and files.
 		{ScopeRelease, "harmony/internal/daemon", true},
 		{ScopeRelease, "harmony/internal/tenant", true},
@@ -268,7 +255,7 @@ func TestScopes(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	azs, err := ByName([]string{"floateq", "goleak", "detertaint"})
+	azs, err := ByName([]string{"floateq", "deferclose", "detertaint"})
 	if err != nil || len(azs) != 3 {
 		t.Fatalf("ByName: %v %v", azs, err)
 	}

@@ -75,11 +75,6 @@ type Node struct {
 	In  []*Edge
 	Ext []ExtCall
 
-	// DynGo records go statements whose function operand is a bare
-	// function value: whatever candidate edges exist, the spawn itself is
-	// unprovable for join analysis and goleak flags the site.
-	DynGo []token.Pos
-
 	facts nodeFacts // lazily built, see facts.go
 }
 
@@ -586,9 +581,6 @@ func (b *builder) addDynamic(node *Node, t types.Type, kind EdgeKind, pos token.
 	sig, ok := t.(*types.Signature)
 	if !ok {
 		return
-	}
-	if kind == EdgeGo {
-		node.DynGo = append(node.DynGo, pos)
 	}
 	key := sigKey(sig)
 	reach := b.reachableFrom(node.Pkg)

@@ -449,33 +449,6 @@ func noReturnCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// CanReachExit reports, per block, whether the exit block is reachable.
-// Blocks outside the result set loop forever or end the process.
-func (c *CFG) CanReachExit() map[*Block]bool {
-	return reachFrom(c.Exit, func(b *Block) []*Block { return b.Preds })
-}
-
-// ReachableFromEntry reports, per block, whether the entry reaches it.
-func (c *CFG) ReachableFromEntry() map[*Block]bool {
-	return reachFrom(c.Entry, func(b *Block) []*Block { return b.Succs })
-}
-
-func reachFrom(start *Block, next func(*Block) []*Block) map[*Block]bool {
-	reach := map[*Block]bool{start: true}
-	work := []*Block{start}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, n := range next(blk) {
-			if !reach[n] {
-				reach[n] = true
-				work = append(work, n)
-			}
-		}
-	}
-	return reach
-}
-
 // DebugString renders the CFG one block per line:
 //
 //	b0 entry: [x := 0] -> b1

@@ -68,8 +68,10 @@ var nondetermRoots = map[string]map[string]string{
 	},
 }
 
-// rngConstructors are the explicit-source constructors that detertaint
-// leaves to the rngdiscipline analyzer.
+// rngConstructors build a generator from an explicit seed, so they are
+// not roots: a stream seeded by a constant or a parameter replays
+// exactly, and a clock-seeded one is already tainted through the
+// time.Now that produced its seed.
 var rngConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,

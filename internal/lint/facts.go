@@ -8,8 +8,8 @@ import (
 // nodeFacts is the per-function facts record every flow-sensitive
 // analyzer reads through the Node accessors below. Each fact is built on
 // first request and kept for the rest of the run (one Graph per
-// checkAll), so a function analyzed by goleak, deferclose, divzero, and
-// nansource is lowered to a CFG once and solved once per problem.
+// checkAll), so a function analyzed by deferclose, divzero and nansource
+// is lowered to a CFG once and solved once per problem.
 // Analyzers run sequentially; the record needs no locking.
 type nodeFacts struct {
 	cfg     *CFG

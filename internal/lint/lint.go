@@ -1,9 +1,9 @@
 // Package lint implements harmony-lint: a suite of static analyzers that
 // mechanically enforce the codebase's determinism and concurrency
-// contracts — the conventions (seeded internal/stats RNG only, no
-// wall-clock or environment reads in control paths, sorted iteration
-// before any output, tolerance-based float comparison, no blocking calls
-// under a mutex, joined goroutines) that the bit-identical simulation and
+// contracts — the conventions (no wall-clock, environment or global-RNG
+// reads in control paths, sorted iteration before any output,
+// tolerance-based float comparison, resources released on every path,
+// no blocking calls under a mutex) that the bit-identical simulation and
 // replay guarantees rest on.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature but
@@ -304,9 +304,7 @@ func All() []*Analyzer {
 		DivZero,
 		ErrFlow,
 		FloatEq,
-		GoLeak,
 		NaNSource,
-		RNGDiscipline,
 		SortedEmit,
 		UnusedAllow,
 	}

@@ -9,22 +9,14 @@ const (
 	// ScopeDeterministic: packages whose behavior must be a pure function
 	// of their inputs (detertaint).
 	ScopeDeterministic Scope = iota
-	// ScopeSpawn: where goroutines are spawned and must be joined (goleak).
-	ScopeSpawn
-	// ScopeRelease: the concurrent surface plus metrics and harmonyd, the
-	// code that holds locks, tickers, files, and response bodies
-	// (deferclose).
+	// ScopeRelease: the code that holds locks, tickers, files, and
+	// response bodies — the daemon, the tenant fan-out, metrics, and
+	// harmonyd (deferclose).
 	ScopeRelease
 	// ScopeNumeric: the numeric surface — the energy→cost chain and the
 	// demand chain (divzero, nansource).
 	ScopeNumeric
 )
-
-// concurrentSurface is the part every concurrency scope shares.
-var concurrentSurface = []string{
-	"harmony/internal/daemon",
-	"harmony/internal/tenant", // per-tenant ingest workers + group tick fan-out
-}
 
 // scopeTable is the one declarative statement of what each scope covers.
 var scopeTable = map[Scope]map[string]bool{
@@ -34,7 +26,7 @@ var scopeTable = map[Scope]map[string]bool{
 	// the batch reference a streamed trace must reproduce bit-for-bit).
 	// cmd/harmonyd is included so its genuinely wall-clock tick loop
 	// carries explicit annotations.
-	ScopeDeterministic: scopeSet(nil,
+	ScopeDeterministic: scopeSet(
 		"harmony/internal/sim",
 		"harmony/internal/trace",
 		"harmony/internal/sched",
@@ -48,10 +40,13 @@ var scopeTable = map[Scope]map[string]bool{
 		"harmony/internal/tenant",
 		"harmony/cmd/harmonyd",
 	),
-	// trace: streaming sources are single-goroutine by contract.
-	ScopeSpawn:   scopeSet(concurrentSurface, "harmony/internal/trace"),
-	ScopeRelease: scopeSet(concurrentSurface, "harmony/internal/metrics", "harmony/cmd/harmonyd"),
-	ScopeNumeric: scopeSet(nil,
+	ScopeRelease: scopeSet(
+		"harmony/internal/daemon",
+		"harmony/internal/tenant",
+		"harmony/internal/metrics",
+		"harmony/cmd/harmonyd",
+	),
+	ScopeNumeric: scopeSet(
 		"harmony/internal/energy",
 		"harmony/internal/tenant",
 		"harmony/internal/core",
@@ -70,13 +65,10 @@ var scopeTable = map[Scope]map[string]bool{
 	),
 }
 
-func scopeSet(base []string, more ...string) map[string]bool {
-	set := make(map[string]bool, len(base)+len(more))
-	for _, e := range base {
-		set[e] = true
-	}
-	for _, e := range more {
-		set[e] = true
+func scopeSet(pkgs ...string) map[string]bool {
+	set := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		set[p] = true
 	}
 	return set
 }

@@ -7,10 +7,8 @@ import (
 
 // RNG is the module-wide deterministic random source. It aliases
 // math/rand.Rand so the generator streams (and therefore every committed
-// golden figure) are unchanged, but construction is funneled through
-// NewRNG: the rngdiscipline analyzer in internal/lint forbids raw
-// rand.New/rand.NewSource outside this package, so every stream in the
-// codebase is a named, explicitly seeded source.
+// golden figure) are unchanged, and NewRNG is the one constructor the
+// module uses, so every stream is a named, explicitly seeded source.
 type RNG = rand.Rand
 
 // NewRNG returns an RNG deterministically seeded with seed. Equal seeds

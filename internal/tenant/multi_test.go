@@ -318,7 +318,8 @@ func TestN1BitIdentical(t *testing.T) {
 			}
 			i++
 		}
-		if _, err := eng.Tick(context.Background()); err != nil {
+		within("Engine.Tick", func() { _, err = eng.Tick(context.Background()) })
+		if err != nil {
 			t.Fatalf("reference tick %d: %v", k, err)
 		}
 	}
@@ -328,7 +329,10 @@ func TestN1BitIdentical(t *testing.T) {
 	}
 
 	// Multi-tenant N=1 over the same stream, boundary-driven via Replay.
-	plans, err := Replay(Config{Base: testBase(t), Tenants: []Spec{{Name: "app"}}}, tasks, periods)
+	var plans map[string]*daemon.Plan
+	within("Replay", func() {
+		plans, err = Replay(Config{Base: testBase(t), Tenants: []Spec{{Name: "app"}}}, tasks, periods)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,15 @@ func newTestServer(t *testing.T, cfg ServerConfig, specs ...Spec) (*Server, *Mul
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(m, cfg), m
+	s := NewServer(m, cfg)
+	t.Cleanup(func() { within("Server.Close", s.Close) })
+	return s, m
 }
 
 // holdLanes parks every tenant lane's worker on a barrier, so the queues
 // stay exactly as full as the test makes them; the returned release lets
-// the workers drain again (and runs at cleanup regardless).
+// the workers drain again (and runs at cleanup regardless, before
+// newTestServer's cleanup closes the server).
 func holdLanes(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -40,7 +43,7 @@ func holdLanes(t *testing.T, s *Server) (release func()) {
 	parked.Wait()
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(func() { release(); s.Close() })
+	t.Cleanup(release)
 	return release
 }
 
@@ -191,7 +194,6 @@ func TestPerTenantBackpressure429(t *testing.T) {
 func TestRefusedTenantStaysRefusedInBody(t *testing.T) {
 	s, m := newTestServer(t, ServerConfig{},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
-	t.Cleanup(s.Close)
 	var pushed []string
 	s.push = func(lane *daemon.Lane, task trace.Task) bool {
 		pushed = append(pushed, fmt.Sprintf("%s%d", task.Tenant, task.ID))

@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -10,15 +11,17 @@ import (
 )
 
 // TestOfflinePathIsSequential pins "sequential by construction": no
-// non-test file of the facade, the simulator or the controller imports a
-// synchronization package — there is nothing to wait on, so nothing is
-// spawned — and sim and core cannot read the machine's parallelism either.
-// Imports only, so it costs a parse.
+// non-test file of the facade, the simulator, the controller or the trace
+// sources has a go statement or imports a synchronization package, so
+// nothing is spawned and there is nothing to wait on; sim and core cannot
+// read the machine's parallelism either. A trace source is read by one
+// goroutine, the simulator's.
 func TestOfflinePathIsSequential(t *testing.T) {
 	banned := map[string][]string{
-		".":             {"sync", "sync/atomic"},
-		"internal/sim":  {"sync", "sync/atomic", "runtime"},
-		"internal/core": {"sync", "sync/atomic", "runtime"},
+		".":              {"sync", "sync/atomic"},
+		"internal/sim":   {"sync", "sync/atomic", "runtime"},
+		"internal/core":  {"sync", "sync/atomic", "runtime"},
+		"internal/trace": {"sync", "sync/atomic"},
 	}
 	for dir, pkgs := range banned {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -29,10 +32,17 @@ func TestOfflinePathIsSequential(t *testing.T) {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
 			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement: the offline path is single-goroutine", fset.Position(g.Go))
+				}
+				return true
+			})
 			for _, imp := range f.Imports {
 				name, _ := strconv.Unquote(imp.Path.Value)
 				for _, b := range pkgs {
