@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // SolveDense runs the dense tableau simplex — the original solver, kept
 // in a test file as the independent oracle the sparse revised simplex
@@ -150,7 +147,7 @@ func (t *tableau) run() error {
 		t.iters++
 		t.pivot(leave, enter)
 	}
-	return errors.New("lp: iteration limit exceeded")
+	return errIterLimit
 }
 
 func (t *tableau) chooseEntering(bland bool) int {
