@@ -73,8 +73,8 @@ var mutationTable = []mutant{
 		"go httpSrv.Serve(ln)"}},
 		[]string{"errflow"}},
 	{"warm basis checked with exact equality", []edit{{"internal/lp/sparse.go",
-		"if math.Abs(v-want) > 1e-6 {",
-		"if v != want {"}},
+		"!(math.Abs(v-b) <= 1e-7*(1+math.Abs(b)))",
+		"v != b"}},
 		[]string{"floateq"}},
 	// The solvers' tie-breaks compare within eps; an exact one passes
 	// every test (ties at exactly equal values are rare) and only
@@ -84,7 +84,7 @@ var mutationTable = []mutant{
 		"mm == bestM"}},
 		[]string{"floateq"}},
 	{"leaving tie-break made exact", []edit{{"internal/lp/sparse.go",
-		"math.Abs(ratio-best) <= eps",
+		"math.Abs(ratio-best) <= tie",
 		"ratio == best"}},
 		[]string{"floateq"}},
 	{"dual ratio tie-break made exact", []edit{{"internal/lp/sparse.go",

@@ -263,35 +263,94 @@ func (t *tableau) solution(p *Problem) (*Solution, error) {
 	return &Solution{X: x, Objective: obj, Iterations: t.iters}, nil
 }
 
-// denseBtranRow is the reference e_rᵀ·B⁻¹ for the dual simplex's pivot
-// row: e_r pushed back through the eta file, then a full dense dot
-// against every folded inverse column — the O(m²) loop btranRow ran
-// before it dotted only the multiplier's nonzero positions. It uses its
-// own vectors, so calling it does not disturb the solver.
-func (sv *sparseSolver) denseBtranRow(r int) []float64 {
-	u := make([]float64, sv.m)
-	u[r] = 1
-	for k := len(sv.etas) - 1; k >= 0; k-- {
-		e := &sv.etas[k]
-		var s float64
-		for q, i := range e.idx {
-			s += u[i] * e.val[q]
+// denseBasis is the solver's current basis matrix, dense: column k is
+// the constraint column at basis position k.
+func (sv *sparseSolver) denseBasis() [][]float64 {
+	b := make([][]float64, sv.m)
+	for i := range b {
+		b[i] = make([]float64, sv.m)
+	}
+	for k, bj := range sv.basis {
+		col := &sv.cols[bj]
+		for t, i := range col.idx {
+			b[i][k] = col.val[t]
 		}
-		u[e.r] = s
 	}
-	if sv.binv == nil {
-		return u
+	return b
+}
+
+// denseLU is the reference factorization the sparse engine's FTRAN and
+// BTRAN are checked against: Gaussian elimination with partial pivoting
+// on a dense copy, PA = LU, with nothing shared with factor.go.
+type denseLU struct {
+	lu   [][]float64
+	perm []int
+}
+
+func newDenseLU(a [][]float64) *denseLU {
+	n := len(a)
+	d := &denseLU{lu: make([][]float64, n), perm: make([]int, n)}
+	for i := range a {
+		d.lu[i] = append([]float64(nil), a[i]...)
+		d.perm[i] = i
 	}
-	rho := make([]float64, sv.m)
-	for j := 0; j < sv.m; j++ {
-		col := sv.binv[j]
-		var s float64
-		for i, c := range col {
-			if u[i] != 0 {
-				s += u[i] * c
+	for j := 0; j < n; j++ {
+		p := j
+		for i := j + 1; i < n; i++ {
+			if math.Abs(d.lu[i][j]) > math.Abs(d.lu[p][j]) {
+				p = i
 			}
 		}
-		rho[j] = s
+		d.lu[j], d.lu[p] = d.lu[p], d.lu[j]
+		d.perm[j], d.perm[p] = d.perm[p], d.perm[j]
+		for i := j + 1; i < n; i++ {
+			l := d.lu[i][j] / d.lu[j][j]
+			d.lu[i][j] = l
+			for c := j + 1; c < n; c++ {
+				d.lu[i][c] -= l * d.lu[j][c]
+			}
+		}
 	}
-	return rho
+	return d
+}
+
+// solve returns x with A·x = v.
+func (d *denseLU) solve(v []float64) []float64 {
+	n := len(v)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = v[d.perm[i]]
+		for c := 0; c < i; c++ {
+			x[i] -= d.lu[i][c] * x[c]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		for c := i + 1; c < n; c++ {
+			x[i] -= d.lu[i][c] * x[c]
+		}
+		x[i] /= d.lu[i][i]
+	}
+	return x
+}
+
+// solveT returns y with Aᵀ·y = v.
+func (d *denseLU) solveT(v []float64) []float64 {
+	n := len(v)
+	z := append([]float64(nil), v...)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			z[j] -= d.lu[i][j] * z[i]
+		}
+		z[j] /= d.lu[j][j]
+	}
+	for j := n - 1; j >= 0; j-- {
+		for i := j + 1; i < n; i++ {
+			z[j] -= d.lu[i][j] * z[i]
+		}
+	}
+	y := make([]float64, n)
+	for i, p := range d.perm {
+		y[p] = z[i]
+	}
+	return y
 }

@@ -136,38 +136,48 @@ func (in *mpcLP) problem() *Problem {
 
 // dualRepairState replays tryWarm's ladder on p from warm up to the dual
 // repair and stops that after k pivots: the solver it returns is what the
-// (k+1)-th pivot row is generated from — a folded inverse plus k etas.
+// (k+1)-th pivot row is generated from — a fresh factor plus k etas.
 // ok is false when this period needs no repair (the warm basis stayed
 // primal feasible) or the repair finished in fewer than k pivots.
 func dualRepairState(t *testing.T, p *Problem, warm *Basis, k int) (sv *sparseSolver, ok bool) {
 	t.Helper()
 	sv = newSparseSolver(&mustStandard(t, p).std)
-	valid, feasible := sv.startWarm(warm)
-	if !valid || sv.mActive {
-		t.Fatalf("warm basis rejected (valid=%v, artificial basic=%v)", valid, sv.mActive)
-	}
-	if feasible {
+	switch o := sv.startWarm(warm); o {
+	case feasibleResume:
 		return nil, false
+	case dualRepair:
+	default:
+		t.Fatalf("warm basis rejected: %v", o)
 	}
-	newB := sv.b
-	sv.b = append([]float64(nil), warm.b...)
-	copy(sv.xB, warm.xb)
-	err := sv.run()
-	sv.b = newB
-	if err != nil {
-		t.Fatalf("re-optimizing against the old RHS: %v", err)
+	if o := sv.reoptimizeOld(warm); o != dualRepair {
+		t.Fatalf("re-optimizing against the old RHS: %v", o)
 	}
-	sv.refactor()
 	if sv.runDual(k) == nil {
 		return nil, false
 	}
 	return sv, true
 }
 
-// TestBtranRowMatchesDense pins btranRow's arithmetic: on solver states
-// taken mid-repair from seeded MPC sequences — every pivot count the
-// repair passes through, every row of the inverse — its sparse-multiplier
-// product is bit-for-bit the dense row scan it replaced.
+// closeTo fails t unless got matches want within 1e-9 relative to want's
+// largest entry.
+func closeTo(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	scale := 1.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i, v := range want {
+		if math.Abs(got[i]-v) > 1e-9*scale {
+			t.Fatalf("%s: entry %d is %v, dense solve %v", what, i, got[i], v)
+		}
+	}
+}
+
+// TestBtranRowMatchesDense pins the factor and the eta file together: on
+// solver states taken mid-repair from seeded MPC sequences — every pivot
+// count the repair passes through — FTRAN of every column, the duals'
+// BTRAN and btranRow of every row agree within 1e-9 relative with a
+// dense LU solve of the same basis matrix (dense_test.go).
 func TestBtranRowMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(555))
 	states, rows, deepest := 0, 0, 0
@@ -189,15 +199,29 @@ func TestBtranRowMatchesDense(t *testing.T) {
 				if len(sv.etas) > deepest {
 					deepest = len(sv.etas)
 				}
-				for row := 0; row < sv.m; row++ {
-					want := sv.denseBtranRow(row)
-					sv.btranRow(row)
-					for j, w := range want {
-						if math.Float64bits(sv.rho[j]) != math.Float64bits(w) {
-							t.Fatalf("trial %d period %d after %d pivots: rho[%d] of row %d = %x, dense %x",
-								trial, period, k, j, row, math.Float64bits(sv.rho[j]), math.Float64bits(w))
-						}
+				d := newDenseLU(sv.denseBasis())
+				a := make([]float64, sv.m)
+				for j := range sv.cols {
+					for i := range a {
+						a[i] = 0
 					}
+					for q, i := range sv.cols[j].idx {
+						a[i] = sv.cols[j].val[q]
+					}
+					sv.ftran(sv.cols[j], sv.w)
+					closeTo(t, "ftran", sv.w, d.solve(a))
+				}
+				cB := make([]float64, sv.m)
+				for k, bj := range sv.basis {
+					cB[k] = sv.cR[bj]
+				}
+				sv.computeDuals()
+				closeTo(t, "duals", sv.yR, d.solveT(cB))
+				for row := 0; row < sv.m; row++ {
+					e := make([]float64, sv.m)
+					e[row] = 1
+					sv.btranRow(row)
+					closeTo(t, "btranRow", sv.rho, d.solveT(e))
 					rows++
 				}
 			}

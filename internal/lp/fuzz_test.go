@@ -25,9 +25,12 @@ func (f *fuzzBytes) next() int {
 }
 
 // The value tables are dyadic, so every product the solvers form is
-// exact or nearly so and a verdict never hangs on a tolerance: 1/1024 is
-// the near-singular pivot, zeros are over-represented for degenerate
-// vertices and zero right-hand sides, negatives flip rows.
+// exact or nearly so: 1/1024 is the near-singular pivot, zeros are
+// over-represented for degenerate vertices and zero right-hand sides,
+// negatives flip rows. A program gets the tiny pivot at most once:
+// two or three of them compound to 2^-20 or 2^-30, at the solvers'
+// absolute eps of 1e-9, where an exact reduced cost and roundoff look
+// the same and no float verdict can be trusted.
 var (
 	fuzzCoeffs = [16]float64{0, 0, 0, 1, -1, 2, -2, 0.5, -0.5, 3, -3, 0.25, 1.0 / 1024, -1.0 / 1024, 4, 1.5}
 	fuzzRHS    = [16]float64{0, 0, 1, 2, 4, 10, -1, -2, 0.5, 1.0 / 1024, 3, 7, -4, 5, 8, 6}
@@ -41,6 +44,17 @@ var (
 // or a single entry that may be the tiny pivot; then a column may be
 // overwritten by a scaled copy of another (parallel columns).
 func decodeFuzzLP(in *fuzzBytes) *Problem {
+	tiny := false
+	coeff := func() float64 {
+		v := fuzzCoeffs[in.next()%len(fuzzCoeffs)]
+		if math.Abs(v) == 1.0/1024 {
+			if tiny {
+				return 256 * v
+			}
+			tiny = true
+		}
+		return v
+	}
 	nVars := 1 + in.next()%6
 	nRows := 1 + in.next()%7
 	p := &Problem{NumVars: nVars, Objective: make([]float64, nVars)}
@@ -81,10 +95,10 @@ func decodeFuzzLP(in *fuzzBytes) *Problem {
 				}
 			}
 		case kind == 7:
-			coeffs[in.next()%nVars] = fuzzCoeffs[in.next()%len(fuzzCoeffs)]
+			coeffs[in.next()%nVars] = coeff()
 		default:
 			for j := range coeffs {
-				coeffs[j] = fuzzCoeffs[in.next()%len(fuzzCoeffs)]
+				coeffs[j] = coeff()
 			}
 		}
 		p.AddConstraint(coeffs, sense, rhs)
@@ -131,7 +145,8 @@ func disagreement(want, got *Solution, wantErr, gotErr error) string {
 
 // FuzzSolveMatchesDense differential-tests the sparse engine against the
 // dense tableau on programs biased to degenerate and near-singular
-// structure, then runs the warm leg of an MPC period: the program's
+// structure, asserts the optimality certificate on its artificial-free
+// optima, then runs the warm leg of an MPC period: the program's
 // optimal basis seeds a perturbed program, which must get a cold solve's
 // verdict and objective. The float tableau is not always right on such
 // programs — its incrementally updated Big-M reduced costs can drift past
@@ -146,7 +161,11 @@ func FuzzSolveMatchesDense(f *testing.F) {
 		in := &fuzzBytes{data: data}
 		p := decodeFuzzLP(in)
 		ds, derr := SolveDense(p)
-		ss, basis, serr := SolveWarm(p, nil)
+		s := mustStandard(t, p)
+		ss, basis, _, serr := s.solve(nil)
+		if serr == nil && !s.sv.mActive && !s.sv.certified() {
+			t.Fatal("an artificial-free optimum fails its certificate")
+		}
 		if d := disagreement(ds, ss, derr, serr); d != "" {
 			exact, xerr := solveExact(p)
 			var xs *Solution

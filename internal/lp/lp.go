@@ -12,10 +12,13 @@
 // instances.
 //
 // Solve and SolveWarm (sparse.go) are the only solver: a sparse revised
-// simplex with eta-file basis updates and warm starts from a previous
-// optimal basis. The original dense tableau lives in dense_test.go as
-// the independent oracle the sparse engine is differential-tested
-// against; no non-test code can reach it.
+// simplex over an LU factorization of the basis (factor.go) plus an eta
+// file of the pivots since, with warm starts from a previous optimal
+// basis and an O(nnz) optimality certificate on every optimum it
+// returns. The original dense tableau lives in dense_test.go as the
+// independent oracle the sparse engine is differential-tested against,
+// beside an exact rational simplex that settles the fuzz target's
+// disagreements; no non-test code can reach either.
 package lp
 
 import (

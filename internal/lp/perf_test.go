@@ -9,11 +9,11 @@ import (
 
 // TestPivotLoopsAllocOnlyEtas pins the allocation contract of the two
 // simplex loops: an iteration allocates exactly what its pivot does (the
-// eta vectors, and the inverse's columns on the first refactor), so
-// neither pricing, the ratio tests nor FTRAN/BTRAN allocate per pivot.
-// What a solve allocates once — runDual's reduced-cost and pivot-row
-// vectors — is outside the count. Every count is a difference taken on
-// the same solver state, so the lid holds on any toolchain.
+// eta file's growth, and the spare factor's storage on the first
+// refactor), so neither pricing, the ratio tests nor FTRAN/BTRAN
+// allocate per pivot. Every count is a difference taken on the same
+// solver state, so the lid holds on any toolchain; on a kept Standard
+// even the pivots stop allocating (TestWarmSolveAllocatesOnlyItsResult).
 func TestPivotLoopsAllocOnlyEtas(t *testing.T) {
 	r := rand.New(rand.NewSource(555))
 	in := randomMPC(r, 2, 5, 2)

@@ -1,33 +1,35 @@
-// Sparse revised simplex with product-form (eta) basis updates — the
-// production engine behind Solve and SolveWarm.
+// Sparse revised simplex with an LU-factored basis and product-form (eta)
+// updates — the production engine behind Solve and SolveWarm.
 //
 // The CBS-RELAX constraint matrix is overwhelmingly sparse: every
 // x(m,n,t) column touches a capacity row pair and one scheduled-count
 // row, every z(m,t) column a handful of linkage rows. The dense tableau
-// (retained in dense_test.go as the differential-testing oracle)
-// pays O(m·n) per pivot regardless; the revised simplex below stores the
-// matrix column-wise, represents the basis inverse as a product of
-// sparse eta matrices folded periodically into dense inverse columns,
-// and re-prices from scratch each iteration, so a primal pivot costs
-// roughly O(nnz(A) + m·|etas| + m²/refactorEvery) on a cold start; on a
-// warm start the inverse is dense from the first pivot and the BTRAN of
-// the full cost vector (computeDuals) is O(m²). A dual-repair pivot
-// prices incrementally and needs one row of B⁻¹ instead: btranRow's
-// multiplier is a unit vector plus one entry per pivot since the last
-// fold, so that row costs O(etaNNZ + m·(1+pivots)), not O(m²). The
-// O(m²) terms left on the warm path — startWarm's deep copy and B⁻¹·B
-// check, the folds in refactor and captureBasis — are what an LU
-// factorization in place of the explicit inverse would remove.
+// (retained in dense_test.go as the differential-testing oracle) pays
+// O(m·n) per pivot regardless; the revised simplex below stores the
+// matrix column-wise and never forms B⁻¹. It keeps an LU factorization
+// of the basis as it was at the last refactorization (factor.go:
+// singleton peeling to a permuted triangle around a small dense bump)
+// and one sparse eta matrix per pivot since. FTRAN (a column of B⁻¹A),
+// BTRAN (the duals, or one row of B⁻¹ for a dual-simplex pivot) and the
+// basic values each cost O(nnz(L+U) + etaNNZ); refactoring re-factors B
+// from its column list, O(nnz(B) + bump³), and happens once the eta
+// file holds refactorNNZFactor times the factor's nonzeros.
 //
 // SolveWarm additionally accepts the Basis captured by a previous solve
 // of a structurally identical problem (same variables, constraints, and
 // coefficients; only the objective and right-hand side may differ).
 // Consecutive MPC control periods are exactly that — one shifted
 // forecast window apart — so the previous optimal basis is usually
-// optimal or a few pivots away. A warm basis is verified (its stored
-// inverse must invert this problem's basis columns) and checked for
-// primal feasibility under the new right-hand side; on any mismatch the
-// solver silently falls back to a cold Big-M start.
+// optimal or a few pivots away. A Basis is only a column list and the
+// right-hand side and basic values it was optimal for: the solver
+// factors this problem's own columns at those positions, so a Basis from
+// another problem can name a singular or infeasible set of columns but
+// never carry a wrong inverse. Every optimum, warm or cold, is checked
+// by an O(nnz) certificate (primal feasibility, dual feasibility, zero
+// duality gap) before it is returned; a warm solve that is refused at
+// any step — shape, singular columns, inconsistent basic values, an
+// abandoned repair, a failed certificate — restarts cold, and says why
+// (warmOutcome).
 //
 // What a solve costs before its first pivot: NewStandard reads every
 // dense row once, O(rows·vars), and allocates the column-wise matrix —
@@ -35,10 +37,9 @@
 // re-sparsified for a matrix that depends on the catalog alone. A
 // Standard therefore outlives a solve: the caller that knows its matrix
 // is fixed keeps it and Refills the two vectors a period changes,
-// O(rows+vars); per solve that leaves the solver's O(m+n) scratch and
-// the warm path's O(m²) terms above. The verification in startWarm is
-// kept either way: a kept Standard with a Basis from elsewhere is as
-// possible as a rebuilt one.
+// O(rows+vars), and the Standard keeps the solver's scratch — the
+// factor, the eta file, the pricing vectors — so a warm solve allocates
+// only the Solution and Basis it returns.
 package lp
 
 import (
@@ -46,16 +47,14 @@ import (
 	"math"
 )
 
-// Refactor policy: the eta file is folded into dense basis-inverse
-// columns once applying the chain costs clearly more than a dense
-// BTRAN/FTRAN would (total eta nonzeros past refactorNNZFactor·m²), or
-// at a hard pivot cap that bounds accumulated roundoff. For the sparse
-// CBS-RELAX instances the chain typically stays far below the nnz
-// threshold for an entire solve, which is exactly why the revised
-// simplex beats the dense tableau here.
+// Refactor policy: the basis is re-factored once the eta file holds more
+// than refactorNNZFactor times the factor's nonzeros — from there on
+// every FTRAN and BTRAN spends more on the etas than a fresh factor
+// costs to apply — or at a hard pivot cap that bounds accumulated
+// roundoff.
 const (
 	refactorMaxEtas   = 4096
-	refactorNNZFactor = 4
+	refactorNNZFactor = 2
 )
 
 // spCol is one sparse constraint-matrix column (row indices ascending).
@@ -69,28 +68,24 @@ func unitCol(row int, v float64) spCol {
 }
 
 // eta is one product-form pivot update: the transformed entering column
-// at pivot row r, stored with its diagonal 1/pivot entry included.
-// Applying it to v replaces v[r] with val_r·v_r and adds val_i·v_r to
-// every off-pivot entry i.
+// at pivot row r, stored with its diagonal 1/pivot entry included, as
+// the solver's etaIdx/etaVal[start:end]. Applying it to v replaces v[r]
+// with val_r·v_r and adds val_i·v_r to every off-pivot entry i.
 type eta struct {
-	r   int
-	idx []int32
-	val []float64
+	r, start, end int
 }
 
 // Basis is the reusable state captured from an optimal solve: the basic
-// column set, its inverse, and the right-hand side and basic values at
-// capture time (needed to repair primal feasibility when the next
-// problem's RHS has moved). SolveWarm uses it to seed the next solve of
-// a structurally identical problem. It is opaque and immutable from the
-// caller's point of view; a Basis may be reused for any number of warm
-// solves.
+// column set, and the right-hand side and basic values at capture time
+// (needed to repair primal feasibility when the next problem's RHS has
+// moved). SolveWarm uses it to seed the next solve of a structurally
+// identical problem. It is opaque and immutable from the caller's point
+// of view; a Basis may be reused for any number of warm solves.
 type Basis struct {
 	m, n int
 	cols []int
-	binv [][]float64 // column-major: binv[j] is column j of B^{-1}
-	b    []float64   // standardized RHS the basis was optimal for
-	xb   []float64   // basic values under b (all >= 0)
+	b    []float64 // standardized RHS the basis was optimal for
+	xb   []float64 // basic values under b (all >= 0)
 }
 
 // std is a Problem in computational standard form: non-negative RHS,
@@ -111,13 +106,15 @@ type std struct {
 // control periods — builds it once with NewStandard, then per solve only
 // Refills the objective and the right-hand side and calls SolveWarm, so
 // no dense row is rebuilt or re-sparsified. SolveWarm(p, warm) is the
-// same two steps used once.
+// same two steps used once. A Standard holds its solver's scratch, so
+// it must not be solved from two goroutines at once.
 type Standard struct {
 	std
 	// flipped[i] records that row i was negated at build time (its RHS
 	// was negative): Refill negates the new RHS the same way, and refuses
 	// one whose sign would have standardized the row differently.
 	flipped []bool
+	sv      *sparseSolver // made by the first solve, reset by every one
 }
 
 // NewStandard validates p and puts it in standard form, mirroring the
@@ -237,19 +234,34 @@ func (s *Standard) Refill(objective, rhs []float64) bool {
 // sparseSolver is the revised-simplex iteration state.
 type sparseSolver struct {
 	*std
-	basis  []int
-	inB    []bool
-	binv   [][]float64 // column-major; nil while the inverse is the identity
+	// rhs is the right-hand side the basic values solve for: std.b, or a
+	// warm basis's capture-time one while the repair re-optimizes on it.
+	rhs   []float64
+	basis []int
+	inB   []bool
+	f     factor // the basis at the last refactorization
+	spare factor // the next factorization, swapped in when it succeeds
+	// The eta file: etas[k] is the k-th pivot since the last
+	// refactorization, its entries etaIdx/etaVal[start:end].
 	etas   []eta
-	etaNNZ int       // total nonzeros across the eta file
-	xB     []float64 // current basic values B^{-1}b
+	etaIdx []int32
+	etaVal []float64
+	xB     []float64 // current basic values B⁻¹·rhs
 
 	uR, uM []float64 // BTRAN scratch (c_B transformed through the etas)
 	yR, yM []float64 // dual pair
 	w      []float64 // FTRAN scratch (transformed entering column)
-	rho    []float64 // BTRAN scratch for one row of B^{-1} (dual simplex)
-	rhoNZ  []int32   // btranRow scratch: nonzero positions of its multiplier vector
+	rho    []float64 // BTRAN scratch for one row of B⁻¹ (dual simplex)
+	work   []float64 // by constraint row: FTRAN's right-hand side, residuals
+	bOld   []float64 // a warm basis's capture-time RHS
+	rc     []float64 // dual simplex: reduced costs
+	wrow   []float64 // dual simplex: the pivot row
 	iters  int
+	// A column whose pricing is roundoff is ruled out of entering until
+	// the basis changes: ruledOut[j] == basisStamp, a stamp every pivot
+	// and every installed basis renews.
+	ruledOut   []int
+	basisStamp int
 	// mActive is whether any artificial column is currently basic; once
 	// the artificials are driven out the Big-M dual components are
 	// identically zero and the M half of pricing is skipped.
@@ -259,6 +271,7 @@ type sparseSolver struct {
 func newSparseSolver(s *std) *sparseSolver {
 	return &sparseSolver{
 		std:   s,
+		rhs:   s.b,
 		basis: make([]int, s.m),
 		inB:   make([]bool, s.n),
 		xB:    make([]float64, s.m),
@@ -268,7 +281,13 @@ func newSparseSolver(s *std) *sparseSolver {
 		yM:    make([]float64, s.m),
 		w:     make([]float64, s.m),
 		rho:   make([]float64, s.m),
-		rhoNZ: make([]int32, 0, s.m),
+		work:  make([]float64, s.m),
+		bOld:  make([]float64, s.m),
+		rc:    make([]float64, s.n),
+		wrow:  make([]float64, s.n),
+
+		ruledOut:   make([]int, s.n),
+		basisStamp: 1,
 	}
 }
 
@@ -283,122 +302,160 @@ func (sv *sparseSolver) refreshMActive() {
 	}
 }
 
-// startCold installs the all-slack/artificial Big-M starting basis.
-func (sv *sparseSolver) startCold() {
-	copy(sv.basis, sv.initBasis)
-	copy(sv.xB, sv.b)
+// install makes sv.basis (already set) the factored basis of an empty
+// eta file and recomputes the basic values; false means its columns are
+// singular.
+func (sv *sparseSolver) install() bool {
 	for i := range sv.inB {
 		sv.inB[i] = false
 	}
 	for _, bj := range sv.basis {
 		sv.inB[bj] = true
 	}
-	sv.binv = nil
-	sv.etas = sv.etas[:0]
-	sv.etaNNZ = 0
+	sv.rhs = sv.b
+	sv.iters = 0
+	sv.basisStamp++
 	sv.refreshMActive()
+	if !sv.f.build(sv.cols, sv.basis) {
+		return false
+	}
+	sv.clearEtas()
+	sv.computeXB()
+	return true
 }
 
-// startWarm seeds the solver from a previous basis. ok reports whether
-// the basis matches this problem structurally (shape, and a stored
-// inverse that actually inverts this problem's basis columns); feasible
-// reports whether the basic values are non-negative under the new
-// right-hand side. On ok && !feasible the caller may attempt the
-// dual-simplex repair; on !ok it must startCold.
-func (sv *sparseSolver) startWarm(wb *Basis) (ok, feasible bool) {
+func (sv *sparseSolver) clearEtas() {
+	sv.etas, sv.etaIdx, sv.etaVal = sv.etas[:0], sv.etaIdx[:0], sv.etaVal[:0]
+}
+
+// startCold installs the all-slack/artificial Big-M starting basis, the
+// identity.
+func (sv *sparseSolver) startCold() {
+	copy(sv.basis, sv.initBasis)
+	sv.install()
+}
+
+// warmOutcome names how a solve used the basis it was handed: resumed
+// from it, repaired it, or restarted cold for a stated reason.
+type warmOutcome uint8
+
+const (
+	coldStart      warmOutcome = iota // no basis was given
+	feasibleResume                    // still primal feasible: primal simplex from it
+	dualRepair                        // re-optimized on its own RHS, then dual simplex to the new one
+	// Cold restarts, by reason.
+	coldMismatch        // it does not fit this problem's shape
+	coldSingular        // its columns are singular in this problem
+	coldResidual        // its basic values do not solve its RHS, and recomputed ones are infeasible there
+	coldRepairAbandoned // the repair could not start or gave up
+	coldIterLimit       // a warm run spent its pivot budget
+	coldCertificate     // the warm optimum failed its certificate
+)
+
+var outcomeNames = [...]string{
+	coldStart:           "cold",
+	feasibleResume:      "feasible-resume",
+	dualRepair:          "dual-repair",
+	coldMismatch:        "cold:mismatch",
+	coldSingular:        "cold:singular",
+	coldResidual:        "cold:residual",
+	coldRepairAbandoned: "cold:repair-abandoned",
+	coldIterLimit:       "cold:iteration-limit",
+	coldCertificate:     "cold:certificate",
+}
+
+func (o warmOutcome) String() string { return outcomeNames[o] }
+
+// warm reports whether the solve finished from the basis it was handed.
+func (o warmOutcome) warm() bool { return o == feasibleResume || o == dualRepair }
+
+// startWarm seeds the solver from a previous basis: it must fit this
+// problem's shape (coldMismatch) and its columns must factor here
+// (coldSingular). It then reports feasibleResume when the basic values
+// are non-negative (within eps) under the new right-hand side,
+// dualRepair when they are not.
+func (sv *sparseSolver) startWarm(wb *Basis) warmOutcome {
 	if wb == nil || wb.m != sv.m || wb.n != sv.n ||
-		len(wb.cols) != sv.m || len(wb.binv) != sv.m {
-		return false, false
+		len(wb.cols) != sv.m || len(wb.b) != sv.m || len(wb.xb) != sv.m {
+		return coldMismatch
 	}
 	for i := range sv.inB {
 		sv.inB[i] = false
 	}
 	for i, c := range wb.cols {
 		if c < 0 || c >= sv.n || sv.inB[c] {
-			return false, false
+			return coldMismatch
 		}
 		sv.basis[i] = c
 		sv.inB[c] = true
 	}
-	// Deep-copy the inverse: refactoring mutates it in place, and the
-	// caller may reuse the same Basis for another solve.
-	sv.binv = make([][]float64, sv.m)
-	for j, col := range wb.binv {
-		if len(col) != sv.m {
-			return false, false
-		}
-		sv.binv[j] = append([]float64(nil), col...)
+	if !sv.install() {
+		return coldSingular
 	}
-	sv.etas = sv.etas[:0]
-	sv.etaNNZ = 0
-	sv.refreshMActive()
-	// The stored inverse must actually invert this problem's basis
-	// columns: B⁻¹·A_basis[k] ≈ e_k. A structural mismatch — changed
-	// coefficients, reordered rows, a flipped negative-RHS row — surfaces
-	// here and forces a cold solve instead of a silently wrong answer.
-	for k := 0; k < sv.m; k++ {
-		sv.ftran(sv.cols[sv.basis[k]], sv.w)
-		for i, v := range sv.w {
-			want := 0.0
-			if i == k {
-				want = 1
-			}
-			if math.Abs(v-want) > 1e-6 {
-				return false, false
-			}
-		}
+	if !nonNegative(sv.xB, eps) {
+		return dualRepair
 	}
-	// Primal feasibility for the new RHS: the previous optimal vertex
-	// must still be a vertex of the shifted polytope.
-	sv.computeXB()
-	for _, v := range sv.xB {
-		if v < -1e-7 {
-			return true, false
-		}
-	}
-	return true, true
+	return feasibleResume
 }
 
-// computeXB recomputes the basic values B⁻¹b. Callers guarantee the eta
-// file is empty (fresh warm start or just-refactored state).
-func (sv *sparseSolver) computeXB() {
-	if sv.binv == nil {
-		copy(sv.xB, sv.b)
-		return
+// nonNegative reports whether every basic value is at least −tol (and
+// none is NaN).
+func nonNegative(xB []float64, tol float64) bool {
+	for _, v := range xB {
+		if !(v >= -tol) {
+			return false
+		}
 	}
-	for i := range sv.xB {
-		sv.xB[i] = 0
+	return true
+}
+
+// solves reports whether xb solves B·xb = rhs for the current basis
+// within 1e-7 relative (a NaN never does), in O(nnz(B)).
+func (sv *sparseSolver) solves(xb, rhs []float64) bool {
+	lhs := sv.work
+	for i := range lhs {
+		lhs[i] = 0
 	}
-	for i, bi := range sv.b {
-		if bi == 0 {
+	for k, bj := range sv.basis {
+		x := xb[k]
+		if x == 0 {
 			continue
 		}
-		col := sv.binv[i]
-		for r := range sv.xB {
-			sv.xB[r] += bi * col[r]
+		col := &sv.cols[bj]
+		for t, i := range col.idx {
+			lhs[i] += col.val[t] * x
 		}
 	}
+	for i, v := range lhs {
+		if b := rhs[i]; !(math.Abs(v-b) <= 1e-7*(1+math.Abs(b))) {
+			return false
+		}
+	}
+	return true
 }
 
-// ftran computes out = B⁻¹·a: the folded inverse first, then the eta
-// file in application order.
+// computeXB recomputes the basic values B⁻¹·rhs through the factor and
+// the eta file.
+func (sv *sparseSolver) computeXB() {
+	copy(sv.work, sv.rhs)
+	sv.f.ftran(sv.work, sv.xB)
+	sv.applyEtas(sv.xB)
+}
+
+// ftran computes out = B⁻¹·a: the factor first, then the eta file in
+// application order.
 func (sv *sparseSolver) ftran(a spCol, out []float64) {
-	for i := range out {
-		out[i] = 0
+	for i := range sv.work {
+		sv.work[i] = 0
 	}
-	if sv.binv == nil {
-		for t, i := range a.idx {
-			out[i] = a.val[t]
-		}
-	} else {
-		for t, i := range a.idx {
-			v := a.val[t]
-			col := sv.binv[i]
-			for r := range out {
-				out[r] += v * col[r]
-			}
-		}
+	for t, i := range a.idx {
+		sv.work[i] = a.val[t]
 	}
+	sv.f.ftran(sv.work, out)
+	sv.applyEtas(out)
+}
+
+func (sv *sparseSolver) applyEtas(out []float64) {
 	for k := range sv.etas {
 		e := &sv.etas[k]
 		t := out[e.r]
@@ -406,67 +463,41 @@ func (sv *sparseSolver) ftran(a spCol, out []float64) {
 			continue
 		}
 		out[e.r] = 0
-		for q, i := range e.idx {
-			out[i] += e.val[q] * t
+		for q := e.start; q < e.end; q++ {
+			out[sv.etaIdx[q]] += sv.etaVal[q] * t
 		}
 	}
 }
 
+// btranEtas transforms u (by basis position) through the eta file in
+// reverse, the first half of a BTRAN.
+func (sv *sparseSolver) btranEtas(u []float64) {
+	for k := len(sv.etas) - 1; k >= 0; k-- {
+		e := &sv.etas[k]
+		var s float64
+		for q := e.start; q < e.end; q++ {
+			s += u[sv.etaIdx[q]] * sv.etaVal[q]
+		}
+		u[e.r] = s
+	}
+}
+
 // computeDuals computes the dual pair yᵀ = c_Bᵀ·B⁻¹ by BTRAN: transform
-// c_B through the etas in reverse, then through the folded inverse. The
-// Big-M half is skipped once no artificial is basic (c_B's M part, and
-// hence y's, is identically zero from then on).
+// c_B through the etas in reverse, then through the factor. The Big-M
+// half is skipped once no artificial is basic (c_B's M part, and hence
+// y's, is identically zero from then on).
 func (sv *sparseSolver) computeDuals() {
 	for i, bj := range sv.basis {
 		sv.uR[i] = sv.cR[bj]
 	}
-	for k := len(sv.etas) - 1; k >= 0; k-- {
-		e := &sv.etas[k]
-		var sR float64
-		for q, i := range e.idx {
-			sR += sv.uR[i] * e.val[q]
-		}
-		sv.uR[e.r] = sR
-	}
+	sv.btranEtas(sv.uR)
+	sv.f.btran(sv.uR, sv.yR)
 	if sv.mActive {
 		for i, bj := range sv.basis {
 			sv.uM[i] = sv.cM[bj]
 		}
-		for k := len(sv.etas) - 1; k >= 0; k-- {
-			e := &sv.etas[k]
-			var sM float64
-			for q, i := range e.idx {
-				sM += sv.uM[i] * e.val[q]
-			}
-			sv.uM[e.r] = sM
-		}
-	}
-	if sv.binv == nil {
-		copy(sv.yR, sv.uR)
-		if sv.mActive {
-			copy(sv.yM, sv.uM)
-		}
-		return
-	}
-	if sv.mActive {
-		for j := 0; j < sv.m; j++ {
-			col := sv.binv[j]
-			var sR, sM float64
-			for i, c := range col {
-				sR += sv.uR[i] * c
-				sM += sv.uM[i] * c
-			}
-			sv.yR[j], sv.yM[j] = sR, sM
-		}
-		return
-	}
-	for j := 0; j < sv.m; j++ {
-		col := sv.binv[j]
-		var sR float64
-		for i, c := range col {
-			sR += sv.uR[i] * c
-		}
-		sv.yR[j] = sR
+		sv.btranEtas(sv.uM)
+		sv.f.btran(sv.uM, sv.yM)
 	}
 }
 
@@ -497,7 +528,7 @@ func (sv *sparseSolver) chooseEntering(bland bool) int {
 			if sv.inB[j] || sv.artificial[j] {
 				continue
 			}
-			if r, mm := sv.reducedCost(j); betterThanZero(r, mm) {
+			if r, mm := sv.reducedCost(j); betterThanZero(r, mm) && sv.ruledOut[j] != sv.basisStamp {
 				return j
 			}
 		}
@@ -510,7 +541,7 @@ func (sv *sparseSolver) chooseEntering(bland bool) int {
 			continue
 		}
 		r, mm := sv.reducedCost(j)
-		if !betterThanZero(r, mm) {
+		if !betterThanZero(r, mm) || sv.ruledOut[j] == sv.basisStamp {
 			continue
 		}
 		if best < 0 || mm > bestM+eps || (math.Abs(mm-bestM) <= eps && r > bestR) {
@@ -520,16 +551,58 @@ func (sv *sparseSolver) chooseEntering(bland bool) int {
 	return best
 }
 
+// roundoff reports whether column j priced into the basis on roundoff,
+// once the ratio test found no leaving row for it: whether its real
+// reduced cost is not above eps once that is scaled by the magnitude of
+// what it was computed from — the duals (the BTRAN's error grows with
+// their largest entry) and the ray itself (w, the column's FTRAN). On an
+// ill-conditioned basis a slack column can price at 4e-9 along a ray
+// whose other entries run to 3e3: an improvement of 1e-12 per unit of
+// its length proves nothing, so the loop rules the column out instead of
+// reporting the program unbounded. A column the Big-M part priced in is
+// never ruled out: those costs are exact small multiples of the matrix's
+// entries, and a tiny one can be the only proof the program is
+// unbounded.
+func (sv *sparseSolver) roundoff(j int) bool {
+	r, mm := sv.reducedCost(j)
+	if mm > eps {
+		return false
+	}
+	col := &sv.cols[j]
+	a := 0.0
+	for _, v := range col.val {
+		a += math.Abs(v)
+	}
+	return r <= eps*(1+math.Abs(sv.cR[j])+maxAbs(sv.yR)*a+maxAbs(sv.w))
+}
+
+func maxAbs(xs []float64) float64 {
+	m := 0.0
+	for _, x := range xs {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
+}
+
 // chooseLeaving runs the ratio test on the transformed entering column,
 // breaking ties toward the smallest basic column index (Bland-safe).
+// Both tolerances scale with the column's largest entry once that
+// passes 1. A pivot must exceed eps relative to it: on an
+// ill-conditioned basis an entry of 1e-9 beside ones of 1e3 is
+// roundoff, and pivoting on it leaves a basis that is singular in all
+// but name. Two ratios tie within eps divided by it, so that stepping to
+// a tied row's ratio instead of the minimum pushes the minimum's row at
+// most eps below zero.
 func (sv *sparseSolver) chooseLeaving() int {
 	leave := -1
 	best := math.Inf(1)
+	scale := math.Max(1, maxAbs(sv.w))
+	minPivot, tie := eps*scale, eps/scale
 	for i := 0; i < sv.m; i++ {
-		if sv.w[i] > eps {
+		if sv.w[i] > minPivot {
 			ratio := sv.xB[i] / sv.w[i]
-			if ratio < best-eps ||
-				(math.Abs(ratio-best) <= eps && (leave < 0 || sv.basis[i] < sv.basis[leave])) {
+			if ratio < best-tie ||
+				(math.Abs(ratio-best) <= tie && (leave < 0 || sv.basis[i] < sv.basis[leave])) {
 				best = ratio
 				leave = i
 			}
@@ -539,68 +612,50 @@ func (sv *sparseSolver) chooseLeaving() int {
 }
 
 // pivot performs the basis exchange as an eta update: the basic values
-// move along the entering direction, and B⁻¹ gains one sparse factor
-// instead of a dense elimination pass.
+// move along the entering direction, and the eta file gains one sparse
+// factor instead of a dense elimination pass.
 func (sv *sparseSolver) pivot(row, col int) {
 	pv := sv.w[row]
 	inv := 1 / pv
 	theta := sv.xB[row] * inv
-	var idx []int32
-	var val []float64
+	start := len(sv.etaIdx)
 	for i, wi := range sv.w {
 		if i == row || wi == 0 {
 			continue
 		}
 		sv.xB[i] -= theta * wi
-		idx = append(idx, int32(i))
-		val = append(val, -wi*inv)
+		sv.etaIdx = append(sv.etaIdx, int32(i))
+		sv.etaVal = append(sv.etaVal, -wi*inv)
 	}
-	idx = append(idx, int32(row))
-	val = append(val, inv)
+	sv.etaIdx = append(sv.etaIdx, int32(row))
+	sv.etaVal = append(sv.etaVal, inv)
 	sv.xB[row] = theta
-	sv.etas = append(sv.etas, eta{r: row, idx: idx, val: val})
-	sv.etaNNZ += len(idx)
+	sv.etas = append(sv.etas, eta{r: row, start: start, end: len(sv.etaIdx)})
 	leaving := sv.basis[row]
 	sv.inB[leaving] = false
 	sv.basis[row] = col
 	sv.inB[col] = true
+	sv.basisStamp++
 	if sv.mActive && sv.artificial[leaving] {
 		// Entering columns are never artificial, so mActive only ever
 		// turns off; rescan once the departing column was the last one.
 		sv.refreshMActive()
 	}
-	if len(sv.etas) >= refactorMaxEtas || sv.etaNNZ > refactorNNZFactor*sv.m*sv.m {
+	if len(sv.etas) >= refactorMaxEtas || len(sv.etaIdx) > refactorNNZFactor*sv.f.nnz {
 		sv.refactor()
 	}
 }
 
-// refactor folds the eta file into the dense basis-inverse columns and
-// resynchronizes the basic values from the original right-hand side.
+// refactor re-factors the current basis from its columns, empties the
+// eta file and resynchronizes the basic values from the right-hand side.
+// Should the basis not factor at pivTol, the old factor and its eta file
+// stay (they still represent it) and only the basic values are
+// recomputed through them.
 func (sv *sparseSolver) refactor() {
-	if sv.binv == nil {
-		// One-time lazy init: the columns are reused by every later refactor.
-		sv.binv = make([][]float64, sv.m)
-		for j := range sv.binv {
-			col := make([]float64, sv.m)
-			col[j] = 1
-			sv.binv[j] = col
-		}
+	if sv.spare.build(sv.cols, sv.basis) {
+		sv.f, sv.spare = sv.spare, sv.f
+		sv.clearEtas()
 	}
-	for k := range sv.etas {
-		e := &sv.etas[k]
-		for _, col := range sv.binv {
-			t := col[e.r]
-			if t == 0 {
-				continue
-			}
-			col[e.r] = 0
-			for q, i := range e.idx {
-				col[i] += e.val[q] * t
-			}
-		}
-	}
-	sv.etas = sv.etas[:0]
-	sv.etaNNZ = 0
 	sv.computeXB()
 }
 
@@ -611,6 +666,10 @@ var (
 	// errWarmRepair aborts the dual-simplex repair; the caller falls
 	// back to a cold solve, which re-derives the correct verdict.
 	errWarmRepair = errors.New("lp: warm-start repair abandoned")
+	// errUncertified is a cold optimum that fails its certificate even
+	// after the basic values are recomputed from a fresh factor: the
+	// basis is too ill-conditioned for the answer to be trusted.
+	errUncertified = errors.New("lp: optimum failed its certificate")
 )
 
 // runBudget is the simplex loop with explicit iteration budgets; tests
@@ -624,6 +683,10 @@ func (sv *sparseSolver) runBudget(maxIter, blandAfter int) error {
 		}
 		sv.ftran(sv.cols[enter], sv.w)
 		leave := sv.chooseLeaving()
+		if leave < 0 && sv.roundoff(enter) {
+			sv.ruledOut[enter] = sv.basisStamp
+			continue
+		}
 		if leave < 0 {
 			if err := sv.checkFeasible(); err != nil {
 				return err
@@ -637,15 +700,8 @@ func (sv *sparseSolver) runBudget(maxIter, blandAfter int) error {
 }
 
 // btranRow computes sv.rho = e_rᵀ·B⁻¹, row r of the basis inverse (the
-// pivot row generator for the dual simplex). The multiplier vector that
-// reaches the folded inverse is e_r pushed back through the eta file: a
-// unit vector plus at most one more entry per pivot since the last
-// refactor. Its nonzero positions are collected once, ascending, and
-// only those are dotted against each inverse column, so a dual pivot
-// row costs O(etaNNZ + m·(1+pivots)) instead of a full O(m²) scan; the
-// terms and their order are exactly those of the dense product with
-// its zero terms dropped (dense_test.go keeps that product as the
-// bit-for-bit oracle).
+// pivot row generator for the dual simplex): e_r pushed back through the
+// eta file, then a BTRAN through the factor, O(etaNNZ + nnz(L+U)).
 func (sv *sparseSolver) btranRow(r int) {
 	// The M duals are unused on the artificial-free dual path, so their
 	// scratch vector is free here.
@@ -654,32 +710,8 @@ func (sv *sparseSolver) btranRow(r int) {
 		u[i] = 0
 	}
 	u[r] = 1
-	for k := len(sv.etas) - 1; k >= 0; k-- {
-		e := &sv.etas[k]
-		var s float64
-		for q, i := range e.idx {
-			s += u[i] * e.val[q]
-		}
-		u[e.r] = s
-	}
-	if sv.binv == nil {
-		copy(sv.rho, u)
-		return
-	}
-	nz := sv.rhoNZ[:0]
-	for i, v := range u {
-		if v != 0 {
-			nz = append(nz, int32(i))
-		}
-	}
-	sv.rhoNZ = nz
-	for j, col := range sv.binv {
-		var s float64
-		for _, i := range nz {
-			s += u[i] * col[i]
-		}
-		sv.rho[j] = s
-	}
+	sv.btranEtas(u)
+	sv.f.btran(u, sv.rho)
 }
 
 // runDual restores primal feasibility after an RHS change with dual
@@ -699,10 +731,10 @@ func (sv *sparseSolver) btranRow(r int) {
 // repair after k pivots and inspect the state the next pivot row is
 // generated from.
 func (sv *sparseSolver) runDual(maxIter int) error {
-	rc := make([]float64, sv.n)
-	wrow := make([]float64, sv.n)
+	rc, wrow := sv.rc, sv.wrow
 	sv.computeDuals()
 	for j := 0; j < sv.n; j++ {
+		rc[j] = 0
 		if sv.inB[j] || sv.artificial[j] {
 			continue
 		}
@@ -713,8 +745,11 @@ func (sv *sparseSolver) runDual(maxIter int) error {
 		rc[j] = r
 	}
 	for iter := 0; iter < maxIter; iter++ {
-		// Leaving row: most negative basic value.
-		r, worst := -1, -1e-7
+		// Leaving row: most negative basic value below −eps. A looser
+		// threshold leaves behind values that a badly scaled row
+		// amplifies: −1e-7 beside a 1/1024 coefficient moves the
+		// objective by 3e-4.
+		r, worst := -1, -eps
 		for i, v := range sv.xB {
 			if v < worst {
 				r, worst = i, v
@@ -792,6 +827,40 @@ func (sv *sparseSolver) checkFeasible() error {
 	return nil
 }
 
+// certified checks the optimum the solver stopped at, in O(nnz(A)), on
+// the standardized problem max cᵀx, A·x = b, x ≥ 0 with the artificial
+// columns left out: primal feasibility (x_B ≥ 0 and B·x_B = b, within
+// 1e-7 relative), dual feasibility (no non-artificial reduced cost above
+// 1e-7·(1+|c_j|) against freshly computed duals y) and a zero duality gap
+// (|cᵀx − bᵀy| ≤ 1e-6·(1+|cᵀx|)). An optimum with an artificial still
+// basic is not an optimum of that problem and is not certified (it
+// passes).
+func (sv *sparseSolver) certified() bool {
+	if sv.mActive {
+		return true
+	}
+	if !nonNegative(sv.xB, 1e-7) || !sv.solves(sv.xB, sv.b) {
+		return false
+	}
+	sv.computeDuals()
+	for j := 0; j < sv.n; j++ {
+		if sv.inB[j] || sv.artificial[j] {
+			continue
+		}
+		if r, _ := sv.reducedCost(j); r > 1e-7*(1+math.Abs(sv.cR[j])) {
+			return false
+		}
+	}
+	primal, dual := 0.0, 0.0
+	for k, bj := range sv.basis {
+		primal += sv.cR[bj] * sv.xB[k]
+	}
+	for i, y := range sv.yR {
+		dual += sv.b[i] * y
+	}
+	return math.Abs(primal-dual) <= 1e-6*(1+math.Abs(primal))
+}
+
 func (sv *sparseSolver) solution() *Solution {
 	x := make([]float64, sv.structural)
 	for i, bj := range sv.basis {
@@ -810,75 +879,90 @@ func (sv *sparseSolver) solution() *Solution {
 	return &Solution{X: x, Objective: obj, Iterations: sv.iters}
 }
 
-// captureBasis folds any pending etas and hands the inverse columns to
-// the returned Basis (the solver is done with them), together with the
-// RHS/basic-value pair the dual-simplex repair needs next period.
+// captureBasis hands the basic column set to the returned Basis,
+// together with the RHS/basic-value pair the dual-simplex repair needs
+// next period.
 func (sv *sparseSolver) captureBasis() *Basis {
-	sv.refactor()
-	b := &Basis{
+	return &Basis{
 		m:    sv.m,
 		n:    sv.n,
 		cols: append([]int(nil), sv.basis...),
-		binv: sv.binv,
 		b:    append([]float64(nil), sv.b...),
 		xb:   append([]float64(nil), sv.xB...),
 	}
-	sv.binv = nil
-	return b
 }
 
 // tryWarm attempts the full warm-start ladder from a prior basis:
 //
-//  1. structural verification (else cold),
+//  1. shape and factorization (else cold),
 //  2. still primal feasible → plain primal simplex,
 //  3. infeasible under the new RHS → re-optimize against the OLD RHS
 //     (primal, absorbs the objective drift, usually 0 pivots), then
 //     dual simplex to walk the RHS change back to feasibility, then a
 //     final primal cleanup.
 //
-// finished=false means the solver must be restarted cold; any verdict
-// returned with finished=true was reached from a feasible start and is
-// therefore trustworthy.
-func (sv *sparseSolver) tryWarm(warm *Basis) (finished bool, err error) {
-	ok, feasible := sv.startWarm(warm)
-	if !ok {
-		return false, nil
+// A warm outcome (feasibleResume, dualRepair) comes with the run's
+// verdict, which was reached from a feasible start and is therefore
+// trustworthy; any other outcome names why the solver must restart cold.
+func (sv *sparseSolver) tryWarm(warm *Basis) (warmOutcome, error) {
+	switch o := sv.startWarm(warm); o {
+	case feasibleResume:
+		return sv.finishWarm(o, sv.run())
+	case dualRepair:
+	default:
+		return o, nil
 	}
-	if feasible {
-		if e := sv.run(); e != nil {
-			if errors.Is(e, errIterLimit) {
-				return false, nil
-			}
-			return true, e
-		}
-		return true, nil
+	if o := sv.reoptimizeOld(warm); o != dualRepair {
+		return o, nil
 	}
-	// The repair needs the capture-time RHS and an artificial-free basis
-	// (so the Big-M components vanish from the dual ratio test).
-	if sv.mActive || len(warm.b) != sv.m || len(warm.xb) != sv.m {
-		return false, nil
+	if sv.runDual(500*(sv.m+sv.n+10)) != nil {
+		return coldRepairAbandoned, nil
 	}
-	newB := sv.b
-	sv.b = append([]float64(nil), warm.b...)
-	copy(sv.xB, warm.xb)
-	e := sv.run() // phase A: new objective, old RHS — warm basis is feasible here
-	sv.b = newB
-	if e != nil {
+	return sv.finishWarm(dualRepair, sv.run()) // phase C: usually 0 pivots
+}
+
+// finishWarm maps a warm run's result to its outcome: a spent pivot
+// budget restarts cold, any other verdict stands.
+func (sv *sparseSolver) finishWarm(o warmOutcome, err error) (warmOutcome, error) {
+	if errors.Is(err, errIterLimit) {
+		return coldIterLimit, nil
+	}
+	return o, err
+}
+
+// reoptimizeOld is the repair's first phase: under the capture-time
+// right-hand side the warm basis is primal feasible, so primal simplex
+// absorbs the objective's drift there; the basic values are then
+// recomputed under the new right-hand side, ready for the dual simplex.
+// The captured basic values are used when they do solve the captured
+// right-hand side for this problem's columns; otherwise they are
+// recomputed, and the repair is refused (coldResidual) if those are
+// infeasible. It reports dualRepair when the repair may go on.
+func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
+	// The dual ratio test needs the Big-M components gone.
+	if sv.mActive {
+		return coldRepairAbandoned
+	}
+	copy(sv.bOld, warm.b)
+	sv.rhs = sv.bOld
+	if nonNegative(warm.xb, 1e-7) && sv.solves(warm.xb, sv.bOld) {
+		copy(sv.xB, warm.xb)
+	} else if sv.computeXB(); !nonNegative(sv.xB, 1e-7) {
+		sv.rhs = sv.b
+		return coldResidual
+	}
+	err := sv.run()
+	sv.rhs = sv.b
+	switch {
+	case errors.Is(err, errIterLimit):
+		return coldIterLimit
+	case err != nil:
 		// Unbounded here says nothing about the new-RHS problem's
 		// feasibility; let the cold solve produce the verdict.
-		return false, nil
+		return coldRepairAbandoned
 	}
-	sv.refactor() // fold etas and recompute xB under the NEW RHS
-	if e := sv.runDual(500 * (sv.m + sv.n + 10)); e != nil {
-		return false, nil
-	}
-	if e := sv.run(); e != nil { // phase C: usually 0 pivots
-		if errors.Is(e, errIterLimit) {
-			return false, nil
-		}
-		return true, e
-	}
-	return true, nil
+	sv.refactor()
+	return dualRepair
 }
 
 // Solve runs the sparse revised simplex from a cold Big-M start and
@@ -903,21 +987,42 @@ func SolveWarm(p *Problem, warm *Basis) (*Solution, *Basis, error) {
 
 // SolveWarm is SolveWarm(p, warm) for the problem s currently states.
 func (s *Standard) SolveWarm(warm *Basis) (*Solution, *Basis, error) {
-	if warm != nil {
-		sv := newSparseSolver(&s.std)
-		if finished, err := sv.tryWarm(warm); finished {
-			if err != nil {
-				return nil, nil, err
-			}
-			return sv.solution(), sv.captureBasis(), nil
-		}
-		// Fall through to a pristine cold solver: tryWarm left pivot
-		// state behind, but s itself is untouched.
+	sol, next, _, err := s.solve(warm)
+	return sol, next, err
+}
+
+// solve is SolveWarm that also names how it used warm.
+func (s *Standard) solve(warm *Basis) (*Solution, *Basis, warmOutcome, error) {
+	if s.sv == nil {
+		s.sv = newSparseSolver(&s.std)
 	}
-	sv := newSparseSolver(&s.std)
+	sv := s.sv
+	outcome := coldStart
+	if warm != nil {
+		var err error
+		if outcome, err = sv.tryWarm(warm); outcome.warm() {
+			if err != nil {
+				return nil, nil, outcome, err
+			}
+			if sv.certified() {
+				return sv.solution(), sv.captureBasis(), outcome, nil
+			}
+			outcome = coldCertificate
+		}
+	}
 	sv.startCold()
 	if err := sv.run(); err != nil {
-		return nil, nil, err
+		return nil, nil, outcome, err
 	}
-	return sv.solution(), sv.captureBasis(), nil
+	if !sv.certified() {
+		// Once more from basic values recomputed through a fresh factor.
+		sv.refactor()
+		if err := sv.run(); err != nil {
+			return nil, nil, outcome, err
+		}
+		if !sv.certified() {
+			return nil, nil, outcome, errUncertified
+		}
+	}
+	return sv.solution(), sv.captureBasis(), outcome, nil
 }

@@ -77,16 +77,20 @@ func assertFeasible(t *testing.T, p *Problem, x []float64) {
 
 // TestSparseMatchesDenseRandom differential-tests the sparse revised
 // simplex against the dense tableau reference on random mixed-sense LPs:
-// identical feasibility verdicts, matching objectives, feasible points.
+// identical feasibility verdicts, matching objectives, feasible points,
+// and every artificial-free optimum certified.
 func TestSparseMatchesDenseRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
-	feasible := 0
+	feasible, certified := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		nVars := 1 + r.Intn(6)
 		nRows := 1 + r.Intn(7)
 		p := randomLP(r, nVars, nRows)
 		ds, derr := SolveDense(p)
-		ss, serr := Solve(p)
+		ss, ok, serr := solveCertified(t, p)
+		if ok {
+			certified++
+		}
 		if (derr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: dense err=%v sparse err=%v", trial, derr, serr)
 		}
@@ -107,6 +111,7 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 	if feasible < 50 {
 		t.Fatalf("only %d feasible instances; generator too harsh", feasible)
 	}
+	t.Logf("%d feasible instances, %d artificial-free optima certified", feasible, certified)
 }
 
 // TestSparseMatchesDenseLarge pushes past refactorEvery pivots so the
@@ -211,9 +216,10 @@ func TestSolveWarmBasisReusable(t *testing.T) {
 	}
 }
 
-// TestSolveWarmMismatchFallsBack feeds a basis from a structurally
-// different problem; the solver must detect the mismatch and still
-// return the correct cold answer.
+// TestSolveWarmMismatchFallsBack feeds bases that do not belong to the
+// problem — from a structurally different one, with singular columns,
+// with inconsistent basic values; the solver must detect each and still
+// return the correct answer.
 func TestSolveWarmMismatchFallsBack(t *testing.T) {
 	small := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	small.AddConstraint([]float64{1, 1}, LE, 10)
@@ -253,6 +259,62 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 	}
 	if math.Abs(ts.Objective-ref.Objective) > 1e-9 {
 		t.Fatalf("twisted: warm obj %g, dense obj %g", ts.Objective, ref.Objective)
+	}
+
+	// Bases that fit the shape but not the numbers — singular columns,
+	// basic values that do not solve their own right-hand side, a NaN —
+	// each get their named outcome and a cold solve's answer.
+	build := func(rhs3 float64) *Problem {
+		p := &Problem{NumVars: 3, Objective: []float64{3, 5, 1}}
+		p.AddConstraint([]float64{1, 0, 1}, LE, 4)
+		p.AddConstraint([]float64{0, 2, 0}, LE, 12)
+		p.AddConstraint([]float64{3, 2, 3}, LE, rhs3)
+		return p
+	}
+	_, good, err := SolveWarm(build(18), nil) // x = 2, y = 6: 36
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Under rhs3 = 10 the optimal basis goes primal infeasible (x = −2/3),
+	// so the repair runs and reads the captured basic values.
+	p := build(10)
+	want, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper := func(f func(b *Basis)) *Basis {
+		b := &Basis{m: good.m, n: good.n,
+			cols: append([]int(nil), good.cols...),
+			b:    append([]float64(nil), good.b...),
+			xb:   append([]float64(nil), good.xb...)}
+		f(b)
+		return b
+	}
+	for _, c := range []struct {
+		name  string
+		basis *Basis
+		want  warmOutcome
+	}{
+		{"as captured", good, dualRepair},
+		// Columns x and z are parallel in every row: B is singular.
+		{"singular columns", tamper(func(b *Basis) { b.cols = []int{0, 2, 3} }), coldSingular},
+		{"basic values off", tamper(func(b *Basis) { b.xb[0] *= 2 }), dualRepair},
+		{"basic value NaN", tamper(func(b *Basis) { b.xb[1] = math.NaN() }), dualRepair},
+		// Inconsistent values for a capture-time RHS under which the
+		// basis itself is infeasible: nothing to repair from.
+		{"basic values off, RHS infeasible", tamper(func(b *Basis) { b.xb[0] *= 2; b.b[2] = 10 }), coldResidual},
+		{"short", tamper(func(b *Basis) { b.xb = b.xb[:2] }), coldMismatch},
+	} {
+		sol, _, outcome, err := mustStandard(t, p).solve(c.basis)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if outcome != c.want {
+			t.Errorf("%s: outcome %v, want %v", c.name, outcome, c.want)
+		}
+		if math.Abs(sol.Objective-want.Objective) > 1e-9 {
+			t.Errorf("%s: objective %v, cold %v", c.name, sol.Objective, want.Objective)
+		}
 	}
 }
 

@@ -28,14 +28,8 @@ func sameSolve(t *testing.T, what string, gotSol, wantSol *Solution, gotBasis, w
 	}
 	if !reflect.DeepEqual(gotBasis.cols, wantBasis.cols) ||
 		!reflect.DeepEqual(bits(gotBasis.b), bits(wantBasis.b)) ||
-		!reflect.DeepEqual(bits(gotBasis.xb), bits(wantBasis.xb)) ||
-		len(gotBasis.binv) != len(wantBasis.binv) {
+		!reflect.DeepEqual(bits(gotBasis.xb), bits(wantBasis.xb)) {
 		t.Fatalf("%s: next basis differs", what)
-	}
-	for j := range gotBasis.binv {
-		if !reflect.DeepEqual(bits(gotBasis.binv[j]), bits(wantBasis.binv[j])) {
-			t.Fatalf("%s: next basis inverse differs in column %d", what, j)
-		}
 	}
 }
 
