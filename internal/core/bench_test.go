@@ -16,8 +16,9 @@ const benchPeriods = 8
 // benchSequence returns benchPeriods+1 consecutive MPC periods at the
 // shape the benchmark's sim_cbs_5d workload captures from the real loop:
 // 10 machine types, 66 container types, a 2-period horizon (344 rows,
-// ~1.5k structural columns) — large enough that the dense parts of the
-// basis inverse, not the pivot count, decide whether a warm start pays.
+// ~1.5k structural columns) — large enough that the per-solve basis
+// work (factoring, FTRAN/BTRAN, the certificate), not the pivot count
+// alone, decides whether a warm start pays.
 // The controller is advanced a few periods first so the sequence
 // reflects the steady state every production control period lives in:
 // the forecast window slid by one, the initial machine state taken from

@@ -48,9 +48,9 @@ type Controller struct {
 
 	// basis carries the optimal simplex basis from the previous Step, so
 	// consecutive MPC solves warm-start instead of re-pivoting from a
-	// cold Big-M tableau. lp.SolveWarm validates it against the current
-	// problem and silently falls back to a cold solve if the catalog or
-	// horizon changed, so a stale basis can never change the answer.
+	// cold Big-M tableau. lp.SolveWarm factors its columns in the current
+	// problem and falls back to a cold solve if the catalog or horizon
+	// changed, so a stale basis can never change the answer.
 	basis *lp.Basis
 	// relax is the CBS-RELAX program the previous Step solved, kept so a
 	// period refills its objective and right-hand side instead of

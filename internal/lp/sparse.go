@@ -372,8 +372,8 @@ func (o warmOutcome) warm() bool { return o == feasibleResume || o == dualRepair
 // startWarm seeds the solver from a previous basis: it must fit this
 // problem's shape (coldMismatch) and its columns must factor here
 // (coldSingular). It then reports feasibleResume when the basic values
-// are non-negative (within eps) under the new right-hand side,
-// dualRepair when they are not.
+// are non-negative under the new right-hand side, dualRepair when they
+// are not.
 func (sv *sparseSolver) startWarm(wb *Basis) warmOutcome {
 	if wb == nil || wb.m != sv.m || wb.n != sv.n ||
 		len(wb.cols) != sv.m || len(wb.b) != sv.m || len(wb.xb) != sv.m {
@@ -392,17 +392,17 @@ func (sv *sparseSolver) startWarm(wb *Basis) warmOutcome {
 	if !sv.install() {
 		return coldSingular
 	}
-	if !nonNegative(sv.xB, eps) {
+	if !nonNegative(sv.xB) {
 		return dualRepair
 	}
 	return feasibleResume
 }
 
-// nonNegative reports whether every basic value is at least −tol (and
+// nonNegative reports whether every basic value is primal feasible (and
 // none is NaN).
-func nonNegative(xB []float64, tol float64) bool {
+func nonNegative(xB []float64) bool {
 	for _, v := range xB {
-		if !(v >= -tol) {
+		if !(v >= -1e-7) {
 			return false
 		}
 	}
@@ -553,27 +553,18 @@ func (sv *sparseSolver) chooseEntering(bland bool) int {
 
 // roundoff reports whether column j priced into the basis on roundoff,
 // once the ratio test found no leaving row for it: whether its real
-// reduced cost is not above eps once that is scaled by the magnitude of
-// what it was computed from — the duals (the BTRAN's error grows with
-// their largest entry) and the ray itself (w, the column's FTRAN). On an
-// ill-conditioned basis a slack column can price at 4e-9 along a ray
-// whose other entries run to 3e3: an improvement of 1e-12 per unit of
-// its length proves nothing, so the loop rules the column out instead of
-// reporting the program unbounded. A column the Big-M part priced in is
-// never ruled out: those costs are exact small multiples of the matrix's
+// reduced cost is not above eps once that is scaled by the ray's length
+// (the largest entry of w, the column's FTRAN). On an ill-conditioned
+// basis a slack column can price at 4e-9 along a ray whose other
+// entries run to 3e3: an improvement of 1e-12 per unit of its length
+// proves nothing, so the loop rules the column out instead of reporting
+// the program unbounded. A column the Big-M part priced in is never
+// ruled out: those costs are exact small multiples of the matrix's
 // entries, and a tiny one can be the only proof the program is
 // unbounded.
 func (sv *sparseSolver) roundoff(j int) bool {
 	r, mm := sv.reducedCost(j)
-	if mm > eps {
-		return false
-	}
-	col := &sv.cols[j]
-	a := 0.0
-	for _, v := range col.val {
-		a += math.Abs(v)
-	}
-	return r <= eps*(1+math.Abs(sv.cR[j])+maxAbs(sv.yR)*a+maxAbs(sv.w))
+	return mm <= eps && r <= eps*(1+math.Abs(sv.cR[j])+maxAbs(sv.w))
 }
 
 func maxAbs(xs []float64) float64 {
@@ -839,7 +830,7 @@ func (sv *sparseSolver) certified() bool {
 	if sv.mActive {
 		return true
 	}
-	if !nonNegative(sv.xB, 1e-7) || !sv.solves(sv.xB, sv.b) {
+	if !nonNegative(sv.xB) || !sv.solves(sv.xB, sv.b) {
 		return false
 	}
 	sv.computeDuals()
@@ -945,9 +936,9 @@ func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
 	}
 	copy(sv.bOld, warm.b)
 	sv.rhs = sv.bOld
-	if nonNegative(warm.xb, 1e-7) && sv.solves(warm.xb, sv.bOld) {
+	if nonNegative(warm.xb) && sv.solves(warm.xb, sv.bOld) {
 		copy(sv.xB, warm.xb)
-	} else if sv.computeXB(); !nonNegative(sv.xB, 1e-7) {
+	} else if sv.computeXB(); !nonNegative(sv.xB) {
 		sv.rhs = sv.b
 		return coldResidual
 	}

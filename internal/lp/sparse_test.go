@@ -401,3 +401,74 @@ func TestSparseUnbounded(t *testing.T) {
 		t.Fatalf("got %v, want ErrUnbounded", err)
 	}
 }
+
+// TestIllConditionedVerdicts: programs whose pivots compound two or
+// three 1/1024 entries, on which a float simplex with an absolute eps
+// goes wrong in a different way each — an infeasible point after a tied
+// ratio's step, a pivot on roundoff beside entries of 1e3, a roundoff
+// reduced cost reported as unboundedness — and one whose only proof of
+// unboundedness is an exact Big-M reduced cost of 2^-29. The engine must
+// agree with the exact rational simplex on each.
+func TestIllConditionedVerdicts(t *testing.T) {
+	const tiny = 1.0 / 1024
+	zero := []float64{0, 0, 0, 0, 0, 0}
+	type row struct {
+		coeffs []float64
+		sense  Sense
+		rhs    float64
+	}
+	for _, c := range []struct {
+		name      string
+		objective []float64
+		rows      []row
+	}{
+		{"tied ratio steps a row infeasible", []float64{1, 0, 0, 0, 0, 0}, []row{
+			{[]float64{6, 0, 0, 0, tiny, 0}, LE, 0},
+			{[]float64{0, tiny, 0, 0, 3, 0}, GE, 0},
+			{[]float64{0, 0.25, 0.5, 0, 0, 0}, GE, tiny},
+			{zero, LE, 0},
+		}},
+		{"pivot on roundoff", []float64{0, 0, 0, 0, 1, 0}, []row{
+			{[]float64{1, -3, 0, 0, 0, 0}, LE, 0},
+			{[]float64{0, -tiny, 0, 0, 0.5, -0.5}, LE, 0},
+			{[]float64{0, 0, 0, 0.5, -3, -0.5}, LE, 0},
+			{[]float64{0, 0, 0, 0.5, 0.5, 1}, LE, 1},
+			{[]float64{-6, 0, 0, tiny, 0, 0}, GE, 0},
+			{zero, LE, 0},
+		}},
+		{"roundoff reduced cost", []float64{0, 0, 0, 0, 1, 0}, []row{
+			{[]float64{1, -3, 0, 0, 0, 0}, LE, 0},
+			{[]float64{0, -tiny, 0, 0, 3, -0.5}, LE, 0},
+			{[]float64{0, 0, 0, 3, 0, -0.5}, GE, 0},
+			{[]float64{0, 0, 0, 0.5, 0.5, 0}, LE, 1},
+			{[]float64{-6, 0, 0, tiny, 0, 0}, GE, 0},
+			{zero, LE, 0},
+		}},
+		{"exact tiny Big-M reduced cost", []float64{0, 0, 0, 0, 1, 0}, []row{
+			{[]float64{0, -3, 0, 0, 0, 0}, LE, 0},
+			{[]float64{0, -tiny, 0, 0, 0.5, 1}, LE, 0},
+			{[]float64{0, 0, 0, 0.5, 0, -tiny}, LE, 0},
+			{[]float64{0, 0, 0, tiny, 0, 0}, GE, 0},
+			{zero, LE, 0},
+		}},
+	} {
+		p := &Problem{NumVars: 6, Objective: c.objective}
+		for _, r := range c.rows {
+			p.AddConstraint(r.coeffs, r.sense, r.rhs)
+		}
+		exact, xerr := solveExact(p)
+		var want *Solution
+		if xerr == nil {
+			obj, _ := exact.Float64()
+			want = &Solution{Objective: obj}
+		}
+		got, err := Solve(p)
+		if d := disagreement(want, got, xerr, err); d != "" {
+			t.Errorf("%s: engine vs exact: %s", c.name, d)
+			continue
+		}
+		if err == nil {
+			assertFeasible(t, p, got.X)
+		}
+	}
+}
