@@ -21,15 +21,18 @@
 // Consecutive MPC control periods are exactly that — one shifted
 // forecast window apart — so the previous optimal basis is usually
 // optimal or a few pivots away. A Basis is only a column list and the
-// right-hand side and basic values it was optimal for: the solver
-// factors this problem's own columns at those positions, so a Basis from
-// another problem can name a singular or infeasible set of columns but
-// never carry a wrong inverse. Every optimum, warm or cold, is checked
-// by an O(nnz) certificate (primal feasibility, dual feasibility, zero
-// duality gap) before it is returned; a warm solve that is refused at
-// any step — shape, singular columns, inconsistent basic values, an
-// abandoned repair, a failed certificate — restarts cold, and says why
-// (warmOutcome).
+// right-hand side it was optimal for: the solver factors this problem's
+// own columns at those positions and computes the basic values through
+// that factor, so a Basis from another problem can name a singular or
+// infeasible set of columns but never carry a wrong inverse. Every
+// optimum, warm or cold, is checked by an O(nnz) certificate (primal
+// feasibility, dual feasibility, zero duality gap) before it is
+// returned; a warm solve that is refused at any step — shape, singular
+// columns, a capture-time right-hand side the basis is infeasible for,
+// an abandoned repair, a failed certificate — restarts cold, and says
+// why (warmOutcome). A cold optimum that fails its certificate is
+// re-run once from basic values recomputed through a fresh factor, and
+// refused if it fails again.
 //
 // What a solve costs before its first pivot: NewStandard reads every
 // dense row once, O(rows·vars), and allocates the column-wise matrix —
@@ -76,16 +79,14 @@ type eta struct {
 }
 
 // Basis is the reusable state captured from an optimal solve: the basic
-// column set, and the right-hand side and basic values at capture time
-// (needed to repair primal feasibility when the next problem's RHS has
-// moved). SolveWarm uses it to seed the next solve of a structurally
+// column set and the right-hand side at capture time (needed to repair
+// primal feasibility when the next problem's RHS has moved). SolveWarm uses it to seed the next solve of a structurally
 // identical problem. It is opaque and immutable from the caller's point
 // of view; a Basis may be reused for any number of warm solves.
 type Basis struct {
 	m, n int
 	cols []int
 	b    []float64 // standardized RHS the basis was optimal for
-	xb   []float64 // basic values under b (all >= 0)
 }
 
 // std is a Problem in computational standard form: non-negative RHS,
@@ -346,7 +347,7 @@ const (
 	// Cold restarts, by reason.
 	coldMismatch        // it does not fit this problem's shape
 	coldSingular        // its columns are singular in this problem
-	coldResidual        // its basic values do not solve its RHS, and recomputed ones are infeasible there
+	coldResidual        // it is infeasible for its own capture-time RHS
 	coldRepairAbandoned // the repair could not start or gave up
 	coldIterLimit       // a warm run spent its pivot budget
 	coldCertificate     // the warm optimum failed its certificate
@@ -376,7 +377,7 @@ func (o warmOutcome) warm() bool { return o == feasibleResume || o == dualRepair
 // are not.
 func (sv *sparseSolver) startWarm(wb *Basis) warmOutcome {
 	if wb == nil || wb.m != sv.m || wb.n != sv.n ||
-		len(wb.cols) != sv.m || len(wb.b) != sv.m || len(wb.xb) != sv.m {
+		len(wb.cols) != sv.m || len(wb.b) != sv.m {
 		return coldMismatch
 	}
 	for i := range sv.inB {
@@ -552,19 +553,35 @@ func (sv *sparseSolver) chooseEntering(bland bool) int {
 }
 
 // roundoff reports whether column j priced into the basis on roundoff,
-// once the ratio test found no leaving row for it: whether its real
-// reduced cost is not above eps once that is scaled by the ray's length
-// (the largest entry of w, the column's FTRAN). On an ill-conditioned
-// basis a slack column can price at 4e-9 along a ray whose other
-// entries run to 3e3: an improvement of 1e-12 per unit of its length
-// proves nothing, so the loop rules the column out instead of reporting
-// the program unbounded. A column the Big-M part priced in is never
-// ruled out: those costs are exact small multiples of the matrix's
+// once the ratio test found no leaving row for it. Along the ray the
+// column opens (x_j = 1, x_B = −w, w its FTRAN) the objective gains
+// c_j − c_Bᵀw, its real reduced cost. An FTRAN through an
+// ill-conditioned basis gets each nonzero entry of w right only to
+// within eps of the ray's length, its largest entry, so the gain is
+// trusted only where it is above eps times c_j plus that length times
+// the basic costs it weighs those entries with. On such a basis a slack
+// column can price at 3e-9 because a ray entry of 3e-9, beside ones of
+// 3e3, meets a basic cost of 1: an improvement that proves nothing, so
+// the loop rules the column out instead of reporting the program
+// unbounded. A ray through zero-cost basic columns gains exactly c_j
+// however long it is, and stands. Nor is a column ruled out whose
+// reduced cost the certificate would reject, or one the Big-M part
+// priced in: those costs are exact small multiples of the matrix's
 // entries, and a tiny one can be the only proof the program is
 // unbounded.
 func (sv *sparseSolver) roundoff(j int) bool {
 	r, mm := sv.reducedCost(j)
-	return mm <= eps && r <= eps*(1+math.Abs(sv.cR[j])+maxAbs(sv.w))
+	if mm > eps || r > certDualTol*(1+math.Abs(sv.cR[j])) {
+		return false
+	}
+	weights, length := 0.0, 0.0
+	for i, wi := range sv.w {
+		if wi != 0 {
+			weights += math.Abs(sv.cR[sv.basis[i]])
+			length = math.Max(length, math.Abs(wi))
+		}
+	}
+	return r <= eps*(1+math.Abs(sv.cR[j])+length*weights)
 }
 
 func maxAbs(xs []float64) float64 {
@@ -658,8 +675,10 @@ var (
 	// back to a cold solve, which re-derives the correct verdict.
 	errWarmRepair = errors.New("lp: warm-start repair abandoned")
 	// errUncertified is a cold optimum that fails its certificate even
-	// after the basic values are recomputed from a fresh factor: the
-	// basis is too ill-conditioned for the answer to be trusted.
+	// after the basic values are recomputed from a fresh factor and every
+	// column re-priced on it: the basis is too ill-conditioned for the
+	// answer to be trusted. Solve and SolveWarm return it instead of an
+	// answer.
 	errUncertified = errors.New("lp: optimum failed its certificate")
 )
 
@@ -818,11 +837,15 @@ func (sv *sparseSolver) checkFeasible() error {
 	return nil
 }
 
+// certDualTol is the certificate's dual-feasibility tolerance: a
+// reduced cost above certDualTol·(1+|c_j|) fails it.
+const certDualTol = 1e-7
+
 // certified checks the optimum the solver stopped at, in O(nnz(A)), on
 // the standardized problem max cᵀx, A·x = b, x ≥ 0 with the artificial
 // columns left out: primal feasibility (x_B ≥ 0 and B·x_B = b, within
 // 1e-7 relative), dual feasibility (no non-artificial reduced cost above
-// 1e-7·(1+|c_j|) against freshly computed duals y) and a zero duality gap
+// certDualTol·(1+|c_j|) against freshly computed duals y) and a zero duality gap
 // (|cᵀx − bᵀy| ≤ 1e-6·(1+|cᵀx|)). An optimum with an artificial still
 // basic is not an optimum of that problem and is not certified (it
 // passes).
@@ -838,7 +861,7 @@ func (sv *sparseSolver) certified() bool {
 		if sv.inB[j] || sv.artificial[j] {
 			continue
 		}
-		if r, _ := sv.reducedCost(j); r > 1e-7*(1+math.Abs(sv.cR[j])) {
+		if r, _ := sv.reducedCost(j); r > certDualTol*(1+math.Abs(sv.cR[j])) {
 			return false
 		}
 	}
@@ -871,15 +894,13 @@ func (sv *sparseSolver) solution() *Solution {
 }
 
 // captureBasis hands the basic column set to the returned Basis,
-// together with the RHS/basic-value pair the dual-simplex repair needs
-// next period.
+// together with the RHS the dual-simplex repair starts from next period.
 func (sv *sparseSolver) captureBasis() *Basis {
 	return &Basis{
 		m:    sv.m,
 		n:    sv.n,
 		cols: append([]int(nil), sv.basis...),
 		b:    append([]float64(nil), sv.b...),
-		xb:   append([]float64(nil), sv.xB...),
 	}
 }
 
@@ -925,10 +946,10 @@ func (sv *sparseSolver) finishWarm(o warmOutcome, err error) (warmOutcome, error
 // right-hand side the warm basis is primal feasible, so primal simplex
 // absorbs the objective's drift there; the basic values are then
 // recomputed under the new right-hand side, ready for the dual simplex.
-// The captured basic values are used when they do solve the captured
-// right-hand side for this problem's columns; otherwise they are
-// recomputed, and the repair is refused (coldResidual) if those are
-// infeasible. It reports dualRepair when the repair may go on.
+// The starting values are computed under the captured right-hand side
+// through this problem's factor, and the repair is refused
+// (coldResidual) if they are infeasible there. It reports dualRepair when
+// the repair may go on.
 func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
 	// The dual ratio test needs the Big-M components gone.
 	if sv.mActive {
@@ -936,9 +957,7 @@ func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
 	}
 	copy(sv.bOld, warm.b)
 	sv.rhs = sv.bOld
-	if nonNegative(warm.xb) && sv.solves(warm.xb, sv.bOld) {
-		copy(sv.xB, warm.xb)
-	} else if sv.computeXB(); !nonNegative(sv.xB) {
+	if sv.computeXB(); !nonNegative(sv.xB) {
 		sv.rhs = sv.b
 		return coldResidual
 	}
@@ -1006,8 +1025,12 @@ func (s *Standard) solve(warm *Basis) (*Solution, *Basis, warmOutcome, error) {
 		return nil, nil, outcome, err
 	}
 	if !sv.certified() {
-		// Once more from basic values recomputed through a fresh factor.
+		// Once more from basic values recomputed through a fresh factor,
+		// re-pricing every column on it: pivots update the basic values
+		// incrementally, and on large values their drift alone can fail
+		// the residual check.
 		sv.refactor()
+		sv.basisStamp++
 		if err := sv.run(); err != nil {
 			return nil, nil, outcome, err
 		}

@@ -240,7 +240,8 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 		t.Fatalf("objective %g, want 36", s.Objective)
 	}
 
-	// Same shape, different matrix: the B⁻¹ verification must reject it.
+	// Same shape, different matrix: the basis is factored from this
+	// problem's own columns, so the answer is this problem's.
 	twisted := &Problem{NumVars: 2, Objective: []float64{3, 5}}
 	twisted.AddConstraint([]float64{0, 1}, LE, 4)
 	twisted.AddConstraint([]float64{2, 0}, LE, 12)
@@ -261,8 +262,8 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 		t.Fatalf("twisted: warm obj %g, dense obj %g", ts.Objective, ref.Objective)
 	}
 
-	// Bases that fit the shape but not the numbers — singular columns,
-	// basic values that do not solve their own right-hand side, a NaN —
+	// Bases that fit the shape but not the numbers — singular columns, a
+	// capture-time right-hand side the basis is infeasible for, a NaN —
 	// each get their named outcome and a cold solve's answer.
 	build := func(rhs3 float64) *Problem {
 		p := &Problem{NumVars: 3, Objective: []float64{3, 5, 1}}
@@ -276,7 +277,7 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Under rhs3 = 10 the optimal basis goes primal infeasible (x = −2/3),
-	// so the repair runs and reads the captured basic values.
+	// so the repair runs from the basic values under the captured RHS.
 	p := build(10)
 	want, err := Solve(p)
 	if err != nil {
@@ -285,8 +286,7 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 	tamper := func(f func(b *Basis)) *Basis {
 		b := &Basis{m: good.m, n: good.n,
 			cols: append([]int(nil), good.cols...),
-			b:    append([]float64(nil), good.b...),
-			xb:   append([]float64(nil), good.xb...)}
+			b:    append([]float64(nil), good.b...)}
 		f(b)
 		return b
 	}
@@ -298,12 +298,11 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 		{"as captured", good, dualRepair},
 		// Columns x and z are parallel in every row: B is singular.
 		{"singular columns", tamper(func(b *Basis) { b.cols = []int{0, 2, 3} }), coldSingular},
-		{"basic values off", tamper(func(b *Basis) { b.xb[0] *= 2 }), dualRepair},
-		{"basic value NaN", tamper(func(b *Basis) { b.xb[1] = math.NaN() }), dualRepair},
-		// Inconsistent values for a capture-time RHS under which the
-		// basis itself is infeasible: nothing to repair from.
-		{"basic values off, RHS infeasible", tamper(func(b *Basis) { b.xb[0] *= 2; b.b[2] = 10 }), coldResidual},
-		{"short", tamper(func(b *Basis) { b.xb = b.xb[:2] }), coldMismatch},
+		// A capture-time RHS under which the basis itself is infeasible:
+		// nothing to repair from.
+		{"capture-time RHS infeasible", tamper(func(b *Basis) { b.b[2] = 10 }), coldResidual},
+		{"capture-time RHS NaN", tamper(func(b *Basis) { b.b[1] = math.NaN() }), coldResidual},
+		{"short", tamper(func(b *Basis) { b.b = b.b[:2] }), coldMismatch},
 	} {
 		sol, _, outcome, err := mustStandard(t, p).solve(c.basis)
 		if err != nil {
@@ -393,12 +392,28 @@ func TestSparseZeroObjective(t *testing.T) {
 }
 
 // TestSparseUnbounded mirrors the dense unbounded test through the
-// sparse path.
+// sparse path, then solves well-conditioned one-variable programs whose
+// ray is long and whose gain along it is small: nothing cancels in that
+// gain, so it is no roundoff, and the verdict must be the exact
+// simplex's.
 func TestSparseUnbounded(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint([]float64{1, -1}, GE, 1)
 	if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("got %v, want ErrUnbounded", err)
+	}
+	for _, c := range []struct{ cost, coeff float64 }{
+		{1e-6, -1e4}, // gain above the certificate's tolerance
+		{5e-8, -100}, // gain under it
+	} {
+		p := &Problem{NumVars: 1, Objective: []float64{c.cost}}
+		p.AddConstraint([]float64{c.coeff}, LE, 5)
+		if _, err := solveExact(p); !errors.Is(err, ErrUnbounded) {
+			t.Fatalf("max %g·x s.t. %g·x ≤ 5: exact simplex says %v", c.cost, c.coeff, err)
+		}
+		if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
+			t.Errorf("max %g·x s.t. %g·x ≤ 5: got %v, want ErrUnbounded", c.cost, c.coeff, err)
+		}
 	}
 }
 

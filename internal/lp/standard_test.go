@@ -27,8 +27,7 @@ func sameSolve(t *testing.T, what string, gotSol, wantSol *Solution, gotBasis, w
 			what, gotSol.Objective, gotSol.Iterations, wantSol.Objective, wantSol.Iterations)
 	}
 	if !reflect.DeepEqual(gotBasis.cols, wantBasis.cols) ||
-		!reflect.DeepEqual(bits(gotBasis.b), bits(wantBasis.b)) ||
-		!reflect.DeepEqual(bits(gotBasis.xb), bits(wantBasis.xb)) {
+		!reflect.DeepEqual(bits(gotBasis.b), bits(wantBasis.b)) {
 		t.Fatalf("%s: next basis differs", what)
 	}
 }
