@@ -71,45 +71,6 @@ func TestCertificateCatchesCorruptedWarmStart(t *testing.T) {
 	}
 }
 
-// TestColdCertificateRetry: on this program (its three empty rows
-// included: their slacks set the pivot path) the cold run stops at the
-// optimal basis with basic values near 3.7e5 that its pivots updated
-// incrementally, and their drift of 8e-7 leaves a row 4e-7 off its zero
-// right-hand side, past the certificate's residual tolerance. Solve
-// recomputes them through a fresh factor, re-runs and returns the exact
-// simplex's optimum, certified.
-func TestColdCertificateRetry(t *testing.T) {
-	p := &Problem{NumVars: 6, Objective: []float64{0, 0, 0, 0, 0, 1}}
-	p.AddConstraint([]float64{1, -0.5, 0, 0, 0, 0.5}, LE, 0)
-	p.AddConstraint([]float64{0, 0, 0, 3, 0, -0.5}, GE, 0)
-	p.AddConstraint([]float64{1, 0, 0, 0, 0, 0}, LE, 10)
-	p.AddConstraint([]float64{-6, 0, 0, 1.0 / 1024, 0, 0}, LE, 0)
-	for range 3 {
-		p.AddConstraint(make([]float64, 6), LE, 0)
-	}
-	sv := newSparseSolver(&mustStandard(t, p).std)
-	sv.startCold()
-	if err := sv.run(); err != nil {
-		t.Fatal(err)
-	}
-	if sv.certified() {
-		t.Fatal("the first cold stop certifies: the program no longer reaches the retry")
-	}
-	exact, err := solveExact(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := exact.Float64()
-	got, certified, err := solveCertified(t, p)
-	if err != nil || !certified {
-		t.Fatalf("got %v (certified %v), want a certified optimum", err, certified)
-	}
-	if d := disagreement(&Solution{Objective: want}, got, nil, nil); d != "" {
-		t.Fatalf("engine vs exact: %s", d)
-	}
-	assertFeasible(t, p, got.X)
-}
-
 // TestWarmOutcomesNamed runs seeded MPC sequences — core.buildProblem's
 // shape — through one kept Standard and requires every period after the
 // first to finish from the previous basis: a feasible resume or a dual

@@ -563,15 +563,16 @@ func (sv *sparseSolver) chooseEntering(bland bool) int {
 // column can price at 3e-9 because a ray entry of 3e-9, beside ones of
 // 3e3, meets a basic cost of 1: an improvement that proves nothing, so
 // the loop rules the column out instead of reporting the program
-// unbounded. A ray through zero-cost basic columns gains exactly c_j
-// however long it is, and stands. Nor is a column ruled out whose
-// reduced cost the certificate would reject, or one the Big-M part
-// priced in: those costs are exact small multiples of the matrix's
-// entries, and a tiny one can be the only proof the program is
-// unbounded.
+// unbounded. (Had that basic cost been 100, the column would price at
+// 3e-7, past the certificate's tolerance: the certificate then refuses
+// the stop, and the cold solve's retry re-prices on a fresh factor.) A
+// ray through zero-cost basic columns gains exactly c_j however long it
+// is, and stands. A column the Big-M part priced in is never ruled out:
+// those costs are exact small multiples of the matrix's entries, and a
+// tiny one can be the only proof the program is unbounded.
 func (sv *sparseSolver) roundoff(j int) bool {
 	r, mm := sv.reducedCost(j)
-	if mm > eps || r > certDualTol*(1+math.Abs(sv.cR[j])) {
+	if mm > eps {
 		return false
 	}
 	weights, length := 0.0, 0.0
@@ -837,15 +838,11 @@ func (sv *sparseSolver) checkFeasible() error {
 	return nil
 }
 
-// certDualTol is the certificate's dual-feasibility tolerance: a
-// reduced cost above certDualTol·(1+|c_j|) fails it.
-const certDualTol = 1e-7
-
 // certified checks the optimum the solver stopped at, in O(nnz(A)), on
 // the standardized problem max cᵀx, A·x = b, x ≥ 0 with the artificial
 // columns left out: primal feasibility (x_B ≥ 0 and B·x_B = b, within
 // 1e-7 relative), dual feasibility (no non-artificial reduced cost above
-// certDualTol·(1+|c_j|) against freshly computed duals y) and a zero duality gap
+// 1e-7·(1+|c_j|) against freshly computed duals y) and a zero duality gap
 // (|cᵀx − bᵀy| ≤ 1e-6·(1+|cᵀx|)). An optimum with an artificial still
 // basic is not an optimum of that problem and is not certified (it
 // passes).
@@ -861,7 +858,7 @@ func (sv *sparseSolver) certified() bool {
 		if sv.inB[j] || sv.artificial[j] {
 			continue
 		}
-		if r, _ := sv.reducedCost(j); r > certDualTol*(1+math.Abs(sv.cR[j])) {
+		if r, _ := sv.reducedCost(j); r > 1e-7*(1+math.Abs(sv.cR[j])) {
 			return false
 		}
 	}

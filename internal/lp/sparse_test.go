@@ -422,8 +422,11 @@ func TestSparseUnbounded(t *testing.T) {
 // goes wrong in a different way each — an infeasible point after a tied
 // ratio's step, a pivot on roundoff beside entries of 1e3, a roundoff
 // reduced cost reported as unboundedness — and one whose only proof of
-// unboundedness is an exact Big-M reduced cost of 2^-29. The engine must
-// agree with the exact rational simplex on each.
+// unboundedness is an exact Big-M reduced cost of 2^-29. On two more the
+// cold run's first stop fails its certificate, and only its retry on a
+// fresh factor answers: the same roundoff reduced cost beside a basic
+// cost of 100, and basic values drifted past the residual check. The
+// engine must agree with the exact rational simplex on each.
 func TestIllConditionedVerdicts(t *testing.T) {
 	const tiny = 1.0 / 1024
 	zero := []float64{0, 0, 0, 0, 0, 0}
@@ -457,6 +460,30 @@ func TestIllConditionedVerdicts(t *testing.T) {
 			{[]float64{0, 0, 0, 3, 0, -0.5}, GE, 0},
 			{[]float64{0, 0, 0, 0.5, 0.5, 0}, LE, 1},
 			{[]float64{-6, 0, 0, tiny, 0, 0}, GE, 0},
+			{zero, LE, 0},
+		}},
+		// The same at 100 times the objective: the roundoff reduced cost,
+		// 3e-7, is past the certificate's tolerance.
+		{"roundoff reduced cost the certificate rejects", []float64{0, 0, 0, 0, 100, 0}, []row{
+			{[]float64{1, -3, 0, 0, 0, 0}, LE, 0},
+			{[]float64{0, -tiny, 0, 0, 3, -0.5}, LE, 0},
+			{[]float64{0, 0, 0, 3, 0, -0.5}, GE, 0},
+			{[]float64{0, 0, 0, 0.5, 0.5, 0}, LE, 1},
+			{[]float64{-6, 0, 0, tiny, 0, 0}, GE, 0},
+			{zero, LE, 0},
+		}},
+		// The cold run stops at the optimum with basic values near 3.7e5
+		// that its pivots updated incrementally: their drift of 8e-7
+		// leaves the first row 4e-7 off its zero right-hand side, past
+		// the certificate's residual tolerance. (The empty rows' slacks
+		// set the pivot path.)
+		{"basic values drift past the certificate", []float64{0, 0, 0, 0, 0, 1}, []row{
+			{[]float64{1, -0.5, 0, 0, 0, 0.5}, LE, 0},
+			{[]float64{0, 0, 0, 3, 0, -0.5}, GE, 0},
+			{[]float64{1, 0, 0, 0, 0, 0}, LE, 10},
+			{[]float64{-6, 0, 0, tiny, 0, 0}, LE, 0},
+			{zero, LE, 0},
+			{zero, LE, 0},
 			{zero, LE, 0},
 		}},
 		{"exact tiny Big-M reduced cost", []float64{0, 0, 0, 0, 1, 0}, []row{
