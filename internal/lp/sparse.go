@@ -80,9 +80,10 @@ type eta struct {
 
 // Basis is the reusable state captured from an optimal solve: the basic
 // column set and the right-hand side at capture time (needed to repair
-// primal feasibility when the next problem's RHS has moved). SolveWarm uses it to seed the next solve of a structurally
-// identical problem. It is opaque and immutable from the caller's point
-// of view; a Basis may be reused for any number of warm solves.
+// primal feasibility when the next problem's RHS has moved). SolveWarm
+// uses it to seed the next solve of a structurally identical problem. It
+// is opaque and immutable from the caller's point of view; a Basis may
+// be reused for any number of warm solves.
 type Basis struct {
 	m, n int
 	cols []int
@@ -945,8 +946,8 @@ func (sv *sparseSolver) finishWarm(o warmOutcome, err error) (warmOutcome, error
 // recomputed under the new right-hand side, ready for the dual simplex.
 // The starting values are computed under the captured right-hand side
 // through this problem's factor, and the repair is refused
-// (coldResidual) if they are infeasible there. It reports dualRepair when
-// the repair may go on.
+// (coldResidual) if they are infeasible there. It reports dualRepair
+// when the repair may go on.
 func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
 	// The dual ratio test needs the Big-M components gone.
 	if sv.mActive {
@@ -983,7 +984,10 @@ func Solve(p *Problem) (*Solution, error) {
 // returns the solution together with the optimal basis for the next
 // call. A nil, mismatched, or infeasible-under-the-new-RHS basis falls
 // back to a cold solve; the answer is optimal either way, so callers can
-// thread the returned Basis through a solve sequence unconditionally.
+// thread the returned Basis through a solve sequence unconditionally. An
+// optimum that fails its optimality certificate, and fails it again
+// after a cold retry from a fresh factor, is not returned: the error
+// then reads "lp: optimum failed its certificate".
 func SolveWarm(p *Problem, warm *Basis) (*Solution, *Basis, error) {
 	s, err := NewStandard(p)
 	if err != nil {
