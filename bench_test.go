@@ -163,32 +163,6 @@ func BenchmarkAblationHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFailures measures how the CBS pipeline degrades under
-// injected machine failures (the monitoring module's failure reports in
-// the paper's architecture).
-func BenchmarkAblationFailures(b *testing.B) {
-	env := benchEnvironment()
-	w, _ := env.Workload()
-	ch, _ := env.Characterization()
-	for _, mtbf := range []float64{0, 100, 20} {
-		b.Run(fmt.Sprintf("mtbf=%vh", mtbf), func(b *testing.B) {
-			var res *SimulationResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = Simulate(w, ch, SimulationConfig{
-					Policy: PolicyCBS, PeriodSeconds: 300, MTBFHours: mtbf,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Failures), "failures")
-			b.ReportMetric(float64(res.TasksKilled), "killed")
-			b.ReportMetric(res.MeanDelaySeconds[GroupProduction], "s-prod-delay")
-		})
-	}
-}
-
 // BenchmarkAblationForecaster compares the arrival-rate predictors (the
 // paper uses ARIMA; seasonal-naive and EWMA are the natural baselines).
 func BenchmarkAblationForecaster(b *testing.B) {

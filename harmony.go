@@ -303,10 +303,6 @@ type SimulationConfig struct {
 	// accepting tasks (default 120). Reactive policies feel this as
 	// scheduling delay on every ramp; the MPC controller pre-provisions.
 	BootDelaySeconds float64
-	// MTBFHours, when positive, injects machine failures with the given
-	// mean time between failures; failed machines kill their tasks
-	// (requeued) and stay down for 15 minutes.
-	MTBFHours float64
 	// Forecaster selects the arrival-rate prediction model for the
 	// HARMONY policies: "arima" (default), "auto-arima", "seasonal",
 	// "ewma" or "holtwinters".
@@ -336,10 +332,6 @@ type SimulationResult struct {
 	Scheduled   int
 	Unscheduled int
 	Completed   int
-	// Failures/TasksKilled report injected machine failures (0 unless
-	// MTBFHours was set).
-	Failures    int
-	TasksKilled int
 
 	// MeanDelaySeconds is the mean scheduling delay per priority group.
 	MeanDelaySeconds map[Group]float64
@@ -400,7 +392,6 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 		// largest machine (the same helper harmonyd's engine uses).
 		SwitchCost:      energy.SwitchCosts(models, energy.DefaultSwitchCostDollars),
 		BootDelay:       cfg.BootDelaySeconds,
-		MTBFHours:       cfg.MTBFHours,
 		MaxDelaySamples: maxDelaySamples,
 	}
 	var harmonyPolicy *sched.Harmony
@@ -467,8 +458,6 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 		Scheduled:        res.Scheduled,
 		Unscheduled:      res.Unscheduled,
 		Completed:        res.Completed,
-		Failures:         res.Failures,
-		TasksKilled:      res.TasksKilled,
 		MeanDelaySeconds: make(map[Group]float64, trace.NumGroups),
 		DelayCDF:         make(map[Group]Series, trace.NumGroups),
 		ActiveMachines:   res.ActiveSeries,

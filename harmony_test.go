@@ -173,9 +173,8 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 		}
 	}
 	for name, cfg := range map[string]SimulationConfig{
-		"NaN boot delay": {Policy: PolicyBaseline, BootDelaySeconds: nan},
-		"NaN MTBF":       {Policy: PolicyBaseline, MTBFHours: nan},
-		"negative MTBF":  {Policy: PolicyBaseline, MTBFHours: -1},
+		"NaN boot delay":      {Policy: PolicyBaseline, BootDelaySeconds: nan},
+		"infinite boot delay": {Policy: PolicyBaseline, BootDelaySeconds: inf},
 	} {
 		if _, err := Simulate(w, nil, cfg); err == nil {
 			t.Errorf("Simulate with %s accepted", name)

@@ -129,7 +129,6 @@ type openTask struct {
 // which only the single in-flight tick touches (guarded by solving).
 type Engine struct {
 	cfg     Config
-	price   energy.Price
 	types   []classify.TaskType
 	labeler *classify.Labeler
 
@@ -202,13 +201,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// largest machine — the helper harmony.Simulate uses, so the daemon's
 	// plans match the batch pipeline's.
 	switchCost := energy.SwitchCosts(cfg.Models, energy.DefaultSwitchCostDollars)
-	price := energy.FlatPrice(energy.DefaultPricePerKWh)
 	policy, err := sched.NewHarmony(sched.HarmonyConfig{
 		Mode:          cfg.Mode,
 		Machines:      cfg.Machines,
 		Models:        cfg.Models,
 		Types:         types,
-		Price:         price,
+		Price:         energy.FlatPrice(energy.DefaultPricePerKWh),
 		PeriodSeconds: cfg.PeriodSeconds,
 		Horizon:       cfg.Horizon,
 		SLODelay:      cfg.SLODelay,
@@ -221,7 +219,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 	e := &Engine{
 		cfg:      cfg,
-		price:    price,
 		types:    types,
 		labeler:  classify.NewLabeler(cfg.Char),
 		arrivals: make([]int, len(types)),
@@ -373,13 +370,11 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 	e.mOpen.Set(float64(openCount))
 
 	obs := &sim.Observation{
-		Time:        now,
-		PeriodIndex: idx - 1,
-		Arrivals:    arr,
-		Queued:      make([]int, len(e.types)),
-		Running:     running,
-		Active:      active,
-		Price:       e.price.At(now),
+		Time:     now,
+		Arrivals: arr,
+		Queued:   make([]int, len(e.types)),
+		Running:  running,
+		Active:   active,
 	}
 
 	type result struct {

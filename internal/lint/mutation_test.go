@@ -47,8 +47,8 @@ var mutationTable = []mutant{
 		"if g.lastPlan == nil {\n\t\t\tcontinue\n\t\t}\n\t\tout[g.name] = g.lastPlan\n\t\tg.mu.Unlock()"}},
 		[]string{"deferclose"}},
 	{"tick observation stamped with the wall clock", []edit{{"internal/daemon/engine.go",
-		"Time:        now,",
-		"Time:        float64(time.Now().Unix()),"}},
+		"Time:     now,",
+		"Time:     float64(time.Now().Unix()),"}},
 		[]string{"detertaint"}},
 	// Taint through a helper outside the deterministic packages: the
 	// simulator's delay reservoir, the helper's caller, is flagged.

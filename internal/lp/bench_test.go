@@ -27,7 +27,7 @@ func BenchmarkSolveSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
+		if _, _, err := SolveWarm(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

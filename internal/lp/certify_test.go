@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// solveCertified is Solve through a Standard whose solver the caller can
-// inspect afterwards. It reports whether the optimum was certified: it
-// was when it is artificial-free (and then the certificate must hold, or
-// solve would have failed); an optimum with an artificial still basic at
-// zero is not an optimum the certificate speaks to.
+// solveCertified is a cold SolveWarm through a Standard whose solver the
+// caller can inspect afterwards. It reports whether the optimum was
+// certified: it was when it is artificial-free (and then the certificate
+// must hold, or solve would have failed); an optimum with an artificial
+// still basic at zero is not an optimum the certificate speaks to.
 func solveCertified(t *testing.T, p *Problem) (sol *Solution, certified bool, err error) {
 	t.Helper()
 	s := mustStandard(t, p)

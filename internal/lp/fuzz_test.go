@@ -182,7 +182,7 @@ func FuzzSolveMatchesDense(f *testing.F) {
 		}
 		assertFeasible(t, p, ss.X)
 		q := perturbFuzzLP(p, in)
-		cold, cerr := Solve(q)
+		cold, _, cerr := SolveWarm(q, nil)
 		warm, _, werr := SolveWarm(q, basis)
 		if d := disagreement(cold, warm, cerr, werr); d != "" {
 			t.Fatalf("warm vs cold: %s", d)

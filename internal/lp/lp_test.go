@@ -9,28 +9,28 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	s, err := Solve(p)
+	s, _, err := SolveWarm(p, nil)
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("SolveWarm: %v", err)
 	}
 	return s
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Solve(&Problem{NumVars: 0}); !errors.Is(err, ErrBadProblem) {
+	if _, _, err := SolveWarm(&Problem{NumVars: 0}, nil); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("zero vars: %v", err)
 	}
-	if _, err := Solve(&Problem{NumVars: 2, Objective: []float64{1}}); !errors.Is(err, ErrBadProblem) {
+	if _, _, err := SolveWarm(&Problem{NumVars: 2, Objective: []float64{1}}, nil); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("short objective: %v", err)
 	}
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.Constraints = append(p.Constraints, Constraint{Coeffs: []float64{1, 2}, Sense: LE, RHS: 1})
-	if _, err := Solve(p); !errors.Is(err, ErrBadProblem) {
+	if _, _, err := SolveWarm(p, nil); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("bad row width: %v", err)
 	}
 	p2 := &Problem{NumVars: 1, Objective: []float64{1}}
 	p2.Constraints = append(p2.Constraints, Constraint{Coeffs: []float64{1}, Sense: 0, RHS: 1})
-	if _, err := Solve(p2); !errors.Is(err, ErrBadProblem) {
+	if _, _, err := SolveWarm(p2, nil); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("bad sense: %v", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestInfeasible(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.AddConstraint([]float64{1}, LE, 1)
 	p.AddConstraint([]float64{1}, GE, 2)
-	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := SolveWarm(p, nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestInfeasible(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 0}}
 	p.AddConstraint([]float64{0, 1}, LE, 1)
-	if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
+	if _, _, err := SolveWarm(p, nil); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("want ErrUnbounded, got %v", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestRandom2DMatchesBruteForce(t *testing.T) {
 		p.AddConstraint([]float64{1, 1}, LE, 50)
 		cons = append(cons, Constraint{Coeffs: []float64{1, 1}, Sense: LE, RHS: 50})
 
-		s, err := Solve(p)
+		s, _, err := SolveWarm(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -241,7 +241,7 @@ func TestRandomMixedFeasibility(t *testing.T) {
 			p.AddConstraint(row, sense, rhs)
 			rows = append(rows, Constraint{Coeffs: row, Sense: sense, RHS: rhs})
 		}
-		s, err := Solve(p)
+		s, _, err := SolveWarm(p, nil)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}

@@ -973,13 +973,6 @@ func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
 	return dualRepair
 }
 
-// Solve runs the sparse revised simplex from a cold Big-M start and
-// returns an optimal solution.
-func Solve(p *Problem) (*Solution, error) {
-	sol, _, err := SolveWarm(p, nil)
-	return sol, err
-}
-
 // SolveWarm solves p seeded from the basis of a previous solve and
 // returns the solution together with the optimal basis for the next
 // call. A nil, mismatched, or infeasible-under-the-new-RHS basis falls

@@ -121,7 +121,7 @@ func TestSparseMatchesDenseLarge(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := randomLP(r, 25, 35)
 		ds, derr := SolveDense(p)
-		ss, serr := Solve(p)
+		ss, _, serr := SolveWarm(p, nil)
 		if (derr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: dense err=%v sparse err=%v", trial, derr, serr)
 		}
@@ -166,7 +166,7 @@ func TestSolveWarmMatchesCold(t *testing.T) {
 			p.Constraints[i] = Constraint{Coeffs: c.Coeffs, Sense: c.Sense,
 				RHS: c.RHS + (r.Float64()-0.5)*0.5}
 		}
-		cold, err := Solve(p)
+		cold, _, err := SolveWarm(p, nil)
 		if err != nil {
 			t.Fatalf("period %d cold: %v", period, err)
 		}
@@ -279,7 +279,7 @@ func TestSolveWarmMismatchFallsBack(t *testing.T) {
 	// Under rhs3 = 10 the optimal basis goes primal infeasible (x = −2/3),
 	// so the repair runs from the basic values under the captured RHS.
 	p := build(10)
-	want, err := Solve(p)
+	want, _, err := SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,13 +362,13 @@ func TestSparseInfeasibleBigM(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint([]float64{1, 1}, EQ, 2)
 	p.AddConstraint([]float64{1, 1}, EQ, 5)
-	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := SolveWarm(p, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("got %v, want ErrInfeasible", err)
 	}
 	p2 := &Problem{NumVars: 1, Objective: []float64{0}}
 	p2.AddConstraint([]float64{1}, LE, 1)
 	p2.AddConstraint([]float64{1}, GE, 3)
-	if _, err := Solve(p2); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := SolveWarm(p2, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("got %v, want ErrInfeasible", err)
 	}
 }
@@ -381,7 +381,7 @@ func TestSparseZeroObjective(t *testing.T) {
 	p.AddConstraint([]float64{1, 1, 0}, EQ, 4)
 	p.AddConstraint([]float64{0, 1, 1}, GE, 2)
 	p.AddConstraint([]float64{1, 0, 1}, LE, 7)
-	s, err := Solve(p)
+	s, _, err := SolveWarm(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestSparseZeroObjective(t *testing.T) {
 func TestSparseUnbounded(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint([]float64{1, -1}, GE, 1)
-	if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
+	if _, _, err := SolveWarm(p, nil); !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("got %v, want ErrUnbounded", err)
 	}
 	for _, c := range []struct{ cost, coeff float64 }{
@@ -411,7 +411,7 @@ func TestSparseUnbounded(t *testing.T) {
 		if _, err := solveExact(p); !errors.Is(err, ErrUnbounded) {
 			t.Fatalf("max %g·x s.t. %g·x ≤ 5: exact simplex says %v", c.cost, c.coeff, err)
 		}
-		if _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
+		if _, _, err := SolveWarm(p, nil); !errors.Is(err, ErrUnbounded) {
 			t.Errorf("max %g·x s.t. %g·x ≤ 5: got %v, want ErrUnbounded", c.cost, c.coeff, err)
 		}
 	}
@@ -504,7 +504,7 @@ func TestIllConditionedVerdicts(t *testing.T) {
 			obj, _ := exact.Float64()
 			want = &Solution{Objective: obj}
 		}
-		got, err := Solve(p)
+		got, _, err := SolveWarm(p, nil)
 		if d := disagreement(want, got, xerr, err); d != "" {
 			t.Errorf("%s: engine vs exact: %s", c.name, d)
 			continue

@@ -145,7 +145,6 @@ func TestHarmonyPeriodZeroArrivals(t *testing.T) {
 		Queued:   make([]int, 3),
 		Running:  make([]int, 3),
 		Active:   make([]int, 4),
-		Price:    0.08,
 	}
 	dir := h.Period(obs)
 	if h.Err() != nil {
@@ -170,7 +169,6 @@ func TestHarmonyPeriodProvisionsForLoad(t *testing.T) {
 			Queued:   []int{5, 2, 1},
 			Running:  []int{20, 10, 4},
 			Active:   make([]int, 4),
-			Price:    0.08,
 		}
 		dir := h.Period(obs)
 		if h.Err() != nil {
@@ -205,7 +203,6 @@ func TestHarmonyContainerSeriesAccumulates(t *testing.T) {
 		Queued:   make([]int, 3),
 		Running:  make([]int, 3),
 		Active:   make([]int, 4),
-		Price:    0.08,
 	}
 	h.Period(obs)
 	obs2 := *obs
@@ -294,13 +291,11 @@ func TestHarmonyWarmStartsContainerSolver(t *testing.T) {
 	}
 	obs := func(i int) *sim.Observation {
 		return &sim.Observation{
-			Time:        float64(i) * 300,
-			PeriodIndex: i,
-			Arrivals:    []int{3000, 1200, 90},
-			Queued:      make([]int, 3),
-			Running:     make([]int, 3),
-			Active:      make([]int, 4),
-			Price:       0.08,
+			Time:     float64(i) * 300,
+			Arrivals: []int{3000, 1200, 90},
+			Queued:   make([]int, 3),
+			Running:  make([]int, 3),
+			Active:   make([]int, 4),
 		}
 	}
 	before := queueing.WaitEvals()

@@ -28,7 +28,6 @@ func steadyHarmony(t testing.TB, mode core.Mode, kind PredictorKind) (*Harmony, 
 		Queued:  []int{3, 1, 0},
 		Running: []int{15, 8, 4},
 		Active:  []int{2, 1, 1, 0},
-		Price:   0.08,
 	}
 	warmup := 6
 	if kind != PredictEWMA {
@@ -166,7 +165,6 @@ func TestOneForecastPerClass(t *testing.T) {
 		Queued:  make([]int, 4),
 		Running: make([]int, 4),
 		Active:  make([]int, 4),
-		Price:   0.08,
 	}
 	const classes = 3
 	for i := 0; i < minHistory+3; i++ {

@@ -112,7 +112,6 @@ func TestPressureEscalation(t *testing.T) {
 		Queued:   []int{50, 0, 0},
 		Running:  make([]int, 3),
 		Active:   make([]int, 4),
-		Price:    0.08,
 	}
 	h.Period(obs)
 	if h.Err() != nil {

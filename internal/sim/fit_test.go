@@ -117,10 +117,10 @@ func refitAll(e *engine) {
 }
 
 // TestFitTreeMatchesScan: after every update of one machine — powered on
-// or off, booting, under repair, loaded or unloaded — the fit tree picks
-// the scan's machine for every query, first fit and best fit. Usages come
-// from a small set, or one ulp off it, so that best fit meets ties and
-// near-ties in its score, and each
+// or off, booting or ready (one second or one ulp either side of now),
+// loaded or unloaded — the fit tree picks the scan's machine for every
+// query, first fit and best fit. Usages come from a small set, or one ulp
+// off it, so that best fit meets ties and near-ties in its score, and each
 // round's queries include demands that land exactly on capacity+1e-12
 // against some machine's usage (and one ulp either side), NaN, ±Inf,
 // zero, negative and oversized demands. Type sizes cover a single
@@ -175,7 +175,8 @@ func TestFitTreeMatchesScan(t *testing.T) {
 		case 1:
 			m.readyAt = e.now + float64(rng.Intn(3)-1) // booting, or ready
 		case 2:
-			m.downTil = e.now + float64(rng.Intn(3)-1) // under repair, or repaired
+			// Ready one ulp ago, now, or one ulp from now.
+			m.readyAt = math.Nextafter(e.now, e.now+float64(rng.Intn(3)-1))
 		case 3:
 			m.usedCPU, m.usedMem = 0, 0
 		default:
@@ -222,9 +223,8 @@ func TestFitTreeMatchesScan(t *testing.T) {
 }
 
 // TestFinishHeapOrdering: the slab heap pops tasks in the struct heap's
-// order and walks them in its heap order (which relabelRunning and
-// injectFailures follow), under random pushes and pops with many equal
-// finish times.
+// order and walks them in its heap order (which relabelRunning follows),
+// under random pushes and pops with many equal finish times.
 func TestFinishHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h finishHeap

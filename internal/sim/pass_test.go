@@ -65,7 +65,7 @@ func runWithPass(t *testing.T, cfg Config, pass func(*engine)) *engine {
 		return ok
 	}
 	have := pull()
-	for nextPeriod, periodIdx := 0.0, 0; ; {
+	for nextPeriod := 0.0; ; {
 		tArr, tFin := math.Inf(1), e.running.next()
 		if have {
 			tArr = next.Submit
@@ -77,9 +77,8 @@ func runWithPass(t *testing.T, cfg Config, pass func(*engine)) *engine {
 		e.advanceTo(tEvt)
 		switch tEvt {
 		case nextPeriod:
-			e.periodBoundary(periodIdx)
+			e.periodBoundary()
 			pass(e)
-			periodIdx++
 			nextPeriod += cfg.Period
 		case tFin:
 			e.completeOne()
@@ -163,30 +162,17 @@ func passScenario(t *testing.T, seed int64, mutate func(*Config, *wobblePolicy))
 // costs, never what it decides. Randomized overloaded runs under every
 // regime that reaches place — the baseline's single queue of mixed sizes,
 // CBS-style reservations with quotas and best fit over several task
-// types, constrained tasks (a fifth of the jobs), boot delay, failure
-// injection — and under everything that can make a task that failed once
-// placeable again — a completion, a quota cell opening, machines coming
-// out of boot (readyAt) or out of repair (downTil) in the middle of a
-// period, occupancy relabeled at the boundary — give the same Result as
-// the attempt-everything reference pass, with fewer place attempts.
+// types, constrained tasks (a fifth of the jobs), boot delay — and under
+// everything that can make a task that failed once placeable again — a
+// completion, a quota cell opening, machines coming out of boot (readyAt)
+// in the middle of a period, occupancy relabeled at the boundary — give
+// the same Result as the attempt-everything reference pass, with fewer
+// place attempts.
 func TestSchedulePassMatchesReference(t *testing.T) {
 	byPriority := func(cfg *Config, pol *wobblePolicy) {
 		cfg.NumTypes = 4
 		cfg.TypeOf = func(tk trace.Task) int { return tk.Priority % 4 }
 		pol.types = 4
-	}
-	// Failures are drawn at period boundaries and repair takes
-	// repairSeconds (900 s); a 400 s period does not divide it, so a failed
-	// machine comes out of repair in the middle of a period.
-	failures := func(cfg *Config, pol *wobblePolicy) {
-		byPriority(cfg, pol)
-		pol.quotas = true
-		cfg.Period = 400
-		cfg.MTBFHours = 0.5
-	}
-	bootFailuresQuotas := func(cfg *Config, pol *wobblePolicy) {
-		failures(cfg, pol)
-		cfg.BootDelay = 130
 	}
 	scenarios := map[string]func(*Config, *wobblePolicy){
 		"baseline single queue": func(*Config, *wobblePolicy) {},
@@ -200,17 +186,13 @@ func TestSchedulePassMatchesReference(t *testing.T) {
 			byPriority(cfg, pol)
 			cfg.BootDelay = 120
 		},
-		"failures": failures,
-		// A machine that fails and is powered on again accepts tasks from
-		// max(readyAt, downTil): the end of its boot in the first scenario,
-		// of its repair in the second. Repair is fixed, so the boot delay
-		// sets the order.
-		"boot, failures, quotas, repair shorter than boot": func(cfg *Config, pol *wobblePolicy) {
-			bootFailuresQuotas(cfg, pol)
-			cfg.BootDelay = 950
-		},
-		"boot, failures, quotas, repair longer than boot": func(cfg *Config, pol *wobblePolicy) {
-			bootFailuresQuotas(cfg, pol)
+		// Machines powered at a boundary come out of boot 130 s into a
+		// 400 s period, while quota cells open and close around them.
+		"boot delay, quotas, 400 s period": func(cfg *Config, pol *wobblePolicy) {
+			byPriority(cfg, pol)
+			pol.quotas = true
+			cfg.Period = 400
+			cfg.BootDelay = 130
 		},
 		"relabel moves quota occupancy": func(cfg *Config, pol *wobblePolicy) {
 			byPriority(cfg, pol)
@@ -236,8 +218,8 @@ func TestSchedulePassMatchesReference(t *testing.T) {
 					t.Errorf("%d place attempts vs %d in the reference, %d tasks left queued: the scenario does not exercise the rule",
 						attempts, refAttempts, want.Unscheduled)
 				}
-				t.Logf("%d place attempts, %d in the reference; %d scheduled, %d queued at the end, %d failures",
-					attempts, refAttempts, want.Scheduled, want.Unscheduled, want.Failures)
+				t.Logf("%d place attempts, %d in the reference; %d scheduled, %d queued at the end",
+					attempts, refAttempts, want.Scheduled, want.Unscheduled)
 				// The driver above is engine.run: same loop, same result.
 				viaRun, err := Run(passScenario(t, seed, mutate))
 				if err != nil {
@@ -353,7 +335,7 @@ func TestTriedRunMeetsOnlyTheFreedMachine(t *testing.T) {
 		before := e.placeAttempts
 		e.advanceTo(at)
 		if boundary {
-			e.periodBoundary(1)
+			e.periodBoundary()
 		} else {
 			if e.running.next() != at {
 				t.Fatalf("next completion at %g, want %g", e.running.next(), at)

@@ -117,12 +117,12 @@ func TestEventLoopSteadyStateAllocFree(t *testing.T) {
 // measurement: energy, series, and counters must be bit-identical to the
 // exact run, and the retained sample count must respect the cap.
 func TestMaxDelaySamplesBoundsMemoryOnly(t *testing.T) {
-	exactCfg := genFailureConfig(t, 17)
+	exactCfg := genConfig(t, 17)
 	exact, err := Run(exactCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped := genFailureConfig(t, 17)
+	capped := genConfig(t, 17)
 	capped.MaxDelaySamples = 64
 	got, err := Run(capped)
 	if err != nil {

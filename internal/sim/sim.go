@@ -47,8 +47,7 @@ type Directive struct {
 
 // Observation is the state snapshot handed to a policy at each period.
 type Observation struct {
-	Time        float64
-	PeriodIndex int
+	Time float64
 	// Arrivals[n] counts type-n tasks that arrived during the last period.
 	Arrivals []int
 	// Queued[n] counts type-n tasks currently waiting.
@@ -61,8 +60,6 @@ type Observation struct {
 	RunningDemandCPU, RunningDemandMem float64
 	// Active[m] is the number of powered machines per machine type.
 	Active []int
-	// Price is the current electricity price ($/kWh).
-	Price float64
 }
 
 // Policy decides machine counts (and optionally quotas) each period.
@@ -94,12 +91,6 @@ type Config struct {
 	// accept tasks (seconds). It draws idle power while booting. 0 means
 	// instant boot.
 	BootDelay float64
-	// MTBFHours, when positive, injects machine failures: each powered
-	// machine fails independently with the matching per-period
-	// probability. A failed machine kills its running tasks (they are
-	// requeued and restart from scratch) and stays unavailable for
-	// repairSeconds. The failure draws come from one fixed seed.
-	MTBFHours float64
 	// Relabel, when non-nil, is called at each period boundary for every
 	// running task with its current type and age (seconds since start);
 	// the returned type replaces the current one. This realizes the
@@ -140,11 +131,6 @@ type Result struct {
 	SwitchCost   float64 // dollars
 	SwitchEvents int
 
-	// Failures counts injected machine failures; TasksKilled counts the
-	// task executions they aborted (the tasks requeue and restart).
-	Failures    int
-	TasksKilled int
-
 	Scheduled   int // tasks that started execution
 	Unscheduled int // tasks still queued when the horizon ended
 	Completed   int
@@ -170,8 +156,6 @@ type machine struct {
 	typeIdx int
 	on      bool
 	readyAt float64 // machine accepts tasks from this time (boot delay)
-	downTil float64 // failed machine is unavailable until this time
-	epoch   int     // incremented on failure to invalidate heap entries
 	usedCPU float64
 	usedMem float64
 	tasks   int
@@ -181,7 +165,6 @@ type runningTask struct {
 	finish   float64
 	start    float64
 	machine  int
-	epoch    int // machine epoch at placement; stale entries are ignored
 	taskType int
 	task     trace.Task
 	cpu, mem float64 // reserved amounts on the machine
@@ -285,13 +268,6 @@ type pendingTask struct {
 // currently-unschedulable tasks rather than blocking on them.
 const failBudgetPerQueue = 64
 
-// repairSeconds is how long a failed machine stays down, and failureSeed
-// seeds the failure process.
-const (
-	repairSeconds = 900
-	failureSeed   = 1
-)
-
 // engine is the mutable simulation state.
 type engine struct {
 	cfg Config
@@ -323,8 +299,6 @@ type engine struct {
 	sumUsedCPU []float64
 	sumUsedMem []float64
 
-	failRand *stats.RNG
-
 	// failed is schedulePending's scratch: the shapes that failed in the
 	// queue being walked (at most the fail budget). placeAttempts counts
 	// place calls over the run, fitVisits the fit-tree nodes they visited
@@ -340,7 +314,7 @@ type engine struct {
 	// mirrors pending, freed is the machine the completion just before the
 	// pass released capacity on (-1: nothing was freed), and nextReady is
 	// the earliest instant after now at which a powered machine finishes
-	// booting or repair (+Inf: every powered machine is ready).
+	// booting (+Inf: every powered machine is ready).
 	tried     [trace.NumGroups][]triedRun
 	freed     int
 	nextReady float64
@@ -387,13 +361,8 @@ func validateConfig(cfg *Config) error {
 	if !(cfg.Period > 0) || math.IsInf(cfg.Period, 1) {
 		return fmt.Errorf("sim: period must be positive and finite, got %v", cfg.Period)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"boot delay", cfg.BootDelay}, {"MTBF", cfg.MTBFHours}} {
-		if !(f.v >= 0) {
-			return fmt.Errorf("sim: %s must not be negative or NaN, got %v", f.name, f.v)
-		}
+	if !(cfg.BootDelay >= 0) || math.IsInf(cfg.BootDelay, 1) {
+		return fmt.Errorf("sim: boot delay must be non-negative and finite, got %v", cfg.BootDelay)
 	}
 	if cfg.NumTypes <= 0 || cfg.TypeOf == nil {
 		return errors.New("sim: task-type mapping required")
@@ -440,9 +409,6 @@ func newEngine(cfg Config) *engine {
 		e.pending[gi] = make([][]pendingTask, cfg.NumTypes)
 		e.tried[gi] = make([]triedRun, cfg.NumTypes)
 	}
-	if cfg.MTBFHours > 0 {
-		e.failRand = stats.NewRNG(failureSeed)
-	}
 	for ti, mt := range e.types {
 		e.occupancy[ti] = make([]int, cfg.NumTypes)
 		e.res.ActiveByType[ti].Name = fmt.Sprintf("active type %d", mt.ID)
@@ -460,7 +426,6 @@ func newEngine(cfg Config) *engine {
 
 func (e *engine) run() error {
 	nextPeriod := 0.0
-	periodIdx := 0
 	var (
 		next    trace.Task
 		have    bool
@@ -508,9 +473,8 @@ func (e *engine) run() error {
 		switch {
 		//harmony:allow floateq exact by construction: tEvt is the min of the compared values
 		case tEvt == nextPeriod:
-			e.periodBoundary(periodIdx)
+			e.periodBoundary()
 			e.schedulePending()
-			periodIdx++
 			nextPeriod += e.cfg.Period
 		//harmony:allow floateq exact by construction: tEvt is the min of the compared values
 		case tEvt == tFin:
@@ -579,14 +543,13 @@ func (e *engine) advanceTo(t float64) {
 	e.now = t
 }
 
-// periodBoundary runs the control-period work: failure injection,
-// relabeling, observation, and the policy decision
-// (the caller follows it with a scheduling pass under the new directive).
-// It is the budgeted residue outside the per-event hot path.
-func (e *engine) periodBoundary(periodIdx int) {
-	e.injectFailures()
+// periodBoundary runs the control-period work: relabeling, observation
+// and the policy decision (the caller follows it with a scheduling pass
+// under the new directive). It is the budgeted residue outside the
+// per-event hot path.
+func (e *engine) periodBoundary() {
 	e.relabelRunning()
-	obs := e.observe(periodIdx)
+	obs := e.observe()
 	e.res.ActiveSeries.Points = append(e.res.ActiveSeries.Points,
 		stats.Point{X: e.now, Y: float64(totalInts(e.active))})
 	for ti := range e.active {
@@ -603,8 +566,8 @@ func (e *engine) periodBoundary(periodIdx int) {
 	for i := range e.arrivals {
 		e.arrivals[i] = 0
 	}
-	// Failures, relabeling and the directive may each have made room for a
-	// queued task anywhere: the pass that follows starts from scratch.
+	// Relabeling and the directive may each have made room for a queued
+	// task anywhere: the pass that follows starts from scratch.
 	e.forgetTried()
 	e.nextReady = e.earliestReady()
 }
@@ -629,27 +592,24 @@ func (e *engine) forgetTried() {
 }
 
 // earliestReady returns the first instant after now at which a powered
-// machine finishes booting or repair, +Inf when all of them are ready.
+// machine finishes booting, +Inf when all of them are ready.
 func (e *engine) earliestReady() float64 {
 	next := math.Inf(1)
 	for mi := range e.machines {
-		m := &e.machines[mi]
-		if r := max(m.readyAt, m.downTil); m.on && r > e.now && r < next {
-			next = r
+		if m := &e.machines[mi]; m.on && m.readyAt > e.now && m.readyAt < next {
+			next = m.readyAt
 		}
 	}
 	return next
 }
 
-func (e *engine) observe(periodIdx int) *Observation {
+func (e *engine) observe() *Observation {
 	obs := &Observation{
-		Time:        e.now,
-		PeriodIndex: periodIdx,
-		Arrivals:    append([]int(nil), e.arrivals...),
-		Queued:      make([]int, e.cfg.NumTypes),
-		Running:     append([]int(nil), e.runningN...),
-		Active:      append([]int(nil), e.active...),
-		Price:       e.cfg.Price.At(e.now),
+		Time:     e.now,
+		Arrivals: append([]int(nil), e.arrivals...),
+		Queued:   make([]int, e.cfg.NumTypes),
+		Running:  append([]int(nil), e.runningN...),
+		Active:   append([]int(nil), e.active...),
 	}
 	for g := range e.pending {
 		for tt := range e.pending[g] {
@@ -773,7 +733,7 @@ type triedRun struct {
 // and whose smallest shape the freed machine cannot hold, is left as it
 // is. Only tasks behind the run pay dominated and a scan. Every other way
 // a failed task becomes placeable — a period boundary, a powered machine
-// finishing boot or repair — ends all tried runs (periodBoundary,
+// finishing boot — ends all tried runs (periodBoundary,
 // completeOne), and the pass is the one above.
 func (e *engine) schedulePending() {
 	if e.pendingCount == 0 {
@@ -894,9 +854,9 @@ func (e *engine) quotaFull(ti, taskType int) bool {
 }
 
 // holds is the part of a placement decided per machine: m, of type mt, is
-// powered, done booting and repaired, and has cpu and mem to spare.
+// powered, done booting, and has cpu and mem to spare.
 func (e *engine) holds(m *machine, mt *trace.MachineType, cpu, mem float64) bool {
-	if !m.on || e.now < m.readyAt || e.now < m.downTil {
+	if !m.on || e.now < m.readyAt {
 		return false
 	}
 	return !(m.usedCPU+cpu > mt.CPU+1e-12 || m.usedMem+mem > mt.Mem+1e-12)
@@ -928,7 +888,6 @@ func (e *engine) start(p *pendingTask, mi int, cpu, mem float64) {
 		finish:   e.now + p.task.Duration,
 		start:    e.now,
 		machine:  mi,
-		epoch:    m.epoch,
 		taskType: p.taskType,
 		task:     p.task,
 		cpu:      cpu,
@@ -953,7 +912,6 @@ func (e *engine) recordDelay(g trace.PriorityGroup, d float64) {
 }
 
 func (e *engine) completeOne() {
-	e.freed = -1
 	if e.now >= e.nextReady {
 		// A machine powered on at an earlier boundary is ready now.
 		e.forgetTried()
@@ -961,9 +919,6 @@ func (e *engine) completeOne() {
 	}
 	rt := e.running.pop()
 	m := &e.machines[rt.machine]
-	if rt.epoch != m.epoch {
-		return // execution was aborted by a machine failure
-	}
 	m.usedCPU -= rt.cpu
 	m.usedMem -= rt.mem
 	if m.usedCPU < 0 {
@@ -996,86 +951,6 @@ func (e *engine) completeOne() {
 	e.res.Completed++
 }
 
-// injectFailures fails each powered machine with the per-period hazard
-// implied by the configured MTBF. A failed machine aborts its executions
-// (the tasks requeue and restart from scratch), powers off, and stays
-// unavailable for the repair interval.
-//
-// The hazard draws are sequential — the RNG stream is part of the
-// deterministic contract — but the expensive part, finding the aborted
-// executions, is a single pass over the running set instead of a full
-// rescan per failed machine (O(R+F) rather than O(R·F)).
-func (e *engine) injectFailures() {
-	if e.cfg.MTBFHours <= 0 || e.failRand == nil {
-		return
-	}
-	pFail := e.cfg.Period / (e.cfg.MTBFHours * 3600)
-	if pFail > 1 {
-		pFail = 1
-	}
-	// Phase 1: draw the hazards and take the failed machines down,
-	// recording the epoch their live executions carry.
-	var failed []int // machine ids, ascending (requeue grouping order)
-	liveEpoch := make(map[int]int)
-	for mi := range e.machines {
-		m := &e.machines[mi]
-		if !m.on || e.failRand.Float64() >= pFail {
-			continue
-		}
-		e.res.Failures++
-		failed = append(failed, mi)
-		liveEpoch[mi] = m.epoch
-		m.epoch++
-		m.on = false
-		m.downTil = e.now + repairSeconds
-		ti := m.typeIdx
-		e.active[ti]--
-		e.sumUsedCPU[ti] -= m.usedCPU
-		e.sumUsedMem[ti] -= m.usedMem
-		m.usedCPU = 0
-		m.usedMem = 0
-		m.tasks = 0
-		e.refit(mi)
-	}
-	if len(failed) == 0 {
-		return
-	}
-	// Phase 2: one pass over the running set collects the aborted
-	// executions, grouped per failed machine to preserve the requeue
-	// order of the per-machine scan. Only entries carrying the
-	// machine's pre-failure epoch are live: stale entries left in the
-	// heap by an earlier failure were requeued back then and must not
-	// requeue twice.
-	orderOf := make(map[int]int, len(failed))
-	for i, mi := range failed {
-		orderOf[mi] = i
-	}
-	aborted := make([][]*runningTask, len(failed))
-	for i := range e.running.keys {
-		rt := e.running.at(i)
-		oi, ok := orderOf[rt.machine]
-		if !ok || rt.epoch != liveEpoch[rt.machine] {
-			continue
-		}
-		aborted[oi] = append(aborted[oi], rt)
-	}
-	for i, mi := range failed {
-		ti := e.machines[mi].typeIdx
-		for _, rt := range aborted[i] {
-			e.res.TasksKilled++
-			e.occupancy[ti][rt.taskType]--
-			e.runningN[rt.taskType]--
-			gi := rt.task.Group().Index()
-			e.pending[gi][rt.taskType] = append(e.pending[gi][rt.taskType],
-				pendingTask{task: rt.task, taskType: rt.taskType})
-			e.pendingCount++
-			// Scheduled/delay stats were already recorded at first
-			// placement; the requeued execution will not re-record.
-			e.res.Scheduled--
-		}
-	}
-}
-
 // relabelRunning applies the configured relabel hook to every running
 // task, moving quota occupancy and per-type counts when a label changes.
 func (e *engine) relabelRunning() {
@@ -1084,9 +959,6 @@ func (e *engine) relabelRunning() {
 	}
 	for i := range e.running.keys {
 		rt := e.running.at(i)
-		if rt.epoch != e.machines[rt.machine].epoch {
-			continue
-		}
 		nt := e.cfg.Relabel(rt.taskType, e.now-rt.start)
 		if nt == rt.taskType || nt < 0 || nt >= e.cfg.NumTypes {
 			continue

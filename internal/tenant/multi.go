@@ -65,10 +65,6 @@ type Group struct {
 // Name returns the group's deterministic identifier ("g0", "g1", ...).
 func (g *Group) Name() string { return g.name }
 
-// SLO returns the group's provisioning SLO (seconds of target mean
-// scheduling delay for production work; 0 means the daemon defaults).
-func (g *Group) SLO() float64 { return g.slo }
-
 // Engine returns the group's control-loop engine.
 func (g *Group) Engine() *daemon.Engine { return g.eng }
 

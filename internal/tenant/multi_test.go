@@ -366,8 +366,8 @@ func TestN1BitIdentical(t *testing.T) {
 		}
 	}
 	g := m2.Groups()[0]
-	if g.SLO() != 0 {
-		t.Errorf("N=1 default group SLO = %v, want 0 (engine defaults)", g.SLO())
+	if g.slo != 0 {
+		t.Errorf("N=1 default group SLO = %v, want 0 (engine defaults)", g.slo)
 	}
 
 	wantStats := eng.Snapshot()
@@ -401,8 +401,8 @@ func TestGroupingAndAccounting(t *testing.T) {
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2", len(groups))
 	}
-	if groups[0].SLO() != 60 || groups[1].SLO() != 0 {
-		t.Errorf("group SLOs = %v, %v", groups[0].SLO(), groups[1].SLO())
+	if groups[0].slo != 60 || groups[1].slo != 0 {
+		t.Errorf("group SLOs = %v, %v", groups[0].slo, groups[1].slo)
 	}
 
 	counts := map[string]int{"web": 10, "api": 5, "batch": 7}
