@@ -141,9 +141,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		}
 		logger.Printf("harmonyd: multi-tenant: %d tenants, %d groups", len(doc.Tenants), len(m.Groups()))
 		fe = tenant.NewServer(m, tenant.ServerConfig{
-			QueueSize:      *queue,
-			GlobalQueueCap: *queue,
-			TickDeadline:   *deadline,
+			QueueSize:    *queue,
+			TickDeadline: *deadline,
 		})
 	} else {
 		eng, err := daemon.NewEngine(engCfg)

@@ -2,86 +2,182 @@ package harmony
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
+	"path"
 	"strings"
 	"testing"
+
+	"harmony/internal/lint"
 )
 
-// calledOnlyByTests lists the exported library functions that no non-test
-// code names, each with the reason it stays.
+// calledOnlyByTests lists the exported library functions and methods that
+// no non-test code uses, each with the reason it stays.
 var calledOnlyByTests = map[string]string{
-	"stats.TruncNormal":      "test baseline: container's empirical-violation test draws task demands from it",
-	"forecast.Naive":         "test baseline the ARIMA and seasonal forecasters must beat",
-	"forecast.MovingAverage": "test baseline in the Holt-Winters backtest comparison",
-	"forecast.Backtest":      "test harness that scores the forecasters against those baselines",
-	"daemon.Replay":          "batch reference the daemon's streamed-ingest e2e tests compare against",
-	"tenant.Replay":          "batch reference the multi-tenant e2e tests compare against",
+	"stats.TruncNormal":            "test baseline: container's empirical-violation test draws task demands from it",
+	"stats.(*CDF).P":               "oracle the cdf tests check Quantile against",
+	"core.(*Decision).TotalActive": "the controller tests' reading of a decision's fleet size",
+	"metrics.(*Histogram).Count":   "the metrics tests' reading of how many observations a histogram took",
+	"forecast.Naive":               "test baseline the ARIMA and seasonal forecasters must beat",
+	"forecast.MovingAverage":       "test baseline in the Holt-Winters backtest comparison",
+	"forecast.Backtest":            "test harness that scores the forecasters against those baselines",
+	"lp.SolveWarm":                 "the lp tests' entry point: builds the standard form and solves it in one call",
+	"daemon.Replay":                "batch reference the daemon's streamed-ingest e2e tests compare against",
+	"tenant.Replay":                "batch reference the multi-tenant e2e tests compare against",
 }
 
 // TestLibraryExportsHaveCallers keeps the library packages down to what
-// the pipeline calls: every exported function or method in their non-test
-// files must be named by non-test code — pkg.Name anywhere in the module
-// (benchmark/, cmd/ and examples/ count), the bare name inside its own
-// package, .Name anywhere for a method. Syntax only, so a same-named
-// method elsewhere can hide a dead one; it cannot flag a live one.
+// the pipeline uses: every exported function or method declared in their
+// non-test files must be used by non-test code of the module or of the
+// nested benchmark module. Uses are resolved through go/types, so a
+// same-named identifier elsewhere does not keep a dead one alive. A
+// method also counts as used when its type implements an interface that
+// non-test code names or calls through, and that interface has the method
+// (energy.FlatPrice.At is called through energy.Price, (*Router).ServeHTTP
+// by net/http through the http.Handler that daemon.Frontend embeds).
 func TestLibraryExportsHaveCallers(t *testing.T) {
 	libs := map[string]bool{}
 	for _, p := range []string{"stats", "binpack", "kmeans", "container", "queueing", "energy", "forecast", "trace", "metrics", "classify", "core", "daemon", "lp", "sched", "sim", "tenant"} {
-		libs[filepath.Join("internal", p)] = true
+		libs["harmony/internal/"+p] = true
 	}
-	named := map[string]int{} // "pkg.Name", "dir:Name" and ".Name" → mentions
-	var exported [][2]string  // {pkg.Name, where a caller inside the package would show up in named}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				named[dir+":"+n.Name]++
-			case *ast.SelectorExpr:
-				named["."+n.Sel.Name]++
-				if x, ok := n.X.(*ast.Ident); ok {
-					named[x.Name+"."+n.Sel.Name]++
-				}
-			}
-			return true
-		})
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && libs[dir] && fn.Name.IsExported() {
-				inPkg := dir + ":" + fn.Name.Name
-				named[inPkg]-- // the declaration itself
-				if fn.Recv != nil {
-					inPkg = "." + fn.Name.Name
-				}
-				exported = append(exported, [2]string{filepath.Base(dir) + "." + fn.Name.Name, inPkg})
-			}
-		}
-		return nil
-	})
+	root, err := loadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range exported {
-		live := named[e[0]] > 0 || named[e[1]] > 0
-		if _, kept := calledOnlyByTests[e[0]]; !live && !kept {
-			t.Errorf("%s has no caller outside tests: delete it, or list it in calledOnlyByTests with the reason it stays", e[0])
-		} else if live && kept {
-			t.Errorf("%s is listed in calledOnlyByTests but non-test code names it: drop the entry", e[0])
+	bench, err := loadModule("benchmark")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{} // types.Func.FullName of every function or method used
+	// "path.Name" of every interface named or called through; fmt calls
+	// String through fmt.Stringer on whatever it formats.
+	ifaces := map[string]bool{"fmt.Stringer": true}
+	for _, pkgs := range [][]*lint.Package{root, bench} {
+		for _, p := range pkgs {
+			collectUses(p.Info, used, ifaces)
 		}
 	}
+	// The interfaces in use, resolved among the packages the module imports.
+	universe := map[string]*types.Package{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if universe[p.Path()] == nil {
+			universe[p.Path()] = p
+			for _, imp := range p.Imports() {
+				walk(imp)
+			}
+		}
+	}
+	for _, p := range root {
+		walk(p.Types)
+	}
+	var inUse []*types.Interface
+	for key := range ifaces {
+		scope := types.Universe
+		dot := strings.LastIndex(key, ".")
+		if dot >= 0 {
+			p := universe[key[:dot]]
+			if p == nil {
+				continue
+			}
+			scope = p.Scope()
+		}
+		if tn, ok := scope.Lookup(key[dot+1:]).(*types.TypeName); ok {
+			inUse = append(inUse, tn.Type().Underlying().(*types.Interface))
+		}
+	}
+
+	for _, p := range root {
+		if !libs[p.Path] {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.Info.Defs[fd.Name].(*types.Func)
+				name := displayName(fn)
+				live := used[fn.FullName()] || implementsInUse(fn, inUse)
+				if _, kept := calledOnlyByTests[name]; !live && !kept {
+					t.Errorf("%s has no caller outside tests: delete it, or list it in calledOnlyByTests with the reason it stays", name)
+				} else if live && kept {
+					t.Errorf("%s is listed in calledOnlyByTests but non-test code uses it: drop the entry", name)
+				}
+			}
+		}
+	}
+}
+
+// loadModule type-checks the non-test packages of the module rooted at dir.
+func loadModule(dir string) ([]*lint.Package, error) {
+	l, err := lint.NewLoader(dir)
+	if err != nil {
+		return nil, err
+	}
+	return l.Load("./...")
+}
+
+// collectUses records every function or method an identifier refers to,
+// and every interface type named or called through.
+func collectUses(info *types.Info, used, ifaces map[string]bool) {
+	for _, obj := range info.Uses {
+		switch obj := obj.(type) {
+		case *types.Func:
+			used[obj.Origin().FullName()] = true
+			if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+				if n, ok := recv.Type().(*types.Named); ok && types.IsInterface(n) {
+					ifaces[typeKey(n.Obj())] = true
+				}
+			}
+		case *types.TypeName:
+			if types.IsInterface(obj.Type()) {
+				ifaces[typeKey(obj)] = true
+			}
+		}
+	}
+}
+
+// typeKey is "path.Name", or the bare name of a predeclared type (error).
+func typeKey(tn *types.TypeName) string {
+	if tn.Pkg() == nil {
+		return tn.Name()
+	}
+	return tn.Pkg().Path() + "." + tn.Name()
+}
+
+// implementsInUse reports whether fn is a method its receiver type needs
+// to satisfy one of the interfaces in use.
+func implementsInUse(fn *types.Func, inUse []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if _, ok := t.(*types.Pointer); !ok {
+		t = types.NewPointer(t)
+	}
+	for _, iface := range inUse {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() && types.Implements(t, iface) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// displayName spells fn the way calledOnlyByTests keys it:
+// "pkg.Func", "pkg.T.Method" or "pkg.(*T).Method".
+func displayName(fn *types.Func) string {
+	pkg := path.Base(fn.Pkg().Path())
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return pkg + "." + fn.Name()
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		return pkg + ".(*" + ptr.Elem().(*types.Named).Obj().Name() + ")." + fn.Name()
+	}
+	return pkg + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
 }

@@ -148,8 +148,8 @@ func finite(field string, v float64) error {
 
 // LoadWorkload reads a workload from a trace file produced by
 // cmd/tracegen (JSON-lines format). Energy models for the machine types
-// are synthesized from their capacities when they are not the Table II
-// population.
+// are always synthesized from their capacities (energy.SyntheticModels),
+// even for the Table II population: a trace file carries no models.
 func LoadWorkload(path string) (*Workload, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -299,24 +299,20 @@ type SimulationConfig struct {
 	// DiurnalPrice swaps the flat electricity price
 	// (energy.DefaultPricePerKWh) for a sinusoidal daily one around it.
 	DiurnalPrice bool
-	// BootDelaySeconds is how long machines take from power-on to
-	// accepting tasks (default 120). Reactive policies feel this as
-	// scheduling delay on every ramp; the MPC controller pre-provisions.
-	BootDelaySeconds float64
 	// Forecaster selects the arrival-rate prediction model for the
 	// HARMONY policies: "arima" (default), "auto-arima", "seasonal",
 	// "ewma" or "holtwinters".
 	Forecaster string
 }
 
+// bootDelaySeconds is how long a simulated machine takes from power-on to
+// accepting tasks. Reactive policies feel it as scheduling delay on every
+// ramp; the MPC controller pre-provisions.
+const bootDelaySeconds = 120
+
 func (cfg *SimulationConfig) defaults() {
 	if cfg.PeriodSeconds <= 0 {
 		cfg.PeriodSeconds = 300
-	}
-	if cfg.BootDelaySeconds < 0 {
-		cfg.BootDelaySeconds = 0
-	} else if cfg.BootDelaySeconds == 0 {
-		cfg.BootDelaySeconds = 120
 	}
 }
 
@@ -342,8 +338,6 @@ type SimulationResult struct {
 	// UsedMachines is the count of machines running at least one task
 	// over time.
 	UsedMachines Series
-	// QueueLength is the queue length over time.
-	QueueLength Series
 	// Containers, for HARMONY policies, is the per-group container
 	// count over time (Figure 20). Nil otherwise.
 	Containers map[Group]Series
@@ -391,7 +385,7 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 		// Per-type switch costs scale with idle power relative to the
 		// largest machine (the same helper harmonyd's engine uses).
 		SwitchCost:      energy.SwitchCosts(models, energy.DefaultSwitchCostDollars),
-		BootDelay:       cfg.BootDelaySeconds,
+		BootDelay:       bootDelaySeconds,
 		MaxDelaySamples: maxDelaySamples,
 	}
 	var harmonyPolicy *sched.Harmony
@@ -462,7 +456,6 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 		DelayCDF:         make(map[Group]Series, trace.NumGroups),
 		ActiveMachines:   res.ActiveSeries,
 		UsedMachines:     res.UsedSeries,
-		QueueLength:      res.QueueSeries,
 	}
 	for _, g := range trace.Groups() {
 		out.MeanDelaySeconds[g] = res.MeanDelay(g)

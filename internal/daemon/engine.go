@@ -39,11 +39,11 @@ type Config struct {
 
 	Mode          core.Mode // CBS (default) or CBP
 	PeriodSeconds float64   // control period in model time (default 300)
-	// Horizon passes through to sched.HarmonyConfig, which owns its
-	// default (as it does ε and ω); the electricity price and switching
-	// cost are energy's defaults.
-	Horizon    int                             // MPC look-ahead periods
-	SLODelay   map[trace.PriorityGroup]float64 // target scheduling delay (s) per group
+	// Horizon and SLODelay pass through to sched.HarmonyConfig, which
+	// owns their defaults (as it does ε and ω); the electricity price and
+	// switching cost are energy's defaults.
+	Horizon    int     // MPC look-ahead periods
+	SLODelay   float64 // production target mean scheduling delay (s)
 	Forecaster sched.PredictorKind
 
 	// Registry receives the daemon's metrics; a private registry is

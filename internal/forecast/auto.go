@@ -44,34 +44,22 @@ func (s *SeasonalNaive) Forecast(h int) ([]float64, error) {
 }
 
 // AutoARIMA selects ARIMA orders by minimizing AIC over a small grid and
-// delegates to the winning model. The grid covers p in [0,MaxP], q in
-// [0,MaxQ], d in [0,MaxD] (defaults 3/2/1), skipping p=q=0.
+// delegates to the winning model. The grid covers p in [0,autoMaxP], q in
+// [0,autoMaxQ], d in [0,autoMaxD], skipping p=q=0.
 type AutoARIMA struct {
-	MaxP, MaxD, MaxQ int
-
 	chosen *ARIMA
 }
 
+// The AutoARIMA order grid's bounds.
+const autoMaxP, autoMaxD, autoMaxQ = 3, 1, 2
+
 // Fit implements Predictor: grid-search orders by AIC.
 func (a *AutoARIMA) Fit(series []float64) error {
-	maxP, maxD, maxQ := a.MaxP, a.MaxD, a.MaxQ
-	if maxP <= 0 {
-		maxP = 3
-	}
-	if maxD < 0 {
-		maxD = 0
-	} else if maxD == 0 {
-		maxD = 1
-	}
-	if maxQ <= 0 {
-		maxQ = 2
-	}
-
 	bestAIC := math.Inf(1)
 	var best *ARIMA
-	for d := 0; d <= maxD; d++ {
-		for p := 0; p <= maxP; p++ {
-			for q := 0; q <= maxQ; q++ {
+	for d := 0; d <= autoMaxD; d++ {
+		for p := 0; p <= autoMaxP; p++ {
+			for q := 0; q <= autoMaxQ; q++ {
 				if p+q == 0 {
 					continue
 				}

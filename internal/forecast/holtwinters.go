@@ -13,9 +13,6 @@ type HoltWinters struct {
 	// Season is the cycle length in samples (required, > 0); e.g.
 	// trace.Day / PeriodSeconds for a diurnal cycle at the control period.
 	Season int
-	// Alpha, Beta, Gamma are the level, trend, and seasonal smoothing
-	// factors in (0,1]; zero values default to 0.3, 0.05, and 0.2.
-	Alpha, Beta, Gamma float64
 
 	level    float64
 	trend    float64
@@ -23,6 +20,9 @@ type HoltWinters struct {
 	nextIdx  int       // seasonal index of the first forecast step
 	fitted   bool
 }
+
+// The level, trend, and seasonal smoothing factors.
+const hwAlpha, hwBeta, hwGamma = 0.3, 0.05, 0.2
 
 // Fit implements Predictor. It needs at least two full seasons: the first
 // initializes the level and seasonal indices, the second anchors the
@@ -35,17 +35,6 @@ func (hw *HoltWinters) Fit(series []float64) error {
 	if len(series) < 2*m {
 		return ErrTooShort
 	}
-	alpha, beta, gamma := hw.Alpha, hw.Beta, hw.Gamma
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	if beta <= 0 || beta > 1 {
-		beta = 0.05
-	}
-	if gamma <= 0 || gamma > 1 {
-		gamma = 0.2
-	}
-
 	// Classical initialization: the level is the first season's mean, the
 	// trend the per-sample drift between the first two seasons' means, and
 	// each seasonal index the deviation from its season's mean averaged
@@ -80,9 +69,9 @@ func (hw *HoltWinters) Fit(series []float64) error {
 		i := t % m
 		s := seasonal[i]
 		prevLevel := level
-		level = alpha*(x-s) + (1-alpha)*(level+trend)
-		trend = beta*(level-prevLevel) + (1-beta)*trend
-		seasonal[i] = gamma*(x-level) + (1-gamma)*s
+		level = hwAlpha*(x-s) + (1-hwAlpha)*(level+trend)
+		trend = hwBeta*(level-prevLevel) + (1-hwBeta)*trend
+		seasonal[i] = hwGamma*(x-level) + (1-hwGamma)*s
 	}
 	if math.IsNaN(level) || math.IsInf(level, 0) ||
 		math.IsNaN(trend) || math.IsInf(trend, 0) {

@@ -89,30 +89,3 @@ func TestHoltWintersBacktestBeatsBaselinesOnDiurnal(t *testing.T) {
 		t.Errorf("Holt-Winters RMSE %.3f >= seasonal-naive %.3f on diurnal series", hw.RMSE, seasonal.RMSE)
 	}
 }
-
-// Custom smoothing factors are honored and out-of-range ones fall back to
-// the defaults rather than corrupting the recursion.
-func TestHoltWintersSmoothingFactors(t *testing.T) {
-	const season = 6
-	xs := make([]float64, season*4)
-	for i := range xs {
-		xs[i] = 10 + math.Sin(2*math.Pi*float64(i)/season)
-	}
-	for _, hw := range []*HoltWinters{
-		{Season: season, Alpha: 0.9, Beta: 0.5, Gamma: 0.9},
-		{Season: season, Alpha: -1, Beta: 7, Gamma: 0},
-	} {
-		if err := hw.Fit(xs); err != nil {
-			t.Fatalf("%+v: %v", hw, err)
-		}
-		f, err := hw.Forecast(season)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range f {
-			if math.IsNaN(v) || math.Abs(v-10) > 5 {
-				t.Errorf("f[%d] = %v, want near 10", i, v)
-			}
-		}
-	}
-}

@@ -43,8 +43,8 @@ var mutationTable = []mutant{
 		"ticker := time.NewTicker(cfg.TickEvery)\n"}},
 		[]string{"deferclose"}},
 	{"early continue skips the group unlock", []edit{{"internal/tenant/multi.go",
-		"if g.lastPlan != nil {\n\t\t\tout[g.name] = g.lastPlan\n\t\t}\n\t\tg.mu.Unlock()",
-		"if g.lastPlan == nil {\n\t\t\tcontinue\n\t\t}\n\t\tout[g.name] = g.lastPlan\n\t\tg.mu.Unlock()"}},
+		"ticks, violations, cost := g.ticks, g.violations, g.cost\n\t\tg.mu.Unlock()",
+		"ticks, violations, cost := g.ticks, g.violations, g.cost\n\t\tif ticks == 0 {\n\t\t\tcontinue\n\t\t}\n\t\tg.mu.Unlock()"}},
 		[]string{"deferclose"}},
 	{"tick observation stamped with the wall clock", []edit{{"internal/daemon/engine.go",
 		"Time:     now,",

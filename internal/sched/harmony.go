@@ -29,10 +29,10 @@ type HarmonyConfig struct {
 	PeriodSeconds float64
 	Horizon       int // MPC look-ahead W (>=1)
 
-	// SLODelay[g] is the target mean scheduling delay (seconds) per
-	// priority group. Zero entries default to sensible values
-	// (production 120s, other 300s, gratis 900s).
-	SLODelay map[trace.PriorityGroup]float64
+	// SLODelay is the production group's target mean scheduling delay in
+	// seconds (0 means 120); the other groups' targets scale it by
+	// sloRatio.
+	SLODelay float64
 	// Epsilon is the machine-overflow bound for container sizing, in
 	// (0,1) (0 means the default 0.25; the paper handles residual
 	// violations by reserving extra machines, §VII-A — tighter bounds
@@ -52,6 +52,14 @@ type HarmonyConfig struct {
 // minHistory is how many periods of arrival history must accumulate
 // before the configured predictor replaces the EWMA bootstrap.
 const minHistory = 24
+
+// sloRatio[g] scales the production SLO to group g's delay target: the
+// default targets are 120 s, 300 s and 900 s.
+var sloRatio = map[trace.PriorityGroup]float64{
+	trace.Production: 1,
+	trace.Other:      2.5,
+	trace.Gratis:     7.5,
+}
 
 // valuePerPeriod[g] is the utility earned per scheduled container per
 // period, ordered by priority (the f_n weights of Eq. 3).
@@ -106,7 +114,6 @@ func ParsePredictor(name string) (PredictorKind, error) {
 type Harmony struct {
 	cfg        HarmonyConfig
 	ctrl       *core.Controller
-	sizing     []container.Sizing
 	history    [][]float64 // arrival rate (tasks/s) per type per elapsed period
 	contSeries map[trace.PriorityGroup]*stats.TimeBinner
 	lastErr    error
@@ -157,6 +164,8 @@ type Harmony struct {
 	priceBuf   []float64
 	initialBuf []float64
 	quotaBuf   [][]int
+	// reserveCPU[n] and reserveMem[n] are type n's container reservation
+	// (Eq. 3), sized once in NewHarmony.
 	reserveCPU []float64
 	reserveMem []float64
 }
@@ -187,12 +196,12 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if cfg.Price == nil {
 		cfg.Price = energy.FlatPrice(energy.DefaultPricePerKWh)
 	}
-	if cfg.SLODelay == nil {
-		cfg.SLODelay = map[trace.PriorityGroup]float64{}
+	if cfg.SLODelay == 0 {
+		cfg.SLODelay = 120
 	}
-	fillDefault(cfg.SLODelay, trace.Production, 120)
-	fillDefault(cfg.SLODelay, trace.Other, 300)
-	fillDefault(cfg.SLODelay, trace.Gratis, 900)
+	if !(cfg.SLODelay > 0) || math.IsInf(cfg.SLODelay, 1) {
+		return nil, fmt.Errorf("sched: SLODelay %v not in (0,+Inf)", cfg.SLODelay)
+	}
 
 	h := &Harmony{
 		cfg:        cfg,
@@ -210,8 +219,9 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	// Container sizing per task type (Eq. 3).
 	cpuCaps := capacityCatalog(cfg.Machines, func(m trace.MachineType) float64 { return m.CPU })
 	memCaps := capacityCatalog(cfg.Machines, func(m trace.MachineType) float64 { return m.Mem })
-	h.sizing = make([]container.Sizing, len(cfg.Types))
 	containers := make([]core.ContainerSpec, len(cfg.Types))
+	h.reserveCPU = make([]float64, len(cfg.Types))
+	h.reserveMem = make([]float64, len(cfg.Types))
 	epsR, err := container.PerResourceBound(cfg.Epsilon, 2)
 	if err != nil {
 		return nil, fmt.Errorf("sched: Epsilon: %w", err)
@@ -246,7 +256,7 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 		if lim := memCaps[0] / cfg.Omega; s.Mem > lim {
 			s.Mem = lim
 		}
-		h.sizing[i] = s
+		h.reserveCPU[i], h.reserveMem[i] = s.CPU, s.Mem
 		// A container's utility per period scales with the work it
 		// delivers: the tasks it serves per period (a slot for
 		// 20-second tasks turns over ~15 tasks per 5-minute period)
@@ -355,19 +365,7 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	}
 	h.priceBuf = make([]float64, w)
 	h.initialBuf = make([]float64, nm)
-	h.reserveCPU = make([]float64, nt)
-	h.reserveMem = make([]float64, nt)
-	for i, s := range h.sizing {
-		h.reserveCPU[i] = s.CPU
-		h.reserveMem[i] = s.Mem
-	}
 	return h, nil
-}
-
-func fillDefault(m map[trace.PriorityGroup]float64, g trace.PriorityGroup, v float64) {
-	if m[g] == 0 {
-		m[g] = v
-	}
 }
 
 // quantileIndex returns the index into classify.QuantileProbs of the
@@ -439,9 +437,6 @@ func (h *Harmony) ContainerSeries() map[trace.PriorityGroup]stats.Series {
 	}
 	return out
 }
-
-// Sizing returns the per-type container reservations.
-func (h *Harmony) Sizing() []container.Sizing { return h.sizing }
 
 // LastDecision returns the most recent controller decision.
 func (h *Harmony) LastDecision() *core.Decision { return h.lastDec }
@@ -583,7 +578,7 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 		rates := h.ratesBuf[h.shortSibling[n]]
 		pLong := h.longFrac[n]
 		mu := 1 / tt.MeanDuration
-		slo := h.cfg.SLODelay[tt.Group]
+		slo := h.cfg.SLODelay * sloRatio[tt.Group]
 		hint := h.solveHint[n]
 		row := demand[n]
 		for t := 0; t < h.cfg.Horizon; t++ {
@@ -628,13 +623,7 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 			if live := float64(obs.Running[n]); live > base {
 				base = live
 			}
-			window := h.cfg.SLODelay[tt.Group]
-			if window > h.cfg.PeriodSeconds {
-				window = h.cfg.PeriodSeconds
-			}
-			if window <= 0 {
-				window = h.cfg.PeriodSeconds
-			}
+			window := math.Min(slo, h.cfg.PeriodSeconds)
 			drain := float64(obs.Queued[n]) * tt.MeanDuration / window
 			if q := float64(obs.Queued[n]); drain > q {
 				drain = q

@@ -71,6 +71,10 @@ func TestNewHarmonyValidation(t *testing.T) {
 		{"+Inf omega", func(c *HarmonyConfig) { c.Omega = inf }, "Omega"},
 		{"-Inf omega", func(c *HarmonyConfig) { c.Omega = -inf }, "Omega"},
 		{"omega below 1", func(c *HarmonyConfig) { c.Omega = 0.9 }, "Omega"},
+		// A NaN target used to fail every tick as "unstable".
+		{"NaN SLO", func(c *HarmonyConfig) { c.SLODelay = nan }, "SLODelay"},
+		{"+Inf SLO", func(c *HarmonyConfig) { c.SLODelay = inf }, "SLODelay"},
+		{"negative SLO", func(c *HarmonyConfig) { c.SLODelay = -60 }, "SLODelay"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -91,8 +95,20 @@ func TestNewHarmonyDefaults(t *testing.T) {
 	if h.Name() != "harmony-CBS" {
 		t.Errorf("name = %q", h.Name())
 	}
-	if h.cfg.SLODelay[trace.Production] != 120 {
-		t.Errorf("production SLO default = %v", h.cfg.SLODelay[trace.Production])
+	// The one SLO table: 0 means the default production target, and the
+	// other groups scale whatever production target is set.
+	for slo, want := range map[float64][3]float64{0: {900, 300, 120}, 60: {450, 150, 60}} {
+		cfg := testHarmonyConfig(core.CBS)
+		cfg.SLODelay = slo
+		hs, err := NewHarmony(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range trace.Groups() {
+			if got := hs.cfg.SLODelay * sloRatio[g]; got != want[g.Index()] {
+				t.Errorf("SLODelay %v: %s target = %v, want %v", slo, g, got, want[g.Index()])
+			}
+		}
 	}
 	if valuePerPeriod[trace.Gratis] != 0.01 {
 		t.Errorf("gratis value = %v", valuePerPeriod[trace.Gratis])
@@ -108,14 +124,12 @@ func TestNewHarmonyDefaults(t *testing.T) {
 	if c := hz.cfg; c.Epsilon != 0.25 || c.Omega != 1.05 || c.Horizon != 2 {
 		t.Errorf("defaults ε=%v ω=%v W=%d, want 0.25, 1.05, 2", c.Epsilon, c.Omega, c.Horizon)
 	}
-	sz := h.Sizing()
-	if len(sz) != 3 {
-		t.Fatalf("sizings = %d", len(sz))
+	if len(h.reserveCPU) != 3 || len(h.reserveMem) != 3 {
+		t.Fatalf("reservations = %d/%d", len(h.reserveCPU), len(h.reserveMem))
 	}
-	for i, s := range sz {
-		tt := h.cfg.Types[i]
-		if s.CPU < tt.CPU || s.Mem < tt.Mem {
-			t.Errorf("sizing %d below mean: %+v vs %v/%v", i, s, tt.CPU, tt.Mem)
+	for i, tt := range h.cfg.Types {
+		if h.reserveCPU[i] < tt.CPU || h.reserveMem[i] < tt.Mem {
+			t.Errorf("reservation %d below mean: %v/%v vs %v/%v", i, h.reserveCPU[i], h.reserveMem[i], tt.CPU, tt.Mem)
 		}
 	}
 }

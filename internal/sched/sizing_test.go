@@ -86,13 +86,13 @@ func TestSizingUsesQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := h.Sizing()[0]
+	cpu := h.reserveCPU[0]
 	// Gaussian would be ~0.05 + Z*0.2 >> 0.1; the q90 quantile caps it.
-	if s.CPU > 0.101 {
-		t.Errorf("cpu reservation %v not capped by quantile", s.CPU)
+	if cpu > 0.101 {
+		t.Errorf("cpu reservation %v not capped by quantile", cpu)
 	}
-	if s.CPU < 0.05 {
-		t.Errorf("cpu reservation %v below class mean", s.CPU)
+	if cpu < 0.05 {
+		t.Errorf("cpu reservation %v below class mean", cpu)
 	}
 }
 

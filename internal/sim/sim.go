@@ -118,13 +118,9 @@ type Result struct {
 	// ActiveSeries is the total powered machines at each period start
 	// (Figures 21-22).
 	ActiveSeries stats.Series
-	// ActiveByType[m] is the per-type powered count at each period.
-	ActiveByType []stats.Series
 	// UsedSeries is the number of machines running at least one task at
 	// each period start (Figure 3's "used" curve).
 	UsedSeries stats.Series
-	// QueueSeries is the queue length at each period start.
-	QueueSeries stats.Series
 
 	EnergyKWh    float64
 	EnergyCost   float64 // dollars (Eq. 7 integrated over the run)
@@ -394,7 +390,6 @@ func newEngine(cfg Config) *engine {
 		res: &Result{
 			Policy:       cfg.Policy.Name(),
 			DelayByGroup: make(map[trace.PriorityGroup]*stats.CDF, trace.NumGroups),
-			ActiveByType: make([]stats.Series, nm),
 		},
 	}
 	for _, g := range trace.Groups() {
@@ -411,7 +406,6 @@ func newEngine(cfg Config) *engine {
 	}
 	for ti, mt := range e.types {
 		e.occupancy[ti] = make([]int, cfg.NumTypes)
-		e.res.ActiveByType[ti].Name = fmt.Sprintf("active type %d", mt.ID)
 		e.typeFirst[ti] = len(e.machines)
 		e.fit[ti] = newFitTree(mt.Count)
 		for k := 0; k < mt.Count; k++ {
@@ -420,7 +414,6 @@ func newEngine(cfg Config) *engine {
 	}
 	e.res.ActiveSeries.Name = "active machines " + cfg.Policy.Name()
 	e.res.UsedSeries.Name = "used machines " + cfg.Policy.Name()
-	e.res.QueueSeries.Name = "queued tasks " + cfg.Policy.Name()
 	return e
 }
 
@@ -552,12 +545,6 @@ func (e *engine) periodBoundary() {
 	obs := e.observe()
 	e.res.ActiveSeries.Points = append(e.res.ActiveSeries.Points,
 		stats.Point{X: e.now, Y: float64(totalInts(e.active))})
-	for ti := range e.active {
-		e.res.ActiveByType[ti].Points = append(e.res.ActiveByType[ti].Points,
-			stats.Point{X: e.now, Y: float64(e.active[ti])})
-	}
-	e.res.QueueSeries.Points = append(e.res.QueueSeries.Points,
-		stats.Point{X: e.now, Y: float64(totalInts(obs.Queued))})
 	e.res.UsedSeries.Points = append(e.res.UsedSeries.Points,
 		stats.Point{X: e.now, Y: float64(e.usedMachines())})
 

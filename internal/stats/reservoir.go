@@ -38,13 +38,5 @@ func (rv *Reservoir) Add(x float64) {
 	}
 }
 
-// Count returns the total number of observations seen (not the retained
-// sample size).
-func (rv *Reservoir) Count() int64 { return rv.n }
-
-// Values returns the retained sample in insertion-slot order. The slice
-// aliases the reservoir's storage; callers must not mutate it.
-func (rv *Reservoir) Values() []float64 { return rv.vals }
-
 // CDF builds an empirical CDF over the retained sample.
 func (rv *Reservoir) CDF() *CDF { return NewCDF(rv.vals) }

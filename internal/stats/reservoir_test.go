@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// Before the reservoir fills it keeps everything, in order.
+// Before the reservoir fills it keeps everything.
 func TestReservoirKeepsPrefixUntilFull(t *testing.T) {
 	rv := NewReservoir(5, 1)
 	for i := 0; i < 4; i++ {
 		rv.Add(float64(i))
 	}
-	if got, want := rv.Values(), []float64{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+	if got, want := rv.CDF().sorted, []float64{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("prefix sample = %v, want %v", got, want)
 	}
-	if rv.Count() != 4 {
-		t.Errorf("count = %d, want 4", rv.Count())
+	if rv.n != 4 {
+		t.Errorf("count = %d, want 4", rv.n)
 	}
 }
 
@@ -28,14 +28,14 @@ func TestReservoirDeterministic(t *testing.T) {
 		a.Add(x)
 		b.Add(x)
 	}
-	if !reflect.DeepEqual(a.Values(), b.Values()) {
+	if !reflect.DeepEqual(a.CDF().sorted, b.CDF().sorted) {
 		t.Error("same seed and stream retained different samples")
 	}
 	c := NewReservoir(64, 8)
 	for i := 0; i < 10000; i++ {
 		c.Add(float64(i) * 1.5)
 	}
-	if reflect.DeepEqual(a.Values(), c.Values()) {
+	if reflect.DeepEqual(a.CDF().sorted, c.CDF().sorted) {
 		t.Error("different seeds retained identical samples (suspicious)")
 	}
 }
@@ -48,16 +48,17 @@ func TestReservoirUnbiasedMean(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rv.Add(float64(i))
 	}
+	sample := rv.CDF().sorted
 	sum := 0.0
-	for _, v := range rv.Values() {
+	for _, v := range sample {
 		sum += v
 	}
-	mean := sum / float64(len(rv.Values()))
+	mean := sum / float64(len(sample))
 	if want := float64(n) / 2; math.Abs(mean-want)/want > 0.05 {
 		t.Errorf("sample mean %.0f, want within 5%% of %.0f", mean, want)
 	}
-	if rv.Count() != n {
-		t.Errorf("count = %d, want %d", rv.Count(), n)
+	if rv.n != n {
+		t.Errorf("count = %d, want %d", rv.n, n)
 	}
 }
 

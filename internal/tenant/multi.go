@@ -25,7 +25,7 @@ type Config struct {
 	SLOTolerance float64
 	// Registry receives the tenant- and group-level series; a private
 	// registry is created when nil. Per-group engine metrics live in each
-	// group's own registry (Group.Registry), not here.
+	// group's own registry (served at /metrics/{group}), not here.
 	Registry *metrics.Registry
 }
 
@@ -43,7 +43,7 @@ var (
 // classification state, warm LP basis, and delta-placement state.
 type Group struct {
 	name    string
-	slo     float64 // smallest member SLO; 0 = engine defaults
+	slo     float64 // smallest member SLO; 0 = sched's default
 	eng     *daemon.Engine
 	reg     *metrics.Registry
 	members []*tenantState
@@ -59,7 +59,6 @@ type Group struct {
 	ticks      uint64
 	violations uint64
 	cost       float64 // dollars
-	lastPlan   *daemon.Plan
 }
 
 // Name returns the group's deterministic identifier ("g0", "g1", ...).
@@ -67,9 +66,6 @@ func (g *Group) Name() string { return g.name }
 
 // Engine returns the group's control-loop engine.
 func (g *Group) Engine() *daemon.Engine { return g.eng }
-
-// Registry returns the group engine's private metrics registry.
-func (g *Group) Registry() *metrics.Registry { return g.reg }
 
 // tenantState is the per-tenant accounting the multi layer owns.
 type tenantState struct {
@@ -108,9 +104,6 @@ type Multi struct {
 	mGroupActive    *metrics.GaugeVec
 	mGroupCont      *metrics.GaugeVec
 	mGroupDropped   *metrics.GaugeVec
-	mGroupDeltaRe   *metrics.GaugeVec
-	mGroupDeltaRp   *metrics.GaugeVec
-	mGroupDeltaFu   *metrics.GaugeVec
 }
 
 // New validates the configuration, groups the tenants, and builds one
@@ -119,11 +112,11 @@ func New(cfg Config) (*Multi, error) {
 	if err := ValidateSpecs(cfg.Tenants); err != nil {
 		return nil, err
 	}
+	if err := validateTolerance(cfg.SLOTolerance); err != nil {
+		return nil, err
+	}
 	if cfg.SLOTolerance == 0 {
 		cfg.SLOTolerance = DefaultSLOTolerance
-	}
-	if cfg.SLOTolerance < 1 {
-		return nil, fmt.Errorf("tenant: SLO tolerance %v < 1", cfg.SLOTolerance)
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
@@ -139,7 +132,7 @@ func New(cfg Config) (*Multi, error) {
 		}
 		engCfg := cfg.Base
 		engCfg.Registry = g.reg
-		engCfg.SLODelay = groupSLODelay(g.slo)
+		engCfg.SLODelay = g.slo
 		eng, err := daemon.NewEngine(engCfg)
 		if err != nil {
 			return nil, fmt.Errorf("tenant: group %s engine: %w", g.name, err)
@@ -185,24 +178,7 @@ func New(cfg Config) (*Multi, error) {
 	m.mGroupActive = r.GaugeVec("harmonyd_group_machines_active", "Machines the group's current plan keeps powered.", "group")
 	m.mGroupCont = r.GaugeVec("harmonyd_group_containers_planned", "Container slots in the group's current plan.", "group")
 	m.mGroupDropped = r.GaugeVec("harmonyd_group_containers_dropped", "Containers the group's current packing could not place.", "group")
-	m.mGroupDeltaRe = r.GaugeVec("harmonyd_group_delta_reused_types", "Machine types whose packings the group's delta placement reused (cumulative).", "group")
-	m.mGroupDeltaRp = r.GaugeVec("harmonyd_group_delta_repacked_types", "Machine types the group's delta placement repacked (cumulative).", "group")
-	m.mGroupDeltaFu = r.GaugeVec("harmonyd_group_delta_full_repacks", "Group realizations that fell back to a full repack (cumulative).", "group")
 	return m, nil
-}
-
-// groupSLODelay maps a group SLO to the per-priority-group delay targets,
-// preserving the daemon's default 120/300/900 ratios. A zero SLO keeps the
-// engine defaults — the N=1 equivalence contract depends on this.
-func groupSLODelay(slo float64) map[trace.PriorityGroup]float64 {
-	if slo <= 0 {
-		return nil
-	}
-	return map[trace.PriorityGroup]float64{
-		trace.Production: slo,
-		trace.Other:      slo * 2.5,
-		trace.Gratis:     slo * 7.5,
-	}
 }
 
 func sortTenants(xs []*tenantState) {
@@ -335,7 +311,6 @@ func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
 	if violated {
 		g.violations++
 	}
-	g.lastPlan = plan
 	totalCost := g.cost
 	g.mu.Unlock()
 
@@ -368,7 +343,6 @@ func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
 		m.mTenantCost.With(ts.spec.Name).Set(tCost)
 	}
 
-	snap := g.eng.Snapshot()
 	m.mGroupTicks.With(g.name).Inc()
 	m.mGroupCost.With(g.name).Set(totalCost)
 	if violated {
@@ -377,20 +351,17 @@ func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
 	m.mGroupActive.With(g.name).Set(float64(plan.TotalActive))
 	m.mGroupCont.With(g.name).Set(float64(plan.TotalContainers))
 	m.mGroupDropped.With(g.name).Set(float64(plan.Dropped))
-	m.mGroupDeltaRe.With(g.name).Set(float64(snap.DeltaReusedTypes))
-	m.mGroupDeltaRp.With(g.name).Set(float64(snap.DeltaRepackedTypes))
-	m.mGroupDeltaFu.With(g.name).Set(float64(snap.DeltaFullRepacks))
 }
 
-// Plans returns the most recent plan of every group that has one.
+// Plans returns the most recent plan of every group that has one, late
+// ones included: each group's engine publishes a plan whose solve outlived
+// its tick's deadline.
 func (m *Multi) Plans() (map[string]*daemon.Plan, error) {
 	out := make(map[string]*daemon.Plan, len(m.groups))
 	for _, g := range m.groups {
-		g.mu.Lock()
-		if g.lastPlan != nil {
-			out[g.name] = g.lastPlan
+		if plan, err := g.eng.Plan(); err == nil {
+			out[g.name] = plan
 		}
-		g.mu.Unlock()
 	}
 	if len(out) == 0 {
 		return nil, ErrNoPlans

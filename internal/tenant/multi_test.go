@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"harmony/internal/classify"
 	"harmony/internal/daemon"
@@ -192,8 +194,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Base: base}); err == nil {
 		t.Error("no tenants accepted")
 	}
-	if _, err := New(Config{Base: base, Tenants: []Spec{{Name: "a"}}, SLOTolerance: 0.5}); err == nil {
-		t.Error("tolerance < 1 accepted")
+	// New shares Load's tolerance check: +Inf would provision a 5000 s
+	// tenant at 60 s, NaN would split a compatible 60 s/100 s pair.
+	for _, tol := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Base: base, Tenants: []Spec{{Name: "a"}}, SLOTolerance: tol}); err == nil {
+			t.Errorf("tolerance %v accepted", tol)
+		}
 	}
 	if _, err := New(Config{Base: daemon.Config{}, Tenants: []Spec{{Name: "a"}}}); err == nil {
 		t.Error("empty base config accepted")
@@ -378,7 +384,7 @@ func TestN1BitIdentical(t *testing.T) {
 	}
 
 	wantMetrics := filterNondet(reg.Render())
-	gotMetrics := filterNondet(g.Registry().Render())
+	gotMetrics := filterNondet(g.reg.Render())
 	if wantMetrics != gotMetrics {
 		t.Errorf("N=1 engine metrics differ:\n--- daemon ---\n%s\n--- tenant ---\n%s",
 			wantMetrics, gotMetrics)
@@ -610,6 +616,44 @@ func TestConcurrentTickIngestSnapshot(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("ingested %d tasks, want %d", total, want)
+	}
+}
+
+// TestTickDeadlinePublishesLate is the tenant twin of the daemon test of
+// that name: a group tick whose solve outlives its deadline still
+// publishes its plan, and Plans (what GET /v1/plan serves) shows it, as
+// the single-tenant daemon's /v1/plan does. accountTick does not run for
+// a late tick, so that period's cost and violation stay unbooked.
+func TestTickDeadlinePublishesLate(t *testing.T) {
+	m, err := New(Config{Base: testBase(t), Tenants: []Spec{{Name: "app"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := m.Ingest(gratisTask(uint64(i), float64(i), 60, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already expired: the group's solve must finish in the background
+	// The solve may beat the cancelled-context branch; both are valid.
+	if _, err := m.Tick(ctx); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("tick error: %v", err)
+	}
+	eng := m.Groups()[0].Engine()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		plans, err := m.Plans()
+		if err == nil && eng.Snapshot().TicksLate == 1 {
+			if got := plans["g0"].PeriodIndex; got != 1 {
+				t.Fatalf("Plans()[g0].PeriodIndex = %d, want 1", got)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("late solve never reached Plans: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -15,23 +15,18 @@ import (
 
 // ServerConfig parameterizes the multi-tenant HTTP front-end.
 type ServerConfig struct {
-	// QueueSize bounds each tenant's private ingest queue when the
-	// tenant's Spec does not set one (default 8192).
+	// QueueSize bounds the total tasks waiting across every tenant queue
+	// — a shared admission cap so one tenant cannot starve the rest of
+	// queue memory — and each tenant's private queue when the tenant's
+	// Spec does not set a smaller one (default 65536).
 	QueueSize int
-	// GlobalQueueCap bounds the total tasks waiting across every tenant
-	// queue — a shared admission cap so one tenant cannot starve the rest
-	// of queue memory (default 65536).
-	GlobalQueueCap int
 	// TickDeadline bounds each control-period solve (default 30s).
 	TickDeadline time.Duration
 }
 
 func (cfg *ServerConfig) defaults() {
 	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 8192
-	}
-	if cfg.GlobalQueueCap <= 0 {
-		cfg.GlobalQueueCap = 65536
+		cfg.QueueSize = 65536
 	}
 	if cfg.TickDeadline <= 0 {
 		cfg.TickDeadline = 30 * time.Second
@@ -52,7 +47,7 @@ type Server struct {
 	ordered []*daemon.Lane // parallel to multi.tenants (tenant-name order)
 	// globalDepth counts tasks admitted across all lanes; admission is
 	// add-then-check with rollback so concurrent producers cannot
-	// overshoot GlobalQueueCap.
+	// overshoot the QueueSize cap.
 	globalDepth atomic.Int64
 	// push admits one task onto a tenant's lane (enqueue); tests
 	// substitute it to script a refusal.
@@ -131,7 +126,7 @@ func (s *Server) TickDeadline() time.Duration { return s.cfg.TickDeadline }
 // cap is add-then-check with rollback: overshooting producers retreat, so
 // the cap holds under arbitrary concurrency.
 func (s *Server) enqueue(lane *daemon.Lane, t trace.Task) bool {
-	if s.globalDepth.Add(1) > int64(s.cfg.GlobalQueueCap) {
+	if s.globalDepth.Add(1) > int64(s.cfg.QueueSize) {
 		s.globalDepth.Add(-1)
 		return false
 	}
@@ -269,7 +264,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Queues      map[string]queueStats `json:"queues"`
 		GlobalDepth int64                 `json:"globalDepth"`
 		GlobalCap   int                   `json:"globalCap"`
-	}{s.multi.Snapshot(), queues, s.globalDepth.Load(), s.cfg.GlobalQueueCap})
+	}{s.multi.Snapshot(), queues, s.globalDepth.Load(), s.cfg.QueueSize})
 }
 
 // handleGroupMetrics serves one group engine's private registry — the

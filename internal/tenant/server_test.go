@@ -150,8 +150,8 @@ func TestIngestValidatesAtAdmission(t *testing.T) {
 }
 
 func TestPerTenantBackpressure429(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{QueueSize: 4},
-		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
+	s, m := newTestServer(t, ServerConfig{QueueSize: 64},
+		Spec{Name: "web", SLODelay: 60, QueueSize: 4}, Spec{Name: "api", SLODelay: 100})
 	release := holdLanes(t, s)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -230,7 +230,7 @@ func TestRefusedTenantStaysRefusedInBody(t *testing.T) {
 // TestGlobalCapBackpressure fills the shared cap from one tenant and
 // checks the other tenant is refused admission even with queue room.
 func TestGlobalCapBackpressure(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 64, GlobalQueueCap: 6},
+	s, _ := newTestServer(t, ServerConfig{QueueSize: 6},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
 	holdLanes(t, s)
 	srv := httptest.NewServer(s)
@@ -254,7 +254,7 @@ func TestGlobalCapBackpressure(t *testing.T) {
 // concurrent producers and checks the accepted/rejected accounting adds
 // up exactly to the cap — the add-then-check admission cannot overshoot.
 func TestConcurrentProducersBackpressure(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{QueueSize: 8, GlobalQueueCap: 8},
+	s, m := newTestServer(t, ServerConfig{QueueSize: 8},
 		Spec{Name: "app"})
 	holdLanes(t, s)
 	srv := httptest.NewServer(s)

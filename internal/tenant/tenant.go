@@ -28,14 +28,14 @@ type Spec struct {
 	// Name identifies the tenant; tasks carry it in their "tenant" field.
 	Name string `json:"name"`
 	// SLODelay is the tenant's target mean scheduling delay in seconds
-	// for production-priority work (lower-priority groups scale by the
-	// daemon's default 120/300/900 ratios). 0 means the daemon defaults.
+	// for production-priority work; sched scales it for the lower-priority
+	// groups (2.5× other, 7.5× gratis). 0 means the default, 120.
 	SLODelay float64 `json:"sloDelay,omitempty"`
 	// Share weights the tenant's slice of its group's provisioning cost
 	// (its price sensitivity). Defaults to 1.
 	Share float64 `json:"share,omitempty"`
 	// QueueSize bounds the tenant's private ingest queue; 0 uses the
-	// server default.
+	// server's QueueSize, which also caps every tenant's queue together.
 	QueueSize int `json:"queueSize,omitempty"`
 }
 
@@ -63,13 +63,21 @@ func Load(r io.Reader) (*Document, error) {
 	if err := ValidateSpecs(doc.Tenants); err != nil {
 		return nil, err
 	}
-	if doc.SLOTolerance < 0 || math.IsNaN(doc.SLOTolerance) || math.IsInf(doc.SLOTolerance, 0) {
-		return nil, fmt.Errorf("tenant: sloTolerance must be a finite value >= 1 (or 0 for the default)")
-	}
-	if doc.SLOTolerance != 0 && doc.SLOTolerance < 1 {
-		return nil, fmt.Errorf("tenant: sloTolerance %v < 1 would split equal SLOs", doc.SLOTolerance)
+	if err := validateTolerance(doc.SLOTolerance); err != nil {
+		return nil, err
 	}
 	return &doc, nil
+}
+
+// validateTolerance is the grouping-factor check Load and New share: 0
+// (the default) or a finite value >= 1. Below 1 would split equal SLOs,
+// +Inf would merge every explicit SLO into one group, and NaN would split
+// compatible ones.
+func validateTolerance(tol float64) error {
+	if tol != 0 && !(tol >= 1 && !math.IsInf(tol, 1)) {
+		return fmt.Errorf("tenant: sloTolerance %v is not 0 (the default) or a finite value >= 1", tol)
+	}
+	return nil
 }
 
 // ValidateSpecs rejects empty, duplicate, or non-finite tenant specs.
