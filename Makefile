@@ -30,14 +30,15 @@ bench:
 # Ten seconds of each fuzz target (the ingest decoder, the
 # characterization and tenants-config loaders, the CSV and JSON-lines
 # task sources, the sparse LP engine against the dense tableau); CI's
-# fuzz smoke runs this target.
+# fuzz smoke runs this target. Each name is anchored: -fuzz must match one
+# target of its package. TestMakeFuzzRunsEveryTarget keeps the list whole.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeTasks -fuzztime 10s ./internal/daemon
-	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/classify
-	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/tenant
-	$(GO) test -run '^$$' -fuzz FuzzCSVSource -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzJSONLSource -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzSolveMatchesDense -fuzztime 10s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTasks$$' -fuzztime 10s ./internal/daemon
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/classify
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/tenant
+	$(GO) test -run '^$$' -fuzz '^FuzzCSVSource$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONLSource$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveMatchesDense$$' -fuzztime 10s ./internal/lp
 
 # benchmark/ is a nested module that `go test ./...` never compiles; vet
 # and test it (unit tests plus the untraced smoke, ~5 s) so a refactor

@@ -118,6 +118,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		Horizon:       *horizon,
 		Forecaster:    predictor,
 	}
+	srvCfg := daemon.ServerConfig{QueueSize: *queue, TickDeadline: *deadline}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
 	var fe daemon.Frontend
@@ -140,20 +141,14 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 			return err
 		}
 		logger.Printf("harmonyd: multi-tenant: %d tenants, %d groups", len(doc.Tenants), len(m.Groups()))
-		fe = tenant.NewServer(m, tenant.ServerConfig{
-			QueueSize:    *queue,
-			TickDeadline: *deadline,
-		})
+		fe = tenant.NewServer(m, srvCfg)
 	} else {
 		eng, err := daemon.NewEngine(engCfg)
 		if err != nil {
 			return err
 		}
 		logger.Printf("harmonyd: period %.0fs, %d task types", eng.PeriodSeconds(), eng.NumTaskTypes())
-		fe = daemon.NewServer(eng, daemon.ServerConfig{
-			QueueSize:    *queue,
-			TickDeadline: *deadline,
-		})
+		fe = daemon.NewServer(eng, srvCfg)
 	}
 	return daemon.Run(ctx, fe, daemon.RunConfig{
 		Addr:      *addr,

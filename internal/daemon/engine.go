@@ -24,7 +24,6 @@ import (
 	"harmony/internal/classify"
 	"harmony/internal/core"
 	"harmony/internal/energy"
-	"harmony/internal/forecast"
 	"harmony/internal/metrics"
 	"harmony/internal/sched"
 	"harmony/internal/sim"
@@ -84,7 +83,9 @@ type Plan struct {
 	Machines        []MachinePlan `json:"machines"`
 }
 
-// Stats is the observability snapshot served at /v1/stats.
+// Stats is the observability snapshot served at /v1/stats. Every counter
+// and gauge in it is read back from the series the engine renders at
+// /metrics, so the two endpoints cannot disagree.
 type Stats struct {
 	TasksIngested  uint64            `json:"tasksIngested"`
 	TasksByGroup   map[string]uint64 `json:"tasksByGroup"`
@@ -97,7 +98,7 @@ type Stats struct {
 	TicksSkipped    uint64  `json:"ticksSkipped"`
 	TicksLate       uint64  `json:"ticksLate"`
 	LastTickSeconds float64 `json:"lastTickSeconds"`
-	ForecastMAE     float64 `json:"forecastMAE"` // tasks/period, over short types
+	ForecastMAE     float64 `json:"forecastMAE"` // last window, tasks/period, over short types
 
 	// Delta-placement counters (core.DeltaStats, cumulative since start):
 	// machine types whose packings were reused across ticks, types
@@ -125,8 +126,9 @@ type openTask struct {
 }
 
 // Engine is the mutex-guarded online controller: Ingest and Tick may be
-// called from any goroutine; all state lives behind mu except the policy,
-// which only the single in-flight tick touches (guarded by solving).
+// called from any goroutine. Counts live in the metric series (atomic);
+// the rest of the state lives behind mu except the policy, which only the
+// single in-flight tick touches (guarded by solving).
 type Engine struct {
 	cfg     Config
 	types   []classify.TaskType
@@ -137,7 +139,7 @@ type Engine struct {
 	solving atomic.Bool
 	policy  *sched.Harmony
 
-	mTasks       *metrics.CounterVec
+	mTasks       [trace.NumGroups]*metrics.Counter // by PriorityGroup.Index
 	mFallbacks   *metrics.Counter
 	mRelabels    *metrics.Counter
 	mOpen        *metrics.Gauge
@@ -160,14 +162,16 @@ type Engine struct {
 	periodIdx    int     // completed ticks
 	arrivals     []int   // per type, since the last tick
 	open         []openTask
-	plan         *Plan
-	active       []int // machines powered per type (MPC state)
+	plan         *Plan // its per-type Active is the MPC state
 	prevForecast []float64
-	stats        Stats
-	// arrHist[n] is the last backtestCap arrival windows (tasks/period)
-	// of short type n — the series ForecastBacktest evaluates. Long
-	// sub-types receive no direct arrivals and keep empty histories.
-	arrHist [][]float64
+	// fcErrSum[n] and fcErrN[n] accumulate |forecast − window| (tasks per
+	// period) of short type n over every window the loop forecast: the
+	// per-class score ForecastBacktest reports. Long sub-types receive no
+	// direct arrivals and stay at zero.
+	fcErrSum        []float64
+	fcErrN          []int
+	lastTickSeconds float64
+	lastError       string
 }
 
 // Tick coordination errors.
@@ -222,17 +226,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 		types:    types,
 		labeler:  classify.NewLabeler(cfg.Char),
 		arrivals: make([]int, len(types)),
-		active:   make([]int, len(cfg.Machines)),
-		arrHist:  make([][]float64, len(types)),
+		fcErrSum: make([]float64, len(types)),
+		fcErrN:   make([]int, len(types)),
 		policy:   policy,
 	}
-	e.stats.TasksByGroup = make(map[string]uint64, trace.NumGroups)
-	e.stats.PeriodSeconds = cfg.PeriodSeconds
-	e.stats.Classes = len(cfg.Char.Classes)
-	e.stats.TaskTypes = len(types)
 
 	r := cfg.Registry
-	e.mTasks = r.CounterVec("harmonyd_tasks_ingested_total", "Tasks ingested, by priority group.", "group")
+	tasks := r.CounterVec("harmonyd_tasks_ingested_total", "Tasks ingested, by priority group.", "group")
+	for _, g := range trace.Groups() {
+		e.mTasks[g.Index()] = tasks.With(g.String())
+	}
 	e.mFallbacks = r.Counter("harmonyd_label_fallback_total", "Tasks whose priority group had no class (labeled type 0).")
 	e.mRelabels = r.Counter("harmonyd_relabels_total", "Short-to-long relabels driven by observed runtime.")
 	e.mOpen = r.Gauge("harmonyd_open_tasks", "Tasks believed to be running at the last tick.")
@@ -270,15 +273,10 @@ func (e *Engine) Ingest(t trace.Task) error {
 	if !labeled {
 		e.mFallbacks.Inc()
 	}
-	e.mTasks.With(t.Group().String()).Inc()
+	e.mTasks[t.Group().Index()].Inc()
 
 	e.mu.Lock()
 	e.arrivals[tt]++
-	e.stats.TasksIngested++
-	e.stats.TasksByGroup[t.Group().String()]++
-	if !labeled {
-		e.stats.LabelFallbacks++
-	}
 	if t.Submit+t.Duration > e.now {
 		e.open = append(e.open, openTask{typ: tt, submit: t.Submit, duration: t.Duration})
 	}
@@ -294,10 +292,7 @@ func (e *Engine) Ingest(t trace.Task) error {
 // next tick is skipped with ErrTickInFlight until it does.
 func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 	if !e.solving.CompareAndSwap(false, true) {
-		e.mTickSkips.Add(1)
-		e.mu.Lock()
-		e.stats.TicksSkipped++
-		e.mu.Unlock()
+		e.mTickSkips.Inc()
 		return nil, ErrTickInFlight
 	}
 
@@ -330,19 +325,12 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 	for i := range e.arrivals {
 		e.arrivals[i] = 0
 	}
-	// Record the closed window for the rolling-origin backtest; every
-	// direct arrival lands on a short sub-type under label-short-first.
-	for i := range arr {
-		if e.types[i].ID.Sub != 0 {
-			continue
+	active := make([]int, len(e.cfg.Machines))
+	if e.plan != nil {
+		for m, mp := range e.plan.Machines {
+			active[m] = mp.Active
 		}
-		h := append(e.arrHist[i], float64(arr[i]))
-		if len(h) > backtestCap {
-			h = h[len(h)-backtestCap:]
-		}
-		e.arrHist[i] = h
 	}
-	active := append([]int(nil), e.active...)
 	// Forecast accuracy: compare the previous tick's one-period-ahead
 	// rate forecast with this window's observed arrivals (short types
 	// carry every arrival under label-short-first).
@@ -352,19 +340,17 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 			if e.types[i].ID.Sub != 0 {
 				continue
 			}
-			sum += math.Abs(r*e.cfg.PeriodSeconds - float64(arr[i]))
+			d := math.Abs(r*e.cfg.PeriodSeconds - float64(arr[i]))
+			e.fcErrSum[i] += d
+			e.fcErrN[i]++
+			sum += d
 			n++
 		}
 		if n > 0 {
-			e.stats.ForecastMAE = sum / float64(n)
-			e.mForecastMAE.Set(e.stats.ForecastMAE)
+			e.mForecastMAE.Set(sum / float64(n))
 		}
 	}
-	e.stats.Relabels += uint64(relabels)
 	openCount := len(e.open)
-	e.stats.OpenTasks = openCount
-	e.stats.PeriodIndex = idx
-	e.stats.ModelTime = now
 	e.mu.Unlock()
 	e.mRelabels.Add(float64(relabels))
 	e.mOpen.Set(float64(openCount))
@@ -388,13 +374,10 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 		elapsed := time.Since(start).Seconds() //harmony:allow detertaint tick latency metric; model time drives control
 		e.mTickSecs.Observe(elapsed)
 		e.mu.Lock()
-		e.stats.LastTickSeconds = elapsed
+		e.lastTickSeconds = elapsed
 		e.mu.Unlock()
 		if ctx.Err() != nil {
-			e.mTickLate.Add(1)
-			e.mu.Lock()
-			e.stats.TicksLate++
-			e.mu.Unlock()
+			e.mTickLate.Inc()
 		}
 		// Clear the flag before handing the result over: a caller that
 		// ticks again the moment this one returns must not be skipped.
@@ -417,13 +400,14 @@ func (e *Engine) solve(obs *sim.Observation, idx int, now float64) (*Plan, error
 	dir := e.policy.Period(obs)
 	if dir.TargetActive == nil {
 		err := e.policy.Err()
-		e.mTicks.Add(1)
-		e.mTickErrs.Add(1)
+		e.mTicks.Inc()
+		e.mTickErrs.Inc()
 		e.mu.Lock()
-		e.stats.Ticks++
-		e.stats.TickErrors++
+		// The last forecast was made for the window before this one:
+		// leave the next window unscored rather than score it against it.
+		e.prevForecast = nil
 		if err != nil {
-			e.stats.LastError = err.Error()
+			e.lastError = err.Error()
 		}
 		e.mu.Unlock()
 		if err == nil {
@@ -438,26 +422,11 @@ func (e *Engine) solve(obs *sim.Observation, idx int, now float64) (*Plan, error
 	ds := e.policy.DeltaStats()
 
 	e.mu.Lock()
-	for m := range e.active {
-		a := dec.ActiveMachines[m]
-		if a < 0 {
-			a = 0
-		}
-		if a > e.cfg.Machines[m].Count {
-			a = e.cfg.Machines[m].Count
-		}
-		e.active[m] = a
-	}
 	e.plan = plan
 	e.prevForecast = e.policy.LastForecast()
-	e.stats.Ticks++
-	e.stats.TotalActive = plan.TotalActive
-	e.stats.DeltaReusedTypes = uint64(ds.ReusedTypes)
-	e.stats.DeltaRepackedTypes = uint64(ds.RepackedTypes)
-	e.stats.DeltaFullRepacks = uint64(ds.FullRepacks)
 	e.mu.Unlock()
 
-	e.mTicks.Add(1)
+	e.mTicks.Inc()
 	e.mDeltaReuse.Set(float64(ds.ReusedTypes))
 	e.mDeltaRepack.Set(float64(ds.RepackedTypes))
 	e.mDeltaFull.Set(float64(ds.FullRepacks))
@@ -506,65 +475,60 @@ func (e *Engine) Plan() (*Plan, error) {
 	return e.plan, nil
 }
 
-// Snapshot returns a copy of the daemon's statistics.
+// Snapshot returns the daemon's statistics, reading its counters and
+// gauges back from the series /metrics renders. The fields under mu are
+// read first: a counter seen afterwards then orders none of them, which
+// is what lets the race detector catch one written outside the lock.
 func (e *Engine) Snapshot() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.stats
-	s.TasksByGroup = make(map[string]uint64, len(e.stats.TasksByGroup))
-	for k, v := range e.stats.TasksByGroup {
-		s.TasksByGroup[k] = v
+	s := Stats{
+		LastTickSeconds: e.lastTickSeconds,
+		PeriodIndex:     e.periodIdx,
+		ModelTime:       e.now,
+		LastError:       e.lastError,
 	}
+	e.mu.Unlock()
+	s.TasksByGroup = make(map[string]uint64, trace.NumGroups)
+	for _, g := range trace.Groups() {
+		if n := uint64(e.mTasks[g.Index()].Value()); n > 0 {
+			s.TasksByGroup[g.String()] = n
+			s.TasksIngested += n
+		}
+	}
+	s.LabelFallbacks = uint64(e.mFallbacks.Value())
+	s.Relabels = uint64(e.mRelabels.Value())
+	s.OpenTasks = int(e.mOpen.Value())
+	s.Ticks = uint64(e.mTicks.Value())
+	s.TickErrors = uint64(e.mTickErrs.Value())
+	s.TicksSkipped = uint64(e.mTickSkips.Value())
+	s.TicksLate = uint64(e.mTickLate.Value())
+	s.ForecastMAE = e.mForecastMAE.Value()
+	s.DeltaReusedTypes = uint64(e.mDeltaReuse.Value())
+	s.DeltaRepackedTypes = uint64(e.mDeltaRepack.Value())
+	s.DeltaFullRepacks = uint64(e.mDeltaFull.Value())
+	s.PeriodSeconds = e.cfg.PeriodSeconds
+	s.Classes = len(e.cfg.Char.Classes)
+	s.TaskTypes = len(e.types)
+	s.TotalActive = int(e.mActive.Value())
 	return s
 }
 
-// Rolling-origin backtest parameters: the history window kept per class
-// (256 windows ≈ 21 hours at the default 5-minute period) and the
-// training prefix before the first evaluated forecast.
-const (
-	backtestCap      = 256
-	backtestMinTrain = 8
-)
-
-// ForecastBacktest runs a rolling-origin backtest of the control loop's
-// forecast chain (sched.ForecastChain: the EWMA bootstrap below its
-// minimum history, the configured predictor after it, the EWMA again
-// when a fit degenerates) over each class's recorded arrival windows: at
-// every origin past the training prefix the chain forecasts one step
-// from the prefix, as the loop did at that origin, and is scored against
-// the next observed window. The result maps "class<k>" to MAE in
-// tasks/period — directly comparable with both Stats.ForecastMAE (the
-// online one-step error) and the offline rolling-origin numbers from
-// internal/forecast. Classes with insufficient history are omitted.
+// ForecastBacktest scores the forecasts the control loop acted on: for
+// each class, the mean absolute error in tasks/period of every
+// one-period-ahead arrival forecast the loop made (the EWMA bootstrap, the
+// configured predictor with its carried fits, the EWMA fallback — whatever
+// ran) against the window it was made for, from the class's first
+// forecast on. A window after a failed tick is not scored. The result
+// maps "class<k>" to that mean; Stats.ForecastMAE is the same error over
+// the last window alone. Classes not yet scored are omitted.
 func (e *Engine) ForecastBacktest() map[string]float64 {
 	e.mu.Lock()
-	hist := make([][]float64, len(e.arrHist))
-	for i, h := range e.arrHist {
-		hist[i] = append([]float64(nil), h...)
-	}
-	e.mu.Unlock()
-
-	out := make(map[string]float64)
-	for i, h := range hist {
-		if len(h) <= backtestMinTrain {
-			continue
+	defer e.mu.Unlock()
+	out := make(map[string]float64, len(e.cfg.Char.Classes))
+	for i, n := range e.fcErrN {
+		if n > 0 {
+			out[fmt.Sprintf("class%d", e.types[i].ID.Class)] = e.fcErrSum[i] / float64(n)
 		}
-		// One predictor for all origins, as the loop keeps one per class:
-		// each origin extends the last, so carried fitting work is reused.
-		pred := sched.NewPredictor(e.cfg.Forecaster, e.cfg.PeriodSeconds)
-		predicted := make([]float64, len(h)-backtestMinTrain)
-		var err error
-		for k := 0; k < len(predicted) && err == nil; k++ {
-			err = sched.ForecastChain(pred, h[:backtestMinTrain+k], predicted[k:k+1])
-		}
-		if err != nil {
-			continue
-		}
-		m, err := forecast.Evaluate(h[backtestMinTrain:], predicted)
-		if err != nil {
-			continue
-		}
-		out[fmt.Sprintf("class%d", e.types[i].ID.Class)] = m.MAE
 	}
 	return out
 }

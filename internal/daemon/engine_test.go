@@ -6,15 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"harmony/internal/classify"
 	"harmony/internal/energy"
-	"harmony/internal/forecast"
 	"harmony/internal/metrics"
-	"harmony/internal/sched"
 	"harmony/internal/trace"
 )
 
@@ -297,19 +296,28 @@ func TestTickInFlightSkipped(t *testing.T) {
 	}
 }
 
-// TestTickErrorKeepsLastPlan drives the tick's error path: a long
-// gratis sub-class no finite fleet can serve makes the second tick's
-// container sizing fail. The error must come back from Tick (not hang
-// it), be counted, leave the last good plan published, and release the
-// in-flight flag.
-func TestTickErrorKeepsLastPlan(t *testing.T) {
+// unstableChar is the test characterization with a long gratis
+// sub-class no finite fleet can serve: a tick whose forecast carries any
+// gratis arrivals fails its container sizing.
+func unstableChar(t testing.TB) *classify.Characterization {
+	t.Helper()
 	doc := strings.Replace(testCharDoc, `"MeanDuration": 5000`, `"MeanDuration": 1e9`, 1)
 	ch, err := classify.Load(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ch
+}
+
+// TestTickErrorKeepsLastPlan drives the tick's error path: the unstable
+// characterization makes the second tick's container sizing fail. The
+// error must come back from Tick (not hang it), be counted, leave the
+// last good plan published, and release the in-flight flag. The window
+// after the failed tick is not scored: the last forecast the loop kept
+// was made for the window before it.
+func TestTickErrorKeepsLastPlan(t *testing.T) {
 	cfg := testEngineConfig(t)
-	cfg.Char = ch
+	cfg.Char = unstableChar(t)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -334,8 +342,20 @@ func TestTickErrorKeepsLastPlan(t *testing.T) {
 	if plan, err := e.Plan(); err != nil || plan.PeriodIndex != 1 {
 		t.Errorf("Plan() after the failed tick = %+v, %v; want the tick-1 plan", plan, err)
 	}
+	// Tick 2 scored tick 1's forecast (no tasks) against its 200 arrivals.
+	for i := 0; i < 50; i++ {
+		if err := e.Ingest(gratisTask(uint64(1000+i), 600+float64(i), 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := e.Tick(ctx); errors.Is(err, ErrTickInFlight) {
 		t.Error("the failed tick left the in-flight flag set")
+	}
+	if mae := e.Snapshot().ForecastMAE; mae != s.ForecastMAE {
+		t.Errorf("ForecastMAE after the window past the failed tick = %v, want it unscored (%v)", mae, s.ForecastMAE)
+	}
+	if got := e.ForecastBacktest()["class0"]; got != 200 {
+		t.Errorf("class0 backtest = %v, want 200 from tick 2 alone", got)
 	}
 }
 
@@ -383,16 +403,21 @@ func TestTickDeadlinePublishesLate(t *testing.T) {
 		}
 	}
 	// A reader that meets the solve goroutine only through e.mu: under
-	// -race it fails unless the late-tick counter is bumped under the lock.
+	// -race it fails unless the late solve writes the plan and its tick
+	// seconds under the lock. (Snapshot reads them before the atomic
+	// counters, so a late-tick count it sees orders nothing it read.)
 	late := make(chan uint64, 1)
 	go func() {
 		deadline := time.Now().Add(10 * time.Second)
-		s := e.Snapshot()
-		for s.TicksLate == 0 && time.Now().Before(deadline) {
+		for {
+			_, _ = e.Plan()
+			s := e.Snapshot()
+			if s.TicksLate > 0 || time.Now().After(deadline) {
+				late <- s.TicksLate
+				return
+			}
 			time.Sleep(time.Millisecond)
-			s = e.Snapshot()
 		}
-		late <- s.TicksLate
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the solve must finish in the background
@@ -490,56 +515,163 @@ func TestForecastMAESettlesOnConstantArrivals(t *testing.T) {
 	}
 }
 
-// TestForecastBacktestScoresTheLoopsChain: the backtest reports the
-// error of what the control loop forecast at each origin — the EWMA
-// bootstrap while the history is short, the configured ARIMA once it is
-// not — and not the EWMA fallback's. (ARIMA(2,0,1) cannot fit the
-// 8-sample training prefix, and while a failed fit at the first origin
-// aborted the whole backtest, every class was scored with EWMA alone.)
-func TestForecastBacktestScoresTheLoopsChain(t *testing.T) {
-	eng, err := NewEngine(testEngineConfig(t))
+// TestForecastBacktestScoresTheLoopsForecasts drives a sawtooth through
+// Ingest and Tick and requires the backtest to be the mean error of the
+// forecasts the loop made — each tick's one-period-ahead rate, in tasks
+// per period, against the window that followed — from the first one on.
+func TestForecastBacktestScoresTheLoopsForecasts(t *testing.T) {
+	e, err := NewEngine(testEngineConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A sawtooth: ARIMA picks up the alternation, EWMA lags it.
-	series := make([]float64, 100)
-	for i := range series {
-		series[i] = 40 + 25*float64(i%2) + float64(i%7)
+	period := e.PeriodSeconds()
+	id := uint64(0)
+	var prev []float64 // the forecast the last tick made
+	sum, n := 0.0, 0
+	for k := 0; k < 60; k++ {
+		count := 40 + 25*(k%2) + k%7
+		for i := 0; i < count; i++ {
+			if err := e.Ingest(gratisTask(id, float64(k)*period+float64(i), 60)); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		if _, err := e.Tick(context.Background()); err != nil {
+			t.Fatalf("tick %d: %v", k+1, err)
+		}
+		if prev != nil {
+			sum += math.Abs(prev[0]*period - float64(count))
+			n++
+		}
+		prev = e.policy.LastForecast() // type 0 is class 0's short sub-type
 	}
-	eng.arrHist[0] = series
+	want := sum / float64(n)
+	if got, ok := e.ForecastBacktest()["class0"]; !ok || math.Abs(got-want) > 1e-9*want {
+		t.Errorf("class0 backtest = %v (%v), want the loop's own %v over %d windows", got, ok, want, n)
+	}
+}
 
-	score := func(forecast1 func(prefix []float64) float64) float64 {
-		sum := 0.0
-		for i := backtestMinTrain; i < len(series); i++ {
-			sum += math.Abs(forecast1(series[:i]) - series[i])
-		}
-		return sum / float64(len(series)-backtestMinTrain)
+// TestForecastBacktestAllocs lids the cost of GET /v1/stats's backtest:
+// reading the scores the loop kept takes the result map (its header and
+// one group of slots) and one key per class, however long the loop has
+// run.
+func TestForecastBacktestAllocs(t *testing.T) {
+	e, err := NewEngine(testEngineConfig(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	chain := score(func(prefix []float64) float64 {
-		// A predictor that has seen nothing, at every origin.
-		var dst [1]float64
-		if err := sched.ForecastChain(sched.NewPredictor(sched.PredictARIMA, eng.PeriodSeconds()), prefix, dst[:]); err != nil {
+	for k := 0; k < 300; k++ {
+		if err := e.Ingest(gratisTask(uint64(k), float64(k)*e.PeriodSeconds(), 60)); err != nil {
 			t.Fatal(err)
 		}
-		return dst[0]
-	})
-	ewma := score(func(prefix []float64) float64 {
-		e := &forecast.EWMA{Alpha: 0.4}
-		if err := e.Fit(prefix); err != nil {
-			t.Fatal(err)
+		if _, err := e.Tick(context.Background()); err != nil {
+			t.Fatalf("tick %d: %v", k+1, err)
 		}
-		f, err := e.Forecast(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f[0]
-	})
-	if chain >= 0.8*ewma {
-		t.Fatalf("chain MAE %v vs EWMA %v: the series does not tell the two apart", chain, ewma)
 	}
-	got := eng.ForecastBacktest()
-	key := fmt.Sprintf("class%d", eng.types[0].ID.Class)
-	if mae, ok := got[key]; !ok || math.Abs(mae-chain) > 1e-12*chain {
-		t.Errorf("backtest %s = %v (%v), want the chain's %v (EWMA alone scores %v)", key, mae, ok, chain, ewma)
+	classes := len(e.ForecastBacktest())
+	if classes != 2 {
+		t.Fatalf("backtest scores %d classes, want 2", classes)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.ForecastBacktest() }); allocs > float64(2+classes) {
+		t.Errorf("ForecastBacktest allocates %v times, want at most %d", allocs, 2+classes)
+	}
+}
+
+// TestStatsMatchRenderedSeries runs a label fallback, a relabel, a late
+// tick, a skipped tick and a failed tick, then requires every counter and
+// gauge in Stats to equal the series /metrics renders.
+func TestStatsMatchRenderedSeries(t *testing.T) {
+	cfg := testEngineConfig(t)
+	cfg.Char = unstableChar(t)
+	cfg.Registry = metrics.NewRegistry()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := trace.Task{ID: 1, Submit: 10, Duration: 400, CPU: 0.1, Mem: 0.1, Priority: 10}
+	if err := e.Ingest(prod); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // late: the solve finishes in the background
+	if _, err := e.Tick(ctx); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("late tick: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Snapshot().TicksLate == 0 || e.solving.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("late tick never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.solving.Store(true)
+	if _, err := e.Tick(context.Background()); !errors.Is(err, ErrTickInFlight) {
+		t.Fatalf("skipped tick: %v", err)
+	}
+	e.solving.Store(false)
+	// Priority 5 ("other") has no class: the task falls back to type 0,
+	// gratis short, and outlives the short boundary, so the tick relabels
+	// it. The gratis arrivals beside it fail the tick.
+	other := trace.Task{ID: 2, Submit: 310, Duration: 500, CPU: 0.05, Mem: 0.05, Priority: 5}
+	if err := e.Ingest(other); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := e.Ingest(gratisTask(uint64(10+i), 320+float64(i), 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Tick(context.Background()); err == nil {
+		t.Fatal("tick with a gratis arrival succeeded, want the instability error")
+	}
+
+	page := map[string]float64{}
+	for _, line := range strings.Split(cfg.Registry.Render(), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("series %q: %v", line, err)
+			}
+			page[line[:i]] = v
+		}
+	}
+	s := e.Snapshot()
+	if s.LabelFallbacks != 1 || s.Relabels != 1 || s.TicksLate != 1 || s.TicksSkipped != 1 || s.TickErrors != 1 {
+		t.Fatalf("the run did not exercise every counter: %+v", s)
+	}
+	var ingested float64
+	for _, g := range trace.Groups() {
+		series := page[fmt.Sprintf("harmonyd_tasks_ingested_total{group=%q}", g)]
+		ingested += series
+		if float64(s.TasksByGroup[g.String()]) != series {
+			t.Errorf("TasksByGroup[%s] = %d, series %v", g, s.TasksByGroup[g.String()], series)
+		}
+	}
+	for _, c := range []struct {
+		field  string
+		value  float64
+		series string
+	}{
+		{"TasksIngested", float64(s.TasksIngested), ""},
+		{"LabelFallbacks", float64(s.LabelFallbacks), "harmonyd_label_fallback_total"},
+		{"Relabels", float64(s.Relabels), "harmonyd_relabels_total"},
+		{"OpenTasks", float64(s.OpenTasks), "harmonyd_open_tasks"},
+		{"Ticks", float64(s.Ticks), "harmonyd_ticks_total"},
+		{"TickErrors", float64(s.TickErrors), "harmonyd_tick_errors_total"},
+		{"TicksSkipped", float64(s.TicksSkipped), "harmonyd_ticks_skipped_total"},
+		{"TicksLate", float64(s.TicksLate), "harmonyd_ticks_late_total"},
+		{"ForecastMAE", s.ForecastMAE, "harmonyd_forecast_mae_tasks"},
+		{"DeltaReusedTypes", float64(s.DeltaReusedTypes), "harmonyd_delta_reused_types"},
+		{"DeltaRepackedTypes", float64(s.DeltaRepackedTypes), "harmonyd_delta_repacked_types"},
+		{"DeltaFullRepacks", float64(s.DeltaFullRepacks), "harmonyd_delta_full_repacks"},
+		{"TotalActive", float64(s.TotalActive), "harmonyd_machines_active"},
+	} {
+		series, ok := page[c.series]
+		if c.series == "" {
+			series, ok = ingested, true
+		}
+		if !ok || c.value != series {
+			t.Errorf("Stats.%s = %v, series %s = %v (%v)", c.field, c.value, c.series, series, ok)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Router is the HTTP shell both front-ends share: a route table behind
 // panic recovery and per-route request counting, with /healthz and
-// /metrics. Each front-end registers its own handlers on it — their wire
-// shapes differ — and embeds it to become an http.Handler.
+// /metrics. Each front-end registers its own handlers on it — their plan
+// and stats shapes differ — and embeds it to become an http.Handler.
 type Router struct {
 	*http.ServeMux
 	panics   *metrics.Counter
@@ -26,7 +26,7 @@ func NewRouter(r *metrics.Registry) *Router {
 	rt := &Router{
 		ServeMux: http.NewServeMux(),
 		panics:   r.Counter("harmonyd_panics_recovered_total", "Panics recovered by the HTTP middleware."),
-		requests: r.CounterVec("harmonyd_http_requests_total", "HTTP requests served, by route.", "route"),
+		requests: r.CounterVec("harmonyd_http_requests_total", "HTTP requests served, by registered route pattern.", "route"),
 	}
 	rt.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -43,8 +43,37 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			WriteJSONError(w, http.StatusInternalServerError, fmt.Sprintf("panic: %v", v))
 		}
 	}()
-	rt.requests.With(r.URL.Path).Inc()
+	// Count by the pattern the request matched, never by its raw path: a
+	// client must not be able to mint series.
+	_, pattern := rt.ServeMux.Handler(r)
+	if pattern == "" {
+		pattern = "unmatched"
+	}
+	rt.requests.With(pattern).Inc()
 	rt.ServeMux.ServeHTTP(w, r)
+}
+
+// IngestReply is the body of a POST /v1/tasks answer in both modes.
+type IngestReply struct {
+	Accepted int    `json:"accepted"`
+	Rejected int    `json:"rejected,omitempty"`
+	Invalid  int    `json:"invalid,omitempty"`
+	Error    string `json:"error,omitempty"`
+}
+
+// Write answers an ingest: 429 when a valid task found no room, else 400
+// naming firstInvalid when nothing was valid, else 202.
+func (ir IngestReply) Write(w http.ResponseWriter, firstInvalid error) {
+	switch {
+	case ir.Rejected > 0:
+		ir.Error = "ingest queue full"
+		WriteJSON(w, http.StatusTooManyRequests, ir)
+	case ir.Invalid > 0 && ir.Accepted == 0:
+		ir.Error = firstInvalid.Error()
+		WriteJSON(w, http.StatusBadRequest, ir)
+	default:
+		WriteJSON(w, http.StatusAccepted, ir)
+	}
 }
 
 // TickStatus maps a forced tick's outcome to the HTTP status of

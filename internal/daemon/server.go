@@ -9,22 +9,27 @@ import (
 	"harmony/internal/trace"
 )
 
-// ServerConfig parameterizes the HTTP front-end.
+// ServerConfig parameterizes both HTTP front-ends.
 type ServerConfig struct {
 	// QueueSize bounds the ingest queue; tasks beyond it are rejected
-	// with 429 (default 65536).
+	// with 429 (default 65536). The multi-tenant server applies it to the
+	// tasks waiting across every tenant queue — so one tenant cannot
+	// starve the rest of queue memory — and to each tenant's queue whose
+	// Spec sets none.
 	QueueSize int
 	// TickDeadline bounds each control-loop solve (default 30s).
 	TickDeadline time.Duration
 }
 
-func (cfg *ServerConfig) defaults() {
+// WithDefaults returns cfg with each unset field at its default.
+func (cfg ServerConfig) WithDefaults() ServerConfig {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 65536
 	}
 	if cfg.TickDeadline <= 0 {
 		cfg.TickDeadline = 30 * time.Second
 	}
+	return cfg
 }
 
 // Server is the HTTP front-end of the daemon: streaming ingest with
@@ -42,7 +47,7 @@ type Server struct {
 // NewServer wires the engine behind the HTTP API and starts the ingest
 // lane that drains the bounded queue into the engine.
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	r := eng.cfg.Registry
 	s := &Server{
 		Router:      NewRouter(r),
@@ -77,13 +82,6 @@ func (s *Server) Flush() { s.lane.Flush() }
 // TickDeadline returns the bound on each control-loop solve.
 func (s *Server) TickDeadline() time.Duration { return s.cfg.TickDeadline }
 
-type ingestResponse struct {
-	Accepted int    `json:"accepted"`
-	Rejected int    `json:"rejected,omitempty"`
-	Invalid  int    `json:"invalid,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
 // handleTasks validates every decoded task at admission: invalid ones are
 // counted as invalid and never take a queue slot, and a body with no valid
 // task is a 400 naming the first reason. Admission of the valid tasks
@@ -94,7 +92,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var resp ingestResponse
+	var resp IngestReply
 	var firstInvalid error
 	valid := tasks[:0]
 	for _, t := range tasks {
@@ -112,17 +110,8 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		resp.Accepted++
 	}
 	resp.Rejected = len(valid) - resp.Accepted
-	switch {
-	case resp.Rejected > 0:
-		s.mRejected.Add(float64(resp.Rejected))
-		resp.Error = "ingest queue full"
-		WriteJSON(w, http.StatusTooManyRequests, resp)
-	case resp.Invalid > 0 && resp.Accepted == 0:
-		resp.Error = firstInvalid.Error()
-		WriteJSON(w, http.StatusBadRequest, resp)
-	default:
-		WriteJSON(w, http.StatusAccepted, resp)
-	}
+	s.mRejected.Add(float64(resp.Rejected))
+	resp.Write(w, firstInvalid)
 }
 
 // ForceTick flushes the ingest lane and runs one control-period tick
@@ -162,10 +151,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Stats
 		QueueDepth    int `json:"queueDepth"`
 		QueueCapacity int `json:"queueCapacity"`
-		// ForecastBacktest is the rolling-origin one-step MAE per class
-		// (tasks/period) of the configured predictor over the recorded
-		// arrival windows — the online counterpart of the offline
-		// rolling-origin numbers from internal/forecast.
+		// ForecastBacktest is the mean absolute error per class
+		// (tasks/period) of every one-step forecast the loop made — the
+		// online counterpart of the offline rolling-origin numbers from
+		// internal/forecast.
 		ForecastBacktest map[string]float64 `json:"forecastBacktest,omitempty"`
 	}{stats, s.lane.Len(), s.lane.Cap(), s.eng.ForecastBacktest()})
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -64,7 +65,7 @@ func TestIngestEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var ir ingestResponse
+	var ir IngestReply
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +98,14 @@ func TestIngestValidatesAtAdmission(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	post := func(body string) (int, ingestResponse) {
+	post := func(body string) (int, IngestReply) {
 		t.Helper()
 		resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var ir ingestResponse
+		var ir IngestReply
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestIngestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	var ir ingestResponse
+	var ir IngestReply
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestIngestBackpressureConcurrentProducers(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var ir ingestResponse
+			var ir IngestReply
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Errorf("decode: %v", err)
 				return
@@ -361,9 +362,9 @@ func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// TestStatsForecastBacktest drives enough control periods past the
-// rolling-origin training prefix and asserts /v1/stats exposes a
-// per-class backtest MAE comparable with the offline numbers.
+// TestStatsForecastBacktest drives a dozen control periods and asserts
+// /v1/stats exposes a per-class backtest MAE comparable with the offline
+// numbers.
 func TestStatsForecastBacktest(t *testing.T) {
 	s, eng := newTestServer(t, ServerConfig{})
 	srv := httptest.NewServer(s)
@@ -391,10 +392,9 @@ func TestStatsForecastBacktest(t *testing.T) {
 		t.Errorf("backtest before history = %v", early.ForecastBacktest)
 	}
 
-	// Drive windows past the training prefix with a mild ramp so the
-	// series is not degenerate.
+	// Drive windows with a mild ramp so the series is not degenerate.
 	id := uint64(1)
-	for k := 0; k < backtestMinTrain+4; k++ {
+	for k := 0; k < 12; k++ {
 		for j := 0; j < 3+k%3; j++ {
 			task := gratisTask(id, float64(k)*eng.PeriodSeconds()+float64(j), 60)
 			if err := eng.Ingest(task); err != nil {
@@ -421,5 +421,29 @@ func TestStatsForecastBacktest(t *testing.T) {
 		if !strings.HasPrefix(k, "class") {
 			t.Errorf("unexpected backtest key %q", k)
 		}
+	}
+}
+
+// TestRequestRouteLabelsBounded requests a thousand distinct unknown paths
+// and requires the per-route counter to gain one series for them all,
+// labeled by no client-chosen text.
+func TestRequestRouteLabelsBounded(t *testing.T) {
+	s, eng := newTestServer(t, ServerConfig{})
+	for i := 0; i < 1000; i++ {
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, fmt.Sprintf("/nope/%d%%09x%%22", i), nil))
+	}
+	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var series []string
+	for _, line := range strings.Split(eng.cfg.Registry.Render(), "\n") {
+		if strings.HasPrefix(line, "harmonyd_http_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		`harmonyd_http_requests_total{route="GET /v1/stats"} 1`,
+		`harmonyd_http_requests_total{route="unmatched"} 1000`,
+	}
+	if strings.Join(series, "\n") != strings.Join(want, "\n") {
+		t.Errorf("route series:\n%s\nwant:\n%s", strings.Join(series, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -25,8 +25,8 @@ type edit struct{ file, old, new string }
 // A field written outside its mutex is not a row: `go test -race` pins
 // those slips. tenant.TestConcurrentTickIngestSnapshot fails when a
 // tenant's arrival window is reset after ts.mu is released, and
-// daemon.TestTickDeadlinePublishesLate when the late-tick counter is
-// bumped outside e.mu. Nor is an allocation on the tick or event path:
+// daemon.TestTickDeadlinePublishesLate when the late solve writes its tick
+// seconds or its plan outside e.mu. Nor is an allocation on the tick or event path:
 // the testing.AllocsPerRun lids pin those (sched.TestPeriodScratchReuse
 // when the tick allocates its initial-state buffer,
 // lp.TestPivotLoopsAllocOnlyEtas, core.TestPlacementMergeAllocFree,
@@ -42,9 +42,9 @@ var mutationTable = []mutant{
 		"ticker := time.NewTicker(cfg.TickEvery)\n\t\tdefer ticker.Stop()\n",
 		"ticker := time.NewTicker(cfg.TickEvery)\n"}},
 		[]string{"deferclose"}},
-	{"early continue skips the group unlock", []edit{{"internal/tenant/multi.go",
-		"ticks, violations, cost := g.ticks, g.violations, g.cost\n\t\tg.mu.Unlock()",
-		"ticks, violations, cost := g.ticks, g.violations, g.cost\n\t\tif ticks == 0 {\n\t\t\tcontinue\n\t\t}\n\t\tg.mu.Unlock()"}},
+	{"early return skips the group unlock", []edit{{"internal/tenant/multi.go",
+		"g.mu.Lock()\n\tcost := 0.0",
+		"g.mu.Lock()\n\tif len(plan.Machines) == 0 {\n\t\treturn\n\t}\n\tcost := 0.0"}},
 		[]string{"deferclose"}},
 	{"tick observation stamped with the wall clock", []edit{{"internal/daemon/engine.go",
 		"Time:     now,",
@@ -120,11 +120,11 @@ var mutationTable = []mutant{
 			"g.mu.Lock()\n\tcost := 0.0",
 			"g.mu.Lock()\n\tdefer g.mu.Unlock()\n\tcost := 0.0"},
 		{"internal/tenant/multi.go",
-			"totalCost := g.cost\n\tg.mu.Unlock()\n",
-			"totalCost := g.cost\n"},
+			"g.cost.Set(g.cost.Value() + cost)\n\tg.mu.Unlock()\n",
+			"g.cost.Set(g.cost.Value() + cost)\n"},
 		{"internal/tenant/multi.go",
-			"CostDollars:   ts.cost,\n\t\t}\n\t\tts.mu.Unlock()",
-			"CostDollars:   ts.cost,\n\t\t}\n\t\tts.group.mu.Lock()\n\t\tst.SLOViolations = ts.group.violations\n\t\tts.group.mu.Unlock()\n\t\tts.mu.Unlock()"}},
+			"ts.mu.Lock()\n\t\tcounts := append([]uint64(nil), ts.byClass...)\n\t\tts.mu.Unlock()",
+			"ts.mu.Lock()\n\t\tts.group.mu.Lock()\n\t\tcounts := append([]uint64(nil), ts.byClass...)\n\t\tts.group.mu.Unlock()\n\t\tts.mu.Unlock()"}},
 		[]string{"deferclose"}},
 	{"tick result handed over under the engine lock", []edit{{"internal/daemon/engine.go",
 		"\t\te.solving.Store(false)\n\t\tdone <- result{plan, err}\n",

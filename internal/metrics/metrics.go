@@ -236,6 +236,10 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// labelEscaper escapes a label value as the text format specifies: only
+// backslash, double quote and newline.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Render writes the registry in Prometheus text exposition format.
 func (r *Registry) Render() string {
 	r.mu.Lock()
@@ -283,7 +287,7 @@ func (r *Registry) Render() string {
 				} else {
 					x = m.vec.gauges[v].Value()
 				}
-				fmt.Fprintf(&b, "%s{%s=%q} %s\n", m.name, m.labelName, v, formatValue(x))
+				fmt.Fprintf(&b, "%s{%s=\"%s\"} %s\n", m.name, m.labelName, labelEscaper.Replace(v), formatValue(x))
 			}
 			m.vec.mu.Unlock()
 		case m.counter != nil:

@@ -126,8 +126,11 @@ func TestConcurrentUse(t *testing.T) {
 // TestRenderDeterministic populates two registries with the same families
 // and label values in different orders and asserts the rendered text is
 // byte-identical — and matches the golden exposition verbatim, so any
-// ordering regression (map-iteration leakage) shows as a diff.
+// ordering regression (map-iteration leakage) shows as a diff. One label
+// value holds a tab, a quote, a backslash and a newline: the text format
+// escapes only the last three, so the tab must reach the page raw.
 func TestRenderDeterministic(t *testing.T) {
+	const odd = "a\tb\"c\\d\ne"
 	const golden = `# HELP depth current depth
 # TYPE depth gauge
 depth 3
@@ -143,6 +146,7 @@ lat_seconds_count 3
 reqs_total{route="/metrics"} 1
 reqs_total{route="/v1/stats"} 2
 reqs_total{route="/v1/tasks"} 4
+reqs_total{route="a` + "\t" + `b\"c\\d\ne"} 1
 # HELP tasks_total tasks ingested
 # TYPE tasks_total counter
 tasks_total 2
@@ -158,12 +162,14 @@ tasks_total 2
 	rv.With("/metrics").Inc()
 	rv.With("/v1/stats").Add(2)
 	rv.With("/v1/tasks").Add(4)
+	rv.With(odd).Inc()
 	forward.Counter("tasks_total", "tasks ingested").Add(2)
 
 	// Same state, reversed registration and label-touch order.
 	reverse := NewRegistry()
 	reverse.Counter("tasks_total", "tasks ingested").Add(2)
 	rv = reverse.CounterVec("reqs_total", "requests by route", "route")
+	rv.With(odd).Inc()
 	rv.With("/v1/tasks").Add(4)
 	rv.With("/v1/stats").Add(2)
 	rv.With("/metrics").Inc()

@@ -342,7 +342,7 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	h.predictors = make([]forecast.Predictor, len(cfg.Types))
 	for i, si := range h.shortSibling {
 		if si == i {
-			h.predictors[i] = NewPredictor(cfg.Predictor, cfg.PeriodSeconds)
+			h.predictors[i] = newPredictor(cfg.Predictor, cfg.PeriodSeconds)
 		}
 	}
 
@@ -634,12 +634,12 @@ func (h *Harmony) containerDemand(obs *sim.Observation) ([][]float64, error) {
 	return demand, nil
 }
 
-// NewPredictor returns the unfitted forecaster a PredictorKind selects,
+// newPredictor returns the unfitted forecaster a PredictorKind selects,
 // for a control period of periodSeconds (the seasonal models' season is
-// one day of periods). It is the model ForecastChain hands histories to;
+// one day of periods). It is the model forecastRates hands histories to;
 // one lives as long as the class it forecasts, so a model that can carry
 // work from one fit to the next (ARIMA's stage-one sums) does.
-func NewPredictor(kind PredictorKind, periodSeconds float64) forecast.Predictor {
+func newPredictor(kind PredictorKind, periodSeconds float64) forecast.Predictor {
 	switch kind {
 	case PredictAutoARIMA:
 		return &forecast.AutoARIMA{}
@@ -656,22 +656,15 @@ func NewPredictor(kind PredictorKind, periodSeconds float64) forecast.Predictor 
 	return &forecast.EWMA{Alpha: 0.4}
 }
 
-// forecastRates predicts the next len(dst) arrival rates of type n's
-// class from its history, with the predictor the class keeps.
+// forecastRates writes to dst the control loop's forecast of the next
+// len(dst) arrival rates of type n's class: an EWMA over whatever history
+// exists before minHistory samples accumulate, after that the predictor
+// the class keeps (from newPredictor) refitted on the history, and the
+// EWMA again when that fit degenerates. Values no queue can be sized for
+// (negative, NaN, +Inf) are zeroed.
 func (h *Harmony) forecastRates(n int, dst []float64) error {
 	h.forecasts++
-	return ForecastChain(h.predictors[n], h.history[n], dst)
-}
-
-// ForecastChain is the control loop's forecast of the len(dst) values
-// that follow hist, written to dst: an EWMA over whatever exists before
-// minHistory samples accumulate, after that pred (from NewPredictor)
-// refitted on hist, and the EWMA again when that fit degenerates. Values
-// no queue can be sized for (negative, NaN, +Inf) are zeroed. The policy
-// calls it once per class per period and harmonyd's forecast backtest
-// once per origin, each with one predictor kept across calls, so the
-// backtest scores what the loop ran.
-func ForecastChain(pred forecast.Predictor, hist, dst []float64) error {
+	pred, hist := h.predictors[n], h.history[n]
 	if len(hist) == 0 {
 		for i := range dst {
 			dst[i] = 0

@@ -53,12 +53,14 @@ type Group struct {
 	switchCost []float64 // dollars per on/off transition, per type
 	periodH    float64   // model hours per period
 
+	// Accounting series, resolved once in New and read back by Snapshot.
+	ticks      *metrics.Counter
+	violations *metrics.Counter
+	cost       *metrics.Gauge // dollars; accumulated under mu
+
 	// mu guards the fields below.
 	mu         sync.Mutex
 	prevActive []int
-	ticks      uint64
-	violations uint64
-	cost       float64 // dollars
 }
 
 // Name returns the group's deterministic identifier ("g0", "g1", ...).
@@ -72,16 +74,18 @@ type tenantState struct {
 	spec  Spec
 	group *Group
 
+	// Accounting series, resolved once in New and read back by Snapshot.
+	ingested *metrics.Counter
+	invalid  *metrics.Counter
+	rejected *metrics.Counter // queue-full rejections, counted by the server
+	cost     *metrics.Gauge   // dollars; accumulated under mu
+
 	// mu guards the fields below.
-	mu       sync.Mutex
-	ingested uint64
-	invalid  uint64
-	rejected uint64 // queue-full rejections, recorded by the server
+	mu sync.Mutex
 	// byClass[c] counts tasks labeled class c; the last slot counts tasks
 	// whose priority group has no class.
 	byClass []uint64
-	window  uint64  // tasks since the group's last tick (cost attribution)
-	cost    float64 // dollars
+	window  uint64 // tasks since the group's last tick (cost attribution)
 }
 
 // Multi owns N tenants and their provisioning groups. Ingest may be called
@@ -94,16 +98,9 @@ type Multi struct {
 	byName  map[string]*tenantState
 	single  *tenantState // untagged-ingest target when exactly one tenant
 
-	mTenantTasks    *metrics.CounterVec
-	mTenantInvalid  *metrics.CounterVec
-	mTenantRejected *metrics.CounterVec
-	mTenantCost     *metrics.GaugeVec
-	mGroupCost      *metrics.GaugeVec
-	mGroupViol      *metrics.CounterVec
-	mGroupTicks     *metrics.CounterVec
-	mGroupActive    *metrics.GaugeVec
-	mGroupCont      *metrics.GaugeVec
-	mGroupDropped   *metrics.GaugeVec
+	mGroupActive  *metrics.GaugeVec
+	mGroupCont    *metrics.GaugeVec
+	mGroupDropped *metrics.GaugeVec
 }
 
 // New validates the configuration, groups the tenants, and builds one
@@ -122,12 +119,30 @@ func New(cfg Config) (*Multi, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 
-	m := &Multi{cfg: cfg, byName: make(map[string]*tenantState, len(cfg.Tenants))}
+	r := cfg.Registry
+	tenantTasks := r.CounterVec("harmonyd_tenant_tasks_ingested_total", "Tasks ingested, by tenant.", "tenant")
+	tenantInvalid := r.CounterVec("harmonyd_tenant_tasks_invalid_total", "Tasks rejected by validation, by tenant.", "tenant")
+	tenantRejected := r.CounterVec("harmonyd_tenant_tasks_rejected_total", "Tasks rejected with 429 because the tenant's queue (or the global cap) was full.", "tenant")
+	tenantCost := r.GaugeVec("harmonyd_tenant_cost_dollars", "Cumulative provisioning cost attributed to the tenant.", "tenant")
+	groupCost := r.GaugeVec("harmonyd_group_cost_dollars", "Cumulative provisioning cost of the group (idle energy + switching).", "group")
+	groupViol := r.CounterVec("harmonyd_group_slo_violations_total", "Control periods whose packing dropped containers (SLO at risk), by group.", "group")
+	groupTicks := r.CounterVec("harmonyd_group_ticks_total", "Completed control-period ticks, by group.", "group")
+	m := &Multi{
+		cfg:           cfg,
+		byName:        make(map[string]*tenantState, len(cfg.Tenants)),
+		mGroupActive:  r.GaugeVec("harmonyd_group_machines_active", "Machines the group's current plan keeps powered.", "group"),
+		mGroupCont:    r.GaugeVec("harmonyd_group_containers_planned", "Container slots in the group's current plan.", "group"),
+		mGroupDropped: r.GaugeVec("harmonyd_group_containers_dropped", "Containers the group's current packing could not place.", "group"),
+	}
 	for gi, members := range GroupSpecs(cfg.Tenants, cfg.SLOTolerance) {
+		name := fmt.Sprintf("g%d", gi)
 		g := &Group{
-			name:       fmt.Sprintf("g%d", gi),
+			name:       name,
 			slo:        members[0].SLODelay,
 			reg:        metrics.NewRegistry(),
+			ticks:      groupTicks.With(name),
+			violations: groupViol.With(name),
+			cost:       groupCost.With(name),
 			prevActive: make([]int, len(cfg.Base.Machines)),
 		}
 		engCfg := cfg.Base
@@ -152,9 +167,13 @@ func New(cfg Config) (*Multi, error) {
 				s.Share = 1
 			}
 			ts := &tenantState{
-				spec:    s,
-				group:   g,
-				byClass: make([]uint64, len(cfg.Base.Char.Classes)+1),
+				spec:     s,
+				group:    g,
+				ingested: tenantTasks.With(s.Name),
+				invalid:  tenantInvalid.With(s.Name),
+				rejected: tenantRejected.With(s.Name),
+				cost:     tenantCost.With(s.Name),
+				byClass:  make([]uint64, len(cfg.Base.Char.Classes)+1),
 			}
 			g.members = append(g.members, ts)
 			m.tenants = append(m.tenants, ts)
@@ -166,18 +185,6 @@ func New(cfg Config) (*Multi, error) {
 	if len(m.tenants) == 1 {
 		m.single = m.tenants[0]
 	}
-
-	r := cfg.Registry
-	m.mTenantTasks = r.CounterVec("harmonyd_tenant_tasks_ingested_total", "Tasks ingested, by tenant.", "tenant")
-	m.mTenantInvalid = r.CounterVec("harmonyd_tenant_tasks_invalid_total", "Tasks rejected by validation, by tenant.", "tenant")
-	m.mTenantRejected = r.CounterVec("harmonyd_tenant_tasks_rejected_total", "Tasks rejected with 429 because the tenant's queue (or the global cap) was full.", "tenant")
-	m.mTenantCost = r.GaugeVec("harmonyd_tenant_cost_dollars", "Cumulative provisioning cost attributed to the tenant.", "tenant")
-	m.mGroupCost = r.GaugeVec("harmonyd_group_cost_dollars", "Cumulative provisioning cost of the group (idle energy + switching).", "group")
-	m.mGroupViol = r.CounterVec("harmonyd_group_slo_violations_total", "Control periods whose packing dropped containers (SLO at risk), by group.", "group")
-	m.mGroupTicks = r.CounterVec("harmonyd_group_ticks_total", "Completed control-period ticks, by group.", "group")
-	m.mGroupActive = r.GaugeVec("harmonyd_group_machines_active", "Machines the group's current plan keeps powered.", "group")
-	m.mGroupCont = r.GaugeVec("harmonyd_group_containers_planned", "Container slots in the group's current plan.", "group")
-	m.mGroupDropped = r.GaugeVec("harmonyd_group_containers_dropped", "Containers the group's current packing could not place.", "group")
 	return m, nil
 }
 
@@ -218,7 +225,7 @@ func (m *Multi) Ingest(t trace.Task) error {
 		return err
 	}
 	if err := ts.group.eng.Ingest(t); err != nil {
-		m.recordInvalid(ts)
+		ts.invalid.Inc()
 		return err
 	}
 	cls := m.cfg.Base.Char.Label(t)
@@ -226,28 +233,11 @@ func (m *Multi) Ingest(t trace.Task) error {
 		cls = len(m.cfg.Base.Char.Classes) // the "unclassified" slot
 	}
 	ts.mu.Lock()
-	ts.ingested++
 	ts.window++
 	ts.byClass[cls]++
 	ts.mu.Unlock()
-	m.mTenantTasks.With(ts.spec.Name).Inc()
+	ts.ingested.Inc()
 	return nil
-}
-
-// recordInvalid charges a task that failed validation to a tenant.
-func (m *Multi) recordInvalid(ts *tenantState) {
-	ts.mu.Lock()
-	ts.invalid++
-	ts.mu.Unlock()
-	m.mTenantInvalid.With(ts.spec.Name).Inc()
-}
-
-// recordRejected charges queue-full rejections to a tenant (server path).
-func (m *Multi) recordRejected(ts *tenantState, n int) {
-	ts.mu.Lock()
-	ts.rejected += uint64(n)
-	ts.mu.Unlock()
-	m.mTenantRejected.With(ts.spec.Name).Add(float64(n))
 }
 
 // Tick runs one control period for every group concurrently and returns
@@ -305,14 +295,12 @@ func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
 		cost += float64(delta) * g.switchCost[i]
 		g.prevActive[i] = mp.Active
 	}
-	g.ticks++
-	g.cost += cost
-	violated := plan.Dropped > 0
-	if violated {
-		g.violations++
-	}
-	totalCost := g.cost
+	g.cost.Set(g.cost.Value() + cost)
 	g.mu.Unlock()
+	g.ticks.Inc()
+	if plan.Dropped > 0 {
+		g.violations.Inc()
+	}
 
 	// Close the members' arrival windows and split the tick's cost by
 	// share-weighted window size (by share alone in an idle period).
@@ -337,17 +325,10 @@ func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
 			break
 		}
 		ts.mu.Lock()
-		ts.cost += cost * weights[i] / sum
-		tCost := ts.cost
+		ts.cost.Set(ts.cost.Value() + cost*weights[i]/sum)
 		ts.mu.Unlock()
-		m.mTenantCost.With(ts.spec.Name).Set(tCost)
 	}
 
-	m.mGroupTicks.With(g.name).Inc()
-	m.mGroupCost.With(g.name).Set(totalCost)
-	if violated {
-		m.mGroupViol.With(g.name).Inc()
-	}
 	m.mGroupActive.With(g.name).Set(float64(plan.TotalActive))
 	m.mGroupCont.With(g.name).Set(float64(plan.TotalContainers))
 	m.mGroupDropped.With(g.name).Set(float64(plan.Dropped))
@@ -408,9 +389,10 @@ func (m *Multi) Snapshot() MultiStats {
 	var out MultiStats
 	groupRate := make(map[*Group][2]float64, len(m.groups))
 	for _, g := range m.groups {
-		g.mu.Lock()
-		ticks, violations, cost := g.ticks, g.violations, g.cost
-		g.mu.Unlock()
+		// Violations before ticks: a tick is counted before its violation,
+		// so the rate read cannot exceed 1.
+		violations := uint64(g.violations.Value())
+		ticks := uint64(g.ticks.Value())
 		rate := 0.0
 		if ticks > 0 {
 			rate = float64(violations) / float64(ticks)
@@ -424,7 +406,7 @@ func (m *Multi) Snapshot() MultiStats {
 			Name:             g.name,
 			SLODelay:         g.slo,
 			Tenants:          names,
-			CostDollars:      cost,
+			CostDollars:      g.cost.Value(),
 			SLOViolations:    violations,
 			SLOViolationRate: rate,
 			Engine:           g.eng.Snapshot(),
@@ -433,18 +415,18 @@ func (m *Multi) Snapshot() MultiStats {
 	for _, ts := range m.tenants {
 		ts.mu.Lock()
 		counts := append([]uint64(nil), ts.byClass...)
+		ts.mu.Unlock()
 		st := TenantStats{
 			Name:          ts.spec.Name,
 			Group:         ts.group.name,
 			SLODelay:      ts.spec.SLODelay,
 			Share:         ts.spec.Share,
-			TasksIngested: ts.ingested,
-			TasksInvalid:  ts.invalid,
-			TasksRejected: ts.rejected,
+			TasksIngested: uint64(ts.ingested.Value()),
+			TasksInvalid:  uint64(ts.invalid.Value()),
+			TasksRejected: uint64(ts.rejected.Value()),
 			TasksByClass:  make(map[string]uint64),
-			CostDollars:   ts.cost,
+			CostDollars:   ts.cost.Value(),
 		}
-		ts.mu.Unlock()
 		for c, n := range counts {
 			if n == 0 {
 				continue

@@ -13,33 +13,13 @@ import (
 	"harmony/internal/trace"
 )
 
-// ServerConfig parameterizes the multi-tenant HTTP front-end.
-type ServerConfig struct {
-	// QueueSize bounds the total tasks waiting across every tenant queue
-	// — a shared admission cap so one tenant cannot starve the rest of
-	// queue memory — and each tenant's private queue when the tenant's
-	// Spec does not set a smaller one (default 65536).
-	QueueSize int
-	// TickDeadline bounds each control-period solve (default 30s).
-	TickDeadline time.Duration
-}
-
-func (cfg *ServerConfig) defaults() {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 65536
-	}
-	if cfg.TickDeadline <= 0 {
-		cfg.TickDeadline = 30 * time.Second
-	}
-}
-
 // Server is the multi-tenant HTTP front-end: tenant-tagged streaming
 // ingest with per-tenant backpressure under a shared global cap, group
 // plan/tick endpoints, per-tenant and per-group stats, and metrics.
 type Server struct {
 	*daemon.Router
 	multi *Multi
-	cfg   ServerConfig
+	cfg   daemon.ServerConfig
 
 	// Each tenant has a private lane, so its tasks apply in arrival order
 	// and a slow tenant only backs up its own lane.
@@ -58,9 +38,10 @@ type Server struct {
 }
 
 // NewServer wires the multi-tenant controller behind the HTTP API and
-// starts one ingest lane per tenant.
-func NewServer(m *Multi, cfg ServerConfig) *Server {
-	cfg.defaults()
+// starts one ingest lane per tenant. cfg.QueueSize caps the tasks waiting
+// across all lanes and sizes each lane whose Spec sets no QueueSize.
+func NewServer(m *Multi, cfg daemon.ServerConfig) *Server {
+	cfg = cfg.WithDefaults()
 	r := m.cfg.Registry
 	s := &Server{
 		Router:      daemon.NewRouter(r),
@@ -137,13 +118,6 @@ func (s *Server) enqueue(lane *daemon.Lane, t trace.Task) bool {
 	return true
 }
 
-type ingestResponse struct {
-	Accepted int    `json:"accepted"`
-	Rejected int    `json:"rejected,omitempty"`
-	Invalid  int    `json:"invalid,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
 // handleTasks ingests a tenant-tagged task stream (object, array, or
 // NDJSON — the same wire formats as the single-tenant daemon). Each task
 // routes by its "tenant" field; a ?tenant= query parameter supplies the
@@ -158,7 +132,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defaultTenant := r.URL.Query().Get("tenant")
-	var resp ingestResponse
+	var resp daemon.IngestReply
 	var firstInvalid error
 	// Once a tenant is refused, the rest of its tasks in this body are
 	// refused untried: a lane drained meanwhile must not admit a later
@@ -171,7 +145,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		ts, err := s.multi.resolve(t.Tenant)
 		if err == nil {
 			if err = t.Validate(); err != nil {
-				s.multi.recordInvalid(ts)
+				ts.invalid.Inc()
 			}
 		}
 		if err != nil {
@@ -189,21 +163,12 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			refused[ts] = true
 			resp.Rejected++
 			s.mRejected.Inc()
-			s.multi.recordRejected(ts, 1)
+			ts.rejected.Inc()
 			continue
 		}
 		resp.Accepted++
 	}
-	switch {
-	case resp.Rejected > 0:
-		resp.Error = "ingest queue full"
-		daemon.WriteJSON(w, http.StatusTooManyRequests, resp)
-	case resp.Invalid > 0 && resp.Accepted == 0:
-		resp.Error = firstInvalid.Error()
-		daemon.WriteJSON(w, http.StatusBadRequest, resp)
-	default:
-		daemon.WriteJSON(w, http.StatusAccepted, resp)
-	}
+	resp.Write(w, firstInvalid)
 }
 
 // groupPlans is the wire shape of the per-group plans.

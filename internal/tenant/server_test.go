@@ -14,7 +14,7 @@ import (
 	"harmony/internal/trace"
 )
 
-func newTestServer(t *testing.T, cfg ServerConfig, specs ...Spec) (*Server, *Multi) {
+func newTestServer(t *testing.T, cfg daemon.ServerConfig, specs ...Spec) (*Server, *Multi) {
 	t.Helper()
 	if len(specs) == 0 {
 		specs = []Spec{{Name: "app"}}
@@ -57,14 +57,14 @@ func taskNDJSON(tasks ...trace.Task) string {
 	return sb.String()
 }
 
-func postTasks(t *testing.T, url, body string) (int, ingestResponse) {
+func postTasks(t *testing.T, url, body string) (int, daemon.IngestReply) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ir ingestResponse
+	var ir daemon.IngestReply
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func postTasks(t *testing.T, url, body string) (int, ingestResponse) {
 }
 
 func TestRoutingByTenantTag(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{},
+	s, m := newTestServer(t, daemon.ServerConfig{},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -123,7 +123,7 @@ func TestRoutingByTenantTag(t *testing.T) {
 // count as invalid, not accepted, the validation failure is charged to its
 // tenant, and a body with nothing valid is a 400 that names the reason.
 func TestIngestValidatesAtAdmission(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{},
+	s, m := newTestServer(t, daemon.ServerConfig{},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -150,7 +150,7 @@ func TestIngestValidatesAtAdmission(t *testing.T) {
 }
 
 func TestPerTenantBackpressure429(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{QueueSize: 64},
+	s, m := newTestServer(t, daemon.ServerConfig{QueueSize: 64},
 		Spec{Name: "web", SLODelay: 60, QueueSize: 4}, Spec{Name: "api", SLODelay: 100})
 	release := holdLanes(t, s)
 	srv := httptest.NewServer(s)
@@ -192,7 +192,7 @@ func TestPerTenantBackpressure429(t *testing.T) {
 // ones. The handler must refuse the rest of web's tasks untried, so none
 // is admitted ahead of the refused one, while api's task is still tried.
 func TestRefusedTenantStaysRefusedInBody(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{},
+	s, m := newTestServer(t, daemon.ServerConfig{},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
 	var pushed []string
 	s.push = func(lane *daemon.Lane, task trace.Task) bool {
@@ -210,7 +210,7 @@ func TestRefusedTenantStaysRefusedInBody(t *testing.T) {
 		gratisTask(3, 2, 60, "api"),
 		gratisTask(4, 3, 60, "web"),
 	))))
-	var ir ingestResponse
+	var ir daemon.IngestReply
 	if err := json.NewDecoder(rec.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRefusedTenantStaysRefusedInBody(t *testing.T) {
 // TestGlobalCapBackpressure fills the shared cap from one tenant and
 // checks the other tenant is refused admission even with queue room.
 func TestGlobalCapBackpressure(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 6},
+	s, _ := newTestServer(t, daemon.ServerConfig{QueueSize: 6},
 		Spec{Name: "web", SLODelay: 60}, Spec{Name: "api", SLODelay: 100})
 	holdLanes(t, s)
 	srv := httptest.NewServer(s)
@@ -254,7 +254,7 @@ func TestGlobalCapBackpressure(t *testing.T) {
 // concurrent producers and checks the accepted/rejected accounting adds
 // up exactly to the cap — the add-then-check admission cannot overshoot.
 func TestConcurrentProducersBackpressure(t *testing.T) {
-	s, m := newTestServer(t, ServerConfig{QueueSize: 8},
+	s, m := newTestServer(t, daemon.ServerConfig{QueueSize: 8},
 		Spec{Name: "app"})
 	holdLanes(t, s)
 	srv := httptest.NewServer(s)
@@ -279,7 +279,7 @@ func TestConcurrentProducersBackpressure(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var ir ingestResponse
+			var ir daemon.IngestReply
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Errorf("decode: %v", err)
 				return
@@ -313,7 +313,7 @@ func TestConcurrentProducersBackpressure(t *testing.T) {
 // ingest over HTTP, a forced tick, and per-tenant/per-group reporting on
 // /v1/stats and /metrics.
 func TestThreeTenantEndpoints(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{},
+	s, _ := newTestServer(t, daemon.ServerConfig{},
 		Spec{Name: "web", SLODelay: 60, Share: 2},
 		Spec{Name: "api", SLODelay: 100},
 		Spec{Name: "batch"})
@@ -463,7 +463,7 @@ func TestN1EndToEndBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, _ := newTestServer(t, ServerConfig{}, Spec{Name: "app"})
+	s, _ := newTestServer(t, daemon.ServerConfig{}, Spec{Name: "app"})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -514,7 +514,7 @@ func TestN1EndToEndBitIdentical(t *testing.T) {
 }
 
 func TestPanicRecoveryAndHealth(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{})
+	s, _ := newTestServer(t, daemon.ServerConfig{})
 	s.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
