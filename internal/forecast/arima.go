@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ARIMA is an autoregressive integrated moving-average model ARIMA(p,d,q),
@@ -38,6 +39,14 @@ type ARIMA struct {
 	// stageOneAdds counts rows added to stageOne over the model's life
 	// (cost contract: an extending Fit adds only the new rows).
 	stageOneAdds int
+
+	// Buffers a refit reuses, so that it allocates nothing in proportion
+	// to the history: the differenced series when D > 0, the stage-one
+	// residuals, the intercept's column of 1s, and stage two's normal
+	// equations with the dot products that fill them.
+	diff, resid, ones []float64
+	stageTwo          *normalEq
+	dots              []lagDot
 }
 
 // NewARIMA constructs an ARIMA(p,d,q) model. Orders must be non-negative
@@ -58,65 +67,26 @@ func (m *ARIMA) Fit(series []float64) error {
 	if len(series) < need {
 		return fmt.Errorf("%w: have %d, need >= %d", ErrTooShort, len(series), need)
 	}
-	w, err := Difference(series, m.D)
-	if err != nil {
-		return err
-	}
+	w := m.difference(series)
 
-	resid := make([]float64, len(w))
+	// Stage one: long AR to estimate innovations.
+	long := max(min(m.P+m.Q+4, len(w)/2), 1)
+	start := m.P
 	if m.Q > 0 {
-		// Stage one: long AR to estimate innovations.
-		long := m.P + m.Q + 4
-		if long > len(w)/2 {
-			long = len(w) / 2
-		}
-		if long < 1 {
-			long = 1
-		}
 		c0, phi0, err := m.fitLongAR(w, long)
 		if err != nil {
 			return err
 		}
-		for t := long; t < len(w); t++ {
-			pred := c0
-			for j := 0; j < long; j++ {
-				pred += phi0[j] * w[t-1-j]
-			}
-			resid[t] = w[t] - pred
-		}
+		m.resid = slices.Grow(m.resid[:0], len(w))[:len(w)]
+		residuals(m.resid, w, c0, phi0)
+		start = max(start, long+m.Q)
 	}
 
 	// Stage two: regress w_t on p lags of w and q lags of residuals.
-	start := m.P
-	if m.Q > 0 {
-		lo := m.P + m.Q + 4
-		if lo > len(w)/2 {
-			lo = len(w) / 2
-		}
-		if lo < 1 {
-			lo = 1
-		}
-		if s := lo + m.Q; s > start {
-			start = s
-		}
-	}
-	rows := len(w) - start
-	cols := 1 + m.P + m.Q
-	if rows <= cols {
+	if len(w)-start <= 1+m.P+m.Q {
 		return ErrTooShort
 	}
-	ne := newNormalEq(cols)
-	for t := start; t < len(w); t++ {
-		ne.row[0] = 1
-		for j := 0; j < m.P; j++ {
-			ne.row[1+j] = w[t-1-j]
-		}
-		for j := 0; j < m.Q; j++ {
-			ne.row[1+m.P+j] = resid[t-1-j]
-		}
-		ne.add(w[t])
-	}
-	beta, err := ne.solve()
+	beta, err := m.stageTwoSums(w, start).solve()
 	if err != nil {
 		return err
 	}
@@ -124,12 +94,150 @@ func (m *ARIMA) Fit(series []float64) error {
 	m.ar = beta[1 : 1+m.P]
 	m.ma = beta[1+m.P:]
 
-	// Retain tails for forecasting.
-	m.diffTail = tail(w, m.P)
-	m.residTail = tail(resid, m.Q)
-	m.lastVals = lastIntegrationState(series, m.D)
+	// Retain tails for forecasting. Differencing in place left each
+	// level's last value behind its successor (see difference).
+	m.diffTail = append(m.diffTail[:0], w[len(w)-m.P:]...)
+	m.residTail = m.residTail[:0]
+	if m.Q > 0 {
+		m.residTail = append(m.residTail, m.resid[len(w)-m.Q:len(w)]...)
+	}
+	m.lastVals = m.lastVals[:0]
+	for level := 0; level < m.D; level++ {
+		last := series[len(series)-1]
+		if level > 0 {
+			last = m.diff[len(series)-1-level]
+		}
+		m.lastVals = append(m.lastVals, last)
+	}
 	m.fitted = true
 	return nil
+}
+
+// difference returns series differenced D times: series itself, read
+// only, when D is 0, else the model's own buffer differenced in place.
+// Level k (k = 1 … D−1) occupies diff[:len(series)−k] until level k+1
+// overwrites all of it but its last slot, so diff[len(series)−1−k] ends
+// up holding the last value of level k — the integration state.
+func (m *ARIMA) difference(series []float64) []float64 {
+	if m.D == 0 {
+		return series
+	}
+	n := len(series) - 1
+	m.diff = slices.Grow(m.diff[:0], n)[:n]
+	for j := range m.diff {
+		m.diff[j] = series[j+1] - series[j]
+	}
+	for level := 1; level < m.D; level++ {
+		n--
+		for j := 0; j < n; j++ {
+			m.diff[j] = m.diff[j+1] - m.diff[j]
+		}
+	}
+	return m.diff[:n]
+}
+
+// residuals writes stage one's innovations e_t = w_t − (c0 + Σ_j φ_j·w_{t−1−j})
+// for t ≥ len(phi) as one pass over the series per lag instead of one
+// dependent chain per t. Each e_t still starts from c0 and takes the
+// terms in ascending j, so it is the same float the per-t loop computes.
+// e[:len(phi)] is not written: stage two never reads it.
+func residuals(e, w []float64, c0 float64, phi []float64) {
+	long := len(phi)
+	e = e[long:len(w)]
+	for t := range e {
+		e[t] = c0
+	}
+	for j, f := range phi {
+		lag := w[long-1-j:][:len(e)]
+		for t, x := range lag {
+			e[t] += f * x
+		}
+	}
+	y := w[long:][:len(e)]
+	for t, x := range y {
+		e[t] = x - e[t]
+	}
+}
+
+// stageTwoSums returns the normal equations of w_t on an intercept, P lags
+// of w and Q lags of the residuals, t = start … len(w)−1. Each entry of
+// XᵀX and Xᵀy is the dot product of two lagged views of {1, w, e} over
+// those rows, and a dot product taken in ascending t is the sum
+// normalEq.add would have built row by row, bit for bit: 1·x is exact.
+// The sums are written, not added, so the model keeps one normalEq for
+// the stage across fits.
+func (m *ARIMA) stageTwoSums(w []float64, start int) *normalEq {
+	cols := 1 + m.P + m.Q
+	if m.stageTwo == nil || len(m.stageTwo.row) != cols {
+		m.stageTwo = newNormalEq(cols)
+	}
+	ne := m.stageTwo
+	rows := len(w) - start
+	if len(m.ones) < rows {
+		m.ones = slices.Grow(m.ones, rows-len(m.ones))
+		for len(m.ones) < rows {
+			m.ones = append(m.ones, 1)
+		}
+	}
+	// view(k) is design column k over the rows, view(cols) the target.
+	view := func(k int) []float64 {
+		switch {
+		case k == 0:
+			return m.ones[:rows]
+		case k <= m.P:
+			return w[start-k : len(w)-k]
+		case k < cols:
+			lag := k - m.P
+			return m.resid[start-lag : len(w)-lag]
+		}
+		return w[start:]
+	}
+	m.dots = m.dots[:0]
+	for i := 0; i < cols; i++ {
+		vi := view(i)
+		m.dots = append(m.dots, lagDot{vi, view(cols), &ne.xty[i]})
+		for j := i; j < cols; j++ {
+			m.dots = append(m.dots, lagDot{vi, view(j), &ne.xtx[i][j]})
+		}
+	}
+	sumLagDots(m.dots)
+	return ne
+}
+
+// lagDot is one entry of the normal equations: *dst = Σ_t a[t]·b[t].
+type lagDot struct {
+	a, b []float64
+	dst  *float64
+}
+
+// sumLagDots computes every job's dot product in ascending t, four jobs
+// per pass so their sums stay in registers.
+func sumLagDots(jobs []lagDot) {
+	for ; len(jobs) >= 4; jobs = jobs[4:] {
+		j := jobs[:4:4]
+		*j[0].dst, *j[1].dst, *j[2].dst, *j[3].dst =
+			dot4(j[0].a, j[0].b, j[1].a, j[1].b, j[2].a, j[2].b, j[3].a, j[3].b)
+	}
+	for _, j := range jobs {
+		s, b := 0.0, j.b[:len(j.a)]
+		for t, x := range j.a {
+			s += x * b[t]
+		}
+		*j.dst = s
+	}
+}
+
+// dot4 returns four dot products of equal-length pairs.
+func dot4(a0, b0, a1, b1, a2, b2, a3, b3 []float64) (s0, s1, s2, s3 float64) {
+	n := len(a0)
+	b0, a1, b1, a2, b2, a3, b3 = b0[:n], a1[:n], b1[:n], a2[:n], b2[:n], a3[:n], b3[:n]
+	for t, x := range a0 {
+		s0 += x * b0[t]
+		s1 += a1[t] * b1[t]
+		s2 += a2[t] * b2[t]
+		s3 += a3[t] * b3[t]
+	}
+	return s0, s1, s2, s3
 }
 
 // Forecast implements Predictor. Future innovations are set to zero; the
@@ -218,7 +326,8 @@ func extends(w, prefix []float64) bool {
 // observations allocates a fixed handful of cols-sized buffers instead
 // of n rows: the caller fills row and calls add with that row's target.
 // solve reads the sums without changing them, so rows can keep being
-// added after a solve.
+// added after a solve. (Stage two writes its sums whole instead; see
+// stageTwoSums.)
 type normalEq struct {
 	row []float64   // the design row being added; reused across add calls
 	xtx [][]float64 // upper triangle only
@@ -323,31 +432,4 @@ func solveSPD(a [][]float64, b []float64) ([]float64, error) {
 		x[i] = s / m[i][i]
 	}
 	return x, nil
-}
-
-func tail(xs []float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n > len(xs) {
-		n = len(xs)
-	}
-	return append([]float64(nil), xs[len(xs)-n:]...)
-}
-
-// lastIntegrationState returns, for each differencing level d = 0..D-1,
-// the last value of the d-times-differenced series, which seeds the
-// cumulative sums that undo differencing.
-func lastIntegrationState(series []float64, d int) []float64 {
-	out := make([]float64, d)
-	cur := series
-	for level := 0; level < d; level++ {
-		out[level] = cur[len(cur)-1]
-		next := make([]float64, len(cur)-1)
-		for j := 1; j < len(cur); j++ {
-			next[j-1] = cur[j] - cur[j-1]
-		}
-		cur = next
-	}
-	return out
 }

@@ -148,7 +148,10 @@ func sameBits(a, b []float64) bool {
 // allocation-free fit: coefficients and forecasts are bit-identical to
 // the materialized-matrix fit on noisy diurnal series of every length the
 // control loop sees, on a constant series (singular design, ridge
-// fallback) and on an all-zero one.
+// fallback) and on an all-zero one. The orders cover the lag views stage
+// two's dot products index: no AR lag (p = 0), a residual lag of 2
+// (q = 2), one differencing level and two (d = 2 reads the integration
+// state off the levels differenced in place).
 func TestStreamingFitMatchesMaterialized(t *testing.T) {
 	r := rand.New(rand.NewSource(2013))
 	noisy := func(n int) []float64 {
@@ -176,7 +179,7 @@ func TestStreamingFitMatchesMaterialized(t *testing.T) {
 	for _, n := range []int{24, 25, 31, 48, 100, 288, 577, 1000, 1440, 3000} {
 		series[fmt.Sprintf("noisy %d", n)] = noisy(n)
 	}
-	for _, order := range [][3]int{{2, 0, 1}, {1, 1, 1}, {3, 0, 0}} {
+	for _, order := range [][3]int{{2, 0, 1}, {1, 1, 1}, {3, 0, 0}, {0, 0, 2}, {1, 0, 2}, {3, 1, 2}, {1, 2, 1}} {
 		for name, xs := range series {
 			got, _ := NewARIMA(order[0], order[1], order[2])
 			want, _ := NewARIMA(order[0], order[1], order[2])
@@ -212,7 +215,8 @@ func TestStreamingFitMatchesMaterialized(t *testing.T) {
 // objects whether it sees one day of history or ten. The model is kept
 // across the fits, as the control loop keeps it, so stage one's
 // accumulators are not among them (18 objects before they were carried,
-// 14 since).
+// 14 since, 6 — the two solves — since stage two's sums and the
+// residuals are kept too).
 func TestARIMAFitAllocsIndependentOfLength(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	xs := make([]float64, 3000)
@@ -231,8 +235,74 @@ func TestARIMAFitAllocsIndependentOfLength(t *testing.T) {
 	if short != long {
 		t.Errorf("Fit allocates %.0f objects at 300 points, %.0f at 3000", short, long)
 	}
-	if lid := 16.0; long > lid {
+	if lid := 6.0; long > lid {
 		t.Errorf("Fit allocates %.0f objects, budget %.0f", long, lid)
 	}
 	t.Logf("Fit: %.0f allocs at 300 points, %.0f at 3000", short, long)
+}
+
+func tail(xs []float64, n int) []float64 {
+	if n <= 0 {
+		return nil
+	}
+	if n > len(xs) {
+		n = len(xs)
+	}
+	return append([]float64(nil), xs[len(xs)-n:]...)
+}
+
+// lastIntegrationState returns, for each differencing level d = 0..D-1,
+// the last value of the d-times-differenced series, which seeds the
+// cumulative sums that undo differencing.
+func lastIntegrationState(series []float64, d int) []float64 {
+	out := make([]float64, d)
+	cur := series
+	for level := 0; level < d; level++ {
+		out[level] = cur[len(cur)-1]
+		next := make([]float64, len(cur)-1)
+		for j := 1; j < len(cur); j++ {
+			next[j-1] = cur[j] - cur[j-1]
+		}
+		cur = next
+	}
+	return out
+}
+
+// TestARIMAFitAllocBytesIndependentOfLength is the byte side of that
+// contract: a kept model's extending fit allocates as many bytes after
+// 300 samples as after 3,000. The series is not copied, and the
+// differenced series (D > 0), the residuals and the intercept's column
+// live in buffers the model keeps, which the first extending fit grows.
+func TestARIMAFitAllocBytesIndependentOfLength(t *testing.T) {
+	for _, order := range [][3]int{{2, 0, 1}, {1, 1, 1}} {
+		bytes := func(h int) int64 {
+			xs := benchSeries(h + 1)
+			m, _ := NewARIMA(order[0], order[1], order[2])
+			if err := m.Fit(xs[:h]); err != nil {
+				t.Fatal(err)
+			}
+			rollback := keepStageOne(m)
+			if err := m.Fit(xs); err != nil {
+				t.Fatal(err)
+			}
+			var fitErr error
+			res := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rollback()
+					if err := m.Fit(xs); err != nil {
+						fitErr = err
+					}
+				}
+			})
+			if fitErr != nil || res.N == 0 {
+				t.Fatalf("%v: extending fit after %d samples: %v in %d runs", order, h, fitErr, res.N)
+			}
+			return res.AllocedBytesPerOp()
+		}
+		short, long := bytes(300), bytes(3000)
+		if short != long {
+			t.Errorf("%v: an extending fit allocates %d bytes after 300 samples, %d after 3000", order, short, long)
+		}
+		t.Logf("%v: extending fit allocates %d bytes after 300 samples, %d after 3000", order, short, long)
+	}
 }

@@ -45,7 +45,8 @@ func BenchmarkARIMAFit(b *testing.B) {
 // BenchmarkARIMAFitExtend times the refit the control loop pays per class
 // per period: the class's kept model, fitted on h samples, refitted on
 // h+1. Stage one adds one row to its carried sums; stage two, whose
-// regressors are this fit's residuals, is still O(h).
+// regressors are this fit's residuals, is still O(h), as dot products
+// over the model's kept buffers.
 func BenchmarkARIMAFitExtend(b *testing.B) {
 	for _, h := range []int{288, 1000} {
 		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
@@ -57,22 +58,11 @@ func BenchmarkARIMAFitExtend(b *testing.B) {
 			if err := m.Fit(xs[:h]); err != nil {
 				b.Fatal(err)
 			}
-			ne := m.stageOne
-			xtx := make([][]float64, len(ne.xtx))
-			for i, row := range ne.xtx {
-				xtx[i] = append([]float64(nil), row...)
-			}
-			xty := append([]float64(nil), ne.xty...)
+			rollback := keepStageOne(m)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Roll the sums back to h samples (some 70 floats, noise
-				// beside the fit) so every iteration extends by one.
-				for i, row := range xtx {
-					copy(ne.xtx[i], row)
-				}
-				copy(ne.xty, xty)
-				m.seen = m.seen[:h]
+				rollback()
 				if err := m.Fit(xs); err != nil {
 					b.Fatal(err)
 				}
@@ -81,5 +71,26 @@ func BenchmarkARIMAFitExtend(b *testing.B) {
 				b.Fatalf("%d stage-one rows added in %d extending fits", adds, b.N)
 			}
 		})
+	}
+}
+
+// keepStageOne snapshots m's carried stage-one sums and returns a
+// function that rolls them back to the snapshot (some 70 floats, noise
+// beside a fit), so that every refit on one more sample extends the
+// same history by one.
+func keepStageOne(m *ARIMA) (rollback func()) {
+	ne := m.stageOne
+	xtx := make([][]float64, len(ne.xtx))
+	for i, row := range ne.xtx {
+		xtx[i] = append([]float64(nil), row...)
+	}
+	xty := append([]float64(nil), ne.xty...)
+	seen := len(m.seen)
+	return func() {
+		for i, row := range xtx {
+			copy(ne.xtx[i], row)
+		}
+		copy(ne.xty, xty)
+		m.seen = m.seen[:seen]
 	}
 }

@@ -54,8 +54,9 @@ func diurnal(r *rand.Rand, n int) []float64 {
 // bit-identical to a model that has never seen anything — on a noisy
 // diurnal series (24…3000), on an all-zero one and on a constant one (singular
 // design: the ridge goes on the working copy, never into the sums), for
-// an order with both stages, one with differencing and one with no stage
-// one at all.
+// orders with both stages (p = 0 and q = 2 among them), with differencing
+// and with no stage one at all. The kept model also reuses its residual
+// and differencing buffers, which a fresh one allocates.
 func TestCarriedFitMatchesFresh(t *testing.T) {
 	// Ten days of the noisy series; the degenerate ones behave the same
 	// at any length, so they stop at three and a half.
@@ -68,7 +69,7 @@ func TestCarriedFitMatchesFresh(t *testing.T) {
 		"all-zero":      make([]float64, 1000),
 		"constant":      constant,
 	}
-	for _, order := range [][3]int{{2, 0, 1}, {1, 1, 1}, {3, 0, 0}} {
+	for _, order := range [][3]int{{2, 0, 1}, {1, 1, 1}, {3, 0, 0}, {0, 0, 2}, {1, 0, 2}, {3, 1, 2}} {
 		for name, xs := range series {
 			n := len(xs)
 			kept, _ := NewARIMA(order[0], order[1], order[2])

@@ -1,8 +1,14 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -134,6 +140,21 @@ func (in *mpcLP) problem() *Problem {
 	return p
 }
 
+// repairStart replays tryWarm's ladder on p from warm up to the dual
+// repair: it returns the solver the repair starts from when the ladder
+// gets there (dualRepair), else the outcome that stopped it.
+func repairStart(t *testing.T, p *Problem, warm *Basis) (*sparseSolver, warmOutcome) {
+	t.Helper()
+	sv := newSparseSolver(&mustStandard(t, p).std)
+	if o := sv.startWarm(warm); o != dualRepair {
+		return nil, o
+	}
+	if o := sv.reoptimizeOld(warm); o != dualRepair {
+		return nil, o
+	}
+	return sv, dualRepair
+}
+
 // dualRepairState replays tryWarm's ladder on p from warm up to the dual
 // repair and stops that after k pivots: the solver it returns is what the
 // (k+1)-th pivot row is generated from — a fresh factor plus k etas.
@@ -141,16 +162,13 @@ func (in *mpcLP) problem() *Problem {
 // primal feasible) or the repair finished in fewer than k pivots.
 func dualRepairState(t *testing.T, p *Problem, warm *Basis, k int) (sv *sparseSolver, ok bool) {
 	t.Helper()
-	sv = newSparseSolver(&mustStandard(t, p).std)
-	switch o := sv.startWarm(warm); o {
+	sv, o := repairStart(t, p, warm)
+	switch o {
 	case feasibleResume:
 		return nil, false
 	case dualRepair:
 	default:
-		t.Fatalf("warm basis rejected: %v", o)
-	}
-	if o := sv.reoptimizeOld(warm); o != dualRepair {
-		t.Fatalf("re-optimizing against the old RHS: %v", o)
+		t.Fatalf("warm basis rejected before the repair: %v", o)
 	}
 	if sv.runDual(k) == nil {
 		return nil, false
@@ -234,4 +252,166 @@ func TestBtranRowMatchesDense(t *testing.T) {
 		t.Fatalf("only %d mid-repair states (longest eta file %d): the sequences no longer exercise the dual repair", states, deepest)
 	}
 	t.Logf("%d pivot rows over %d mid-repair states, longest eta file %d", rows, states, deepest)
+}
+
+// dualPivotColumns is dualPivot as it was before the pivot row was built
+// from ρ's nonzeros: each nonbasic column's entry a dot product down the
+// column, the ratio test and the reduced-cost update over every nonbasic
+// column. It is kept as the bit-for-bit oracle of dualPivot.
+func (sv *sparseSolver) dualPivotColumns() (bool, error) {
+	rc, wrow := sv.rc, sv.wrow
+	r, worst := -1, -eps
+	for i, v := range sv.xB {
+		if v < worst {
+			r, worst = i, v
+		}
+	}
+	if r < 0 {
+		return false, nil
+	}
+	sv.btranRow(r)
+	enter, bestRatio := -1, math.Inf(1)
+	for j := 0; j < sv.n; j++ {
+		if sv.inB[j] || sv.artificial[j] {
+			continue
+		}
+		col := &sv.cols[j]
+		var wj float64
+		for q, i := range col.idx {
+			wj += sv.rho[i] * col.val[q]
+		}
+		wrow[j] = wj
+		if wj >= -eps {
+			continue
+		}
+		ratio := rc[j] / wj
+		if ratio < bestRatio-eps ||
+			(math.Abs(ratio-bestRatio) <= eps && (enter < 0 || j < enter)) {
+			bestRatio, enter = ratio, j
+		}
+	}
+	if enter < 0 {
+		return false, errWarmRepair
+	}
+	sv.ftran(sv.cols[enter], sv.w)
+	if math.Abs(sv.w[r]) <= eps {
+		return false, errWarmRepair
+	}
+	theta := rc[enter] / wrow[enter]
+	for j := 0; j < sv.n; j++ {
+		if sv.inB[j] || sv.artificial[j] {
+			continue
+		}
+		v := rc[j] - theta*wrow[j]
+		if v > 0 {
+			v = 0
+		}
+		rc[j] = v
+	}
+	rc[sv.basis[r]] = -theta
+	sv.iters++
+	sv.pivot(r, enter)
+	return true, nil
+}
+
+// repairMatchesColumns runs p's dual repair from warm twice in lockstep,
+// one pivot at a time: dualPivot on one solver, the column-wise oracle on
+// the other, from the same pricing. Every step must make the same pivot
+// (the same entering column at the same leaving row) or stop with the
+// same verdict, and leave bit-identical basic values and reduced costs
+// equal as floats (an untouched column may keep an rc of −0 where the
+// oracle writes +0). It returns the number of pivots, 0 when the ladder
+// does not reach the repair.
+func repairMatchesColumns(t *testing.T, what string, p *Problem, warm *Basis) int {
+	t.Helper()
+	got, o := repairStart(t, p, warm)
+	if o != dualRepair {
+		return 0
+	}
+	want, _ := repairStart(t, p, warm)
+	got.runDual(0) // prices, pivots none
+	want.runDual(0)
+	for k := 0; ; k++ {
+		before := append([]int(nil), want.basis...)
+		gotPivot, gotErr := got.dualPivot()
+		wantPivot, wantErr := want.dualPivotColumns()
+		if gotPivot != wantPivot || gotErr != wantErr {
+			t.Fatalf("%s, pivot %d: pivoted %v (%v), oracle %v (%v)", what, k+1, gotPivot, gotErr, wantPivot, wantErr)
+		}
+		for i := range want.basis {
+			if got.basis[i] != want.basis[i] {
+				t.Fatalf("%s, pivot %d: row %d holds column %d (was %d), oracle column %d",
+					what, k+1, i, got.basis[i], before[i], want.basis[i])
+			}
+		}
+		if !reflect.DeepEqual(floatBits(got.xB), floatBits(want.xB)) {
+			t.Fatalf("%s, pivot %d: basic values differ: %v vs %v", what, k+1, got.xB, want.xB)
+		}
+		for j := range want.rc {
+			if got.rc[j] != want.rc[j] {
+				t.Fatalf("%s, pivot %d: rc[%d] %v, oracle %v", what, k+1, j, got.rc[j], want.rc[j])
+			}
+		}
+		if !gotPivot {
+			return k
+		}
+	}
+}
+
+// TestDualPivotMatchesColumns pins the row-wise pivot row, pivot by pivot,
+// against the column-wise oracle over seeded MPC sequences (the matrix
+// fixed, demand, prices and initial state drifting, as in core) and over
+// the FuzzSolveMatchesDense corpus's warm legs.
+func TestDualPivotMatchesColumns(t *testing.T) {
+	r := rand.New(rand.NewSource(91))
+	repairs, pivots := 0, 0
+	for trial := 0; trial < 20; trial++ {
+		in := randomMPC(r, 2+r.Intn(4), 3+r.Intn(20), 1+r.Intn(4))
+		_, basis, err := SolveWarm(in.problem(), nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for period := 1; period < 12; period++ {
+			in = in.perturb(r)
+			p := in.problem()
+			if k := repairMatchesColumns(t, fmt.Sprintf("trial %d period %d", trial, period), p, basis); k > 0 {
+				repairs, pivots = repairs+1, pivots+k
+			}
+			if _, basis, err = SolveWarm(p, basis); err != nil {
+				t.Fatalf("trial %d period %d: %v", trial, period, err)
+			}
+		}
+	}
+	if repairs < 100 || pivots < 500 {
+		t.Fatalf("only %d repairs, %d pivots: the sequences no longer exercise the dual repair", repairs, pivots)
+	}
+
+	dir := filepath.Join("testdata", "fuzz", "FuzzSolveMatchesDense")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzRepairs := 0
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+		if len(lines) != 2 || err != nil {
+			t.Fatalf("%s: not a one-value corpus entry: %v", e.Name(), err)
+		}
+		in := &fuzzBytes{data: []byte(data)}
+		p := decodeFuzzLP(in)
+		_, basis, _, err := mustStandard(t, p).solve(nil)
+		if err != nil {
+			continue
+		}
+		if k := repairMatchesColumns(t, "corpus "+e.Name(), perturbFuzzLP(p, in), basis); k > 0 {
+			fuzzRepairs++
+			pivots += k
+		}
+	}
+	t.Logf("%d MPC repairs and %d of %d corpus warm legs repaired, %d pivots in all", repairs, fuzzRepairs, len(entries), pivots)
 }

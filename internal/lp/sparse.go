@@ -35,9 +35,10 @@
 // refused if it fails again.
 //
 // What a solve costs before its first pivot: NewStandard reads every
-// dense row once, O(rows·vars), and allocates the column-wise matrix —
-// for CBS-RELAX at 66 container types 1.6 MB of rows built and
-// re-sparsified for a matrix that depends on the catalog alone. A
+// dense row once, O(rows·vars), and allocates the column-wise matrix
+// and its row-wise copy — for CBS-RELAX at 66 container types 1.6 MB of
+// rows built and re-sparsified for a matrix that depends on the catalog
+// alone. A
 // Standard therefore outlives a solve: the caller that knows its matrix
 // is fixed keeps it and Refills the two vectors a period changes,
 // O(rows+vars), and the Standard keeps the solver's scratch — the
@@ -48,6 +49,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // Refactor policy: the basis is re-factored once the eta file holds more
@@ -92,10 +94,13 @@ type Basis struct {
 
 // std is a Problem in computational standard form: non-negative RHS,
 // slack and artificial columns appended, costs carried as (real, Big-M)
-// pairs, and the matrix stored column-wise.
+// pairs, and the matrix stored column-wise — and, without the artificial
+// columns, row-wise (column indices ascending) for the dual simplex's
+// pivot row.
 type std struct {
 	m, n       int
 	cols       []spCol
+	rows       []spCol
 	b          []float64
 	cR, cM     []float64
 	artificial []bool
@@ -206,7 +211,40 @@ func NewStandard(p *Problem) (*Standard, error) {
 			artCol++
 		}
 	}
+	s.rows = transpose(s.cols, s.artificial, m)
 	return s, nil
+}
+
+// transpose returns the m rows of the columns not skipped, each row's
+// column indices ascending.
+func transpose(cols []spCol, skip []bool, m int) []spCol {
+	count := make([]int, m)
+	nnz := 0
+	for j, c := range cols {
+		if !skip[j] {
+			for _, i := range c.idx {
+				count[i]++
+			}
+			nnz += len(c.idx)
+		}
+	}
+	idx, val := make([]int32, nnz), make([]float64, nnz)
+	rows := make([]spCol, m)
+	off := 0
+	for i, c := range count {
+		rows[i] = spCol{idx: idx[off : off : off+c], val: val[off : off : off+c]}
+		off += c
+	}
+	for j, c := range cols {
+		if !skip[j] {
+			for q, i := range c.idx {
+				r := &rows[i]
+				r.idx = append(r.idx, int32(j))
+				r.val = append(r.val, c.val[q])
+			}
+		}
+	}
+	return rows
 }
 
 // Refill replaces the objective and the right-hand side, both in the
@@ -257,8 +295,12 @@ type sparseSolver struct {
 	work   []float64 // by constraint row: FTRAN's right-hand side, residuals
 	bOld   []float64 // a warm basis's capture-time RHS
 	rc     []float64 // dual simplex: reduced costs
-	wrow   []float64 // dual simplex: the pivot row
-	iters  int
+	// The dual simplex's pivot row, zero outside the columns marked in
+	// touched (bit j%64 of word j/64); the reduced-cost update clears
+	// both behind it.
+	wrow    []float64
+	touched []uint64
+	iters   int
 	// A column whose pricing is roundoff is ruled out of entering until
 	// the basis changes: ruledOut[j] == basisStamp, a stamp every pivot
 	// and every installed basis renews.
@@ -288,6 +330,7 @@ func newSparseSolver(s *std) *sparseSolver {
 		rc:    make([]float64, s.n),
 		wrow:  make([]float64, s.n),
 
+		touched:    make([]uint64, (s.n+63)/64),
 		ruledOut:   make([]int, s.n),
 		basisStamp: 1,
 	}
@@ -743,7 +786,7 @@ func (sv *sparseSolver) btranRow(r int) {
 // repair after k pivots and inspect the state the next pivot row is
 // generated from.
 func (sv *sparseSolver) runDual(maxIter int) error {
-	rc, wrow := sv.rc, sv.wrow
+	rc := sv.rc
 	sv.computeDuals()
 	for j := 0; j < sv.n; j++ {
 		rc[j] = 0
@@ -756,70 +799,110 @@ func (sv *sparseSolver) runDual(maxIter int) error {
 		}
 		rc[j] = r
 	}
+	clear(sv.wrow)
+	clear(sv.touched)
 	for iter := 0; iter < maxIter; iter++ {
-		// Leaving row: most negative basic value below −eps. A looser
-		// threshold leaves behind values that a badly scaled row
-		// amplifies: −1e-7 beside a 1/1024 coefficient moves the
-		// objective by 3e-4.
-		r, worst := -1, -eps
-		for i, v := range sv.xB {
-			if v < worst {
-				r, worst = i, v
-			}
+		if pivoted, err := sv.dualPivot(); !pivoted {
+			return err
 		}
-		if r < 0 {
-			return nil // primal feasible again
+	}
+	return errWarmRepair
+}
+
+// dualPivot makes one dual simplex pivot. It reports false with a nil
+// error when the basic values are primal feasible (no pivot is due), and
+// false with errWarmRepair when the pivot row offers no entering column
+// or a vanishing pivot.
+//
+// The pivot row α = ρᵀA is built from ρ's nonzeros (pivotRow), and the
+// ratio test and the reduced-cost update visit only the columns it
+// touched, in ascending order. That is the same arithmetic as a loop
+// over every nonbasic column: an untouched column's α_j is +0, which the
+// ratio test skips, and rc_j − θ·(+0) can at most turn an rc_j of −0
+// into +0 — no comparison below tells the two apart, and rc is scratch
+// the primal cleanup re-prices.
+func (sv *sparseSolver) dualPivot() (bool, error) {
+	rc, wrow := sv.rc, sv.wrow
+	// Leaving row: most negative basic value below −eps. A looser
+	// threshold leaves behind values that a badly scaled row
+	// amplifies: −1e-7 beside a 1/1024 coefficient moves the
+	// objective by 3e-4.
+	r, worst := -1, -eps
+	for i, v := range sv.xB {
+		if v < worst {
+			r, worst = i, v
 		}
-		sv.btranRow(r)
-		// Entering column: dual ratio test over columns that can absorb
-		// the infeasibility (pivot-row entry < 0), smallest |rc/w| wins,
-		// ties toward the lowest column index.
-		enter, bestRatio := -1, math.Inf(1)
-		for j := 0; j < sv.n; j++ {
-			if sv.inB[j] || sv.artificial[j] {
+	}
+	if r < 0 {
+		return false, nil
+	}
+	sv.btranRow(r)
+	sv.pivotRow()
+	// Entering column: dual ratio test over columns that can absorb
+	// the infeasibility (pivot-row entry < 0), smallest |rc/w| wins,
+	// ties toward the lowest column index.
+	enter, bestRatio := -1, math.Inf(1)
+	for k, word := range sv.touched {
+		for ; word != 0; word &= word - 1 {
+			j := k<<6 | bits.TrailingZeros64(word)
+			wj := wrow[j]
+			if sv.inB[j] || wj >= -eps {
 				continue
 			}
-			col := &sv.cols[j]
-			var wj float64
-			for q, i := range col.idx {
-				wj += sv.rho[i] * col.val[q]
-			}
-			wrow[j] = wj
-			if wj >= -eps {
-				continue
-			}
-			//harmony:allow divzero the continue above leaves wj < -eps
 			ratio := rc[j] / wj
 			if ratio < bestRatio-eps ||
 				(math.Abs(ratio-bestRatio) <= eps && (enter < 0 || j < enter)) {
 				bestRatio, enter = ratio, j
 			}
 		}
-		if enter < 0 {
-			return errWarmRepair
-		}
-		sv.ftran(sv.cols[enter], sv.w)
-		if math.Abs(sv.w[r]) <= eps {
-			return errWarmRepair
-		}
-		// Update reduced costs over the pre-pivot nonbasic set, then
-		// give the departing column its post-pivot value −θ_d.
-		theta := rc[enter] / wrow[enter]
-		for j := 0; j < sv.n; j++ {
-			if sv.inB[j] || sv.artificial[j] {
-				continue
-			}
-			v := rc[j] - theta*wrow[j]
-			if v > 0 {
-				v = 0
-			}
-			rc[j] = v
-		}
-		rc[sv.basis[r]] = -theta
-		sv.iters++
-		sv.pivot(r, enter)
 	}
-	return errWarmRepair
+	if enter < 0 {
+		return false, errWarmRepair
+	}
+	sv.ftran(sv.cols[enter], sv.w)
+	if math.Abs(sv.w[r]) <= eps {
+		return false, errWarmRepair
+	}
+	// Update reduced costs over the pre-pivot nonbasic set, clearing
+	// the pivot row behind, then give the departing column its
+	// post-pivot value −θ_d.
+	theta := rc[enter] / wrow[enter]
+	for k, word := range sv.touched {
+		for ; word != 0; word &= word - 1 {
+			j := k<<6 | bits.TrailingZeros64(word)
+			if !sv.inB[j] {
+				v := rc[j] - theta*wrow[j]
+				if v > 0 {
+					v = 0
+				}
+				rc[j] = v
+			}
+			wrow[j] = 0
+		}
+		sv.touched[k] = 0
+	}
+	rc[sv.basis[r]] = -theta
+	sv.iters++
+	sv.pivot(r, enter)
+	return true, nil
+}
+
+// pivotRow adds α = ρᵀA over the non-artificial columns into wrow and
+// marks each column it reaches in touched. It walks ρ's nonzero rows in
+// ascending order, so each α_j receives the products ρ_i·a_ij in the
+// order a dot product down column j takes them; a row with ρ_i = 0
+// would add ±0, which cannot change a sum that starts at +0.
+func (sv *sparseSolver) pivotRow() {
+	for i, ri := range sv.rho {
+		if ri == 0 {
+			continue
+		}
+		row := &sv.rows[i]
+		for q, j := range row.idx {
+			sv.wrow[j] += ri * row.val[q]
+			sv.touched[j>>6] |= 1 << (j & 63)
+		}
+	}
 }
 
 func (sv *sparseSolver) run() error {

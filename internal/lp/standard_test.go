@@ -20,19 +20,19 @@ func vectors(p *Problem) (objective, rhs []float64) {
 // caller can observe or thread into the next solve.
 func sameSolve(t *testing.T, what string, gotSol, wantSol *Solution, gotBasis, wantBasis *Basis) {
 	t.Helper()
-	if !reflect.DeepEqual(bits(gotSol.X), bits(wantSol.X)) ||
+	if !reflect.DeepEqual(floatBits(gotSol.X), floatBits(wantSol.X)) ||
 		math.Float64bits(gotSol.Objective) != math.Float64bits(wantSol.Objective) ||
 		gotSol.Iterations != wantSol.Iterations {
 		t.Fatalf("%s: kept standard form gives objective %v in %d pivots, rebuilt problem %v in %d",
 			what, gotSol.Objective, gotSol.Iterations, wantSol.Objective, wantSol.Iterations)
 	}
 	if !reflect.DeepEqual(gotBasis.cols, wantBasis.cols) ||
-		!reflect.DeepEqual(bits(gotBasis.b), bits(wantBasis.b)) {
+		!reflect.DeepEqual(floatBits(gotBasis.b), floatBits(wantBasis.b)) {
 		t.Fatalf("%s: next basis differs", what)
 	}
 }
 
-func bits(xs []float64) []uint64 {
+func floatBits(xs []float64) []uint64 {
 	out := make([]uint64, len(xs))
 	for i, x := range xs {
 		out[i] = math.Float64bits(x)

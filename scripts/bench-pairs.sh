@@ -9,7 +9,8 @@
 # same --seed, the side that goes first alternating. The JSON lines are kept
 # in .bench_build/pairs/, per-pair change/parent ratios and each side's
 # median are printed for BENCHMARK.json's end-to-end metrics, and the exit status is 1
-# if a deterministic metric differs within a pair.
+# if a deterministic metric differs within a pair or a run failed its own checks
+# (its contract line's correct is not true, or failed is above 0).
 set -euo pipefail
 w="${1:?usage: bench-pairs.sh <workload> <parent-ref> [pairs]}"
 parent="${2:?usage: bench-pairs.sh <workload> <parent-ref> [pairs]}"
@@ -64,5 +65,10 @@ jq -rn --argjson m "$metrics" --argjson lower "$lower" --argjson det "$determini
 		| "\($k + " " * (22 - ($k | length))) \($pv | q(0.5)) [\($pv | q(0.25)), \($pv | q(0.75))]"
 			+ "  \($cv | q(0.5))  \(($cv | q(0.5)) / ($pv | q(0.5)) * 1000 | round / 1000)  \($wins)/\($pv | length)"),
 	([$det[] as $k | range(0; $p | length) | select($p[.].metrics[$k].value != $c[.].metrics[$k].value)
-		| "FAIL: pair \(. + 1): \($k) is \($p[.].metrics[$k].value) at the parent, \($c[.].metrics[$k].value) at the change"]
-		| if length > 0 then .[], ("" | halt_error(1)) else "deterministic metrics equal in every pair: \($det | join(", "))" end)'
+		| "FAIL: pair \(. + 1): \($k) is \($p[.].metrics[$k].value) at the parent, \($c[.].metrics[$k].value) at the change"] as $differ
+	| [range(0; $p | length) as $i | ["parent", $p[$i]], ["change", $c[$i]]
+		| select(.[1].correct != true or .[1].failed > 0)
+		| "FAIL: pair \($i + 1): the \(.[0]) run has correct \(.[1].correct), failed \(.[1].failed)"] as $unchecked
+	| (if $differ | length > 0 then $differ[] else "deterministic metrics equal in every pair: \($det | join(", "))" end),
+		$unchecked[],
+		(if $differ + $unchecked | length > 0 then "" | halt_error(1) else empty end))'
