@@ -29,7 +29,8 @@ bench:
 
 # Ten seconds of each fuzz target (the ingest decoder, the
 # characterization and tenants-config loaders, the CSV and JSON-lines
-# task sources, the sparse LP engine against the dense tableau); CI's
+# task sources, the sparse LP engine against the dense tableau, the
+# pruned K-means kernel against plain Lloyd iterations); CI's
 # fuzz smoke runs this target. Each name is anchored: -fuzz must match one
 # target of its package. TestMakeFuzzRunsEveryTarget keeps the list whole.
 fuzz:
@@ -39,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVSource$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLSource$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveMatchesDense$$' -fuzztime 10s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzLloydMatchesBruteForce$$' -fuzztime 10s ./internal/kmeans
 
 # benchmark/ is a nested module that `go test ./...` never compiles; vet
 # and test it (unit tests plus the untraced smoke, ~5 s) so a refactor

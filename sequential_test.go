@@ -11,17 +11,20 @@ import (
 )
 
 // TestOfflinePathIsSequential pins "sequential by construction": no
-// non-test file of the facade, the simulator, the controller or the trace
-// sources has a go statement or imports a synchronization package, so
-// nothing is spawned and there is nothing to wait on; sim and core cannot
-// read the machine's parallelism either. A trace source is read by one
+// non-test file of the facade, the simulator, the controller, the trace
+// sources or the characterization (kmeans, classify) has a go statement or
+// imports a synchronization package, so nothing is spawned and there is
+// nothing to wait on; sim, core, kmeans and classify cannot read the
+// machine's parallelism either. A trace source is read by one
 // goroutine, the simulator's.
 func TestOfflinePathIsSequential(t *testing.T) {
 	banned := map[string][]string{
-		".":              {"sync", "sync/atomic"},
-		"internal/sim":   {"sync", "sync/atomic", "runtime"},
-		"internal/core":  {"sync", "sync/atomic", "runtime"},
-		"internal/trace": {"sync", "sync/atomic"},
+		".":                 {"sync", "sync/atomic"},
+		"internal/sim":      {"sync", "sync/atomic", "runtime"},
+		"internal/core":     {"sync", "sync/atomic", "runtime"},
+		"internal/trace":    {"sync", "sync/atomic"},
+		"internal/kmeans":   {"sync", "sync/atomic", "runtime"},
+		"internal/classify": {"sync", "sync/atomic", "runtime"},
 	}
 	for dir, pkgs := range banned {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
