@@ -147,7 +147,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		if err != nil {
 			return err
 		}
-		logger.Printf("harmonyd: period %.0fs, %d task types", eng.PeriodSeconds(), eng.NumTaskTypes())
+		logger.Printf("harmonyd: period %.0fs, %d task types", eng.PolicyConfig().PeriodSeconds, len(eng.PolicyConfig().Types))
 		fe = daemon.NewServer(eng, srvCfg)
 	}
 	return daemon.Run(ctx, fe, daemon.RunConfig{

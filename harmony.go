@@ -287,12 +287,13 @@ func (p Policy) String() string {
 // SimulationConfig parameterizes one simulated run.
 type SimulationConfig struct {
 	Policy        Policy
-	PeriodSeconds float64 // control period (default 300)
+	PeriodSeconds float64 // control period (0 means 300; at most a day)
 	// Horizon (MPC look-ahead periods), Epsilon (per-machine overflow
 	// bound for container sizing) and Omega (over-provisioning factor
 	// compensating bin-packing inefficiency, Eq. 17) pass through to the
-	// HARMONY policy; zero values take its defaults (2, 0.25, 1.05), any
-	// other Epsilon outside (0,1) or Omega outside [1,+Inf) is an error.
+	// HARMONY policy; zero values take its defaults (2, 0.25, 1.05), a
+	// negative Horizon, an Epsilon outside (0,1) or an Omega outside
+	// [1,+Inf) is an error.
 	Horizon int
 	Epsilon float64
 	Omega   float64
@@ -311,9 +312,46 @@ type SimulationConfig struct {
 const bootDelaySeconds = 120
 
 func (cfg *SimulationConfig) defaults() {
-	if cfg.PeriodSeconds <= 0 {
+	if cfg.PeriodSeconds == 0 {
 		cfg.PeriodSeconds = 300
 	}
+}
+
+// price is the electricity price a run is billed at: flat at
+// energy.DefaultPricePerKWh, or diurnal around it.
+func (cfg SimulationConfig) price() energy.Price {
+	const kwh = energy.DefaultPricePerKWh
+	if cfg.DiurnalPrice {
+		return energy.DiurnalPrice{Base: kwh, Amplitude: kwh / 3, PhaseHour: 4}
+	}
+	return energy.FlatPrice(kwh)
+}
+
+// modes maps the HARMONY policies to the controller's realization mode.
+var modes = map[Policy]core.Mode{PolicyCBS: core.CBS, PolicyCBP: core.CBP}
+
+// loop builds Algorithm 1's controller for a HARMONY policy over the
+// given machines through sched.NewLoop, as harmonyd's engine does; cfg's
+// defaults are already applied.
+func (cfg SimulationConfig) loop(machines []trace.MachineType, models []energy.Model, c *Characterization) (*sched.Harmony, *classify.Labeler, error) {
+	if c == nil {
+		return nil, nil, errors.New("harmony: HARMONY policies need a characterization")
+	}
+	predictor, err := sched.ParsePredictor(cfg.Forecaster)
+	if err != nil {
+		return nil, nil, fmt.Errorf("harmony: %w", err)
+	}
+	return sched.NewLoop(c.ch, sched.HarmonyConfig{
+		Mode:          modes[cfg.Policy],
+		Machines:      machines,
+		Models:        models,
+		Price:         cfg.price(),
+		PeriodSeconds: cfg.PeriodSeconds,
+		Horizon:       cfg.Horizon,
+		Epsilon:       cfg.Epsilon,
+		Omega:         cfg.Omega,
+		Predictor:     predictor,
+	})
 }
 
 // SimulationResult is the outcome of one simulated run.
@@ -358,16 +396,11 @@ func Simulate(w *Workload, c *Characterization, cfg SimulationConfig) (*Simulati
 // policies) the task-type labeling, over the machine population src
 // announces. maxDelaySamples is sim.Config.MaxDelaySamples.
 func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg SimulationConfig, maxDelaySamples int) (*SimulationResult, error) {
-	if err := finite("PeriodSeconds", cfg.PeriodSeconds); err != nil {
-		return nil, err
+	if !(cfg.PeriodSeconds >= 0) || math.IsInf(cfg.PeriodSeconds, 1) {
+		return nil, fmt.Errorf("harmony: PeriodSeconds must be finite and not negative, got %v", cfg.PeriodSeconds)
 	}
 	cfg.defaults()
 	machines := src.Meta().Machines
-	const kwh = energy.DefaultPricePerKWh
-	var price energy.Price = energy.FlatPrice(kwh)
-	if cfg.DiurnalPrice {
-		price = energy.DiurnalPrice{Base: kwh, Amplitude: kwh / 3, PhaseHour: 4}
-	}
 	// Only the HARMONY policies get per-type queues and relabeling:
 	// container-based scheduling restructures the scheduler around task
 	// classes. The baseline and always-on policies keep the legacy
@@ -378,12 +411,12 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 	sc := sim.Config{
 		Source:   src,
 		Models:   models,
-		Price:    price,
+		Price:    cfg.price(),
 		Period:   cfg.PeriodSeconds,
 		NumTypes: 1,
 		TypeOf:   func(trace.Task) int { return 0 },
 		// Per-type switch costs scale with idle power relative to the
-		// largest machine (the same helper harmonyd's engine uses).
+		// largest machine (the costs sched.NewLoop gives the policy).
 		SwitchCost:      energy.SwitchCosts(models, energy.DefaultSwitchCostDollars),
 		BootDelay:       bootDelaySeconds,
 		MaxDelaySamples: maxDelaySamples,
@@ -399,37 +432,11 @@ func run(src trace.TaskSource, models []energy.Model, c *Characterization, cfg S
 	case PolicyBaseline:
 		sc.Policy = &sched.Baseline{Machines: machines, Models: models}
 	case PolicyCBS, PolicyCBP:
-		if c == nil {
-			return nil, errors.New("harmony: HARMONY policies need a characterization")
-		}
-		predictor, err := sched.ParsePredictor(cfg.Forecaster)
-		if err != nil {
-			return nil, fmt.Errorf("harmony: %w", err)
-		}
-		mode := core.CBS
-		if cfg.Policy == PolicyCBP {
-			mode = core.CBP
-		}
-		types := c.ch.TaskTypes()
-		harmonyPolicy, err = sched.NewHarmony(sched.HarmonyConfig{
-			Mode:          mode,
-			Machines:      machines,
-			Models:        models,
-			Types:         types,
-			Price:         price,
-			PeriodSeconds: cfg.PeriodSeconds,
-			Horizon:       cfg.Horizon,
-			Epsilon:       cfg.Epsilon,
-			Omega:         cfg.Omega,
-			SwitchCost:    sc.SwitchCost,
-			Predictor:     predictor,
-		})
+		policy, labeler, err := cfg.loop(machines, models, c)
 		if err != nil {
 			return nil, err
 		}
-		labeler := classify.NewLabeler(c.ch)
-		sc.Policy = harmonyPolicy
-		sc.NumTypes = len(types)
+		harmonyPolicy, sc.Policy, sc.NumTypes = policy, policy, len(policy.Config().Types)
 		sc.TypeOf = func(task trace.Task) int {
 			idx, _ := labeler.InitialIndex(task) // unlabeled tasks queue as type 0
 			return idx

@@ -2,8 +2,13 @@ package harmony
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"harmony/internal/core"
+	"harmony/internal/daemon"
+	"harmony/internal/sched"
 )
 
 func testWorkload(t *testing.T) *Workload {
@@ -170,6 +175,55 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 		}
 		if _, err := Simulate(w, nil, SimulationConfig{Policy: PolicyBaseline, PeriodSeconds: v}); err == nil || !strings.Contains(err.Error(), "PeriodSeconds") {
 			t.Errorf("Simulate with PeriodSeconds = %v: error %v, want one naming the field", v, err)
+		}
+	}
+	// Only 0 means a default: a negative period used to become 300, and a
+	// negative horizon 2.
+	if _, err := Simulate(w, nil, SimulationConfig{Policy: PolicyBaseline, PeriodSeconds: -300}); err == nil || !strings.Contains(err.Error(), "PeriodSeconds") {
+		t.Errorf("Simulate with PeriodSeconds = -300: error %v, want one naming the field", err)
+	}
+	ch, err := w.Characterize(CharacterizeConfig{Seed: 1, MaxClassesPerGroup: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(w, ch, SimulationConfig{Policy: PolicyCBS, Horizon: -1}); err == nil || !strings.Contains(err.Error(), "Horizon") {
+		t.Errorf("Simulate with Horizon = -1: error %v, want one naming the field", err)
+	}
+}
+
+// TestFacadeAndHarmonydRunOneLoop pins the single controller assembly:
+// the facade's HARMONY run at SimulationConfig defaults and harmonyd at
+// its default flags (-mode CBS -period 300 -horizon 0 -forecaster arima)
+// build the policy at the same resolved configuration from the same
+// machines, models and characterization. harmonyd sets no ε, ω or price,
+// so this holds only while both take sched's defaults through NewLoop.
+func TestFacadeAndHarmonydRunOneLoop(t *testing.T) {
+	w := testWorkload(t)
+	ch, err := w.Characterize(CharacterizeConfig{Seed: 1, MaxClassesPerGroup: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimulationConfig{Policy: PolicyCBS}
+	cfg.defaults()
+	policy, _, err := cfg.loop(w.Trace.Machines, w.Models, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := daemon.NewEngine(daemon.Config{
+		Machines:      w.Trace.Machines,
+		Models:        w.Models,
+		Char:          ch.ch,
+		Mode:          core.CBS,
+		PeriodSeconds: 300,
+		Forecaster:    sched.PredictARIMA,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	facade, online := reflect.ValueOf(policy.Config()), reflect.ValueOf(eng.PolicyConfig())
+	for i := 0; i < facade.NumField(); i++ {
+		if f, o := facade.Field(i).Interface(), online.Field(i).Interface(); !reflect.DeepEqual(f, o) {
+			t.Errorf("%s: the facade runs %v, harmonyd %v", facade.Type().Field(i).Name, f, o)
 		}
 	}
 }

@@ -30,36 +30,26 @@ import (
 	"harmony/internal/trace"
 )
 
-// Config parameterizes the online controller.
+// Config parameterizes the online controller. NewEngine builds its
+// control loop with sched.NewLoop, the constructor the offline facade
+// uses too: Mode, Horizon, SLODelay and Forecaster pass through to
+// sched.HarmonyConfig, which owns their defaults (a zero Mode is CBS, a
+// zero Horizon 2, a zero SLODelay 120 s) as it does ε, ω and the flat
+// electricity price; the switching costs are energy's.
 type Config struct {
 	Machines []trace.MachineType
 	Models   []energy.Model
 	Char     *classify.Characterization
 
-	Mode          core.Mode // CBS (default) or CBP
-	PeriodSeconds float64   // control period in model time (default 300)
-	// Horizon and SLODelay pass through to sched.HarmonyConfig, which
-	// owns their defaults (as it does ε and ω); the electricity price and
-	// switching cost are energy's defaults.
-	Horizon    int     // MPC look-ahead periods
-	SLODelay   float64 // production target mean scheduling delay (s)
-	Forecaster sched.PredictorKind
+	Mode          core.Mode // CBS or CBP
+	PeriodSeconds float64   // control period in model time (0 means 300; at most a day)
+	Horizon       int       // MPC look-ahead periods
+	SLODelay      float64   // production target mean scheduling delay (s)
+	Forecaster    sched.PredictorKind
 
 	// Registry receives the daemon's metrics; a private registry is
 	// created when nil.
 	Registry *metrics.Registry
-}
-
-func (cfg *Config) defaults() {
-	if cfg.Mode == 0 {
-		cfg.Mode = core.CBS
-	}
-	if cfg.PeriodSeconds <= 0 {
-		cfg.PeriodSeconds = 300
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = metrics.NewRegistry()
-	}
 }
 
 // MachinePlan is the provisioning decision for one machine type.
@@ -130,8 +120,9 @@ type openTask struct {
 // the rest of the state lives behind mu except the policy, which only the
 // single in-flight tick touches (guarded by solving).
 type Engine struct {
-	cfg     Config
-	types   []classify.TaskType
+	loop    sched.HarmonyConfig // the policy's, every default resolved
+	classes int                 // classes in the characterization
+	reg     *metrics.Registry   // the daemon's series, Config.Registry
 	labeler *classify.Labeler
 
 	// solving serializes ticks without blocking ingest: the policy and
@@ -185,53 +176,37 @@ var (
 
 // NewEngine validates the configuration and builds the online controller.
 func NewEngine(cfg Config) (*Engine, error) {
-	cfg.defaults()
-	if len(cfg.Machines) == 0 {
-		return nil, errors.New("daemon: no machine types")
+	if cfg.PeriodSeconds == 0 {
+		cfg.PeriodSeconds = 300
 	}
-	if len(cfg.Models) != len(cfg.Machines) {
-		return nil, fmt.Errorf("daemon: %d energy models for %d machine types",
-			len(cfg.Models), len(cfg.Machines))
-	}
-	if cfg.Char == nil {
-		return nil, errors.New("daemon: characterization required")
-	}
-	types := cfg.Char.TaskTypes()
-	if len(types) == 0 {
-		return nil, errors.New("daemon: characterization has no task types")
-	}
-
-	// Per-type switch costs scale with idle power relative to the
-	// largest machine — the helper harmony.Simulate uses, so the daemon's
-	// plans match the batch pipeline's.
-	switchCost := energy.SwitchCosts(cfg.Models, energy.DefaultSwitchCostDollars)
-	policy, err := sched.NewHarmony(sched.HarmonyConfig{
+	policy, labeler, err := sched.NewLoop(cfg.Char, sched.HarmonyConfig{
 		Mode:          cfg.Mode,
 		Machines:      cfg.Machines,
 		Models:        cfg.Models,
-		Types:         types,
-		Price:         energy.FlatPrice(energy.DefaultPricePerKWh),
 		PeriodSeconds: cfg.PeriodSeconds,
 		Horizon:       cfg.Horizon,
 		SLODelay:      cfg.SLODelay,
-		SwitchCost:    switchCost,
 		Predictor:     cfg.Forecaster,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("daemon: build policy: %w", err)
 	}
-
+	if cfg.Registry == nil {
+		cfg.Registry = metrics.NewRegistry()
+	}
+	loop := policy.Config()
 	e := &Engine{
-		cfg:      cfg,
-		types:    types,
-		labeler:  classify.NewLabeler(cfg.Char),
-		arrivals: make([]int, len(types)),
-		fcErrSum: make([]float64, len(types)),
-		fcErrN:   make([]int, len(types)),
+		loop:     loop,
+		classes:  len(cfg.Char.Classes),
+		reg:      cfg.Registry,
+		labeler:  labeler,
+		arrivals: make([]int, len(loop.Types)),
+		fcErrSum: make([]float64, len(loop.Types)),
+		fcErrN:   make([]int, len(loop.Types)),
 		policy:   policy,
 	}
 
-	r := cfg.Registry
+	r := e.reg
 	tasks := r.CounterVec("harmonyd_tasks_ingested_total", "Tasks ingested, by priority group.", "group")
 	for _, g := range trace.Groups() {
 		e.mTasks[g.Index()] = tasks.With(g.String())
@@ -254,11 +229,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// NumTaskTypes returns the number of provisionable task types.
-func (e *Engine) NumTaskTypes() int { return len(e.types) }
-
-// PeriodSeconds returns the control period in model time.
-func (e *Engine) PeriodSeconds() float64 { return e.cfg.PeriodSeconds }
+// PolicyConfig returns the configuration the control loop runs at, every
+// default resolved (sched.Harmony.Config): its task types, its control
+// period in model time, and the price and switching costs a cost model
+// must bill.
+func (e *Engine) PolicyConfig() sched.HarmonyConfig { return e.loop }
 
 // Ingest records one arriving task: nearest-centroid classification
 // (short sub-class first), arrival accounting for the current window, and
@@ -297,50 +272,20 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 	}
 
 	e.mu.Lock()
-	e.now += e.cfg.PeriodSeconds
+	e.now += e.loop.PeriodSeconds
 	e.periodIdx++
 	now, idx := e.now, e.periodIdx
-
-	// Retire finished tasks and relabel the survivors by observed age —
-	// the paper's short-first policy: a short label is upgraded to long
-	// once the task outlives its sub-class boundary.
-	kept := e.open[:0]
-	relabels := 0
-	for _, ot := range e.open {
-		if ot.submit+ot.duration <= now {
-			continue
-		}
-		if next := e.labeler.RefreshIndex(ot.typ, now-ot.submit); next != ot.typ {
-			ot.typ = next
-			relabels++
-		}
-		kept = append(kept, ot)
-	}
-	e.open = kept
-	running := make([]int, len(e.types))
-	for _, ot := range e.open {
-		running[ot.typ]++
-	}
-	arr := append([]int(nil), e.arrivals...)
-	for i := range e.arrivals {
-		e.arrivals[i] = 0
-	}
-	active := make([]int, len(e.cfg.Machines))
-	if e.plan != nil {
-		for m, mp := range e.plan.Machines {
-			active[m] = mp.Active
-		}
-	}
+	obs, relabels := e.openLoopObservation(now)
 	// Forecast accuracy: compare the previous tick's one-period-ahead
 	// rate forecast with this window's observed arrivals (short types
 	// carry every arrival under label-short-first).
 	if e.prevForecast != nil {
 		sum, n := 0.0, 0
 		for i, r := range e.prevForecast {
-			if e.types[i].ID.Sub != 0 {
+			if e.loop.Types[i].ID.Sub != 0 {
 				continue
 			}
-			d := math.Abs(r*e.cfg.PeriodSeconds - float64(arr[i]))
+			d := math.Abs(r*e.loop.PeriodSeconds - float64(obs.Arrivals[i]))
 			e.fcErrSum[i] += d
 			e.fcErrN[i]++
 			sum += d
@@ -354,14 +299,6 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 	e.mu.Unlock()
 	e.mRelabels.Add(float64(relabels))
 	e.mOpen.Set(float64(openCount))
-
-	obs := &sim.Observation{
-		Time:     now,
-		Arrivals: arr,
-		Queued:   make([]int, len(e.types)),
-		Running:  running,
-		Active:   active,
-	}
 
 	type result struct {
 		plan *Plan
@@ -392,6 +329,54 @@ func (e *Engine) Tick(ctx context.Context) (*Plan, error) {
 		// when ready and further ticks are skipped until then.
 		return nil, fmt.Errorf("daemon: tick %d deadline: %w", idx, ctx.Err())
 	}
+}
+
+// openLoopObservation closes the arrival window and builds the policy's
+// observation at model time now, returning it with the number of
+// short-to-long relabels; e.mu must be held. harmonyd receives no report
+// from the cluster it plans for, so the observation is open loop and
+// duration-clairvoyant: every task is assumed to start the moment it
+// arrives (nothing is ever Queued) and to run for exactly the Duration it
+// declared at ingest (it leaves open then), and the cluster is assumed to
+// power exactly the last plan (Active). Survivors are relabeled by their
+// age, the paper's short-first policy: a short label is upgraded to long
+// once the task outlives its sub-class boundary. A cluster report of
+// queued, running and active counts is what would replace it.
+func (e *Engine) openLoopObservation(now float64) (*sim.Observation, int) {
+	kept := e.open[:0]
+	relabels := 0
+	for _, ot := range e.open {
+		if ot.submit+ot.duration <= now {
+			continue
+		}
+		if next := e.labeler.RefreshIndex(ot.typ, now-ot.submit); next != ot.typ {
+			ot.typ = next
+			relabels++
+		}
+		kept = append(kept, ot)
+	}
+	e.open = kept
+	running := make([]int, len(e.loop.Types))
+	for _, ot := range e.open {
+		running[ot.typ]++
+	}
+	arr := append([]int(nil), e.arrivals...)
+	for i := range e.arrivals {
+		e.arrivals[i] = 0
+	}
+	active := make([]int, len(e.loop.Machines))
+	if e.plan != nil {
+		for m, mp := range e.plan.Machines {
+			active[m] = mp.Active
+		}
+	}
+	return &sim.Observation{
+		Time:     now,
+		Arrivals: arr,
+		Queued:   make([]int, len(e.loop.Types)),
+		Running:  running,
+		Active:   active,
+	}, relabels
 }
 
 // solve runs the policy and publishes the resulting plan; it is only ever
@@ -442,10 +427,10 @@ func (e *Engine) buildPlan(idx int, now float64, dec *core.Decision) *Plan {
 	plan := &Plan{
 		PeriodIndex: idx,
 		ModelTime:   now,
-		Mode:        e.cfg.Mode.String(),
-		Machines:    make([]MachinePlan, len(e.cfg.Machines)),
+		Mode:        e.loop.Mode.String(),
+		Machines:    make([]MachinePlan, len(e.loop.Machines)),
 	}
-	for m, mt := range e.cfg.Machines {
+	for m, mt := range e.loop.Machines {
 		mp := MachinePlan{
 			Type:       mt.ID,
 			Platform:   mt.Platform,
@@ -506,9 +491,9 @@ func (e *Engine) Snapshot() Stats {
 	s.DeltaReusedTypes = uint64(e.mDeltaReuse.Value())
 	s.DeltaRepackedTypes = uint64(e.mDeltaRepack.Value())
 	s.DeltaFullRepacks = uint64(e.mDeltaFull.Value())
-	s.PeriodSeconds = e.cfg.PeriodSeconds
-	s.Classes = len(e.cfg.Char.Classes)
-	s.TaskTypes = len(e.types)
+	s.PeriodSeconds = e.loop.PeriodSeconds
+	s.Classes = e.classes
+	s.TaskTypes = len(e.loop.Types)
 	s.TotalActive = int(e.mActive.Value())
 	return s
 }
@@ -524,10 +509,10 @@ func (e *Engine) Snapshot() Stats {
 func (e *Engine) ForecastBacktest() map[string]float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]float64, len(e.cfg.Char.Classes))
+	out := make(map[string]float64, e.classes)
 	for i, n := range e.fcErrN {
 		if n > 0 {
-			out[fmt.Sprintf("class%d", e.types[i].ID.Class)] = e.fcErrSum[i] / float64(n)
+			out[fmt.Sprintf("class%d", e.loop.Types[i].ID.Class)] = e.fcErrSum[i] / float64(n)
 		}
 	}
 	return out
@@ -549,7 +534,7 @@ func Replay(cfg Config, tasks []trace.Task, ticks int) (*Plan, error) {
 	}
 	i := 0
 	for k := 1; k <= ticks; k++ {
-		boundary := float64(k) * e.cfg.PeriodSeconds
+		boundary := float64(k) * e.loop.PeriodSeconds
 		for i < len(tasks) && tasks[i].Submit < boundary {
 			if err := e.Ingest(tasks[i]); err != nil {
 				return nil, err

@@ -80,17 +80,23 @@ func TestNewEngineValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // the error names this
 	}{
-		{"no machines", func(c *Config) { c.Machines = nil }},
-		{"model mismatch", func(c *Config) { c.Models = c.Models[:1] }},
-		{"nil characterization", func(c *Config) { c.Char = nil }},
+		{"no machines", func(c *Config) { c.Machines = nil }, "machines"},
+		{"model mismatch", func(c *Config) { c.Models = c.Models[:1] }, "models"},
+		{"nil characterization", func(c *Config) { c.Char = nil }, "characterization"},
+		// Only 0 means a default: a negative period used to become 300,
+		// a negative horizon 2, and an unknown mode failed every tick.
+		{"negative period", func(c *Config) { c.PeriodSeconds = -300 }, "period"},
+		{"negative horizon", func(c *Config) { c.Horizon = -1 }, "Horizon"},
+		{"unknown mode", func(c *Config) { c.Mode = 7 }, "Mode"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testEngineConfig(t)
 			tc.mutate(&cfg)
-			if _, err := NewEngine(cfg); err == nil {
-				t.Error("invalid config accepted")
+			if _, err := NewEngine(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
@@ -101,11 +107,11 @@ func TestEngineDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.PeriodSeconds() != 300 {
-		t.Errorf("period = %v", e.PeriodSeconds())
+	if e.PolicyConfig().PeriodSeconds != 300 {
+		t.Errorf("period = %v", e.PolicyConfig().PeriodSeconds)
 	}
-	if e.NumTaskTypes() != 3 { // gratis short+long, production short
-		t.Errorf("task types = %d", e.NumTaskTypes())
+	if len(e.PolicyConfig().Types) != 3 { // gratis short+long, production short
+		t.Errorf("task types = %d", len(e.PolicyConfig().Types))
 	}
 	if _, err := e.Plan(); !errors.Is(err, ErrNoPlan) {
 		t.Errorf("plan before first tick: %v", err)
@@ -496,7 +502,7 @@ func TestForecastMAESettlesOnConstantArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	const perPeriod, ticks = 12, 40
-	period := e.PeriodSeconds()
+	period := e.PolicyConfig().PeriodSeconds
 	id := uint64(0)
 	for k := 0; k < ticks; k++ {
 		for i := 0; i < perPeriod; i++ {
@@ -524,7 +530,7 @@ func TestForecastBacktestScoresTheLoopsForecasts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	period := e.PeriodSeconds()
+	period := e.PolicyConfig().PeriodSeconds
 	id := uint64(0)
 	var prev []float64 // the forecast the last tick made
 	sum, n := 0.0, 0
@@ -561,7 +567,7 @@ func TestForecastBacktestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 300; k++ {
-		if err := e.Ingest(gratisTask(uint64(k), float64(k)*e.PeriodSeconds(), 60)); err != nil {
+		if err := e.Ingest(gratisTask(uint64(k), float64(k)*e.PolicyConfig().PeriodSeconds, 60)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Tick(context.Background()); err != nil {

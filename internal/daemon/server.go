@@ -48,7 +48,7 @@ type Server struct {
 // lane that drains the bounded queue into the engine.
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	cfg = cfg.WithDefaults()
-	r := eng.cfg.Registry
+	r := eng.reg
 	s := &Server{
 		Router:      NewRouter(r),
 		eng:         eng,

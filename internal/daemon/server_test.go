@@ -396,7 +396,7 @@ func TestStatsForecastBacktest(t *testing.T) {
 	id := uint64(1)
 	for k := 0; k < 12; k++ {
 		for j := 0; j < 3+k%3; j++ {
-			task := gratisTask(id, float64(k)*eng.PeriodSeconds()+float64(j), 60)
+			task := gratisTask(id, float64(k)*eng.PolicyConfig().PeriodSeconds+float64(j), 60)
 			if err := eng.Ingest(task); err != nil {
 				t.Fatal(err)
 			}
@@ -434,7 +434,7 @@ func TestRequestRouteLabelsBounded(t *testing.T) {
 	}
 	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	var series []string
-	for _, line := range strings.Split(eng.cfg.Registry.Render(), "\n") {
+	for _, line := range strings.Split(eng.reg.Render(), "\n") {
 		if strings.HasPrefix(line, "harmonyd_http_requests_total{") {
 			series = append(series, line)
 		}

@@ -19,7 +19,7 @@ import (
 
 // HarmonyConfig wires the full HARMONY pipeline into a sim.Policy.
 type HarmonyConfig struct {
-	Mode core.Mode // CBS or CBP
+	Mode core.Mode // CBS or CBP (0 means CBS)
 
 	Machines []trace.MachineType
 	Models   []energy.Model
@@ -27,7 +27,7 @@ type HarmonyConfig struct {
 	Price    energy.Price
 
 	PeriodSeconds float64
-	Horizon       int // MPC look-ahead W (>=1)
+	Horizon       int // MPC look-ahead W (0 means 2)
 
 	// SLODelay is the production group's target mean scheduling delay in
 	// seconds (0 means 120); the other groups' targets scale it by
@@ -42,7 +42,8 @@ type HarmonyConfig struct {
 	// type to compensate bin-packing inefficiency, finite and at least 1
 	// (Eq. 17; 0 means the default 1.05).
 	Omega float64
-	// SwitchCost[m] is the dollar cost of one machine on/off transition.
+	// SwitchCost[m] is the dollar cost of one machine on/off transition;
+	// nil switches for free, any other length than Machines' is an error.
 	SwitchCost []float64
 	// Predictor selects the forecasting model once minHistory periods
 	// have accumulated (before that an EWMA bootstrap is used).
@@ -170,7 +171,28 @@ type Harmony struct {
 	reserveMem []float64
 }
 
-// NewHarmony validates the configuration and builds the policy.
+// NewLoop assembles Algorithm 1's controller from a characterization:
+// the policy, over the characterization's task types with energy's
+// per-type switch costs (cfg.Types and cfg.SwitchCost are replaced), and
+// the labeler that types its tasks short-first. The facade and harmonyd
+// both build their loop here.
+func NewLoop(ch *classify.Characterization, cfg HarmonyConfig) (*Harmony, *classify.Labeler, error) {
+	if ch == nil {
+		return nil, nil, errors.New("sched: characterization required")
+	}
+	cfg.Types = ch.TaskTypes()
+	cfg.SwitchCost = energy.SwitchCosts(cfg.Models, energy.DefaultSwitchCostDollars)
+	h, err := NewHarmony(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, classify.NewLabeler(ch), nil
+}
+
+// NewHarmony validates the configuration and builds the policy. A zero
+// Mode, Horizon, Epsilon, Omega, Price or SLODelay takes its default and
+// a nil SwitchCost switches for free; a negative value, or any Mode but
+// CBS and CBP, is an error.
 func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if len(cfg.Machines) == 0 || len(cfg.Models) != len(cfg.Machines) {
 		return nil, errors.New("sched: machines/models mismatch")
@@ -178,10 +200,27 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 	if len(cfg.Types) == 0 {
 		return nil, errors.New("sched: no task types")
 	}
-	if !(cfg.PeriodSeconds > 0) || math.IsInf(cfg.PeriodSeconds, 1) {
-		return nil, fmt.Errorf("sched: period must be positive and finite, got %v", cfg.PeriodSeconds)
+	switch {
+	case cfg.SwitchCost == nil:
+		cfg.SwitchCost = make([]float64, len(cfg.Machines))
+	case len(cfg.SwitchCost) != len(cfg.Machines):
+		return nil, fmt.Errorf("sched: %d SwitchCost entries for %d machine types", len(cfg.SwitchCost), len(cfg.Machines))
 	}
-	if cfg.Horizon <= 0 {
+	if cfg.Mode == 0 {
+		cfg.Mode = core.CBS
+	}
+	if cfg.Mode != core.CBS && cfg.Mode != core.CBP {
+		return nil, fmt.Errorf("sched: Mode %d is neither CBS nor CBP", int(cfg.Mode))
+	}
+	// The seasonal forecasters' season is a day of periods, and no
+	// provisioning decision waits longer than that.
+	if !(cfg.PeriodSeconds > 0) || cfg.PeriodSeconds > trace.Day {
+		return nil, fmt.Errorf("sched: period must be positive and finite, at most a day, got %v", cfg.PeriodSeconds)
+	}
+	if cfg.Horizon < 0 {
+		return nil, fmt.Errorf("sched: Horizon %d is negative", cfg.Horizon)
+	}
+	if cfg.Horizon == 0 {
 		cfg.Horizon = 2
 	}
 	if cfg.Epsilon == 0 {
@@ -281,10 +320,6 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 
 	machines := make([]core.MachineSpec, len(cfg.Machines))
 	for i, mt := range cfg.Machines {
-		sw := 0.0
-		if cfg.SwitchCost != nil && i < len(cfg.SwitchCost) {
-			sw = cfg.SwitchCost[i]
-		}
 		machines[i] = core.MachineSpec{
 			Type:       mt.ID,
 			CPU:        mt.CPU,
@@ -293,7 +328,7 @@ func NewHarmony(cfg HarmonyConfig) (*Harmony, error) {
 			IdleWatts:  cfg.Models[i].IdleWatts,
 			AlphaCPU:   cfg.Models[i].AlphaCPU,
 			AlphaMem:   cfg.Models[i].AlphaMem,
-			SwitchCost: sw,
+			SwitchCost: cfg.SwitchCost[i],
 		}
 	}
 	h.ctrl = &core.Controller{
@@ -419,6 +454,10 @@ func snapToCatalog(c float64, caps []float64, omega, tolerance float64) float64 
 	}
 	return c
 }
+
+// Config returns the configuration the policy runs at, every default
+// resolved. Its slices are the policy's own: read them, do not write.
+func (h *Harmony) Config() HarmonyConfig { return h.cfg }
 
 // Name implements sim.Policy.
 func (h *Harmony) Name() string { return "harmony-" + h.cfg.Mode.String() }

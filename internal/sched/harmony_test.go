@@ -60,6 +60,9 @@ func TestNewHarmonyValidation(t *testing.T) {
 		// harmonyd -period NaN used to listen and then fail every tick.
 		{"NaN period", func(c *HarmonyConfig) { c.PeriodSeconds = nan }, "period"},
 		{"+Inf period", func(c *HarmonyConfig) { c.PeriodSeconds = inf }, "period"},
+		// Past a day the seasonal forecasters have no season, and at 1e20 s
+		// CBS-RELAX's coefficients break the simplex.
+		{"period over a day", func(c *HarmonyConfig) { c.PeriodSeconds = trace.Day + 1 }, "period"},
 		// Only 0 means "the default". NaN fails no x <= 0 test and used
 		// to reach the container sizes.
 		{"NaN epsilon", func(c *HarmonyConfig) { c.Epsilon = nan }, "Epsilon"},
@@ -75,6 +78,14 @@ func TestNewHarmonyValidation(t *testing.T) {
 		{"NaN SLO", func(c *HarmonyConfig) { c.SLODelay = nan }, "SLODelay"},
 		{"+Inf SLO", func(c *HarmonyConfig) { c.SLODelay = inf }, "SLODelay"},
 		{"negative SLO", func(c *HarmonyConfig) { c.SLODelay = -60 }, "SLODelay"},
+		// Only 0 means CBS; any other mode used to fail every tick in core.
+		{"unknown mode", func(c *HarmonyConfig) { c.Mode = 7 }, "Mode"},
+		{"negative mode", func(c *HarmonyConfig) { c.Mode = -1 }, "Mode"},
+		// A negative horizon used to become 2, and a short switch-cost
+		// table used to be padded with free transitions.
+		{"negative horizon", func(c *HarmonyConfig) { c.Horizon = -1 }, "Horizon"},
+		{"short switch costs", func(c *HarmonyConfig) { c.SwitchCost = []float64{0.01} }, "SwitchCost"},
+		{"long switch costs", func(c *HarmonyConfig) { c.SwitchCost = make([]float64, len(c.Machines)+1) }, "SwitchCost"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -115,14 +126,14 @@ func TestNewHarmonyDefaults(t *testing.T) {
 	}
 	// The sizing defaults every front door (facade, harmony-sim, harmonyd)
 	// inherits: nobody else writes these numbers.
-	zero := testHarmonyConfig(core.CBS)
+	zero := testHarmonyConfig(0)
 	zero.Horizon = 0
 	hz, err := NewHarmony(zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := hz.cfg; c.Epsilon != 0.25 || c.Omega != 1.05 || c.Horizon != 2 {
-		t.Errorf("defaults ε=%v ω=%v W=%d, want 0.25, 1.05, 2", c.Epsilon, c.Omega, c.Horizon)
+	if c := hz.Config(); c.Epsilon != 0.25 || c.Omega != 1.05 || c.Horizon != 2 || c.Mode != core.CBS {
+		t.Errorf("defaults ε=%v ω=%v W=%d mode %v, want 0.25, 1.05, 2, CBS", c.Epsilon, c.Omega, c.Horizon, c.Mode)
 	}
 	if len(h.reserveCPU) != 3 || len(h.reserveMem) != 3 {
 		t.Fatalf("reservations = %d/%d", len(h.reserveCPU), len(h.reserveMem))

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"harmony/internal/daemon"
-	"harmony/internal/energy"
 	"harmony/internal/metrics"
 	"harmony/internal/trace"
 )
@@ -47,11 +46,6 @@ type Group struct {
 	eng     *daemon.Engine
 	reg     *metrics.Registry
 	members []*tenantState
-
-	// Cost model inputs, mirrored from the effective engine config.
-	idleKW     []float64 // per machine type
-	switchCost []float64 // dollars per on/off transition, per type
-	periodH    float64   // model hours per period
 
 	// Accounting series, resolved once in New and read back by Snapshot.
 	ticks      *metrics.Counter
@@ -153,15 +147,6 @@ func New(cfg Config) (*Multi, error) {
 			return nil, fmt.Errorf("tenant: group %s engine: %w", g.name, err)
 		}
 		g.eng = eng
-		// The cost model prices what the engine provisions: the engine's
-		// resolved period, at the price and switching cost the engine
-		// itself takes from energy.
-		g.periodH = eng.PeriodSeconds() / 3600
-		g.idleKW = make([]float64, len(cfg.Base.Models))
-		g.switchCost = energy.SwitchCosts(cfg.Base.Models, energy.DefaultSwitchCostDollars)
-		for i, mdl := range cfg.Base.Models {
-			g.idleKW[i] = mdl.IdleWatts / 1000
-		}
 		for _, s := range members {
 			if s.Share == 0 {
 				s.Share = 1
@@ -279,20 +264,24 @@ func (m *Multi) Tick(ctx context.Context) (map[string]*daemon.Plan, error) {
 }
 
 // accountTick books one completed group tick: provisioning cost (idle
-// energy of powered machines plus switch transitions), SLO-violation
+// energy of powered machines plus switch transitions, at the period,
+// price and switching costs the group's engine plans with), SLO-violation
 // accounting (a period whose packing dropped containers under-provisioned
 // some class), and the tenant cost attribution weighted by share × tasks
 // ingested in the closed window.
 func (m *Multi) accountTick(g *Group, plan *daemon.Plan) {
+	loop := g.eng.PolicyConfig()
+	hours := loop.PeriodSeconds / 3600
+	price := loop.Price.At(plan.ModelTime)
 	g.mu.Lock()
 	cost := 0.0
 	for i, mp := range plan.Machines {
-		cost += float64(mp.Active) * g.idleKW[i] * g.periodH * energy.DefaultPricePerKWh
+		cost += float64(mp.Active) * (loop.Models[i].IdleWatts / 1000) * hours * price
 		delta := mp.Active - g.prevActive[i]
 		if delta < 0 {
 			delta = -delta
 		}
-		cost += float64(delta) * g.switchCost[i]
+		cost += float64(delta) * loop.SwitchCost[i]
 		g.prevActive[i] = mp.Active
 	}
 	g.cost.Set(g.cost.Value() + cost)
@@ -459,7 +448,7 @@ func Replay(cfg Config, tasks []trace.Task, ticks int) (map[string]*daemon.Plan,
 	if err != nil {
 		return nil, err
 	}
-	period := m.groups[0].eng.PeriodSeconds()
+	period := m.groups[0].eng.PolicyConfig().PeriodSeconds
 	i := 0
 	for k := 1; k <= ticks; k++ {
 		boundary := float64(k) * period

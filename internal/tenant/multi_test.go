@@ -210,39 +210,6 @@ func TestNewValidation(t *testing.T) {
 // streams below are laid out on it.
 const defaultPeriodSeconds = 300
 
-// TestCostDefaultsMatchEngine pins the cost model to the engine it
-// prices: each group bills the engine's resolved period and the
-// switching cost the engine itself runs at (energy's), rather than values
-// of its own. (The price is energy.DefaultPricePerKWh at the point of
-// use, as in the engine.)
-func TestCostDefaultsMatchEngine(t *testing.T) {
-	base := testBase(t)
-	eng, err := daemon.NewEngine(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.PeriodSeconds() != defaultPeriodSeconds {
-		t.Errorf("engine default period %v, tests assume %v",
-			eng.PeriodSeconds(), float64(defaultPeriodSeconds))
-	}
-	m, err := New(Config{Base: base, Tenants: []Spec{{Name: "app"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := m.groups[0]
-	if g.periodH*3600 != eng.PeriodSeconds() {
-		t.Errorf("cost model bills period %vs, engine runs %vs", g.periodH*3600, eng.PeriodSeconds())
-	}
-	maxSwitch := 0.0
-	for _, c := range g.switchCost {
-		maxSwitch = math.Max(maxSwitch, c)
-	}
-	if math.Abs(maxSwitch-energy.DefaultSwitchCostDollars) > 1e-12 {
-		t.Errorf("largest per-type switch cost %v, engine switching cost %v",
-			maxSwitch, energy.DefaultSwitchCostDollars)
-	}
-}
-
 // TestGroupCostInDollars pins one tick's provisioning cost in absolute
 // terms (the other cost tests compare runs, so a unit slip common to both
 // sides cancels): Table II idles at 60/120/140/260 W, a period is 300 s,
