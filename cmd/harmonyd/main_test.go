@@ -264,3 +264,66 @@ func TestRunMultiTenantServesUntilSIGTERM(t *testing.T) {
 		t.Errorf("final plans = %+v", final)
 	}
 }
+
+// TestTenantTagRouting pins how both modes treat a task's "tenant" tag.
+// Without -tenants the one implicit tenant takes every task whatever its
+// tag; a -tenants file declaring one tenant counts a task naming another
+// as invalid.
+func TestTenantTagRouting(t *testing.T) {
+	char := writeCharFile(t)
+	oneTenant := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(oneTenant, []byte(`{"tenants":[{"name":"web"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tagged := `{"id":1,"submit":5,"duration":60,"cpu":0.02,"mem":0.02,"priority":0,"tenant":"api"}` + "\n" +
+		`{"id":2,"submit":9,"duration":60,"cpu":0.02,"mem":0.02,"priority":0}` + "\n"
+	for _, tc := range []struct {
+		name              string
+		args              []string
+		accepted, invalid int
+	}{
+		{"single-tenant", nil, 2, 0},
+		{"one-tenant config", []string{"-tenants", oneTenant}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			ready := make(chan string, 1)
+			runErr := make(chan error, 1)
+			go func() {
+				args := append([]string{"-addr", "127.0.0.1:0", "-char", char, "-scale", "400"}, tc.args...)
+				runErr <- run(ctx, args, io.Discard, ready)
+			}()
+			defer func() {
+				cancel()
+				if err := <-runErr; err != nil {
+					t.Errorf("run: %v", err)
+				}
+			}()
+			var addr string
+			select {
+			case addr = <-ready:
+			case err := <-runErr:
+				runErr <- err
+				t.Fatalf("daemon exited early: %v", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("daemon never became ready")
+			}
+			resp, err := client.Post("http://"+addr+"/v1/tasks", "application/x-ndjson", strings.NewReader(tagged))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var reply struct {
+				Accepted int `json:"accepted"`
+				Invalid  int `json:"invalid"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusAccepted || reply.Accepted != tc.accepted || reply.Invalid != tc.invalid {
+				t.Errorf("status %d, %+v; want 202 with %d accepted and %d invalid",
+					resp.StatusCode, reply, tc.accepted, tc.invalid)
+			}
+		})
+	}
+}
