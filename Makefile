@@ -31,13 +31,15 @@ bench:
 # characterization and tenants-config loaders, the CSV and JSON-lines
 # task sources, the sparse LP engine against the dense tableau, the
 # pruned K-means kernel against plain Lloyd iterations, the controller
-# constructor's accept-or-decide promise); CI's
+# constructor's accept-or-decide promise, and the tenants constructors'
+# route-or-count-invalid and accept-or-decide promises); CI's
 # fuzz smoke runs this target. Each name is anchored: -fuzz must match one
 # target of its package. TestMakeFuzzRunsEveryTarget keeps the list whole.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTasks$$' -fuzztime 10s ./internal/daemon
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/classify
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/tenant
+	$(GO) test -run '^$$' -fuzz '^FuzzNew$$' -fuzztime 10s ./internal/tenant
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVSource$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLSource$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveMatchesDense$$' -fuzztime 10s ./internal/lp

@@ -7,11 +7,15 @@
 // a graceful shutdown: the ingest queue is flushed, a final tick runs,
 // and the final plan is written to stdout.
 //
-// With -tenants pointing at a tenants config file the daemon runs in
-// multi-tenant mode: tasks route by their "tenant" field, SLO-compatible
-// tenants share provisioning groups, and every group runs its own
-// pipeline. A single-tenant config reproduces the default daemon's plans
-// bit-for-bit.
+// Both modes run one front-end. Without -tenants the daemon serves one
+// implicit tenant (tenant.Single) that takes every task, whatever its
+// "tenant" field, and answers in the single-tenant wire shapes: a bare
+// plan, flat stats. With -tenants pointing at a tenants config file
+// (tenant.New) tasks route by their "tenant" field, SLO-compatible
+// tenants share provisioning groups, every group runs its own pipeline,
+// and plans and stats are keyed by group and tenant. A one-tenant config
+// plans bit-for-bit as the default daemon does. Either way the Multi is
+// served by tenant.NewServer under tenant.Run.
 package main
 
 import (
@@ -121,7 +125,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	srvCfg := daemon.ServerConfig{QueueSize: *queue, TickDeadline: *deadline}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
-	var fe daemon.Frontend
+	var m *tenant.Multi
 	if *tenantsPath != "" {
 		tf, err := os.Open(*tenantsPath)
 		if err != nil {
@@ -132,25 +136,22 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		if err != nil {
 			return fmt.Errorf("load tenants: %w", err)
 		}
-		m, err := tenant.New(tenant.Config{
+		if m, err = tenant.New(tenant.Config{
 			Base:         engCfg,
 			Tenants:      doc.Tenants,
 			SLOTolerance: doc.SLOTolerance,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
 		logger.Printf("harmonyd: multi-tenant: %d tenants, %d groups", len(doc.Tenants), len(m.Groups()))
-		fe = tenant.NewServer(m, srvCfg)
 	} else {
-		eng, err := daemon.NewEngine(engCfg)
-		if err != nil {
+		if m, err = tenant.Single(engCfg); err != nil {
 			return err
 		}
-		logger.Printf("harmonyd: period %.0fs, %d task types", eng.PolicyConfig().PeriodSeconds, len(eng.PolicyConfig().Types))
-		fe = daemon.NewServer(eng, srvCfg)
+		loop := m.Groups()[0].Engine().PolicyConfig()
+		logger.Printf("harmonyd: period %.0fs, %d task types", loop.PeriodSeconds, len(loop.Types))
 	}
-	return daemon.Run(ctx, fe, daemon.RunConfig{
+	return tenant.Run(ctx, tenant.NewServer(m, srvCfg), tenant.RunConfig{
 		Addr:      *addr,
 		TickEvery: *tickWall,
 		FinalPlan: out,

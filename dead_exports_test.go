@@ -21,7 +21,6 @@ var calledOnlyByTests = map[string]string{
 	"forecast.MovingAverage":       "test baseline in the Holt-Winters backtest comparison",
 	"forecast.Backtest":            "test harness that scores the forecasters against those baselines",
 	"lp.SolveWarm":                 "the lp tests' entry point: builds the standard form and solves it in one call",
-	"daemon.Replay":                "batch reference the daemon's streamed-ingest e2e tests compare against",
 	"tenant.Replay":                "batch reference the multi-tenant e2e tests compare against",
 }
 
@@ -32,8 +31,7 @@ var calledOnlyByTests = map[string]string{
 // same-named identifier elsewhere does not keep a dead one alive. A
 // method also counts as used when its type implements an interface that
 // non-test code names or calls through, and that interface has the method
-// (energy.FlatPrice.At is called through energy.Price, (*Router).ServeHTTP
-// by net/http through the http.Handler that daemon.Frontend embeds).
+// (energy.FlatPrice.At is called through energy.Price).
 func TestLibraryExportsHaveCallers(t *testing.T) {
 	libs := map[string]bool{}
 	for _, p := range []string{"stats", "binpack", "kmeans", "container", "queueing", "energy", "forecast", "trace", "metrics", "classify", "core", "daemon", "lp", "sched", "sim", "tenant"} {
@@ -49,8 +47,9 @@ func TestLibraryExportsHaveCallers(t *testing.T) {
 	}
 	used := map[string]bool{} // types.Func.FullName of every function or method used
 	// "path.Name" of every interface named or called through; fmt calls
-	// String through fmt.Stringer on whatever it formats.
-	ifaces := map[string]bool{"fmt.Stringer": true}
+	// String through fmt.Stringer on whatever it formats, and net/http
+	// ServeHTTP through http.Handler on whatever it serves.
+	ifaces := map[string]bool{"fmt.Stringer": true, "net/http.Handler": true}
 	for _, pkgs := range [][]*lint.Package{root, bench} {
 		for _, p := range pkgs {
 			collectUses(p.Info, used, ifaces)

@@ -123,7 +123,7 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 				t.ID, i, t.CPU, t.Mem, t.Duration)
 		}
 		gi := t.Group().Index()
-		ptsByGroup[gi] = append(ptsByGroup[gi], p)
+		ptsByGroup[gi] = append(ptsByGroup[gi], kmeans.Point{p[0], p[1]})
 		tasksByGroup[gi] = append(tasksByGroup[gi], t)
 	}
 
@@ -260,12 +260,13 @@ func subClassOf(durs []float64) SubClass {
 // logSizes returns t's position in the (log CPU, log Mem) space that
 // clustering and labeling share. ok is false when either size is not in
 // (0, +Inf): its log would be −Inf or NaN, which no distance survives.
-func logSizes(t *trace.Task) (p kmeans.Point, ok bool) {
+// The point is an array, so labeling a task allocates nothing.
+func logSizes(t *trace.Task) (p [2]float64, ok bool) {
 	cpu, mem := t.CPU, t.Mem
 	if !(cpu > 0 && mem > 0) || math.IsInf(cpu, 1) || math.IsInf(mem, 1) {
-		return nil, false
+		return p, false
 	}
-	return kmeans.Point{math.Log(cpu), math.Log(mem)}, true
+	return [2]float64{math.Log(cpu), math.Log(mem)}, true
 }
 
 // Label assigns a task to its nearest class (Euclidean distance in

@@ -155,6 +155,19 @@ func TestLabelNearestClass(t *testing.T) {
 	}
 }
 
+// TestLabelAllocFree lids the labeling every ingested task pays on the
+// online path: the nearest-centroid search allocates nothing.
+func TestLabelAllocFree(t *testing.T) {
+	ch, err := Characterize(syntheticTrace(), Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := trace.Task{CPU: 0.19, Mem: 0.16, Priority: 0}
+	if allocs := testing.AllocsPerRun(100, func() { ch.Label(task) }); allocs != 0 {
+		t.Errorf("Label allocates %v times, want 0", allocs)
+	}
+}
+
 func TestLabelerInitialAndRefresh(t *testing.T) {
 	ch, err := Characterize(syntheticTrace(), Config{Seed: 5})
 	if err != nil {

@@ -375,3 +375,12 @@ func BenchmarkDecodeTasks(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBodyTasks), "ns/task")
 }
+func taskNDJSON(tasks ...trace.Task) string {
+	var sb strings.Builder
+	for _, task := range tasks {
+		b, _ := json.Marshal(task)
+		sb.Write(b)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}

@@ -1,4 +1,4 @@
-package daemon
+package daemon_test
 
 import (
 	"bytes"
@@ -13,13 +13,16 @@ import (
 	"time"
 
 	"harmony/internal/classify"
+	"harmony/internal/daemon"
+	"harmony/internal/tenant"
 	"harmony/internal/trace"
 )
 
 // TestStreamingMatchesBatchReplay is the end-to-end acceptance test: a
-// generated trace prefix (>10k tasks) streamed through POST /v1/tasks in
-// NDJSON chunks across several control-period ticks must yield a plan
-// bit-identical to the batch pipeline (Replay) over the same prefix.
+// generated trace prefix (>10k tasks) streamed through single-tenant
+// harmonyd's POST /v1/tasks in NDJSON chunks across several
+// control-period ticks must yield a plan bit-identical to the batch
+// pipeline (tenant.Replay) over the same prefix.
 func TestStreamingMatchesBatchReplay(t *testing.T) {
 	const (
 		ticks  = 4
@@ -41,24 +44,28 @@ func TestStreamingMatchesBatchReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines, models := testCluster(100)
-	cfg := Config{Machines: machines, Models: models, Char: ch, PeriodSeconds: period}
+	machines, models := daemon.TestCluster(100)
+	cfg := daemon.Config{Machines: machines, Models: models, Char: ch, PeriodSeconds: period}
 
 	// Batch reference.
-	var batchPlan *Plan
-	within("Replay", func() { batchPlan, err = Replay(cfg, tasks, ticks) })
+	var batchPlans map[string]*daemon.Plan
+	daemon.Within("Replay", func() {
+		batchPlans, err = tenant.Replay(tenant.Config{Base: cfg, Tenants: []tenant.Spec{{Name: "app"}}}, tasks, ticks)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batchPlan := batchPlans["g0"]
 
 	// Streaming path: NDJSON chunks over HTTP, one forced tick per
 	// period boundary.
-	eng, err := NewEngine(cfg)
+	m, err := tenant.Single(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(eng, ServerConfig{})
-	t.Cleanup(func() { within("Server.Close", s.Close) })
+	eng := m.Groups()[0].Engine()
+	s := tenant.NewServer(m, daemon.ServerConfig{})
+	t.Cleanup(func() { daemon.Within("Server.Close", s.Close) })
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -77,7 +84,7 @@ func TestStreamingMatchesBatchReplay(t *testing.T) {
 				n = len(window)
 			}
 			resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
-				strings.NewReader(taskNDJSON(window[:n]...)))
+				strings.NewReader(daemon.TaskNDJSON(window[:n]...)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +131,7 @@ func TestStreamingMatchesBatchReplay(t *testing.T) {
 			streamJSON, buf.Bytes())
 	}
 
-	var plan Plan
+	var plan daemon.Plan
 	if err := json.Unmarshal(streamJSON, &plan); err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +151,19 @@ func TestStreamingMatchesBatchReplay(t *testing.T) {
 // signal.NotifyContext), and require a clean exit within the tick
 // deadline with the final plan flushed to the configured writer.
 func TestDaemonGracefulShutdown(t *testing.T) {
-	eng, err := NewEngine(testEngineConfig(t))
+	m, err := tenant.Single(daemon.TestEngineConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var finalPlan bytes.Buffer
 	const deadline = 10 * time.Second
 	ready := make(chan string, 1)
-	srv := NewServer(eng, ServerConfig{TickDeadline: deadline})
+	srv := tenant.NewServer(m, daemon.ServerConfig{TickDeadline: deadline})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- Run(ctx, srv, RunConfig{
+		runErr <- tenant.Run(ctx, srv, tenant.RunConfig{
 			Addr:      "127.0.0.1:0",
 			FinalPlan: &finalPlan,
 			Ready:     ready,
@@ -165,7 +172,7 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 	addr := <-ready
 
 	resp, err := http.Post("http://"+addr+"/v1/tasks", "application/x-ndjson",
-		strings.NewReader(taskNDJSON(gratisTask(1, 10, 60), gratisTask(2, 20, 60))))
+		strings.NewReader(daemon.TaskNDJSON(daemon.GratisTask(1, 10, 60), daemon.GratisTask(2, 20, 60))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +192,7 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 		t.Fatal("daemon did not shut down within the tick deadline")
 	}
 
-	var plan Plan
+	var plan daemon.Plan
 	if err := json.Unmarshal(finalPlan.Bytes(), &plan); err != nil {
 		t.Fatalf("final plan not valid JSON: %v\n%s", err, finalPlan.Bytes())
 	}

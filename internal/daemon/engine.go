@@ -8,8 +8,10 @@
 // The control loop is the same sched.Harmony policy the simulator drives,
 // fed synthetic observations built from the ingest state, so a streamed
 // trace prefix and a batch replay of the same prefix produce bit-identical
-// plans (Replay is that batch reference, and the end-to-end test asserts
-// the equivalence).
+// plans (tenant.Replay is that batch reference, and the end-to-end test
+// asserts the equivalence). The HTTP front-end that serves an engine is
+// tenant.Server; this package holds the engine and the shell that server
+// is built from: the Router, the ingest Lane and the task decoder.
 package daemon
 
 import (
@@ -17,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,8 +241,8 @@ func (e *Engine) PolicyConfig() sched.HarmonyConfig { return e.loop }
 // Ingest records one arriving task: nearest-centroid classification
 // (short sub-class first), arrival accounting for the current window, and
 // membership in the open set for later relabeling. It rejects a task that
-// fails trace.Task.Validate, which both HTTP front-ends already apply at
-// admission, for Replay and library callers.
+// fails trace.Task.Validate, which the HTTP front-end already applies at
+// admission, for batch replays and library callers.
 func (e *Engine) Ingest(t trace.Task) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -512,38 +515,8 @@ func (e *Engine) ForecastBacktest() map[string]float64 {
 	out := make(map[string]float64, e.classes)
 	for i, n := range e.fcErrN {
 		if n > 0 {
-			out[fmt.Sprintf("class%d", e.loop.Types[i].ID.Class)] = e.fcErrSum[i] / float64(n)
+			out["class"+strconv.Itoa(e.loop.Types[i].ID.Class)] = e.fcErrSum[i] / float64(n)
 		}
 	}
 	return out
-}
-
-// Replay is the batch reference for the streaming daemon: it drives a
-// fresh engine over the prefix of a task stream covered by the given
-// number of control periods — ingesting tasks in submit order and ticking
-// at every period boundary, exactly as the HTTP path would — and returns
-// the final plan. A trace streamed through POST /v1/tasks with a tick per
-// boundary must produce a bit-identical plan.
-func Replay(cfg Config, tasks []trace.Task, ticks int) (*Plan, error) {
-	if ticks <= 0 {
-		return nil, errors.New("daemon: replay needs at least one tick")
-	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for k := 1; k <= ticks; k++ {
-		boundary := float64(k) * e.loop.PeriodSeconds
-		for i < len(tasks) && tasks[i].Submit < boundary {
-			if err := e.Ingest(tasks[i]); err != nil {
-				return nil, err
-			}
-			i++
-		}
-		if _, err := e.Tick(context.Background()); err != nil {
-			return nil, fmt.Errorf("daemon: replay tick %d: %w", k, err)
-		}
-	}
-	return e.Plan()
 }

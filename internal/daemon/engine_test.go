@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -447,47 +446,6 @@ func TestTickDeadlinePublishesLate(t *testing.T) {
 	}
 	if plan, perr := e.Plan(); perr != nil || plan.PeriodIndex != 1 {
 		t.Fatalf("published plan: %+v, %v", plan, perr)
-	}
-}
-
-func TestReplayMatchesManualDrive(t *testing.T) {
-	cfg := testEngineConfig(t)
-	var tasks []trace.Task
-	for i := 0; i < 120; i++ {
-		tasks = append(tasks, gratisTask(uint64(i), float64(i*7), 90))
-	}
-	const ticks = 3
-
-	replayPlan, err := Replay(cfg, tasks, ticks)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e, err := NewEngine(testEngineConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for k := 1; k <= ticks; k++ {
-		for i < len(tasks) && tasks[i].Submit < float64(k)*300 {
-			if err := e.Ingest(tasks[i]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if _, err := e.Tick(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	manualPlan, err := e.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, _ := json.Marshal(replayPlan)
-	b, _ := json.Marshal(manualPlan)
-	if string(a) != string(b) {
-		t.Errorf("replay and manual plans differ:\n%s\n%s", a, b)
 	}
 }
 

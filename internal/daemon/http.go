@@ -7,14 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"harmony/internal/metrics"
 )
 
-// Router is the HTTP shell both front-ends share: a route table behind
-// panic recovery and per-route request counting, with /healthz and
-// /metrics. Each front-end registers its own handlers on it — their plan
-// and stats shapes differ — and embeds it to become an http.Handler.
+// Router is the HTTP shell of the front-end (tenant.Server): a route
+// table behind panic recovery and per-route request counting, with
+// /healthz and /metrics. The front-end registers its handlers on it and
+// embeds it to become an http.Handler.
 type Router struct {
 	*http.ServeMux
 	panics   *metrics.Counter
@@ -51,6 +52,28 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.requests.With(pattern).Inc()
 	rt.ServeMux.ServeHTTP(w, r)
+}
+
+// ServerConfig parameterizes the HTTP front-end.
+type ServerConfig struct {
+	// QueueSize caps the tasks waiting across every tenant's ingest
+	// queue, so one tenant cannot starve the rest of queue memory, and
+	// sizes each tenant queue whose Spec sets none (default 65536). Tasks
+	// beyond it are rejected with 429.
+	QueueSize int
+	// TickDeadline bounds each control-loop solve (default 30s).
+	TickDeadline time.Duration
+}
+
+// WithDefaults returns cfg with each unset field at its default.
+func (cfg ServerConfig) WithDefaults() ServerConfig {
+	if cfg.QueueSize <= 0 {
+		cfg.QueueSize = 65536
+	}
+	if cfg.TickDeadline <= 0 {
+		cfg.TickDeadline = 30 * time.Second
+	}
+	return cfg
 }
 
 // IngestReply is the body of a POST /v1/tasks answer in both modes.
@@ -91,19 +114,14 @@ func TickStatus(err error) int {
 	}
 }
 
-// encodeJSON writes v in the daemon's indented wire format.
-func encodeJSON(w io.Writer, v interface{}) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
 // WriteJSON answers a request with v as indented JSON.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
 	//harmony:allow errflow HTTP response write; the client disconnecting is not an error we can handle
-	_ = encodeJSON(w, v)
+	_ = enc.Encode(v)
 }
 
 // WriteJSONError answers a request with {"error": msg}.

@@ -16,9 +16,8 @@ type laneItem struct {
 
 // Lane is a bounded ingest queue drained by one worker goroutine into a
 // sink, so tasks apply in arrival order and a full queue rejects instead
-// of blocking the producer. It is the one ingest mechanism under both
-// HTTP front-ends: the single-tenant Server owns one lane, the
-// multi-tenant server one per tenant.
+// of blocking the producer. It is the ingest mechanism under the HTTP
+// front-end, which owns one lane per tenant (one in single-tenant mode).
 type Lane struct {
 	queue     chan laneItem
 	sink      func(trace.Task)
@@ -75,14 +74,6 @@ func (l *Lane) TryPush(t trace.Task) bool {
 // TryPush it waits for room on a full lane.
 func (l *Lane) Barrier(fn func()) {
 	l.queue <- laneItem{barrier: fn}
-}
-
-// Flush blocks until every task admitted before the call has been
-// applied to the sink.
-func (l *Lane) Flush() {
-	done := make(chan struct{})
-	l.Barrier(func() { close(done) })
-	<-done
 }
 
 // Len returns the number of items waiting on the lane.

@@ -34,7 +34,15 @@ func newTestLane(t *testing.T, size int) (*Lane, *recordingSink, *metrics.Gauge)
 	return l, sink, depth
 }
 
-// TestLaneFlushAppliesEarlierTasksInOrder: Flush returns only once every
+// flush blocks until every task admitted to l before the call has been
+// applied to the sink: a barrier, awaited.
+func flush(l *Lane) {
+	done := make(chan struct{})
+	l.Barrier(func() { close(done) })
+	<-done
+}
+
+// TestLaneFlushAppliesEarlierTasksInOrder: a flush returns only once every
 // task admitted before it has reached the sink, and the sink sees them in
 // arrival order.
 func TestLaneFlushAppliesEarlierTasksInOrder(t *testing.T) {
@@ -47,10 +55,10 @@ func TestLaneFlushAppliesEarlierTasksInOrder(t *testing.T) {
 			}
 			next++
 		}
-		l.Flush()
+		flush(l)
 		got := sink.applied()
 		if len(got) != round*10 {
-			t.Fatalf("round %d: Flush returned with %d of %d tasks applied", round, len(got), round*10)
+			t.Fatalf("round %d: flush returned with %d of %d tasks applied", round, len(got), round*10)
 		}
 		for i, id := range got {
 			if id != uint64(i) {
@@ -87,7 +95,7 @@ func TestLaneFullRejectsWithoutBlocking(t *testing.T) {
 	}
 
 	release()
-	l.Flush()
+	flush(l)
 	if got := sink.applied(); len(got) != 4 {
 		t.Errorf("after drain %d tasks applied, want the 4 admitted", len(got))
 	}
@@ -115,4 +123,19 @@ func TestLaneCloseDrainsAndJoins(t *testing.T) {
 		t.Error("Close returned before the worker exited")
 	}
 	l.Close()
+}
+
+// holdLane parks the lane's worker on a barrier, so the queue stays
+// exactly as full as the test makes it; the returned release lets the
+// worker drain again (and runs at cleanup regardless, before the lane's
+// owner closes it).
+func holdLane(t *testing.T, l *Lane) (release func()) {
+	t.Helper()
+	gate, parked := make(chan struct{}), make(chan struct{})
+	l.Barrier(func() { close(parked); <-gate })
+	<-parked
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
 }

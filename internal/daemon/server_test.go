@@ -1,4 +1,4 @@
-package daemon
+package daemon_test
 
 import (
 	"context"
@@ -9,55 +9,37 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
+	"harmony/internal/daemon"
+	"harmony/internal/metrics"
+	"harmony/internal/tenant"
 	"harmony/internal/trace"
 )
 
-func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *Engine) {
+// newTestServer serves one engine the way single-tenant harmonyd does: a
+// tenant.Single Multi behind tenant.NewServer. It returns the engine and
+// the registry /metrics renders.
+func newTestServer(t *testing.T, cfg daemon.ServerConfig) (*tenant.Server, *daemon.Engine, *metrics.Registry) {
 	t.Helper()
-	eng, err := NewEngine(testEngineConfig(t))
+	base := daemon.TestEngineConfig(t)
+	base.Registry = metrics.NewRegistry()
+	m, err := tenant.Single(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(eng, cfg)
-	t.Cleanup(func() { within("Server.Close", s.Close) })
-	return s, eng
-}
-
-// holdLane parks the lane's worker on a barrier, so the queue stays
-// exactly as full as the test makes it; the returned release lets the
-// worker drain again (and runs at cleanup regardless, before the lane's
-// owner closes it).
-func holdLane(t *testing.T, l *Lane) (release func()) {
-	t.Helper()
-	gate, parked := make(chan struct{}), make(chan struct{})
-	l.Barrier(func() { close(parked); <-gate })
-	<-parked
-	var once sync.Once
-	release = func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(release)
-	return release
-}
-
-func taskNDJSON(tasks ...trace.Task) string {
-	var sb strings.Builder
-	for _, task := range tasks {
-		b, _ := json.Marshal(task)
-		sb.Write(b)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	s := tenant.NewServer(m, cfg)
+	t.Cleanup(func() { daemon.Within("Server.Close", s.Close) })
+	return s, m.Groups()[0].Engine(), base.Registry
 }
 
 func TestIngestEndpoint(t *testing.T) {
-	s, eng := newTestServer(t, ServerConfig{})
+	s, eng, _ := newTestServer(t, daemon.ServerConfig{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
-		strings.NewReader(taskNDJSON(gratisTask(1, 10, 60), gratisTask(2, 20, 60))))
+		strings.NewReader(daemon.TaskNDJSON(daemon.GratisTask(1, 10, 60), daemon.GratisTask(2, 20, 60))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +47,7 @@ func TestIngestEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var ir IngestReply
+	var ir daemon.IngestReply
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -88,153 +70,8 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
-// TestIngestValidatesAtAdmission posts tasks that fail trace.Task.Validate
-// next to a valid one: the response counts them invalid rather than
-// accepted, they take no queue slot, and a body with nothing valid is a
-// 400 that names the reason.
-func TestIngestValidatesAtAdmission(t *testing.T) {
-	s, eng := newTestServer(t, ServerConfig{QueueSize: 1})
-	release := holdLane(t, s.lane)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	post := func(body string) (int, IngestReply) {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var ir IngestReply
-		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, ir
-	}
-
-	noCPU := gratisTask(1, 0, 60)
-	noCPU.CPU = 0
-	code, ir := post(taskNDJSON(noCPU, gratisTask(2, 1, 60)) + "null\n")
-	if code != http.StatusAccepted || ir.Accepted != 1 || ir.Invalid != 2 || ir.Rejected != 0 {
-		t.Errorf("mixed body: status %d response %+v, want 202 with 1 accepted and 2 invalid", code, ir)
-	}
-
-	code, ir = post(taskNDJSON(noCPU))
-	if code != http.StatusBadRequest || ir.Invalid != 1 || ir.Accepted != 0 ||
-		!strings.Contains(ir.Error, "demand out of (0,1]") {
-		t.Errorf("all-invalid body: status %d response %+v, want 400 naming the demand", code, ir)
-	}
-
-	release()
-	s.Flush()
-	if got := eng.Snapshot().TasksIngested; got != 1 {
-		t.Errorf("ingested = %d, want 1", got)
-	}
-	if got := s.mIngestErrs.Value(); got != 3 {
-		t.Errorf("invalid counter = %v, want 3", got)
-	}
-}
-
-func TestIngestBackpressure429(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 4})
-	release := holdLane(t, s.lane)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	var tasks []trace.Task
-	for i := 0; i < 10; i++ {
-		tasks = append(tasks, gratisTask(uint64(i), float64(i), 60))
-	}
-	resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
-		strings.NewReader(taskNDJSON(tasks...)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	var ir IngestReply
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatal(err)
-	}
-	if ir.Accepted != 4 || ir.Rejected != 6 || ir.Error == "" {
-		t.Errorf("response = %+v", ir)
-	}
-
-	// The queue drains once the worker runs, and draining frees capacity.
-	release()
-	s.Flush()
-	resp, err = http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
-		strings.NewReader(taskNDJSON(gratisTask(99, 99, 60))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Errorf("post-drain status = %d", resp.StatusCode)
-	}
-}
-
-// TestIngestBackpressureConcurrentProducers hammers a small queue from
-// concurrent producers and checks the accepted/rejected split adds up
-// exactly to the queue capacity — enqueue must not over-admit under
-// contention — and that rejections land on the 429 counter.
-func TestIngestBackpressureConcurrentProducers(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{QueueSize: 16})
-	holdLane(t, s.lane)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	const producers, perProducer = 8, 10
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	accepted, rejected := 0, 0
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var tasks []trace.Task
-			for i := 0; i < perProducer; i++ {
-				tasks = append(tasks, gratisTask(uint64(p*100+i), float64(i), 60))
-			}
-			resp, err := http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
-				strings.NewReader(taskNDJSON(tasks...)))
-			if err != nil {
-				t.Errorf("post: %v", err)
-				return
-			}
-			defer resp.Body.Close()
-			var ir IngestReply
-			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-				t.Errorf("decode: %v", err)
-				return
-			}
-			if ir.Rejected > 0 && resp.StatusCode != http.StatusTooManyRequests {
-				t.Errorf("rejected %d but status %d", ir.Rejected, resp.StatusCode)
-			}
-			mu.Lock()
-			accepted += ir.Accepted
-			rejected += ir.Rejected
-			mu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-
-	if accepted != 16 || rejected != producers*perProducer-16 {
-		t.Errorf("accepted %d rejected %d, want 16 and %d",
-			accepted, rejected, producers*perProducer-16)
-	}
-	if got := s.mRejected.Value(); got != float64(rejected) {
-		t.Errorf("rejected counter = %v, want %d", got, rejected)
-	}
-	if got := s.lane.Len(); got != 16 {
-		t.Errorf("queue depth = %d, want 16", got)
-	}
-}
-
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{})
+	s, _, _ := newTestServer(t, daemon.ServerConfig{})
 	s.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
@@ -268,7 +105,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 }
 
 func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
-	s, _ := newTestServer(t, ServerConfig{})
+	s, _, _ := newTestServer(t, daemon.ServerConfig{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -284,10 +121,10 @@ func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
 
 	var tasks []trace.Task
 	for i := 0; i < 30; i++ {
-		tasks = append(tasks, gratisTask(uint64(i), float64(i*10), 60))
+		tasks = append(tasks, daemon.GratisTask(uint64(i), float64(i*10), 60))
 	}
 	resp, err = http.Post(srv.URL+"/v1/tasks", "application/x-ndjson",
-		strings.NewReader(taskNDJSON(tasks...)))
+		strings.NewReader(daemon.TaskNDJSON(tasks...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +135,7 @@ func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tickPlan Plan
+	var tickPlan daemon.Plan
 	if err := json.NewDecoder(resp.Body).Decode(&tickPlan); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +148,7 @@ func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotPlan Plan
+	var gotPlan daemon.Plan
 	if err := json.NewDecoder(resp.Body).Decode(&gotPlan); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +162,7 @@ func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Stats
+		daemon.Stats
 		QueueDepth    int `json:"queueDepth"`
 		QueueCapacity int `json:"queueCapacity"`
 	}
@@ -366,7 +203,7 @@ func TestTickPlanStatsMetricsEndpoints(t *testing.T) {
 // /v1/stats exposes a per-class backtest MAE comparable with the offline
 // numbers.
 func TestStatsForecastBacktest(t *testing.T) {
-	s, eng := newTestServer(t, ServerConfig{})
+	s, eng, _ := newTestServer(t, daemon.ServerConfig{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -396,7 +233,7 @@ func TestStatsForecastBacktest(t *testing.T) {
 	id := uint64(1)
 	for k := 0; k < 12; k++ {
 		for j := 0; j < 3+k%3; j++ {
-			task := gratisTask(id, float64(k)*eng.PolicyConfig().PeriodSeconds+float64(j), 60)
+			task := daemon.GratisTask(id, float64(k)*eng.PolicyConfig().PeriodSeconds+float64(j), 60)
 			if err := eng.Ingest(task); err != nil {
 				t.Fatal(err)
 			}
@@ -428,13 +265,13 @@ func TestStatsForecastBacktest(t *testing.T) {
 // and requires the per-route counter to gain one series for them all,
 // labeled by no client-chosen text.
 func TestRequestRouteLabelsBounded(t *testing.T) {
-	s, eng := newTestServer(t, ServerConfig{})
+	s, _, reg := newTestServer(t, daemon.ServerConfig{})
 	for i := 0; i < 1000; i++ {
 		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, fmt.Sprintf("/nope/%d%%09x%%22", i), nil))
 	}
 	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	var series []string
-	for _, line := range strings.Split(eng.reg.Render(), "\n") {
+	for _, line := range strings.Split(reg.Render(), "\n") {
 		if strings.HasPrefix(line, "harmonyd_http_requests_total{") {
 			series = append(series, line)
 		}

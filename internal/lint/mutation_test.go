@@ -38,7 +38,7 @@ type edit struct{ file, old, new string }
 // TestStreamingMatchesBatchReplay, TestTickErrorKeepsLastPlan,
 // tenant.TestN1BitIdentical).
 var mutationTable = []mutant{
-	{"ticker is never stopped", []edit{{"internal/daemon/daemon.go",
+	{"ticker is never stopped", []edit{{"internal/tenant/run.go",
 		"ticker := time.NewTicker(cfg.TickEvery)\n\t\tdefer ticker.Stop()\n",
 		"ticker := time.NewTicker(cfg.TickEvery)\n"}},
 		[]string{"deferclose"}},
@@ -64,11 +64,11 @@ var mutationTable = []mutant{
 		"func Mean(xs []float64) float64 {\n\tif len(xs) == 0 {\n\t\treturn 0\n\t}\n",
 		"func Mean(xs []float64) float64 {\n"}},
 		[]string{"divzero"}},
-	{"final plan write error dropped", []edit{{"internal/daemon/daemon.go",
-		"if err := encodeJSON(cfg.FinalPlan, plan); err != nil {\n\t\t\t\tcfg.Log.Printf(\"harmonyd: final plan: %v\", err)\n\t\t\t}",
-		"encodeJSON(cfg.FinalPlan, plan)"}},
+	{"final plan write error dropped", []edit{{"internal/tenant/run.go",
+		"if err := enc.Encode(plan); err != nil {\n\t\t\t\tcfg.Log.Printf(\"harmonyd: final plan: %v\", err)\n\t\t\t}",
+		"enc.Encode(plan)"}},
 		[]string{"errflow"}},
-	{"serve error dropped by the go statement", []edit{{"internal/daemon/daemon.go",
+	{"serve error dropped by the go statement", []edit{{"internal/tenant/run.go",
 		"go func() { serveErr <- httpSrv.Serve(ln) }()",
 		"go httpSrv.Serve(ln)"}},
 		[]string{"errflow"}},
@@ -100,7 +100,7 @@ var mutationTable = []mutant{
 		"if n <= 0 {"}},
 		[]string{"nansource"}},
 	{"task sizes logged unvalidated", []edit{{"internal/classify/classify.go",
-		"\tif !(cpu > 0 && mem > 0) || math.IsInf(cpu, 1) || math.IsInf(mem, 1) {\n\t\treturn nil, false\n\t}\n",
+		"\tif !(cpu > 0 && mem > 0) || math.IsInf(cpu, 1) || math.IsInf(mem, 1) {\n\t\treturn p, false\n\t}\n",
 		""}},
 		[]string{"nansource"}},
 	{"characterization save error dropped", []edit{{"internal/classify/persist.go",

@@ -91,6 +91,9 @@ type Multi struct {
 	tenants []*tenantState // sorted by name
 	byName  map[string]*tenantState
 	single  *tenantState // untagged-ingest target when exactly one tenant
+	// implicit marks a Multi built by Single: its one tenant takes every
+	// task, and its group's errors read as the engine's.
+	implicit bool
 
 	mGroupActive  *metrics.GaugeVec
 	mGroupCont    *metrics.GaugeVec
@@ -99,7 +102,19 @@ type Multi struct {
 
 // New validates the configuration, groups the tenants, and builds one
 // engine per group.
-func New(cfg Config) (*Multi, error) {
+func New(cfg Config) (*Multi, error) { return build(cfg, false) }
+
+// Single builds the one-tenant Multi that single-tenant harmonyd serves:
+// one implicit tenant at base's SLO, in one group whose engine counts on
+// base.Registry. The implicit tenant takes every task, whatever its
+// tenant tag, and NewServer renders a Single Multi in the single-tenant
+// wire shapes.
+func Single(base daemon.Config) (*Multi, error) {
+	return build(Config{Base: base, Tenants: []Spec{{Name: "default", SLODelay: base.SLODelay}}}, true)
+}
+
+// build is New, or Single when implicit is set.
+func build(cfg Config, implicit bool) (*Multi, error) {
 	if err := ValidateSpecs(cfg.Tenants); err != nil {
 		return nil, err
 	}
@@ -123,6 +138,7 @@ func New(cfg Config) (*Multi, error) {
 	groupTicks := r.CounterVec("harmonyd_group_ticks_total", "Completed control-period ticks, by group.", "group")
 	m := &Multi{
 		cfg:           cfg,
+		implicit:      implicit,
 		byName:        make(map[string]*tenantState, len(cfg.Tenants)),
 		mGroupActive:  r.GaugeVec("harmonyd_group_machines_active", "Machines the group's current plan keeps powered.", "group"),
 		mGroupCont:    r.GaugeVec("harmonyd_group_containers_planned", "Container slots in the group's current plan.", "group"),
@@ -130,10 +146,14 @@ func New(cfg Config) (*Multi, error) {
 	}
 	for gi, members := range GroupSpecs(cfg.Tenants, cfg.SLOTolerance) {
 		name := fmt.Sprintf("g%d", gi)
+		reg := metrics.NewRegistry()
+		if implicit && cfg.Base.Registry != nil {
+			reg = cfg.Base.Registry
+		}
 		g := &Group{
 			name:       name,
 			slo:        members[0].SLODelay,
-			reg:        metrics.NewRegistry(),
+			reg:        reg,
 			ticks:      groupTicks.With(name),
 			violations: groupViol.With(name),
 			cost:       groupCost.With(name),
@@ -185,8 +205,12 @@ func sortTenants(xs []*tenantState) {
 func (m *Multi) Groups() []*Group { return m.groups }
 
 // resolve maps a task's tenant tag to its state. An empty tag routes to
-// the single tenant when exactly one is configured.
+// the single tenant when exactly one is configured, and any tag to the
+// implicit tenant of a Single Multi.
 func (m *Multi) resolve(name string) (*tenantState, error) {
+	if m.implicit {
+		return m.single, nil
+	}
 	if name == "" {
 		if m.single != nil {
 			return m.single, nil
@@ -254,8 +278,11 @@ func (m *Multi) Tick(ctx context.Context) (map[string]*daemon.Plan, error) {
 	plans := make(map[string]*daemon.Plan, len(m.groups))
 	var errs []error
 	for i, g := range m.groups {
-		if results[i].err != nil {
-			errs = append(errs, fmt.Errorf("group %s: %w", g.name, results[i].err))
+		if err := results[i].err; err != nil {
+			if !m.implicit {
+				err = fmt.Errorf("group %s: %w", g.name, err)
+			}
+			errs = append(errs, err)
 			continue
 		}
 		plans[g.name] = results[i].plan

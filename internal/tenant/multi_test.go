@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -153,6 +155,88 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
+// FuzzNew builds a controller from up to four fuzzed specs (the names
+// are split from one comma-separated string; queue sizes are capped at
+// 64) and a tolerance, or, with single set, from Single at the first
+// spec's SLO; its seed corpus is testdata/fuzz/FuzzNew. A configuration
+// New or Single accepts must route or count invalid every task of a
+// steady stream POSTed one task at a time (each tenant's tag, no tag, and
+// an unknown tag), Single's implicit tenant must take every one of them,
+// and every group must have decided within three ticks.
+func FuzzNew(f *testing.F) {
+	base := testBase(f)
+	f.Add(false, "web,api,batch", 60.0, 100.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0, 8, 1, 0, 0.0)
+	f.Add(true, "", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0.0)
+	f.Fuzz(func(t *testing.T, single bool, names string, slo0, slo1, slo2, slo3, share0, share1, share2, share3 float64, q0, q1, q2, q3 int, tol float64) {
+		slos := []float64{slo0, slo1, slo2, slo3}
+		shares := []float64{share0, share1, share2, share3}
+		queues := []int{q0, q1, q2, q3}
+		var specs []Spec
+		for i, name := range strings.SplitN(names, ",", 4) {
+			specs = append(specs, Spec{Name: name, SLODelay: slos[i], Share: shares[i], QueueSize: min(queues[i], 64)})
+		}
+		var m *Multi
+		var err error
+		if single {
+			cfg := base
+			cfg.SLODelay = slo0
+			m, err = Single(cfg)
+		} else {
+			m, err = New(Config{Base: base, Tenants: specs, SLOTolerance: tol})
+		}
+		if err != nil {
+			return
+		}
+		s := NewServer(m, daemon.ServerConfig{QueueSize: 64})
+		defer s.Close()
+		tags := []string{"", "ghost"}
+		for _, sp := range specs {
+			tags = append(tags, sp.Name)
+		}
+		posted, accepted, invalid := 0, 0, 0
+		for tick := 0; tick < 3; tick++ {
+			for i, tag := range tags {
+				for j, task := range []trace.Task{
+					gratisTask(uint64(posted), float64(300*tick+3*i), 60, tag),
+					gratisTask(uint64(posted+1), float64(300*tick+3*i+1), 60, tag),
+					prodTask(uint64(posted+2), float64(300*tick+3*i+2), 60, tag),
+				} {
+					w := httptest.NewRecorder()
+					s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/tasks", strings.NewReader(taskNDJSON(task))))
+					var ir daemon.IngestReply
+					if err := json.Unmarshal(w.Body.Bytes(), &ir); err != nil {
+						t.Fatalf("task %d: %v", j, err)
+					}
+					if ir.Accepted+ir.Invalid != 1 || single && ir.Accepted != 1 {
+						t.Fatalf("task tagged %q neither routed nor counted invalid (single=%v): %d %+v", tag, single, w.Code, ir)
+					}
+					accepted += ir.Accepted
+					invalid += ir.Invalid
+					s.Flush()
+				}
+				posted += 3
+			}
+			s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/tick", nil))
+		}
+		ingested := 0
+		for _, ts := range m.Snapshot().Tenants {
+			ingested += int(ts.TasksIngested)
+		}
+		if ingested != accepted || int(s.mIngestErrs.Value()) != invalid {
+			t.Fatalf("%d accepted and %d invalid, but tenants ingested %d and the invalid counter reads %v",
+				accepted, invalid, ingested, s.mIngestErrs.Value())
+		}
+		plans, _ := m.Plans()
+		for _, g := range m.Groups() {
+			if plans[g.Name()] == nil {
+				_, err := g.Engine().Plan()
+				t.Fatalf("accepted single=%v specs %+v tolerance %v, but group %s has no plan after three ticks (%v; last error %q)",
+					single, specs, tol, g.Name(), err, g.Engine().Snapshot().LastError)
+			}
+		}
+	})
+}
+
 func TestGroupSpecs(t *testing.T) {
 	specs := []Spec{
 		{Name: "slow", SLODelay: 500},
@@ -264,21 +348,12 @@ func filterNondet(render string) string {
 	return strings.Join(keep, "\n")
 }
 
-// TestN1BitIdentical is the equivalence contract: one tenant with the
-// default SLO reproduces the single-tenant daemon byte-for-byte — the
-// final plan, the stats snapshot, and the engine metrics (modulo the
-// wall-clock tick-latency histogram).
-func TestN1BitIdentical(t *testing.T) {
-	const periods = 3
-	tasks := stream(periods, "") // untagged: routes to the single tenant
-
-	// Reference: a bare engine driven exactly as daemon.Replay drives it,
-	// with a visible registry.
-	baseCfg := testBase(t)
-	reg := metrics.NewRegistry()
-	engCfg := baseCfg
-	engCfg.Registry = reg
-	eng, err := daemon.NewEngine(engCfg)
+// driveEngine is the N=1 reference: a bare engine over the stream,
+// ingesting in submit order and ticking at every period boundary, as
+// Replay drives a Multi.
+func driveEngine(t *testing.T, cfg daemon.Config, tasks []trace.Task, periods int) *daemon.Engine {
+	t.Helper()
+	eng, err := daemon.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +371,22 @@ func TestN1BitIdentical(t *testing.T) {
 			t.Fatalf("reference tick %d: %v", k, err)
 		}
 	}
+	return eng
+}
+
+// TestN1BitIdentical is the equivalence contract: one tenant with the
+// default SLO reproduces the single-tenant daemon byte-for-byte — the
+// final plan, the stats snapshot, and the engine metrics (modulo the
+// wall-clock tick-latency histogram).
+func TestN1BitIdentical(t *testing.T) {
+	const periods = 3
+	tasks := stream(periods, "") // untagged: routes to the single tenant
+
+	// Reference: a bare engine with a visible registry.
+	engCfg := testBase(t)
+	reg := metrics.NewRegistry()
+	engCfg.Registry = reg
+	eng := driveEngine(t, engCfg, tasks, periods)
 	wantPlan, err := eng.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +416,7 @@ func TestN1BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i = 0
+	i := 0
 	for k := 1; k <= periods; k++ {
 		boundary := float64(k) * defaultPeriodSeconds
 		for i < len(tasks) && tasks[i].Submit < boundary {

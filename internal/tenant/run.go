@@ -1,7 +1,8 @@
-package daemon
+package tenant
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,24 +12,7 @@ import (
 	"time"
 )
 
-// Frontend is what the run loop drives: an HTTP API over an ingest
-// pipeline and a control loop. The single-tenant Server and the
-// multi-tenant tenant.Server both satisfy it.
-type Frontend interface {
-	http.Handler
-	// ForceTick flushes the ingest lanes and runs one control period
-	// under the tick deadline. Like Plan it returns the plan document in
-	// its wire shape.
-	ForceTick(ctx context.Context) (interface{}, error)
-	// Plan returns the current plan document.
-	Plan() (interface{}, error)
-	// TickDeadline bounds each tick and the shutdown drain.
-	TickDeadline() time.Duration
-	// Close stops the ingest lanes once the listener is down.
-	Close()
-}
-
-// RunConfig parameterizes a daemon process.
+// RunConfig parameterizes a harmonyd process.
 type RunConfig struct {
 	// Addr is the listen address (e.g. ":8080"). Required.
 	Addr string
@@ -46,23 +30,24 @@ type RunConfig struct {
 	Ready chan<- string
 }
 
-// Run serves fe until ctx is cancelled (SIGINT/SIGTERM when the caller
+// Run serves s until ctx is cancelled (SIGINT/SIGTERM when the caller
 // wires signal.NotifyContext), then shuts down gracefully: the ingest
 // lanes are flushed, one final control tick runs under the tick deadline
-// so the last arrival window is provisioned, the final plan is written to
-// cfg.FinalPlan, the HTTP listener drains, and the lanes are closed.
-func Run(ctx context.Context, fe Frontend, cfg RunConfig) error {
+// so the last arrival window is provisioned, the final plan (in the
+// server's wire shape) is written to cfg.FinalPlan, the HTTP listener
+// drains, and the lanes are closed.
+func Run(ctx context.Context, s *Server, cfg RunConfig) error {
 	if cfg.Addr == "" {
-		return errors.New("daemon: listen address required")
+		return errors.New("tenant: listen address required")
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		return fmt.Errorf("daemon: listen %s: %w", cfg.Addr, err)
+		return fmt.Errorf("tenant: listen %s: %w", cfg.Addr, err)
 	}
-	httpSrv := &http.Server{Handler: fe}
+	httpSrv := &http.Server{Handler: s}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	cfg.Log.Printf("harmonyd: listening on %s", ln.Addr())
@@ -85,9 +70,9 @@ loop:
 		case <-ctx.Done():
 			break loop
 		case err := <-serveErr:
-			return fmt.Errorf("daemon: serve: %w", err)
+			return fmt.Errorf("tenant: serve: %w", err)
 		case <-tickC:
-			if _, err := fe.ForceTick(context.Background()); err != nil {
+			if _, err := s.tick(context.Background()); err != nil {
 				cfg.Log.Printf("harmonyd: tick: %v", err)
 			}
 		}
@@ -96,24 +81,26 @@ loop:
 	// Graceful shutdown: final flush + tick + plan dump, bounded by the
 	// tick deadline, then listener drain.
 	cfg.Log.Printf("harmonyd: shutting down")
-	if _, err := fe.ForceTick(context.Background()); err != nil {
+	if _, err := s.tick(context.Background()); err != nil {
 		cfg.Log.Printf("harmonyd: final tick: %v", err)
 	}
 	if cfg.FinalPlan != nil {
-		if plan, err := fe.Plan(); err == nil {
-			if err := encodeJSON(cfg.FinalPlan, plan); err != nil {
+		if plan, err := s.shape.plan(); err == nil {
+			enc := json.NewEncoder(cfg.FinalPlan)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(plan); err != nil {
 				cfg.Log.Printf("harmonyd: final plan: %v", err)
 			}
 		}
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), fe.TickDeadline())
+	shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.TickDeadline)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("daemon: shutdown: %w", err)
+		return fmt.Errorf("tenant: shutdown: %w", err)
 	}
 	<-serveErr // http.ErrServerClosed
 	// With the listener drained nothing can enqueue anymore; stop the
 	// ingest workers so no goroutine outlives Run.
-	fe.Close()
+	s.Close()
 	return nil
 }

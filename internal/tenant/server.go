@@ -6,20 +6,21 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"harmony/internal/daemon"
 	"harmony/internal/metrics"
 	"harmony/internal/trace"
 )
 
-// Server is the multi-tenant HTTP front-end: tenant-tagged streaming
-// ingest with per-tenant backpressure under a shared global cap, group
-// plan/tick endpoints, per-tenant and per-group stats, and metrics.
+// Server is harmonyd's HTTP front-end: tenant-tagged streaming ingest
+// with per-tenant backpressure under a shared global cap, the plan/tick
+// endpoints, stats, and metrics. It serves a Multi built by New in the
+// per-group shapes and one built by Single in the single-tenant shapes.
 type Server struct {
 	*daemon.Router
 	multi *Multi
 	cfg   daemon.ServerConfig
+	shape shape
 
 	// Each tenant has a private lane, so its tasks apply in arrival order
 	// and a slow tenant only backs up its own lane.
@@ -37,22 +38,98 @@ type Server struct {
 	mIngestErrs *metrics.Counter
 }
 
-// NewServer wires the multi-tenant controller behind the HTTP API and
-// starts one ingest lane per tenant. cfg.QueueSize caps the tasks waiting
-// across all lanes and sizes each lane whose Spec sets no QueueSize.
-func NewServer(m *Multi, cfg daemon.ServerConfig) *Server {
-	cfg = cfg.WithDefaults()
-	r := m.cfg.Registry
-	s := &Server{
-		Router:      daemon.NewRouter(r),
-		multi:       m,
-		cfg:         cfg,
-		lanes:       make(map[string]*daemon.Lane, len(m.tenants)),
-		mRejected:   r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because a tenant queue or the global cap was full."),
-		mIngestErrs: r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation or named an unknown tenant."),
+// shape is the part of the wire that depends on how the Multi was built:
+// the bodies of POST /v1/tick, GET /v1/plan and GET /v1/stats, the final
+// plan Run writes, and the registry /metrics serves.
+type shape struct {
+	reg   *metrics.Registry
+	depth func(tenant string) *metrics.Gauge // a lane's queue-depth gauge
+	tick  func(plans map[string]*daemon.Plan, err error) interface{}
+	plan  func() (interface{}, error)
+	stats func() interface{}
+}
+
+// groupShape renders a Multi built by New: plans keyed by group, the
+// tenant and group stats, and the multi-tenant registry at /metrics.
+func (s *Server) groupShape() shape {
+	m := s.multi
+	return shape{
+		reg:   m.cfg.Registry,
+		depth: m.cfg.Registry.GaugeVec("harmonyd_tenant_queue_depth", "Tasks waiting on the tenant's ingest queue.", "tenant").With,
+		tick: func(plans map[string]*daemon.Plan, err error) interface{} {
+			body := groupPlans{Groups: plans}
+			if err != nil {
+				body.Error = err.Error()
+			}
+			return body
+		},
+		plan: func() (interface{}, error) {
+			plans, err := m.Plans()
+			return groupPlans{Groups: plans}, err
+		},
+		stats: func() interface{} {
+			queues := make(map[string]queueStats, len(s.ordered))
+			for i, lane := range s.ordered {
+				queues[m.tenants[i].spec.Name] = queueStats{Depth: lane.Len(), Capacity: lane.Cap()}
+			}
+			return struct {
+				MultiStats
+				Queues      map[string]queueStats `json:"queues"`
+				GlobalDepth int64                 `json:"globalDepth"`
+				GlobalCap   int                   `json:"globalCap"`
+			}{m.Snapshot(), queues, s.globalDepth.Load(), s.cfg.QueueSize}
+		},
 	}
+}
+
+// singleShape renders a Multi built by Single as the single-tenant daemon
+// always has: its one group's bare plan, or {"error": …} for a failed
+// tick; the engine's stats with the queue and the forecast backtest; and
+// the engine's registry at /metrics.
+func (s *Server) singleShape() shape {
+	g := s.multi.groups[0]
+	depth := g.reg.Gauge("harmonyd_ingest_queue_depth", "Tasks waiting on the ingest queue.")
+	return shape{
+		reg:   g.reg,
+		depth: func(string) *metrics.Gauge { return depth },
+		tick: func(plans map[string]*daemon.Plan, err error) interface{} {
+			if err != nil {
+				return map[string]string{"error": err.Error()}
+			}
+			return plans[g.name]
+		},
+		plan: func() (interface{}, error) { return g.eng.Plan() },
+		stats: func() interface{} {
+			return struct {
+				daemon.Stats
+				QueueDepth    int `json:"queueDepth"`
+				QueueCapacity int `json:"queueCapacity"`
+				// ForecastBacktest is the mean absolute error per class
+				// (tasks/period) of every one-step forecast the loop made —
+				// the online counterpart of the offline rolling-origin
+				// numbers from internal/forecast.
+				ForecastBacktest map[string]float64 `json:"forecastBacktest,omitempty"`
+			}{g.eng.Snapshot(), s.ordered[0].Len(), s.ordered[0].Cap(), g.eng.ForecastBacktest()}
+		},
+	}
+}
+
+// NewServer wires the controller behind the HTTP API and starts one
+// ingest lane per tenant. cfg.QueueSize caps the tasks waiting across all
+// lanes and sizes each lane whose Spec sets no QueueSize. The wire shape
+// is chosen here, once, from how m was built.
+func NewServer(m *Multi, cfg daemon.ServerConfig) *Server {
+	s := &Server{multi: m, cfg: cfg.WithDefaults(), lanes: make(map[string]*daemon.Lane, len(m.tenants))}
+	if m.implicit {
+		s.shape = s.singleShape()
+	} else {
+		s.shape = s.groupShape()
+	}
+	r := s.shape.reg
+	s.Router = daemon.NewRouter(r)
+	s.mRejected = r.Counter("harmonyd_ingest_rejected_total", "Tasks rejected with 429 because an ingest queue or the global cap was full.")
+	s.mIngestErrs = r.Counter("harmonyd_ingest_invalid_total", "Tasks rejected because they failed validation or named an unknown tenant.")
 	s.push = s.enqueue
-	depthVec := r.GaugeVec("harmonyd_tenant_queue_depth", "Tasks waiting on the tenant's ingest queue.", "tenant")
 	// The sink releases the global-cap slot enqueue took for the task.
 	sink := func(t trace.Task) {
 		if err := m.Ingest(t); err != nil {
@@ -63,9 +140,9 @@ func NewServer(m *Multi, cfg daemon.ServerConfig) *Server {
 	for _, ts := range m.tenants {
 		size := ts.spec.QueueSize
 		if size <= 0 {
-			size = cfg.QueueSize
+			size = s.cfg.QueueSize
 		}
-		lane := daemon.NewLane(size, depthVec.With(ts.spec.Name), sink)
+		lane := daemon.NewLane(size, s.shape.depth(ts.spec.Name), sink)
 		s.lanes[ts.spec.Name] = lane
 		s.ordered = append(s.ordered, lane)
 	}
@@ -74,7 +151,9 @@ func NewServer(m *Multi, cfg daemon.ServerConfig) *Server {
 	s.HandleFunc("POST /v1/tick", s.handleTick)
 	s.HandleFunc("GET /v1/plan", s.handlePlan)
 	s.HandleFunc("GET /v1/stats", s.handleStats)
-	s.HandleFunc("GET /metrics/{group}", s.handleGroupMetrics)
+	if !m.implicit {
+		s.HandleFunc("GET /metrics/{group}", s.handleGroupMetrics)
+	}
 	return s
 }
 
@@ -99,9 +178,6 @@ func (s *Server) Flush() {
 	wg.Wait()
 }
 
-// TickDeadline returns the bound on each control-period solve.
-func (s *Server) TickDeadline() time.Duration { return s.cfg.TickDeadline }
-
 // enqueue pushes one task onto its tenant's lane, honoring both the
 // tenant's bound and the shared global cap. Admission against the global
 // cap is add-then-check with rollback: overshooting producers retreat, so
@@ -119,9 +195,9 @@ func (s *Server) enqueue(lane *daemon.Lane, t trace.Task) bool {
 }
 
 // handleTasks ingests a tenant-tagged task stream (object, array, or
-// NDJSON — the same wire formats as the single-tenant daemon). Each task
-// routes by its "tenant" field; a ?tenant= query parameter supplies the
-// tag for untagged tasks. Tasks naming unknown tenants or failing
+// NDJSON). Each task routes by its "tenant" field; a ?tenant= query
+// parameter supplies the tag for untagged tasks (a Single Multi's one
+// tenant takes every task). Tasks naming unknown tenants or failing
 // trace.Task.Validate are counted invalid at admission, and a body with
 // nothing valid is a 400 naming the first reason; a full tenant queue (or
 // the global cap) rejects the remainder of that tenant's tasks with 429.
@@ -177,40 +253,28 @@ type groupPlans struct {
 	Error  string                  `json:"error,omitempty"`
 }
 
-// ForceTick flushes every tenant lane and runs one control period for
-// all groups under the configured deadline. The returned document holds
-// the plans of the groups that ticked, and the error text if any did not.
-func (s *Server) ForceTick(parent context.Context) (interface{}, error) {
+// tick flushes every tenant lane and runs one control period for all
+// groups under the configured deadline, returning the plans of the groups
+// that ticked.
+func (s *Server) tick(parent context.Context) (map[string]*daemon.Plan, error) {
 	s.Flush()
 	ctx, cancel := context.WithTimeout(parent, s.cfg.TickDeadline)
 	defer cancel()
-	plans, err := s.multi.Tick(ctx)
-	body := groupPlans{Groups: plans}
-	if err != nil {
-		body.Error = err.Error()
-	}
-	return body, err
+	return s.multi.Tick(ctx)
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	body, err := s.ForceTick(r.Context())
-	daemon.WriteJSON(w, daemon.TickStatus(err), body)
-}
-
-// Plan returns the current per-group plans: what GET /v1/plan serves and
-// what the run loop dumps at shutdown.
-func (s *Server) Plan() (interface{}, error) {
-	plans, err := s.multi.Plans()
-	return groupPlans{Groups: plans}, err
+	plans, err := s.tick(r.Context())
+	daemon.WriteJSON(w, daemon.TickStatus(err), s.shape.tick(plans, err))
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	plans, err := s.Plan()
+	plan, err := s.shape.plan()
 	if err != nil {
 		daemon.WriteJSONError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	daemon.WriteJSON(w, http.StatusOK, plans)
+	daemon.WriteJSON(w, http.StatusOK, plan)
 }
 
 // queueStats is the per-tenant queue telemetry nested under /v1/stats.
@@ -220,22 +284,14 @@ type queueStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	queues := make(map[string]queueStats, len(s.ordered))
-	for i, lane := range s.ordered {
-		queues[s.multi.tenants[i].spec.Name] = queueStats{Depth: lane.Len(), Capacity: lane.Cap()}
-	}
-	daemon.WriteJSON(w, http.StatusOK, struct {
-		MultiStats
-		Queues      map[string]queueStats `json:"queues"`
-		GlobalDepth int64                 `json:"globalDepth"`
-		GlobalCap   int                   `json:"globalCap"`
-	}{s.multi.Snapshot(), queues, s.globalDepth.Load(), s.cfg.QueueSize})
+	daemon.WriteJSON(w, http.StatusOK, s.shape.stats())
 }
 
 // handleGroupMetrics serves one group engine's private registry — the
 // same families the single-tenant daemon exposes, scoped to the group.
 // (GET /metrics serves the multi-tenant registry: the tenant- and
-// group-labeled series plus the front-end's own counters.)
+// group-labeled series plus the front-end's own counters.) Only a Multi
+// built by New has the route.
 func (s *Server) handleGroupMetrics(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("group")
 	for _, g := range s.multi.groups {

@@ -452,13 +452,13 @@ func TestThreeTenantEndpoints(t *testing.T) {
 
 // TestN1EndToEndBitIdentical streams a single-tenant workload through the
 // multi-tenant HTTP path — POST /v1/tasks per period, POST /v1/tick at
-// each boundary — and checks the final plan is byte-for-byte the
-// single-tenant daemon.Replay plan.
+// each boundary — and checks the final plan is byte-for-byte the plan of
+// a bare engine driven over the same stream.
 func TestN1EndToEndBitIdentical(t *testing.T) {
 	const periods = 3
 	tasks := stream(periods, "app")
 
-	want, err := daemon.Replay(testBase(t), tasks, periods)
+	want, err := driveEngine(t, testBase(t), tasks, periods).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,12 @@
 // SLO-violation accounting, and an HTTP front-end with per-tenant
 // backpressure under a shared global cap.
 //
-// With exactly one tenant the group pipeline is configured identically to
-// the single-tenant daemon, so plans (and the deterministic engine
-// metrics) are bit-identical to daemon.Replay over the same stream — the
-// N=1 equivalence contract pinned by the tests in this package.
+// Single-tenant harmonyd is a one-tenant Multi (Single) served by the
+// same Server, which renders it in the single-tenant wire shapes. With
+// exactly one tenant the group pipeline is configured identically to a
+// bare daemon.Engine, so plans (and the deterministic engine metrics) are
+// bit-identical to an engine driven over the same stream — the N=1
+// equivalence contract pinned by the tests in this package.
 package tenant
 
 import (
