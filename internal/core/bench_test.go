@@ -123,7 +123,7 @@ func randomSized(r *rand.Rand, nm, nn, w int) *PlanInput {
 }
 
 // BenchmarkSolveRelaxedCold is the per-period cost without basis reuse:
-// every control period pays a full cold Big-M solve.
+// every control period pays a full cold solve from the crash basis.
 func BenchmarkSolveRelaxedCold(b *testing.B) {
 	seq := benchSequence()
 	b.ReportAllocs()

@@ -47,8 +47,8 @@ type Controller struct {
 	Mode          Mode
 
 	// basis carries the optimal simplex basis from the previous Step, so
-	// consecutive MPC solves warm-start instead of re-pivoting from a
-	// cold Big-M tableau. lp.SolveWarm factors its columns in the current
+	// consecutive MPC solves warm-start instead of re-pivoting from the
+	// cold crash basis. lp.SolveWarm factors its columns in the current
 	// problem and falls back to a cold solve if the catalog or horizon
 	// changed, so a stale basis can never change the answer.
 	basis *lp.Basis

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"harmony/internal/lp"
 )
 
 // twoTypes is a small fleet: an efficient small machine and a big machine.
@@ -271,4 +275,34 @@ func TestSolveRelaxedOmegaReservesHeadroom(t *testing.T) {
 	if math.Abs(sumInfl-sumPlain) < 1e-9 {
 		t.Errorf("omega had no effect (%v == %v)", sumInfl, sumPlain)
 	}
+}
+
+// TestBadlyScaledProgramIsNotUnbounded pins a program whose variables
+// are all bounded but whose coefficients span twenty orders of
+// magnitude (a 1e20 s period, 1e6 arrivals per class on the two smallest
+// Table II types): a solver that trusted its pivots answered
+// lp.ErrUnbounded. The answer must be a certified plan or an error that
+// names the scaling, never "unbounded".
+func TestBadlyScaledProgramIsNotUnbounded(t *testing.T) {
+	const doc = `{"PeriodSeconds":1e20,"Horizon":2,
+	"Machines":[{"Type":1,"CPU":0.08333333333333333,"Mem":0.0625,"Available":70,"IdleWatts":60,"AlphaCPU":45,"AlphaMem":15,"SwitchCost":0.005},
+		{"Type":2,"CPU":0.25,"Mem":0.5,"Available":15,"IdleWatts":120,"AlphaCPU":115,"AlphaMem":45,"SwitchCost":0.01}],
+	"Containers":[{"Type":0,"CPU":0.02553898851388876,"Mem":0.02553898851388876,"Value":8512996171296254,"Omega":1.05},
+		{"Type":1,"CPU":0.02553898851388876,"Mem":0.02553898851388876,"Value":102155954055555.05,"Omega":1.05},
+		{"Type":2,"CPU":0.12215595405555504,"Mem":0.12215595405555504,"Value":814373027037033600,"Omega":1.05}],
+	"Demand":[[50002,50002],[0,0],[1,1]],"Price":[0.08,0.08],"InitialActive":[0,0]}`
+	var in PlanInput
+	if err := json.Unmarshal([]byte(doc), &in); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := SolveRelaxed(&in)
+	switch {
+	case errors.Is(err, lp.ErrUnbounded):
+		t.Fatalf("a program with bounded variables: %v", err)
+	case err != nil && !strings.Contains(err.Error(), "scaled"):
+		t.Fatalf("the error does not name the scaling: %v", err)
+	case err == nil:
+		assertPlanFeasible(t, &in, plan)
+	}
+	t.Logf("err = %v", err)
 }

@@ -76,12 +76,12 @@ var mutationTable = []mutant{
 		"!(math.Abs(v-b) <= 1e-7*(1+math.Abs(b)))",
 		"v != b"}},
 		[]string{"floateq"}},
-	// The solvers' tie-breaks compare within eps; an exact one passes
-	// every test (ties at exactly equal values are rare) and only
-	// floateq notices.
-	{"entering tie-break made exact", []edit{{"internal/lp/sparse.go",
-		"math.Abs(mm-bestM) <= eps",
-		"mm == bestM"}},
+	// The solvers' tie-breaks and the certificate compare within a
+	// tolerance; an exact comparison passes every test (ties and gaps at
+	// exactly equal values are rare) and only floateq notices.
+	{"duality gap made exact", []edit{{"internal/lp/sparse.go",
+		"math.Abs(primal-dual) <= 1e-6*(1+math.Abs(primal))",
+		"primal == dual"}},
 		[]string{"floateq"}},
 	{"leaving tie-break made exact", []edit{{"internal/lp/sparse.go",
 		"math.Abs(ratio-best) <= tie",

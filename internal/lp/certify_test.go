@@ -6,24 +6,17 @@ import (
 )
 
 // solveCertified is a cold SolveWarm through a Standard whose solver the
-// caller can inspect afterwards. It reports whether the optimum was
-// certified: it was when it is artificial-free (and then the certificate
-// must hold, or solve would have failed); an optimum with an artificial
-// still basic at zero is not an optimum the certificate speaks to.
-func solveCertified(t *testing.T, p *Problem) (sol *Solution, certified bool, err error) {
+// caller can inspect afterwards, and which requires every optimum it
+// returns to hold its certificate — with an artificial left basic at
+// zero or without.
+func solveCertified(t *testing.T, p *Problem) (*Solution, error) {
 	t.Helper()
 	s := mustStandard(t, p)
-	sol, _, _, err = s.solve(nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if s.sv.mActive {
-		return sol, false, nil
-	}
-	if !s.sv.certified() {
+	sol, _, _, err := s.solve(nil)
+	if err == nil && !s.sv.certified() {
 		t.Fatal("solve returned an optimum that fails its certificate")
 	}
-	return sol, true, nil
+	return sol, err
 }
 
 // TestCertificateCatchesCorruptedWarmStart: basic values that no longer
@@ -144,5 +137,59 @@ func TestWarmSolveAllocatesOnlyItsResult(t *testing.T) {
 	}
 	if pivots == 0 {
 		t.Fatal("no warm period pivoted: the lid pins nothing")
+	}
+}
+
+// TestWarmBasisWithArtificialRestartsCold: of two parallel equality rows
+// without a crash column, phase 1 takes one artificial out and leaves the
+// other basic at zero, on a row no column can reach again. Phase 2 keeps
+// it there, the optimum is certified with it basic, and the basis
+// returned with it — which holds the artificial — restarts the next solve
+// cold (coldArtificial) with the same answer.
+func TestWarmBasisWithArtificialRestartsCold(t *testing.T) {
+	p := &Problem{NumVars: 2, Objective: []float64{1, 2}}
+	p.AddConstraint([]float64{1, 1}, EQ, 4)
+	p.AddConstraint([]float64{2, 2}, EQ, 8)
+	p.AddConstraint([]float64{1, 0}, LE, 3)
+	s := mustStandard(t, p)
+	sol, basis, _, err := s.solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Objective != 8 || !s.sv.certified() {
+		t.Fatalf("objective %v (want 8), certified %v", sol.Objective, s.sv.certified())
+	}
+	held := false
+	for _, c := range basis.cols {
+		held = held || c >= s.artStart
+	}
+	if !held {
+		t.Fatalf("basis %v holds no artificial: the program no longer leaves one basic", basis.cols)
+	}
+	again, _, outcome, err := s.solve(basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != coldArtificial || again.Objective != 8 {
+		t.Fatalf("warm from it: outcome %v, objective %v; want %v, 8", outcome, again.Objective, coldArtificial)
+	}
+}
+
+// TestCertificateRefusesPositiveArtificial: where phase 1 stops on an
+// infeasible program (x ≤ 1, x ≥ 3, a zero objective) the basic values
+// solve B·x_B = b, none is negative, and every dual check holds, but an
+// artificial is basic at 2: no point of the program, and the certificate
+// must say so.
+func TestCertificateRefusesPositiveArtificial(t *testing.T) {
+	p := &Problem{NumVars: 1, Objective: []float64{0}}
+	p.AddConstraint([]float64{1}, LE, 1)
+	p.AddConstraint([]float64{1}, GE, 3)
+	sv := newSparseSolver(&mustStandard(t, p).std)
+	sv.startCold()
+	if err := sv.runPhase1(); err != ErrInfeasible {
+		t.Fatalf("phase 1: %v, want ErrInfeasible", err)
+	}
+	if sv.certified() {
+		t.Fatal("a basis with an artificial at 2 certified")
 	}
 }

@@ -4,8 +4,10 @@ import "math"
 
 // SolveDense runs the dense tableau simplex — the original solver, kept
 // in a test file as the independent oracle the sparse revised simplex
-// (sparse.go) is differential-tested against. It shares Problem.validate,
-// betterThanZero and eps with the production solver and nothing else.
+// (sparse.go) is differential-tested against. It carries every cost as a
+// (real, Big-M) pair, where the engine runs a phase 1 instead, and shares
+// Problem.validate, eps and the iteration-limit error with it and nothing
+// else.
 func SolveDense(p *Problem) (*Solution, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -127,6 +129,18 @@ func newTableau(p *Problem) *tableau {
 	return t
 }
 
+// lexPositive reports whether the Big-M cost (M, real) is positive,
+// ordering by the M part first.
+func lexPositive(real, bigM float64) bool {
+	if bigM > eps {
+		return true
+	}
+	if bigM < -eps {
+		return false
+	}
+	return real > eps
+}
+
 func (t *tableau) run() error {
 	maxIter := 500 * (t.m + t.n + 10)
 	// Dantzig's rule is fast but can cycle on degenerate problems;
@@ -156,7 +170,7 @@ func (t *tableau) chooseEntering(bland bool) int {
 			if t.inB[j] || (t.artificial[j] && !t.inB[j] && t.isDeparted(j)) {
 				continue
 			}
-			if betterThanZero(t.rcR[j], t.rcM[j]) {
+			if lexPositive(t.rcR[j], t.rcM[j]) {
 				return j
 			}
 		}
@@ -171,7 +185,7 @@ func (t *tableau) chooseEntering(bland bool) int {
 			continue
 		}
 		r, mm := t.rcR[j], t.rcM[j]
-		if !betterThanZero(r, mm) {
+		if !lexPositive(r, mm) {
 			continue
 		}
 		if best < 0 || mm > bestM+eps || (math.Abs(mm-bestM) <= eps && r > bestR) {

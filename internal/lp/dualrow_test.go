@@ -231,10 +231,10 @@ func TestBtranRowMatchesDense(t *testing.T) {
 				}
 				cB := make([]float64, sv.m)
 				for k, bj := range sv.basis {
-					cB[k] = sv.cR[bj]
+					cB[k] = sv.c[bj]
 				}
 				sv.computeDuals()
-				closeTo(t, "duals", sv.yR, d.solveT(cB))
+				closeTo(t, "duals", sv.y, d.solveT(cB))
 				for row := 0; row < sv.m; row++ {
 					e := make([]float64, sv.m)
 					e[row] = 1
@@ -272,7 +272,7 @@ func (sv *sparseSolver) dualPivotColumns() (bool, error) {
 	sv.btranRow(r)
 	enter, bestRatio := -1, math.Inf(1)
 	for j := 0; j < sv.n; j++ {
-		if sv.inB[j] || sv.artificial[j] {
+		if sv.inB[j] || j >= sv.artStart {
 			continue
 		}
 		col := &sv.cols[j]
@@ -299,7 +299,7 @@ func (sv *sparseSolver) dualPivotColumns() (bool, error) {
 	}
 	theta := rc[enter] / wrow[enter]
 	for j := 0; j < sv.n; j++ {
-		if sv.inB[j] || sv.artificial[j] {
+		if sv.inB[j] || j >= sv.artStart {
 			continue
 		}
 		v := rc[j] - theta*wrow[j]

@@ -145,8 +145,7 @@ func disagreement(want, got *Solution, wantErr, gotErr error) string {
 
 // FuzzSolveMatchesDense differential-tests the sparse engine against the
 // dense tableau on programs biased to degenerate and near-singular
-// structure, asserts the optimality certificate on its artificial-free
-// optima, then runs the warm leg of an MPC period: the program's
+// structure, asserts the optimality certificate on every optimum, then runs the warm leg of an MPC period: the program's
 // optimal basis seeds a perturbed program, which must get a cold solve's
 // verdict and objective. The float tableau is not always right on such
 // programs — its incrementally updated Big-M reduced costs can drift past
@@ -163,8 +162,8 @@ func FuzzSolveMatchesDense(f *testing.F) {
 		ds, derr := SolveDense(p)
 		s := mustStandard(t, p)
 		ss, basis, _, serr := s.solve(nil)
-		if serr == nil && !s.sv.mActive && !s.sv.certified() {
-			t.Fatal("an artificial-free optimum fails its certificate")
+		if serr == nil && !s.sv.certified() {
+			t.Fatal("an optimum fails its certificate")
 		}
 		if d := disagreement(ds, ss, derr, serr); d != "" {
 			exact, xerr := solveExact(p)

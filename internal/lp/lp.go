@@ -1,23 +1,25 @@
-// Package lp provides primal simplex solvers for linear programs
+// Package lp provides a primal simplex solver for linear programs
 //
 //	maximize  c·x
 //	subject to  A x {<=,=,>=} b,  x >= 0
 //
 // It is the optimization substrate behind CBS-RELAX (Eq. 14-16 of the
 // paper): with a concave piecewise-linear utility the relaxed provisioning
-// problem is exactly an LP. The solver uses the Big-M method for equality
-// and >= rows (with the M component of every cost tracked symbolically,
-// so no literal large constant is needed) and pivots by Dantzig's rule
-// with a Bland fallback that guarantees termination on degenerate
-// instances.
+// problem is exactly an LP. A cold solve starts from a crash basis — each
+// row's slack, or a column whose only nonzero is in that row — and runs
+// a phase 1 that drives an artificial column to zero only for the
+// equality and >= rows that have neither (CBS-RELAX has none). Every
+// column carries one cost. The solver pivots by Dantzig's rule with a
+// Bland fallback that guarantees termination on degenerate instances.
 //
-// Solve and SolveWarm (sparse.go) are the only solver: a sparse revised
-// simplex over an LU factorization of the basis (factor.go) plus an eta
-// file of the pivots since, with warm starts from a previous optimal
-// basis and an O(nnz) optimality certificate on every optimum it
-// returns. The original dense tableau lives in dense_test.go as the
-// independent oracle the sparse engine is differential-tested against,
-// beside an exact rational simplex that settles the fuzz target's
+// SolveWarm and Standard.SolveWarm (sparse.go) are the only solver: a
+// sparse revised simplex over an LU factorization of the basis
+// (factor.go) plus an eta file of the pivots since, with warm starts
+// from a previous optimal basis, an O(nnz) optimality certificate on
+// every optimum it returns and an O(nnz) check of the ray behind every
+// "unbounded". The original Big-M tableau lives in dense_test.go as the
+// independent oracle the engine is differential-tested against, beside
+// an exact rational simplex that settles the fuzz target's
 // disagreements; no non-test code can reach either.
 package lp
 
@@ -97,15 +99,4 @@ func (p *Problem) validate() error {
 		}
 	}
 	return nil
-}
-
-// betterThanZero reports whether lexicographic cost (M, real) is positive.
-func betterThanZero(real, bigM float64) bool {
-	if bigM > eps {
-		return true
-	}
-	if bigM < -eps {
-		return false
-	}
-	return real > eps
 }

@@ -1,5 +1,5 @@
 // Sparse revised simplex with an LU-factored basis and product-form (eta)
-// updates — the production engine behind Solve and SolveWarm.
+// updates — the production engine behind SolveWarm.
 //
 // The CBS-RELAX constraint matrix is overwhelmingly sparse: every
 // x(m,n,t) column touches a capacity row pair and one scheduled-count
@@ -27,12 +27,13 @@
 // infeasible set of columns but never carry a wrong inverse. Every
 // optimum, warm or cold, is checked by an O(nnz) certificate (primal
 // feasibility, dual feasibility, zero duality gap) before it is
-// returned; a warm solve that is refused at any step — shape, singular
-// columns, a capture-time right-hand side the basis is infeasible for,
-// an abandoned repair, a failed certificate — restarts cold, and says
-// why (warmOutcome). A cold optimum that fails its certificate is
-// re-run once from basic values recomputed through a fresh factor, and
-// refused if it fails again.
+// returned; a warm solve that is refused at any step — shape, an
+// artificial column, singular columns, a capture-time right-hand side
+// the basis is infeasible for, an abandoned repair, a failed certificate
+// — restarts cold, and says why (warmOutcome). A cold optimum that fails
+// its certificate is re-run once from basic values recomputed through a
+// fresh factor, and refused if it fails again. "Unbounded" likewise is
+// said only on a ray that checks out (rayHolds).
 //
 // What a solve costs before its first pivot: NewStandard reads every
 // dense row once, O(rows·vars), and allocates the column-wise matrix
@@ -93,17 +94,19 @@ type Basis struct {
 }
 
 // std is a Problem in computational standard form: non-negative RHS,
-// slack and artificial columns appended, costs carried as (real, Big-M)
-// pairs, and the matrix stored column-wise — and, without the artificial
-// columns, row-wise (column indices ascending) for the dual simplex's
-// pivot row.
+// slack and artificial columns appended, one cost per column, and the
+// matrix stored column-wise — and, without the artificial columns,
+// row-wise (column indices ascending) for the dual simplex's pivot row.
+// The artificial columns are the last ones, from artStart on; phase1 is
+// the cost vector phase 1 prices them with (nil when there is none).
 type std struct {
 	m, n       int
 	cols       []spCol
 	rows       []spCol
 	b          []float64
-	cR, cM     []float64
-	artificial []bool
+	c          []float64
+	phase1     []float64
+	artStart   int
 	structural int
 	initBasis  []int
 }
@@ -124,109 +127,95 @@ type Standard struct {
 	sv      *sparseSolver // made by the first solve, reset by every one
 }
 
-// NewStandard validates p and puts it in standard form, mirroring the
-// dense tableau's setup exactly: rows with negative RHS are flipped, LE
-// rows get a +1 slack, GE rows a -1 surplus plus a +1 artificial, EQ rows
-// a +1 artificial; artificial columns carry cost (0, -1) in (real, M)
-// terms. p is not retained.
+// NewStandard validates p and puts it in standard form: rows with
+// negative RHS are flipped, LE rows get a +1 slack and GE rows a -1
+// surplus. It also picks the crash basis the cold solve starts from. An
+// LE row starts from its slack. An EQ or GE row starts from a structural
+// column that has its only nonzero there, and a positive one — the
+// lowest-numbered such column — at the value b_i/a_ij ≥ 0, which moves
+// no other row. A row without one gets a +1 artificial column, which
+// phase 1 drives to zero. Every CBS-RELAX switching row (Eq. 12,
+// z_t − z_{t−1} − δ⁺ + δ⁻ = b) has such a column, δ⁻, or δ⁺ where a
+// negative b flipped the row, so CBS-RELAX needs no artificial and its
+// cold solve starts primal feasible. p is not retained.
 func NewStandard(p *Problem) (*Standard, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	m := len(p.Constraints)
-	senses := make([]Sense, m)
-	slacks, arts := 0, 0
-	flipped := make([]bool, m)
-	for i, c := range p.Constraints {
-		senses[i] = c.Sense
-		if c.RHS < 0 {
-			flipped[i] = true
-			switch c.Sense {
-			case LE:
-				senses[i] = GE
-			case GE:
-				senses[i] = LE
-			}
-		}
-		switch senses[i] {
-		case LE:
-			slacks++
-		case GE:
-			slacks++
-			arts++
-		case EQ:
-			arts++
-		}
-	}
-	n := p.NumVars + slacks + arts
-	s := &Standard{flipped: flipped, std: std{
-		m: m, n: n,
-		cols:       make([]spCol, n),
+	s := &Standard{flipped: make([]bool, m), std: std{
+		m:          m,
 		b:          make([]float64, m),
-		cR:         make([]float64, n),
-		cM:         make([]float64, n),
-		artificial: make([]bool, n),
 		structural: p.NumVars,
 		initBasis:  make([]int, m),
 	}}
-	copy(s.cR, p.Objective)
+	cols := make([]spCol, p.NumVars, p.NumVars+2*m)
+	senses := make([]Sense, m)
 	// Row-major append keeps each column's row indices ascending.
 	for i, c := range p.Constraints {
-		s.b[i] = c.RHS
-		if flipped[i] {
-			s.b[i] = -c.RHS
+		sign := 1.0
+		senses[i] = c.Sense
+		if c.RHS < 0 {
+			s.flipped[i], sign = true, -1
+			if c.Sense != EQ {
+				senses[i] = LE + GE - c.Sense
+			}
 		}
+		s.b[i] = sign * c.RHS
 		for j, v := range c.Coeffs {
-			if v == 0 {
-				continue
+			if v != 0 {
+				cols[j].idx = append(cols[j].idx, int32(i))
+				cols[j].val = append(cols[j].val, sign*v)
 			}
-			if flipped[i] {
-				v = -v
-			}
-			s.cols[j].idx = append(s.cols[j].idx, int32(i))
-			s.cols[j].val = append(s.cols[j].val, v)
 		}
 	}
-	slackCol := p.NumVars
-	artCol := p.NumVars + slacks
+	for i := range s.initBasis {
+		s.initBasis[i] = -1
+	}
+	for j, c := range cols {
+		if len(c.idx) == 1 && c.val[0] > 0 && senses[c.idx[0]] != LE && s.initBasis[c.idx[0]] < 0 {
+			s.initBasis[c.idx[0]] = j
+		}
+	}
 	for i, sense := range senses {
 		switch sense {
 		case LE:
-			s.cols[slackCol] = unitCol(i, 1)
-			s.initBasis[i] = slackCol
-			slackCol++
+			s.initBasis[i] = len(cols)
+			cols = append(cols, unitCol(i, 1))
 		case GE:
-			s.cols[slackCol] = unitCol(i, -1)
-			slackCol++
-			s.cols[artCol] = unitCol(i, 1)
-			s.artificial[artCol] = true
-			s.cM[artCol] = -1
-			s.initBasis[i] = artCol
-			artCol++
-		case EQ:
-			s.cols[artCol] = unitCol(i, 1)
-			s.artificial[artCol] = true
-			s.cM[artCol] = -1
-			s.initBasis[i] = artCol
-			artCol++
+			cols = append(cols, unitCol(i, -1))
 		}
 	}
-	s.rows = transpose(s.cols, s.artificial, m)
+	s.artStart = len(cols)
+	for i, bj := range s.initBasis {
+		if bj < 0 {
+			s.initBasis[i] = len(cols)
+			cols = append(cols, unitCol(i, 1))
+		}
+	}
+	s.n, s.cols = len(cols), cols
+	s.c = make([]float64, s.n)
+	copy(s.c, p.Objective)
+	if s.artStart < s.n {
+		s.phase1 = make([]float64, s.n)
+		for j := s.artStart; j < s.n; j++ {
+			s.phase1[j] = -1
+		}
+	}
+	s.rows = transpose(s.cols[:s.artStart], m)
 	return s, nil
 }
 
-// transpose returns the m rows of the columns not skipped, each row's
-// column indices ascending.
-func transpose(cols []spCol, skip []bool, m int) []spCol {
+// transpose returns the m rows of cols, each row's column indices
+// ascending.
+func transpose(cols []spCol, m int) []spCol {
 	count := make([]int, m)
 	nnz := 0
-	for j, c := range cols {
-		if !skip[j] {
-			for _, i := range c.idx {
-				count[i]++
-			}
-			nnz += len(c.idx)
+	for _, c := range cols {
+		for _, i := range c.idx {
+			count[i]++
 		}
+		nnz += len(c.idx)
 	}
 	idx, val := make([]int32, nnz), make([]float64, nnz)
 	rows := make([]spCol, m)
@@ -236,12 +225,10 @@ func transpose(cols []spCol, skip []bool, m int) []spCol {
 		off += c
 	}
 	for j, c := range cols {
-		if !skip[j] {
-			for q, i := range c.idx {
-				r := &rows[i]
-				r.idx = append(r.idx, int32(j))
-				r.val = append(r.val, c.val[q])
-			}
+		for q, i := range c.idx {
+			r := &rows[i]
+			r.idx = append(r.idx, int32(j))
+			r.val = append(r.val, c.val[q])
 		}
 	}
 	return rows
@@ -252,13 +239,14 @@ func transpose(cols []spCol, skip []bool, m int) []spCol {
 // the caller states them), and reports whether the result is exactly the
 // standard form NewStandard would build from the problem so changed. It
 // is not when a length is off or an RHS changed sign, which would flip a
-// row and re-assign its slack and artificial columns; the Standard is
-// then left partly refilled and the caller must build a new one.
+// row and re-assign its slack, crash and artificial columns; the
+// Standard is then left partly refilled and the caller must build a new
+// one.
 func (s *Standard) Refill(objective, rhs []float64) bool {
 	if len(objective) != s.structural || len(rhs) != s.m {
 		return false
 	}
-	copy(s.cR, objective)
+	copy(s.c, objective)
 	for i, v := range rhs {
 		if (v < 0) != s.flipped[i] {
 			return false
@@ -288,13 +276,18 @@ type sparseSolver struct {
 	etaVal []float64
 	xB     []float64 // current basic values B⁻¹·rhs
 
-	uR, uM []float64 // BTRAN scratch (c_B transformed through the etas)
-	yR, yM []float64 // dual pair
-	w      []float64 // FTRAN scratch (transformed entering column)
-	rho    []float64 // BTRAN scratch for one row of B⁻¹ (dual simplex)
-	work   []float64 // by constraint row: FTRAN's right-hand side, residuals
-	bOld   []float64 // a warm basis's capture-time RHS
-	rc     []float64 // dual simplex: reduced costs
+	// cost is what pricing runs on: std.c, or std.phase1 while phase 1
+	// runs (inPhase1).
+	cost     []float64
+	inPhase1 bool
+
+	u    []float64 // BTRAN scratch (c_B, or e_r, transformed through the etas)
+	y    []float64 // duals
+	w    []float64 // FTRAN scratch (transformed entering column)
+	rho  []float64 // one row of B⁻¹ (dual simplex); a ray's column (primal)
+	work []float64 // by constraint row: FTRAN's right-hand side, residuals
+	bOld []float64 // a warm basis's capture-time RHS
+	rc   []float64 // dual simplex: reduced costs
 	// The dual simplex's pivot row, zero outside the columns marked in
 	// touched (bit j%64 of word j/64); the reduced-cost update clears
 	// both behind it.
@@ -306,10 +299,6 @@ type sparseSolver struct {
 	// and every installed basis renews.
 	ruledOut   []int
 	basisStamp int
-	// mActive is whether any artificial column is currently basic; once
-	// the artificials are driven out the Big-M dual components are
-	// identically zero and the M half of pricing is skipped.
-	mActive bool
 }
 
 func newSparseSolver(s *std) *sparseSolver {
@@ -319,10 +308,9 @@ func newSparseSolver(s *std) *sparseSolver {
 		basis: make([]int, s.m),
 		inB:   make([]bool, s.n),
 		xB:    make([]float64, s.m),
-		uR:    make([]float64, s.m),
-		uM:    make([]float64, s.m),
-		yR:    make([]float64, s.m),
-		yM:    make([]float64, s.m),
+		cost:  s.c,
+		u:     make([]float64, s.m),
+		y:     make([]float64, s.m),
 		w:     make([]float64, s.m),
 		rho:   make([]float64, s.m),
 		work:  make([]float64, s.m),
@@ -333,17 +321,6 @@ func newSparseSolver(s *std) *sparseSolver {
 		touched:    make([]uint64, (s.n+63)/64),
 		ruledOut:   make([]int, s.n),
 		basisStamp: 1,
-	}
-}
-
-// refreshMActive rescans the basis for basic artificials.
-func (sv *sparseSolver) refreshMActive() {
-	sv.mActive = false
-	for _, bj := range sv.basis {
-		if sv.artificial[bj] {
-			sv.mActive = true
-			return
-		}
 	}
 }
 
@@ -360,7 +337,6 @@ func (sv *sparseSolver) install() bool {
 	sv.rhs = sv.b
 	sv.iters = 0
 	sv.basisStamp++
-	sv.refreshMActive()
 	if !sv.f.build(sv.cols, sv.basis) {
 		return false
 	}
@@ -373,8 +349,8 @@ func (sv *sparseSolver) clearEtas() {
 	sv.etas, sv.etaIdx, sv.etaVal = sv.etas[:0], sv.etaIdx[:0], sv.etaVal[:0]
 }
 
-// startCold installs the all-slack/artificial Big-M starting basis, the
-// identity.
+// startCold installs the crash basis, which is diagonal with a positive
+// diagonal and therefore primal feasible.
 func (sv *sparseSolver) startCold() {
 	copy(sv.basis, sv.initBasis)
 	sv.install()
@@ -390,6 +366,7 @@ const (
 	dualRepair                        // re-optimized on its own RHS, then dual simplex to the new one
 	// Cold restarts, by reason.
 	coldMismatch        // it does not fit this problem's shape
+	coldArtificial      // it holds an artificial column
 	coldSingular        // its columns are singular in this problem
 	coldResidual        // it is infeasible for its own capture-time RHS
 	coldRepairAbandoned // the repair could not start or gave up
@@ -402,6 +379,7 @@ var outcomeNames = [...]string{
 	feasibleResume:      "feasible-resume",
 	dualRepair:          "dual-repair",
 	coldMismatch:        "cold:mismatch",
+	coldArtificial:      "cold:artificial",
 	coldSingular:        "cold:singular",
 	coldResidual:        "cold:residual",
 	coldRepairAbandoned: "cold:repair-abandoned",
@@ -415,8 +393,9 @@ func (o warmOutcome) String() string { return outcomeNames[o] }
 func (o warmOutcome) warm() bool { return o == feasibleResume || o == dualRepair }
 
 // startWarm seeds the solver from a previous basis: it must fit this
-// problem's shape (coldMismatch) and its columns must factor here
-// (coldSingular). It then reports feasibleResume when the basic values
+// problem's shape (coldMismatch), hold no artificial column — phase 2's
+// duals say nothing of one, and the dual simplex leaves them out
+// (coldArtificial) — and its columns must factor here (coldSingular). It then reports feasibleResume when the basic values
 // are non-negative under the new right-hand side, dualRepair when they
 // are not.
 func (sv *sparseSolver) startWarm(wb *Basis) warmOutcome {
@@ -430,6 +409,9 @@ func (sv *sparseSolver) startWarm(wb *Basis) warmOutcome {
 	for i, c := range wb.cols {
 		if c < 0 || c >= sv.n || sv.inB[c] {
 			return coldMismatch
+		}
+		if c >= sv.artStart {
+			return coldArtificial
 		}
 		sv.basis[i] = c
 		sv.inB[c] = true
@@ -527,106 +509,75 @@ func (sv *sparseSolver) btranEtas(u []float64) {
 	}
 }
 
-// computeDuals computes the dual pair yᵀ = c_Bᵀ·B⁻¹ by BTRAN: transform
-// c_B through the etas in reverse, then through the factor. The Big-M
-// half is skipped once no artificial is basic (c_B's M part, and hence
-// y's, is identically zero from then on).
+// computeDuals computes the duals yᵀ = c_Bᵀ·B⁻¹ by BTRAN: transform c_B
+// through the etas in reverse, then through the factor.
 func (sv *sparseSolver) computeDuals() {
 	for i, bj := range sv.basis {
-		sv.uR[i] = sv.cR[bj]
+		sv.u[i] = sv.cost[bj]
 	}
-	sv.btranEtas(sv.uR)
-	sv.f.btran(sv.uR, sv.yR)
-	if sv.mActive {
-		for i, bj := range sv.basis {
-			sv.uM[i] = sv.cM[bj]
-		}
-		sv.btranEtas(sv.uM)
-		sv.f.btran(sv.uM, sv.yM)
-	}
+	sv.btranEtas(sv.u)
+	sv.f.btran(sv.u, sv.y)
 }
 
 // reducedCost prices one column against the current duals.
-func (sv *sparseSolver) reducedCost(j int) (real, bigM float64) {
+func (sv *sparseSolver) reducedCost(j int) float64 {
 	col := &sv.cols[j]
-	var dR float64
+	var d float64
 	for q, i := range col.idx {
-		dR += sv.yR[i] * col.val[q]
+		d += sv.y[i] * col.val[q]
 	}
-	if !sv.mActive {
-		return sv.cR[j] - dR, sv.cM[j]
-	}
-	var dM float64
-	for q, i := range col.idx {
-		dM += sv.yM[i] * col.val[q]
-	}
-	return sv.cR[j] - dR, sv.cM[j] - dM
+	return sv.cost[j] - d
 }
 
-// chooseEntering mirrors the dense tableau's rules: Dantzig on the
-// lexicographic (M, real) reduced cost with the same tie-breaking, Bland
-// (lowest eligible index) once the grace budget is spent. Artificial
-// columns never re-enter.
+// chooseEntering is Dantzig's rule — the largest reduced cost above eps,
+// the lowest index among equals — or, once the grace budget is spent,
+// Bland's (the lowest eligible index). Artificial columns never re-enter.
 func (sv *sparseSolver) chooseEntering(bland bool) int {
-	if bland {
-		for j := 0; j < sv.n; j++ {
-			if sv.inB[j] || sv.artificial[j] {
-				continue
-			}
-			if r, mm := sv.reducedCost(j); betterThanZero(r, mm) && sv.ruledOut[j] != sv.basisStamp {
+	best, bestR := -1, eps
+	for j := 0; j < sv.artStart; j++ {
+		if sv.inB[j] || sv.ruledOut[j] == sv.basisStamp {
+			continue
+		}
+		if r := sv.reducedCost(j); r > bestR {
+			if bland {
 				return j
 			}
-		}
-		return -1
-	}
-	best := -1
-	bestR, bestM := 0.0, 0.0
-	for j := 0; j < sv.n; j++ {
-		if sv.inB[j] || sv.artificial[j] {
-			continue
-		}
-		r, mm := sv.reducedCost(j)
-		if !betterThanZero(r, mm) || sv.ruledOut[j] == sv.basisStamp {
-			continue
-		}
-		if best < 0 || mm > bestM+eps || (math.Abs(mm-bestM) <= eps && r > bestR) {
-			best, bestR, bestM = j, r, mm
+			best, bestR = j, r
 		}
 	}
 	return best
 }
 
 // roundoff reports whether column j priced into the basis on roundoff,
-// once the ratio test found no leaving row for it. Along the ray the
-// column opens (x_j = 1, x_B = −w, w its FTRAN) the objective gains
-// c_j − c_Bᵀw, its real reduced cost. An FTRAN through an
-// ill-conditioned basis gets each nonzero entry of w right only to
-// within eps of the ray's length, its largest entry, so the gain is
-// trusted only where it is above eps times c_j plus that length times
-// the basic costs it weighs those entries with. On such a basis a slack
-// column can price at 3e-9 because a ray entry of 3e-9, beside ones of
-// 3e3, meets a basic cost of 1: an improvement that proves nothing, so
-// the loop rules the column out instead of reporting the program
-// unbounded. (Had that basic cost been 100, the column would price at
-// 3e-7, past the certificate's tolerance: the certificate then refuses
-// the stop, and the cold solve's retry re-prices on a fresh factor.) A
-// ray through zero-cost basic columns gains exactly c_j however long it
-// is, and stands. A column the Big-M part priced in is never ruled out:
-// those costs are exact small multiples of the matrix's entries, and a
-// tiny one can be the only proof the program is unbounded.
+// once the ratio test found no leaving row for it: its reduced cost is
+// within margin(j).
 func (sv *sparseSolver) roundoff(j int) bool {
-	r, mm := sv.reducedCost(j)
-	if mm > eps {
-		return false
-	}
+	return sv.reducedCost(j) <= sv.margin(j)
+}
+
+// margin is how far the gain along the ray column j opens (x_j = 1,
+// x_B = −w, w its FTRAN) can be off. The objective gains c_j − c_Bᵀw, its
+// reduced cost. An FTRAN through an ill-conditioned basis gets each
+// nonzero entry of w right only to within eps of the ray's length, its
+// largest entry, so the gain is trusted only where it is above eps times
+// c_j plus that length times the basic costs it weighs those entries
+// with. On such a basis a slack column can price at 3e-9 because a ray
+// entry of 3e-9, beside ones of 3e3, meets a basic cost of 1: an
+// improvement that proves nothing, so the loop rules the column out
+// instead of reporting the program unbounded. (Had that basic cost been
+// 100, the column would price at 3e-7, past the certificate's tolerance:
+// the certificate then refuses the stop, and the cold solve's retry
+// re-prices on a fresh factor.) A ray through zero-cost basic columns
+// gains exactly c_j however long it is, and stands.
+func (sv *sparseSolver) margin(j int) float64 {
 	weights, length := 0.0, 0.0
 	for i, wi := range sv.w {
 		if wi != 0 {
-			weights += math.Abs(sv.cR[sv.basis[i]])
+			weights += math.Abs(sv.cost[sv.basis[i]])
 			length = math.Max(length, math.Abs(wi))
 		}
 	}
-	return r <= eps*(1+math.Abs(sv.cR[j])+length*weights)
+	return eps * (1 + math.Abs(sv.cost[j]) + length*weights)
 }
 
 func maxAbs(xs []float64) float64 {
@@ -645,15 +596,23 @@ func maxAbs(xs []float64) float64 {
 // roundoff, and pivoting on it leaves a basis that is singular in all
 // but name. Two ratios tie within eps divided by it, so that stepping to
 // a tied row's ratio instead of the minimum pushes the minimum's row at
-// most eps below zero.
+// most eps below zero. After phase 1 an artificial can be left basic at
+// zero, and it must stay there: its row blocks the column whichever way
+// the column would move it, at a ratio of about zero, so it leaves
+// before it can grow. One that no entering column ever reaches past the
+// pivot tolerance stays at zero, as the certificate checks.
 func (sv *sparseSolver) chooseLeaving() int {
 	leave := -1
 	best := math.Inf(1)
 	scale := math.Max(1, maxAbs(sv.w))
 	minPivot, tie := eps*scale, eps/scale
 	for i := 0; i < sv.m; i++ {
-		if sv.w[i] > minPivot {
-			ratio := sv.xB[i] / sv.w[i]
+		wi := sv.w[i]
+		if wi < 0 && sv.basis[i] >= sv.artStart && !sv.inPhase1 {
+			wi = -wi
+		}
+		if wi > minPivot {
+			ratio := sv.xB[i] / wi
 			if ratio < best-tie ||
 				(math.Abs(ratio-best) <= tie && (leave < 0 || sv.basis[i] < sv.basis[leave])) {
 				best = ratio
@@ -689,11 +648,6 @@ func (sv *sparseSolver) pivot(row, col int) {
 	sv.basis[row] = col
 	sv.inB[col] = true
 	sv.basisStamp++
-	if sv.mActive && sv.artificial[leaving] {
-		// Entering columns are never artificial, so mActive only ever
-		// turns off; rescan once the departing column was the last one.
-		sv.refreshMActive()
-	}
 	if len(sv.etas) >= refactorMaxEtas || len(sv.etaIdx) > refactorNNZFactor*sv.f.nnz {
 		sv.refactor()
 	}
@@ -725,26 +679,37 @@ var (
 	// answer to be trusted. Solve and SolveWarm return it instead of an
 	// answer.
 	errUncertified = errors.New("lp: optimum failed its certificate")
+	// errBadlyScaled is a column that prices in with no leaving row but
+	// whose ray fails its check (rayHolds): the arithmetic cannot tell an
+	// unbounded program from a badly scaled bounded one.
+	errBadlyScaled = errors.New("lp: no verdict: the program is too badly scaled for an unbounded ray to check out")
 )
 
 // runBudget is the simplex loop with explicit iteration budgets; tests
-// use it to force Bland's rule from the first pivot.
+// use it to force Bland's rule from the first pivot. It returns nil at
+// an optimum of the costs it prices with. A column the ratio tests find
+// no leaving row for is ruled out as roundoff — in phase 1 always, as
+// its objective is bounded — or its ray is checked before the program
+// is called unbounded.
 func (sv *sparseSolver) runBudget(maxIter, blandAfter int) error {
 	for iter := 0; iter < maxIter; iter++ {
 		sv.computeDuals()
 		enter := sv.chooseEntering(iter >= blandAfter)
 		if enter < 0 {
-			return sv.checkFeasible()
+			return nil
 		}
 		sv.ftran(sv.cols[enter], sv.w)
 		leave := sv.chooseLeaving()
-		if leave < 0 && sv.roundoff(enter) {
+		if leave < 0 && sv.inPhase1 {
+			leave = sv.artificialRow()
+		}
+		if leave < 0 && (sv.inPhase1 || sv.roundoff(enter)) {
 			sv.ruledOut[enter] = sv.basisStamp
 			continue
 		}
 		if leave < 0 {
-			if err := sv.checkFeasible(); err != nil {
-				return err
+			if !sv.rayHolds(enter) {
+				return errBadlyScaled
 			}
 			return ErrUnbounded
 		}
@@ -754,13 +719,57 @@ func (sv *sparseSolver) runBudget(maxIter, blandAfter int) error {
 	return errIterLimit
 }
 
+// artificialRow is phase 1's second ratio test, for a column the first
+// found no leaving row for: the smallest ratio over the basic
+// artificials whose entry of w is at least the factor's pivTol, however
+// far below chooseLeaving's pivot tolerance. Phase 1's costs are exact
+// (−1 on each artificial, 0 elsewhere), so the column's phase-1 gain is
+// the sum of exactly those entries, and a tiny one is no roundoff: exact
+// arithmetic blocks the column on that row, and ruling the column out
+// instead can report a feasible program infeasible
+// (TestIllConditionedVerdicts). It returns −1 when no artificial backs
+// the gain, which then was roundoff of the duals.
+func (sv *sparseSolver) artificialRow() int {
+	leave, best := -1, math.Inf(1)
+	for i, wi := range sv.w {
+		if sv.basis[i] >= sv.artStart && wi >= pivTol {
+			if ratio := sv.xB[i] / wi; ratio < best {
+				leave, best = i, ratio
+			}
+		}
+	}
+	return leave
+}
+
+// rayHolds checks, in O(nnz), the ray column j opens once the ratio test
+// found no leaving row — x_j = 1, x_B = −w — before it is reported as a
+// proof of unboundedness: w must solve B·w = a_j (within solves'
+// tolerance), no basic value may fall along it (no entry of −w below
+// −1e-7), and the gain c_j − c_Bᵀw must be past margin(j). On a program
+// whose coefficients span many orders of magnitude an FTRAN can return a
+// w that fails the first test, and a ray that proves nothing.
+func (sv *sparseSolver) rayHolds(j int) bool {
+	a := sv.rho
+	clear(a)
+	col := &sv.cols[j]
+	for q, i := range col.idx {
+		a[i] = col.val[q]
+	}
+	gain := sv.cost[j]
+	for i, wi := range sv.w {
+		if wi > 1e-7 {
+			return false
+		}
+		gain -= sv.cost[sv.basis[i]] * wi
+	}
+	return gain > sv.margin(j) && sv.solves(sv.w, a)
+}
+
 // btranRow computes sv.rho = e_rᵀ·B⁻¹, row r of the basis inverse (the
 // pivot row generator for the dual simplex): e_r pushed back through the
 // eta file, then a BTRAN through the factor, O(etaNNZ + nnz(L+U)).
 func (sv *sparseSolver) btranRow(r int) {
-	// The M duals are unused on the artificial-free dual path, so their
-	// scratch vector is free here.
-	u := sv.uM
+	u := sv.u
 	for i := range u {
 		u[i] = 0
 	}
@@ -771,8 +780,8 @@ func (sv *sparseSolver) btranRow(r int) {
 
 // runDual restores primal feasibility after an RHS change with dual
 // simplex pivots: the basis must be dual feasible for the current
-// objective (it was just re-optimized against the old RHS) and
-// artificial-free. Any anomaly — dual unboundedness (an infeasibility
+// objective (it was just re-optimized against the old RHS) and hold no
+// artificial (startWarm). Any anomaly — dual unboundedness (an infeasibility
 // proof the caller re-derives with a cold solve), a vanishing pivot,
 // the iteration cap — bails with errWarmRepair instead of guessing.
 //
@@ -788,12 +797,12 @@ func (sv *sparseSolver) btranRow(r int) {
 func (sv *sparseSolver) runDual(maxIter int) error {
 	rc := sv.rc
 	sv.computeDuals()
-	for j := 0; j < sv.n; j++ {
-		rc[j] = 0
-		if sv.inB[j] || sv.artificial[j] {
+	clear(rc)
+	for j := 0; j < sv.artStart; j++ {
+		if sv.inB[j] {
 			continue
 		}
-		r, _ := sv.reducedCost(j)
+		r := sv.reducedCost(j)
 		if r > 0 {
 			r = 0 // clamp post-optimal rounding drift
 		}
@@ -906,51 +915,61 @@ func (sv *sparseSolver) pivotRow() {
 }
 
 func (sv *sparseSolver) run() error {
-	// Same budgets as the dense reference: Dantzig until the grace
-	// budget is spent, then Bland's rule guarantees termination.
+	// Dantzig until the grace budget is spent, then Bland's rule
+	// guarantees termination.
 	return sv.runBudget(500*(sv.m+sv.n+10), 20*(sv.m+sv.n+10))
 }
 
-// checkFeasible rejects optima that still carry a positive artificial:
-// with the symbolic Big-M cost that means no feasible point exists.
-func (sv *sparseSolver) checkFeasible() error {
+// runPhase1 drives the crash basis's artificial columns to zero, if it has
+// any: the same loop, maximizing −Σ artificials. Where it stops, an
+// artificial still above 1e-7 means no feasible point exists; the ones
+// left basic at zero stay there through phase 2 (chooseLeaving).
+func (sv *sparseSolver) runPhase1() error {
+	if sv.phase1 == nil {
+		return nil
+	}
+	sv.cost, sv.inPhase1 = sv.phase1, true
+	err := sv.run()
+	sv.cost, sv.inPhase1 = sv.c, false
+	if err == nil && sv.artificialLeft() {
+		return ErrInfeasible
+	}
+	return err
+}
+
+// artificialLeft reports whether an artificial column is basic above
+// 1e-7.
+func (sv *sparseSolver) artificialLeft() bool {
 	for i, bj := range sv.basis {
-		if sv.artificial[bj] && sv.xB[i] > 1e-7 {
-			return ErrInfeasible
+		if bj >= sv.artStart && sv.xB[i] > 1e-7 {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // certified checks the optimum the solver stopped at, in O(nnz(A)), on
-// the standardized problem max cᵀx, A·x = b, x ≥ 0 with the artificial
-// columns left out: primal feasibility (x_B ≥ 0 and B·x_B = b, within
-// 1e-7 relative), dual feasibility (no non-artificial reduced cost above
-// 1e-7·(1+|c_j|) against freshly computed duals y) and a zero duality gap
-// (|cᵀx − bᵀy| ≤ 1e-6·(1+|cᵀx|)). An optimum with an artificial still
-// basic is not an optimum of that problem and is not certified (it
-// passes).
+// the standardized problem max cᵀx, A·x = b, x ≥ 0 without the
+// artificial columns: primal feasibility (x_B ≥ 0 and B·x_B = b, within
+// 1e-7 relative, with every basic artificial within 1e-7 of zero), dual
+// feasibility (no non-artificial reduced cost above 1e-7·(1+|c_j|)
+// against freshly computed duals y) and a zero duality gap
+// (|cᵀx − bᵀy| ≤ 1e-6·(1+|cᵀx|)).
 func (sv *sparseSolver) certified() bool {
-	if sv.mActive {
-		return true
-	}
-	if !nonNegative(sv.xB) || !sv.solves(sv.xB, sv.b) {
+	if !nonNegative(sv.xB) || sv.artificialLeft() || !sv.solves(sv.xB, sv.b) {
 		return false
 	}
 	sv.computeDuals()
-	for j := 0; j < sv.n; j++ {
-		if sv.inB[j] || sv.artificial[j] {
-			continue
-		}
-		if r, _ := sv.reducedCost(j); r > 1e-7*(1+math.Abs(sv.cR[j])) {
+	for j := 0; j < sv.artStart; j++ {
+		if !sv.inB[j] && sv.reducedCost(j) > 1e-7*(1+math.Abs(sv.c[j])) {
 			return false
 		}
 	}
 	primal, dual := 0.0, 0.0
 	for k, bj := range sv.basis {
-		primal += sv.cR[bj] * sv.xB[k]
+		primal += sv.c[bj] * sv.xB[k]
 	}
-	for i, y := range sv.yR {
+	for i, y := range sv.y {
 		dual += sv.b[i] * y
 	}
 	return math.Abs(primal-dual) <= 1e-6*(1+math.Abs(primal))
@@ -968,7 +987,7 @@ func (sv *sparseSolver) solution() *Solution {
 		}
 	}
 	obj := 0.0
-	for j, c := range sv.cR[:sv.structural] {
+	for j, c := range sv.c[:sv.structural] {
 		obj += c * x[j]
 	}
 	return &Solution{X: x, Objective: obj, Iterations: sv.iters}
@@ -1032,10 +1051,6 @@ func (sv *sparseSolver) finishWarm(o warmOutcome, err error) (warmOutcome, error
 // (coldResidual) if they are infeasible there. It reports dualRepair
 // when the repair may go on.
 func (sv *sparseSolver) reoptimizeOld(warm *Basis) warmOutcome {
-	// The dual ratio test needs the Big-M components gone.
-	if sv.mActive {
-		return coldRepairAbandoned
-	}
 	copy(sv.bOld, warm.b)
 	sv.rhs = sv.bOld
 	if sv.computeXB(); !nonNegative(sv.xB) {
@@ -1098,7 +1113,11 @@ func (s *Standard) solve(warm *Basis) (*Solution, *Basis, warmOutcome, error) {
 		}
 	}
 	sv.startCold()
-	if err := sv.run(); err != nil {
+	err := sv.runPhase1()
+	if err == nil {
+		err = sv.run()
+	}
+	if err != nil {
 		return nil, nil, outcome, err
 	}
 	if !sv.certified() {

@@ -78,19 +78,16 @@ func assertFeasible(t *testing.T, p *Problem, x []float64) {
 // TestSparseMatchesDenseRandom differential-tests the sparse revised
 // simplex against the dense tableau reference on random mixed-sense LPs:
 // identical feasibility verdicts, matching objectives, feasible points,
-// and every artificial-free optimum certified.
+// and every optimum certified.
 func TestSparseMatchesDenseRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
-	feasible, certified := 0, 0
+	feasible := 0
 	for trial := 0; trial < 400; trial++ {
 		nVars := 1 + r.Intn(6)
 		nRows := 1 + r.Intn(7)
 		p := randomLP(r, nVars, nRows)
 		ds, derr := SolveDense(p)
-		ss, ok, serr := solveCertified(t, p)
-		if ok {
-			certified++
-		}
+		ss, serr := solveCertified(t, p)
 		if (derr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: dense err=%v sparse err=%v", trial, derr, serr)
 		}
@@ -111,7 +108,7 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 	if feasible < 50 {
 		t.Fatalf("only %d feasible instances; generator too harsh", feasible)
 	}
-	t.Logf("%d feasible instances, %d artificial-free optima certified", feasible, certified)
+	t.Logf("%d feasible instances, each optimum certified", feasible)
 }
 
 // TestSparseMatchesDenseLarge pushes past refactorEvery pivots so the
@@ -355,10 +352,10 @@ func TestSparseDegenerateBland(t *testing.T) {
 	}
 }
 
-// TestSparseInfeasibleBigM: contradictory equality rows leave an
-// artificial basic at a positive level, which the Big-M accounting must
-// report as ErrInfeasible (not as a bogus optimum).
-func TestSparseInfeasibleBigM(t *testing.T) {
+// TestSparseInfeasiblePhase1: contradictory rows leave an artificial
+// basic at a positive level where phase 1 stops, which must be reported
+// as ErrInfeasible (not as a bogus optimum).
+func TestSparseInfeasiblePhase1(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint([]float64{1, 1}, EQ, 2)
 	p.AddConstraint([]float64{1, 1}, EQ, 5)
@@ -421,8 +418,12 @@ func TestSparseUnbounded(t *testing.T) {
 // three 1/1024 entries, on which a float simplex with an absolute eps
 // goes wrong in a different way each — an infeasible point after a tied
 // ratio's step, a pivot on roundoff beside entries of 1e3, a roundoff
-// reduced cost reported as unboundedness — and one whose only proof of
-// unboundedness is an exact Big-M reduced cost of 2^-29. On two more the
+// reduced cost reported as unboundedness — and two phase-1 programs
+// whose only way to a feasible point is a pivot far below the ratio
+// test's tolerance, on an entry that is all of a column's exact phase-1
+// reduced cost: ruling that column out as roundoff reports one program
+// infeasible that has an optimum of 100 and the other infeasible that is
+// unbounded (artificialRow takes the pivot). On two more the
 // cold run's first stop fails its certificate, and only its retry on a
 // fresh factor answers: the same roundoff reduced cost beside a basic
 // cost of 100, and basic values drifted past the residual check. The
@@ -486,12 +487,16 @@ func TestIllConditionedVerdicts(t *testing.T) {
 			{zero, LE, 0},
 			{zero, LE, 0},
 		}},
-		{"exact tiny Big-M reduced cost", []float64{0, 0, 0, 0, 1, 0}, []row{
-			{[]float64{0, -3, 0, 0, 0, 0}, LE, 0},
-			{[]float64{0, -tiny, 0, 0, 0.5, 1}, LE, 0},
-			{[]float64{0, 0, 0, 0.5, 0, -tiny}, LE, 0},
-			{[]float64{0, 0, 0, tiny, 0, 0}, GE, 0},
-			{zero, LE, 0},
+		{"exact tiny phase-1 reduced cost, optimal", []float64{100, 0, 0, 0, 0, 0}, []row{
+			{[]float64{3, 0, 0, -tiny, 0, 0}, EQ, tiny},
+			{[]float64{0, -6, -1, -tiny, 0, 0}, LE, 0.5},
+			{[]float64{tiny, 0, 0, 0, 0, 0}, EQ, tiny},
+			{[]float64{0, tiny, 0, -1, 0, 0}, EQ, 2},
+		}},
+		{"exact tiny phase-1 reduced cost, unbounded", []float64{100, 0, 0, 0, 0, 0}, []row{
+			{[]float64{0, 0, -tiny, 0, 0, 0}, LE, -1},
+			{[]float64{0, -3, 0, 0, tiny, 0}, GE, tiny},
+			{[]float64{0, tiny, -6, -tiny, 0, 0}, EQ, 0},
 		}},
 	} {
 		p := &Problem{NumVars: 6, Objective: c.objective}

@@ -121,3 +121,52 @@ func TestRefillRefusesWhatWouldRestandardize(t *testing.T) {
 		t.Fatalf("objective %v, want 20", got.Objective)
 	}
 }
+
+// TestCrashBasisCoversSwitchingRows: every switching row of the
+// CBS-RELAX shape (Eq. 12, z_t − z_{t−1} − δ⁺ + δ⁻ = b, laid out as
+// core.buildProblem lays it out beside its ≤ rows) starts from a column
+// of its own — δ⁻, or δ⁺ on a row a negative b flipped — so NewStandard
+// appends no artificial column, the cold solve starts primal feasible
+// with no phase 1 to run, and its optimum is the dense oracle's.
+func TestCrashBasisCoversSwitchingRows(t *testing.T) {
+	r := rand.New(rand.NewSource(555))
+	for trial := 0; trial < 6; trial++ {
+		in := randomMPC(r, 2+r.Intn(3), 3+r.Intn(4), 1+r.Intn(3))
+		in.initial[0] = -3 // machine type 0's t = 0 row is flipped
+		p := in.problem()
+		s := mustStandard(t, p)
+		if s.artStart != s.n || s.phase1 != nil {
+			t.Fatalf("trial %d: %d artificial columns", trial, s.n-s.artStart)
+		}
+		nm, nn, w := in.nm, in.nn, in.w
+		for tt := 0; tt < w; tt++ {
+			for m := 0; m < nm; m++ {
+				row := tt*(4*nm+2*nn) + 4*m + 3
+				want := nm*nn*w + 2*nm*w + m*w + tt // δ⁻(m,t)
+				if m == 0 && tt == 0 {
+					want = nm*nn*w + nm*w // δ⁺(0,0)
+				}
+				if got := s.initBasis[row]; got != want {
+					t.Fatalf("trial %d: switching row (%d,%d) starts from column %d, want %d", trial, m, tt, got, want)
+				}
+			}
+		}
+		sv := newSparseSolver(&s.std)
+		sv.startCold()
+		if !nonNegative(sv.xB) {
+			t.Fatalf("trial %d: the crash basis is not primal feasible: %v", trial, sv.xB)
+		}
+		got, _, err := s.SolveWarm(nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := SolveDense(p)
+		if err != nil {
+			t.Fatalf("trial %d: dense: %v", trial, err)
+		}
+		if d := disagreement(want, got, nil, nil); d != "" {
+			t.Fatalf("trial %d: engine vs dense: %s", trial, d)
+		}
+		assertFeasible(t, p, got.X)
+	}
+}
