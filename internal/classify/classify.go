@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"harmony/internal/kmeans"
 	"harmony/internal/stats"
@@ -55,7 +56,7 @@ type Class struct {
 
 	// logCentroid is the step-one centroid in log space, used for
 	// nearest-centroid labeling.
-	logCentroid kmeans.Point
+	logCentroid [2]float64
 }
 
 // Config controls characterization. The MaxK and MinGain defaults are
@@ -111,10 +112,19 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		return nil, ErrNoTasks
 	}
 
-	var (
-		ptsByGroup   [trace.NumGroups][]kmeans.Point
-		tasksByGroup [trace.NumGroups][]*trace.Task
-	)
+	// Lay the tasks out group by group: group g's tasks are
+	// order[start[g]:start[g+1]], in trace order, and its step-one points
+	// the matching pairs of xy.
+	var start [trace.NumGroups + 1]int
+	for i := range tr.Tasks {
+		start[tr.Tasks[i].Group().Index()+1]++
+	}
+	for g := 0; g < trace.NumGroups; g++ {
+		start[g+1] += start[g]
+	}
+	next := start
+	xy := make([]float64, 2*len(tr.Tasks))
+	order := make([]int, len(tr.Tasks))
 	for i := range tr.Tasks {
 		t := &tr.Tasks[i]
 		p, ok := logSizes(t)
@@ -123,28 +133,27 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 				t.ID, i, t.CPU, t.Mem, t.Duration)
 		}
 		gi := t.Group().Index()
-		ptsByGroup[gi] = append(ptsByGroup[gi], kmeans.Point{p[0], p[1]})
-		tasksByGroup[gi] = append(tasksByGroup[gi], t)
+		j := next[gi]
+		xy[2*j], xy[2*j+1] = p[0], p[1]
+		order[j] = i
+		next[gi]++
 	}
 
 	ch := &Characterization{}
+	sc := newScratch(len(tr.Tasks))
 	for _, g := range trace.Groups() {
-		pts, tasks := ptsByGroup[g.Index()], tasksByGroup[g.Index()]
-		if len(pts) == 0 {
+		lo, hi := start[g.Index()], start[g.Index()+1]
+		if lo == hi {
 			continue
 		}
-		maxK := cfg.MaxK
-		if maxK > len(pts) {
-			maxK = len(pts)
-		}
-		_, res, err := kmeans.ChooseK(pts, maxK, cfg.MinGain, kmeans.Config{
+		_, res, err := kmeans.ChooseK(xy[2*lo:2*hi], cfg.MaxK, cfg.MinGain, kmeans.Config{
 			Seed:     cfg.Seed + int64(g),
 			Restarts: restarts,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("classify: step one for %v: %w", g, err)
 		}
-		if err := ch.addGroupClasses(g, res, tasks, cfg); err != nil {
+		if err := ch.addGroupClasses(g, res, tr.Tasks, order[lo:hi], sc, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -154,29 +163,45 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 	return ch, nil
 }
 
+// scratch holds the per-class buffers of addGroupClasses and
+// splitDurations, sized once for the whole trace so that appending to them
+// never allocates: a class's statistics are taken from them before the
+// next class reuses them.
+type scratch struct {
+	cpus, mems, durs, split []float64 // one class's sizes, durations and short-then-long durations
+	pairs                   []float64 // one class's (log duration, 0) pairs
+}
+
+func newScratch(n int) *scratch {
+	return &scratch{
+		cpus:  make([]float64, n),
+		mems:  make([]float64, n),
+		durs:  make([]float64, n),
+		split: make([]float64, n),
+		pairs: make([]float64, 2*n),
+	}
+}
+
+// addGroupClasses turns step one's clusters of group g into classes; the
+// group's i-th task is tasks[idx[i]].
 func (ch *Characterization) addGroupClasses(
 	g trace.PriorityGroup,
 	res *kmeans.Result,
-	tasks []*trace.Task,
+	tasks []trace.Task,
+	idx []int,
+	sc *scratch,
 	cfg Config,
 ) error {
-	k := len(res.Centroids)
-	members := make([][]*trace.Task, k)
-	for i, t := range tasks {
-		c := res.Assignment[i]
-		members[c] = append(members[c], t)
-	}
-	for c := 0; c < k; c++ {
-		if len(members[c]) == 0 {
-			continue
+	for c := range res.Centroids {
+		cpus, mems, durs := sc.cpus[:0], sc.mems[:0], sc.durs[:0]
+		for i, a := range res.Assignment {
+			if a == c {
+				t := &tasks[idx[i]]
+				cpus, mems, durs = append(cpus, t.CPU), append(mems, t.Mem), append(durs, t.Duration)
+			}
 		}
-		cpus := make([]float64, len(members[c]))
-		mems := make([]float64, len(members[c]))
-		durs := make([]float64, len(members[c]))
-		for i, t := range members[c] {
-			cpus[i] = t.CPU
-			mems[i] = t.Mem
-			durs[i] = t.Duration
+		if len(cpus) == 0 {
+			continue
 		}
 		cls := Class{
 			ID:          len(ch.Classes),
@@ -185,9 +210,12 @@ func (ch *Characterization) addGroupClasses(
 			Mem:         stats.Mean(mems),
 			CPUStd:      stats.StdDev(cpus),
 			MemStd:      stats.StdDev(mems),
-			Count:       len(members[c]),
+			Count:       len(cpus),
 			logCentroid: res.Centroids[c],
 		}
+		// The means summed in trace order; the quantiles read sorted sizes.
+		slices.Sort(cpus)
+		slices.Sort(mems)
 		for qi, prob := range QuantileProbs {
 			cq, err := stats.Percentile(cpus, prob*100)
 			if err != nil {
@@ -200,7 +228,7 @@ func (ch *Characterization) addGroupClasses(
 			cls.CPUQuantiles[qi] = cq
 			cls.MemQuantiles[qi] = mq
 		}
-		cls.Sub = splitDurations(durs, cfg)
+		cls.Sub = splitDurations(durs, sc, cfg)
 		ch.byGroup[g.Index()] = append(ch.byGroup[g.Index()], cls.ID)
 		ch.Classes = append(ch.Classes, cls)
 	}
@@ -210,24 +238,29 @@ func (ch *Characterization) addGroupClasses(
 // splitDurations runs step two: k=2 clustering on log duration, returning
 // sub-classes sorted short-first. When the class is too small or durations
 // are homogeneous, a single sub-class is returned.
-func splitDurations(durs []float64, cfg Config) []SubClass {
+func splitDurations(durs []float64, sc *scratch, cfg Config) []SubClass {
 	if len(durs) < 4 {
 		return []SubClass{subClassOf(durs)}
 	}
-	pts := make([]kmeans.Point, len(durs))
+	pairs := sc.pairs[:2*len(durs)]
 	for i, d := range durs {
 		//harmony:allow nansource Characterize admits only durations in (0, +Inf)
-		pts[i] = kmeans.Point{math.Log(d)}
+		pairs[2*i], pairs[2*i+1] = math.Log(d), 0
 	}
-	res, err := kmeans.Run(pts, kmeans.Config{K: 2, Seed: cfg.Seed, Restarts: restarts})
+	res, err := kmeans.Run(pairs, kmeans.Config{K: 2, Seed: cfg.Seed, Restarts: restarts})
 	if err != nil {
 		return []SubClass{subClassOf(durs)}
 	}
-	var a, b []float64
+	// Cluster 0's durations then cluster 1's, each in class order.
+	a := sc.split[:0]
 	for i, d := range durs {
 		if res.Assignment[i] == 0 {
 			a = append(a, d)
-		} else {
+		}
+	}
+	b := a[len(a):]
+	for i, d := range durs {
+		if res.Assignment[i] != 0 {
 			b = append(b, d)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"harmony/internal/kmeans"
 	"harmony/internal/trace"
 )
 
@@ -330,7 +329,7 @@ func TestRefreshBoundaryExact(t *testing.T) {
 					{MeanDuration: 60, SqCV: 1.2, MaxDuration: 100, Count: 90},
 					{MeanDuration: 5000, SqCV: 0.5, MaxDuration: 20000, Count: 10},
 				},
-				logCentroid: kmeans.Point{-3.9, -3.9},
+				logCentroid: [2]float64{-3.9, -3.9},
 			},
 			{
 				ID: 1, Group: trace.Gratis,
@@ -338,7 +337,7 @@ func TestRefreshBoundaryExact(t *testing.T) {
 				Sub: []SubClass{
 					{MeanDuration: 30, SqCV: 1.0, MaxDuration: 50, Count: 40},
 				},
-				logCentroid: kmeans.Point{-1.6, -1.6},
+				logCentroid: [2]float64{-1.6, -1.6},
 			},
 		},
 	}
@@ -414,7 +413,7 @@ func TestInitialEmptyGroup(t *testing.T) {
 		Classes: []Class{{
 			ID: 0, Group: trace.Gratis,
 			Sub:         []SubClass{{MeanDuration: 60, MaxDuration: 100, Count: 1}},
-			logCentroid: kmeans.Point{-3.9, -3.9},
+			logCentroid: [2]float64{-3.9, -3.9},
 		}},
 	}
 	ch.byGroup[trace.Gratis.Index()] = []int{0}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"harmony/internal/kmeans"
 	"harmony/internal/trace"
 )
 
@@ -50,7 +49,7 @@ func Save(w io.Writer, ch *Characterization) error {
 			CPUQuantiles: c.CPUQuantiles,
 			MemQuantiles: c.MemQuantiles,
 			Sub:          c.Sub,
-			LogCentroid:  c.logCentroid,
+			LogCentroid:  c.logCentroid[:],
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -101,7 +100,7 @@ func Load(r io.Reader) (*Characterization, error) {
 			CPUQuantiles: d.CPUQuantiles,
 			MemQuantiles: d.MemQuantiles,
 			Sub:          d.Sub,
-			logCentroid:  kmeans.Point(d.LogCentroid),
+			logCentroid:  [2]float64(d.LogCentroid),
 		})
 		ch.byGroup[d.Group.Index()] = append(ch.byGroup[d.Group.Index()], d.ID)
 	}

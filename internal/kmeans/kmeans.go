@@ -4,12 +4,20 @@
 // paper): the workload is divided into task classes whose centroids later
 // drive container sizing and runtime classification.
 //
-// Points have one or two dimensions (the characterization clusters
-// (log CPU, log Mem) and then log duration). They are copied once into a
-// flat buffer of (x0, x1) pairs, a 1-D point being (x, 0), and Lloyd's
-// assignment pass skips every point whose distance bounds prove its
-// centroid unchanged (Hamerly, "Making k-means even faster", SDM 2010).
-// Results are bit-identical to plain Lloyd iterations over the same
+// The input is one flat buffer of (x0, x1) pairs: the characterization
+// clusters (log CPU, log Mem) and then log duration as (x, 0). Tasks share
+// their job's request, so step one's pairs repeat heavily (a 2 h trace at
+// 3 tasks/s has 39,341 tasks and 2,582 distinct shapes), and the kernel
+// works on the distinct pairs: each input point keeps the index of its
+// distinct point, and seeding distances, the assignment pass and its
+// bounds run once per distinct point. Lloyd's assignment pass also skips
+// every distinct point whose distance bounds prove its centroid unchanged
+// (Hamerly, "Making k-means even faster", SDM 2010).
+//
+// Three sums still run over every input point in index order, since float
+// addition is not associative and a duplicate adds at its own position:
+// k-means++'s cumulative D², each moved centroid's re-sum, and the SSE.
+// So results are bit-identical to plain Lloyd iterations over the same
 // seeding; kmeans_oracle_test.go keeps that reference.
 package kmeans
 
@@ -21,15 +29,12 @@ import (
 	"harmony/internal/stats"
 )
 
-// Point is a feature vector.
-type Point []float64
-
 // Result holds the outcome of one clustering run.
 type Result struct {
-	Centroids  []Point // k centroids
-	Assignment []int   // cluster index per input point
-	SSE        float64 // sum of squared distances to assigned centroids
-	Iterations int     // Lloyd iterations executed
+	Centroids  [][2]float64 // k centroids
+	Assignment []int        // cluster index per input point
+	SSE        float64      // sum of squared distances to assigned centroids
+	Iterations int          // Lloyd iterations executed
 }
 
 // Config controls a clustering run.
@@ -45,78 +50,94 @@ var (
 	ErrNoPoints = errors.New("kmeans: no points")
 	// ErrBadK is returned when K is out of range.
 	ErrBadK = errors.New("kmeans: k must be in [1, len(points)]")
-	// ErrDimMismatch is returned when points have differing dimensions.
-	ErrDimMismatch = errors.New("kmeans: inconsistent point dimensions")
 )
 
-// Run clusters points into cfg.K clusters and returns the best result over
-// cfg.Restarts independent k-means++ initializations. Points must have one
-// or two dimensions.
-func Run(points []Point, cfg Config) (*Result, error) {
-	if len(points) == 0 {
-		return nil, ErrNoPoints
-	}
-	if cfg.K < 1 || cfg.K > len(points) {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, cfg.K, len(points))
-	}
-	ws, err := newWorkspace(points, cfg.K)
+// Run clusters the points of xy, point i being (xy[2i], xy[2i+1]), into
+// cfg.K clusters and returns the best result over cfg.Restarts independent
+// k-means++ initializations.
+func Run(xy []float64, cfg Config) (*Result, error) {
+	n, err := numPoints(xy)
 	if err != nil {
 		return nil, err
 	}
-	return ws.run(cfg), nil
+	if cfg.K < 1 || cfg.K > n {
+		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, cfg.K, n)
+	}
+	ws := newWorkspace(xy, cfg.K)
+	sse, iter := ws.run(cfg)
+	return ws.result(cfg.K, ws.bestAssign, ws.bestCen, sse, iter), nil
 }
 
 // ChooseK runs Run for k = 1..maxK and returns the smallest k past the
 // "elbow": the first k whose relative SSE improvement over k-1 drops below
 // minGain (e.g. 0.1 for 10%). This mirrors the paper's "no significant
 // benefit from increasing k" selection rule.
-func ChooseK(points []Point, maxK int, minGain float64, cfg Config) (int, *Result, error) {
+func ChooseK(xy []float64, maxK int, minGain float64, cfg Config) (int, *Result, error) {
 	if maxK < 1 {
 		return 0, nil, ErrBadK
 	}
-	if maxK > len(points) {
-		maxK = len(points)
-	}
-	if maxK == 0 {
-		return 0, nil, nil
-	}
-	ws, err := newWorkspace(points, maxK)
+	n, err := numPoints(xy)
 	if err != nil {
 		return 0, nil, err
 	}
+	maxK = min(maxK, n)
+	ws := newWorkspace(xy, maxK)
+	// The previous k's best run, kept per distinct point until it is the
+	// answer.
 	var (
-		prevSSE float64
-		prevRes *Result
+		prevSSE  float64
+		prevIter int
+		prevCen  = make([]float64, 2*maxK)
+		prev     = make([]int, len(ws.assign))
 	)
 	for k := 1; k <= maxK; k++ {
 		c := cfg
 		c.K = k
-		res := ws.run(c)
+		sse, iter := ws.run(c)
 		if k > 1 {
 			gain := 0.0
 			if prevSSE > 0 {
-				gain = (prevSSE - res.SSE) / prevSSE
+				gain = (prevSSE - sse) / prevSSE
 			}
 			if gain < minGain {
-				return k - 1, prevRes, nil
+				return k - 1, ws.result(k-1, prev, prevCen, prevSSE, prevIter), nil
 			}
 		}
-		prevSSE, prevRes = res.SSE, res
+		prevSSE, prevIter = sse, iter
+		prev, ws.bestAssign = ws.bestAssign, prev
+		copy(prevCen, ws.bestCen[:2*k])
 	}
-	return maxK, prevRes, nil
+	return maxK, ws.result(maxK, prev, prevCen, prevSSE, prevIter), nil
+}
+
+// numPoints is the number of pairs in xy, which must hold at least one
+// and fewer than 2³¹ (the kernel indexes them with int32).
+func numPoints(xy []float64) (int, error) {
+	switch n := len(xy) / 2; {
+	case n == 0:
+		return 0, ErrNoPoints
+	case len(xy)%2 != 0:
+		return 0, fmt.Errorf("kmeans: %d coordinates do not make pairs", len(xy))
+	case n > math.MaxInt32:
+		return 0, fmt.Errorf("kmeans: %d points, at most %d", n, math.MaxInt32)
+	default:
+		return n, nil
+	}
 }
 
 // workspace is one point set in the kernel's layout plus every buffer a
 // run needs, sized for up to maxK centroids and reused across restarts
 // and (in ChooseK) across k. Centroid c is (cen[2c], cen[2c+1]).
 type workspace struct {
-	dim int
-	xy  []float64 // point i is (xy[2i], xy[2i+1])
+	xy  []float64 // input point i is (xy[2i], xy[2i+1])
+	pts []float64 // distinct point j is (pts[2j], pts[2j+1]), by first occurrence
+	of  []int32   // input point i is distinct point at(of, i)
 	box bbox      // the points' bounding box
 
+	// Per distinct point.
 	assign, bestAssign []int
-	ub, lb             []float64 // per point: distance bounds (see reassign)
-	d2                 []float64 // seeding: squared distance to the nearest seed
+	ub, lb             []float64 // distance bounds (see reassign)
+	d2                 []float64 // squared distance to the nearest seed, then to its centroid
 
 	cen, bestCen, sums []float64
 	counts             []int
@@ -124,25 +145,18 @@ type workspace struct {
 	move, half         []float64 // per centroid: last move, half the gap to the nearest other
 }
 
-func newWorkspace(points []Point, maxK int) (*workspace, error) {
-	dim := len(points[0])
-	for _, p := range points {
-		if len(p) != dim {
-			return nil, ErrDimMismatch
-		}
-	}
-	if dim < 1 || dim > 2 {
-		return nil, fmt.Errorf("kmeans: %d-dimensional points, want 1 or 2", dim)
-	}
-	n := len(points)
+func newWorkspace(xy []float64, maxK int) *workspace {
+	pts, of := distinct(xy)
+	m := len(pts) / 2
 	ws := &workspace{
-		dim:        dim,
-		xy:         make([]float64, 2*n),
-		assign:     make([]int, n),
-		bestAssign: make([]int, n),
-		ub:         make([]float64, n),
-		lb:         make([]float64, n),
-		d2:         make([]float64, n),
+		xy:         xy,
+		pts:        pts,
+		of:         of,
+		assign:     make([]int, m),
+		bestAssign: make([]int, m),
+		ub:         make([]float64, m),
+		lb:         make([]float64, m),
+		d2:         make([]float64, m),
 		cen:        make([]float64, 2*maxK),
 		bestCen:    make([]float64, 2*maxK),
 		sums:       make([]float64, 2*maxK),
@@ -151,14 +165,73 @@ func newWorkspace(points []Point, maxK int) (*workspace, error) {
 		move:       make([]float64, maxK),
 		half:       make([]float64, maxK),
 	}
-	for i, p := range points {
-		copy(ws.xy[2*i:2*i+2], p)
+	ws.box = bbox{pts[0], pts[1], pts[0], pts[1]}
+	for j := 0; j < m; j++ {
+		ws.box.extend(pts[2*j], pts[2*j+1])
 	}
-	ws.box = bbox{ws.xy[0], ws.xy[1], ws.xy[0], ws.xy[1]}
-	for i := 0; i < n; i++ {
-		ws.box.extend(ws.xy[2*i], ws.xy[2*i+1])
+	return ws
+}
+
+// distinct returns xy's distinct pairs in order of first occurrence and
+// each point's index among them. Pairs are equal when their bit patterns
+// are: every distance the kernel computes from a pair depends on its bits
+// alone, so bitwise duplicates are interchangeable and +0/−0 or NaNs with
+// different payloads simply stay apart. The pairs are found with an
+// open-addressing table of each distinct pair's first input index. When
+// no pair repeats, the distinct points are xy itself and the index is nil
+// (see at).
+func distinct(xy []float64) ([]float64, []int32) {
+	n := len(xy) / 2
+	of := make([]int32, n)
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
 	}
-	return ws, nil
+	table := make([]int32, 1<<bits) // first input index + 1; 0 is empty
+	mask := len(table) - 1
+	m := int32(0)
+	for i := range of {
+		b0, b1 := math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])
+		for s := int(mix(mix(b0)^b1) >> (64 - bits)); ; s = (s + 1) & mask {
+			f := table[s] - 1
+			if f < 0 {
+				table[s] = int32(i) + 1
+				of[i] = m
+				m++
+				break
+			}
+			if math.Float64bits(xy[2*f]) == b0 && math.Float64bits(xy[2*f+1]) == b1 {
+				of[i] = of[f]
+				break
+			}
+		}
+	}
+	if int(m) == n {
+		return xy, nil
+	}
+	pts := make([]float64, 0, 2*m)
+	for i, j := range of {
+		if int(j) == len(pts)/2 { // i is j's first occurrence
+			pts = append(pts, xy[2*i], xy[2*i+1])
+		}
+	}
+	return pts, of
+}
+
+// mix is SplitMix64's finalizer. A float's information sits in its high
+// bits (a small integer's low 48 are zero), and mix spreads it over all 64.
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// at is the distinct index of input point i: of[i], or i when of is nil.
+func at(of []int32, i int) int {
+	if of == nil {
+		return i
+	}
+	return int(of[i])
 }
 
 // bbox is a bounding box: lo0, lo1, hi0, hi1.
@@ -166,16 +239,18 @@ type bbox [4]float64
 
 // extend grows b to hold (x0, x1); a NaN coordinate makes it NaN.
 func (b *bbox) extend(x0, x1 float64) {
-	b[0], b[1] = math.Min(b[0], x0), math.Min(b[1], x1)
-	b[2], b[3] = math.Max(b[2], x0), math.Max(b[3], x1)
+	b[0], b[1] = min(b[0], x0), min(b[1], x1)
+	b[2], b[3] = max(b[2], x0), max(b[3], x1)
 }
 
 func (b *bbox) diag() float64 {
 	return dist(b[0], b[1], b[2], b[3])
 }
 
-// run is Run's restart loop on the workspace's points.
-func (ws *workspace) run(cfg Config) *Result {
+// run is Run's restart loop on the workspace's points. It leaves the
+// best restart's assignment in bestAssign and its centroids in bestCen,
+// and returns its SSE and iterations.
+func (ws *workspace) run(cfg Config) (float64, int) {
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
 	}
@@ -197,32 +272,44 @@ func (ws *workspace) run(cfg Config) *Result {
 			copy(ws.bestCen, ws.cen[:2*k])
 		}
 	}
+	return bestSSE, bestIter
+}
+
+// result is the Result of a k-cluster run whose per-distinct-point
+// assignment is assign and whose centroids are cen.
+func (ws *workspace) result(k int, assign []int, cen []float64, sse float64, iter int) *Result {
 	res := &Result{
-		Centroids:  make([]Point, k),
-		Assignment: append([]int(nil), ws.bestAssign...),
-		SSE:        bestSSE,
-		Iterations: bestIter,
+		Centroids:  make([][2]float64, k),
+		Assignment: make([]int, len(ws.xy)/2),
+		SSE:        sse,
+		Iterations: iter,
+	}
+	for i := range res.Assignment {
+		res.Assignment[i] = assign[at(ws.of, i)]
 	}
 	for c := range res.Centroids {
-		res.Centroids[c] = append(Point(nil), ws.bestCen[2*c:2*c+ws.dim]...)
+		res.Centroids[c] = [2]float64{cen[2*c], cen[2*c+1]}
 	}
 	return res
 }
 
 // seedPlusPlus picks k initial centroids into cen with the k-means++
 // strategy: each next centroid is drawn with probability proportional to
-// its squared distance from the nearest already-chosen centroid.
+// its squared distance from the nearest already-chosen centroid. The
+// distances are computed per distinct point; their total and the draw
+// walk the input points in index order.
 func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
-	xy, cen, d2 := ws.xy, ws.cen, ws.d2
-	n := len(d2)
+	xy, pts, of, cen, d2 := ws.xy, ws.pts, ws.of, ws.cen, ws.d2
+	n := len(xy) / 2
 	f := r.Intn(n)
 	cen[0], cen[1] = xy[2*f], xy[2*f+1]
 	total := 0.0
-	for i := range d2 {
-		d2[i] = dist2(xy[2*i], xy[2*i+1], cen[0], cen[1])
-		total += d2[i]
+	for j := range d2 {
+		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[0], cen[1])
+		total += d2[j]
 	}
 	for c := 1; c < k; c++ {
+		total = ws.inputSum(d2, total)
 		idx := n - 1
 		if total == 0 {
 			// All points coincide with existing centroids; pick any.
@@ -230,8 +317,8 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 		} else {
 			u := r.Float64() * total
 			acc := 0.0
-			for i, d := range d2 {
-				acc += d
+			for i := 0; i < n; i++ {
+				acc += d2[at(of, i)]
 				if u < acc {
 					idx = i
 					break
@@ -244,13 +331,27 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 			break // d2 is not read again
 		}
 		total = 0
-		for i := range d2 {
-			if d := dist2(xy[2*i], xy[2*i+1], c0, c1); d < d2[i] {
-				d2[i] = d
+		for j := range d2 {
+			if d := dist2(pts[2*j], pts[2*j+1], c0, c1); d < d2[j] {
+				d2[j] = d
 			}
-			total += d2[i]
+			total += d2[j]
 		}
 	}
+}
+
+// inputSum is the sum over the input points, in index order, of v at
+// each one's distinct point. distinctSum is v's sum over the distinct
+// points in their order, which is that sum when no point repeats.
+func (ws *workspace) inputSum(v []float64, distinctSum float64) float64 {
+	if ws.of == nil {
+		return distinctSum
+	}
+	s := 0.0
+	for _, j := range ws.of {
+		s += v[j]
+	}
+	return s
 }
 
 // lloyd runs Lloyd iterations from the k centroids in cen to convergence
@@ -258,9 +359,12 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 // and returns the SSE and the iterations executed.
 //
 // It returns what plain Lloyd iterations return, bit for bit: every
-// centroid is the sum of its members in index order over their count,
-// and a point's centroid is the lowest-index argmin of the squared
-// distances computed by dist2. Two shortcuts keep that:
+// centroid is the sum of its members in input index order over their
+// count, and a point's centroid is the lowest-index argmin of the squared
+// distances computed by dist2. Three shortcuts keep that:
+//
+//   - Bitwise duplicates get the same distances and so the same argmin:
+//     the assignment is computed per distinct point.
 //
 //   - A centroid whose membership did not change in a pass is not
 //     re-summed (update): the same members in the same order give the
@@ -269,7 +373,7 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 //   - A point is not scanned when Hamerly's bounds prove its centroid
 //     strictly nearest (reassign).
 func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
-	xy, cen, assign := ws.xy, ws.cen[:2*k], ws.assign
+	pts, cen, assign, d2 := ws.pts, ws.cen[:2*k], ws.assign, ws.d2
 	dirty := ws.dirty[:k]
 	for c := range dirty {
 		dirty[c] = true // every cluster gains its first members
@@ -278,8 +382,8 @@ func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		if iter == 0 {
-			for i := range assign {
-				assign[i], ws.ub[i], ws.lb[i] = nearest(xy[2*i], xy[2*i+1], cen)
+			for j := range assign {
+				assign[j], ws.ub[j], ws.lb[j] = nearest(pts[2*j], pts[2*j+1], cen)
 			}
 		} else if !ws.reassign(k, pruneMargin(box.diag(), iter)) {
 			break
@@ -288,22 +392,24 @@ func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
 	}
 
 	sse := 0.0
-	for i, c := range assign {
-		sse += dist2(xy[2*i], xy[2*i+1], cen[2*c], cen[2*c+1])
+	for j, c := range assign {
+		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[2*c], cen[2*c+1])
+		sse += d2[j]
 	}
-	return sse, iter
+	return ws.inputSum(d2, sse), iter
 }
 
-// reassign is one assignment pass after the first; it reports whether a
-// point changed cluster and marks the clusters it left and joined dirty.
+// reassign is one assignment pass after the first, over the distinct
+// points; it reports whether a point changed cluster and marks the
+// clusters it left and joined dirty.
 //
-// After each pass ub[i] ≥ dist(point i, its centroid a) and lb[i] ≤
-// dist(point i, any other centroid). A centroid's move m raises ub[i] by
-// m when it is a and lowers lb[i] by the largest move among the others.
+// After each pass ub[j] ≥ dist(point j, its centroid a) and lb[j] ≤
+// dist(point j, any other centroid). A centroid's move m raises ub[j] by
+// m when it is a and lowers lb[j] by the largest move among the others.
 // half[a] is half the distance from a to its nearest other centroid, and
 // a point closer than that to a is closer to a than to any other. So
-// ub[i] + margin < max(lb[i], half[a]) proves a strictly nearest; when it
-// does not, ub[i] is tightened to the computed distance and the test
+// ub[j] + margin < max(lb[j], half[a]) proves a strictly nearest; when it
+// does not, ub[j] is tightened to the computed distance and the test
 // retried, and only then are all k centroids scanned (nearest).
 //
 // The margin covers the rounding of the bound arithmetic. Let L be the
@@ -325,34 +431,34 @@ func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
 // that every coordinate, distance and bound is finite, save lb = +Inf
 // when k = 1, so no test sees a NaN.
 func (ws *workspace) reassign(k int, margin float64) bool {
-	xy, cen, assign, ub, lb := ws.xy, ws.cen[:2*k], ws.assign, ws.ub, ws.lb
+	pts, cen, assign, ub, lb := ws.pts, ws.cen[:2*k], ws.assign, ws.ub, ws.lb
 	dirty, move, half := ws.dirty[:k], ws.move[:k], ws.half[:k]
 	move1, move2, moved := topMoves(move)
 	changed := false
-	for i, a := range assign {
-		u := ub[i] + move[a]
-		l := lb[i] - move1
+	for j, a := range assign {
+		u := ub[j] + move[a]
+		l := lb[j] - move1
 		if a == moved {
-			l = lb[i] - move2
+			l = lb[j] - move2
 		}
 		z := half[a]
 		if l > z {
 			z = l
 		}
 		if u+margin < z {
-			ub[i], lb[i] = u, l
+			ub[j], lb[j] = u, l
 			continue
 		}
-		x0, x1 := xy[2*i], xy[2*i+1]
+		x0, x1 := pts[2*j], pts[2*j+1]
 		u = dist(x0, x1, cen[2*a], cen[2*a+1])
 		if u+margin < z {
-			ub[i], lb[i] = u, l
+			ub[j], lb[j] = u, l
 			continue
 		}
 		var c int
-		c, ub[i], lb[i] = nearest(x0, x1, cen)
+		c, ub[j], lb[j] = nearest(x0, x1, cen)
 		if c != a {
-			assign[i] = c
+			assign[j] = c
 			dirty[a], dirty[c] = true, true
 			changed = true
 		}
@@ -360,19 +466,19 @@ func (ws *workspace) reassign(k int, margin float64) bool {
 	return changed
 }
 
-// update re-sums the dirty clusters in point index order and moves their
+// update re-sums the dirty clusters in input index order and moves their
 // centroids (an empty cluster keeps its position), then records every
 // centroid's move and half-gap and grows box over the new centroids.
 func (ws *workspace) update(k int, box *bbox) {
-	xy, cen, sums := ws.xy, ws.cen[:2*k], ws.sums[:2*k]
+	xy, of, assign, cen, sums := ws.xy, ws.of, ws.assign, ws.cen[:2*k], ws.sums[:2*k]
 	counts, dirty, move, half := ws.counts[:k], ws.dirty[:k], ws.move[:k], ws.half[:k]
 	for c, d := range dirty {
 		if d {
 			sums[2*c], sums[2*c+1], counts[c] = 0, 0, 0
 		}
 	}
-	for i, c := range ws.assign {
-		if dirty[c] {
+	for i := 0; i < len(xy)/2; i++ {
+		if c := assign[at(of, i)]; dirty[c] {
 			counts[c]++
 			sums[2*c] += xy[2*i]
 			sums[2*c+1] += xy[2*i+1]
@@ -459,7 +565,7 @@ func root(s float64) float64 {
 }
 
 // dist2 is the squared distance between (a0, a1) and (b0, b1), summed
-// in the order the Point-wise loop sums it; a 1-D point's zero second
+// in the order a coordinate-wise loop sums it; a 1-D point's zero second
 // coordinate adds exactly +0.
 func dist2(a0, a1, b0, b1 float64) float64 {
 	d0, d1 := a0-b0, a1-b1

@@ -10,52 +10,85 @@ import (
 )
 
 // TestLloydMatchesBruteForce pins the pruned kernel to the reference
-// below, bit for bit, on the inputs where a pruning or re-summing slip
-// would show: exact bisector ties, coincident points and empty clusters,
-// k = n, a hit iteration cap, tiny and huge scales, a tie that only the
-// bounds' margin exposes, squares that overflow and non-finite
-// coordinates (no pruning at all), 1-D and 2-D points, and the
+// below, bit for bit, on the inputs where a pruning, re-summing or
+// deduplicating slip would show: exact bisector ties, coincident points
+// and empty clusters, k = n, a hit iteration cap, tiny and huge scales, a
+// tie that only the bounds' margin exposes, squares that overflow and
+// non-finite coordinates (no pruning at all), heavy repetition and none,
+// +0 next to −0 and repeated NaNs (bitwise-distinct keys that compare
+// equal, equal keys that compare unequal), 1-D and 2-D points, and the
 // characterization's own step-one groups and step-two duration splits on
 // a generated trace.
 func TestLloydMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	lattice := make([]Point, 0, 60)
+	lattice := make([]point, 0, 60)
 	for i := 0; i < 60; i++ {
-		lattice = append(lattice, Point{float64(r.Intn(6)), float64(r.Intn(6))})
+		lattice = append(lattice, point{float64(r.Intn(6)), float64(r.Intn(6))})
 	}
-	lattice1 := make([]Point, 0, 40)
+	lattice1 := make([]point, 0, 40)
 	for i := 0; i < 40; i++ {
-		lattice1 = append(lattice1, Point{float64(r.Intn(5))})
+		lattice1 = append(lattice1, point{float64(r.Intn(5))})
 	}
-	equal := make([]Point, 12)
+	equal := make([]point, 12)
 	for i := range equal {
-		equal[i] = Point{2.5, -1}
+		equal[i] = point{2.5, -1}
 	}
-	dups := make([]Point, 0, 45)
+	dups := make([]point, 0, 45)
 	for i := 0; i < 45; i++ {
-		dups = append(dups, Point{float64(i % 3), 0.5 * float64(i%3)})
+		dups = append(dups, point{float64(i % 3), 0.5 * float64(i%3)})
 	}
-	distinct := []Point{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {3, 3}, {-2, 5}, {0.5, 0.5}}
-	blobs := threeBlobs(r, 200, []Point{{0, 0}, {4, 4}, {0, 4}}, 1.2)
-	scaled := func(pts []Point, f float64) []Point {
-		out := make([]Point, len(pts))
+	distinct := []point{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {3, 3}, {-2, 5}, {0.5, 0.5}}
+	blobs := threeBlobs(r, 200, []point{{0, 0}, {4, 4}, {0, 4}}, 1.2)
+	scaled := func(pts []point, f float64) []point {
+		out := make([]point, len(pts))
 		for i, p := range pts {
-			out[i] = Point{p[0] * f, p[1] * f}
+			out[i] = point{p[0] * f, p[1] * f}
 		}
 		return out
 	}
-	blobs1 := threeBlobs(r, 150, []Point{{0}, {3}, {5}}, 1)
+	blobs1 := threeBlobs(r, 150, []point{{0}, {3}, {5}}, 1)
+	// 5,000 draws over 7 shapes, as tasks repeat their job's request.
+	shapes := threeBlobs(r, 7, []point{{-4, -3}}, 1.5)
+	shapes1 := threeBlobs(r, 7, []point{{2}}, 2)
+	var repeated, repeated1 []point
+	for i := 0; i < 5000; i++ {
+		repeated = append(repeated, shapes[r.Intn(len(shapes))])
+		repeated1 = append(repeated1, shapes1[r.Intn(len(shapes1))])
+	}
+	spread := threeBlobs(r, 400, []point{{0, 0}, {1, 3}}, 1)
+	spread1 := threeBlobs(r, 1000, []point{{1}, {4}}, 1)
+	negZero := math.Copysign(0, -1)
+	zeros := []float64{0, negZero, 1, -1}
+	var signedZeros, signedZeros1 []point
+	for i := 0; i < 48; i++ {
+		signedZeros = append(signedZeros, point{zeros[r.Intn(4)], zeros[r.Intn(4)]})
+		signedZeros1 = append(signedZeros1, point{zeros[r.Intn(4)]})
+	}
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	var nans []point
+	for i := 0; i < 40; i++ {
+		switch i % 5 {
+		case 0:
+			nans = append(nans, point{math.NaN(), 1})
+		case 1:
+			nans = append(nans, point{2, math.NaN()})
+		case 2:
+			nans = append(nans, point{otherNaN, 1})
+		default:
+			nans = append(nans, point{float64(r.Intn(4)), float64(r.Intn(4))})
+		}
+	}
 	// Seeded (8,8) then (-7,-7), the first update moves the centroids to
 	// (1,1) and (-1,-1), so a (0,0) in cluster 1 ties exactly between
 	// them and the reference moves it to cluster 0. Its lower bound on the
 	// distance to cluster 0 is √128 − √98, which rounds above √2: only
 	// the margin makes the bound test fail and the tie reach the scan.
-	roundedTie := []Point{{8, 8}, {1, 1}, {-7, -7}}
+	roundedTie := []point{{8, 8}, {1, 1}, {-7, -7}}
 	for i := 0; i < 7; i++ {
-		roundedTie = append(roundedTie, Point{1, 0}, Point{0, 1})
+		roundedTie = append(roundedTie, point{1, 0}, point{0, 1})
 	}
 	for i := 0; i < 6; i++ {
-		roundedTie = append(roundedTie, Point{0, 0})
+		roundedTie = append(roundedTie, point{0, 0})
 	}
 	const tieSeed = 617
 	if s := seedPlusPlus(roundedTie, 2, stats.NewRNG(tieSeed)); s[0][0] != 8 || s[1][0] != -7 {
@@ -65,17 +98,17 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 	// ones that do not, and non-finite ones: the margin is infinite and
 	// distances tie at +Inf, so a bound test that passes on equality
 	// skips a point the reference moves to cluster 0.
-	var extreme, nonFinite []Point
+	var extreme, nonFinite []point
 	big := []float64{0, 1, -1, 2, 1e154, -1e154, 1.3e154, 1e155, -1e155, 1e200, 1e300, -1e300}
 	for i := 0; i < 30; i++ {
-		extreme = append(extreme, Point{big[r.Intn(len(big))]})
-		nonFinite = append(nonFinite, Point{big[r.Intn(len(big))], big[r.Intn(len(big))]})
+		extreme = append(extreme, point{big[r.Intn(len(big))]})
+		nonFinite = append(nonFinite, point{big[r.Intn(len(big))], big[r.Intn(len(big))]})
 	}
-	nonFinite[3][0], nonFinite[7][1], nonFinite[11] = math.Inf(1), math.Inf(-1), Point{math.NaN(), 0}
+	nonFinite[3][0], nonFinite[7][1], nonFinite[11] = math.Inf(1), math.Inf(-1), point{math.NaN(), 0}
 
 	cases := []struct {
 		name  string
-		pts   []Point
+		pts   []point
 		ks    []int
 		cfg   Config
 		seeds []int64 // default 0..3
@@ -95,6 +128,13 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 		{"rounded tie", roundedTie, []int{2}, Config{}, []int64{tieSeed}},
 		{"extreme", extreme, []int{2, 3, 4, 6}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
 		{"non-finite", nonFinite, []int{2, 3, 4, 6}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"7 shapes", repeated, []int{1, 2, 3, 5, 7, 9}, Config{Restarts: 4}, nil},
+		{"7 shapes 1-D", repeated1, []int{1, 2, 4, 7, 9}, Config{Restarts: 4}, nil},
+		{"all distinct", spread, []int{1, 2, 5, 12}, Config{Restarts: 4}, nil},
+		{"all distinct 1-D", spread1, []int{2, 3}, Config{Restarts: 4}, nil},
+		{"signed zeros", signedZeros, []int{1, 2, 3, 5}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"signed zeros 1-D", signedZeros1, []int{1, 2, 3}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"repeated NaN", nans, []int{1, 2, 3, 5}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
 	}
 	for _, tc := range cases {
 		if tc.seeds == nil {
@@ -104,7 +144,7 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 			for _, seed := range tc.seeds {
 				cfg := tc.cfg
 				cfg.K, cfg.Seed = k, seed
-				got, err := Run(tc.pts, cfg)
+				got, err := Run(flat(tc.pts), cfg)
 				if err != nil {
 					t.Fatalf("%s k=%d: %v", tc.name, k, err)
 				}
@@ -123,15 +163,15 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pts, durs [trace.NumGroups][]Point
+	var pts, durs [trace.NumGroups][]point
 	for _, task := range tr.Tasks {
 		g := task.Group().Index()
-		pts[g] = append(pts[g], Point{math.Log(task.CPU), math.Log(task.Mem)})
-		durs[g] = append(durs[g], Point{math.Log(task.Duration)})
+		pts[g] = append(pts[g], point{math.Log(task.CPU), math.Log(task.Mem)})
+		durs[g] = append(durs[g], point{math.Log(task.Duration)})
 	}
 	for g := range pts {
 		cfg := Config{Seed: 1 + int64(g), Restarts: 4}
-		k, got, err := ChooseK(pts[g], 12, 0.05, cfg)
+		k, got, err := ChooseK(flat(pts[g]), 12, 0.05, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +180,7 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 			t.Fatalf("group %d: ChooseK k = %d, reference %d", g, k, wantK)
 		}
 		requireSameResult(t, "trace group", got, want)
-		members := make([][]Point, k)
+		members := make([][]point, k)
 		for i, c := range got.Assignment {
 			members[c] = append(members[c], durs[g][i])
 		}
@@ -149,7 +189,7 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 				continue
 			}
 			cfg := Config{K: 2, Seed: 1, Restarts: 4}
-			got, err := Run(m, cfg)
+			got, err := Run(flat(m), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,10 +198,12 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// FuzzLloydMatchesBruteForce decodes up to 64 lattice points (so ties are
-// common) of dimension 1 or 2, k, a seed, an iteration cap, a restart
-// count and a scale (1e155 makes squares overflow), and requires Run to
-// match the reference bit for bit.
+// FuzzLloydMatchesBruteForce decodes up to 64 lattice points (so ties and
+// repeats are common) of dimension 1 or 2, k, a seed, an iteration cap, a
+// restart count and a scale (1e155 makes squares overflow), and requires
+// Run to match the reference bit for bit. The first byte also picks a
+// special value: a coordinate byte in [7, 14) mod 14 becomes −0 where it
+// would be 0 (mode 1) or NaN (mode 2).
 func FuzzLloydMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{1, 3, 7, 0, 2, 0, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 6, 6, 5, 5, 1, 1})
 	f.Add([]byte{0, 4, 1, 1, 0, 2, 3, 3, 3, 3, 0, 0, 6, 6, 3})
@@ -169,18 +211,26 @@ func FuzzLloydMatchesBruteForce(f *testing.F) {
 		if len(data) < 7 {
 			return
 		}
-		dim := 1 + int(data[0]%2)
+		dim, mode := 1+int(data[0]%2), data[0]/2%3
 		scale := [...]float64{1, 0.5, 1e-6, 1e6, 1e155}[data[5]%5]
 		coords := data[6:]
 		n := min(64, len(coords)/dim)
 		if n == 0 {
 			return
 		}
-		pts := make([]Point, n)
+		pts := make([]point, n)
 		for i := range pts {
-			pts[i] = make(Point, dim)
+			pts[i] = make(point, dim)
 			for d := range pts[i] {
-				pts[i][d] = scale * float64(int(coords[i*dim+d]%7)-3)
+				b := coords[i*dim+d]
+				v := scale * float64(int(b%7)-3)
+				switch special := b%14 >= 7; {
+				case special && mode == 1 && v == 0:
+					v = math.Copysign(0, -1)
+				case special && mode == 2:
+					v = math.NaN()
+				}
+				pts[i][d] = v
 			}
 		}
 		cfg := Config{
@@ -189,7 +239,7 @@ func FuzzLloydMatchesBruteForce(f *testing.F) {
 			MaxIter:  int(data[3] % 5), // 0 is the default cap
 			Restarts: 1 + int(data[4]%3),
 		}
-		got, err := Run(pts, cfg)
+		got, err := Run(flat(pts), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +247,11 @@ func FuzzLloydMatchesBruteForce(f *testing.F) {
 	})
 }
 
-// requireSameResult fails unless got and want agree in every bit. Any
-// two NaNs agree: which operand's payload a NaN carries is the hardware's
-// and the register allocator's choice, not the algorithm's.
-func requireSameResult(t *testing.T, name string, got, want *Result) {
+// requireSameResult fails unless got and want agree in every bit, a 1-D
+// reference centroid x standing for (x, +0). Any two NaNs agree: which
+// operand's payload a NaN carries is the hardware's and the register
+// allocator's choice, not the algorithm's.
+func requireSameResult(t *testing.T, name string, got *Result, want *refResult) {
 	t.Helper()
 	if got.Iterations != want.Iterations || !sameBits(got.SSE, want.SSE) {
 		t.Fatalf("%s: iterations %d, SSE %v; reference %d, %v", name, got.Iterations, got.SSE, want.Iterations, want.SSE)
@@ -210,13 +261,10 @@ func requireSameResult(t *testing.T, name string, got, want *Result) {
 			name, len(got.Centroids), len(got.Assignment), len(want.Centroids), len(want.Assignment))
 	}
 	for c, p := range got.Centroids {
-		if len(p) != len(want.Centroids[c]) {
-			t.Fatalf("%s: centroid %d has %d dimensions, reference %d", name, c, len(p), len(want.Centroids[c]))
-		}
-		for d := range p {
-			if !sameBits(p[d], want.Centroids[c][d]) {
-				t.Fatalf("%s: centroid %d = %v, reference %v", name, c, p, want.Centroids[c])
-			}
+		w := [2]float64{}
+		copy(w[:], want.Centroids[c])
+		if !sameBits(p[0], w[0]) || !sameBits(p[1], w[1]) {
+			t.Fatalf("%s: centroid %d = %v, reference %v", name, c, p, want.Centroids[c])
 		}
 	}
 	for i, c := range got.Assignment {
@@ -233,10 +281,19 @@ func sameBits(x, y float64) bool {
 // The reference implementation the production kernel must match bit for
 // bit: plain Lloyd iterations (every point scans every centroid, every
 // centroid is re-summed each iteration) behind the same k-means++
-// seeding, over []Point. runRef and chooseKRef are Run and ChooseK on top
-// of it.
+// seeding, over every input point of its own dimension. runRef and
+// chooseKRef are Run and ChooseK on top of it.
+
+// refResult is Result with the points' own dimension.
+type refResult struct {
+	Centroids  []point
+	Assignment []int
+	SSE        float64
+	Iterations int
+}
+
 // runRef is Run over the reference seeding and Lloyd loop.
-func runRef(points []Point, cfg Config) *Result {
+func runRef(points []point, cfg Config) *refResult {
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
 	}
@@ -244,7 +301,7 @@ func runRef(points []Point, cfg Config) *Result {
 		cfg.Restarts = 1
 	}
 	r := stats.NewRNG(cfg.Seed)
-	var best *Result
+	var best *refResult
 	for attempt := 0; attempt < cfg.Restarts; attempt++ {
 		res := lloyd(points, seedPlusPlus(points, cfg.K, r), cfg.MaxIter)
 		if best == nil || res.SSE < best.SSE {
@@ -255,13 +312,13 @@ func runRef(points []Point, cfg Config) *Result {
 }
 
 // chooseKRef is ChooseK over runRef.
-func chooseKRef(points []Point, maxK int, minGain float64, cfg Config) (int, *Result) {
+func chooseKRef(points []point, maxK int, minGain float64, cfg Config) (int, *refResult) {
 	if maxK > len(points) {
 		maxK = len(points)
 	}
 	var (
 		prevSSE float64
-		prevRes *Result
+		prevRes *refResult
 	)
 	for k := 1; k <= maxK; k++ {
 		c := cfg
@@ -284,8 +341,8 @@ func chooseKRef(points []Point, maxK int, minGain float64, cfg Config) (int, *Re
 // seedPlusPlus picks k initial centroids with the k-means++ strategy:
 // each next centroid is drawn with probability proportional to its squared
 // distance from the nearest already-chosen centroid.
-func seedPlusPlus(points []Point, k int, r *stats.RNG) []Point {
-	centroids := make([]Point, 0, k)
+func seedPlusPlus(points []point, k int, r *stats.RNG) []point {
+	centroids := make([]point, 0, k)
 	first := points[r.Intn(len(points))]
 	centroids = append(centroids, clonePoint(first))
 
@@ -298,7 +355,7 @@ func seedPlusPlus(points []Point, k int, r *stats.RNG) []Point {
 		for _, d := range d2 {
 			total += d
 		}
-		var next Point
+		var next point
 		if total == 0 {
 			// All points coincide with existing centroids; pick any.
 			next = points[r.Intn(len(points))]
@@ -326,7 +383,7 @@ func seedPlusPlus(points []Point, k int, r *stats.RNG) []Point {
 }
 
 // lloyd runs standard Lloyd iterations to convergence or maxIter.
-func lloyd(points []Point, centroids []Point, maxIter int) *Result {
+func lloyd(points []point, centroids []point, maxIter int) *refResult {
 	k := len(centroids)
 	dim := len(points[0])
 	assign := make([]int, len(points))
@@ -379,7 +436,7 @@ func lloyd(points []Point, centroids []Point, maxIter int) *Result {
 	for i, p := range points {
 		sse += sqDist(p, centroids[assign[i]])
 	}
-	return &Result{
+	return &refResult{
 		Centroids:  centroids,
 		Assignment: assign,
 		SSE:        sse,
@@ -387,7 +444,7 @@ func lloyd(points []Point, centroids []Point, maxIter int) *Result {
 	}
 }
 
-func sqDist(a, b Point) float64 {
+func sqDist(a, b point) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
@@ -396,8 +453,8 @@ func sqDist(a, b Point) float64 {
 	return s
 }
 
-func clonePoint(p Point) Point {
-	q := make(Point, len(p))
+func clonePoint(p point) point {
+	q := make(point, len(p))
 	copy(q, p)
 	return q
 }

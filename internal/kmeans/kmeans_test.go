@@ -7,12 +7,27 @@ import (
 	"testing/quick"
 )
 
+// point is a test input of one or two coordinates; flat lays a set of
+// them out as Run takes them, a 1-D point as (x, 0).
+type point []float64
+
+func flat(pts []point) []float64 {
+	xy := make([]float64, 0, 2*len(pts))
+	for _, p := range pts {
+		xy = append(xy, p[0], 0)
+		if len(p) == 2 {
+			xy[len(xy)-1] = p[1]
+		}
+	}
+	return xy
+}
+
 // threeBlobs returns well-separated gaussian blobs around the given centers.
-func threeBlobs(r *rand.Rand, perBlob int, centers []Point, sigma float64) []Point {
-	var pts []Point
+func threeBlobs(r *rand.Rand, perBlob int, centers []point, sigma float64) []point {
+	var pts []point
 	for _, c := range centers {
 		for i := 0; i < perBlob; i++ {
-			p := make(Point, len(c))
+			p := make(point, len(c))
 			for d := range c {
 				p[d] = c[d] + sigma*r.NormFloat64()
 			}
@@ -23,10 +38,10 @@ func threeBlobs(r *rand.Rand, perBlob int, centers []Point, sigma float64) []Poi
 }
 
 // nearestSq returns the squared distance from p to its closest centroid.
-func nearestSq(centroids []Point, p Point) float64 {
+func nearestSq(centroids [][2]float64, p point) float64 {
 	best := math.Inf(1)
 	for _, cen := range centroids {
-		best = math.Min(best, sqDist(p, cen))
+		best = math.Min(best, sqDist(p, cen[:len(p)]))
 	}
 	return best
 }
@@ -35,23 +50,26 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, Config{K: 1}); err == nil {
 		t.Error("empty input accepted")
 	}
-	pts := []Point{{1}, {2}}
+	pts := []float64{1, 0, 2, 0}
 	if _, err := Run(pts, Config{K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
 	if _, err := Run(pts, Config{K: 3}); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := Run([]Point{{1}, {1, 2}}, Config{K: 1}); err == nil {
-		t.Error("dim mismatch accepted")
+	if _, err := Run([]float64{1, 0, 2}, Config{K: 1}); err == nil {
+		t.Error("odd-length buffer accepted")
+	}
+	if _, _, err := ChooseK([]float64{1}, 2, 0.1, Config{}); err == nil {
+		t.Error("odd-length buffer accepted by ChooseK")
 	}
 }
 
 func TestRunRecoversBlobs(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	centers := []Point{{0, 0}, {10, 10}, {0, 10}}
+	centers := []point{{0, 0}, {10, 10}, {0, 10}}
 	pts := threeBlobs(r, 100, centers, 0.5)
-	res, err := Run(pts, Config{K: 3, Seed: 7, Restarts: 5})
+	res, err := Run(flat(pts), Config{K: 3, Seed: 7, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +91,7 @@ func TestRunRecoversBlobs(t *testing.T) {
 }
 
 func TestRunK1CentroidIsMean(t *testing.T) {
-	pts := []Point{{0, 0}, {2, 4}, {4, 2}}
-	res, err := Run(pts, Config{K: 1, Seed: 1})
+	res, err := Run([]float64{0, 0, 2, 4, 4, 2}, Config{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +101,7 @@ func TestRunK1CentroidIsMean(t *testing.T) {
 }
 
 func TestRunIdenticalPoints(t *testing.T) {
-	pts := []Point{{1, 1}, {1, 1}, {1, 1}}
-	res, err := Run(pts, Config{K: 2, Seed: 3})
+	res, err := Run([]float64{1, 1, 1, 1, 1, 1}, Config{K: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +116,19 @@ func TestRunAssignmentOptimality(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 20 + r.Intn(80)
-		pts := make([]Point, n)
+		pts := make([]point, n)
 		for i := range pts {
-			pts[i] = Point{r.Float64() * 10, r.Float64() * 10}
+			pts[i] = point{r.Float64() * 10, r.Float64() * 10}
 		}
 		k := 1 + r.Intn(4)
-		res, err := Run(pts, Config{K: k, Seed: seed})
+		res, err := Run(flat(pts), Config{K: k, Seed: seed})
 		if err != nil {
 			return false
 		}
 		sse := 0.0
 		for i, p := range pts {
 			bd := nearestSq(res.Centroids, p)
-			ad := sqDist(p, res.Centroids[res.Assignment[i]])
+			ad := sqDist(p, res.Centroids[res.Assignment[i]][:])
 			if ad > bd+1e-9 {
 				return false
 			}
@@ -128,7 +144,7 @@ func TestRunAssignmentOptimality(t *testing.T) {
 // Property: SSE is non-increasing in k (with enough restarts).
 func TestSSEDecreasesWithK(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	pts := threeBlobs(r, 60, []Point{{0, 0}, {5, 5}, {10, 0}}, 1.0)
+	pts := flat(threeBlobs(r, 60, []point{{0, 0}, {5, 5}, {10, 0}}, 1.0))
 	prev := math.Inf(1)
 	for k := 1; k <= 5; k++ {
 		res, err := Run(pts, Config{K: k, Seed: 11, Restarts: 8})
@@ -144,7 +160,7 @@ func TestSSEDecreasesWithK(t *testing.T) {
 
 func TestChooseK(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	pts := threeBlobs(r, 80, []Point{{0, 0}, {20, 0}, {0, 20}}, 0.5)
+	pts := flat(threeBlobs(r, 80, []point{{0, 0}, {20, 0}, {0, 20}}, 0.5))
 	k, res, err := ChooseK(pts, 8, 0.3, Config{Seed: 13, Restarts: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +177,54 @@ func TestChooseK(t *testing.T) {
 }
 
 func TestChooseKCapsAtN(t *testing.T) {
-	pts := []Point{{0}, {1}, {100}}
+	pts := []float64{0, 0, 1, 0, 100, 0}
 	k, _, err := ChooseK(pts, 10, 0.01, Config{Seed: 1, Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k > 3 {
 		t.Errorf("k = %d exceeds n", k)
+	}
+}
+
+// TestDistinct checks the deduplication behind the kernel on its own:
+// pairs are one point exactly when their bit patterns are equal, so +0
+// and −0 and NaNs of different payloads stay apart, distinct points are
+// numbered by first occurrence, and an input without repeats comes back
+// as itself with a nil index. The 50×50 lattice shares every x0 with 49
+// other points, so a probe that compared one coordinate would merge some.
+func TestDistinct(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var xy []float64
+	for i := 0; i < 5000; i++ {
+		v := r.Intn(2500)
+		xy = append(xy, float64(v%50), float64(v/50))
+	}
+	negZero, otherNaN := math.Copysign(0, -1), math.Float64frombits(math.Float64bits(math.NaN())^1)
+	xy = append(xy, 0, 0, negZero, 0, 0, negZero, math.NaN(), 1, otherNaN, 1, math.NaN(), 1, 0, 0)
+
+	pts, of := distinct(xy)
+	first := map[[2]uint64]int{}
+	for i := 0; i < len(xy)/2; i++ {
+		key := [2]uint64{math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])}
+		j, seen := first[key]
+		if !seen {
+			j = len(first)
+			first[key] = j
+		}
+		if int(of[i]) != j {
+			t.Fatalf("point %d (%v, %v) is distinct point %d, want %d", i, xy[2*i], xy[2*i+1], of[i], j)
+		}
+		if math.Float64bits(pts[2*j]) != key[0] || math.Float64bits(pts[2*j+1]) != key[1] {
+			t.Fatalf("distinct point %d is (%v, %v), want (%v, %v)", j, pts[2*j], pts[2*j+1], xy[2*i], xy[2*i+1])
+		}
+	}
+	if len(pts) != 2*len(first) {
+		t.Fatalf("%d distinct points, want %d", len(pts)/2, len(first))
+	}
+
+	once := []float64{1, 2, 3, 4, negZero, 4, 0, 4}
+	if pts, of := distinct(once); of != nil || &pts[0] != &once[0] {
+		t.Fatalf("an input without repeats gave index %v", of)
 	}
 }

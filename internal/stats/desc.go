@@ -10,7 +10,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions that are undefined on empty input.
@@ -75,19 +74,17 @@ func SquaredCV(xs []float64) float64 {
 	return Variance(xs) / (m * m)
 }
 
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. It returns an error on empty input
-// or p outside [0,100].
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
+// Percentile returns the p-th percentile (p in [0,100]) of sorted, which
+// must be in ascending order, using linear interpolation between closest
+// ranks. It returns an error on empty input or p outside [0,100]. Sorting
+// is the caller's, so several percentiles of one sample sort it once.
+func Percentile(sorted []float64, p float64) (float64, error) {
+	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
 	if !(p >= 0 && p <= 100) {
 		return 0, errors.New("stats: percentile out of [0,100]")
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0], nil
 	}
