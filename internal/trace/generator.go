@@ -196,10 +196,12 @@ func Generate(cfg Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The stream is already in submit order (arrival times are
-	// non-decreasing by construction); the stable sort only normalizes
-	// exact-tie ordering, which the ascending task IDs already encode.
-	tr.SortTasks()
+	// The stream is already in (Submit, ID) order: arrival times are
+	// non-decreasing by construction and IDs ascend. The stable sort stays
+	// as the normalizer should that ever not hold.
+	if !tr.sorted() {
+		tr.SortTasks()
+	}
 	return tr, nil
 }
 

@@ -73,16 +73,27 @@ func ReadChunk(src TaskSource, buf []Task) (int, error) {
 	return len(buf), nil
 }
 
+// collectChunk is how many tasks Collect gathers in one buffer before it
+// starts the next. Growing one slice to a million tasks reallocates,
+// clears and copies it dozens of times (append grows a large slice by a
+// quarter); filling fixed chunks and concatenating them once allocates and
+// copies the tasks about twice.
+const collectChunk = 1 << 12
+
 // Collect materializes a source into a Trace. It is the bridge back to
 // the batch API for workloads small enough to hold; trace-scale runs
 // should consume the source directly instead.
 func Collect(src TaskSource) (*Trace, error) {
 	m := src.Meta()
 	tr := &Trace{Machines: m.Machines, Horizon: m.Horizon}
+	var (
+		full [][]Task // chunks of collectChunk tasks, in stream order
+		cur  []Task   // the chunk being filled
+	)
 	if m.Tasks > 0 {
 		// A header's count is a claim, not a budget: cap the up-front
 		// capacity so a hostile count cannot exhaust memory.
-		tr.Tasks = make([]Task, 0, min(m.Tasks, 1<<16))
+		cur = make([]Task, 0, min(m.Tasks, collectChunk))
 	}
 	prev := -1.0
 	var t Task
@@ -99,7 +110,19 @@ func Collect(src TaskSource) (*Trace, error) {
 				t.ID, t.Submit, prev)
 		}
 		prev = t.Submit
-		tr.Tasks = append(tr.Tasks, t)
+		if len(cur) == collectChunk {
+			full = append(full, cur)
+			cur = make([]Task, 0, collectChunk)
+		}
+		cur = append(cur, t)
+	}
+	tr.Tasks = cur
+	if len(full) > 0 {
+		tr.Tasks = make([]Task, 0, len(full)*collectChunk+len(cur))
+		for _, c := range full {
+			tr.Tasks = append(tr.Tasks, c...)
+		}
+		tr.Tasks = append(tr.Tasks, cur...)
 	}
 	if m.Tasks >= 0 && int64(len(tr.Tasks)) != m.Tasks {
 		return nil, fmt.Errorf("trace: source meta says %d tasks, stream had %d", m.Tasks, len(tr.Tasks))

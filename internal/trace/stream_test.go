@@ -355,6 +355,29 @@ func TestCollectValidation(t *testing.T) {
 	}
 }
 
+// Collect returns the stream in order whatever its length falls on
+// against the chunks it gathers it in.
+func TestCollectChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, collectChunk - 1, collectChunk, collectChunk + 1, 3 * collectChunk} {
+		tr := &Trace{Horizon: 1, Tasks: make([]Task, n)}
+		for i := range tr.Tasks {
+			tr.Tasks[i] = Task{ID: uint64(i), Submit: float64(i / 3)}
+		}
+		got, err := Collect(NewSliceSource(tr))
+		if err != nil {
+			t.Fatalf("%d tasks: %v", n, err)
+		}
+		if len(got.Tasks) != n {
+			t.Fatalf("%d tasks collected, want %d", len(got.Tasks), n)
+		}
+		for i := range got.Tasks {
+			if got.Tasks[i] != tr.Tasks[i] {
+				t.Fatalf("%d tasks: slot %d holds task %d, want %d", n, i, got.Tasks[i].ID, i)
+			}
+		}
+	}
+}
+
 type failingSource struct{}
 
 func (failingSource) Meta() Meta               { return Meta{} }
