@@ -12,7 +12,7 @@
 # ratios and each side's median are printed for BENCHMARK.json's end-to-end metrics, and the exit status is 1
 # if a deterministic metric differs within a pair or a run failed its own checks
 # (its contract line's correct is not true, or failed is above 0), naming the
-# logs to read.
+# logs to read; under such a run's FAIL line go its log's failed check lines.
 set -euo pipefail
 w="${1:?usage: bench-pairs.sh <workload> <parent-ref> [pairs]}"
 parent="${2:?usage: bench-pairs.sh <workload> <parent-ref> [pairs]}"
@@ -77,4 +77,12 @@ jq -rn --argjson m "$metrics" --argjson lower "$lower" --argjson det "$determini
 		| "FAIL: pair \($i + 1): the \(.[0]) run has correct \(.[1].correct), failed \(.[1].failed) (log \(logfile(.[0]; $i)))"] as $unchecked
 	| (if $differ | length > 0 then $differ[] else "deterministic metrics equal in every pair: \($det | join(", "))" end),
 		$unchecked[],
-		(if $differ + $unchecked | length > 0 then "" | halt_error(1) else empty end))'
+		(if $differ + $unchecked | length > 0 then "" | halt_error(1) else empty end))' |
+	while IFS= read -r line; do
+		printf '%s\n' "$line"
+		# A run that failed its checks: print them from its log (report.go's
+		# "check <name> FAILED <detail>" lines).
+		if [[ $line =~ ^FAIL:\ pair\ .*\ run\ has\ correct.*\(log\ (.*)\)$ ]]; then
+			sed -n 's/^check \([^ ]*\) *FAILED *\(.*\)$/    check \1: \2/p' "${BASH_REMATCH[1]}"
+		fi
+	done
