@@ -14,10 +14,11 @@ type point []float64
 func flat(pts []point) []float64 {
 	xy := make([]float64, 0, 2*len(pts))
 	for _, p := range pts {
-		xy = append(xy, p[0], 0)
+		x1 := 0.0
 		if len(p) == 2 {
-			xy[len(xy)-1] = p[1]
+			x1 = p[1]
 		}
+		xy = append(xy, p[0], x1)
 	}
 	return xy
 }

@@ -549,7 +549,7 @@ func TestPassWalksQueuedTypesInOrder(t *testing.T) {
 			{ID: 1, Platform: "PF-A", CPU: 0.5, Mem: 0.5, Count: 8},
 			{ID: 2, Platform: "PF-B", CPU: 1, Mem: 1, Count: 8},
 		},
-		Horizon:  1e9,
+		Horizon: 1e9,
 	}
 	cfg := Config{
 		Source:   trace.NewSliceSource(tr),
