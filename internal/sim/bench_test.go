@@ -34,7 +34,9 @@ func backloggedEngine(t testing.TB, tasks []trace.Task) *engine {
 	e := newEngine(cfg)
 	powerAll(e)
 	for _, tk := range tasks {
-		e.enqueue(tk.Group().Index(), 0, pendingTask{task: tk})
+		gi := tk.Group().Index()
+		e.pending[gi][0] = append(e.pending[gi][0], pendingTask{task: tk})
+		e.pendingCount++
 	}
 	return e
 }

@@ -492,100 +492,3 @@ func TestBaselineFleetScansAboutOncePerTask(t *testing.T) {
 // early in types of 25 to 350 machines. On the full-scale scenario a place
 // visits 58 nodes where a scan visited 244 machines.
 const fitVisitsPerPlace = 12
-
-// TestPassVisitsOnlyQueuedTypes is the cost contract of the queued
-// bitset: a pass walks exactly the queues that hold tasks. On an
-// overloaded run over 150 task types (three words of the bitset), the
-// queue visits of all passes equal the non-empty queues counted as each
-// pass starts, the bitset matches the queues after every pass, and the
-// result is the attempt-everything reference pass's.
-func TestPassVisitsOnlyQueuedTypes(t *testing.T) {
-	const types = 150
-	mutate := func(cfg *Config, pol *wobblePolicy) {
-		cfg.NumTypes = types
-		cfg.TypeOf = func(tk trace.Task) int { return int(tk.JobID % types) }
-		pol.types = types
-	}
-	ref := runWithPass(t, passScenario(t, 1, mutate), (*engine).schedulePendingReference)
-	passes, nonEmpty := 0, 0
-	e := runWithPass(t, passScenario(t, 1, mutate), func(e *engine) {
-		passes++
-		for gi := range e.pending {
-			for _, q := range e.pending[gi] {
-				if len(q) > 0 {
-					nonEmpty++
-				}
-			}
-		}
-		e.schedulePending()
-		for gi := range e.pending {
-			for tt, q := range e.pending[gi] {
-				if set := e.queued[gi][tt/64]>>(tt%64)&1 == 1; set != (len(q) > 0) {
-					t.Fatalf("pass %d: queue (%d, %d) holds %d tasks, its bit is %v", passes, gi, tt, len(q), set)
-				}
-			}
-		}
-	})
-	if !reflect.DeepEqual(ref.res, e.res) {
-		t.Fatal("result differs from the reference pass")
-	}
-	all := passes * trace.NumGroups * types
-	t.Logf("%d passes visited %d queues of %d", passes, e.queueVisits, all)
-	if e.queueVisits != nonEmpty {
-		t.Errorf("%d queue visits, want the %d non-empty queues the passes met", e.queueVisits, nonEmpty)
-	}
-	if 2*nonEmpty > all {
-		t.Errorf("%d of %d queues non-empty: the scenario does not leave most types idle", nonEmpty, all)
-	}
-}
-
-// TestPassWalksQueuedTypesInOrder: the bitset walk keeps the order of the
-// walk over every queue, production's queues first and then ascending
-// task types, across the bitset's words. Each task fills one powered
-// machine, so first fit starts them in the order the pass reaches them.
-func TestPassWalksQueuedTypesInOrder(t *testing.T) {
-	tr := &trace.Trace{
-		Machines: []trace.MachineType{
-			{ID: 1, Platform: "PF-A", CPU: 0.5, Mem: 0.5, Count: 8},
-			{ID: 2, Platform: "PF-B", CPU: 1, Mem: 1, Count: 8},
-		},
-		Horizon: 1e9,
-	}
-	cfg := Config{
-		Source:   trace.NewSliceSource(tr),
-		Models:   simModels(),
-		Price:    energy.FlatPrice(0.1),
-		Policy:   &staticPolicy{name: "x", target: []int{8, 0}},
-		Period:   300,
-		NumTypes: 130,
-		TypeOf:   func(tk trace.Task) int { return int(tk.JobID) },
-	}
-	if err := validateConfig(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(cfg)
-	e.setActive(0, 8) // the 0.5 machines only
-	// (priority, type) per task ID, enqueued in ID order.
-	queued := [][2]int{{0, 5}, {10, 129}, {5, 64}, {10, 3}, {0, 63}, {10, 64}, {5, 0}}
-	for id, pt := range queued {
-		tk := trace.Task{ID: uint64(id), JobID: uint64(pt[1]), Priority: pt[0], Duration: 10, CPU: 0.5, Mem: 0.5}
-		e.enqueue(tk.Group().Index(), pt[1], pendingTask{task: tk, taskType: pt[1]})
-	}
-	e.schedulePending()
-	want := []uint64{3, 5, 1, 6, 2, 0, 4} // production 3, 64, 129; other 0, 64; gratis 5, 63
-	if e.queueVisits != len(want) || len(e.running.slab) != len(want) {
-		t.Fatalf("%d queue visits, %d started; want %d each", e.queueVisits, len(e.running.slab), len(want))
-	}
-	for i, rt := range e.running.slab {
-		if rt.task.ID != want[i] {
-			t.Fatalf("start %d is task %d, want %d", i, rt.task.ID, want[i])
-		}
-	}
-	for gi := range e.queued {
-		for wi, w := range e.queued[gi] {
-			if w != 0 {
-				t.Errorf("group %d: word %d of the bitset is %#x after every queue drained", gi, wi, w)
-			}
-		}
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"harmony/internal/energy"
 	"harmony/internal/stats"
@@ -279,11 +278,8 @@ type engine struct {
 
 	// pending[group][taskType] is a FIFO queue; scheduling scans groups
 	// in descending priority, then types, so a stuck type cannot block
-	// the others. Bit tt%64 of queued[group][tt/64] is set exactly when
-	// that queue is non-empty, so a pass visits only the queues that hold
-	// tasks (CBS runs dozens of types, most of them idle at any instant).
+	// the others.
 	pending                [trace.NumGroups][][]pendingTask
-	queued                 [trace.NumGroups][]uint64
 	pendingCount           int
 	running                finishHeap
 	quota                  [][]int // current directive quotas (nil = unlimited)
@@ -303,13 +299,12 @@ type engine struct {
 	// queue being walked (at most the fail budget). placeAttempts counts
 	// place calls over the run, fitVisits the fit-tree nodes they visited
 	// and scanVisits the machines a scan of each type would have visited
-	// (cost contracts of the dominance rule, the tried runs, the fit trees
-	// and the queued bitset).
+	// (cost contracts of the dominance rule, the tried runs and the fit
+	// trees).
 	failed        []failedShape
 	placeAttempts int
 	fitVisits     int
 	scanVisits    int
-	queueVisits   int // queues schedulePending walked
 
 	// What the next scheduling pass may assume of the last one: tried
 	// mirrors pending, freed is the machine the completion just before the
@@ -407,7 +402,6 @@ func newEngine(cfg Config) *engine {
 	}
 	for gi := range e.pending {
 		e.pending[gi] = make([][]pendingTask, cfg.NumTypes)
-		e.queued[gi] = make([]uint64, (cfg.NumTypes+63)/64)
 		e.tried[gi] = make([]triedRun, cfg.NumTypes)
 	}
 	for ti, mt := range e.types {
@@ -506,13 +500,7 @@ func (e *engine) handleArrival(t trace.Task) {
 		}
 		e.tried[gi][tt] = triedRun{n: 1, minCPU: cpu, minMem: mem}
 	}
-	e.enqueue(gi, tt, p)
-}
-
-// enqueue appends p to queue (gi, tt) and marks the queue non-empty.
-func (e *engine) enqueue(gi, tt int, p pendingTask) {
 	e.pending[gi][tt] = append(e.pending[gi][tt], p)
-	e.queued[gi][tt/64] |= 1 << (tt % 64)
 	e.pendingCount++
 }
 
@@ -708,9 +696,8 @@ type triedRun struct {
 	minCPU, minMem float64
 }
 
-// schedulePending walks the non-empty queues (the queued bitset) in
-// priority order (production first), then by ascending task type,
-// first-fitting tasks onto powered machines while
+// schedulePending walks the queues in priority order (production first),
+// then per task type, first-fitting tasks onto powered machines while
 // honoring quotas and container reservations. Each type queue tolerates a
 // bounded number of placement failures per pass so one unschedulable task
 // cannot starve everything behind it.
@@ -740,56 +727,52 @@ func (e *engine) schedulePending() {
 		return
 	}
 	for gi := trace.NumGroups - 1; gi >= 0; gi-- {
-		for wi, w := range e.queued[gi] {
-			for ; w != 0; w &= w - 1 {
-				tt := 64*wi + bits.TrailingZeros64(w)
-				e.queueVisits++
-				q := e.pending[gi][tt]
-				tr := &e.tried[gi][tt]
-				tried := tr.n
-				// Whether the freed machine could hold the smallest of the run.
-				runFits := tried > 0 && e.fitsFreed("", tt, tr.minCPU, tr.minMem)
-				if !runFits && (tried == len(q) || tried == failBudgetPerQueue) {
-					continue
+		for tt := range e.pending[gi] {
+			q := e.pending[gi][tt]
+			if len(q) == 0 {
+				continue
+			}
+			tr := &e.tried[gi][tt]
+			tried := tr.n
+			// Whether the freed machine could hold the smallest of the run.
+			runFits := tried > 0 && e.fitsFreed("", tt, tr.minCPU, tr.minMem)
+			if !runFits && (tried == len(q) || tried == failBudgetPerQueue) {
+				continue
+			}
+			failed := e.failed[:0]
+			*tr = triedRun{minCPU: math.Inf(1), minMem: math.Inf(1)}
+			kept := 0
+			for qi := range q {
+				if len(failed) == failBudgetPerQueue {
+					kept += copy(q[kept:], q[qi:])
+					break
 				}
-				failed := e.failed[:0]
-				*tr = triedRun{minCPU: math.Inf(1), minMem: math.Inf(1)}
-				kept := 0
-				for qi := range q {
-					if len(failed) == failBudgetPerQueue {
-						kept += copy(q[kept:], q[qi:])
-						break
-					}
-					p := &q[qi]
-					cpu, mem := e.reserved(p)
-					if qi < tried {
-						if runFits && e.fitsFreed(p.task.Constraint, tt, cpu, mem) {
-							e.start(p, e.freed, cpu, mem)
-							e.pendingCount--
-							continue
-						}
-					} else if !dominated(failed, p.task.Constraint, cpu, mem) && e.place(p, cpu, mem) {
+				p := &q[qi]
+				cpu, mem := e.reserved(p)
+				if qi < tried {
+					if runFits && e.fitsFreed(p.task.Constraint, tt, cpu, mem) {
+						e.start(p, e.freed, cpu, mem)
 						e.pendingCount--
 						continue
 					}
-					failed = append(failed, failedShape{p.task.Constraint, cpu, mem})
-					if cpu < tr.minCPU {
-						tr.minCPU = cpu
-					}
-					if mem < tr.minMem {
-						tr.minMem = mem
-					}
-					if kept != qi {
-						q[kept] = *p
-					}
-					kept++
+				} else if !dominated(failed, p.task.Constraint, cpu, mem) && e.place(p, cpu, mem) {
+					e.pendingCount--
+					continue
 				}
-				tr.n = len(failed)
-				e.pending[gi][tt] = q[:kept]
-				if kept == 0 {
-					e.queued[gi][wi] &^= 1 << (tt % 64)
+				failed = append(failed, failedShape{p.task.Constraint, cpu, mem})
+				if cpu < tr.minCPU {
+					tr.minCPU = cpu
 				}
+				if mem < tr.minMem {
+					tr.minMem = mem
+				}
+				if kept != qi {
+					q[kept] = *p
+				}
+				kept++
 			}
+			tr.n = len(failed)
+			e.pending[gi][tt] = q[:kept]
 		}
 	}
 }
