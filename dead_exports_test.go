@@ -22,6 +22,7 @@ var calledOnlyByTests = map[string]string{
 	"forecast.Backtest":            "test harness that scores the forecasters against those baselines",
 	"lp.SolveWarm":                 "the lp tests' entry point: builds the standard form and solves it in one call",
 	"tenant.Replay":                "batch reference the multi-tenant e2e tests compare against",
+	"trace.(*Trace).SortTasks":     "puts the sim and classify tests' hand-built task lists in submit order",
 }
 
 // TestLibraryExportsHaveCallers keeps the library packages down to what

@@ -25,6 +25,21 @@ func TestGenerateValidates(t *testing.T) {
 	}
 }
 
+// Generate returns the stream as emitted, which is already in SortTasks'
+// order: submit times never fall and IDs ascend.
+func TestGenerateInSubmitIDOrder(t *testing.T) {
+	tr, err := Generate(smallConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(tr.Tasks); i++ {
+		a, b := tr.Tasks[i-1], tr.Tasks[i]
+		if b.Submit < a.Submit || b.ID <= a.ID {
+			t.Fatalf("tasks %d, %d out of (Submit, ID) order: (%v, %d) then (%v, %d)", i-1, i, a.Submit, a.ID, b.Submit, b.ID)
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(smallConfig(42))
 	if err != nil {

@@ -130,18 +130,6 @@ func (tr *Trace) SortTasks() {
 	})
 }
 
-// sorted reports whether tr's tasks are already in SortTasks' order.
-func (tr *Trace) sorted() bool {
-	for i := 1; i < len(tr.Tasks); i++ {
-		a, b := &tr.Tasks[i-1], &tr.Tasks[i]
-		//harmony:allow floateq the order SortTasks sets is exact
-		if b.Submit < a.Submit || b.Submit == a.Submit && b.ID < a.ID {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks one task against the model: a positive finite
 // duration, demands in (0,1], priority in [0,11], class in [0,3] and a
 // finite non-negative submit. The tests are written as !(x > 0) so that a

@@ -115,17 +115,6 @@ func TestSortTasks(t *testing.T) {
 		{ID: 1, Submit: 5},
 		{ID: 2, Submit: 5},
 	}}
-	if tr.sorted() {
-		t.Error("sorted() = true before the sort")
-	}
-	tr.SortTasks()
-	if !tr.sorted() {
-		t.Error("sorted() = false after the sort")
-	}
-	tr.Tasks[0], tr.Tasks[1] = tr.Tasks[1], tr.Tasks[0] // IDs 2, 1 at one submit time
-	if tr.sorted() {
-		t.Error("sorted() = true with a tie out of ID order")
-	}
 	tr.SortTasks()
 	wantIDs := []uint64{1, 2, 3}
 	for i, w := range wantIDs {
