@@ -131,7 +131,7 @@ func numPoints(xy []float64) (int, error) {
 type workspace struct {
 	xy  []float64 // input point i is (xy[2i], xy[2i+1])
 	pts []float64 // distinct point j is (pts[2j], pts[2j+1]), by first occurrence
-	of  []int32   // input point i is distinct point at(of, i)
+	of  []int32   // input point i is distinct point of[i]
 	box bbox      // the points' bounding box
 
 	// Per distinct point.
@@ -177,9 +177,7 @@ func newWorkspace(xy []float64, maxK int) *workspace {
 // are: every distance the kernel computes from a pair depends on its bits
 // alone, so bitwise duplicates are interchangeable and +0/−0 or NaNs with
 // different payloads simply stay apart. The pairs are found with an
-// open-addressing table of each distinct pair's first input index. When
-// no pair repeats, the distinct points are xy itself and the index is nil
-// (see at).
+// open-addressing table of each distinct pair's first input index.
 func distinct(xy []float64) ([]float64, []int32) {
 	n := len(xy) / 2
 	of := make([]int32, n)
@@ -193,7 +191,7 @@ func distinct(xy []float64) ([]float64, []int32) {
 	for i := range of {
 		b0, b1 := math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])
 		for s := int(mix(mix(b0)^b1) >> (64 - bits)); ; s = (s + 1) & mask {
-			f := table[s] - 1
+			f := int(table[s]) - 1
 			if f < 0 {
 				table[s] = int32(i) + 1
 				of[i] = m
@@ -205,9 +203,6 @@ func distinct(xy []float64) ([]float64, []int32) {
 				break
 			}
 		}
-	}
-	if int(m) == n {
-		return xy, nil
 	}
 	pts := make([]float64, 0, 2*m)
 	for i, j := range of {
@@ -224,14 +219,6 @@ func mix(z uint64) uint64 {
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	return z ^ z>>31
-}
-
-// at is the distinct index of input point i: of[i], or i when of is nil.
-func at(of []int32, i int) int {
-	if of == nil {
-		return i
-	}
-	return int(of[i])
 }
 
 // bbox is a bounding box: lo0, lo1, hi0, hi1.
@@ -285,7 +272,7 @@ func (ws *workspace) result(k int, assign []int, cen []float64, sse float64, ite
 		Iterations: iter,
 	}
 	for i := range res.Assignment {
-		res.Assignment[i] = assign[at(ws.of, i)]
+		res.Assignment[i] = assign[ws.of[i]]
 	}
 	for c := range res.Centroids {
 		res.Centroids[c] = [2]float64{cen[2*c], cen[2*c+1]}
@@ -303,13 +290,11 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 	n := len(xy) / 2
 	f := r.Intn(n)
 	cen[0], cen[1] = xy[2*f], xy[2*f+1]
-	total := 0.0
 	for j := range d2 {
 		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[0], cen[1])
-		total += d2[j]
 	}
 	for c := 1; c < k; c++ {
-		total = ws.inputSum(d2, total)
+		total := ws.inputSum(d2)
 		idx := n - 1
 		if total == 0 {
 			// All points coincide with existing centroids; pick any.
@@ -318,7 +303,7 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 			u := r.Float64() * total
 			acc := 0.0
 			for i := 0; i < n; i++ {
-				acc += d2[at(of, i)]
+				acc += d2[of[i]]
 				if u < acc {
 					idx = i
 					break
@@ -330,23 +315,17 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 		if c == k-1 {
 			break // d2 is not read again
 		}
-		total = 0
 		for j := range d2 {
 			if d := dist2(pts[2*j], pts[2*j+1], c0, c1); d < d2[j] {
 				d2[j] = d
 			}
-			total += d2[j]
 		}
 	}
 }
 
 // inputSum is the sum over the input points, in index order, of v at
-// each one's distinct point. distinctSum is v's sum over the distinct
-// points in their order, which is that sum when no point repeats.
-func (ws *workspace) inputSum(v []float64, distinctSum float64) float64 {
-	if ws.of == nil {
-		return distinctSum
-	}
+// each one's distinct point.
+func (ws *workspace) inputSum(v []float64) float64 {
 	s := 0.0
 	for _, j := range ws.of {
 		s += v[j]
@@ -391,12 +370,10 @@ func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
 		ws.update(k, &box)
 	}
 
-	sse := 0.0
 	for j, c := range assign {
 		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[2*c], cen[2*c+1])
-		sse += d2[j]
 	}
-	return ws.inputSum(d2, sse), iter
+	return ws.inputSum(d2), iter
 }
 
 // reassign is one assignment pass after the first, over the distinct
@@ -478,7 +455,7 @@ func (ws *workspace) update(k int, box *bbox) {
 		}
 	}
 	for i := 0; i < len(xy)/2; i++ {
-		if c := assign[at(of, i)]; dirty[c] {
+		if c := assign[of[i]]; dirty[c] {
 			counts[c]++
 			sums[2*c] += xy[2*i]
 			sums[2*c+1] += xy[2*i+1]
