@@ -112,19 +112,10 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 		return nil, ErrNoTasks
 	}
 
-	// Lay the tasks out group by group: group g's tasks are
-	// order[start[g]:start[g+1]], in trace order, and its step-one points
-	// the matching pairs of xy.
-	var start [trace.NumGroups + 1]int
-	for i := range tr.Tasks {
-		start[tr.Tasks[i].Group().Index()+1]++
-	}
-	for g := 0; g < trace.NumGroups; g++ {
-		start[g+1] += start[g]
-	}
-	next := start
-	xy := make([]float64, 2*len(tr.Tasks))
-	order := make([]int, len(tr.Tasks))
+	var (
+		xyByGroup    [trace.NumGroups][]float64 // step one's (log CPU, log Mem) pairs
+		tasksByGroup [trace.NumGroups][]*trace.Task
+	)
 	for i := range tr.Tasks {
 		t := &tr.Tasks[i]
 		p, ok := logSizes(t)
@@ -133,27 +124,24 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 				t.ID, i, t.CPU, t.Mem, t.Duration)
 		}
 		gi := t.Group().Index()
-		j := next[gi]
-		xy[2*j], xy[2*j+1] = p[0], p[1]
-		order[j] = i
-		next[gi]++
+		xyByGroup[gi] = append(xyByGroup[gi], p[0], p[1])
+		tasksByGroup[gi] = append(tasksByGroup[gi], t)
 	}
 
 	ch := &Characterization{}
-	sc := newScratch(len(tr.Tasks))
 	for _, g := range trace.Groups() {
-		lo, hi := start[g.Index()], start[g.Index()+1]
-		if lo == hi {
+		xy, tasks := xyByGroup[g.Index()], tasksByGroup[g.Index()]
+		if len(tasks) == 0 {
 			continue
 		}
-		_, res, err := kmeans.ChooseK(xy[2*lo:2*hi], cfg.MaxK, cfg.MinGain, kmeans.Config{
+		_, res, err := kmeans.ChooseK(xy, cfg.MaxK, cfg.MinGain, kmeans.Config{
 			Seed:     cfg.Seed + int64(g),
 			Restarts: restarts,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("classify: step one for %v: %w", g, err)
 		}
-		if err := ch.addGroupClasses(g, res, tr.Tasks, order[lo:hi], sc, cfg); err != nil {
+		if err := ch.addGroupClasses(g, res, tasks, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -163,45 +151,29 @@ func Characterize(tr *trace.Trace, cfg Config) (*Characterization, error) {
 	return ch, nil
 }
 
-// scratch holds the per-class buffers of addGroupClasses and
-// splitDurations, sized once for the whole trace so that appending to them
-// never allocates: a class's statistics are taken from them before the
-// next class reuses them.
-type scratch struct {
-	cpus, mems, durs, split []float64 // one class's sizes, durations and short-then-long durations
-	pairs                   []float64 // one class's (log duration, 0) pairs
-}
-
-func newScratch(n int) *scratch {
-	return &scratch{
-		cpus:  make([]float64, n),
-		mems:  make([]float64, n),
-		durs:  make([]float64, n),
-		split: make([]float64, n),
-		pairs: make([]float64, 2*n),
-	}
-}
-
-// addGroupClasses turns step one's clusters of group g into classes; the
-// group's i-th task is tasks[idx[i]].
 func (ch *Characterization) addGroupClasses(
 	g trace.PriorityGroup,
 	res *kmeans.Result,
-	tasks []trace.Task,
-	idx []int,
-	sc *scratch,
+	tasks []*trace.Task,
 	cfg Config,
 ) error {
-	for c := range res.Centroids {
-		cpus, mems, durs := sc.cpus[:0], sc.mems[:0], sc.durs[:0]
-		for i, a := range res.Assignment {
-			if a == c {
-				t := &tasks[idx[i]]
-				cpus, mems, durs = append(cpus, t.CPU), append(mems, t.Mem), append(durs, t.Duration)
-			}
-		}
-		if len(cpus) == 0 {
+	k := len(res.Centroids)
+	members := make([][]*trace.Task, k)
+	for i, t := range tasks {
+		c := res.Assignment[i]
+		members[c] = append(members[c], t)
+	}
+	for c := 0; c < k; c++ {
+		if len(members[c]) == 0 {
 			continue
+		}
+		cpus := make([]float64, len(members[c]))
+		mems := make([]float64, len(members[c]))
+		durs := make([]float64, len(members[c]))
+		for i, t := range members[c] {
+			cpus[i] = t.CPU
+			mems[i] = t.Mem
+			durs[i] = t.Duration
 		}
 		cls := Class{
 			ID:          len(ch.Classes),
@@ -210,7 +182,7 @@ func (ch *Characterization) addGroupClasses(
 			Mem:         stats.Mean(mems),
 			CPUStd:      stats.StdDev(cpus),
 			MemStd:      stats.StdDev(mems),
-			Count:       len(cpus),
+			Count:       len(members[c]),
 			logCentroid: res.Centroids[c],
 		}
 		// The means summed in trace order; the quantiles read sorted sizes.
@@ -228,7 +200,7 @@ func (ch *Characterization) addGroupClasses(
 			cls.CPUQuantiles[qi] = cq
 			cls.MemQuantiles[qi] = mq
 		}
-		cls.Sub = splitDurations(durs, sc, cfg)
+		cls.Sub = splitDurations(durs, cfg)
 		ch.byGroup[g.Index()] = append(ch.byGroup[g.Index()], cls.ID)
 		ch.Classes = append(ch.Classes, cls)
 	}
@@ -238,11 +210,11 @@ func (ch *Characterization) addGroupClasses(
 // splitDurations runs step two: k=2 clustering on log duration, returning
 // sub-classes sorted short-first. When the class is too small or durations
 // are homogeneous, a single sub-class is returned.
-func splitDurations(durs []float64, sc *scratch, cfg Config) []SubClass {
+func splitDurations(durs []float64, cfg Config) []SubClass {
 	if len(durs) < 4 {
 		return []SubClass{subClassOf(durs)}
 	}
-	pairs := sc.pairs[:2*len(durs)]
+	pairs := make([]float64, 2*len(durs))
 	for i, d := range durs {
 		//harmony:allow nansource Characterize admits only durations in (0, +Inf)
 		pairs[2*i], pairs[2*i+1] = math.Log(d), 0
@@ -251,16 +223,11 @@ func splitDurations(durs []float64, sc *scratch, cfg Config) []SubClass {
 	if err != nil {
 		return []SubClass{subClassOf(durs)}
 	}
-	// Cluster 0's durations then cluster 1's, each in class order.
-	a := sc.split[:0]
+	var a, b []float64
 	for i, d := range durs {
 		if res.Assignment[i] == 0 {
 			a = append(a, d)
-		}
-	}
-	b := a[len(a):]
-	for i, d := range durs {
-		if res.Assignment[i] != 0 {
+		} else {
 			b = append(b, d)
 		}
 	}
