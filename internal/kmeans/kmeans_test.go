@@ -193,7 +193,7 @@ func TestChooseKCapsAtN(t *testing.T) {
 // pairs are one point exactly when their bit patterns are equal, so +0
 // and −0 and NaNs of different payloads stay apart, distinct points are
 // numbered by first occurrence, and an input without repeats comes back
-// as itself with a nil index. The 50×50 lattice shares every x0 with 49
+// in its own order with the identity index. The 50×50 lattice shares every x0 with 49
 // other points, so a probe that compared one coordinate would merge some.
 func TestDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(3))

@@ -3,8 +3,8 @@ package trace
 import "testing"
 
 // BenchmarkGenerate materializes a day of the default generator at the
-// online workloads' 2.5 tasks/s (about 360k tasks): the draws, Collect's
-// buffer and Generate's order check.
+// online workloads' 2.5 tasks/s (about 360k tasks): the draws and
+// Collect's buffers.
 func BenchmarkGenerate(b *testing.B) {
 	cfg := DefaultConfig(1)
 	cfg.Horizon = Day
