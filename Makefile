@@ -28,16 +28,18 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Ten seconds of each fuzz target (the ingest decoder, the
-# characterization and tenants-config loaders, the CSV and JSON-lines
-# task sources, the sparse LP engine against the dense tableau, the
-# pruned K-means kernel against plain Lloyd iterations, the controller
-# constructor's accept-or-decide promise, and the tenants constructors'
-# route-or-count-invalid and accept-or-decide promises); CI's
-# fuzz smoke runs this target. Each name is anchored: -fuzz must match one
-# target of its package. TestMakeFuzzRunsEveryTarget keeps the list whole.
+# characterization and tenants-config loaders, the characterization's
+# settings, the CSV and JSON-lines task sources, the sparse LP engine
+# against the dense tableau, the pruned K-means kernel against plain
+# Lloyd iterations, the controller constructor's accept-or-decide
+# promise, and the tenants constructors' route-or-count-invalid and
+# accept-or-decide promises); CI's fuzz smoke runs this target. Each name
+# is anchored: -fuzz must match one target of its package.
+# TestMakeFuzzRunsEveryTarget keeps the list whole.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTasks$$' -fuzztime 10s ./internal/daemon
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/classify
+	$(GO) test -run '^$$' -fuzz '^FuzzCharacterize$$' -fuzztime 10s ./internal/classify
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/tenant
 	$(GO) test -run '^$$' -fuzz '^FuzzNew$$' -fuzztime 10s ./internal/tenant
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVSource$$' -fuzztime 10s ./internal/trace

@@ -510,3 +510,60 @@ func TestLabelRejectsUnloggableTasks(t *testing.T) {
 		})
 	}
 }
+
+// FuzzCharacterize fuzzes Config over a small fixed generated trace (about
+// 180 tasks): any MaxK, any MinGain (NaN, ±Inf and negative included) and
+// any Seed either make Characterize return an error or give classes that
+// cover every task of each group, at most MaxK of them per group (12 when
+// MaxK is not positive), each with sub-classes that cover its members.
+func FuzzCharacterize(f *testing.F) {
+	gen := trace.DefaultConfig(1)
+	gen.Horizon = 0.1 * trace.Hour
+	gen.RatePerS = 0.5
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var perGroup [trace.NumGroups]int
+	for _, task := range tr.Tasks {
+		perGroup[task.Group().Index()]++
+	}
+	f.Add(0, 0.0, int64(1))
+	f.Add(12, 0.05, int64(1))
+	f.Add(1, math.Inf(1), int64(-3))
+	f.Add(-5, math.Inf(-1), int64(7))
+	f.Add(1000, 1e-300, int64(2))
+	f.Add(3, -0.5, int64(math.MaxInt64))
+	f.Add(2, math.NaN(), int64(0))
+	f.Fuzz(func(t *testing.T, maxK int, minGain float64, seed int64) {
+		ch, err := Characterize(tr, Config{MaxK: maxK, MinGain: minGain, Seed: seed})
+		if err != nil {
+			return
+		}
+		if maxK <= 0 {
+			maxK = 12
+		}
+		var classes, tasks [trace.NumGroups]int
+		for _, c := range ch.Classes {
+			sub := 0
+			for _, s := range c.Sub {
+				sub += s.Count
+			}
+			if c.Count < 1 || sub != c.Count {
+				t.Fatalf("class %d has %d tasks and sub-classes of %d", c.ID, c.Count, sub)
+			}
+			classes[c.Group.Index()]++
+			tasks[c.Group.Index()] += c.Count
+		}
+		for g := range perGroup {
+			if tasks[g] != perGroup[g] || classes[g] > maxK {
+				t.Fatalf("group %d: %d classes cover %d of %d tasks; MaxK %d", g, classes[g], tasks[g], perGroup[g], maxK)
+			}
+		}
+		for _, task := range tr.Tasks {
+			if id := ch.Label(task); id < 0 || ch.Classes[id].Group != task.Group() {
+				t.Fatalf("task %d labels into class %d", task.ID, id)
+			}
+		}
+	})
+}

@@ -6,25 +6,30 @@
 //
 // The input is one flat buffer of (x0, x1) pairs: the characterization
 // clusters (log CPU, log Mem) and then log duration as (x, 0). Tasks share
-// their job's request, so step one's pairs repeat heavily (a 2 h trace at
-// 3 tasks/s has 39,341 tasks and 2,582 distinct shapes), and the kernel
-// works on the distinct pairs: each input point keeps the index of its
-// distinct point, and seeding distances, the assignment pass and its
-// bounds run once per distinct point. Lloyd's assignment pass also skips
-// every distinct point whose distance bounds prove its centroid unchanged
-// (Hamerly, "Making k-means even faster", SDM 2010).
+// their job's request and a job's tasks arrive together, so step one's
+// pairs come as runs of one repeated shape (a 2 h trace at 3 tasks/s has
+// 39,341 tasks in 2,839 runs of 2,582 distinct shapes). The kernel keeps
+// the input as its maximal runs of one distinct point: seeding distances,
+// the assignment pass and its bounds run once per distinct point. Lloyd's
+// assignment pass also skips every distinct point whose distance bounds
+// prove its centroid unchanged (Hamerly, "Making k-means even faster",
+// SDM 2010).
 //
-// Three sums still run over every input point in index order, since float
-// addition is not associative and a duplicate adds at its own position:
-// k-means++'s cumulative D², each moved centroid's re-sum, and the SSE.
-// So results are bit-identical to plain Lloyd iterations over the same
-// seeding; kmeans_oracle_test.go keeps that reference.
+// Three sums keep the input's order, since float addition is not
+// associative and a duplicate adds at its own position: k-means++'s
+// cumulative D², each moved centroid's re-sum, and the SSE. Each walks the
+// runs and adds a run's value once per member into a local accumulator,
+// the same additions in the same order; k-means++'s draw binary-searches
+// the cumulative D² at each run's end. So results are bit-identical to
+// plain Lloyd iterations over the same seeding; kmeans_oracle_test.go
+// keeps that reference.
 package kmeans
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"harmony/internal/stats"
 )
@@ -129,15 +134,17 @@ func numPoints(xy []float64) (int, error) {
 // run needs, sized for up to maxK centroids and reused across restarts
 // and (in ChooseK) across k. Centroid c is (cen[2c], cen[2c+1]).
 type workspace struct {
-	xy  []float64 // input point i is (xy[2i], xy[2i+1])
-	pts []float64 // distinct point j is (pts[2j], pts[2j+1]), by first occurrence
-	of  []int32   // input point i is distinct point of[i]
-	box bbox      // the points' bounding box
+	xy   []float64 // input point i is (xy[2i], xy[2i+1])
+	pts  []float64 // distinct point j is (pts[2j], pts[2j+1]), by first occurrence
+	runs []run     // the input's maximal runs of one distinct point, in order
+	box  bbox      // the points' bounding box
 
 	// Per distinct point.
 	assign, bestAssign []int
 	ub, lb             []float64 // distance bounds (see reassign)
 	d2                 []float64 // squared distance to the nearest seed, then to its centroid
+
+	cum []float64 // per run: k-means++'s cumulative D² at its last member
 
 	cen, bestCen, sums []float64
 	counts             []int
@@ -145,18 +152,26 @@ type workspace struct {
 	move, half         []float64 // per centroid: last move, half the gap to the nearest other
 }
 
+// run is n consecutive input points equal to distinct point pt, which is
+// (x0, x1).
+type run struct {
+	x0, x1 float64
+	pt, n  int32
+}
+
 func newWorkspace(xy []float64, maxK int) *workspace {
-	pts, of := distinct(xy)
+	pts, runs := distinct(xy)
 	m := len(pts) / 2
 	ws := &workspace{
 		xy:         xy,
 		pts:        pts,
-		of:         of,
+		runs:       runs,
 		assign:     make([]int, m),
 		bestAssign: make([]int, m),
 		ub:         make([]float64, m),
 		lb:         make([]float64, m),
 		d2:         make([]float64, m),
+		cum:        make([]float64, len(runs)),
 		cen:        make([]float64, 2*maxK),
 		bestCen:    make([]float64, 2*maxK),
 		sums:       make([]float64, 2*maxK),
@@ -173,44 +188,55 @@ func newWorkspace(xy []float64, maxK int) *workspace {
 }
 
 // distinct returns xy's distinct pairs in order of first occurrence and
-// each point's index among them. Pairs are equal when their bit patterns
-// are: every distance the kernel computes from a pair depends on its bits
-// alone, so bitwise duplicates are interchangeable and +0/−0 or NaNs with
-// different payloads simply stay apart. The pairs are found with an
-// open-addressing table of each distinct pair's first input index.
-func distinct(xy []float64) ([]float64, []int32) {
+// the input as maximal runs of one distinct pair. Pairs are equal when
+// their bit patterns are: every distance the kernel computes from a pair
+// depends on its bits alone, so bitwise duplicates are interchangeable
+// and +0/−0 or NaNs with different payloads simply stay apart. A pair
+// equal to the one before it extends that run; the first pair of a run is
+// looked up in an open-addressing table of distinct pairs, sized by the
+// number of runs.
+func distinct(xy []float64) ([]float64, []run) {
 	n := len(xy) / 2
-	of := make([]int32, n)
+	nRuns := 1
+	for i := 1; i < n; i++ {
+		if !samePair(xy, i, i-1) {
+			nRuns++
+		}
+	}
 	bits := 1
-	for 1<<bits < 2*n {
+	for 1<<bits < 2*nRuns {
 		bits++
 	}
-	table := make([]int32, 1<<bits) // first input index + 1; 0 is empty
+	table := make([]int32, 1<<bits) // distinct index + 1; 0 is empty
 	mask := len(table) - 1
-	m := int32(0)
-	for i := range of {
+	pts := make([]float64, 0, 2*nRuns)
+	runs := make([]run, 0, nRuns)
+	for i := 0; i < n; i++ {
+		if i > 0 && samePair(xy, i, i-1) {
+			runs[len(runs)-1].n++
+			continue
+		}
 		b0, b1 := math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])
 		for s := int(mix(mix(b0)^b1) >> (64 - bits)); ; s = (s + 1) & mask {
-			f := int(table[s]) - 1
-			if f < 0 {
-				table[s] = int32(i) + 1
-				of[i] = m
-				m++
-				break
+			j := int(table[s]) - 1
+			if j < 0 {
+				j = len(pts) / 2
+				table[s] = int32(j) + 1
+				pts = append(pts, xy[2*i], xy[2*i+1])
+			} else if math.Float64bits(pts[2*j]) != b0 || math.Float64bits(pts[2*j+1]) != b1 {
+				continue
 			}
-			if math.Float64bits(xy[2*f]) == b0 && math.Float64bits(xy[2*f+1]) == b1 {
-				of[i] = of[f]
-				break
-			}
+			runs = append(runs, run{xy[2*i], xy[2*i+1], int32(j), 1})
+			break
 		}
 	}
-	pts := make([]float64, 0, 2*m)
-	for i, j := range of {
-		if int(j) == len(pts)/2 { // i is j's first occurrence
-			pts = append(pts, xy[2*i], xy[2*i+1])
-		}
-	}
-	return pts, of
+	return pts, runs
+}
+
+// samePair reports whether input points i and k have the same bits.
+func samePair(xy []float64, i, k int) bool {
+	return math.Float64bits(xy[2*i]) == math.Float64bits(xy[2*k]) &&
+		math.Float64bits(xy[2*i+1]) == math.Float64bits(xy[2*k+1])
 }
 
 // mix is SplitMix64's finalizer. A float's information sits in its high
@@ -271,8 +297,12 @@ func (ws *workspace) result(k int, assign []int, cen []float64, sse float64, ite
 		SSE:        sse,
 		Iterations: iter,
 	}
-	for i := range res.Assignment {
-		res.Assignment[i] = assign[ws.of[i]]
+	i := 0
+	for _, rn := range ws.runs {
+		a := assign[rn.pt]
+		for end := i + int(rn.n); i < end; i++ {
+			res.Assignment[i] = a
+		}
 	}
 	for c := range res.Centroids {
 		res.Centroids[c] = [2]float64{cen[2*c], cen[2*c+1]}
@@ -283,10 +313,16 @@ func (ws *workspace) result(k int, assign []int, cen []float64, sse float64, ite
 // seedPlusPlus picks k initial centroids into cen with the k-means++
 // strategy: each next centroid is drawn with probability proportional to
 // its squared distance from the nearest already-chosen centroid. The
-// distances are computed per distinct point; their total and the draw
-// walk the input points in index order.
+// distances are computed per distinct point and their total walks the
+// runs in input order, recording the cumulative sum at each run's end.
+//
+// The draw picks the first input point whose cumulative sum exceeds u, or
+// the last point when none does. The sums are non-decreasing when the
+// total is finite, so that point lies in the first run whose end sum
+// exceeds u, and every member of a run is the same point. A NaN or +Inf
+// total makes u NaN or +Inf, which no sum exceeds, as in the walk.
 func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
-	xy, pts, of, cen, d2 := ws.xy, ws.pts, ws.of, ws.cen, ws.d2
+	xy, pts, runs, cen, d2, cum := ws.xy, ws.pts, ws.runs, ws.cen, ws.d2, ws.cum
 	n := len(xy) / 2
 	f := r.Intn(n)
 	cen[0], cen[1] = xy[2*f], xy[2*f+1]
@@ -294,23 +330,17 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[0], cen[1])
 	}
 	for c := 1; c < k; c++ {
-		total := ws.inputSum(d2)
-		idx := n - 1
+		total := ws.runSum(d2)
+		var c0, c1 float64
 		if total == 0 {
 			// All points coincide with existing centroids; pick any.
-			idx = r.Intn(n)
+			f := r.Intn(n)
+			c0, c1 = xy[2*f], xy[2*f+1]
 		} else {
 			u := r.Float64() * total
-			acc := 0.0
-			for i := 0; i < n; i++ {
-				acc += d2[of[i]]
-				if u < acc {
-					idx = i
-					break
-				}
-			}
+			at := min(sort.Search(len(cum), func(i int) bool { return u < cum[i] }), len(runs)-1)
+			c0, c1 = runs[at].x0, runs[at].x1
 		}
-		c0, c1 := xy[2*idx], xy[2*idx+1]
 		cen[2*c], cen[2*c+1] = c0, c1
 		if c == k-1 {
 			break // d2 is not read again
@@ -323,12 +353,17 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 	}
 }
 
-// inputSum is the sum over the input points, in index order, of v at
-// each one's distinct point.
-func (ws *workspace) inputSum(v []float64) float64 {
-	s := 0.0
-	for _, j := range ws.of {
-		s += v[j]
+// runSum is the sum over the input points, in index order, of v at each
+// one's distinct point. It records the sum at each run's end in cum.
+func (ws *workspace) runSum(v []float64) float64 {
+	cum, s := ws.cum, 0.0
+	for r, rn := range ws.runs {
+		x := v[rn.pt]
+		s += x
+		for t := int32(1); t < rn.n; t++ {
+			s += x
+		}
+		cum[r] = s
 	}
 	return s
 }
@@ -373,7 +408,7 @@ func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
 	for j, c := range assign {
 		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[2*c], cen[2*c+1])
 	}
-	return ws.inputSum(d2), iter
+	return ws.runSum(d2), iter
 }
 
 // reassign is one assignment pass after the first, over the distinct
@@ -447,20 +482,14 @@ func (ws *workspace) reassign(k int, margin float64) bool {
 // centroids (an empty cluster keeps its position), then records every
 // centroid's move and half-gap and grows box over the new centroids.
 func (ws *workspace) update(k int, box *bbox) {
-	xy, of, assign, cen, sums := ws.xy, ws.of, ws.assign, ws.cen[:2*k], ws.sums[:2*k]
+	cen, sums := ws.cen[:2*k], ws.sums[:2*k]
 	counts, dirty, move, half := ws.counts[:k], ws.dirty[:k], ws.move[:k], ws.half[:k]
 	for c, d := range dirty {
 		if d {
 			sums[2*c], sums[2*c+1], counts[c] = 0, 0, 0
 		}
 	}
-	for i := 0; i < len(xy)/2; i++ {
-		if c := assign[of[i]]; dirty[c] {
-			counts[c]++
-			sums[2*c] += xy[2*i]
-			sums[2*c+1] += xy[2*i+1]
-		}
-	}
+	sumDirty(ws.runs, ws.assign, dirty, sums, counts)
 	for c := range move {
 		move[c] = 0
 		if !dirty[c] {
@@ -484,6 +513,26 @@ func (ws *workspace) update(k int, box *bbox) {
 			h := 0.5 * dist(cen[2*c], cen[2*c+1], cen[2*o], cen[2*o+1])
 			half[c], half[o] = min(half[c], h), min(half[o], h)
 		}
+	}
+}
+
+// sumDirty adds the point of each run whose cluster is dirty to that
+// cluster's sums, once per member and in input order, and the run's
+// length to its count.
+func sumDirty(runs []run, assign []int, dirty []bool, sums []float64, counts []int) {
+	for _, rn := range runs {
+		c := assign[rn.pt]
+		if !dirty[c] {
+			continue
+		}
+		x0, x1 := rn.x0, rn.x1
+		s0, s1 := sums[2*c]+x0, sums[2*c+1]+x1
+		for t := int32(1); t < rn.n; t++ {
+			s0 += x0
+			s1 += x1
+		}
+		sums[2*c], sums[2*c+1] = s0, s1
+		counts[c] += int(rn.n)
 	}
 }
 

@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"harmony/internal/stats"
@@ -106,6 +107,52 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 	}
 	nonFinite[3][0], nonFinite[7][1], nonFinite[11] = math.Inf(1), math.Inf(-1), point{math.NaN(), 0}
 
+	// Runs of one repeated point, as a job's tasks arrive together: the
+	// whole input as one run (whose sums add 1.1 two hundred times, which
+	// no product rounds the same way), A,B,A,B with no run longer than
+	// one, long runs where k-means++'s draw lands inside a run and on a
+	// run's last point, and runs of +0 next to −0 and of one NaN next to
+	// another, which stay separate runs.
+	oneRun := make([]point, 200)
+	for i := range oneRun {
+		oneRun[i] = point{1.1, -0.3}
+	}
+	var alternating []point
+	for i := 0; i < 40; i++ {
+		alternating = append(alternating, [2]point{{1, 2}, {-3, 0.7}}[i%2])
+	}
+	var longRuns, signedZeroRuns, nanRuns []point
+	var runEnds []int
+	for i, n := range []int{37, 1, 64, 5, 23, 90} {
+		for j := 0; j < n; j++ {
+			longRuns = append(longRuns, [...]point{{0, 0}, {3, 1}, {0.5, 4}, {-2, -2}, {6, 6}, {1, -3}}[i])
+		}
+		runEnds = append(runEnds, len(longRuns))
+	}
+	const midSeed, lastSeed = 0, 14
+	if i := firstDraw(longRuns, midSeed); slices.Contains(runEnds, i+1) || slices.Contains(runEnds, i) {
+		t.Fatalf("seed %d now draws point %d; pick one that draws inside a run (run ends %v)", midSeed, i, runEnds)
+	}
+	if i := firstDraw(longRuns, lastSeed); !slices.Contains(runEnds, i+1) || slices.Contains(runEnds, i) {
+		t.Fatalf("seed %d now draws point %d; pick one that draws a run's last point (run ends %v)", lastSeed, i, runEnds)
+	}
+	for _, r := range []struct {
+		p point
+		n int
+	}{{point{0, 1}, 3}, {point{negZero, 1}, 2}, {point{0, 1}, 1}, {point{1, 0}, 2}, {point{1, negZero}, 3}, {point{0, 0}, 4}} {
+		for j := 0; j < r.n; j++ {
+			signedZeroRuns = append(signedZeroRuns, r.p)
+		}
+	}
+	for _, r := range []struct {
+		p point
+		n int
+	}{{point{math.NaN(), 1}, 3}, {point{otherNaN, 1}, 2}, {point{math.NaN(), 1}, 1}, {point{2, math.NaN()}, 2}, {point{2, 2}, 4}, {point{0, 1}, 3}} {
+		for j := 0; j < r.n; j++ {
+			nanRuns = append(nanRuns, r.p)
+		}
+	}
+
 	cases := []struct {
 		name  string
 		pts   []point
@@ -135,6 +182,11 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 		{"signed zeros", signedZeros, []int{1, 2, 3, 5}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
 		{"signed zeros 1-D", signedZeros1, []int{1, 2, 3}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
 		{"repeated NaN", nans, []int{1, 2, 3, 5}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"one run", oneRun, []int{1, 2, 5}, Config{Restarts: 2}, nil},
+		{"A,B,A,B", alternating, []int{1, 2, 3}, Config{Restarts: 3}, nil},
+		{"long runs", longRuns, []int{2, 3, 4, 6}, Config{Restarts: 3}, []int64{midSeed, lastSeed, 1, 2, 3, 4, 5, 6}},
+		{"signed zero runs", signedZeroRuns, []int{1, 2, 3, 5}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"NaN runs", nanRuns, []int{1, 2, 3, 5}, Config{Restarts: 3}, []int64{0, 1, 2, 3, 4, 5, 6, 7}},
 	}
 	for _, tc := range cases {
 		if tc.seeds == nil {
@@ -202,8 +254,9 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 // repeats are common) of dimension 1 or 2, k, a seed, an iteration cap, a
 // restart count and a scale (1e155 makes squares overflow), and requires
 // Run to match the reference bit for bit. The first byte also picks a
-// special value: a coordinate byte in [7, 14) mod 14 becomes −0 where it
-// would be 0 (mode 1) or NaN (mode 2).
+// special value, where a coordinate byte in [7, 14) mod 14 becomes −0 where
+// it would be 0 (mode 1) or NaN (mode 2), and a run length: each decoded
+// point repeats 1 + ⌊byte/6⌋ mod 8 times in a row, as a job's tasks do.
 func FuzzLloydMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{1, 3, 7, 0, 2, 0, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 6, 6, 5, 5, 1, 1})
 	f.Add([]byte{0, 4, 1, 1, 0, 2, 3, 3, 3, 3, 0, 0, 6, 6, 3})
@@ -211,17 +264,17 @@ func FuzzLloydMatchesBruteForce(f *testing.F) {
 		if len(data) < 7 {
 			return
 		}
-		dim, mode := 1+int(data[0]%2), data[0]/2%3
+		dim, mode, runLen := 1+int(data[0]%2), data[0]/2%3, 1+int(data[0]/6%8)
 		scale := [...]float64{1, 0.5, 1e-6, 1e6, 1e155}[data[5]%5]
 		coords := data[6:]
 		n := min(64, len(coords)/dim)
 		if n == 0 {
 			return
 		}
-		pts := make([]point, n)
-		for i := range pts {
-			pts[i] = make(point, dim)
-			for d := range pts[i] {
+		pts := make([]point, 0, n*runLen)
+		for i := 0; i < n; i++ {
+			p := make(point, dim)
+			for d := range p {
 				b := coords[i*dim+d]
 				v := scale * float64(int(b%7)-3)
 				switch special := b%14 >= 7; {
@@ -230,11 +283,14 @@ func FuzzLloydMatchesBruteForce(f *testing.F) {
 				case special && mode == 2:
 					v = math.NaN()
 				}
-				pts[i][d] = v
+				p[d] = v
+			}
+			for j := 0; j < runLen; j++ {
+				pts = append(pts, p)
 			}
 		}
 		cfg := Config{
-			K:        1 + int(data[1])%n,
+			K:        1 + int(data[1])%len(pts),
 			Seed:     int64(data[2]),
 			MaxIter:  int(data[3] % 5), // 0 is the default cap
 			Restarts: 1 + int(data[4]%3),
@@ -245,6 +301,24 @@ func FuzzLloydMatchesBruteForce(f *testing.F) {
 		}
 		requireSameResult(t, "fuzz", got, runRef(pts, cfg))
 	})
+}
+
+// firstDraw is the input index of k-means++'s first draw (the second
+// centroid) under seed, found by the reference seeding's walk.
+func firstDraw(points []point, seed int64) int {
+	r := stats.NewRNG(seed)
+	first := points[r.Intn(len(points))]
+	total := 0.0
+	for _, p := range points {
+		total += sqDist(p, first)
+	}
+	u, acc := r.Float64()*total, 0.0
+	for i, p := range points {
+		if acc += sqDist(p, first); u < acc {
+			return i
+		}
+	}
+	return len(points) - 1
 }
 
 // requireSameResult fails unless got and want agree in every bit, a 1-D

@@ -191,42 +191,66 @@ func TestChooseKCapsAtN(t *testing.T) {
 
 // TestDistinct checks the deduplication behind the kernel on its own:
 // pairs are one point exactly when their bit patterns are equal, so +0
-// and −0 and NaNs of different payloads stay apart, distinct points are
-// numbered by first occurrence, and an input without repeats comes back
-// in its own order with the identity index. The 50×50 lattice shares every x0 with 49
-// other points, so a probe that compared one coordinate would merge some.
+// and −0 and NaNs of different payloads stay apart (adjacent, they are
+// separate runs), distinct points are numbered by first occurrence, runs
+// are maximal and cover the input in order, and an input without repeats
+// comes back in its own order as runs of one. The 50×50 lattice shares
+// every x0 with 49 other points, so a probe that compared one coordinate
+// would merge some; each draw repeats one to three times, so runs of
+// several points follow one another.
 func TestDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var xy []float64
-	for i := 0; i < 5000; i++ {
+	for len(xy) < 10000 {
 		v := r.Intn(2500)
-		xy = append(xy, float64(v%50), float64(v/50))
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			xy = append(xy, float64(v%50), float64(v/50))
+		}
 	}
 	negZero, otherNaN := math.Copysign(0, -1), math.Float64frombits(math.Float64bits(math.NaN())^1)
-	xy = append(xy, 0, 0, negZero, 0, 0, negZero, math.NaN(), 1, otherNaN, 1, math.NaN(), 1, 0, 0)
+	xy = append(xy, 0, 0, negZero, 0, 0, negZero, math.NaN(), 1, otherNaN, 1, math.NaN(), 1, math.NaN(), 1, 0, 0)
 
-	pts, of := distinct(xy)
+	pts, runs := distinct(xy)
 	first := map[[2]uint64]int{}
-	for i := 0; i < len(xy)/2; i++ {
-		key := [2]uint64{math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])}
-		j, seen := first[key]
-		if !seen {
-			j = len(first)
-			first[key] = j
+	i := 0
+	for ri, rn := range runs {
+		if rn.n < 1 || (ri > 0 && rn.pt == runs[ri-1].pt) {
+			t.Fatalf("run %d %+v after %+v is not maximal", ri, rn, runs[max(ri-1, 0)])
 		}
-		if int(of[i]) != j {
-			t.Fatalf("point %d (%v, %v) is distinct point %d, want %d", i, xy[2*i], xy[2*i+1], of[i], j)
+		for end := i + int(rn.n); i < end; i++ {
+			if i >= len(xy)/2 {
+				t.Fatalf("the runs cover more than the %d points", len(xy)/2)
+			}
+			key := [2]uint64{math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])}
+			j, seen := first[key]
+			if !seen {
+				j = len(first)
+				first[key] = j
+			}
+			if int(rn.pt) != j {
+				t.Fatalf("point %d (%v, %v) is distinct point %d, want %d", i, xy[2*i], xy[2*i+1], rn.pt, j)
+			}
+			if math.Float64bits(pts[2*j]) != key[0] || math.Float64bits(pts[2*j+1]) != key[1] {
+				t.Fatalf("distinct point %d is (%v, %v), want (%v, %v)", j, pts[2*j], pts[2*j+1], xy[2*i], xy[2*i+1])
+			}
 		}
-		if math.Float64bits(pts[2*j]) != key[0] || math.Float64bits(pts[2*j+1]) != key[1] {
-			t.Fatalf("distinct point %d is (%v, %v), want (%v, %v)", j, pts[2*j], pts[2*j+1], xy[2*i], xy[2*i+1])
-		}
+	}
+	if i != len(xy)/2 {
+		t.Fatalf("the runs cover %d of %d points", i, len(xy)/2)
 	}
 	if len(pts) != 2*len(first) {
 		t.Fatalf("%d distinct points, want %d", len(pts)/2, len(first))
 	}
+	var tail []int32
+	for _, rn := range runs[len(runs)-6:] {
+		tail = append(tail, rn.n)
+	}
+	if !slices.Equal(tail, []int32{1, 1, 1, 1, 2, 1}) {
+		t.Fatalf("the last six runs have lengths %v, want (−0, 0), (0, −0), NaN, other NaN, NaN twice, (0, 0)", tail)
+	}
 
 	once := []float64{1, 2, 3, 4, negZero, 4, 0, 4}
-	if pts, of := distinct(once); !slices.Equal(of, []int32{0, 1, 2, 3}) || !slices.Equal(pts, once) {
-		t.Fatalf("an input without repeats gave points %v, index %v", pts, of)
+	if pts, runs := distinct(once); !slices.Equal(runs, []run{{1, 2, 0, 1}, {3, 4, 1, 1}, {negZero, 4, 2, 1}, {0, 4, 3, 1}}) || !slices.Equal(pts, once) {
+		t.Fatalf("an input without repeats gave points %v, runs %v", pts, runs)
 	}
 }
