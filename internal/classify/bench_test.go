@@ -23,15 +23,15 @@ func setupTrace(tb testing.TB, hours float64) *trace.Trace {
 }
 
 // BenchmarkCharacterize is the two-step characterization at the
-// benchmark's sim_baseline_fleet set-up: 2 h of trace (39,341 tasks,
-// 2,582 distinct (group, CPU, mem) shapes) with the facade's MaxK and
-// MinGain. Nearly all of it is K-means: step one's ChooseK (k = 1..12,
-// four restarts each, per priority group) and step two's k = 2 split of
-// each class's log durations, of which about 4 % repeat. Since the kernel
-// clusters distinct points, the largest share is what must stay O(n) for
-// the bits: re-summing moved clusters in input order (about 40 %), then
-// the bounded assignment pass (about 20 %) and k-means++'s cumulative D²
-// (about 15 %).
+// benchmark's sim_baseline_fleet set-up: 2 h of trace (39,341 tasks in
+// 2,839 runs of one repeated (group, CPU, mem) shape, 2,582 distinct) with
+// the facade's MaxK and MinGain. Nearly all of it is K-means: step one's
+// ChooseK (k = 1..12, four restarts each, per priority group) and step
+// two's k = 2 split of each class's log durations, of which about 4 %
+// repeat. Since the kernel clusters distinct points and walks runs, the
+// largest share is the bounded assignment pass (about a third), then
+// re-summing moved clusters (about a fifth) and the run walks of the
+// cumulative D² and the SSE (about a seventh).
 func BenchmarkCharacterize(b *testing.B) {
 	tr := setupTrace(b, 2)
 	b.ReportAllocs()

@@ -8,8 +8,9 @@ import (
 
 // BenchmarkRunDistinct1D is step two's shape: one class's log durations,
 // 13,000 distinct 1-D points drawn around a short and a long mode, split
-// with k = 2 and four restarts. No point repeats, so it measures what
-// collapsing duplicates costs when there are none.
+// with k = 2 and four restarts. No point repeats, so every run is one
+// point: it measures what collapsing duplicates and walking runs cost when
+// there are none.
 func BenchmarkRunDistinct1D(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	xy := make([]float64, 0, 2*13000)

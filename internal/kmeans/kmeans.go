@@ -162,16 +162,19 @@ type run struct {
 func newWorkspace(xy []float64, maxK int) *workspace {
 	pts, runs := distinct(xy)
 	m := len(pts) / 2
+	// Seeding's cumulative sums are dead before lloyd's first pass sets
+	// every bound, so they share one buffer.
+	bounds := make([]float64, max(2*m, len(runs)))
 	ws := &workspace{
 		xy:         xy,
 		pts:        pts,
 		runs:       runs,
 		assign:     make([]int, m),
 		bestAssign: make([]int, m),
-		ub:         make([]float64, m),
-		lb:         make([]float64, m),
+		ub:         bounds[:m:m],
+		lb:         bounds[m : 2*m : 2*m],
 		d2:         make([]float64, m),
-		cum:        make([]float64, len(runs)),
+		cum:        bounds[:len(runs)],
 		cen:        make([]float64, 2*maxK),
 		bestCen:    make([]float64, 2*maxK),
 		sums:       make([]float64, 2*maxK),
@@ -211,12 +214,14 @@ func distinct(xy []float64) ([]float64, []run) {
 	mask := len(table) - 1
 	pts := make([]float64, 0, 2*nRuns)
 	runs := make([]run, 0, nRuns)
+	var p0, p1 uint64 // the previous pair's bits
 	for i := 0; i < n; i++ {
-		if i > 0 && samePair(xy, i, i-1) {
+		b0, b1 := math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])
+		if i > 0 && b0 == p0 && b1 == p1 {
 			runs[len(runs)-1].n++
 			continue
 		}
-		b0, b1 := math.Float64bits(xy[2*i]), math.Float64bits(xy[2*i+1])
+		p0, p1 = b0, b1
 		for s := int(mix(mix(b0)^b1) >> (64 - bits)); ; s = (s + 1) & mask {
 			j := int(table[s]) - 1
 			if j < 0 {
@@ -330,7 +335,7 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[0], cen[1])
 	}
 	for c := 1; c < k; c++ {
-		total := ws.runSum(d2)
+		total := ws.runSum(d2, cum)
 		var c0, c1 float64
 		if total == 0 {
 			// All points coincide with existing centroids; pick any.
@@ -354,16 +359,19 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 }
 
 // runSum is the sum over the input points, in index order, of v at each
-// one's distinct point. It records the sum at each run's end in cum.
-func (ws *workspace) runSum(v []float64) float64 {
-	cum, s := ws.cum, 0.0
+// one's distinct point. When cum is not nil it records the sum at each
+// run's end.
+func (ws *workspace) runSum(v, cum []float64) float64 {
+	s := 0.0
 	for r, rn := range ws.runs {
 		x := v[rn.pt]
 		s += x
 		for t := int32(1); t < rn.n; t++ {
 			s += x
 		}
-		cum[r] = s
+		if cum != nil {
+			cum[r] = s
+		}
 	}
 	return s
 }
@@ -408,7 +416,7 @@ func (ws *workspace) lloyd(k, maxIter int) (float64, int) {
 	for j, c := range assign {
 		d2[j] = dist2(pts[2*j], pts[2*j+1], cen[2*c], cen[2*c+1])
 	}
-	return ws.runSum(d2), iter
+	return ws.runSum(d2, nil), iter
 }
 
 // reassign is one assignment pass after the first, over the distinct

@@ -17,9 +17,9 @@ import (
 // tie that only the bounds' margin exposes, squares that overflow and
 // non-finite coordinates (no pruning at all), heavy repetition and none,
 // +0 next to −0 and repeated NaNs (bitwise-distinct keys that compare
-// equal, equal keys that compare unequal), 1-D and 2-D points, and the
-// characterization's own step-one groups and step-two duration splits on
-// a generated trace.
+// equal, equal keys that compare unequal), runs of one repeated point,
+// 1-D and 2-D points, and the characterization's own step-one groups and
+// step-two duration splits on a generated trace.
 func TestLloydMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	lattice := make([]point, 0, 60)
@@ -113,22 +113,27 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 	// one, long runs where k-means++'s draw lands inside a run and on a
 	// run's last point, and runs of +0 next to −0 and of one NaN next to
 	// another, which stay separate runs.
-	oneRun := make([]point, 200)
-	for i := range oneRun {
-		oneRun[i] = point{1.1, -0.3}
+	type runOf struct {
+		p point
+		n int
 	}
+	expand := func(runs ...runOf) []point {
+		var pts []point
+		for _, r := range runs {
+			for j := 0; j < r.n; j++ {
+				pts = append(pts, r.p)
+			}
+		}
+		return pts
+	}
+	oneRun := expand(runOf{point{1.1, -0.3}, 200})
 	var alternating []point
 	for i := 0; i < 40; i++ {
 		alternating = append(alternating, [2]point{{1, 2}, {-3, 0.7}}[i%2])
 	}
-	var longRuns, signedZeroRuns, nanRuns []point
-	var runEnds []int
-	for i, n := range []int{37, 1, 64, 5, 23, 90} {
-		for j := 0; j < n; j++ {
-			longRuns = append(longRuns, [...]point{{0, 0}, {3, 1}, {0.5, 4}, {-2, -2}, {6, 6}, {1, -3}}[i])
-		}
-		runEnds = append(runEnds, len(longRuns))
-	}
+	longRuns := expand(runOf{point{0, 0}, 37}, runOf{point{3, 1}, 1}, runOf{point{0.5, 4}, 64},
+		runOf{point{-2, -2}, 5}, runOf{point{6, 6}, 23}, runOf{point{1, -3}, 90})
+	runEnds := []int{37, 38, 102, 107, 130, 220}
 	const midSeed, lastSeed = 0, 14
 	if i := firstDraw(longRuns, midSeed); slices.Contains(runEnds, i+1) || slices.Contains(runEnds, i) {
 		t.Fatalf("seed %d now draws point %d; pick one that draws inside a run (run ends %v)", midSeed, i, runEnds)
@@ -136,22 +141,10 @@ func TestLloydMatchesBruteForce(t *testing.T) {
 	if i := firstDraw(longRuns, lastSeed); !slices.Contains(runEnds, i+1) || slices.Contains(runEnds, i) {
 		t.Fatalf("seed %d now draws point %d; pick one that draws a run's last point (run ends %v)", lastSeed, i, runEnds)
 	}
-	for _, r := range []struct {
-		p point
-		n int
-	}{{point{0, 1}, 3}, {point{negZero, 1}, 2}, {point{0, 1}, 1}, {point{1, 0}, 2}, {point{1, negZero}, 3}, {point{0, 0}, 4}} {
-		for j := 0; j < r.n; j++ {
-			signedZeroRuns = append(signedZeroRuns, r.p)
-		}
-	}
-	for _, r := range []struct {
-		p point
-		n int
-	}{{point{math.NaN(), 1}, 3}, {point{otherNaN, 1}, 2}, {point{math.NaN(), 1}, 1}, {point{2, math.NaN()}, 2}, {point{2, 2}, 4}, {point{0, 1}, 3}} {
-		for j := 0; j < r.n; j++ {
-			nanRuns = append(nanRuns, r.p)
-		}
-	}
+	signedZeroRuns := expand(runOf{point{0, 1}, 3}, runOf{point{negZero, 1}, 2}, runOf{point{0, 1}, 1},
+		runOf{point{1, 0}, 2}, runOf{point{1, negZero}, 3}, runOf{point{0, 0}, 4})
+	nanRuns := expand(runOf{point{math.NaN(), 1}, 3}, runOf{point{otherNaN, 1}, 2}, runOf{point{math.NaN(), 1}, 1},
+		runOf{point{2, math.NaN()}, 2}, runOf{point{2, 2}, 4}, runOf{point{0, 1}, 3})
 
 	cases := []struct {
 		name  string
