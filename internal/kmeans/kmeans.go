@@ -153,7 +153,8 @@ type workspace struct {
 }
 
 // run is n consecutive input points equal to distinct point pt, which is
-// (x0, x1).
+// (x0, x1). The re-sum reads each run's point from the run itself, in
+// input order, rather than through pts.
 type run struct {
 	x0, x1 float64
 	pt, n  int32
@@ -201,8 +202,8 @@ func newWorkspace(xy []float64, maxK int) *workspace {
 func distinct(xy []float64) ([]float64, []run) {
 	n := len(xy) / 2
 	nRuns := 1
-	for i := 1; i < n; i++ {
-		if !samePair(xy, i, i-1) {
+	for i := 2; i < len(xy); i += 2 {
+		if math.Float64bits(xy[i]) != math.Float64bits(xy[i-2]) || math.Float64bits(xy[i+1]) != math.Float64bits(xy[i-1]) {
 			nRuns++
 		}
 	}
@@ -236,12 +237,6 @@ func distinct(xy []float64) ([]float64, []run) {
 		}
 	}
 	return pts, runs
-}
-
-// samePair reports whether input points i and k have the same bits.
-func samePair(xy []float64, i, k int) bool {
-	return math.Float64bits(xy[2*i]) == math.Float64bits(xy[2*k]) &&
-		math.Float64bits(xy[2*i+1]) == math.Float64bits(xy[2*k+1])
 }
 
 // mix is SplitMix64's finalizer. A float's information sits in its high
