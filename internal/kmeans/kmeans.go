@@ -152,13 +152,8 @@ type workspace struct {
 	move, half         []float64 // per centroid: last move, half the gap to the nearest other
 }
 
-// run is n consecutive input points equal to distinct point pt, which is
-// (x0, x1). The re-sum reads each run's point from the run itself, in
-// input order, rather than through pts.
-type run struct {
-	x0, x1 float64
-	pt, n  int32
-}
+// run is n consecutive input points equal to distinct point pt.
+type run struct{ pt, n int32 }
 
 func newWorkspace(xy []float64, maxK int) *workspace {
 	pts, runs := distinct(xy)
@@ -232,7 +227,7 @@ func distinct(xy []float64) ([]float64, []run) {
 			} else if math.Float64bits(pts[2*j]) != b0 || math.Float64bits(pts[2*j+1]) != b1 {
 				continue
 			}
-			runs = append(runs, run{xy[2*i], xy[2*i+1], int32(j), 1})
+			runs = append(runs, run{int32(j), 1})
 			break
 		}
 	}
@@ -339,7 +334,8 @@ func (ws *workspace) seedPlusPlus(k int, r *stats.RNG) {
 		} else {
 			u := r.Float64() * total
 			at := min(sort.Search(len(cum), func(i int) bool { return u < cum[i] }), len(runs)-1)
-			c0, c1 = runs[at].x0, runs[at].x1
+			j := runs[at].pt
+			c0, c1 = pts[2*j], pts[2*j+1]
 		}
 		cen[2*c], cen[2*c+1] = c0, c1
 		if c == k-1 {
@@ -492,7 +488,7 @@ func (ws *workspace) update(k int, box *bbox) {
 			sums[2*c], sums[2*c+1], counts[c] = 0, 0, 0
 		}
 	}
-	sumDirty(ws.runs, ws.assign, dirty, sums, counts)
+	sumDirty(ws.runs, ws.pts, ws.assign, dirty, sums, counts)
 	for c := range move {
 		move[c] = 0
 		if !dirty[c] {
@@ -522,13 +518,13 @@ func (ws *workspace) update(k int, box *bbox) {
 // sumDirty adds the point of each run whose cluster is dirty to that
 // cluster's sums, once per member and in input order, and the run's
 // length to its count.
-func sumDirty(runs []run, assign []int, dirty []bool, sums []float64, counts []int) {
+func sumDirty(runs []run, pts []float64, assign []int, dirty []bool, sums []float64, counts []int) {
 	for _, rn := range runs {
 		c := assign[rn.pt]
 		if !dirty[c] {
 			continue
 		}
-		x0, x1 := rn.x0, rn.x1
+		x0, x1 := pts[2*rn.pt], pts[2*rn.pt+1]
 		s0, s1 := sums[2*c]+x0, sums[2*c+1]+x1
 		for t := int32(1); t < rn.n; t++ {
 			s0 += x0
