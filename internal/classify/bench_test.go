@@ -29,9 +29,9 @@ func setupTrace(tb testing.TB, hours float64) *trace.Trace {
 // ChooseK (k = 1..12, four restarts each, per priority group) and step
 // two's k = 2 split of each class's log durations, of which about 4 %
 // repeat. Since the kernel clusters distinct points and walks runs, the
-// largest share is the bounded assignment pass (about 40 %), then
+// largest share is the bounded assignment pass (about a third), then
 // re-summing moved clusters (about a quarter) and the run walks of the
-// cumulative D² and the SSE (about 11 %).
+// cumulative D² and the SSE (about 13 %).
 func BenchmarkCharacterize(b *testing.B) {
 	tr := setupTrace(b, 2)
 	b.ReportAllocs()

@@ -198,7 +198,8 @@ func distinct(xy []float64) ([]float64, []run) {
 	n := len(xy) / 2
 	nRuns := 1
 	for i := 2; i < len(xy); i += 2 {
-		if math.Float64bits(xy[i]) != math.Float64bits(xy[i-2]) || math.Float64bits(xy[i+1]) != math.Float64bits(xy[i-1]) {
+		if math.Float64bits(xy[i]) != math.Float64bits(xy[i-2]) ||
+			math.Float64bits(xy[i+1]) != math.Float64bits(xy[i-1]) {
 			nRuns++
 		}
 	}
